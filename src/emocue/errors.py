@@ -46,6 +46,10 @@ class NumericalUnderflowError(EmoCueError):
     """A sequence has zero likelihood under every mixture component."""
 
 
+class NonFiniteObservationError(EmoCueError):
+    """An observation sequence holds a NaN or infinite value."""
+
+
 # --- suprasegmental layer ---
 
 class LengthMismatchError(EmoCueError):

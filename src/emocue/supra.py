@@ -136,26 +136,32 @@ def segment_summaries(path, track: ProsodicTrack,
         raise IllegalPathError("path must start at state 0 and advance by 0 or 1 "
                                "within the mapped state range")
 
+    # A legal path advances by 0 or 1 from state 0, so path[t] is the index
+    # of frame t's segment and every statistic is a per-segment bincount.
     t_total = path.size
-    boundaries = np.flatnonzero(steps) + 1
-    starts = np.concatenate([[0], boundaries])
-    ends = np.concatenate([boundaries, [t_total]])
+    segments = int(path[-1]) + 1
 
-    vectors = np.empty((starts.size, SUPRA_DIM))
-    for k, (lo, hi) in enumerate(zip(starts, ends)):
-        f0 = track.f0[lo:hi]
-        voiced = track.voiced[lo:hi]
-        voiced_f0 = f0[voiced]
-        if voiced_f0.size > 0:
-            mean_f0 = voiced_f0.mean()
-        else:
-            mean_f0 = 0.0
-        if voiced_f0.size >= 2:
-            slope = np.polyfit(np.flatnonzero(voiced), voiced_f0, 1)[0]
-        else:
-            slope = 0.0
-        vectors[k] = (mean_f0, slope, track.log_energy[lo:hi].mean(),
-                      (hi - lo) / t_total, voiced.mean())
+    def per_segment(weights):
+        return np.bincount(path, weights=weights, minlength=segments)
+
+    voiced = track.voiced
+    frames = per_segment(None)
+    n_voiced = per_segment(voiced)
+    has_voice = n_voiced > 0
+    mean_f0 = np.divide(per_segment(track.f0), n_voiced, out=np.zeros(segments),
+                        where=has_voice)
+    # least-squares line through (frame position, F0) over the voiced
+    # frames of each segment, in centred form
+    pos = np.arange(t_total, dtype=np.float64)
+    mean_pos = np.divide(per_segment(pos * voiced), n_voiced,
+                         out=np.zeros(segments), where=has_voice)
+    d_pos = np.where(voiced, pos - mean_pos[path], 0.0)
+    d_f0 = np.where(voiced, track.f0 - mean_f0[path], 0.0)
+    slope = np.divide(per_segment(d_pos * d_f0), per_segment(d_pos * d_pos),
+                      out=np.zeros(segments), where=n_voiced >= 2)
+    vectors = np.column_stack((mean_f0, slope,
+                               per_segment(track.log_energy) / frames,
+                               frames / t_total, n_voiced / frames))
     return SupraObservationSequence(vectors=vectors)
 
 

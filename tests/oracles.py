@@ -113,6 +113,85 @@ def random_case(rng, max_states=3, max_mixtures=2, max_len=6,
     return model, observations
 
 
+# --- per-frame recursions ----------------------------------------------------
+# The textbook dynamic programmes, one frame at a time, over a (T, N) matrix
+# of log emissions. They check the library's state-wise recursions on
+# sequences far too long to enumerate.
+
+def _log_band(model):
+    with np.errstate(divide="ignore"):
+        return (np.log(np.diag(model.transitions)),
+                np.log(np.diag(model.transitions, 1)))
+
+
+def frame_forward(model, logb):
+    """Forward matrix alpha, shape (T, N)."""
+    la_self, la_next = _log_band(model)
+    num_t, num_states = logb.shape
+    alpha = np.full((num_t, num_states), -math.inf)
+    alpha[0, 0] = logb[0, 0]
+    for t in range(1, num_t):
+        move = np.full(num_states, -math.inf)
+        move[1:] = alpha[t - 1, :-1] + la_next
+        alpha[t] = np.logaddexp(alpha[t - 1] + la_self, move) + logb[t]
+    return alpha
+
+
+def frame_backward(model, logb):
+    """Backward matrix beta, shape (T, N)."""
+    la_self, la_next = _log_band(model)
+    num_t, num_states = logb.shape
+    beta = np.full((num_t, num_states), -math.inf)
+    beta[-1] = 0.0
+    for t in range(num_t - 2, -1, -1):
+        move = np.full(num_states, -math.inf)
+        move[:-1] = la_next + logb[t + 1, 1:] + beta[t + 1, 1:]
+        beta[t] = np.logaddexp(la_self + logb[t + 1] + beta[t + 1], move)
+    return beta
+
+
+def frame_viterbi(model, logb):
+    """(best path, log score) over paths that end in the final state;
+    ties between looping and advancing go to looping."""
+    la_self, la_next = _log_band(model)
+    num_t, num_states = logb.shape
+    delta = np.full((num_t, num_states), -math.inf)
+    prev = np.zeros((num_t, num_states), dtype=np.int64)
+    delta[0, 0] = logb[0, 0]
+    for t in range(1, num_t):
+        stay = delta[t - 1] + la_self
+        move = np.full(num_states, -math.inf)
+        move[1:] = delta[t - 1, :-1] + la_next
+        take_stay = stay >= move
+        delta[t] = np.where(take_stay, stay, move) + logb[t]
+        prev[t] = np.where(take_stay, np.arange(num_states),
+                           np.arange(num_states) - 1)
+    score = delta[-1, -1]
+    if score == -math.inf:
+        return None, score
+    path = [num_states - 1]
+    for t in range(num_t - 1, 0, -1):
+        path.append(int(prev[t, path[-1]]))
+    return path[::-1], float(score)
+
+
+def loop_segment_summaries(path, f0, log_energy, voiced):
+    """Prosodic summaries one segment at a time, slope by np.polyfit."""
+    path = np.asarray(path)
+    starts = [0] + [t for t in range(1, path.size) if path[t] != path[t - 1]]
+    ends = starts[1:] + [path.size]
+    rows = []
+    for lo, hi in zip(starts, ends):
+        seg_voiced = voiced[lo:hi]
+        voiced_f0 = f0[lo:hi][seg_voiced]
+        mean_f0 = voiced_f0.mean() if voiced_f0.size else 0.0
+        slope = (np.polyfit(np.flatnonzero(seg_voiced), voiced_f0, 1)[0]
+                 if voiced_f0.size >= 2 else 0.0)
+        rows.append((mean_f0, slope, log_energy[lo:hi].mean(),
+                     (hi - lo) / path.size, seg_voiced.mean()))
+    return np.array(rows)
+
+
 # --- reference evaluation outcomes -------------------------------------------
 # Hand-checked six-emotion reference results for the statistic-fidelity
 # checks. Confusion cells are percentages out of exactly 100 utterances per
@@ -142,9 +221,9 @@ REF_CONFUSION_ACOUSTIC = np.array([
 ], dtype=float)
 
 # speaker accuracy percentages, (male, female) per emotion
-REF_SPEAKER_ONE_STAGE = np.array([
-    [89, 91], [72, 73], [76, 77], [82, 84], [78, 78], [80, 79]], dtype=float)
 REF_SPEAKER_TWO_STAGE = np.array([
+    [89, 91], [72, 73], [76, 77], [82, 84], [78, 78], [80, 79]], dtype=float)
+REF_SPEAKER_ONE_STAGE = np.array([
     [84, 86], [62, 62], [67, 69], [73, 72], [71, 70], [71, 72]], dtype=float)
 REF_SPEAKER_TWO_STAGE_SUPRA = np.array([
     [87, 88], [68, 69], [71, 73], [76, 77], [74, 75], [77, 76]], dtype=float)

@@ -54,8 +54,8 @@ def test_criterion_1_evaluation_fidelity():
             failures.append(f"{label} diagonal {got:.4f} != {want}")
 
     for cells, want_mean, want_sd, label in (
-            (REF_SPEAKER_ONE_STAGE, 79.92, 6.03, "one-stage"),
-            (REF_SPEAKER_TWO_STAGE, 71.58, 7.57, "two-stage"),
+            (REF_SPEAKER_TWO_STAGE, 79.92, 6.03, "two-stage"),
+            (REF_SPEAKER_ONE_STAGE, 71.58, 7.57, "one-stage"),
             (REF_SPEAKER_TWO_STAGE_SUPRA, 75.92, 6.44, "two-stage+prosody")):
         table = evaluation.performance_table(speaker_results(cells),
                                              emotions=REF_EMOTIONS)
@@ -69,7 +69,7 @@ def test_criterion_1_evaluation_fidelity():
         (evaluation.pooled_t_from_stats(71.58, 7.57, 79.92, 6.03, 50).t,
          6.093, "t(two vs one, n=50)"),
         (evaluation.pooled_t_from_stats(75.92, 6.44, 79.92, 6.03, 50).t,
-         3.206, "t(prosody vs one, n=50)"),
+         3.206, "t(prosody vs two, n=50)"),
         (evaluation.pooled_t_from_stats(71.58, 7.57, 79.92, 6.03, 6).t,
          2.111, "t(two vs one, n=6)"),
     )

@@ -11,7 +11,12 @@ import pytest
 from emocue import cli
 from emocue.corpus import load_manifest
 from emocue.errors import NumericalUnderflowError
-from emocue.frontend import SAMPLE_RATE, read_feature_cache
+from emocue.frontend import (
+    SAMPLE_RATE,
+    FeatureSequence,
+    read_feature_cache,
+    write_feature_cache,
+)
 
 from conftest import run_cli
 
@@ -225,6 +230,24 @@ def test_identify_rejects_unknown_id(small_pipeline, tmp_path):
                      "--out", str(tmp_path / "out.jsonl"),
                      "--ids", "nope"])
     assert code == 2
+
+
+def test_identify_rejects_non_finite_frame(small_pipeline, tmp_path, capsys):
+    uid = json.loads((small_pipeline / "results.jsonl").read_text()
+                     .splitlines()[0])["id"]
+    cache = read_feature_cache(small_pipeline / "corpus/features.bin")
+    vectors = np.array(cache[uid].features.vectors)
+    vectors[4, 2] = np.nan
+    cache[uid] = cache[uid]._replace(features=FeatureSequence(vectors=vectors))
+    write_feature_cache(tmp_path / "features.bin", cache)
+    code = cli.main(["identify",
+                     "--manifest", str(small_pipeline / "corpus/manifest.tsv"),
+                     "--features", str(tmp_path / "features.bin"),
+                     "--bank-dir", str(small_pipeline / "bank"),
+                     "--out", str(tmp_path / "out.jsonl"), "--ids", uid])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "frame 4 " in err and "not finite" in err
 
 
 def test_evaluate_rejects_corrupt_results(tmp_path, capsys):

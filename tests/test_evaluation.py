@@ -102,8 +102,8 @@ def test_perfect_results_are_diagonal():
 
 
 REF_TABLES = (
-    (REF_SPEAKER_ONE_STAGE, 79.916667, 6.028405),
-    (REF_SPEAKER_TWO_STAGE, 71.583333, 7.572428),
+    (REF_SPEAKER_TWO_STAGE, 79.916667, 6.028405),
+    (REF_SPEAKER_ONE_STAGE, 71.583333, 7.572428),
     (REF_SPEAKER_TWO_STAGE_SUPRA, 75.916667, 6.437520),
 )
 
@@ -118,7 +118,7 @@ def test_performance_reconstructs_reference(cells, mean, sd):
 
 
 def test_performance_is_order_invariant():
-    rows = speaker_results(REF_SPEAKER_ONE_STAGE)
+    rows = speaker_results(REF_SPEAKER_TWO_STAGE)
     rng = np.random.default_rng(1)
     shuffled = [rows[i] for i in rng.permutation(len(rows))]
     a = performance_table(rows, emotions=REF_EMOTIONS)
@@ -160,9 +160,9 @@ def test_t_from_raw_row_averages():
     one = REF_SPEAKER_ONE_STAGE.mean(axis=1)
     two = REF_SPEAKER_TWO_STAGE.mean(axis=1)
     supra = REF_SPEAKER_TWO_STAGE_SUPRA.mean(axis=1)
-    assert pooled_t(two, one, 50).t == pytest.approx(6.087971, abs=1e-4)
-    assert pooled_t(supra, one, 50).t == pytest.approx(3.207020, abs=1e-4)
-    assert pooled_t(two, one, 6).t == pytest.approx(2.108935, abs=1e-4)
+    assert pooled_t(one, two, 50).t == pytest.approx(6.087971, abs=1e-4)
+    assert pooled_t(supra, two, 50).t == pytest.approx(3.207020, abs=1e-4)
+    assert pooled_t(one, two, 6).t == pytest.approx(2.108935, abs=1e-4)
 
 
 def test_t_from_published_rounded_stats():
@@ -289,7 +289,7 @@ def test_confusion_tsv_format(tmp_path):
 
 
 def test_performance_tsv_format(tmp_path):
-    table = performance_table(speaker_results(REF_SPEAKER_ONE_STAGE),
+    table = performance_table(speaker_results(REF_SPEAKER_TWO_STAGE),
                               emotions=REF_EMOTIONS)
     path = tmp_path / "performance.tsv"
     write_performance_tsv(table, path)

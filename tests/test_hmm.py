@@ -12,6 +12,7 @@ from emocue.errors import (
     EmptySequenceError,
     EmptyTrainingSetError,
     NoLegalPathError,
+    NonFiniteObservationError,
     NumericalUnderflowError,
     SequenceTooShortError,
     UnsupportedFormatError,
@@ -19,6 +20,9 @@ from emocue.errors import (
 from oracles import (
     enumerated_forward,
     enumerated_viterbi,
+    frame_backward,
+    frame_forward,
+    frame_viterbi,
     random_case,
     random_model,
     scalar_log_density,
@@ -32,6 +36,146 @@ def _model_1state(mean, var):
         mixtures=(hmm.GaussianMixture(weights=np.array([1.0]),
                                       means=np.array([[mean]]),
                                       variances=np.array([[var]])),))
+
+
+# --- emission densities ------------------------------------------------------
+
+
+def _floor_variance_model(rng, offset, num_states=3, dim=3):
+    """Tight components near a common offset, one of them with zero weight;
+    state j has j + 2 components."""
+    mixtures = []
+    for j in range(num_states):
+        weights = rng.uniform(0.2, 1.0, size=j + 2)
+        if j == 0:
+            weights[1] = 0.0
+        mixtures.append(hmm.GaussianMixture(
+            weights=weights / weights.sum(),
+            means=offset + rng.normal(0.0, 0.05, size=(j + 2, dim)),
+            variances=np.full((j + 2, dim), hmm.VARIANCE_FLOOR)))
+    transitions = random_model(rng, num_states, 1, 1).transitions
+    return hmm.AcousticModel(num_states=num_states, feature_dim=dim,
+                             transitions=transitions, mixtures=tuple(mixtures))
+
+
+@pytest.mark.parametrize("offset", [0.0, 10.0, 1e3])
+def test_state_densities_match_scalar_oracle_far_from_origin(offset):
+    # floor variances make the expanded quadratic's cancellation worst
+    rng = np.random.default_rng(40)
+    model = _floor_variance_model(rng, offset)
+    obs = offset + rng.normal(0.0, 0.05, size=(25, 3))
+    got = hmm.state_log_densities(model, obs)
+    want = [[scalar_log_density(mix, row) for mix in model.mixtures]
+            for row in obs]
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
+
+
+def test_state_densities_overflowing_cross_term_is_minus_inf():
+    model = hmm.AcousticModel(
+        num_states=2, feature_dim=2,
+        transitions=np.array([[0.5, 0.5], [0.0, 1.0]]),
+        mixtures=(hmm.GaussianMixture(weights=np.array([1.0]),
+                                      means=np.array([[-1.0, -1.0]]),
+                                      variances=np.full((1, 2), 1e-4)),
+                  hmm.GaussianMixture(weights=np.array([1.0]),
+                                      means=np.array([[1.0, 1.0]]),
+                                      variances=np.full((1, 2), 1e-4))))
+    # the square and the cross term both overflow: -inf + inf, which BLAS
+    # may or may not fold to -inf depending on the kernel it picks
+    outlier = np.array([[1e305, 1e305]])
+    assert np.all(hmm.state_log_densities(model, outlier) == -math.inf)
+    obs = np.concatenate([[[0.5, -0.5]], outlier, [[-0.25, 0.0]]])
+    got = hmm.state_log_densities(model, obs)
+    assert np.all(got[1] == -math.inf)
+    for t in (0, 2):
+        want = [scalar_log_density(mix, obs[t]) for mix in model.mixtures]
+        np.testing.assert_allclose(got[t], want, rtol=0.0, atol=1e-9)
+    assert hmm.forward_log_likelihood(model, obs) == -math.inf
+
+
+def test_scores_saturate_when_cumulative_offsets_overflow():
+    # each frame adds about -5e305; a thousand of them pass -1.8e308
+    model = _model_1state(0.0, 1.0)
+    obs = np.full((1000, 1), 1e153)
+    assert hmm.forward_log_likelihood(model, obs) == -math.inf
+    alpha, beta = hmm.forward_backward(model, obs)
+    assert alpha[-1, 0] == -math.inf and beta[0, 0] == -math.inf
+    assert not np.isnan(alpha).any() and not np.isnan(beta).any()
+
+
+# --- non-finite observations -------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_observation_names_first_bad_frame(bad):
+    model = _model_1state(0.0, 1.0)
+    obs = np.zeros((6, 1))
+    obs[3, 0] = bad
+    obs[5, 0] = bad
+    for score in (hmm.forward_log_likelihood, hmm.viterbi,
+                  hmm.forward_backward):
+        with pytest.raises(NonFiniteObservationError, match="frame 3 "):
+            score(model, obs)
+    with pytest.raises(NonFiniteObservationError, match="frame 3 "):
+        hmm.baum_welch(model, [np.zeros((4, 1)), obs])
+    with pytest.raises(NonFiniteObservationError, match="frame 3 "):
+        hmm.init_model([obs], 1, 1)
+
+
+# --- state-wise recursions against the per-frame reference -------------------
+
+
+def _check_against_frames(model, obs):
+    logb = hmm.state_log_densities(model, obs)
+    want_alpha = frame_forward(model, logb)
+    alpha, beta = hmm.forward_backward(model, obs)
+    np.testing.assert_allclose(alpha, want_alpha, rtol=1e-9, atol=1e-9)
+    np.testing.assert_allclose(beta, frame_backward(model, logb),
+                               rtol=1e-9, atol=1e-9)
+    want_ll = np.logaddexp.reduce(want_alpha[-1])
+    assert hmm.forward_log_likelihood(model, obs) == \
+        pytest.approx(want_ll, rel=1e-9)
+    path, score = hmm.viterbi(model, obs)
+    want_path, want_score = frame_viterbi(model, logb)
+    assert score == pytest.approx(want_score, rel=1e-9)
+    assert list(path) == want_path
+
+
+@pytest.mark.parametrize("length", [9, 10, 150, 2000])
+def test_long_sequences_match_per_frame_recursions(length):
+    # cumulative sums over thousands of frames must not drift
+    rng = np.random.default_rng(41 + length)
+    model = random_model(rng, num_states=9, num_mixtures=10, dim=3)
+    obs = rng.normal(0.0, 2.0, size=(length, 3))
+    _check_against_frames(model, obs)
+
+
+def test_non_finite_band_falls_back_to_per_frame(monkeypatch):
+    rng = np.random.default_rng(42)
+    base = random_model(rng, num_states=9, num_mixtures=10, dim=3)
+    transitions = np.array(base.transitions)
+    transitions[3, 3], transitions[3, 4] = 0.0, 1.0      # zero self-loop
+    mixtures = list(base.mixtures)
+    tight = mixtures[5]                          # the outlier underflows here
+    mixtures[5] = hmm.GaussianMixture(
+        weights=tight.weights, means=tight.means,
+        variances=np.full_like(tight.variances, hmm.VARIANCE_FLOOR))
+    model = hmm.AcousticModel(num_states=9, feature_dim=3,
+                              transitions=transitions,
+                              mixtures=tuple(mixtures))
+    obs = rng.normal(0.0, 2.0, size=(300, 3))
+    # last frame, so every path decision before it stays well conditioned
+    obs[-1] = 1e153
+    logb = hmm.state_log_densities(model, obs)
+    assert logb[-1, 5] == -math.inf
+    assert np.isfinite(np.delete(logb[-1], 5)).all()
+
+    calls = []
+    frames = hmm._frames
+    monkeypatch.setattr(hmm, "_frames",
+                        lambda *args: calls.append(1) or frames(*args))
+    _check_against_frames(model, obs)
+    assert calls
 
 
 # --- forward -----------------------------------------------------------------
@@ -296,6 +440,23 @@ def test_baum_welch_deterministic():
     np.testing.assert_array_equal(one.transitions, two.transitions)
     for a, b in zip(one.mixtures, two.mixtures):
         np.testing.assert_array_equal(a.means, b.means)
+
+
+def test_baum_welch_keeps_per_state_component_counts():
+    rng = np.random.default_rng(27)
+    seqs = _training_set(rng, num=6)
+    init = hmm.init_model(seqs, 3, 3)
+    init = hmm.AcousticModel(
+        num_states=3, feature_dim=2, transitions=init.transitions,
+        mixtures=(init.mixtures[0],
+                  hmm.GaussianMixture(weights=np.array([1.0]),
+                                      means=init.mixtures[1].means[:1],
+                                      variances=init.mixtures[1].variances[:1]),
+                  init.mixtures[2]))
+    trained, report = hmm.baum_welch(init, seqs, max_iters=5)
+    assert [m.num_components for m in trained.mixtures] == [3, 1, 3]
+    lls = report.log_likelihood_per_iteration
+    assert all(b >= a - 1e-6 for a, b in zip(lls, lls[1:]))
 
 
 def test_baum_welch_rejects_short_sequence():

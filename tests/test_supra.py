@@ -13,6 +13,8 @@ from emocue.errors import (
 )
 from emocue.frontend import ProsodicTrack
 
+from oracles import loop_segment_summaries
+
 
 def _track(f0, voiced, log_energy=None):
     f0 = np.asarray(f0, dtype=np.float64)
@@ -124,6 +126,22 @@ def test_single_voiced_frame_has_zero_slope():
     assert vectors[0, 0] == 120.0
     assert vectors[0, 1] == 0.0
     assert vectors[0, 4] == 0.5
+
+
+def test_summaries_match_per_segment_loop():
+    rng = np.random.default_rng(31)
+    mapping = supra.SupraMapping()
+    for _ in range(200):
+        length = int(rng.integers(1, 400))
+        steps = rng.random(length - 1) < rng.uniform(0.0, 0.3)
+        path = np.minimum(np.concatenate([[0], np.cumsum(steps)]), 8)
+        voiced = rng.random(length) < rng.uniform(0.0, 1.0)
+        f0 = np.where(voiced, rng.uniform(60.0, 400.0, length), 0.0)
+        log_energy = rng.normal(-2.0, 3.0, length)
+        got = np.asarray(supra.segment_summaries(
+            path, _track(f0, voiced, log_energy), mapping))
+        want = loop_segment_summaries(path, f0, log_energy, voiced)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
 
 
 def test_durations_sum_to_one():
