@@ -24,7 +24,7 @@ import json
 import os
 import sys
 
-from . import corpus, evaluation, hmm, recognizer, supra
+from . import corpus, evaluation, recognizer
 from .config import RunConfig, make_config
 from .errors import (
     EmoCueError,
@@ -32,16 +32,13 @@ from .errors import (
     NoLegalPathError,
     NumericalUnderflowError,
 )
-from .frontend import UtteranceFeatures, analyze_clip, load_audio, \
-    read_feature_cache, write_feature_cache
+from .frontend import analyze_clip, load_audio, read_feature_cache, \
+    write_feature_cache
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
-
-_NORM_FILE = "normalization.json"
-_INDEX_FILE = "bank.json"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -104,66 +101,6 @@ def _load_corpus(manifest_path, features_path):
     return records, cache
 
 
-def _normalized_split(records, cache, cfg: RunConfig, bank_dir):
-    """Split records and z-normalize MFCCs with train-split statistics.
-
-    The statistics are persisted next to the bank on first use so that
-    every later command applies the identical transform.
-    """
-    train, test = corpus.split_records(records, cfg.protocol)
-    norm_path = os.path.join(bank_dir, _NORM_FILE)
-    if os.path.exists(norm_path):
-        with open(norm_path, "r", encoding="utf-8") as fh:
-            params = corpus.NormalizationParams.from_dict(json.load(fh))
-        normalized = {uid: UtteranceFeatures(
-            features=params.apply(uf.features), prosody=uf.prosody)
-            for uid, uf in cache.items()}
-        return train, test, normalized
-    train_feats = {r.id: cache[r.id].features for r in train}
-    test_ids = {r.id for r in test}
-    other_feats = {uid: uf.features for uid, uf in cache.items()
-                   if uid not in train_feats}
-    del test_ids
-    train_n, other_n, params = corpus.normalize_features(train_feats,
-                                                         other_feats)
-    os.makedirs(bank_dir, exist_ok=True)
-    with open(norm_path, "w", encoding="utf-8") as fh:
-        json.dump(params.to_dict(), fh)
-        fh.write("\n")
-    merged = {**train_n, **other_n}
-    normalized = {uid: UtteranceFeatures(features=merged[uid],
-                                         prosody=cache[uid].prosody)
-                  for uid in cache}
-    return train, test, normalized
-
-
-def _read_index(bank_dir) -> dict:
-    path = os.path.join(bank_dir, _INDEX_FILE)
-    if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    return {"format": recognizer.BANK_FORMAT,
-            "version": recognizer.BANK_VERSION,
-            "emotions": [], "speakers": [], "emotion_files": {},
-            "speaker_files": {}, "one_stage_files": {}}
-
-
-def _write_index(bank_dir, index: dict) -> None:
-    with open(os.path.join(bank_dir, _INDEX_FILE), "w",
-              encoding="utf-8") as fh:
-        json.dump(index, fh, indent=2)
-        fh.write("\n")
-
-
-def _fit(seqs, cfg: RunConfig) -> hmm.AcousticModel:
-    init = hmm.init_model(seqs, cfg.num_states, cfg.num_mixtures,
-                          variance_floor=cfg.variance_floor, seed=cfg.seed)
-    model, _ = hmm.baum_welch(init, seqs, max_iters=cfg.em_max_iters,
-                              tol=cfg.em_tol,
-                              variance_floor=cfg.variance_floor)
-    return model
-
-
 def _cmd_extract(args) -> int:
     records = corpus.load_manifest(args.manifest)
     root = args.audio_root or os.path.dirname(os.path.abspath(args.manifest))
@@ -195,85 +132,13 @@ def _cmd_gen_synthetic(args) -> int:
     return EXIT_OK
 
 
-def _cmd_train_emotions(args) -> int:
+def _cmd_train(args) -> int:
     cfg = _config_from(args)
     records, cache = _load_corpus(args.manifest, args.features)
-    train, _, normalized = _normalized_split(records, cache, cfg,
-                                             args.bank_dir)
-    emotions = tuple(dict.fromkeys(r.emotion for r in train))
-    index = _read_index(args.bank_dir)
-    index["emotions"] = list(emotions)
-    index["emotion_files"] = {}
-    for e_idx, emotion in enumerate(emotions):
-        utts = [normalized[r.id] for r in train if r.emotion == emotion]
-        acoustic = _fit([u.features for u in utts], cfg)
-        supra_model, _ = supra.train_suprasegmental(
-            acoustic, utts, cfg.mapping,
-            num_mixtures=cfg.num_supra_mixtures, max_iters=cfg.em_max_iters,
-            tol=cfg.em_tol, variance_floor=cfg.variance_floor)
-        acoustic_name = f"emotion_{e_idx}.acoustic.json"
-        supra_name = f"emotion_{e_idx}.supra.json"
-        hmm.save_model(acoustic, os.path.join(args.bank_dir, acoustic_name))
-        supra.save_supra_model(supra_model,
-                               os.path.join(args.bank_dir, supra_name))
-        index["emotion_files"][emotion] = {"acoustic": acoustic_name,
-                                           "supra": supra_name}
-        print(f"trained emotion models for {emotion} "
-              f"({len(utts)} utterances)")
-    _write_index(args.bank_dir, index)
-    return EXIT_OK
-
-
-def _cmd_train_speakers(args) -> int:
-    cfg = _config_from(args)
-    records, cache = _load_corpus(args.manifest, args.features)
-    train, _, normalized = _normalized_split(records, cache, cfg,
-                                             args.bank_dir)
-    speakers = tuple(dict.fromkeys(r.speaker for r in train))
-    emotions = tuple(dict.fromkeys(r.emotion for r in train))
-    index = _read_index(args.bank_dir)
-    if index["emotions"] and tuple(index["emotions"]) != emotions:
-        raise ManifestError(
-            f"{args.bank_dir}: bank was trained on emotions "
-            f"{index['emotions']}, manifest has {list(emotions)}")
-    index["speakers"] = list(speakers)
-    index["speaker_files"] = {}
-    for s_idx, speaker in enumerate(speakers):
-        index["speaker_files"][speaker] = {}
-        for e_idx, emotion in enumerate(emotions):
-            seqs = [normalized[r.id].features for r in train
-                    if r.speaker == speaker and r.emotion == emotion]
-            model = _fit(seqs, cfg)
-            name = f"speaker_{s_idx}_{e_idx}.json"
-            hmm.save_model(model, os.path.join(args.bank_dir, name))
-            index["speaker_files"][speaker][emotion] = name
-        print(f"trained {len(emotions)} speaker models for {speaker}")
-    _write_index(args.bank_dir, index)
-    return EXIT_OK
-
-
-def _cmd_train_onestage(args) -> int:
-    cfg = _config_from(args)
-    records, cache = _load_corpus(args.manifest, args.features)
-    train, _, normalized = _normalized_split(records, cache, cfg,
-                                             args.bank_dir)
-    speakers = tuple(dict.fromkeys(r.speaker for r in train))
-    index = _read_index(args.bank_dir)
-    if index["speakers"] and tuple(index["speakers"]) != speakers:
-        raise ManifestError(
-            f"{args.bank_dir}: bank was trained on speakers "
-            f"{index['speakers']}, manifest has {list(speakers)}")
-    index["speakers"] = list(speakers)
-    index["one_stage_files"] = {}
-    for s_idx, speaker in enumerate(speakers):
-        seqs = [normalized[r.id].features for r in train
-                if r.speaker == speaker]
-        model = _fit(seqs, cfg)
-        name = f"onestage_{s_idx}.json"
-        hmm.save_model(model, os.path.join(args.bank_dir, name))
-        index["one_stage_files"][speaker] = name
-        print(f"trained pooled model for {speaker} ({len(seqs)} utterances)")
-    _write_index(args.bank_dir, index)
+    train, _ = corpus.split_records(records, cfg.protocol)
+    models = recognizer.train_role(args.role, args.bank_dir, cfg, train, cache)
+    print(f"trained {len(models)} {args.role} models "
+          f"({len(train)} utterances) -> {args.bank_dir}")
     return EXIT_OK
 
 
@@ -290,8 +155,7 @@ def _cmd_identify(args) -> int:
     cfg = _config_from(args)
     records, cache = _load_corpus(args.manifest, args.features)
     bank = _load_full_bank(args.bank_dir)
-    _, test, normalized = _normalized_split(records, cache, cfg,
-                                            args.bank_dir)
+    train, test = corpus.split_records(records, cfg.protocol)
     if args.ids:
         wanted = [i.strip() for i in args.ids.split(",") if i.strip()]
         by_id = {r.id: r for r in records}
@@ -301,7 +165,9 @@ def _cmd_identify(args) -> int:
         selected = [by_id[i] for i in wanted]
     else:
         selected = test
-    rows = recognizer.score_test_set(bank, selected, normalized, cfg.fusion)
+    _, features = recognizer.normalized_features(args.bank_dir, cfg, train,
+                                                 selected, cache)
+    rows = recognizer.score_test_set(bank, selected, features, cfg.fusion)
     with open(args.out, "w", encoding="utf-8") as fh:
         for row in rows:
             fh.write(json.dumps(dataclasses.asdict(row)) + "\n")
@@ -383,12 +249,13 @@ def _cmd_sweep_alpha(args) -> int:
     cfg = _config_from(args)
     records, cache = _load_corpus(args.manifest, args.features)
     bank = _load_full_bank(args.bank_dir)
-    _, test, normalized = _normalized_split(records, cache, cfg,
-                                            args.bank_dir)
+    train, test = corpus.split_records(records, cfg.protocol)
+    _, features = recognizer.normalized_features(args.bank_dir, cfg, train,
+                                                 test, cache)
     alphas = evaluation.DEFAULT_ALPHAS
     if args.alphas:
         alphas = tuple(float(a) for a in args.alphas.split(","))
-    sweep = evaluation.alpha_sweep(bank, test, normalized, alphas=alphas)
+    sweep = evaluation.alpha_sweep(bank, test, features, alphas=alphas)
     evaluation.write_sweep_tsv(sweep, args.out)
     print(f"swept {len(alphas)} fusion weights -> {args.out}")
     return EXIT_OK
@@ -447,19 +314,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_options(p)
     p.set_defaults(func=_cmd_gen_synthetic)
 
-    for name, func, help_text in (
-            ("train-emotions", _cmd_train_emotions,
+    for name, role, help_text in (
+            ("train-emotions", "emotion",
              "train per-emotion acoustic and prosodic models"),
-            ("train-speakers", _cmd_train_speakers,
+            ("train-speakers", "speaker",
              "train per-(speaker, emotion) acoustic models"),
-            ("train-onestage", _cmd_train_onestage,
+            ("train-onestage", "one_stage",
              "train per-speaker models pooled over emotions")):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--manifest", required=True)
         p.add_argument("--features", required=True)
         p.add_argument("--bank-dir", required=True)
         _add_config_options(p)
-        p.set_defaults(func=func)
+        p.set_defaults(func=_cmd_train, role=role)
 
     p = sub.add_parser("identify", help="run the two-stage recognizer")
     p.add_argument("--manifest", required=True)

@@ -70,6 +70,10 @@ class UnknownEmotionError(EmoCueError):
     """Emotion label not present in the model bank."""
 
 
+class BankMismatchError(EmoCueError):
+    """Bank was trained on other labels or under another configuration."""
+
+
 # --- corpus ---
 
 class ManifestError(EmoCueError):

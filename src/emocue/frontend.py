@@ -21,7 +21,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 import scipy.fft
 
-from .errors import TooShortError, UnsupportedFormatError
+from .errors import NonFiniteObservationError, TooShortError, UnsupportedFormatError
 
 SAMPLE_RATE = 16000
 FRAME_LEN = 480          # 30 ms at 16 kHz
@@ -372,6 +372,12 @@ def read_feature_cache(path) -> dict[str, UtteranceFeatures]:
             f0 = np.frombuffer(fh.read(8 * frames), dtype="<f8")
             log_energy = np.frombuffer(fh.read(8 * frames), dtype="<f8")
             voiced = np.frombuffer(fh.read(frames), dtype=np.uint8).astype(bool)
+            finite = np.isfinite(vectors).all(axis=1) & np.isfinite(f0) \
+                & np.isfinite(log_energy)
+            if not finite.all():
+                raise NonFiniteObservationError(
+                    f"{path}: utterance {uid!r}: frame "
+                    f"{int(np.argmin(finite))} of {frames} is not finite")
             out[uid] = UtteranceFeatures(
                 features=FeatureSequence(vectors=vectors),
                 prosody=ProsodicTrack(f0=f0, log_energy=log_energy, voiced=voiced))

@@ -455,18 +455,16 @@ def _mixture_from_frames(frames: np.ndarray, num_mixtures: int,
 
 
 def init_model(sequences, num_states: int, num_mixtures: int,
-               variance_floor: float = VARIANCE_FLOOR,
-               seed: int | None = None) -> AcousticModel:
+               variance_floor: float = VARIANCE_FLOOR) -> AcousticModel:
     """Segmental initialization: uniform chunking plus per-state k-means.
 
     Each sequence is cut into num_states contiguous chunks; the pooled
     frames of chunk i seed state i's mixture. Transitions start at 0.5 for
     looping and advancing (the last state is absorbing). The k-means stage
-    is deterministic, so the seed only fixes the contract for callers.
+    is deterministic.
     """
     if num_states < 1 or num_mixtures < 1:
         raise ValueError("num_states and num_mixtures must be >= 1")
-    del seed
     arrays = [np.asarray(s, dtype=np.float64) for s in sequences]
     if not arrays:
         raise EmptyTrainingSetError("no training sequences")

@@ -15,10 +15,17 @@ import os
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
-from . import hmm, supra as supra_mod
-from .errors import EmptyBankError, UnknownEmotionError, UnsupportedFormatError
+from . import corpus, hmm, supra as supra_mod
+from .config import RunConfig
+from .errors import (
+    BankMismatchError,
+    EmptyBankError,
+    EmptyResultsError,
+    UnknownEmotionError,
+    UnsupportedFormatError,
+)
 from .frontend import UtteranceFeatures
-from .supra import FusionConfig, SupraMapping, SuprasegmentalModel, fused_score
+from .supra import FusionConfig, SuprasegmentalModel, fused_score
 
 
 class EmotionModels(NamedTuple):
@@ -139,64 +146,73 @@ def _ordered_labels(values) -> tuple[str, ...]:
     return tuple(dict.fromkeys(values))
 
 
+def _fit(seqs, cfg: RunConfig) -> hmm.AcousticModel:
+    init = hmm.init_model(seqs, cfg.num_states, cfg.num_mixtures,
+                          variance_floor=cfg.variance_floor)
+    model, _ = hmm.baum_welch(init, seqs, max_iters=cfg.em_max_iters,
+                              tol=cfg.em_tol, variance_floor=cfg.variance_floor)
+    return model
+
+
+def train_emotion_models(train_records,
+                         features: Mapping[str, UtteranceFeatures],
+                         cfg: RunConfig = RunConfig()) -> dict[str, EmotionModels]:
+    """Per emotion, an acoustic model pooled over all speakers and the
+    prosodic model trained on its alignments."""
+    models = {}
+    for e in _ordered_labels(r.emotion for r in train_records):
+        utts = [features[r.id] for r in train_records if r.emotion == e]
+        acoustic = _fit([u.features for u in utts], cfg)
+        supra_model, _ = supra_mod.train_suprasegmental(
+            acoustic, utts, cfg.mapping, num_mixtures=cfg.num_supra_mixtures,
+            max_iters=cfg.em_max_iters, tol=cfg.em_tol,
+            variance_floor=cfg.variance_floor)
+        models[e] = EmotionModels(acoustic=acoustic, supra=supra_model)
+    return models
+
+
+def train_speaker_models(train_records,
+                         features: Mapping[str, UtteranceFeatures],
+                         cfg: RunConfig = RunConfig(),
+                         ) -> dict[tuple[str, str], hmm.AcousticModel]:
+    """One acoustic model per (speaker, emotion) cell."""
+    emotions = _ordered_labels(r.emotion for r in train_records)
+    models = {}
+    for s in _ordered_labels(r.speaker for r in train_records):
+        for e in emotions:
+            seqs = [features[r.id].features for r in train_records
+                    if r.speaker == s and r.emotion == e]
+            models[(s, e)] = _fit(seqs, cfg)
+    return models
+
+
+def train_one_stage_models(train_records,
+                           features: Mapping[str, UtteranceFeatures],
+                           cfg: RunConfig = RunConfig(),
+                           ) -> dict[str, hmm.AcousticModel]:
+    """One acoustic model per speaker, pooled over every emotion."""
+    models = {}
+    for s in _ordered_labels(r.speaker for r in train_records):
+        seqs = [features[r.id].features for r in train_records if r.speaker == s]
+        models[s] = _fit(seqs, cfg)
+    return models
+
+
 def train_model_bank(train_records, features: Mapping[str, UtteranceFeatures],
-                     num_states: int = 9, num_mixtures: int = 10,
-                     num_supra_mixtures: int = supra_mod.DEFAULT_SUPRA_MIXTURES,
-                     supra_groups: tuple[int, ...] = supra_mod.DEFAULT_GROUPS,
-                     variance_floor: float = hmm.VARIANCE_FLOOR,
-                     em_tol: float = hmm.EM_TOL,
-                     em_max_iters: int = hmm.EM_MAX_ITERS,
-                     include_one_stage: bool = True) -> ModelBank:
+                     cfg: RunConfig = RunConfig()) -> ModelBank:
     """Train every model role from one training split.
 
-    Emotion models pool all speakers of an emotion; speaker models take one
-    (speaker, emotion) cell each; one-stage models pool one speaker across
-    all emotions. Candidate order follows first appearance in the records.
+    Candidate order follows first appearance in the records.
     """
     records = list(train_records)
     if not records:
         raise EmptyBankError("no training records")
-    emotions = _ordered_labels(r.emotion for r in records)
-    speakers = _ordered_labels(r.speaker for r in records)
-    mapping = SupraMapping(group_sizes=supra_groups)
-    if mapping.num_acoustic_states != num_states:
-        raise ValueError(
-            f"supra groups cover {mapping.num_acoustic_states} states, "
-            f"model has {num_states}")
-
-    def fit(seqs):
-        init = hmm.init_model(seqs, num_states, num_mixtures,
-                              variance_floor=variance_floor)
-        model, _ = hmm.baum_welch(init, seqs, max_iters=em_max_iters,
-                                  tol=em_tol, variance_floor=variance_floor)
-        return model
-
-    emotion_models = {}
-    for e in emotions:
-        utts = [features[r.id] for r in records if r.emotion == e]
-        acoustic = fit([u.features for u in utts])
-        supra_model, _ = supra_mod.train_suprasegmental(
-            acoustic, utts, mapping, num_mixtures=num_supra_mixtures,
-            max_iters=em_max_iters, tol=em_tol, variance_floor=variance_floor)
-        emotion_models[e] = EmotionModels(acoustic=acoustic, supra=supra_model)
-
-    speaker_models = {}
-    for s in speakers:
-        for e in emotions:
-            seqs = [features[r.id].features for r in records
-                    if r.speaker == s and r.emotion == e]
-            speaker_models[(s, e)] = fit(seqs)
-
-    one_stage_models = {}
-    if include_one_stage:
-        for s in speakers:
-            seqs = [features[r.id].features for r in records if r.speaker == s]
-            one_stage_models[s] = fit(seqs)
-
-    return ModelBank(emotions=emotions, speakers=speakers,
-                     emotion_models=emotion_models,
-                     speaker_models=speaker_models,
-                     one_stage_models=one_stage_models)
+    return ModelBank(
+        emotions=_ordered_labels(r.emotion for r in records),
+        speakers=_ordered_labels(r.speaker for r in records),
+        emotion_models=train_emotion_models(records, features, cfg),
+        speaker_models=train_speaker_models(records, features, cfg),
+        one_stage_models=train_one_stage_models(records, features, cfg))
 
 
 @dataclass(frozen=True)
@@ -218,8 +234,11 @@ def score_test_set(bank: ModelBank, test_records,
                    features: Mapping[str, UtteranceFeatures],
                    cfg: FusionConfig = FusionConfig()) -> list[ResultRow]:
     """Two-stage (and, when available, one-stage) decisions for a test split."""
+    records = list(test_records)
+    if not records:
+        raise EmptyResultsError("no test records")
     rows = []
-    for r in test_records:
+    for r in records:
         utt = features[r.id]
         result = two_stage_identify(utt, bank, cfg)
         if bank.one_stage_models:
@@ -239,52 +258,104 @@ def score_test_set(bank: ModelBank, test_records,
 # --- persistence -------------------------------------------------------------
 
 BANK_FORMAT = "emocue-bank"
-BANK_VERSION = 1
+BANK_VERSION = 2
 _BANK_INDEX = "bank.json"
+# The RunConfig fields that fix a bank's model shapes and its training split.
+# Commands on one bank may differ in EM stopping rules, seed, fusion settings
+# and test split: a bank may be trained with a low EM cap and then scored.
+_BANK_FIELDS = ("num_states", "num_mixtures", "num_supra_mixtures",
+                "supra_groups", "train_sentences")
+# The labels each role's models are keyed by.
+_ROLE_LABELS = {"emotion": ("emotions",), "speaker": ("emotions", "speakers"),
+                "one_stage": ("speakers",)}
+_TRAINERS = {"emotion": train_emotion_models, "speaker": train_speaker_models,
+             "one_stage": train_one_stage_models}
+
+
+def _new_index(config, normalization) -> dict:
+    return {"format": BANK_FORMAT, "version": BANK_VERSION, "config": config,
+            "normalization": normalization, "emotions": [], "speakers": [],
+            "emotion_files": {}, "speaker_files": {}, "one_stage_files": {}}
+
+
+def _read_index(path) -> dict:
+    with open(path, "r", encoding="utf-8") as fh:
+        index = json.load(fh)
+    if index.get("format") != BANK_FORMAT or index.get("version") != BANK_VERSION:
+        raise UnsupportedFormatError(
+            f"{path}: not a version-{BANK_VERSION} bank index "
+            f"(found version {index.get('version')!r}); retrain the bank")
+    return index
+
+
+def _bank_config(cfg: RunConfig) -> dict:
+    values = {name: getattr(cfg, name) for name in _BANK_FIELDS}
+    return {name: list(v) if isinstance(v, tuple) else v
+            for name, v in values.items()}
+
+
+def _write_bank(directory, index: dict, emotions, speakers,
+                roles: Mapping[str, Mapping]) -> None:
+    """The one bank writer: each role's model files, then the index.
+
+    Every role's labels are checked against those the index records before
+    any file is written. The index is replaced atomically, so an interrupted
+    write leaves the previous one loadable.
+    """
+    path = os.path.join(directory, _BANK_INDEX)
+    labels = {"emotions": list(emotions), "speakers": list(speakers)}
+    for role in roles:
+        for kind in _ROLE_LABELS[role]:
+            if index[kind] and index[kind] != labels[kind]:
+                raise BankMismatchError(
+                    f"{path}: bank was trained on {kind} {index[kind]}, "
+                    f"the training split has {labels[kind]}")
+            index[kind] = labels[kind]
+    os.makedirs(directory, exist_ok=True)
+
+    def put(save, model, name):
+        save(model, os.path.join(directory, name))
+        return name
+
+    if "emotion" in roles:
+        index["emotion_files"] = {
+            e: {"acoustic": put(hmm.save_model, roles["emotion"][e].acoustic,
+                                f"emotion_{i}.acoustic.json"),
+                "supra": put(supra_mod.save_supra_model,
+                             roles["emotion"][e].supra,
+                             f"emotion_{i}.supra.json")}
+            for i, e in enumerate(emotions)}
+    if "speaker" in roles:
+        index["speaker_files"] = {
+            s: {e: put(hmm.save_model, roles["speaker"][(s, e)],
+                       f"speaker_{i}_{j}.json")
+                for j, e in enumerate(emotions)}
+            for i, s in enumerate(speakers)}
+    if "one_stage" in roles:
+        index["one_stage_files"] = {
+            s: put(hmm.save_model, roles["one_stage"][s], f"onestage_{i}.json")
+            for i, s in enumerate(speakers) if s in roles["one_stage"]}
+    temp = path + ".tmp"
+    with open(temp, "w", encoding="utf-8") as fh:
+        json.dump(index, fh, indent=2)
+        fh.write("\n")
+    os.replace(temp, path)
 
 
 def save_bank(bank: ModelBank, directory) -> None:
-    """Write every model file plus an index that names each one's role."""
-    os.makedirs(directory, exist_ok=True)
-    emotion_files = {}
-    for idx, e in enumerate(bank.emotions):
-        acoustic_name = f"emotion_{idx}.acoustic.json"
-        supra_name = f"emotion_{idx}.supra.json"
-        hmm.save_model(bank.emotion_models[e].acoustic,
-                       os.path.join(directory, acoustic_name))
-        supra_mod.save_supra_model(bank.emotion_models[e].supra,
-                                   os.path.join(directory, supra_name))
-        emotion_files[e] = {"acoustic": acoustic_name, "supra": supra_name}
-    speaker_files: dict[str, dict[str, str]] = {}
-    for s_idx, s in enumerate(bank.speakers):
-        speaker_files[s] = {}
-        for e_idx, e in enumerate(bank.emotions):
-            name = f"speaker_{s_idx}_{e_idx}.json"
-            hmm.save_model(bank.speaker_models[(s, e)],
-                           os.path.join(directory, name))
-            speaker_files[s][e] = name
-    one_stage_files = {}
-    for s_idx, s in enumerate(bank.speakers):
-        if s in bank.one_stage_models:
-            name = f"onestage_{s_idx}.json"
-            hmm.save_model(bank.one_stage_models[s],
-                           os.path.join(directory, name))
-            one_stage_files[s] = name
-    index = {"format": BANK_FORMAT, "version": BANK_VERSION,
-             "emotions": list(bank.emotions), "speakers": list(bank.speakers),
-             "emotion_files": emotion_files, "speaker_files": speaker_files,
-             "one_stage_files": one_stage_files}
-    with open(os.path.join(directory, _BANK_INDEX), "w", encoding="utf-8") as fh:
-        json.dump(index, fh, indent=2)
-        fh.write("\n")
+    """Write every model file plus an index that names each one's role.
+
+    The index records no config and no normalization: the library trains on
+    the features it is given, and a bank from it is scored on them as they
+    are.
+    """
+    _write_bank(directory, _new_index(None, None), bank.emotions, bank.speakers,
+                {"emotion": bank.emotion_models, "speaker": bank.speaker_models,
+                 "one_stage": bank.one_stage_models})
 
 
 def load_bank(directory) -> ModelBank:
-    index_path = os.path.join(directory, _BANK_INDEX)
-    with open(index_path, "r", encoding="utf-8") as fh:
-        index = json.load(fh)
-    if index.get("format") != BANK_FORMAT or index.get("version") != BANK_VERSION:
-        raise UnsupportedFormatError(f"{index_path}: not a recognized bank index")
+    index = _read_index(os.path.join(directory, _BANK_INDEX))
     emotions = tuple(index["emotions"])
     speakers = tuple(index["speakers"])
     emotion_models = {
@@ -300,8 +371,55 @@ def load_bank(directory) -> ModelBank:
         for s in speakers for e in emotions}
     one_stage_models = {
         s: hmm.load_model(os.path.join(directory, name))
-        for s, name in index.get("one_stage_files", {}).items()}
+        for s, name in index["one_stage_files"].items()}
     return ModelBank(emotions=emotions, speakers=speakers,
                      emotion_models=emotion_models,
                      speaker_models=speaker_models,
                      one_stage_models=one_stage_models)
+
+
+def normalized_features(directory, cfg: RunConfig, train_records,
+                        used_records, cache: Mapping[str, UtteranceFeatures]):
+    """The bank index in directory and the features of used_records, with
+    MFCCs z-normalized by the bank's train-split statistics.
+
+    An existing index must record the bank fields of cfg; its statistics are
+    applied. With no index yet, the statistics are estimated on
+    train_records and kept in a fresh index for the first role write.
+    Returns (index, features).
+    """
+    path = os.path.join(directory, _BANK_INDEX)
+    if os.path.exists(path):
+        index = _read_index(path)
+        for name, value in _bank_config(cfg).items():
+            if index["config"] and index["config"][name] != value:
+                raise BankMismatchError(
+                    f"{path}: bank was trained with {name} = "
+                    f"{index['config'][name]}, the config has {value}")
+        params = index["normalization"] and \
+            corpus.NormalizationParams.from_dict(index["normalization"])
+        normalized = {r.id: params.apply(cache[r.id].features) if params
+                      else cache[r.id].features for r in used_records}
+    else:
+        train = {r.id: cache[r.id].features for r in train_records}
+        train_n, other_n, params = corpus.normalize_features(
+            train, {r.id: cache[r.id].features for r in used_records
+                    if r.id not in train})
+        normalized = {**train_n, **other_n}
+        index = _new_index(_bank_config(cfg), params.to_dict())
+    return index, {r.id: UtteranceFeatures(features=normalized[r.id],
+                                           prosody=cache[r.id].prosody)
+                   for r in used_records}
+
+
+def train_role(role: str, directory, cfg: RunConfig, train_records,
+               cache: Mapping[str, UtteranceFeatures]) -> Mapping:
+    """Train one model role ("emotion", "speaker" or "one_stage") on the
+    normalized train split and add it to the bank in directory."""
+    records = list(train_records)
+    index, features = normalized_features(directory, cfg, records, records,
+                                          cache)
+    models = _TRAINERS[role](records, features, cfg)
+    _write_bank(directory, index, _ordered_labels(r.emotion for r in records),
+                _ordered_labels(r.speaker for r in records), {role: models})
+    return models

@@ -12,6 +12,7 @@ import pytest
 
 import emocue
 from emocue.cli import main as cli_main
+from emocue.recognizer import train_emotion_models, train_speaker_models
 
 # Pass/fail lines recorded by the acceptance tests, echoed after the run.
 ACCEPTANCE_LINES = []
@@ -31,6 +32,10 @@ def run_cli(*argv):
 
 SMALL_FLAGS = ("--num-states", "3", "--num-mixtures", "2",
                "--num-supra-mixtures", "1", "--supra-groups", "1,1,1")
+SMALL_SPLIT = ("--train-sentences", "1,2", "--test-sentences", "3,4")
+# The library-side RunConfig of SMALL_FLAGS.
+SMALL_CONFIG = emocue.RunConfig(num_states=3, num_mixtures=2,
+                                num_supra_mixtures=1, supra_groups=(1, 1, 1))
 
 
 def run_small_pipeline(root, seed=7):
@@ -40,22 +45,21 @@ def run_small_pipeline(root, seed=7):
     eval_dir = root / "eval"
     manifest = corpus_dir / "manifest.tsv"
     features = corpus_dir / "features.bin"
-    split = ("--train-sentences", "1,2", "--test-sentences", "3,4")
     run_cli("gen-synthetic", "--out-dir", corpus_dir, "--speakers", "3",
             "--emotions", "neutral,angry", "--train-count", "2",
             "--test-count", "2", "--reps", "1", "--separation", "5",
             "--seed", seed)
     for sub in ("train-emotions", "train-speakers", "train-onestage"):
         run_cli(sub, "--manifest", manifest, "--features", features,
-                "--bank-dir", bank_dir, *SMALL_FLAGS, *split)
+                "--bank-dir", bank_dir, *SMALL_FLAGS, *SMALL_SPLIT)
     run_cli("identify", "--manifest", manifest, "--features", features,
             "--bank-dir", bank_dir, "--out", root / "results.jsonl",
-            *SMALL_FLAGS, *split)
+            *SMALL_FLAGS, *SMALL_SPLIT)
     run_cli("evaluate", "--results", root / "results.jsonl",
             "--out-dir", eval_dir, "--n-pool", "3")
     run_cli("sweep-alpha", "--manifest", manifest, "--features", features,
             "--bank-dir", bank_dir, "--out", root / "sweep.tsv",
-            *SMALL_FLAGS, *split)
+            *SMALL_FLAGS, *SMALL_SPLIT)
 
 
 @pytest.fixture(scope="session")
@@ -73,9 +77,7 @@ def tiny_trained(tmp_path_factory):
         num_speakers=3, emotions=("neutral", "angry"), train_sentences=2,
         test_sentences=2, repetitions=1, separation=5.0, seed=11)
     train, test = emocue.split_records(synth.records, synth.protocol)
-    bank = emocue.train_model_bank(
-        train, synth.features, num_states=3, num_mixtures=2,
-        num_supra_mixtures=1, supra_groups=(1, 1, 1))
+    bank = emocue.train_model_bank(train, synth.features, SMALL_CONFIG)
     return {"synth": synth, "train": train, "test": test, "bank": bank}
 
 
@@ -120,8 +122,14 @@ def chance_run():
         num_speakers=5, emotions=emocue.DEFAULT_EMOTIONS, train_sentences=4,
         test_sentences=4, repetitions=5, separation=0.0, seed=4242)
     train, test = emocue.split_records(synth.records, synth.protocol)
-    bank = emocue.train_model_bank(
-        train, synth.features, num_states=3, num_mixtures=2,
-        num_supra_mixtures=1, supra_groups=(1, 1, 1), include_one_stage=False)
+    # Criterion 7 reads two-stage decisions only, so no baseline is trained.
+    bank = emocue.ModelBank(
+        emotions=tuple(dict.fromkeys(r.emotion for r in train)),
+        speakers=tuple(dict.fromkeys(r.speaker for r in train)),
+        emotion_models=train_emotion_models(train, synth.features,
+                                            SMALL_CONFIG),
+        speaker_models=train_speaker_models(train, synth.features,
+                                            SMALL_CONFIG),
+        one_stage_models={})
     rows = emocue.score_test_set(bank, test, synth.features)
     return {"num_speakers": 5, "rows": rows}

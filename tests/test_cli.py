@@ -2,14 +2,16 @@
 subcommand leaves behind. The heavy pipeline path itself is exercised by the
 session fixture; tests here read its outputs."""
 
+import dataclasses
 import json
+import shutil
 import wave
 
 import numpy as np
 import pytest
 
 from emocue import cli
-from emocue.corpus import load_manifest
+from emocue.corpus import load_manifest, normalize_features, split_records
 from emocue.errors import NumericalUnderflowError
 from emocue.frontend import (
     SAMPLE_RATE,
@@ -17,8 +19,9 @@ from emocue.frontend import (
     read_feature_cache,
     write_feature_cache,
 )
+from emocue.recognizer import load_bank, train_model_bank
 
-from conftest import run_cli
+from conftest import SMALL_CONFIG, SMALL_FLAGS, SMALL_SPLIT, run_cli
 
 
 def _write_wav(path, samples):
@@ -217,19 +220,20 @@ def test_identify_selects_requested_ids(small_pipeline, tmp_path):
     run_cli("identify", "--manifest", small_pipeline / "corpus/manifest.tsv",
             "--features", small_pipeline / "corpus/features.bin",
             "--bank-dir", small_pipeline / "bank", "--out", out,
-            "--ids", ",".join(wanted))
+            "--ids", ",".join(wanted), *SMALL_FLAGS, *SMALL_SPLIT)
     subset = [json.loads(line) for line in out.read_text().splitlines()]
     assert [r["id"] for r in subset] == wanted
 
 
-def test_identify_rejects_unknown_id(small_pipeline, tmp_path):
+def test_identify_rejects_unknown_id(small_pipeline, tmp_path, capsys):
     code = cli.main(["identify",
                      "--manifest", str(small_pipeline / "corpus/manifest.tsv"),
                      "--features", str(small_pipeline / "corpus/features.bin"),
                      "--bank-dir", str(small_pipeline / "bank"),
                      "--out", str(tmp_path / "out.jsonl"),
-                     "--ids", "nope"])
+                     "--ids", "nope", *SMALL_FLAGS, *SMALL_SPLIT])
     assert code == 2
+    assert "unknown utterance ids" in capsys.readouterr().err
 
 
 def test_identify_rejects_non_finite_frame(small_pipeline, tmp_path, capsys):
@@ -244,10 +248,12 @@ def test_identify_rejects_non_finite_frame(small_pipeline, tmp_path, capsys):
                      "--manifest", str(small_pipeline / "corpus/manifest.tsv"),
                      "--features", str(tmp_path / "features.bin"),
                      "--bank-dir", str(small_pipeline / "bank"),
-                     "--out", str(tmp_path / "out.jsonl"), "--ids", uid])
+                     "--out", str(tmp_path / "out.jsonl"), "--ids", uid,
+                     *SMALL_FLAGS, *SMALL_SPLIT])
     assert code == 2
     err = capsys.readouterr().err
     assert "data error" in err and "frame 4 " in err and "not finite" in err
+    assert repr(uid) in err
 
 
 def test_evaluate_rejects_corrupt_results(tmp_path, capsys):
@@ -270,12 +276,97 @@ def test_train_speakers_rejects_mismatched_bank(small_pipeline, tmp_path,
                      "--manifest", str(tmp_path / "manifest.tsv"),
                      "--features", str(tmp_path / "features.bin"),
                      "--bank-dir", str(small_pipeline / "bank"),
-                     "--num-states", "3", "--num-mixtures", "2",
-                     "--num-supra-mixtures", "1", "--supra-groups", "1,1,1",
-                     "--train-sentences", "1,2", "--test-sentences", "3,4"])
+                     *SMALL_FLAGS, *SMALL_SPLIT])
     assert code == 2
     assert "trained on emotions" in capsys.readouterr().err
     assert (small_pipeline / "bank/bank.json").read_bytes() == index_before
+
+
+def test_retrain_emotions_rejects_other_emotion_set(small_pipeline, tmp_path,
+                                                    capsys):
+    bank = tmp_path / "bank"
+    shutil.copytree(small_pipeline / "bank", bank)
+    run_cli("gen-synthetic", "--out-dir", tmp_path / "sad", "--speakers", "3",
+            "--emotions", "neutral,sad", "--train-count", "2",
+            "--test-count", "2", "--reps", "1", "--separation", "5",
+            "--seed", "7")
+    index_before = (bank / "bank.json").read_bytes()
+    code = cli.main(["train-emotions",
+                     "--manifest", str(tmp_path / "sad/manifest.tsv"),
+                     "--features", str(tmp_path / "sad/features.bin"),
+                     "--bank-dir", str(bank), *SMALL_FLAGS, *SMALL_SPLIT])
+    assert code == 2
+    assert "trained on emotions" in capsys.readouterr().err
+    assert (bank / "bank.json").read_bytes() == index_before
+    run_cli("identify", "--manifest", small_pipeline / "corpus/manifest.tsv",
+            "--features", small_pipeline / "corpus/features.bin",
+            "--bank-dir", bank, "--out", tmp_path / "out.jsonl",
+            *SMALL_FLAGS, *SMALL_SPLIT)
+
+
+@pytest.mark.parametrize("command", ["identify", "sweep-alpha",
+                                     "train-onestage"])
+def test_default_config_rejects_small_bank(small_pipeline, tmp_path, capsys,
+                                           command):
+    bank = tmp_path / "bank"
+    shutil.copytree(small_pipeline / "bank", bank)
+    index_before = (bank / "bank.json").read_bytes()
+    argv = [command,
+            "--manifest", str(small_pipeline / "corpus/manifest.tsv"),
+            "--features", str(small_pipeline / "corpus/features.bin"),
+            "--bank-dir", str(bank)]
+    if not command.startswith("train-"):
+        argv += ["--out", str(tmp_path / "out")]
+    code = cli.main(argv)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "bank.json" in err and "num_states = 3" in err
+    assert (bank / "bank.json").read_bytes() == index_before
+
+
+def test_cli_bank_equals_library_bank(small_pipeline):
+    records = load_manifest(small_pipeline / "corpus/manifest.tsv")
+    cache = read_feature_cache(small_pipeline / "corpus/features.bin")
+    cfg = dataclasses.replace(SMALL_CONFIG, train_sentences=(1, 2),
+                              test_sentences=(3, 4))
+    train, _ = split_records(records, cfg.protocol)
+    normalized, _, _ = normalize_features(
+        {r.id: cache[r.id].features for r in train}, {})
+    want = train_model_bank(
+        train, {uid: cache[uid]._replace(features=feats)
+                for uid, feats in normalized.items()}, cfg)
+    got = load_bank(small_pipeline / "bank")
+    assert (got.emotions, got.speakers) == (want.emotions, want.speakers)
+    pairs = [(got.emotion_models[e].acoustic, want.emotion_models[e].acoustic)
+             for e in want.emotions]
+    pairs += [(got.emotion_models[e].supra.core,
+               want.emotion_models[e].supra.core) for e in want.emotions]
+    pairs += [(got.speaker_models[k], m) for k, m in want.speaker_models.items()]
+    pairs += [(got.one_stage_models[s], m)
+              for s, m in want.one_stage_models.items()]
+    assert len(pairs) == 2 * 2 + 3 * 2 + 3
+    for a, b in pairs:
+        np.testing.assert_array_equal(a.transitions, b.transitions)
+        for x, y in zip(a.mixtures, b.mixtures, strict=True):
+            np.testing.assert_array_equal(x.means, y.means)
+            np.testing.assert_array_equal(x.variances, y.variances)
+            np.testing.assert_array_equal(x.weights, y.weights)
+
+
+def test_identify_rejects_empty_test_split(tmp_path, capsys):
+    run_cli("gen-synthetic", "--out-dir", tmp_path / "corpus", *_TINY_GEN,
+            "--seed", "1")
+    flags = ["--manifest", tmp_path / "corpus/manifest.tsv",
+             "--features", tmp_path / "corpus/features.bin",
+             "--bank-dir", tmp_path / "bank", *SMALL_FLAGS,
+             "--train-sentences", "1,2", "--test-sentences", "3"]
+    run_cli("train-emotions", *flags)
+    run_cli("train-speakers", *flags)
+    code = cli.main(["identify", *map(str, flags),
+                     "--out", str(tmp_path / "out.jsonl")])
+    assert code == 2
+    assert "no test records" in capsys.readouterr().err
+    assert not (tmp_path / "out.jsonl").exists()
 
 
 def test_identify_requires_complete_bank(tmp_path, capsys):

@@ -13,7 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emocue import frontend
-from emocue.errors import TooShortError, UnsupportedFormatError
+from emocue.errors import (
+    NonFiniteObservationError,
+    TooShortError,
+    UnsupportedFormatError,
+)
 
 
 def _tone(freq_hz, num_samples, amplitude=8000.0, rate=16000):
@@ -325,6 +329,21 @@ def test_cache_roundtrip(tmp_path):
                                       entries[uid].prosody.log_energy)
         np.testing.assert_array_equal(loaded[uid].prosody.voiced,
                                       entries[uid].prosody.voiced)
+
+
+def test_cache_rejects_non_finite_prosody(tmp_path):
+    features, prosody = _analyzed(3, 2000)
+    log_energy = np.array(prosody.log_energy)
+    log_energy[3] = np.nan
+    bad = frontend.ProsodicTrack(f0=prosody.f0, log_energy=log_energy,
+                                 voiced=prosody.voiced)
+    path = tmp_path / "cache.bin"
+    frontend.write_feature_cache(
+        path, {"ok": _analyzed(4, 2000),
+               "bad": frontend.UtteranceFeatures(features, bad)})
+    with pytest.raises(NonFiniteObservationError,
+                       match="utterance 'bad': frame 3 of"):
+        frontend.read_feature_cache(path)
 
 
 def test_cache_bytes_deterministic(tmp_path):

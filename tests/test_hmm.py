@@ -336,15 +336,6 @@ def test_init_duplication_invariance():
                                    atol=1e-12)
 
 
-def test_init_seed_has_no_effect():
-    rng = np.random.default_rng(17)
-    seqs = [rng.normal(size=(10, 2))]
-    one = hmm.init_model(seqs, 2, 2, seed=1)
-    two = hmm.init_model(seqs, 2, 2, seed=999)
-    for a, b in zip(one.mixtures, two.mixtures):
-        np.testing.assert_array_equal(a.means, b.means)
-
-
 def test_init_rejects_short_sequence():
     rng = np.random.default_rng(18)
     with pytest.raises(SequenceTooShortError):

@@ -2,13 +2,18 @@
 bank persistence."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
-import emocue
-from emocue import hmm, recognizer
-from emocue.errors import EmptyBankError, UnknownEmotionError, UnsupportedFormatError
+from emocue import RunConfig, hmm, recognizer
+from emocue.errors import (
+    EmptyBankError,
+    EmptyResultsError,
+    UnknownEmotionError,
+    UnsupportedFormatError,
+)
 from emocue.recognizer import (
     IdentificationResult,
     ModelBank,
@@ -182,20 +187,8 @@ def test_train_bank_rejects_mismatched_groups(tiny_trained):
     with pytest.raises(ValueError):
         train_model_bank(tiny_trained["train"],
                          tiny_trained["synth"].features,
-                         num_states=3, num_mixtures=2,
-                         supra_groups=(2, 2))
-
-
-def test_train_bank_can_skip_baseline():
-    synth = emocue.synthesize_corpus(
-        num_speakers=1, emotions=("neutral",), train_sentences=1,
-        test_sentences=1, repetitions=2, separation=1.0, seed=2)
-    train, _ = emocue.split_records(synth.records, synth.protocol)
-    bank = train_model_bank(train, synth.features, num_states=3,
-                            num_mixtures=1, num_supra_mixtures=1,
-                            supra_groups=(1, 1, 1), include_one_stage=False)
-    assert bank.one_stage_models == {}
-    assert bank.emotions == ("neutral",)
+                         RunConfig(num_states=3, num_mixtures=2,
+                                   supra_groups=(2, 2)))
 
 
 # --- batch scoring -----------------------------------------------------------
@@ -218,6 +211,11 @@ def test_score_test_set_rows(tiny_trained):
         one_label, _ = one_stage_identify(synth.features[record.id].features,
                                           bank)
         assert row.one_stage_speaker == one_label
+
+
+def test_score_test_set_rejects_empty_split(tiny_trained):
+    with pytest.raises(EmptyResultsError, match="no test records"):
+        score_test_set(tiny_trained["bank"], [], tiny_trained["synth"].features)
 
 
 def test_score_test_set_without_baseline(tiny_trained):
@@ -253,10 +251,47 @@ def test_bank_roundtrip(tmp_path, tiny_trained):
         one_stage_identify(utt.features, bank)
 
 
+def test_library_bank_is_scored_on_raw_features(tmp_path, tiny_trained):
+    save_bank(tiny_trained["bank"], tmp_path)
+    index = json.loads((tmp_path / "bank.json").read_text())
+    assert index["config"] is None and index["normalization"] is None
+    features = tiny_trained["synth"].features
+    test = tiny_trained["test"]
+    _, used = recognizer.normalized_features(tmp_path, RunConfig(),
+                                             tiny_trained["train"], test,
+                                             features)
+    assert used == {r.id: features[r.id] for r in test}
+
+
 def test_load_bank_rejects_foreign_index(tmp_path):
-    (tmp_path / "bank.json").write_text('{"format": "other", "version": 1}')
+    (tmp_path / "bank.json").write_text('{"format": "other", "version": 2}')
     with pytest.raises(UnsupportedFormatError):
         load_bank(tmp_path)
+
+
+def test_load_bank_rejects_version_1_index(tmp_path, tiny_trained):
+    save_bank(tiny_trained["bank"], tmp_path)
+    index = json.loads((tmp_path / "bank.json").read_text())
+    index["version"] = 1
+    (tmp_path / "bank.json").write_text(json.dumps(index))
+    with pytest.raises(UnsupportedFormatError, match="bank.json"):
+        load_bank(tmp_path)
+
+
+def test_interrupted_index_write_keeps_previous_index(tmp_path, tiny_trained,
+                                                      monkeypatch):
+    bank = tiny_trained["bank"]
+    save_bank(bank, tmp_path)
+    before = (tmp_path / "bank.json").read_bytes()
+
+    def interrupted(src, dst):
+        raise OSError("interrupted")
+    monkeypatch.setattr(recognizer.os, "replace", interrupted)
+    with pytest.raises(OSError):
+        save_bank(dataclasses.replace(bank, one_stage_models={}), tmp_path)
+    assert (tmp_path / "bank.json").read_bytes() == before
+    assert load_bank(tmp_path).one_stage_models.keys() == \
+        bank.one_stage_models.keys()
 
 
 def test_load_bank_missing_directory(tmp_path):
