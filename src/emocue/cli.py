@@ -77,17 +77,9 @@ def _add_config_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _config_from(args) -> RunConfig:
-    return make_config(
-        config_path=args.config,
-        alpha=args.alpha, num_states=args.num_states,
-        num_mixtures=args.num_mixtures,
-        num_supra_mixtures=args.num_supra_mixtures,
-        supra_groups=args.supra_groups,
-        train_sentences=args.train_sentences,
-        test_sentences=args.test_sentences,
-        variance_floor=args.variance_floor, em_tol=args.em_tol,
-        em_max_iters=args.em_max_iters, seed=args.seed,
-        length_normalize=args.length_normalize)
+    return make_config(config_path=args.config,
+                       **{f.name: getattr(args, f.name)
+                          for f in dataclasses.fields(RunConfig)})
 
 
 def _load_corpus(manifest_path, features_path):
@@ -119,6 +111,10 @@ def _cmd_extract(args) -> int:
 def _cmd_gen_synthetic(args) -> int:
     cfg = _config_from(args)
     emotions = tuple(e.strip() for e in args.emotions.split(",") if e.strip())
+    unknown = [e for e in emotions if e not in corpus.DEFAULT_EMOTIONS]
+    if unknown:
+        raise ValueError(f"unknown emotions {unknown}; the manifest readers "
+                         f"accept only {','.join(corpus.DEFAULT_EMOTIONS)}")
     synth = corpus.synthesize_corpus(
         num_speakers=args.speakers, emotions=emotions,
         train_sentences=args.train_count, test_sentences=args.test_count,
@@ -142,19 +138,10 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _load_full_bank(bank_dir) -> recognizer.ModelBank:
-    bank = recognizer.load_bank(bank_dir)
-    if not bank.emotions or not bank.speakers:
-        raise ManifestError(
-            f"{bank_dir}: bank is incomplete; run train-emotions and "
-            f"train-speakers first")
-    return bank
-
-
 def _cmd_identify(args) -> int:
     cfg = _config_from(args)
     records, cache = _load_corpus(args.manifest, args.features)
-    bank = _load_full_bank(args.bank_dir)
+    bank = recognizer.load_bank(args.bank_dir)
     train, test = corpus.split_records(records, cfg.protocol)
     if args.ids:
         wanted = [i.strip() for i in args.ids.split(",") if i.strip()]
@@ -175,6 +162,12 @@ def _cmd_identify(args) -> int:
     return EXIT_OK
 
 
+# The fields of a results row and the JSON types evaluate relies on.
+_RESULT_TYPES = {f.name: str for f in dataclasses.fields(recognizer.ResultRow)}
+_RESULT_TYPES.update(one_stage_speaker=(str, type(None)), emotion_scores=dict,
+                     speaker_scores=dict)
+
+
 def _read_results(path) -> list[dict]:
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -183,13 +176,22 @@ def _read_results(path) -> list[dict]:
             if not line:
                 continue
             try:
-                rows.append(json.loads(line))
+                rows.append((lineno, json.loads(line)))
             except json.JSONDecodeError as exc:
                 raise ManifestError(f"{path}:{lineno}: bad results line: "
                                     f"{exc}") from exc
     if not rows:
         raise ManifestError(f"{path}: no results")
-    return rows
+    for lineno, row in rows:
+        if not isinstance(row, dict):
+            raise ManifestError(f"{path}:{lineno}: a results row must be a "
+                                f"JSON object")
+        bad = [k for k, kind in _RESULT_TYPES.items()
+               if k not in row or not isinstance(row[k], kind)]
+        if bad:
+            raise ManifestError(f"{path}:{lineno}: results row has missing "
+                                f"or mistyped fields {bad}")
+    return [row for _, row in rows]
 
 
 def _cmd_evaluate(args) -> int:
@@ -248,7 +250,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_sweep_alpha(args) -> int:
     cfg = _config_from(args)
     records, cache = _load_corpus(args.manifest, args.features)
-    bank = _load_full_bank(args.bank_dir)
+    bank = recognizer.load_bank(args.bank_dir)
     train, test = corpus.split_records(records, cfg.protocol)
     _, features = recognizer.normalized_features(args.bank_dir, cfg, train,
                                                  test, cache)

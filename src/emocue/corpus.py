@@ -167,7 +167,16 @@ class NormalizationParams:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "NormalizationParams":
-        return cls(mean=np.array(payload["mean"]), std=np.array(payload["std"]))
+        mean = np.array(payload["mean"], dtype=np.float64)
+        std = np.array(payload["std"], dtype=np.float64)
+        if mean.shape != (FEATURE_DIM,) or std.shape != (FEATURE_DIM,):
+            raise ValueError(f"normalization needs {FEATURE_DIM} means and "
+                             f"deviations, got {mean.size} and {std.size}")
+        if not (np.isfinite(mean).all() and np.isfinite(std).all()
+                and (std > 0.0).all()):
+            raise ValueError("normalization means must be finite and "
+                             "deviations finite and positive")
+        return cls(mean=mean, std=std)
 
 
 def normalize_features(train: Mapping[str, FeatureSequence],

@@ -20,6 +20,12 @@ class TooShortError(EmoCueError):
     """Signal shorter than one analysis frame."""
 
 
+# --- stored files ---
+
+class CorruptFileError(EmoCueError):
+    """A feature cache, model file or bank index is cut short or malformed."""
+
+
 # --- HMM core ---
 
 class DimensionMismatchError(EmoCueError):

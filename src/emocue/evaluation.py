@@ -18,7 +18,7 @@ import numpy as np
 
 from . import recognizer
 from .errors import EmptyResultsError, UnknownLabelError
-from .supra import score_components
+from .supra import blend, score_components
 
 # Reference point for the t statistics: one-sided critical value at the
 # 0.05 significance level.
@@ -26,6 +26,9 @@ T_CRITICAL_005 = 1.645
 
 GENDERS = ("male", "female")
 DEFAULT_ALPHAS = tuple(round(0.1 * i, 1) for i in range(11))
+# The sweep scores length-normalized streams: without normalization the
+# acoustic term's sheer magnitude makes the blend weight nearly inert.
+SWEEP_LENGTH_NORMALIZE = True
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -220,16 +223,15 @@ class SweepResult:
                                      self.emotions.index(emotion)])
 
 
-def alpha_sweep(bank, test_records, features, alphas=DEFAULT_ALPHAS,
-                length_normalize: bool = True) -> SweepResult:
+def alpha_sweep(bank, test_records, features,
+                alphas=DEFAULT_ALPHAS) -> SweepResult:
     """Re-run the emotion stage across fusion weights and measure stage-b
     speaker accuracy per true emotion.
 
-    Both log scores are computed once per (utterance, emotion) and blended
-    per alpha; the speaker stage does not depend on alpha, so its verdict
-    is cached per (utterance, chosen emotion). Scores are length-normalized
-    by default: without normalization the acoustic term's sheer magnitude
-    makes the blend weight nearly inert.
+    Both log scores are computed once per (utterance, emotion), with
+    SWEEP_LENGTH_NORMALIZE, and blended per alpha by the same rule as
+    identify_emotion; the speaker stage does not depend on alpha, so its
+    verdict is cached per (utterance, chosen emotion).
     """
     records = list(test_records)
     if not records:
@@ -241,7 +243,7 @@ def alpha_sweep(bank, test_records, features, alphas=DEFAULT_ALPHAS,
         components[r.id] = {
             e: score_components(bank.emotion_models[e].acoustic,
                                 bank.emotion_models[e].supra, utt,
-                                length_normalize)
+                                SWEEP_LENGTH_NORMALIZE)
             for e in emotions}
 
     speaker_verdict: dict[tuple[str, str], bool] = {}
@@ -265,9 +267,8 @@ def alpha_sweep(bank, test_records, features, alphas=DEFAULT_ALPHAS,
         correct = {e: 0 for e in emotions}
         for r in records:
             comp = components[r.id]
-            scores = {e: (1.0 - alpha) * comp[e][0] + alpha * comp[e][1]
-                      for e in emotions}
-            e_star = recognizer._argmax_label(emotions, scores)
+            scores = {e: blend(*comp[e], alpha) for e in emotions}
+            e_star = max(emotions, key=scores.__getitem__)
             if speaker_correct(r, e_star):
                 correct[r.emotion] += 1
         for e_idx, e in enumerate(emotions):

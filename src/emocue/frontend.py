@@ -13,6 +13,7 @@ All functions are pure; returned containers hold read-only arrays.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import wave
 from dataclasses import dataclass
@@ -21,7 +22,12 @@ from typing import Mapping, NamedTuple
 import numpy as np
 import scipy.fft
 
-from .errors import NonFiniteObservationError, TooShortError, UnsupportedFormatError
+from .errors import (
+    CorruptFileError,
+    NonFiniteObservationError,
+    TooShortError,
+    UnsupportedFormatError,
+)
 
 SAMPLE_RATE = 16000
 FRAME_LEN = 480          # 30 ms at 16 kHz
@@ -357,21 +363,41 @@ def write_feature_cache(path, entries: Mapping[str, UtteranceFeatures]) -> None:
 
 
 def read_feature_cache(path) -> dict[str, UtteranceFeatures]:
-    """Read a cache written by write_feature_cache."""
+    """Read a cache written by write_feature_cache.
+
+    A cache that is cut short, runs on past its last utterance or has a
+    malformed index raises CorruptFileError naming it.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(len(_CACHE_MAGIC))
-        if magic != _CACHE_MAGIC:
+        size = os.fstat(fh.fileno()).st_size
+
+        def take(count: int) -> bytes:
+            if count > size - fh.tell():
+                raise CorruptFileError(
+                    f"{path}: feature cache is truncated: {count} bytes "
+                    f"needed at offset {fh.tell()}, file has {size}")
+            return fh.read(count)
+
+        if fh.read(len(_CACHE_MAGIC)) != _CACHE_MAGIC:
             raise UnsupportedFormatError(f"{path}: not a feature cache file")
-        (index_len,) = struct.unpack("<Q", fh.read(8))
-        index = json.loads(fh.read(index_len).decode("utf-8"))
+        (index_len,) = struct.unpack("<Q", take(8))
+        try:
+            entries = [(e["id"], e["frames"])
+                       for e in json.loads(take(index_len))["entries"]]
+            for uid, frames in entries:
+                if not (isinstance(uid, str) and isinstance(frames, int)
+                        and frames >= 0):
+                    raise ValueError(f"bad entry {uid!r} with {frames!r} frames")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CorruptFileError(
+                f"{path}: malformed feature cache index: {exc}") from exc
         out = {}
-        for entry in index["entries"]:
-            uid, frames = entry["id"], entry["frames"]
+        for uid, frames in entries:
             vectors = np.frombuffer(
-                fh.read(8 * frames * FEATURE_DIM), dtype="<f8").reshape(frames, FEATURE_DIM)
-            f0 = np.frombuffer(fh.read(8 * frames), dtype="<f8")
-            log_energy = np.frombuffer(fh.read(8 * frames), dtype="<f8")
-            voiced = np.frombuffer(fh.read(frames), dtype=np.uint8).astype(bool)
+                take(8 * frames * FEATURE_DIM), dtype="<f8").reshape(frames, FEATURE_DIM)
+            f0 = np.frombuffer(take(8 * frames), dtype="<f8")
+            log_energy = np.frombuffer(take(8 * frames), dtype="<f8")
+            voiced = np.frombuffer(take(frames), dtype=np.uint8).astype(bool)
             finite = np.isfinite(vectors).all(axis=1) & np.isfinite(f0) \
                 & np.isfinite(log_energy)
             if not finite.all():
@@ -381,4 +407,8 @@ def read_feature_cache(path) -> dict[str, UtteranceFeatures]:
             out[uid] = UtteranceFeatures(
                 features=FeatureSequence(vectors=vectors),
                 prosody=ProsodicTrack(f0=f0, log_energy=log_energy, voiced=voiced))
+        if fh.tell() != size:
+            raise CorruptFileError(f"{path}: feature cache has "
+                                   f"{size - fh.tell()} bytes after its last "
+                                   f"utterance")
         return out

@@ -49,6 +49,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    CorruptFileError,
     DimensionMismatchError,
     EmptySequenceError,
     EmptyTrainingSetError,
@@ -647,12 +648,39 @@ def save_model(model: AcousticModel, path) -> None:
         fh.write("\n")
 
 
-def load_model(path) -> AcousticModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != FILE_FORMAT or payload.get("version") != FILE_VERSION:
-        raise UnsupportedFormatError(f"{path}: not a recognized model file")
-    if payload.get("kind") != "acoustic":
+def read_json_file(path, file_format: str, version: int, parse,
+                   kind: str | None = None):
+    """Read a versioned JSON file, check its header and return parse(payload).
+
+    A file that is not a JSON object, or whose content parse cannot use
+    (an AttributeError, KeyError, IndexError, TypeError or ValueError),
+    raises CorruptFileError naming path. A file of another format, version or
+    kind raises UnsupportedFormatError.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except ValueError as exc:  # malformed JSON or text
+        raise CorruptFileError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise CorruptFileError(f"{path}: expected a JSON object")
+    found = (payload.get("format"), payload.get("version"))
+    if found != (file_format, version):
         raise UnsupportedFormatError(
-            f"{path}: expected an acoustic model, got {payload.get('kind')!r}")
-    return model_from_dict(payload)
+            f"{path}: not a version-{version} {file_format} file "
+            f"(found {found[0]!r} version {found[1]!r})")
+    if kind is not None and payload.get("kind") != kind:
+        raise UnsupportedFormatError(
+            f"{path}: expected a {kind} model, got {payload.get('kind')!r}")
+    try:
+        return parse(payload)
+    except (AttributeError, KeyError, IndexError, TypeError,
+            ValueError) as exc:
+        detail = f"missing entry {exc}" if isinstance(exc, KeyError) else exc
+        raise CorruptFileError(f"{path}: malformed {file_format} file: "
+                               f"{detail}") from exc
+
+
+def load_model(path) -> AcousticModel:
+    return read_json_file(path, FILE_FORMAT, FILE_VERSION, model_from_dict,
+                          kind="acoustic")

@@ -4,8 +4,9 @@ Stage a scores an utterance against every emotion's blended acoustic plus
 prosodic model pair and keeps the best emotion. Stage b then compares the
 speakers' acoustic models trained for that emotion only. A one-stage
 baseline (per-speaker models pooled over all emotions) is carried alongside
-for comparison. Ties always resolve to the earliest candidate in bank
-order, which keeps every decision deterministic.
+for comparison. Every decision is max(labels, key=scores.__getitem__), and
+max keeps the first maximum, so ties resolve to the earliest candidate in
+bank order and every decision is deterministic.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .errors import (
     EmptyBankError,
     EmptyResultsError,
     UnknownEmotionError,
-    UnsupportedFormatError,
 )
 from .frontend import UtteranceFeatures
 from .supra import FusionConfig, SuprasegmentalModel, fused_score
@@ -87,15 +87,6 @@ class IdentificationResult:
             raise ValueError("identified speaker must attain the score maximum")
 
 
-def _argmax_label(labels, scores) -> str:
-    """Earliest label attaining the maximum score."""
-    best = labels[0]
-    for label in labels[1:]:
-        if scores[label] > scores[best]:
-            best = label
-    return best
-
-
 def identify_emotion(utterance, bank: ModelBank,
                      cfg: FusionConfig = FusionConfig()):
     """Stage a: best emotion by blended score, with all candidate scores."""
@@ -104,7 +95,7 @@ def identify_emotion(utterance, bank: ModelBank,
     scores = {e: fused_score(bank.emotion_models[e].acoustic,
                              bank.emotion_models[e].supra, utterance, cfg)
               for e in bank.emotions}
-    return _argmax_label(bank.emotions, scores), scores
+    return max(bank.emotions, key=scores.__getitem__), scores
 
 
 def identify_speaker_given_emotion(features, e_star: str, bank: ModelBank):
@@ -116,7 +107,7 @@ def identify_speaker_given_emotion(features, e_star: str, bank: ModelBank):
     scores = {s: hmm.forward_log_likelihood(bank.speaker_models[(s, e_star)],
                                             features)
               for s in bank.speakers}
-    return _argmax_label(bank.speakers, scores), scores
+    return max(bank.speakers, key=scores.__getitem__), scores
 
 
 def two_stage_identify(utterance, bank: ModelBank,
@@ -137,7 +128,7 @@ def one_stage_identify(features, bank: ModelBank):
         raise EmptyBankError("bank has no one-stage models")
     scores = {s: hmm.forward_log_likelihood(bank.one_stage_models[s], features)
               for s in bank.speakers}
-    return _argmax_label(bank.speakers, scores), scores
+    return max(bank.speakers, key=scores.__getitem__), scores
 
 
 # --- training ----------------------------------------------------------------
@@ -278,16 +269,6 @@ def _new_index(config, normalization) -> dict:
             "emotion_files": {}, "speaker_files": {}, "one_stage_files": {}}
 
 
-def _read_index(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        index = json.load(fh)
-    if index.get("format") != BANK_FORMAT or index.get("version") != BANK_VERSION:
-        raise UnsupportedFormatError(
-            f"{path}: not a version-{BANK_VERSION} bank index "
-            f"(found version {index.get('version')!r}); retrain the bank")
-    return index
-
-
 def _bank_config(cfg: RunConfig) -> dict:
     values = {name: getattr(cfg, name) for name in _BANK_FIELDS}
     return {name: list(v) if isinstance(v, tuple) else v
@@ -355,27 +336,35 @@ def save_bank(bank: ModelBank, directory) -> None:
 
 
 def load_bank(directory) -> ModelBank:
-    index = _read_index(os.path.join(directory, _BANK_INDEX))
-    emotions = tuple(index["emotions"])
-    speakers = tuple(index["speakers"])
-    emotion_models = {
-        e: EmotionModels(
-            acoustic=hmm.load_model(
-                os.path.join(directory, index["emotion_files"][e]["acoustic"])),
-            supra=supra_mod.load_supra_model(
-                os.path.join(directory, index["emotion_files"][e]["supra"])))
-        for e in emotions}
-    speaker_models = {
-        (s, e): hmm.load_model(
-            os.path.join(directory, index["speaker_files"][s][e]))
-        for s in speakers for e in emotions}
-    one_stage_models = {
-        s: hmm.load_model(os.path.join(directory, name))
-        for s, name in index["one_stage_files"].items()}
-    return ModelBank(emotions=emotions, speakers=speakers,
-                     emotion_models=emotion_models,
-                     speaker_models=speaker_models,
-                     one_stage_models=one_stage_models)
+    """The bank in directory. Its emotion and speaker roles must be trained;
+    the one-stage baseline may be missing."""
+    def build(index):
+        emotions = tuple(index["emotions"])
+        speakers = tuple(index["speakers"])
+        files = index["emotion_files"]
+        if not (emotions and speakers and files and index["speaker_files"]):
+            raise EmptyBankError(f"{directory}: bank is incomplete; train its "
+                                 f"emotion and speaker models first")
+
+        def model(load, name):
+            return load(os.path.join(directory, name))
+
+        return ModelBank(
+            emotions=emotions, speakers=speakers,
+            emotion_models={
+                e: EmotionModels(
+                    acoustic=model(hmm.load_model, files[e]["acoustic"]),
+                    supra=model(supra_mod.load_supra_model, files[e]["supra"]))
+                for e in emotions},
+            speaker_models={
+                (s, e): model(hmm.load_model, index["speaker_files"][s][e])
+                for s in speakers for e in emotions},
+            one_stage_models={
+                s: model(hmm.load_model, name)
+                for s, name in index["one_stage_files"].items()})
+
+    return hmm.read_json_file(os.path.join(directory, _BANK_INDEX),
+                              BANK_FORMAT, BANK_VERSION, build)
 
 
 def normalized_features(directory, cfg: RunConfig, train_records,
@@ -390,14 +379,17 @@ def normalized_features(directory, cfg: RunConfig, train_records,
     """
     path = os.path.join(directory, _BANK_INDEX)
     if os.path.exists(path):
-        index = _read_index(path)
-        for name, value in _bank_config(cfg).items():
-            if index["config"] and index["config"][name] != value:
-                raise BankMismatchError(
-                    f"{path}: bank was trained with {name} = "
-                    f"{index['config'][name]}, the config has {value}")
-        params = index["normalization"] and \
-            corpus.NormalizationParams.from_dict(index["normalization"])
+        def stored(index):
+            for name, value in _bank_config(cfg).items():
+                if index["config"] and index["config"][name] != value:
+                    raise BankMismatchError(
+                        f"{path}: bank was trained with {name} = "
+                        f"{index['config'][name]}, the config has {value}")
+            return index, index["normalization"] and \
+                corpus.NormalizationParams.from_dict(index["normalization"])
+
+        index, params = hmm.read_json_file(path, BANK_FORMAT, BANK_VERSION,
+                                           stored)
         normalized = {r.id: params.apply(cache[r.id].features) if params
                       else cache[r.id].features for r in used_records}
     else:

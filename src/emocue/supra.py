@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hmm
-from .errors import IllegalPathError, LengthMismatchError, UnsupportedFormatError
+from .errors import IllegalPathError, LengthMismatchError
 from .frontend import ProsodicTrack
 
 SUPRA_DIM = 5
@@ -211,24 +211,24 @@ def score_components(acoustic: hmm.AcousticModel, supra: SuprasegmentalModel,
     return log_acoustic, log_supra
 
 
+def blend(log_acoustic: float, log_supra: float, alpha: float) -> float:
+    """The stage-a score: (1 - alpha) * acoustic + alpha * prosodic.
+
+    For finite scores both endpoints are exact: alpha 0 gives the acoustic
+    score and alpha 1 the prosodic one, bit for bit.
+    """
+    return (1.0 - alpha) * log_acoustic + alpha * log_supra
+
+
 def fused_score(acoustic: hmm.AcousticModel, supra: SuprasegmentalModel,
                 utterance, cfg: FusionConfig = FusionConfig()) -> float:
-    """Blend the two log scores: (1 - alpha) * acoustic + alpha * prosodic.
+    """The blend of an utterance's two log scores under cfg.
 
-    The endpoints are exact: alpha 0 returns the acoustic score without
-    touching the prosodic stream, alpha 1 the reverse.
+    Both streams are scored at every alpha, so an utterance that no
+    left-to-right path fits raises NoLegalPathError even at alpha 0.
     """
-    features, track = utterance
-    if cfg.alpha == 0.0:
-        score = hmm.forward_log_likelihood(acoustic, features)
-        return score / len(features) if cfg.length_normalize else score
-    if cfg.alpha == 1.0:
-        summaries = supra_observations(acoustic, (features, track), supra.mapping)
-        score = hmm.forward_log_likelihood(supra.core, summaries)
-        return score / len(summaries) if cfg.length_normalize else score
-    log_acoustic, log_supra = score_components(acoustic, supra, (features, track),
-                                               cfg.length_normalize)
-    return (1.0 - cfg.alpha) * log_acoustic + cfg.alpha * log_supra
+    return blend(*score_components(acoustic, supra, utterance,
+                                   cfg.length_normalize), cfg.alpha)
 
 
 def save_supra_model(model: SuprasegmentalModel, path) -> None:
@@ -243,14 +243,8 @@ def save_supra_model(model: SuprasegmentalModel, path) -> None:
 
 
 def load_supra_model(path) -> SuprasegmentalModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if (payload.get("format") != hmm.FILE_FORMAT
-            or payload.get("version") != hmm.FILE_VERSION):
-        raise UnsupportedFormatError(f"{path}: not a recognized model file")
-    if payload.get("kind") != "suprasegmental":
-        raise UnsupportedFormatError(
-            f"{path}: expected a suprasegmental model, got {payload.get('kind')!r}")
-    return SuprasegmentalModel(
-        core=hmm.model_from_dict(payload),
-        mapping=SupraMapping(group_sizes=tuple(payload["group_sizes"])))
+    return hmm.read_json_file(
+        path, hmm.FILE_FORMAT, hmm.FILE_VERSION, kind="suprasegmental",
+        parse=lambda payload: SuprasegmentalModel(
+            core=hmm.model_from_dict(payload),
+            mapping=SupraMapping(group_sizes=tuple(payload["group_sizes"]))))

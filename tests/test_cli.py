@@ -10,7 +10,7 @@ import wave
 import numpy as np
 import pytest
 
-from emocue import cli
+from emocue import RunConfig, cli
 from emocue.corpus import load_manifest, normalize_features, split_records
 from emocue.errors import NumericalUnderflowError
 from emocue.frontend import (
@@ -128,6 +128,32 @@ def test_gen_synthetic_writes_loadable_corpus(tmp_path):
     cache = read_feature_cache(tmp_path / "features.bin")
     assert {r.id for r in records} == set(cache)
     assert all(r.audio is None for r in records)
+
+
+def test_gen_synthetic_rejects_unknown_emotions(tmp_path, capsys):
+    code = cli.main(["gen-synthetic", "--out-dir", str(tmp_path / "corpus"),
+                     "--emotions", "neutral,calm,excited"])
+    assert code == 1
+    assert "'calm', 'excited'" in capsys.readouterr().err
+    assert not (tmp_path / "corpus").exists()
+
+
+def test_every_config_field_has_a_flag():
+    want = RunConfig(alpha=0.25, num_states=3, num_mixtures=2,
+                     num_supra_mixtures=1, supra_groups=(1, 1, 1),
+                     train_sentences=(1, 2), test_sentences=(3, 4),
+                     variance_floor=1e-3, em_tol=1e-4, em_max_iters=5, seed=9,
+                     length_normalize=True)
+    args = cli.build_parser().parse_args([
+        "identify", "--manifest", "m", "--features", "f", "--bank-dir", "b",
+        "--out", "o", "--alpha", "0.25", *SMALL_FLAGS, *SMALL_SPLIT,
+        "--variance-floor", "1e-3", "--em-tol", "1e-4", "--em-max-iters", "5",
+        "--seed", "9", "--length-normalize"])
+    got = cli._config_from(args)
+    assert got == want
+    default = RunConfig()
+    assert all(getattr(want, f.name) != getattr(default, f.name)
+               for f in dataclasses.fields(RunConfig))
 
 
 def test_seed_flag_overrides_config_file(tmp_path):
@@ -265,6 +291,27 @@ def test_evaluate_rejects_corrupt_results(tmp_path, capsys):
     assert ":2:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("damage, message", [
+    (lambda row: [1, 2], "must be a JSON object"),
+    (lambda row: {k: v for k, v in row.items() if k != "true_speaker"},
+     "fields ['true_speaker']"),
+    (lambda row: {**row, "identified_emotion": ["angry"]},
+     "fields ['identified_emotion']"),
+], ids=["not an object", "missing field", "mistyped field"])
+def test_evaluate_rejects_malformed_rows(small_pipeline, tmp_path, capsys,
+                                         damage, message):
+    lines = (small_pipeline / "results.jsonl").read_text().splitlines()
+    lines[1] = json.dumps(damage(json.loads(lines[1])))
+    path = tmp_path / "results.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    code = cli.main(["evaluate", "--results", str(path),
+                     "--out-dir", str(tmp_path / "eval")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{path}:2: " in err and message in err
+    assert not (tmp_path / "eval").exists()
+
+
 def test_train_speakers_rejects_mismatched_bank(small_pipeline, tmp_path,
                                                 capsys):
     run_cli("gen-synthetic", "--out-dir", tmp_path, "--speakers", "3",
@@ -378,3 +425,60 @@ def test_identify_requires_complete_bank(tmp_path, capsys):
                      "--bank-dir", str(tmp_path / "bank"),
                      "--out", str(tmp_path / "out.jsonl")])
     assert code == 2
+
+
+def _cut(path):
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) // 2])
+
+
+def _edit_index(bank, edit):
+    index = json.loads((bank / "bank.json").read_text())
+    edit(index)
+    (bank / "bank.json").write_text(json.dumps(index))
+
+
+_CORRUPTIONS = {
+    "truncated index": ("bank.json", lambda bank: _cut(bank / "bank.json")),
+    "truncated model": ("emotion_0.acoustic.json",
+                        lambda bank: _cut(bank / "emotion_0.acoustic.json")),
+    "missing speaker entry": ("bank.json", lambda bank: _edit_index(
+        bank, lambda index: index["speaker_files"].pop("spk00"))),
+    "short normalization": ("bank.json", lambda bank: _edit_index(
+        bank, lambda index: index["normalization"]["mean"].pop())),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(_CORRUPTIONS))
+def test_identify_rejects_corrupt_bank(small_pipeline, tmp_path, capsys,
+                                       corruption):
+    bank = tmp_path / "bank"
+    shutil.copytree(small_pipeline / "bank", bank)
+    name, corrupt = _CORRUPTIONS[corruption]
+    corrupt(bank)
+    code = cli.main(["identify",
+                     "--manifest", str(small_pipeline / "corpus/manifest.tsv"),
+                     "--features", str(small_pipeline / "corpus/features.bin"),
+                     "--bank-dir", str(bank),
+                     "--out", str(tmp_path / "out.jsonl"),
+                     *SMALL_FLAGS, *SMALL_SPLIT])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(bank / name) in err
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+def test_identify_rejects_truncated_feature_cache(small_pipeline, tmp_path,
+                                                  capsys):
+    cache = tmp_path / "features.bin"
+    shutil.copy(small_pipeline / "corpus/features.bin", cache)
+    _cut(cache)
+    code = cli.main(["identify",
+                     "--manifest", str(small_pipeline / "corpus/manifest.tsv"),
+                     "--features", str(cache),
+                     "--bank-dir", str(small_pipeline / "bank"),
+                     "--out", str(tmp_path / "out.jsonl"),
+                     *SMALL_FLAGS, *SMALL_SPLIT])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"data error: {cache}: feature cache is truncated" in err

@@ -229,6 +229,18 @@ def test_normalization_params_roundtrip():
     np.testing.assert_array_equal(again.std, params.std)
 
 
+@pytest.mark.parametrize("mean, std", [
+    (np.zeros(15), np.ones(16)),
+    (np.zeros(16), np.ones((2, 8))),
+    (np.full(16, np.nan), np.ones(16)),
+    (np.zeros(16), np.zeros(16)),
+])
+def test_normalization_params_reject_bad_blocks(mean, std):
+    with pytest.raises(ValueError):
+        NormalizationParams.from_dict({"mean": mean.tolist(),
+                                       "std": std.tolist()})
+
+
 # --- synthetic corpus --------------------------------------------------------
 
 

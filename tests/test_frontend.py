@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 
 from emocue import frontend
 from emocue.errors import (
+    CorruptFileError,
+    EmoCueError,
     NonFiniteObservationError,
     TooShortError,
     UnsupportedFormatError,
@@ -363,6 +365,59 @@ def test_cache_rejects_bad_magic(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(UnsupportedFormatError):
         frontend.read_feature_cache(path)
+
+
+@pytest.fixture(scope="module")
+def cache_bytes(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cache") / "cache.bin"
+    frontend.write_feature_cache(path, {"u": _analyzed(7, 2000),
+                                        "v": _analyzed(8, 2160)})
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("size", [12, 16, 100, "half", -1])
+def test_cache_rejects_truncation(tmp_path, cache_bytes, size):
+    end = len(cache_bytes) // 2 if size == "half" else size
+    path = tmp_path / "cut.bin"
+    path.write_bytes(cache_bytes[:end])
+    with pytest.raises(CorruptFileError, match="cut.bin: feature cache is "
+                                               "truncated"):
+        frontend.read_feature_cache(path)
+
+
+def test_cache_rejects_trailing_bytes(tmp_path, cache_bytes):
+    path = tmp_path / "long.bin"
+    path.write_bytes(cache_bytes + b"\0")
+    with pytest.raises(CorruptFileError, match="long.bin: .* after its last"):
+        frontend.read_feature_cache(path)
+
+
+@pytest.mark.parametrize("index", [b"{not json", b'{"entries": 3}',
+                                   b'{"entries": [{"id": "u"}]}',
+                                   b'{"entries": [{"id": "u", "frames": -2}]}'])
+def test_cache_rejects_malformed_index(tmp_path, index):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(b"EMOFC001" + len(index).to_bytes(8, "little") + index)
+    with pytest.raises(CorruptFileError, match="bad.bin: malformed"):
+        frontend.read_feature_cache(path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cache_damage_raises_only_typed_errors(tmp_path_factory, cache_bytes,
+                                               data):
+    damaged = bytearray(cache_bytes[:data.draw(
+        st.integers(0, len(cache_bytes)), label="length")])
+    for _ in range(data.draw(st.integers(0, 3), label="flips")):
+        if damaged:
+            at = data.draw(st.integers(0, len(damaged) - 1))
+            damaged[at] = data.draw(st.integers(0, 255))
+    path = tmp_path_factory.mktemp("fuzz") / "cache.bin"
+    path.write_bytes(bytes(damaged))
+    try:
+        frontend.read_feature_cache(path)
+    except EmoCueError:
+        pass
 
 
 def test_analyze_clip_streams_aligned():

@@ -8,6 +8,7 @@ import pytest
 
 from emocue import hmm
 from emocue.errors import (
+    CorruptFileError,
     DimensionMismatchError,
     EmptySequenceError,
     EmptyTrainingSetError,
@@ -534,4 +535,22 @@ def test_load_rejects_wrong_format(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"format": "something-else", "version": 1}')
     with pytest.raises(UnsupportedFormatError):
+        hmm.load_model(path)
+
+
+@pytest.mark.parametrize("content", [
+    "cut",
+    '[1, 2]',
+    '{"format": "emocue-model", "version": 1, "kind": "acoustic"}',
+    '{"format": "emocue-model", "version": 1, "kind": "acoustic", '
+    '"num_states": 1, "feature_dim": 2, "transitions": [[1.0]], '
+    '"states": [{"weights": [1.0], "means": [[0.0]], "variances": [[1.0]]}]}',
+])
+def test_load_rejects_corrupt_file(tmp_path, content):
+    path = tmp_path / "model.json"
+    if content == "cut":
+        hmm.save_model(hmm.init_model([np.eye(4, 2)], 2, 1), path)
+        content = path.read_text()[:40]
+    path.write_text(content)
+    with pytest.raises(CorruptFileError, match="model.json"):
         hmm.load_model(path)

@@ -3,12 +3,17 @@ bank persistence."""
 
 import dataclasses
 import json
+import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emocue import RunConfig, hmm, recognizer
 from emocue.errors import (
+    CorruptFileError,
+    EmoCueError,
     EmptyBankError,
     EmptyResultsError,
     UnknownEmotionError,
@@ -27,12 +32,6 @@ from emocue.recognizer import (
     two_stage_identify,
 )
 from emocue.supra import FusionConfig, fused_score
-
-
-def test_argmax_prefers_earliest_on_tie():
-    labels = ("b", "a", "c")
-    assert recognizer._argmax_label(labels, {"b": 1.0, "a": 1.0, "c": 0.0}) == "b"
-    assert recognizer._argmax_label(labels, {"b": 0.0, "a": 1.0, "c": 1.0}) == "a"
 
 
 def test_identification_result_requires_argmax():
@@ -146,6 +145,35 @@ def test_stage_b_rejects_unknown_emotion(tiny_trained):
     utt = tiny_trained["synth"].features[tiny_trained["test"][0].id]
     with pytest.raises(UnknownEmotionError):
         identify_speaker_given_emotion(utt.features, "bored", bank)
+
+
+def test_ties_resolve_to_earliest_in_bank_order(tiny_trained):
+    bank = tiny_trained["bank"]
+    utt = tiny_trained["synth"].features[tiny_trained["test"][0].id]
+    e0 = bank.emotions[0]
+    _, scores = identify_speaker_given_emotion(utt.features, e0, bank)
+    low = min(bank.speakers, key=scores.__getitem__)
+    best = max(bank.speakers, key=scores.__getitem__)
+    # "twin" shares best's model objects, so the two scores tie exactly and
+    # a strictly lower candidate comes first in bank order.
+    models = {**{s: s for s in bank.speakers}, "twin": best}
+    for speakers in ((low, best, "twin"), (low, "twin", best)):
+        twins = ModelBank(
+            emotions=(e0, "twin"), speakers=speakers,
+            emotion_models={e0: bank.emotion_models[e0],
+                            "twin": bank.emotion_models[e0]},
+            speaker_models={(s, e): bank.speaker_models[(models[s], e0)]
+                            for s in speakers for e in (e0, "twin")},
+            one_stage_models={s: bank.one_stage_models[models[s]]
+                              for s in speakers})
+        result = two_stage_identify(utt, twins)
+        assert result.emotion_scores[e0] == result.emotion_scores["twin"]
+        assert result.identified_emotion == e0
+        assert result.speaker_scores[best] == result.speaker_scores["twin"]
+        assert result.identified_speaker == speakers[1]
+        one_stage, one_scores = one_stage_identify(utt.features, twins)
+        assert one_scores[best] == one_scores["twin"]
+        assert one_stage == speakers[1]
 
 
 def test_acoustic_only_fusion_matches_plain_likelihood(tiny_trained):
@@ -276,6 +304,72 @@ def test_load_bank_rejects_version_1_index(tmp_path, tiny_trained):
     (tmp_path / "bank.json").write_text(json.dumps(index))
     with pytest.raises(UnsupportedFormatError, match="bank.json"):
         load_bank(tmp_path)
+
+
+def _saved_index(tmp_path, bank):
+    save_bank(bank, tmp_path)
+    return json.loads((tmp_path / "bank.json").read_text())
+
+
+def test_load_bank_rejects_missing_speaker_entry(tmp_path, tiny_trained):
+    index = _saved_index(tmp_path, tiny_trained["bank"])
+    del index["speaker_files"][tiny_trained["bank"].speakers[-1]]
+    (tmp_path / "bank.json").write_text(json.dumps(index))
+    with pytest.raises(CorruptFileError,
+                       match=r"bank\.json: .*missing entry 'spk02'"):
+        load_bank(tmp_path)
+
+
+def test_load_bank_requires_emotion_and_speaker_roles(tmp_path, tiny_trained):
+    index = _saved_index(tmp_path, tiny_trained["bank"])
+    index["emotion_files"] = {}
+    (tmp_path / "bank.json").write_text(json.dumps(index))
+    with pytest.raises(EmptyBankError, match="bank is incomplete"):
+        load_bank(tmp_path)
+
+
+def _json_paths(node, prefix=()):
+    yield prefix
+    children = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _json_paths(child, prefix + (key,))
+
+
+@pytest.fixture(scope="module")
+def saved_bank(tmp_path_factory, tiny_trained):
+    directory = tmp_path_factory.mktemp("saved_bank")
+    save_bank(tiny_trained["bank"], directory)
+    return directory
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_damaged_bank_raises_only_typed_errors(tmp_path_factory, saved_bank,
+                                               tiny_trained, data):
+    directory = tmp_path_factory.mktemp("damaged")
+    shutil.copytree(saved_bank, directory, dirs_exist_ok=True)
+    name = data.draw(st.sampled_from(["bank.json", "emotion_0.supra.json"]))
+    payload = json.loads((directory / name).read_text())
+    path = data.draw(st.sampled_from(list(_json_paths(payload))[1:]))
+    parent = payload
+    for key in path[:-1]:
+        parent = parent[key]
+    replacement = data.draw(st.sampled_from([None, 0, -1, 1.5, "x", [], {},
+                                             [0.0], "delete"]))
+    if replacement == "delete" and isinstance(parent, dict):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = replacement
+    (directory / name).write_text(json.dumps(payload))
+    for read in (lambda: load_bank(directory),
+                 lambda: recognizer.normalized_features(
+                     directory, RunConfig(), tiny_trained["train"],
+                     tiny_trained["test"], tiny_trained["synth"].features)):
+        try:
+            read()
+        except (EmoCueError, OSError):
+            pass
 
 
 def test_interrupted_index_write_keeps_previous_index(tmp_path, tiny_trained,

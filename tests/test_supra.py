@@ -9,9 +9,10 @@ from emocue import hmm, supra
 from emocue.errors import (
     IllegalPathError,
     LengthMismatchError,
+    NoLegalPathError,
     UnsupportedFormatError,
 )
-from emocue.frontend import ProsodicTrack
+from emocue.frontend import FeatureSequence, ProsodicTrack, UtteranceFeatures
 
 from oracles import loop_segment_summaries
 
@@ -251,6 +252,23 @@ def test_fusion_length_normalization(trained_pair):
     cfg = supra.FusionConfig(alpha=0.3, length_normalize=True)
     assert supra.fused_score(acoustic, model, probe, cfg) == \
         pytest.approx(0.7 * norm_a + 0.3 * norm_s, abs=1e-12)
+
+
+def test_fusion_at_alpha_zero_still_aligns(trained_pair):
+    acoustic, model, probe = trained_pair
+    frames = acoustic.num_states - 1
+    short = UtteranceFeatures(
+        features=FeatureSequence(vectors=np.asarray(probe.features)[:frames]),
+        prosody=ProsodicTrack(f0=probe.prosody.f0[:frames],
+                              log_energy=probe.prosody.log_energy[:frames],
+                              voiced=probe.prosody.voiced[:frames]))
+    # the acoustic stream alone has a score, but no left-to-right path
+    # through every state fits, and alpha 0 aligns like every other alpha
+    assert np.isfinite(hmm.forward_log_likelihood(acoustic, short.features))
+    for alpha in (0.0, 0.5, 1.0):
+        with pytest.raises(NoLegalPathError):
+            supra.fused_score(acoustic, model, short,
+                              supra.FusionConfig(alpha=alpha))
 
 
 def test_fusion_config_validates_alpha():
