@@ -132,9 +132,13 @@ def _cmd_train(args) -> int:
     cfg = _config_from(args)
     records, cache = _load_corpus(args.manifest, args.features)
     train, _ = corpus.split_records(records, cfg.protocol)
-    models = recognizer.train_role(args.role, args.bank_dir, cfg, train, cache)
+    models, reports = recognizer.train_role(args.role, args.bank_dir, cfg,
+                                            train, cache)
     print(f"trained {len(models)} {args.role} models "
           f"({len(train)} utterances) -> {args.bank_dir}")
+    capped = sum(not report.converged for report in reports.values())
+    print(f"{capped} of {len(reports)} model fits stopped at --em-max-iters "
+          f"{cfg.em_max_iters} without converging", file=sys.stderr)
     return EXIT_OK
 
 
@@ -154,7 +158,10 @@ def _cmd_identify(args) -> int:
         selected = test
     _, features = recognizer.normalized_features(args.bank_dir, cfg, train,
                                                  selected, cache)
-    rows = recognizer.score_test_set(bank, selected, features, cfg.fusion)
+    try:
+        rows = recognizer.score_test_set(bank, selected, features, cfg.fusion)
+    except EmoCueError as exc:
+        raise type(exc)(f"{args.features}: {exc}") from exc
     with open(args.out, "w", encoding="utf-8") as fh:
         for row in rows:
             fh.write(json.dumps(dataclasses.asdict(row)) + "\n")

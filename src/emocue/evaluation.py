@@ -18,7 +18,7 @@ import numpy as np
 
 from . import recognizer
 from .errors import EmptyResultsError, UnknownLabelError
-from .supra import blend, score_components
+from .supra import FusionConfig, blend, score_components
 
 # Reference point for the t statistics: one-sided critical value at the
 # 0.05 significance level.
@@ -231,8 +231,10 @@ def alpha_sweep(bank, test_records, features,
     Both log scores are computed once per (utterance, emotion), with
     SWEEP_LENGTH_NORMALIZE, and blended per alpha by the same rule as
     identify_emotion; the speaker stage does not depend on alpha, so its
-    verdict is cached per (utterance, chosen emotion).
+    verdict is cached per (utterance, chosen emotion). Every weight must
+    lie in [0, 1]; FusionConfig rejects any other, as it does for identify.
     """
+    alphas = tuple(FusionConfig(alpha=a).alpha for a in alphas)
     records = list(test_records)
     if not records:
         raise EmptyResultsError("no test records")
@@ -274,7 +276,7 @@ def alpha_sweep(bank, test_records, features,
         for e_idx, e in enumerate(emotions):
             accuracies[a_idx, e_idx] = 100.0 * correct[e] / e_counts[e]
         overall[a_idx] = 100.0 * sum(correct.values()) / len(records)
-    return SweepResult(alphas=tuple(float(a) for a in alphas),
+    return SweepResult(alphas=alphas,
                        emotions=emotions, accuracies=accuracies,
                        overall=overall)
 

@@ -345,12 +345,14 @@ def write_feature_cache(path, entries: Mapping[str, UtteranceFeatures]) -> None:
     """Write both observation streams for a set of utterances.
 
     Entries are stored sorted by utterance id, so identical inputs always
-    produce byte-identical files.
+    produce byte-identical files. The cache is written to path.tmp and then
+    replaces path, so an interrupted write leaves the previous cache whole.
     """
     index = {"entries": [{"id": uid, "frames": len(entries[uid].features)}
                          for uid in sorted(entries)]}
     index_bytes = json.dumps(index, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
+    temp = f"{path}.tmp"
+    with open(temp, "wb") as fh:
         fh.write(_CACHE_MAGIC)
         fh.write(struct.pack("<Q", len(index_bytes)))
         fh.write(index_bytes)
@@ -360,6 +362,7 @@ def write_feature_cache(path, entries: Mapping[str, UtteranceFeatures]) -> None:
             fh.write(np.ascontiguousarray(track.f0, dtype="<f8").tobytes())
             fh.write(np.ascontiguousarray(track.log_energy, dtype="<f8").tobytes())
             fh.write(np.ascontiguousarray(track.voiced, dtype=np.uint8).tobytes())
+    os.replace(temp, path)
 
 
 def read_feature_cache(path) -> dict[str, UtteranceFeatures]:

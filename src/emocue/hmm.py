@@ -36,15 +36,39 @@ Numerics:
   time. Viterbi loops where y_t == y_{t-1}, that is where
   y_{t-1} >= e_t - C_{t-1} - s, so ties still go to looping. A -inf in
   s + b (a zero self-loop, an emission that underflowed) leaves C
-  undefined from there on; that state then runs the recurrence frame by
-  frame.
+  undefined from there on; that state, in that sequence, then runs the
+  recurrence frame by frame.
+
+Training:
+
+* baum_welch lays out a fit's K sequences once. Their frames are stacked
+  into one (F, D) block, with [obs, obs^2] beside it, so each E-step makes
+  one emission product and one moment product for all of them. The
+  recursions run on a (K, T_max) grid that holds each sequence
+  left-aligned, every state's accumulate covering all K rows at once (the
+  padding costs work in proportion to how much the lengths differ). A
+  padded frame gets log emission 0. The forward pass is causal, so padding
+  never reaches a real frame. Backward from the end of the grid, each
+  padded step adds log(self-loop + advance), which is 0 up to rounding for
+  row-stochastic transitions, so beta at a sequence's last real frame is 0
+  as for the sequence alone. Counts are read at real frames only, and the
+  M-step updates every state at once. Against EM run one sequence at a time
+  on per-frame recursions (tests/oracles.py), fits take the same number of
+  iterations, converge alike and give every parameter to 1e-9.
+  Responsibilities below the smallest normal float (2.2e-308) are flushed
+  to 0: exp and the BLAS product slow down many times on subnormals.
+* Seeding takes k-means cluster sums with one bincount, which adds each
+  cluster's frames in the order members.mean(axis=0) does, so the labels
+  and the seeded parameters equal a per-cluster loop's to the bit.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,6 +89,11 @@ EM_TOL = 1e-5
 EM_MAX_ITERS = 40
 
 _LOG_2PI = np.log(2.0 * np.pi)
+# exp(-700) is about 1e-304. Below that, on the way to the subnormal range
+# and 0, exp leaves its vector path and runs 20 to 200 times slower.
+_EXP_FLOOR = -700.0
+# log of the smallest normal float
+_LOG_TINY = float(np.log(np.finfo(np.float64).tiny))
 _ROW_SUM_TOL = 1e-9
 
 
@@ -143,6 +172,13 @@ class AcousticModel:
     def _emission(self) -> _EmissionTable:
         return _pack_emissions(self.mixtures)
 
+    @cached_property
+    def _band(self) -> tuple[np.ndarray, np.ndarray]:
+        """Log self-loop and advance probabilities of the transition band."""
+        with np.errstate(divide="ignore"):
+            return (np.log(np.diag(self.transitions)),
+                    np.log(np.diag(self.transitions, 1)))
+
 
 @dataclass(frozen=True)
 class TrainingReport:
@@ -186,14 +222,21 @@ def _log_weights(weights: np.ndarray) -> np.ndarray:
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     """log(sum(exp(a))) along one axis, shifted by the maximum.
 
-    A slice that is all -inf gives -inf. Local because scipy's dispatch
-    costs more than the arithmetic on arrays this small.
+    A slice that is all -inf gives -inf. Terms more than 700 below the
+    maximum are raised to exp(-700), about 1e-304: beside the maximum's
+    exp(0) = 1 they cannot change the sum, and exp stays on its fast path.
+    Local because scipy's dispatch costs more than the arithmetic on arrays
+    this small.
     """
     peak = np.max(a, axis=axis, keepdims=True)
-    peak = np.where(np.isfinite(peak), peak, 0.0)
-    with np.errstate(divide="ignore"):
-        total = np.log(np.sum(np.exp(a - peak), axis=axis))
-    return total + np.squeeze(peak, axis=axis)
+    finite = np.isfinite(peak)
+    shift = np.where(finite, peak, 0.0)
+    terms = a - shift
+    np.exp(np.maximum(terms, _EXP_FLOOR, out=terms), out=terms)
+    total = np.log(np.sum(terms, axis=axis))
+    return np.where(np.squeeze(finite, axis=axis),
+                    total + np.squeeze(shift, axis=axis),
+                    np.squeeze(peak, axis=axis))
 
 
 @dataclass(frozen=True)
@@ -202,35 +245,45 @@ class _EmissionTable:
 
     Rows run component-major (row m*N + j is component m of state j), so the
     mixture sum reduces over the leading axis. States with fewer than M
-    components are padded with zero-weight ones.
+    components are padded with zero-weight ones. means and variances keep
+    the raw parameters in the same (M, N) layout for the M-step, the padding
+    at mean 0 and variance 1.
     """
 
+    means: np.ndarray       # (M, N, D)
+    variances: np.ndarray   # (M, N, D)
+    counts: np.ndarray      # (N,) components of each state
     centre: np.ndarray      # (D,) mean of all component means
     coef: np.ndarray        # (M*N, 2D): -0.5/var, then centred mean/var
     const: np.ndarray       # (M*N, 1) log weight + normaliser, -inf if weight 0
-    shape: tuple[int, int]  # (M, N)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """(M, N)"""
+        return self.means.shape[:2]
 
 
 def _pack_emissions(mixtures) -> _EmissionTable:
     n = len(mixtures)
-    m = max(mix.num_components for mix in mixtures)
-    dim = mixtures[0].dim
+    counts = np.array([mix.num_components for mix in mixtures])
+    m, dim = int(counts.max()), mixtures[0].dim
     centre = np.concatenate([mix.means for mix in mixtures]).mean(axis=0)
     log_w = np.full((m, n), -np.inf)
     means = np.zeros((m, n, dim))
-    prec = np.ones((m, n, dim))
-    log_det = np.zeros((m, n))
+    variances = np.ones((m, n, dim))
     for j, mix in enumerate(mixtures):
-        k = mix.num_components
-        log_w[:k, j] = _log_weights(mix.weights)
-        means[:k, j] = mix.means - centre
-        prec[:k, j] = 1.0 / mix.variances
-        log_det[:k, j] = np.sum(np.log(mix.variances), axis=1)
-    const = log_w - 0.5 * (dim * _LOG_2PI + log_det
-                           + np.sum(means * means * prec, axis=2))
-    coef = np.concatenate([-0.5 * prec, means * prec], axis=2)
-    return _EmissionTable(centre=centre, coef=coef.reshape(m * n, 2 * dim),
-                          const=const.reshape(m * n, 1), shape=(m, n))
+        log_w[:counts[j], j] = _log_weights(mix.weights)
+        means[:counts[j], j] = mix.means
+        variances[:counts[j], j] = mix.variances
+    real = (np.arange(m)[:, None] < counts)[:, :, None]
+    centred = np.where(real, means - centre, 0.0)
+    prec = 1.0 / variances
+    const = log_w - 0.5 * (dim * _LOG_2PI + np.sum(np.log(variances), axis=2)
+                           + np.sum(centred * centred * prec, axis=2))
+    coef = np.concatenate([-0.5 * prec, centred * prec], axis=2)
+    return _EmissionTable(means=means, variances=variances, counts=counts,
+                          centre=centre, coef=coef.reshape(m * n, 2 * dim),
+                          const=const.reshape(m * n, 1))
 
 
 def _emissions(model: AcousticModel, obs: np.ndarray):
@@ -256,14 +309,6 @@ def state_log_densities(model: AcousticModel, obs: np.ndarray) -> np.ndarray:
     return _emissions(model, obs)[1].T
 
 
-def _log_band(model: AcousticModel):
-    """Log self-loop and advance probabilities of the transition band."""
-    with np.errstate(divide="ignore"):
-        la_self = np.log(np.diag(model.transitions))
-        la_next = np.log(np.diag(model.transitions, 1))
-    return la_self, la_next
-
-
 def _frames(first: float, loop: np.ndarray, enter: np.ndarray,
             emit: np.ndarray, best: bool):
     """x_0 = first, x_t = op(x_{t-1} + loop_t, enter_t) + emit_t, frame by
@@ -287,85 +332,105 @@ def _frames(first: float, loop: np.ndarray, enter: np.ndarray,
     return x, looped
 
 
-def _forward(model: AcousticModel, lb: np.ndarray, best: bool = False):
-    """Forward (or, with best, Viterbi) scores from state-major log
-    emissions lb of shape (N, T).
+def _stuck_rows(offset_end: np.ndarray) -> list:
+    """Per state, the sequences whose cumulative offset is not finite."""
+    stuck = ~np.isfinite(offset_end)
+    if not stuck.any():
+        return [()] * stuck.shape[0]
+    return [np.flatnonzero(row) for row in stuck]
 
-    Returns the (N, T) scores and, with best, the (N, T-1) flags of frames
+
+def _forward(band, lb: np.ndarray, best: bool = False):
+    """Forward (or, with best, Viterbi) scores from state-major log
+    emissions lb of shape (N, K, T): K sequences side by side.
+
+    band is the model's (log self-loop, log advance) pair. Returns the
+    (N, K, T) scores and, with best, the (N, K, T-1) flags of frames
     t = 1..T-1 where looping won (else None).
     """
-    la_self, la_next = _log_band(model)
-    n, t_len = lb.shape
-    offset = np.zeros((n, t_len))
+    la_self, la_next = band
+    n, k, t_len = lb.shape
+    offset = np.zeros((n, k, t_len))
     # Both branches into (j, t) add frame t's emission, so the entry is
     # shifted by the offset before it; no emission enters the comparison.
-    # An offset that overflows to -inf sends its state to the frame loop;
-    # that state's shifted entries are garbage and go unused.
+    # An offset that overflows to -inf sends its row to the frame loop;
+    # that row's shifted entries are garbage and are overwritten.
     with np.errstate(over="ignore", invalid="ignore"):
-        np.cumsum(lb[:, 1:] + la_self[:, None], axis=1, out=offset[:, 1:])
-        shifted_enter = la_next[:, None] - (offset[1:, :-1] + la_self[1:, None])
+        np.cumsum(lb[..., 1:] + la_self[:, None, None], axis=2,
+                  out=offset[..., 1:])
+        shifted_enter = la_next[:, None, None] - (offset[1:, :, :-1]
+                                                  + la_self[1:, None, None])
+    stuck = _stuck_rows(offset[..., -1])
     accumulate = np.maximum.accumulate if best else np.logaddexp.accumulate
 
-    scores = np.empty((n, t_len))
-    looped = np.empty((n, t_len - 1), dtype=bool)
-    v = np.empty(t_len)
-    for j in range(n):
-        first = lb[0, 0] if j == 0 else -np.inf
-        if not np.isfinite(offset[j, -1]):
-            enter = (scores[j - 1, :-1] + la_next[j - 1] if j > 0
-                     else np.full(t_len - 1, -np.inf))
-            scores[j], looped[j] = _frames(
-                first, np.full(t_len - 1, la_self[j]), enter, lb[j, 1:], best)
-            continue
-        v[0] = first
-        if j > 0:
-            np.add(scores[j - 1, :-1], shifted_enter[j - 1], out=v[1:])
-        else:
-            v[1:] = -np.inf
-        y = accumulate(v)
-        np.add(y, offset[j], out=scores[j])
-        if best:
-            np.equal(y[1:], y[:-1], out=looped[j])
+    scores = np.empty((n, k, t_len))
+    looped = np.empty((n, k, t_len - 1), dtype=bool)
+    v = np.empty((k, t_len))
+    # only stuck rows overflow or produce NaN, and they are overwritten
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(n):
+            if j > 0:
+                v[:, 0] = -np.inf
+                np.add(scores[j - 1, :, :-1], shifted_enter[j - 1],
+                       out=v[:, 1:])
+            else:
+                v[:, 0] = lb[0, :, 0]
+                v[:, 1:] = -np.inf
+            y = accumulate(v, axis=1)
+            np.add(y, offset[j], out=scores[j])
+            if best:
+                np.equal(y[:, 1:], y[:, :-1], out=looped[j])
+            for r in stuck[j]:
+                enter = (scores[j - 1, r, :-1] + la_next[j - 1] if j > 0
+                         else np.full(t_len - 1, -np.inf))
+                scores[j, r], looped[j, r] = _frames(
+                    v[r, 0], np.full(t_len - 1, la_self[j]), enter,
+                    lb[j, r, 1:], best)
     return scores, (looped if best else None)
 
 
-def _backward(model: AcousticModel, lb: np.ndarray) -> np.ndarray:
-    """Backward log probabilities, shape (N, T), from lb of shape (N, T).
+def _backward(band, lb: np.ndarray) -> np.ndarray:
+    """Backward log probabilities, shape (N, K, T), from lb of the same
+    shape.
 
     The same recurrence in reversed time; the offsets are suffix sums.
     """
-    la_self, la_next = _log_band(model)
-    n, t_len = lb.shape
-    loop = lb[:, 1:] + la_self[:, None]
-    offset = np.zeros((n, t_len))
-    leave = lb[1:, 1:] + la_next[:, None]
+    la_self, la_next = band
+    n, k, t_len = lb.shape
+    loop = lb[..., 1:] + la_self[:, None, None]
+    leave = lb[1:, :, 1:] + la_next[:, None, None]
+    offset = np.zeros((n, k, t_len))
     with np.errstate(over="ignore", invalid="ignore"):
-        np.cumsum(loop[:, ::-1], axis=1, out=offset[:, -2::-1])
-        shifted_leave = leave - offset[:-1, :-1]
+        np.cumsum(loop[..., ::-1], axis=2, out=offset[..., -2::-1])
+        shifted_leave = leave - offset[:-1, :, :-1]
+    stuck = _stuck_rows(offset[..., 0])
 
-    beta = np.empty((n, t_len))
-    v = np.empty(t_len)
-    for j in range(n - 1, -1, -1):
-        if not np.isfinite(offset[j, 0]):
-            exit_ = (beta[j + 1, 1:] + leave[j] if j < n - 1
-                     else np.full(t_len - 1, -np.inf))
-            beta[j] = _frames(0.0, loop[j, ::-1], exit_[::-1],
-                              np.zeros(t_len - 1), False)[0][::-1]
-            continue
-        v[-1] = 0.0
-        if j < n - 1:
-            np.add(beta[j + 1, 1:], shifted_leave[j], out=v[:-1])
-        else:
-            v[:-1] = -np.inf
-        np.add(np.logaddexp.accumulate(v[::-1])[::-1], offset[j], out=beta[j])
+    beta = np.empty((n, k, t_len))
+    v = np.empty((k, t_len))
+    # only stuck rows overflow or produce NaN, and they are overwritten
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(n - 1, -1, -1):
+            v[:, -1] = 0.0
+            if j < n - 1:
+                np.add(beta[j + 1, :, 1:], shifted_leave[j], out=v[:, :-1])
+            else:
+                v[:, :-1] = -np.inf
+            np.add(np.logaddexp.accumulate(v[:, ::-1], axis=1)[:, ::-1],
+                   offset[j], out=beta[j])
+            for r in stuck[j]:
+                exit_ = (beta[j + 1, r, 1:] + leave[j, r] if j < n - 1
+                         else np.full(t_len - 1, -np.inf))
+                beta[j, r] = _frames(0.0, loop[j, r, ::-1], exit_[::-1],
+                                     np.zeros(t_len - 1), False)[0][::-1]
     return beta
 
 
 def forward_log_likelihood(model: AcousticModel, seq) -> float:
     """Total log-likelihood of the sequence, summed over all state paths."""
     obs = _as_observations(model, seq)
-    alpha, _ = _forward(model, state_log_densities(model, obs).T)
-    return float(_logsumexp(alpha[:, -1], axis=0))
+    alpha, _ = _forward(model._band,
+                        state_log_densities(model, obs).T[:, None])
+    return float(_logsumexp(alpha[:, 0, -1], axis=0))
 
 
 def forward_backward(model: AcousticModel, seq):
@@ -375,8 +440,9 @@ def forward_backward(model: AcousticModel, seq):
     log-likelihood of the sequence.
     """
     obs = _as_observations(model, seq)
-    lb = state_log_densities(model, obs).T
-    return _forward(model, lb)[0].T, _backward(model, lb).T
+    lb = state_log_densities(model, obs).T[:, None]
+    return (_forward(model._band, lb)[0][:, 0].T,
+            _backward(model._band, lb)[:, 0].T)
 
 
 def viterbi(model: AcousticModel, seq):
@@ -386,9 +452,11 @@ def viterbi(model: AcousticModel, seq):
     indices. Ties between looping and advancing resolve to looping.
     """
     obs = _as_observations(model, seq)
-    lb = state_log_densities(model, obs).T
-    delta, looped = _forward(model, lb, best=True)
-    n, t_len = lb.shape
+    delta, looped = _forward(model._band,
+                             state_log_densities(model, obs).T[:, None],
+                             best=True)
+    delta, looped = delta[:, 0], looped[:, 0]
+    n, t_len = delta.shape
 
     log_prob = delta[n - 1, t_len - 1]
     if not np.isfinite(log_prob):
@@ -407,6 +475,19 @@ def viterbi(model: AcousticModel, seq):
 
 
 # --- initialization ----------------------------------------------------------
+
+def _grouped_sums(values: np.ndarray, labels: np.ndarray, k: int):
+    """Per-label column sums of values (n, D) and the label counts.
+
+    One bincount over (label, column) cells adds each cell's rows in row
+    order, as a per-label members.sum(axis=0) does, so the sums are equal
+    to the bit.
+    """
+    n, dim = values.shape
+    cells = (labels[:, None] * dim + np.arange(dim)).ravel()
+    sums = np.bincount(cells, weights=values.ravel(), minlength=k * dim)
+    return sums.reshape(k, dim), np.bincount(labels, minlength=k)
+
 
 def _kmeans(frames: np.ndarray, k: int) -> np.ndarray:
     """Deterministic k-means labels for the given frames.
@@ -428,31 +509,25 @@ def _kmeans(frames: np.ndarray, k: int) -> np.ndarray:
         if labels is not None and np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        for j in range(k):
-            members = frames[labels == j]
-            if members.shape[0] > 0:
-                centers[j] = members.mean(axis=0)
+        sums, counts = _grouped_sums(frames, labels, k)
+        filled = counts > 0
+        centers[filled] = sums[filled] / counts[filled, None]
     return labels
 
 
 def _mixture_from_frames(frames: np.ndarray, num_mixtures: int,
                          variance_floor: float) -> GaussianMixture:
     labels = _kmeans(frames, num_mixtures)
-    n, dim = frames.shape
-    weights = np.zeros(num_mixtures)
-    means = np.zeros((num_mixtures, dim))
-    variances = np.full((num_mixtures, dim), variance_floor)
-    overall_mean = frames.mean(axis=0)
-    for j in range(num_mixtures):
-        members = frames[labels == j]
-        weights[j] = members.shape[0] / n
-        if members.shape[0] > 0:
-            means[j] = members.mean(axis=0)
-            variances[j] = np.maximum(members.var(axis=0), variance_floor)
-        else:
-            # Empty cluster: park a zero-weight component at the chunk mean.
-            means[j] = overall_mean
-    return GaussianMixture(weights=weights, means=means, variances=variances)
+    sums, counts = _grouped_sums(frames, labels, num_mixtures)
+    size = np.maximum(counts, 1)[:, None]
+    # An empty cluster parks a zero-weight component at the chunk mean, with
+    # floor variances.
+    means = np.where(counts[:, None] > 0, sums / size, frames.mean(axis=0))
+    deviation = frames - means[labels]
+    squares, _ = _grouped_sums(deviation * deviation, labels, num_mixtures)
+    return GaussianMixture(weights=counts / frames.shape[0], means=means,
+                           variances=np.maximum(squares / size,
+                                                variance_floor))
 
 
 def init_model(sequences, num_states: int, num_mixtures: int,
@@ -495,74 +570,123 @@ def init_model(sequences, num_states: int, num_mixtures: int,
 
 # --- training ----------------------------------------------------------------
 
-def _accumulate(model: AcousticModel, obs: np.ndarray, stats: dict) -> float:
-    """One E-step over a single sequence; returns its log-likelihood."""
-    comp, lb = _emissions(model, obs)                        # (M, N, T), (N, T)
-    alpha, _ = _forward(model, lb)
-    beta = _backward(model, lb)
-    ll = float(_logsumexp(alpha[:, -1], axis=0))
-    if not np.isfinite(ll):
-        raise NumericalUnderflowError("sequence has zero likelihood under the model")
+@dataclass(frozen=True)
+class _Batch:
+    """The K sequences of one fit, laid out once for every E-step.
 
-    la_self, la_next = _log_band(model)
-    if obs.shape[0] > 1:
-        # Band transition counts: xi over t for i->i and i->i+1.
-        stay = alpha[:, :-1] + la_self[:, None] + lb[:, 1:] + beta[:, 1:] - ll
-        move = (alpha[:-1, :-1] + la_next[:, None] + lb[1:, 1:] + beta[1:, 1:]
-                - ll)
-        stats["stay"] += np.exp(_logsumexp(stay, axis=1))
-        stats["move"] += np.exp(_logsumexp(move, axis=1))
+    Frames are stacked in sequence order (F frames in all). The recursions
+    run on a (K, T_max) grid that holds each sequence left-aligned, its
+    padding given log emission 0 (see the module notes).
+    """
+
+    obs: np.ndarray       # (F, D) stacked frames
+    moments: np.ndarray   # (F, 2D) [obs, obs^2]
+    cell: np.ndarray      # (F,) each frame's index in the flattened grid
+    grid: tuple[int, int] # (K, T_max)
+    seq: np.ndarray       # (F,) each frame's sequence
+    last: np.ndarray      # (K,) stacked index of each sequence's last frame
+    step: np.ndarray      # stacked indices of frames t >= 1 of a sequence
+
+
+def _batch(arrays) -> _Batch:
+    lengths = np.array([a.shape[0] for a in arrays])
+    t_max = int(lengths.max())
+    start = np.cumsum(lengths) - lengths
+    seq = np.repeat(np.arange(lengths.size), lengths)
+    t = np.arange(seq.size) - start[seq]
+    obs = np.concatenate(arrays)
+    # an outlier's square may overflow; its zero likelihood is reported by
+    # the E-step before the moments are used
+    with np.errstate(over="ignore"):
+        moments = np.concatenate((obs, obs * obs), axis=1)
+    return _Batch(obs=obs, moments=moments, cell=seq * t_max + t,
+                  grid=(lengths.size, t_max), seq=seq,
+                  last=start + lengths - 1, step=np.flatnonzero(t > 0))
+
+
+class _Counts(NamedTuple):
+    """Expected counts of one E-step, component-major as in _emissions."""
+
+    stay: np.ndarray      # (N-1,) transitions i -> i
+    move: np.ndarray      # (N-1,) transitions i -> i+1
+    resp: np.ndarray      # (M, N) component occupancies
+    obs_sum: np.ndarray   # (M, N, D) first moments
+    sq_sum: np.ndarray    # (M, N, D) second moments
+
+
+def _expect(model: AcousticModel, batch: _Batch) -> tuple[_Counts, float]:
+    """One E-step over every sequence of the batch: the expected counts and
+    the total log-likelihood."""
+    comp, lb = _emissions(model, batch.obs)                  # (M, N, F), (N, F)
+    n, k = model.num_states, batch.grid[0]
+    padded = np.zeros((n, k * batch.grid[1]))
+    padded[:, batch.cell] = lb
+    padded = padded.reshape(n, *batch.grid)
+    alpha = _forward(model._band, padded)[0].reshape(n, -1)[:, batch.cell]
+    beta = _backward(model._band, padded).reshape(n, -1)[:, batch.cell]
+    ll = _logsumexp(alpha[:, batch.last], axis=0)            # (K,)
+    if not np.isfinite(ll).all():
+        raise NumericalUnderflowError("sequence has zero likelihood under the model")
+    ll_frame = ll[batch.seq]
+
+    # Band transition counts: xi summed over the steps t-1 -> t.
+    la_self, la_next = model._band
+    t = batch.step
+    ahead = lb[:, t] + beta[:, t] - ll_frame[t]
+    came = alpha[:-1, t - 1]
+    stay = np.exp(came + la_self[:-1, None] + ahead[:-1]).sum(axis=1)
+    move = np.exp(came + la_next[:, None] + ahead[1:]).sum(axis=1)
 
     # Responsibilities split each state's occupancy gamma across components;
     # where a state's emission underflowed, gamma is 0 and so is each share.
-    log_share = alpha + beta - ll - np.where(np.isfinite(lb), lb, 0.0)
-    resp = np.exp(comp + log_share)                          # (M, N, T)
-    m, n, t_len = resp.shape
-    moments = resp.reshape(m * n, t_len) @ np.concatenate((obs, obs * obs),
-                                                          axis=1)
-    dim = obs.shape[1]
-    stats["resp"] += resp.sum(axis=2)
-    stats["obs_sum"] += moments[:, :dim].reshape(m, n, dim)
-    stats["sq_sum"] += moments[:, dim:].reshape(m, n, dim)
-    return ll
+    # A responsibility too small for a normal float is flushed to 0 instead
+    # of going subnormal, which keeps exp and the moment product off their
+    # slow paths.
+    resp = np.add(comp, alpha + beta - ll_frame
+                  - np.where(np.isfinite(lb), lb, 0.0), out=comp)
+    subnormal = resp < _LOG_TINY
+    np.copyto(resp, 0.0, where=subnormal)
+    np.exp(resp, out=resp)                                   # (M, N, F)
+    np.copyto(resp, 0.0, where=subnormal)
+    m, _, f = resp.shape
+    moments = (resp.reshape(m * n, f) @ batch.moments).reshape(m, n, 2, -1)
+    counts = _Counts(stay=stay, move=move, resp=resp.sum(axis=2),
+                     obs_sum=moments[:, :, 0], sq_sum=moments[:, :, 1])
+    # summed in sequence order, as a per-sequence loop adds them
+    return counts, sum(ll.tolist())
 
 
-def _reestimate(model: AcousticModel, stats: dict,
+def _reestimate(model: AcousticModel, counts: _Counts,
                 variance_floor: float) -> AcousticModel:
-    n = model.num_states
-    transitions = np.zeros((n, n))
-    for i in range(n - 1):
-        out = stats["stay"][i] + stats["move"][i]
-        if out > 0.0:
-            transitions[i, i] = stats["stay"][i] / out
-            transitions[i, i + 1] = stats["move"][i] / out
-        else:
-            # State never left during training data: keep its previous row.
-            transitions[i, i] = model.transitions[i, i]
-            transitions[i, i + 1] = model.transitions[i, i + 1]
-    transitions[n - 1, n - 1] = 1.0
+    """The M-step for every state at once.
 
-    mixtures = []
-    for j in range(n):
-        old = model.mixtures[j]
-        k = old.num_components
-        resp = stats["resp"][:k, j]
-        total = resp.sum()
-        if total <= 0.0:
-            mixtures.append(old)
-            continue
-        weights = resp / total
-        means = np.where(resp[:, None] > 0.0,
-                         stats["obs_sum"][:k, j] / np.maximum(resp[:, None], 1e-300),
-                         old.means)
-        second = np.where(resp[:, None] > 0.0,
-                          stats["sq_sum"][:k, j] / np.maximum(resp[:, None], 1e-300),
-                          old.variances + old.means ** 2)
-        variances = np.maximum(second - means ** 2, variance_floor)
-        mixtures.append(GaussianMixture(weights=weights, means=means,
-                                        variances=variances))
-    return AcousticModel(num_states=n, feature_dim=model.feature_dim,
-                         transitions=transitions, mixtures=tuple(mixtures))
+    A state never left in the training data keeps its transition row, and a
+    state never occupied keeps its mixture.
+    """
+    transitions = np.array(model.transitions)
+    out = counts.stay + counts.move
+    i = np.flatnonzero(out > 0.0)
+    transitions[i, i] = counts.stay[i] / out[i]
+    transitions[i, i + 1] = counts.move[i] / out[i]
+
+    old = model._emission
+    resp = counts.resp
+    total = resp.sum(axis=0)
+    weights = resp / np.where(total > 0.0, total, 1.0)
+    seen = (resp > 0.0)[:, :, None]
+    mass = np.maximum(resp, 1e-300)[:, :, None]
+    means = np.where(seen, counts.obs_sum / mass, old.means)
+    second = np.where(seen, counts.sq_sum / mass,
+                      old.variances + old.means ** 2)
+    variances = np.maximum(second - means ** 2, variance_floor)
+    mixtures = tuple(
+        GaussianMixture(weights=weights[:c, j], means=means[:c, j],
+                        variances=variances[:c, j]) if total[j] > 0.0
+        else model.mixtures[j]
+        for j, c in enumerate(old.counts))
+    return AcousticModel(num_states=model.num_states,
+                         feature_dim=model.feature_dim,
+                         transitions=transitions, mixtures=mixtures)
 
 
 def baum_welch(model: AcousticModel, sequences, max_iters: int = EM_MAX_ITERS,
@@ -584,26 +708,19 @@ def baum_welch(model: AcousticModel, sequences, max_iters: int = EM_MAX_ITERS,
                 f"sequence of {a.shape[0]} frames is shorter than "
                 f"{model.num_states} states")
 
+    batch = _batch(arrays)
     current = model
     lls: list[float] = []
     converged = False
     for _ in range(max_iters):
-        m, n = current._emission.shape
-        stats = {
-            "stay": np.zeros(n), "move": np.zeros(n - 1),
-            # component-major, as in _emissions
-            "resp": np.zeros((m, n)),
-            "obs_sum": np.zeros((m, n, current.feature_dim)),
-            "sq_sum": np.zeros((m, n, current.feature_dim)),
-        }
-        ll = sum(_accumulate(current, a, stats) for a in arrays)
+        counts, ll = _expect(current, batch)
         lls.append(ll)
         if len(lls) > 1:
             gain = lls[-1] - lls[-2]
             if gain < tol * max(1.0, abs(lls[-2])):
                 converged = True
                 break
-        current = _reestimate(current, stats, variance_floor)
+        current = _reestimate(current, counts, variance_floor)
     return current, TrainingReport(log_likelihood_per_iteration=tuple(lls),
                                    iterations_run=len(lls),
                                    converged=converged)
@@ -639,13 +756,25 @@ def model_from_dict(payload: dict) -> AcousticModel:
                          mixtures=mixtures)
 
 
+def replace_file(path, data: bytes) -> None:
+    """Write data to path through path.tmp and os.replace, so an interrupted
+    write leaves the previous file whole."""
+    temp = f"{path}.tmp"
+    with open(temp, "wb") as fh:
+        fh.write(data)
+    os.replace(temp, path)
+
+
+def write_json_file(path, payload, indent: int | None = None) -> None:
+    """Write payload as one line of JSON (or indented), in one encoder call:
+    the same bytes json.dump writes, without its chunk-by-chunk encoding."""
+    replace_file(path, (json.dumps(payload, indent=indent) + "\n").encode())
+
+
 def save_model(model: AcousticModel, path) -> None:
     """Write the model as versioned JSON; parameters round-trip bit-exactly."""
-    payload = {"format": FILE_FORMAT, "version": FILE_VERSION,
-               "kind": "acoustic", **model_to_dict(model)}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+    write_json_file(path, {"format": FILE_FORMAT, "version": FILE_VERSION,
+                           "kind": "acoustic", **model_to_dict(model)})
 
 
 def read_json_file(path, file_format: str, version: int, parse,

@@ -11,7 +11,6 @@ bank order and every decision is deterministic.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
@@ -20,6 +19,7 @@ from . import corpus, hmm, supra as supra_mod
 from .config import RunConfig
 from .errors import (
     BankMismatchError,
+    EmoCueError,
     EmptyBankError,
     EmptyResultsError,
     UnknownEmotionError,
@@ -137,27 +137,39 @@ def _ordered_labels(values) -> tuple[str, ...]:
     return tuple(dict.fromkeys(values))
 
 
-def _fit(seqs, cfg: RunConfig) -> hmm.AcousticModel:
+def _fit(seqs, cfg: RunConfig, reports, key) -> hmm.AcousticModel:
     init = hmm.init_model(seqs, cfg.num_states, cfg.num_mixtures,
                           variance_floor=cfg.variance_floor)
-    model, _ = hmm.baum_welch(init, seqs, max_iters=cfg.em_max_iters,
-                              tol=cfg.em_tol, variance_floor=cfg.variance_floor)
+    model, report = hmm.baum_welch(init, seqs, max_iters=cfg.em_max_iters,
+                                   tol=cfg.em_tol,
+                                   variance_floor=cfg.variance_floor)
+    if reports is not None:
+        reports[key] = report
     return model
 
 
+# Each trainer files its models' TrainingReports in reports, when given:
+# under (emotion, "acoustic") and (emotion, "supra"), (speaker, emotion) and
+# speaker, respectively.
+
 def train_emotion_models(train_records,
                          features: Mapping[str, UtteranceFeatures],
-                         cfg: RunConfig = RunConfig()) -> dict[str, EmotionModels]:
+                         cfg: RunConfig = RunConfig(),
+                         reports: dict | None = None,
+                         ) -> dict[str, EmotionModels]:
     """Per emotion, an acoustic model pooled over all speakers and the
     prosodic model trained on its alignments."""
     models = {}
     for e in _ordered_labels(r.emotion for r in train_records):
         utts = [features[r.id] for r in train_records if r.emotion == e]
-        acoustic = _fit([u.features for u in utts], cfg)
-        supra_model, _ = supra_mod.train_suprasegmental(
+        acoustic = _fit([u.features for u in utts], cfg, reports,
+                        (e, "acoustic"))
+        supra_model, report = supra_mod.train_suprasegmental(
             acoustic, utts, cfg.mapping, num_mixtures=cfg.num_supra_mixtures,
             max_iters=cfg.em_max_iters, tol=cfg.em_tol,
             variance_floor=cfg.variance_floor)
+        if reports is not None:
+            reports[(e, "supra")] = report
         models[e] = EmotionModels(acoustic=acoustic, supra=supra_model)
     return models
 
@@ -165,6 +177,7 @@ def train_emotion_models(train_records,
 def train_speaker_models(train_records,
                          features: Mapping[str, UtteranceFeatures],
                          cfg: RunConfig = RunConfig(),
+                         reports: dict | None = None,
                          ) -> dict[tuple[str, str], hmm.AcousticModel]:
     """One acoustic model per (speaker, emotion) cell."""
     emotions = _ordered_labels(r.emotion for r in train_records)
@@ -173,19 +186,20 @@ def train_speaker_models(train_records,
         for e in emotions:
             seqs = [features[r.id].features for r in train_records
                     if r.speaker == s and r.emotion == e]
-            models[(s, e)] = _fit(seqs, cfg)
+            models[(s, e)] = _fit(seqs, cfg, reports, (s, e))
     return models
 
 
 def train_one_stage_models(train_records,
                            features: Mapping[str, UtteranceFeatures],
                            cfg: RunConfig = RunConfig(),
+                           reports: dict | None = None,
                            ) -> dict[str, hmm.AcousticModel]:
     """One acoustic model per speaker, pooled over every emotion."""
     models = {}
     for s in _ordered_labels(r.speaker for r in train_records):
         seqs = [features[r.id].features for r in train_records if r.speaker == s]
-        models[s] = _fit(seqs, cfg)
+        models[s] = _fit(seqs, cfg, reports, s)
     return models
 
 
@@ -224,18 +238,24 @@ class ResultRow:
 def score_test_set(bank: ModelBank, test_records,
                    features: Mapping[str, UtteranceFeatures],
                    cfg: FusionConfig = FusionConfig()) -> list[ResultRow]:
-    """Two-stage (and, when available, one-stage) decisions for a test split."""
+    """Two-stage (and, when available, one-stage) decisions for a test split.
+
+    An utterance that cannot be scored (one shorter than the models' state
+    count raises NoLegalPathError) re-raises its error, of the same type,
+    naming the utterance id.
+    """
     records = list(test_records)
     if not records:
         raise EmptyResultsError("no test records")
     rows = []
     for r in records:
         utt = features[r.id]
-        result = two_stage_identify(utt, bank, cfg)
-        if bank.one_stage_models:
-            one_stage, _ = one_stage_identify(utt.features, bank)
-        else:
-            one_stage = None
+        try:
+            result = two_stage_identify(utt, bank, cfg)
+            one_stage = (one_stage_identify(utt.features, bank)[0]
+                         if bank.one_stage_models else None)
+        except EmoCueError as exc:
+            raise type(exc)(f"utterance {r.id!r}: {exc}") from exc
         rows.append(ResultRow(
             id=r.id, true_speaker=r.speaker, true_emotion=r.emotion,
             gender=r.gender, identified_emotion=result.identified_emotion,
@@ -266,7 +286,8 @@ _TRAINERS = {"emotion": train_emotion_models, "speaker": train_speaker_models,
 def _new_index(config, normalization) -> dict:
     return {"format": BANK_FORMAT, "version": BANK_VERSION, "config": config,
             "normalization": normalization, "emotions": [], "speakers": [],
-            "emotion_files": {}, "speaker_files": {}, "one_stage_files": {}}
+            "emotion_files": {}, "speaker_files": {}, "one_stage_files": {},
+            "training": {}}
 
 
 def _bank_config(cfg: RunConfig) -> dict:
@@ -276,12 +297,17 @@ def _bank_config(cfg: RunConfig) -> dict:
 
 
 def _write_bank(directory, index: dict, emotions, speakers,
-                roles: Mapping[str, Mapping]) -> None:
+                roles: Mapping[str, Mapping],
+                reports: Mapping[str, Mapping] | None = None) -> None:
     """The one bank writer: each role's model files, then the index.
 
     Every role's labels are checked against those the index records before
-    any file is written. The index is replaced atomically, so an interrupted
-    write leaves the previous one loadable.
+    any file is written. reports holds, per role, the TrainingReports a
+    trainer filed; the index keeps each model file's iterations, whether EM
+    converged and its last training log-likelihood under "training" (an
+    index written without them, or a model without a report, has no entry).
+    Every file is replaced atomically, so an interrupted write leaves the
+    previous one loadable.
     """
     path = os.path.join(directory, _BANK_INDEX)
     labels = {"emotions": list(emotions), "speakers": list(speakers)}
@@ -293,34 +319,41 @@ def _write_bank(directory, index: dict, emotions, speakers,
                     f"the training split has {labels[kind]}")
             index[kind] = labels[kind]
     os.makedirs(directory, exist_ok=True)
+    training = index.setdefault("training", {})
 
-    def put(save, model, name):
+    def put(save, model, name, role, key):
         save(model, os.path.join(directory, name))
+        report = (reports or {}).get(role, {}).get(key)
+        training.pop(name, None)
+        if report is not None:
+            training[name] = {
+                "iterations": report.iterations_run,
+                "converged": report.converged,
+                "log_likelihood": report.log_likelihood_per_iteration[-1]}
         return name
 
     if "emotion" in roles:
         index["emotion_files"] = {
             e: {"acoustic": put(hmm.save_model, roles["emotion"][e].acoustic,
-                                f"emotion_{i}.acoustic.json"),
+                                f"emotion_{i}.acoustic.json", "emotion",
+                                (e, "acoustic")),
                 "supra": put(supra_mod.save_supra_model,
                              roles["emotion"][e].supra,
-                             f"emotion_{i}.supra.json")}
+                             f"emotion_{i}.supra.json", "emotion",
+                             (e, "supra"))}
             for i, e in enumerate(emotions)}
     if "speaker" in roles:
         index["speaker_files"] = {
             s: {e: put(hmm.save_model, roles["speaker"][(s, e)],
-                       f"speaker_{i}_{j}.json")
+                       f"speaker_{i}_{j}.json", "speaker", (s, e))
                 for j, e in enumerate(emotions)}
             for i, s in enumerate(speakers)}
     if "one_stage" in roles:
         index["one_stage_files"] = {
-            s: put(hmm.save_model, roles["one_stage"][s], f"onestage_{i}.json")
+            s: put(hmm.save_model, roles["one_stage"][s], f"onestage_{i}.json",
+                   "one_stage", s)
             for i, s in enumerate(speakers) if s in roles["one_stage"]}
-    temp = path + ".tmp"
-    with open(temp, "w", encoding="utf-8") as fh:
-        json.dump(index, fh, indent=2)
-        fh.write("\n")
-    os.replace(temp, path)
+    hmm.write_json_file(path, index, indent=2)
 
 
 def save_bank(bank: ModelBank, directory) -> None:
@@ -405,13 +438,19 @@ def normalized_features(directory, cfg: RunConfig, train_records,
 
 
 def train_role(role: str, directory, cfg: RunConfig, train_records,
-               cache: Mapping[str, UtteranceFeatures]) -> Mapping:
+               cache: Mapping[str, UtteranceFeatures]):
     """Train one model role ("emotion", "speaker" or "one_stage") on the
-    normalized train split and add it to the bank in directory."""
+    normalized train split and add it to the bank in directory.
+
+    Returns the role's models and the TrainingReport of each model, keyed
+    as the trainer files them.
+    """
     records = list(train_records)
     index, features = normalized_features(directory, cfg, records, records,
                                           cache)
-    models = _TRAINERS[role](records, features, cfg)
+    reports: dict = {}
+    models = _TRAINERS[role](records, features, cfg, reports)
     _write_bank(directory, index, _ordered_labels(r.emotion for r in records),
-                _ordered_labels(r.speaker for r in records), {role: models})
-    return models
+                _ordered_labels(r.speaker for r in records), {role: models},
+                {role: reports})
+    return models, reports

@@ -10,7 +10,6 @@ alpha 0 trusts only the acoustic model, alpha 1 only the prosodic one.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,13 +232,11 @@ def fused_score(acoustic: hmm.AcousticModel, supra: SuprasegmentalModel,
 
 def save_supra_model(model: SuprasegmentalModel, path) -> None:
     """Write the model as versioned JSON; parameters round-trip bit-exactly."""
-    payload = {"format": hmm.FILE_FORMAT, "version": hmm.FILE_VERSION,
-               "kind": "suprasegmental",
-               "group_sizes": list(model.mapping.group_sizes),
-               **hmm.model_to_dict(model.core)}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+    hmm.write_json_file(path, {
+        "format": hmm.FILE_FORMAT, "version": hmm.FILE_VERSION,
+        "kind": "suprasegmental",
+        "group_sizes": list(model.mapping.group_sizes),
+        **hmm.model_to_dict(model.core)})
 
 
 def load_supra_model(path) -> SuprasegmentalModel:

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from emocue import hmm
+from emocue.errors import NumericalUnderflowError
 from emocue.hmm import AcousticModel, GaussianMixture
 
 
@@ -190,6 +192,171 @@ def loop_segment_summaries(path, f0, log_energy, voiced):
         rows.append((mean_f0, slope, log_energy[lo:hi].mean(),
                      (hi - lo) / path.size, seg_voiced.mean()))
     return np.array(rows)
+
+
+# --- per-sequence training -------------------------------------------------
+# Seeding and EM as they ran before the library stacked a fit's sequences:
+# k-means and the mixture statistics one cluster at a time, one E-step per
+# sequence (on the per-frame recursions above) and the M-step one state at a
+# time. They check the grouped and batched library code.
+
+def loop_kmeans(frames, k):
+    """Deterministic k-means labels, one cluster mean at a time."""
+    n = frames.shape[0]
+    spread_dim = int(np.argmax(frames.var(axis=0)))
+    order = np.argsort(frames[:, spread_dim], kind="stable")
+    seed_positions = ((np.arange(k) + 0.5) * n / k).astype(np.int64)
+    centers = frames[order[seed_positions]].copy()
+
+    labels = None
+    for _ in range(100):
+        dist = np.sum((frames[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        new_labels = np.argmin(dist, axis=1)
+        if labels is not None and np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for j in range(k):
+            members = frames[labels == j]
+            if members.shape[0] > 0:
+                centers[j] = members.mean(axis=0)
+    return labels
+
+
+def loop_mixture_from_frames(frames, num_mixtures, variance_floor):
+    labels = loop_kmeans(frames, num_mixtures)
+    n, dim = frames.shape
+    weights = np.zeros(num_mixtures)
+    means = np.zeros((num_mixtures, dim))
+    variances = np.full((num_mixtures, dim), variance_floor)
+    overall_mean = frames.mean(axis=0)
+    for j in range(num_mixtures):
+        members = frames[labels == j]
+        weights[j] = members.shape[0] / n
+        if members.shape[0] > 0:
+            means[j] = members.mean(axis=0)
+            variances[j] = np.maximum(members.var(axis=0), variance_floor)
+        else:
+            # Empty cluster: park a zero-weight component at the chunk mean.
+            means[j] = overall_mean
+    return GaussianMixture(weights=weights, means=means, variances=variances)
+
+
+def loop_init_model(sequences, num_states, num_mixtures,
+                    variance_floor=hmm.VARIANCE_FLOOR):
+    """Segmental seeding: uniform chunks, then per-cluster k-means."""
+    arrays = [np.asarray(s, dtype=np.float64) for s in sequences]
+    chunks = [np.array_split(a, num_states) for a in arrays]
+    mixtures = tuple(
+        loop_mixture_from_frames(
+            np.concatenate([c[i] for c in chunks]), num_mixtures, variance_floor)
+        for i in range(num_states))
+    transitions = np.zeros((num_states, num_states))
+    for i in range(num_states - 1):
+        transitions[i, i] = 0.5
+        transitions[i, i + 1] = 0.5
+    transitions[num_states - 1, num_states - 1] = 1.0
+    return AcousticModel(num_states=num_states, feature_dim=arrays[0].shape[1],
+                         transitions=transitions, mixtures=mixtures)
+
+
+def sequence_accumulate(model, obs, stats):
+    """One E-step over a single sequence; returns its log-likelihood."""
+    comp, lb = hmm._emissions(model, obs)                    # (M, N, T), (N, T)
+    alpha = frame_forward(model, lb.T).T
+    beta = frame_backward(model, lb.T).T
+    ll = float(hmm._logsumexp(alpha[:, -1], axis=0))
+    if not np.isfinite(ll):
+        raise NumericalUnderflowError("sequence has zero likelihood under the model")
+
+    la_self, la_next = _log_band(model)
+    if obs.shape[0] > 1:
+        # Band transition counts: xi over t for i->i and i->i+1.
+        stay = alpha[:, :-1] + la_self[:, None] + lb[:, 1:] + beta[:, 1:] - ll
+        move = (alpha[:-1, :-1] + la_next[:, None] + lb[1:, 1:] + beta[1:, 1:]
+                - ll)
+        stats["stay"] += np.exp(hmm._logsumexp(stay, axis=1))
+        stats["move"] += np.exp(hmm._logsumexp(move, axis=1))
+
+    # Responsibilities split each state's occupancy gamma across components;
+    # where a state's emission underflowed, gamma is 0 and so is each share.
+    log_share = alpha + beta - ll - np.where(np.isfinite(lb), lb, 0.0)
+    resp = np.exp(comp + log_share)                          # (M, N, T)
+    m, n, t_len = resp.shape
+    moments = resp.reshape(m * n, t_len) @ np.concatenate((obs, obs * obs),
+                                                          axis=1)
+    dim = obs.shape[1]
+    stats["resp"] += resp.sum(axis=2)
+    stats["obs_sum"] += moments[:, :dim].reshape(m, n, dim)
+    stats["sq_sum"] += moments[:, dim:].reshape(m, n, dim)
+    return ll
+
+
+def state_reestimate(model, stats, variance_floor):
+    """The M-step, one state at a time."""
+    n = model.num_states
+    transitions = np.zeros((n, n))
+    for i in range(n - 1):
+        out = stats["stay"][i] + stats["move"][i]
+        if out > 0.0:
+            transitions[i, i] = stats["stay"][i] / out
+            transitions[i, i + 1] = stats["move"][i] / out
+        else:
+            # State never left during training data: keep its previous row.
+            transitions[i, i] = model.transitions[i, i]
+            transitions[i, i + 1] = model.transitions[i, i + 1]
+    transitions[n - 1, n - 1] = 1.0
+
+    mixtures = []
+    for j in range(n):
+        old = model.mixtures[j]
+        k = old.num_components
+        resp = stats["resp"][:k, j]
+        total = resp.sum()
+        if total <= 0.0:
+            mixtures.append(old)
+            continue
+        weights = resp / total
+        means = np.where(resp[:, None] > 0.0,
+                         stats["obs_sum"][:k, j] / np.maximum(resp[:, None], 1e-300),
+                         old.means)
+        second = np.where(resp[:, None] > 0.0,
+                          stats["sq_sum"][:k, j] / np.maximum(resp[:, None], 1e-300),
+                          old.variances + old.means ** 2)
+        variances = np.maximum(second - means ** 2, variance_floor)
+        mixtures.append(GaussianMixture(weights=weights, means=means,
+                                        variances=variances))
+    return AcousticModel(num_states=n, feature_dim=model.feature_dim,
+                         transitions=transitions, mixtures=tuple(mixtures))
+
+
+def sequence_baum_welch(model, sequences, max_iters=hmm.EM_MAX_ITERS,
+                        tol=hmm.EM_TOL, variance_floor=hmm.VARIANCE_FLOOR):
+    """EM with one E-step per sequence; returns (model, TrainingReport)."""
+    arrays = [np.asarray(s, dtype=np.float64) for s in sequences]
+    current = model
+    lls = []
+    converged = False
+    for _ in range(max_iters):
+        m = max(mix.num_components for mix in current.mixtures)
+        n = current.num_states
+        stats = {
+            "stay": np.zeros(n), "move": np.zeros(n - 1),
+            # component-major, as in _emissions
+            "resp": np.zeros((m, n)),
+            "obs_sum": np.zeros((m, n, current.feature_dim)),
+            "sq_sum": np.zeros((m, n, current.feature_dim)),
+        }
+        ll = sum(sequence_accumulate(current, a, stats) for a in arrays)
+        lls.append(ll)
+        if len(lls) > 1:
+            gain = lls[-1] - lls[-2]
+            if gain < tol * max(1.0, abs(lls[-2])):
+                converged = True
+                break
+        current = state_reestimate(current, stats, variance_floor)
+    return current, hmm.TrainingReport(
+        log_likelihood_per_iteration=tuple(lls), iterations_run=len(lls),
+        converged=converged)
 
 
 # --- reference evaluation outcomes -------------------------------------------

@@ -16,6 +16,8 @@ from emocue.errors import NumericalUnderflowError
 from emocue.frontend import (
     SAMPLE_RATE,
     FeatureSequence,
+    ProsodicTrack,
+    UtteranceFeatures,
     read_feature_cache,
     write_feature_cache,
 )
@@ -280,6 +282,82 @@ def test_identify_rejects_non_finite_frame(small_pipeline, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "data error" in err and "frame 4 " in err and "not finite" in err
     assert repr(uid) in err
+
+
+def test_identify_names_utterance_that_fails_scoring(small_pipeline, tmp_path,
+                                                     capsys):
+    # a 2-frame test utterance fits no path through the 3-state models
+    manifest = small_pipeline / "corpus/manifest.tsv"
+    short = next(r.id for r in load_manifest(manifest) if r.sentence == 3)
+    cache = read_feature_cache(small_pipeline / "corpus/features.bin")
+    features, track = cache[short]
+    cache[short] = UtteranceFeatures(
+        features=FeatureSequence(vectors=features.vectors[:2]),
+        prosody=ProsodicTrack(f0=track.f0[:2], log_energy=track.log_energy[:2],
+                              voiced=track.voiced[:2]))
+    cut = tmp_path / "features.bin"
+    write_feature_cache(cut, cache)
+    out = tmp_path / "out.jsonl"
+    code = cli.main(["identify", "--manifest", str(manifest),
+                     "--features", str(cut),
+                     "--bank-dir", str(small_pipeline / "bank"),
+                     "--out", str(out), *SMALL_FLAGS, *SMALL_SPLIT])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "no left-to-right path" in err
+    assert str(cut) in err and repr(short) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("alphas", ["2,-1", "0.5,nan", "0.5,inf"])
+def test_sweep_rejects_weights_outside_unit_interval(small_pipeline, tmp_path,
+                                                     capsys, alphas):
+    flags = ["--manifest", str(small_pipeline / "corpus/manifest.tsv"),
+             "--features", str(small_pipeline / "corpus/features.bin"),
+             "--bank-dir", str(small_pipeline / "bank"), *SMALL_FLAGS,
+             *SMALL_SPLIT]
+    out = tmp_path / "sweep.tsv"
+    code = cli.main(["sweep-alpha", *flags, "--out", str(out),
+                     "--alphas", alphas])
+    err = capsys.readouterr().err
+    assert not out.exists()
+    # identify refuses an out-of-range weight with the same error and code
+    identify_code = cli.main(["identify", *flags, "--alpha", "2",
+                              "--out", str(tmp_path / "out.jsonl")])
+    assert code == identify_code == 1
+    assert "alpha must lie in [0, 1]" in err
+    assert "alpha must lie in [0, 1]" in capsys.readouterr().err
+
+
+def test_train_reports_em_cap_and_records_training(small_pipeline, tmp_path,
+                                                   capsys):
+    flags = ["--manifest", str(small_pipeline / "corpus/manifest.tsv"),
+             "--features", str(small_pipeline / "corpus/features.bin"),
+             "--bank-dir", str(tmp_path / "bank"), *SMALL_FLAGS, *SMALL_SPLIT]
+    # one EM pass never gets to test convergence
+    assert cli.main(["train-emotions", *flags, "--em-max-iters", "1"]) == 0
+    assert cli.main(["train-onestage", *flags]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == ("4 of 4 model fits stopped at --em-max-iters 1 "
+                      "without converging")
+    assert err[1].endswith("of 3 model fits stopped at --em-max-iters 40 "
+                           "without converging")
+    index = json.loads((tmp_path / "bank/bank.json").read_text())
+    names = [*index["one_stage_files"].values(),
+             *(name for pair in index["emotion_files"].values()
+               for name in pair.values())]
+    assert sorted(index["training"]) == sorted(names)
+    for name in names:
+        entry = index["training"][name]
+        assert set(entry) == {"iterations", "converged", "log_likelihood"}
+        assert isinstance(entry["log_likelihood"], float)
+        if name.startswith("emotion"):
+            assert entry == {**entry, "iterations": 1, "converged": False}
+        else:
+            assert 1 <= entry["iterations"] <= 40
+    # the bank the small pipeline trained records every model file
+    pipeline = json.loads((small_pipeline / "bank/bank.json").read_text())
+    assert len(pipeline["training"]) == 2 * 2 + 3 * 2 + 3
 
 
 def test_evaluate_rejects_corrupt_results(tmp_path, capsys):

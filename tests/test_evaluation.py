@@ -265,6 +265,14 @@ def test_sweep_rejects_empty_records(tiny_trained):
         alpha_sweep(tiny_trained["bank"], [], tiny_trained["synth"].features)
 
 
+@pytest.mark.parametrize("alphas", [(0.5, 1.5), (-0.1,), (float("nan"),),
+                                    (float("inf"), 0.0)])
+def test_sweep_rejects_weights_outside_unit_interval(tiny_trained, alphas):
+    with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\]"):
+        alpha_sweep(tiny_trained["bank"], tiny_trained["test"],
+                    tiny_trained["synth"].features, alphas=alphas)
+
+
 def test_sweep_rejects_missing_emotion(tiny_trained):
     only_first = [r for r in tiny_trained["test"]
                   if r.emotion == tiny_trained["bank"].emotions[0]]

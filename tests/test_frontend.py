@@ -357,6 +357,20 @@ def test_cache_bytes_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_interrupted_cache_write_keeps_previous_cache(tmp_path, monkeypatch):
+    path = tmp_path / "cache.bin"
+    frontend.write_feature_cache(path, {"x": _analyzed(5, 2000)})
+    before = path.read_bytes()
+
+    def interrupted(src, dst):
+        raise OSError("interrupted")
+    monkeypatch.setattr(frontend.os, "replace", interrupted)
+    with pytest.raises(OSError):
+        frontend.write_feature_cache(path, {"y": _analyzed(6, 2160)})
+    assert path.read_bytes() == before
+    assert list(frontend.read_feature_cache(path)) == ["x"]
+
+
 def test_cache_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.bin"
     frontend.write_feature_cache(path, {"u": _analyzed(7, 2000)})

@@ -1,7 +1,10 @@
 """HMM core tests: scoring against path enumeration, training behavior,
 initialization invariances and persistence."""
 
+import io
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,9 +27,12 @@ from oracles import (
     frame_backward,
     frame_forward,
     frame_viterbi,
+    loop_init_model,
+    loop_kmeans,
     random_case,
     random_model,
     scalar_log_density,
+    sequence_baum_welch,
 )
 
 
@@ -464,8 +470,105 @@ def test_baum_welch_underflow_reported():
     # the squared deviation overflows to inf, the log-density to -inf
     bad = np.array([[1e200], [1e200]])
     assert hmm.forward_log_likelihood(model, bad) == -math.inf
-    with pytest.raises(NumericalUnderflowError):
-        hmm.baum_welch(model, [bad])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalUnderflowError):
+            hmm.baum_welch(model, [bad])
+
+
+# --- batched training against the per-sequence oracle ------------------------
+
+
+def _assert_models_close(got, want, atol):
+    assert [m.num_components for m in got.mixtures] == \
+        [m.num_components for m in want.mixtures]
+    np.testing.assert_allclose(got.transitions, want.transitions, rtol=0,
+                               atol=atol)
+    for a, b in zip(got.mixtures, want.mixtures):
+        for field in ("weights", "means", "variances"):
+            np.testing.assert_allclose(getattr(a, field), getattr(b, field),
+                                       rtol=0, atol=atol)
+
+
+def _check_em_against_oracle(init, seqs, **kwargs):
+    got, report = hmm.baum_welch(init, seqs, **kwargs)
+    want, expected = sequence_baum_welch(init, seqs, **kwargs)
+    assert report.iterations_run == expected.iterations_run
+    assert report.converged == expected.converged
+    np.testing.assert_allclose(report.log_likelihood_per_iteration,
+                               expected.log_likelihood_per_iteration,
+                               rtol=1e-9)
+    _assert_models_close(got, want, 1e-9)
+    return got, report
+
+
+@pytest.mark.parametrize("count", [1, 2, 7])
+def test_batched_em_matches_per_sequence_em(count):
+    rng = np.random.default_rng(60 + count)
+    num_states = 5
+    # unequal lengths; beside others, one is as short as a fit allows
+    lengths = ([73] if count == 1 else
+               [num_states, *rng.integers(num_states + 1, 90, size=count - 1)])
+    seqs = [rng.normal(size=(t, 4)) + rng.normal(size=4) for t in lengths]
+    _, report = _check_em_against_oracle(
+        hmm.init_model(seqs, num_states, 3), seqs, max_iters=25)
+    assert report.iterations_run > 2
+
+
+def test_batched_em_matches_oracle_with_unequal_component_counts():
+    rng = np.random.default_rng(70)
+    seqs = [rng.normal(size=(t, 3)) + 0.5 * i
+            for i, t in enumerate((31, 18, 44, 25))]
+    init = hmm.init_model(seqs, 3, 4)
+    init = hmm.AcousticModel(
+        num_states=3, feature_dim=3, transitions=init.transitions,
+        mixtures=(init.mixtures[0],
+                  hmm.GaussianMixture(weights=np.array([1.0]),
+                                      means=init.mixtures[1].means[:1],
+                                      variances=init.mixtures[1].variances[:1]),
+                  hmm.GaussianMixture(weights=np.array([0.25, 0.75]),
+                                      means=init.mixtures[2].means[:2],
+                                      variances=init.mixtures[2].variances[:2])))
+    _check_em_against_oracle(init, seqs, max_iters=15)
+
+
+def test_batched_em_matches_oracle_through_frame_fallback(monkeypatch):
+    rng = np.random.default_rng(71)
+    base = random_model(rng, num_states=5, num_mixtures=3, dim=2)
+    transitions = np.array(base.transitions)
+    transitions[2, 2], transitions[2, 3] = 0.0, 1.0      # zero self-loop
+    model = hmm.AcousticModel(num_states=5, feature_dim=2,
+                              transitions=transitions, mixtures=base.mixtures)
+    seqs = [rng.normal(0.0, 2.0, size=(t, 2)) for t in (40, 5, 57)]
+    seqs[2][30] = [40.0, -35.0]                          # an outlier frame
+
+    calls = []
+    frames = hmm._frames
+    monkeypatch.setattr(hmm, "_frames",
+                        lambda *args: calls.append(1) or frames(*args))
+    got, _ = _check_em_against_oracle(model, seqs, max_iters=12)
+    assert calls
+    assert got.transitions[2, 2] == 0.0
+
+
+@pytest.mark.parametrize("k", [1, 4, 10])
+def test_kmeans_matches_per_cluster_loop(k):
+    rng = np.random.default_rng(72 + k)
+    for n in (1, 3, 17, 120):
+        frames = rng.normal(size=(n, 5)) * rng.uniform(0.1, 10.0, size=5)
+        np.testing.assert_array_equal(hmm._kmeans(frames, k),
+                                      loop_kmeans(frames, k))
+
+
+def test_init_model_matches_per_cluster_seeding():
+    # ten components over chunks of 4 to 30 frames: some clusters stay empty
+    rng = np.random.default_rng(75)
+    seqs = [rng.normal(size=(t, 6)) * 3.0 + rng.normal(size=6)
+            for t in (16, 40, 23, 120)]
+    for num_states, num_mixtures in ((4, 10), (1, 3), (9, 2)):
+        _assert_models_close(hmm.init_model(seqs, num_states, num_mixtures),
+                             loop_init_model(seqs, num_states, num_mixtures),
+                             1e-12)
 
 
 # --- model validation --------------------------------------------------------
@@ -529,6 +632,32 @@ def test_save_load_roundtrip_bit_exact(tmp_path):
     probe = rng.normal(size=(10, 2))
     assert hmm.forward_log_likelihood(model, probe) == \
         hmm.forward_log_likelihood(loaded, probe)
+
+
+def test_save_model_writes_json_dump_bytes(tmp_path):
+    rng = np.random.default_rng(28)
+    model = random_model(rng, num_states=3, num_mixtures=2, dim=4)
+    path = tmp_path / "model.json"
+    hmm.save_model(model, path)
+    expected = io.StringIO()
+    json.dump({"format": hmm.FILE_FORMAT, "version": hmm.FILE_VERSION,
+               "kind": "acoustic", **hmm.model_to_dict(model)}, expected)
+    assert path.read_bytes() == (expected.getvalue() + "\n").encode()
+    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+
+def test_interrupted_model_write_keeps_previous_file(tmp_path, monkeypatch):
+    rng = np.random.default_rng(29)
+    path = tmp_path / "model.json"
+    hmm.save_model(random_model(rng, 2, 1, 2), path)
+    before = path.read_bytes()
+
+    def interrupted(src, dst):
+        raise OSError("interrupted")
+    monkeypatch.setattr(hmm.os, "replace", interrupted)
+    with pytest.raises(OSError):
+        hmm.save_model(random_model(rng, 3, 2, 2), path)
+    assert path.read_bytes() == before
 
 
 def test_load_rejects_wrong_format(tmp_path):

@@ -7,6 +7,10 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from emocue import hmm
+
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
@@ -39,3 +43,24 @@ def test_tracer_wraps_every_binding():
         tracer.uninstall()
     assert not [name for name, fn in _traced_functions(module)
                 if hasattr(fn, "__wrapped__")]
+
+
+def test_tracer_counts_a_real_baum_welch_fit():
+    # the benchmark reads iterations, frame_iters and converged off the
+    # (model, TrainingReport) pair baum_welch returns
+    module = _tracer_module()
+    tracer = module.Tracer()
+    rng = np.random.default_rng(3)
+    seqs = [rng.normal(size=(t, 2)) for t in (12, 20, 9)]
+    init = hmm.init_model(seqs, 3, 2)
+    tracer.install()
+    try:
+        with tracer.request("train-emotions", 0):
+            _, report = hmm.baum_welch(init, seqs, max_iters=4)
+    finally:
+        tracer.uninstall()
+    spans = [s for s in tracer.spans if s["name"] == "hmm.baum_welch"]
+    assert len(spans) == 1
+    assert spans[0]["iterations"] == report.iterations_run
+    assert spans[0]["frame_iters"] == report.iterations_run * (12 + 20 + 9)
+    assert spans[0]["converged"] == int(report.converged)

@@ -16,6 +16,7 @@ from emocue.errors import (
     EmoCueError,
     EmptyBankError,
     EmptyResultsError,
+    NoLegalPathError,
     UnknownEmotionError,
     UnsupportedFormatError,
 )
@@ -31,7 +32,10 @@ from emocue.recognizer import (
     train_model_bank,
     two_stage_identify,
 )
+from emocue.frontend import FeatureSequence, ProsodicTrack, UtteranceFeatures
 from emocue.supra import FusionConfig, fused_score
+
+from conftest import SMALL_CONFIG
 
 
 def test_identification_result_requires_argmax():
@@ -253,6 +257,18 @@ def test_score_test_set_without_baseline(tiny_trained):
     assert all(row.one_stage_speaker is None for row in rows)
 
 
+def test_score_test_set_names_utterance_it_cannot_score(tiny_trained):
+    record = tiny_trained["test"][1]
+    features, track = tiny_trained["synth"].features[record.id]
+    short = UtteranceFeatures(
+        features=FeatureSequence(vectors=features.vectors[:2]),
+        prosody=ProsodicTrack(f0=track.f0[:2], log_energy=track.log_energy[:2],
+                              voiced=track.voiced[:2]))
+    with pytest.raises(NoLegalPathError, match=f"utterance {record.id!r}: "):
+        score_test_set(tiny_trained["bank"], tiny_trained["test"][:2],
+                       {**tiny_trained["synth"].features, record.id: short})
+
+
 # --- persistence -------------------------------------------------------------
 
 
@@ -386,6 +402,33 @@ def test_interrupted_index_write_keeps_previous_index(tmp_path, tiny_trained,
     assert (tmp_path / "bank.json").read_bytes() == before
     assert load_bank(tmp_path).one_stage_models.keys() == \
         bank.one_stage_models.keys()
+
+
+def test_train_role_records_training_reports(tmp_path, tiny_trained):
+    train = tiny_trained["train"]
+    cache = tiny_trained["synth"].features
+    cfg = dataclasses.replace(SMALL_CONFIG, em_max_iters=3)
+    models, reports = recognizer.train_role("speaker", tmp_path, cfg, train,
+                                            cache)
+    assert reports.keys() == models.keys()
+    index = json.loads((tmp_path / "bank.json").read_text())
+    for s, files in index["speaker_files"].items():
+        for e, name in files.items():
+            report = reports[(s, e)]
+            assert index["training"][name] == {
+                "iterations": report.iterations_run,
+                "converged": report.converged,
+                "log_likelihood": report.log_likelihood_per_iteration[-1]}
+            assert 1 <= report.iterations_run <= 3
+
+
+def test_load_bank_accepts_index_without_training(tmp_path, tiny_trained):
+    save_bank(tiny_trained["bank"], tmp_path)
+    index = json.loads((tmp_path / "bank.json").read_text())
+    assert index.pop("training") == {}
+    (tmp_path / "bank.json").write_text(json.dumps(index, indent=2))
+    loaded = load_bank(tmp_path)
+    assert loaded.emotions == tiny_trained["bank"].emotions
 
 
 def test_load_bank_missing_directory(tmp_path):

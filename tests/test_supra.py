@@ -1,6 +1,8 @@
 """Suprasegmental layer tests: state grouping, segment summaries,
 prosodic model training and score fusion."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -294,6 +296,11 @@ def test_supra_roundtrip_bit_exact(tmp_path, trained_pair):
     _, before = supra.score_components(acoustic, model, probe)
     _, after = supra.score_components(acoustic, loaded, probe)
     assert before == after
+    # the payload as one line of JSON
+    assert path.read_text() == json.dumps({
+        "format": hmm.FILE_FORMAT, "version": hmm.FILE_VERSION,
+        "kind": "suprasegmental", "group_sizes": list(model.mapping.group_sizes),
+        **hmm.model_to_dict(model.core)}) + "\n"
 
 
 def test_supra_load_rejects_acoustic_file(tmp_path, trained_pair):
