@@ -145,7 +145,6 @@ def _cmd_train(args) -> int:
 def _cmd_identify(args) -> int:
     cfg = _config_from(args)
     records, cache = _load_corpus(args.manifest, args.features)
-    bank = recognizer.load_bank(args.bank_dir)
     train, test = corpus.split_records(records, cfg.protocol)
     if args.ids:
         wanted = [i.strip() for i in args.ids.split(",") if i.strip()]
@@ -156,8 +155,8 @@ def _cmd_identify(args) -> int:
         selected = [by_id[i] for i in wanted]
     else:
         selected = test
-    _, features = recognizer.normalized_features(args.bank_dir, cfg, train,
-                                                 selected, cache)
+    bank, features = recognizer.open_bank(args.bank_dir, cfg, train, selected,
+                                          cache)
     try:
         rows = recognizer.score_test_set(bank, selected, features, cfg.fusion)
     except EmoCueError as exc:
@@ -257,10 +256,9 @@ def _cmd_evaluate(args) -> int:
 def _cmd_sweep_alpha(args) -> int:
     cfg = _config_from(args)
     records, cache = _load_corpus(args.manifest, args.features)
-    bank = recognizer.load_bank(args.bank_dir)
     train, test = corpus.split_records(records, cfg.protocol)
-    _, features = recognizer.normalized_features(args.bank_dir, cfg, train,
-                                                 test, cache)
+    bank, features = recognizer.open_bank(args.bank_dir, cfg, train, test,
+                                          cache)
     alphas = evaluation.DEFAULT_ALPHAS
     if args.alphas:
         alphas = tuple(float(a) for a in args.alphas.split(","))

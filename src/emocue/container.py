@@ -1,0 +1,84 @@
+"""The one framing of every binary file emocue writes: 8 bytes of magic
+(the kind of file and its format version), a little-endian uint64 header
+length, a JSON header and a little-endian payload laid out as the header
+says. Writes go through <path>.tmp and one os.replace, so an interrupted
+write leaves the previous file whole.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import json
+import os
+import struct
+
+import numpy as np
+
+from .errors import CorruptFileError, UnsupportedFormatError
+
+
+def write(path, magic: bytes, header: dict, payload) -> None:
+    """Write header and the byte chunks of payload under magic to path."""
+    head = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    temp = f"{path}.tmp"
+    try:
+        with open(temp, "wb") as fh:
+            fh.write(magic)
+            fh.write(struct.pack("<Q", len(head)))
+            fh.write(head)
+            for chunk in payload:
+                fh.write(chunk)
+        os.replace(temp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(temp)
+        raise
+
+
+class Payload:
+    """Reads a container's payload in order, refusing to run past its end."""
+
+    def __init__(self, fh, path, kind: str, size: int):
+        self._fh, self._path, self._kind, self._size = fh, path, kind, size
+
+    def take(self, count: int) -> bytes:
+        at = self._fh.tell()
+        if not 0 <= count <= self._size - at:
+            raise CorruptFileError(
+                f"{self._path}: {self._kind} is truncated: {count} bytes "
+                f"needed at offset {at}, file has {self._size}")
+        return self._fh.read(count)
+
+    def array(self, count: int, dtype="<f8") -> np.ndarray:
+        """The next count items as a read-only array."""
+        dtype = np.dtype(dtype)
+        return np.frombuffer(self.take(count * dtype.itemsize), dtype)
+
+
+def read(path, magic: bytes, kind: str, parse):
+    """parse(header, payload) of the container at path.
+
+    Another magic raises UnsupportedFormatError. A file cut short, bytes
+    left after the parse, or a parse that raises AttributeError, KeyError,
+    IndexError, TypeError or ValueError raise CorruptFileError naming path.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if fh.read(len(magic)) != magic:
+            raise UnsupportedFormatError(f"{path}: not a {kind} file")
+        payload = Payload(fh, path, kind, size)
+        (head_len,) = struct.unpack("<Q", payload.take(8))
+        try:
+            header = json.loads(payload.take(head_len))
+            if not isinstance(header, dict):
+                raise TypeError("header is not a JSON object")
+            result = parse(header, payload)
+        except (AttributeError, KeyError, IndexError, TypeError,
+                ValueError) as exc:
+            detail = f"missing {exc}" if isinstance(exc, KeyError) else exc
+            raise CorruptFileError(f"{path}: malformed {kind}: "
+                                   f"{detail}") from exc
+        if fh.tell() != size:
+            raise CorruptFileError(f"{path}: {kind} has {size - fh.tell()} "
+                                   f"bytes after its last array")
+        return result

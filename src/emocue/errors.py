@@ -23,7 +23,7 @@ class TooShortError(EmoCueError):
 # --- stored files ---
 
 class CorruptFileError(EmoCueError):
-    """A feature cache, model file or bank index is cut short or malformed."""
+    """A feature cache, model file or bank file is cut short or malformed."""
 
 
 # --- HMM core ---

@@ -12,9 +12,6 @@ All functions are pure; returned containers hold read-only arrays.
 
 from __future__ import annotations
 
-import json
-import os
-import struct
 import wave
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
@@ -22,8 +19,8 @@ from typing import Mapping, NamedTuple
 import numpy as np
 import scipy.fft
 
+from . import container
 from .errors import (
-    CorruptFileError,
     NonFiniteObservationError,
     TooShortError,
     UnsupportedFormatError,
@@ -331,11 +328,9 @@ def analyze_clip(clip: AudioClip) -> UtteranceFeatures:
 
 # --- feature cache -----------------------------------------------------------
 #
-# Binary layout (all little-endian):
-#   8 bytes  magic "EMOFC001"
-#   8 bytes  uint64 length of the JSON index
-#   index    JSON: {"entries": [{"id": str, "frames": int}, ...]} sorted by id
-#   payload  per entry, in index order:
+# A container file (see emocue.container) under magic "EMOFC001":
+#   header   {"entries": [{"id": str, "frames": int}, ...]} sorted by id
+#   payload  per entry, in header order:
 #              float64[frames * 16]  MFCC vectors (row-major)
 #              float64[frames]       f0
 #              float64[frames]       log energy
@@ -345,62 +340,41 @@ def write_feature_cache(path, entries: Mapping[str, UtteranceFeatures]) -> None:
     """Write both observation streams for a set of utterances.
 
     Entries are stored sorted by utterance id, so identical inputs always
-    produce byte-identical files. The cache is written to path.tmp and then
-    replaces path, so an interrupted write leaves the previous cache whole.
+    produce byte-identical files. An interrupted write leaves the previous
+    cache whole.
     """
-    index = {"entries": [{"id": uid, "frames": len(entries[uid].features)}
-                         for uid in sorted(entries)]}
-    index_bytes = json.dumps(index, separators=(",", ":")).encode("utf-8")
-    temp = f"{path}.tmp"
-    with open(temp, "wb") as fh:
-        fh.write(_CACHE_MAGIC)
-        fh.write(struct.pack("<Q", len(index_bytes)))
-        fh.write(index_bytes)
-        for uid in sorted(entries):
+    ids = sorted(entries)
+
+    def payload():
+        for uid in ids:
             feats, track = entries[uid]
-            fh.write(np.ascontiguousarray(feats.vectors, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(track.f0, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(track.log_energy, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(track.voiced, dtype=np.uint8).tobytes())
-    os.replace(temp, path)
+            yield np.ascontiguousarray(feats.vectors, dtype="<f8").tobytes()
+            yield np.ascontiguousarray(track.f0, dtype="<f8").tobytes()
+            yield np.ascontiguousarray(track.log_energy, dtype="<f8").tobytes()
+            yield np.ascontiguousarray(track.voiced, dtype=np.uint8).tobytes()
+
+    container.write(path, _CACHE_MAGIC, {"entries": [
+        {"id": uid, "frames": len(entries[uid].features)} for uid in ids]},
+        payload())
 
 
 def read_feature_cache(path) -> dict[str, UtteranceFeatures]:
     """Read a cache written by write_feature_cache.
 
     A cache that is cut short, runs on past its last utterance or has a
-    malformed index raises CorruptFileError naming it.
+    malformed header raises CorruptFileError naming it.
     """
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-
-        def take(count: int) -> bytes:
-            if count > size - fh.tell():
-                raise CorruptFileError(
-                    f"{path}: feature cache is truncated: {count} bytes "
-                    f"needed at offset {fh.tell()}, file has {size}")
-            return fh.read(count)
-
-        if fh.read(len(_CACHE_MAGIC)) != _CACHE_MAGIC:
-            raise UnsupportedFormatError(f"{path}: not a feature cache file")
-        (index_len,) = struct.unpack("<Q", take(8))
-        try:
-            entries = [(e["id"], e["frames"])
-                       for e in json.loads(take(index_len))["entries"]]
-            for uid, frames in entries:
-                if not (isinstance(uid, str) and isinstance(frames, int)
-                        and frames >= 0):
-                    raise ValueError(f"bad entry {uid!r} with {frames!r} frames")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CorruptFileError(
-                f"{path}: malformed feature cache index: {exc}") from exc
+    def parse(header, payload):
         out = {}
-        for uid, frames in entries:
-            vectors = np.frombuffer(
-                take(8 * frames * FEATURE_DIM), dtype="<f8").reshape(frames, FEATURE_DIM)
-            f0 = np.frombuffer(take(8 * frames), dtype="<f8")
-            log_energy = np.frombuffer(take(8 * frames), dtype="<f8")
-            voiced = np.frombuffer(take(frames), dtype=np.uint8).astype(bool)
+        for uid, frames in [(e["id"], e["frames"]) for e in header["entries"]]:
+            if not (isinstance(uid, str) and isinstance(frames, int)
+                    and frames >= 0):
+                raise ValueError(f"bad entry {uid!r} with {frames!r} frames")
+            vectors = payload.array(frames * FEATURE_DIM).reshape(
+                frames, FEATURE_DIM)
+            f0 = payload.array(frames)
+            log_energy = payload.array(frames)
+            voiced = payload.array(frames, np.uint8).astype(bool)
             finite = np.isfinite(vectors).all(axis=1) & np.isfinite(f0) \
                 & np.isfinite(log_energy)
             if not finite.all():
@@ -409,9 +383,8 @@ def read_feature_cache(path) -> dict[str, UtteranceFeatures]:
                     f"{int(np.argmin(finite))} of {frames} is not finite")
             out[uid] = UtteranceFeatures(
                 features=FeatureSequence(vectors=vectors),
-                prosody=ProsodicTrack(f0=f0, log_energy=log_energy, voiced=voiced))
-        if fh.tell() != size:
-            raise CorruptFileError(f"{path}: feature cache has "
-                                   f"{size - fh.tell()} bytes after its last "
-                                   f"utterance")
+                prosody=ProsodicTrack(f0=f0, log_energy=log_energy,
+                                      voiced=voiced))
         return out
+
+    return container.read(path, _CACHE_MAGIC, "feature cache", parse)

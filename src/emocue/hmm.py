@@ -42,8 +42,10 @@ Numerics:
 Training:
 
 * baum_welch lays out a fit's K sequences once. Their frames are stacked
-  into one (F, D) block, with [obs, obs^2] beside it, so each E-step makes
-  one emission product and one moment product for all of them. The
+  into one (F, D) block, with [x, x^2] beside it for x = obs minus the
+  frames' mean, so each E-step makes one emission product and one moment
+  product for all of them (moments about the mean keep each variance's
+  digits where raw ones cancel; the M-step adds the mean back). The
   recursions run on a (K, T_max) grid that holds each sequence
   left-aligned, every state's accumulate covering all K rows at once (the
   padding costs work in proportion to how much the lengths differ). A
@@ -64,16 +66,14 @@ Training:
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
+from . import container
 from .errors import (
-    CorruptFileError,
     DimensionMismatchError,
     EmptySequenceError,
     EmptyTrainingSetError,
@@ -81,7 +81,6 @@ from .errors import (
     NonFiniteObservationError,
     NumericalUnderflowError,
     SequenceTooShortError,
-    UnsupportedFormatError,
 )
 
 VARIANCE_FLOOR = 1e-4
@@ -580,7 +579,8 @@ class _Batch:
     """
 
     obs: np.ndarray       # (F, D) stacked frames
-    moments: np.ndarray   # (F, 2D) [obs, obs^2]
+    shift: np.ndarray     # (D,) mean of the stacked frames
+    moments: np.ndarray   # (F, 2D) [obs - shift, (obs - shift)^2]
     cell: np.ndarray      # (F,) each frame's index in the flattened grid
     grid: tuple[int, int] # (K, T_max)
     seq: np.ndarray       # (F,) each frame's sequence
@@ -595,11 +595,14 @@ def _batch(arrays) -> _Batch:
     seq = np.repeat(np.arange(lengths.size), lengths)
     t = np.arange(seq.size) - start[seq]
     obs = np.concatenate(arrays)
-    # an outlier's square may overflow; its zero likelihood is reported by
-    # the E-step before the moments are used
-    with np.errstate(over="ignore"):
-        moments = np.concatenate((obs, obs * obs), axis=1)
-    return _Batch(obs=obs, moments=moments, cell=seq * t_max + t,
+    # E[x^2] - mean^2 from raw moments cancels about 2000-fold on a feature
+    # near 146 with variance 10. An outlier may overflow the shift or a
+    # square; its zero likelihood is reported by the E-step first.
+    with np.errstate(over="ignore", invalid="ignore"):
+        shift = obs.mean(axis=0)
+        centred = obs - shift
+        moments = np.concatenate((centred, centred * centred), axis=1)
+    return _Batch(obs=obs, shift=shift, moments=moments, cell=seq * t_max + t,
                   grid=(lengths.size, t_max), seq=seq,
                   last=start + lengths - 1, step=np.flatnonzero(t > 0))
 
@@ -610,8 +613,8 @@ class _Counts(NamedTuple):
     stay: np.ndarray      # (N-1,) transitions i -> i
     move: np.ndarray      # (N-1,) transitions i -> i+1
     resp: np.ndarray      # (M, N) component occupancies
-    obs_sum: np.ndarray   # (M, N, D) first moments
-    sq_sum: np.ndarray    # (M, N, D) second moments
+    obs_sum: np.ndarray   # (M, N, D) first moments about the batch shift
+    sq_sum: np.ndarray    # (M, N, D) second moments about the batch shift
 
 
 def _expect(model: AcousticModel, batch: _Batch) -> tuple[_Counts, float]:
@@ -656,9 +659,9 @@ def _expect(model: AcousticModel, batch: _Batch) -> tuple[_Counts, float]:
     return counts, sum(ll.tolist())
 
 
-def _reestimate(model: AcousticModel, counts: _Counts,
+def _reestimate(model: AcousticModel, counts: _Counts, shift: np.ndarray,
                 variance_floor: float) -> AcousticModel:
-    """The M-step for every state at once.
+    """The M-step for every state at once, from moments about shift.
 
     A state never left in the training data keeps its transition row, and a
     state never occupied keeps its mixture.
@@ -675,10 +678,11 @@ def _reestimate(model: AcousticModel, counts: _Counts,
     weights = resp / np.where(total > 0.0, total, 1.0)
     seen = (resp > 0.0)[:, :, None]
     mass = np.maximum(resp, 1e-300)[:, :, None]
-    means = np.where(seen, counts.obs_sum / mass, old.means)
+    centred = np.where(seen, counts.obs_sum / mass, old.means - shift)
     second = np.where(seen, counts.sq_sum / mass,
-                      old.variances + old.means ** 2)
-    variances = np.maximum(second - means ** 2, variance_floor)
+                      old.variances + centred ** 2)
+    variances = np.maximum(second - centred ** 2, variance_floor)
+    means = np.where(seen, centred + shift, old.means)
     mixtures = tuple(
         GaussianMixture(weights=weights[:c, j], means=means[:c, j],
                         variances=variances[:c, j]) if total[j] > 0.0
@@ -720,96 +724,56 @@ def baum_welch(model: AcousticModel, sequences, max_iters: int = EM_MAX_ITERS,
             if gain < tol * max(1.0, abs(lls[-2])):
                 converged = True
                 break
-        current = _reestimate(current, counts, variance_floor)
+        current = _reestimate(current, counts, batch.shift, variance_floor)
     return current, TrainingReport(log_likelihood_per_iteration=tuple(lls),
                                    iterations_run=len(lls),
                                    converged=converged)
 
 
 # --- persistence -------------------------------------------------------------
+#
+# A model is stored as a shape header, {"num_states": N, "feature_dim": D,
+# "components": [M_0, ..., M_{N-1}]}, and a float64 payload: the (N, N)
+# transitions, then per state its weights, means and variances, row-major.
+# Parameters round-trip bit-exactly.
 
-FILE_FORMAT = "emocue-model"
-FILE_VERSION = 1
-
-
-def model_to_dict(model: AcousticModel) -> dict:
-    return {
-        "num_states": model.num_states,
-        "feature_dim": model.feature_dim,
-        "transitions": model.transitions.tolist(),
-        "states": [{"weights": mix.weights.tolist(),
-                    "means": mix.means.tolist(),
-                    "variances": mix.variances.tolist()}
-                   for mix in model.mixtures],
-    }
+_MODEL_MAGIC = b"EMOAM001"
 
 
-def model_from_dict(payload: dict) -> AcousticModel:
-    mixtures = tuple(
-        GaussianMixture(weights=np.array(s["weights"]),
-                        means=np.array(s["means"]),
-                        variances=np.array(s["variances"]))
-        for s in payload["states"])
-    return AcousticModel(num_states=payload["num_states"],
-                         feature_dim=payload["feature_dim"],
-                         transitions=np.array(payload["transitions"]),
-                         mixtures=mixtures)
+def encode_model(model: AcousticModel) -> tuple[dict, bytes]:
+    """The model's shape header and its parameters' payload bytes."""
+    arrays = [model.transitions] + [a for mix in model.mixtures
+                                    for a in (mix.weights, mix.means,
+                                              mix.variances)]
+    return ({"num_states": model.num_states, "feature_dim": model.feature_dim,
+             "components": [mix.num_components for mix in model.mixtures]},
+            b"".join(a.astype("<f8").tobytes() for a in arrays))
 
 
-def replace_file(path, data: bytes) -> None:
-    """Write data to path through path.tmp and os.replace, so an interrupted
-    write leaves the previous file whole."""
-    temp = f"{path}.tmp"
-    with open(temp, "wb") as fh:
-        fh.write(data)
-    os.replace(temp, path)
-
-
-def write_json_file(path, payload, indent: int | None = None) -> None:
-    """Write payload as one line of JSON (or indented), in one encoder call:
-    the same bytes json.dump writes, without its chunk-by-chunk encoding."""
-    replace_file(path, (json.dumps(payload, indent=indent) + "\n").encode())
+def decode_model(spec: dict, payload) -> AcousticModel:
+    """Read the model spec describes from a container payload. Every
+    constructor check applies, and a non-finite parameter is refused
+    (ValueError): the constructors' sum checks pass a NaN."""
+    n, dim, counts = spec["num_states"], spec["feature_dim"], spec["components"]
+    sizes = [n * n] + [c * k for c in counts for k in (1, dim, dim)]
+    values = payload.array(sum(sizes))
+    if not np.isfinite(values).all():
+        raise ValueError("model parameters must be finite")
+    parts = iter(np.split(values, np.cumsum(sizes)[:-1]))
+    transitions = next(parts).reshape(n, n)
+    return AcousticModel(num_states=n, feature_dim=dim, transitions=transitions,
+                         mixtures=tuple(GaussianMixture(
+                             weights=next(parts),
+                             means=next(parts).reshape(c, dim),
+                             variances=next(parts).reshape(c, dim))
+                             for c in counts))
 
 
 def save_model(model: AcousticModel, path) -> None:
-    """Write the model as versioned JSON; parameters round-trip bit-exactly."""
-    write_json_file(path, {"format": FILE_FORMAT, "version": FILE_VERSION,
-                           "kind": "acoustic", **model_to_dict(model)})
-
-
-def read_json_file(path, file_format: str, version: int, parse,
-                   kind: str | None = None):
-    """Read a versioned JSON file, check its header and return parse(payload).
-
-    A file that is not a JSON object, or whose content parse cannot use
-    (an AttributeError, KeyError, IndexError, TypeError or ValueError),
-    raises CorruptFileError naming path. A file of another format, version or
-    kind raises UnsupportedFormatError.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except ValueError as exc:  # malformed JSON or text
-        raise CorruptFileError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise CorruptFileError(f"{path}: expected a JSON object")
-    found = (payload.get("format"), payload.get("version"))
-    if found != (file_format, version):
-        raise UnsupportedFormatError(
-            f"{path}: not a version-{version} {file_format} file "
-            f"(found {found[0]!r} version {found[1]!r})")
-    if kind is not None and payload.get("kind") != kind:
-        raise UnsupportedFormatError(
-            f"{path}: expected a {kind} model, got {payload.get('kind')!r}")
-    try:
-        return parse(payload)
-    except (AttributeError, KeyError, IndexError, TypeError,
-            ValueError) as exc:
-        detail = f"missing entry {exc}" if isinstance(exc, KeyError) else exc
-        raise CorruptFileError(f"{path}: malformed {file_format} file: "
-                               f"{detail}") from exc
+    """Write the model as a container file (see emocue.container)."""
+    spec, data = encode_model(model)
+    container.write(path, _MODEL_MAGIC, spec, [data])
 
 
 def load_model(path) -> AcousticModel:
-    return read_json_file(path, FILE_FORMAT, FILE_VERSION, model_from_dict,
-                          kind="acoustic")
+    return container.read(path, _MODEL_MAGIC, "acoustic model", decode_model)

@@ -11,18 +11,21 @@ bank order and every decision is deterministic.
 
 from __future__ import annotations
 
+import hashlib
 import os
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
-from . import corpus, hmm, supra as supra_mod
+from . import container, corpus, hmm, supra as supra_mod
 from .config import RunConfig
 from .errors import (
     BankMismatchError,
+    CorruptFileError,
     EmoCueError,
     EmptyBankError,
     EmptyResultsError,
     UnknownEmotionError,
+    UnsupportedFormatError,
 )
 from .frontend import UtteranceFeatures
 from .supra import FusionConfig, SuprasegmentalModel, fused_score
@@ -267,27 +270,106 @@ def score_test_set(bank: ModelBank, test_records,
 
 
 # --- persistence -------------------------------------------------------------
+#
+# A bank is one container file (emocue.container), <directory>/bank.bin,
+# under magic "EMOBK003" (format version 3). The header holds the labels in
+# bank order, the _BANK_FIELDS of the config, the train split's MFCC
+# statistics ("normalization") and sha256 ("train_split"), and under
+# "models" one entry per model: its role, key, shape header and training
+# summary. The payload holds the parameters in entry order. save_bank
+# records null for everything but labels and models.
 
-BANK_FORMAT = "emocue-bank"
-BANK_VERSION = 2
-_BANK_INDEX = "bank.json"
+BANK_FILE = "bank.bin"
+_BANK_MAGIC = b"EMOBK003"
 # The RunConfig fields that fix a bank's model shapes and its training split.
 # Commands on one bank may differ in EM stopping rules, seed, fusion settings
 # and test split: a bank may be trained with a low EM cap and then scored.
 _BANK_FIELDS = ("num_states", "num_mixtures", "num_supra_mixtures",
                 "supra_groups", "train_sentences")
-# The labels each role's models are keyed by.
+# The labels each role's models are keyed by; the roles in file order.
 _ROLE_LABELS = {"emotion": ("emotions",), "speaker": ("emotions", "speakers"),
                 "one_stage": ("speakers",)}
 _TRAINERS = {"emotion": train_emotion_models, "speaker": train_speaker_models,
              "one_stage": train_one_stage_models}
 
 
-def _new_index(config, normalization) -> dict:
-    return {"format": BANK_FORMAT, "version": BANK_VERSION, "config": config,
-            "normalization": normalization, "emotions": [], "speakers": [],
-            "emotion_files": {}, "speaker_files": {}, "one_stage_files": {},
-            "training": {}}
+def _keyed(role: str, models: Mapping) -> Mapping:
+    """A role's models under the keys its trainer files TrainingReports
+    under: the emotion role's pairs become (emotion, "acoustic") and
+    (emotion, "supra")."""
+    if role != "emotion":
+        return models
+    return {(e, part): getattr(pair, part) for e, pair in models.items()
+            for part in ("acoustic", "supra")}
+
+
+def _read_bank(directory):
+    """The header of the bank in directory, without "models", and its
+    models as {role: {key: (model, training summary)}}."""
+    old = os.path.join(directory, "bank.json")
+    if not os.path.exists(os.path.join(directory, BANK_FILE)) and \
+            os.path.exists(old):
+        raise UnsupportedFormatError(f"{old}: a version-2 bank; retrain it "
+                                     f"to write a version-3 {BANK_FILE}")
+
+    def parse(header, payload):
+        for labels in (header["emotions"], header["speakers"]):
+            if not (isinstance(labels, list) and len(set(labels)) == len(labels)
+                    and all(isinstance(label, str) for label in labels)):
+                raise ValueError(f"labels must be distinct strings: {labels}")
+        if header["config"] is not None:
+            header["config"] = {name: header["config"][name]
+                                for name in _BANK_FIELDS}
+        if header["normalization"] is not None:
+            corpus.NormalizationParams.from_dict(header["normalization"])
+        roles = {role: {} for role in _ROLE_LABELS}
+        for entry in header.pop("models"):
+            role, key = entry["role"], entry["key"]
+            key = key if role == "one_stage" else tuple(key)
+            decode = (supra_mod.decode_supra if role == "emotion"
+                      and key[1] == "supra" else hmm.decode_model)
+            roles[role][key] = (decode(entry, payload), entry["training"])
+        return header, roles
+
+    return container.read(os.path.join(directory, BANK_FILE), _BANK_MAGIC,
+                          "model bank", parse)
+
+
+def _write_bank(directory, header: dict, roles: Mapping) -> None:
+    """The one bank writer: the whole file, replaced at once."""
+    entries, payload = [], []
+    for role in _ROLE_LABELS:
+        for key, (model, training) in roles.get(role, {}).items():
+            spec, data = (supra_mod.encode_supra
+                          if isinstance(model, SuprasegmentalModel)
+                          else hmm.encode_model)(model)
+            entries.append({"role": role, "key": key, **spec,
+                            "training": training})
+            payload.append(data)
+    os.makedirs(directory, exist_ok=True)
+    container.write(os.path.join(directory, BANK_FILE), _BANK_MAGIC,
+                    {**header, "models": entries}, payload)
+
+
+def _model_bank(directory, header: dict, roles: Mapping) -> ModelBank:
+    """Its emotion and speaker roles must be trained; the one-stage baseline
+    may be missing."""
+    path = os.path.join(directory, BANK_FILE)
+    emotion, speaker, one_stage = ({key: model for key, (model, _) in
+                                    roles[role].items()} for role in _ROLE_LABELS)
+    if not (emotion and speaker):
+        raise EmptyBankError(f"{path}: bank is incomplete; train its emotion "
+                             f"and speaker models first")
+    try:
+        return ModelBank(
+            emotions=header["emotions"], speakers=header["speakers"],
+            emotion_models={e: EmotionModels(emotion[(e, "acoustic")],
+                                             emotion[(e, "supra")])
+                            for e in header["emotions"]},
+            speaker_models=speaker, one_stage_models=one_stage)
+    except (KeyError, ValueError) as exc:
+        raise CorruptFileError(f"{path}: models do not match the labels: "
+                               f"{exc}") from exc
 
 
 def _bank_config(cfg: RunConfig) -> dict:
@@ -296,161 +378,113 @@ def _bank_config(cfg: RunConfig) -> dict:
             for name, v in values.items()}
 
 
-def _write_bank(directory, index: dict, emotions, speakers,
-                roles: Mapping[str, Mapping],
-                reports: Mapping[str, Mapping] | None = None) -> None:
-    """The one bank writer: each role's model files, then the index.
+def _train_split(records, cache: Mapping[str, UtteranceFeatures]) -> str:
+    return hashlib.sha256("".join(
+        f"{uid}\t{len(cache[uid].features)}\n"
+        for uid in sorted(r.id for r in records)).encode()).hexdigest()
 
-    Every role's labels are checked against those the index records before
-    any file is written. reports holds, per role, the TrainingReports a
-    trainer filed; the index keeps each model file's iterations, whether EM
-    converged and its last training log-likelihood under "training" (an
-    index written without them, or a model without a report, has no entry).
-    Every file is replaced atomically, so an interrupted write leaves the
-    previous one loadable.
-    """
-    path = os.path.join(directory, _BANK_INDEX)
-    labels = {"emotions": list(emotions), "speakers": list(speakers)}
-    for role in roles:
-        for kind in _ROLE_LABELS[role]:
-            if index[kind] and index[kind] != labels[kind]:
-                raise BankMismatchError(
-                    f"{path}: bank was trained on {kind} {index[kind]}, "
-                    f"the training split has {labels[kind]}")
-            index[kind] = labels[kind]
-    os.makedirs(directory, exist_ok=True)
-    training = index.setdefault("training", {})
 
-    def put(save, model, name, role, key):
-        save(model, os.path.join(directory, name))
-        report = (reports or {}).get(role, {}).get(key)
-        training.pop(name, None)
-        if report is not None:
-            training[name] = {
-                "iterations": report.iterations_run,
-                "converged": report.converged,
-                "log_likelihood": report.log_likelihood_per_iteration[-1]}
-        return name
+def _check(directory, header: dict, cfg: RunConfig, train_records,
+           cache: Mapping[str, UtteranceFeatures], labels=None) -> None:
+    """Refuse (BankMismatchError) a bank trained under other bank fields of
+    cfg, on other labels (when given) or on another train split. What the
+    bank records as null is not checked."""
+    path = os.path.join(directory, BANK_FILE)
+    for name, value in _bank_config(cfg).items():
+        if header["config"] is not None and header["config"][name] != value:
+            raise BankMismatchError(
+                f"{path}: bank was trained with {name} = "
+                f"{header['config'][name]}, the config has {value}")
+    for kind, want in (labels or {}).items():
+        if header[kind] and header[kind] != want:
+            raise BankMismatchError(f"{path}: bank was trained on {kind} "
+                                    f"{header[kind]}, the training split has "
+                                    f"{want}")
+    split = header["train_split"]
+    if split is not None and split != (ours := _train_split(train_records,
+                                                            cache)):
+        raise BankMismatchError(f"{path}: bank was trained on another train "
+                                f"split (sha256 {split}) than this feature "
+                                f"cache's ({ours})")
 
-    if "emotion" in roles:
-        index["emotion_files"] = {
-            e: {"acoustic": put(hmm.save_model, roles["emotion"][e].acoustic,
-                                f"emotion_{i}.acoustic.json", "emotion",
-                                (e, "acoustic")),
-                "supra": put(supra_mod.save_supra_model,
-                             roles["emotion"][e].supra,
-                             f"emotion_{i}.supra.json", "emotion",
-                             (e, "supra"))}
-            for i, e in enumerate(emotions)}
-    if "speaker" in roles:
-        index["speaker_files"] = {
-            s: {e: put(hmm.save_model, roles["speaker"][(s, e)],
-                       f"speaker_{i}_{j}.json", "speaker", (s, e))
-                for j, e in enumerate(emotions)}
-            for i, s in enumerate(speakers)}
-    if "one_stage" in roles:
-        index["one_stage_files"] = {
-            s: put(hmm.save_model, roles["one_stage"][s], f"onestage_{i}.json",
-                   "one_stage", s)
-            for i, s in enumerate(speakers) if s in roles["one_stage"]}
-    hmm.write_json_file(path, index, indent=2)
+
+def _normalized(header: dict, records, cache: Mapping[str, UtteranceFeatures]):
+    params = header["normalization"] and \
+        corpus.NormalizationParams.from_dict(header["normalization"])
+    return {r.id: UtteranceFeatures(
+        features=params.apply(cache[r.id].features) if params
+        else cache[r.id].features, prosody=cache[r.id].prosody)
+        for r in records}
 
 
 def save_bank(bank: ModelBank, directory) -> None:
-    """Write every model file plus an index that names each one's role.
-
-    The index records no config and no normalization: the library trains on
-    the features it is given, and a bank from it is scored on them as they
-    are.
-    """
-    _write_bank(directory, _new_index(None, None), bank.emotions, bank.speakers,
-                {"emotion": bank.emotion_models, "speaker": bank.speaker_models,
-                 "one_stage": bank.one_stage_models})
+    """Write the bank to directory/bank.bin, with no config, normalization,
+    train split or training summaries."""
+    roles = {"emotion": bank.emotion_models, "speaker": bank.speaker_models,
+             "one_stage": bank.one_stage_models}
+    _write_bank(directory, {
+        "emotions": list(bank.emotions), "speakers": list(bank.speakers),
+        "config": None, "normalization": None, "train_split": None}, {
+        role: {key: (model, None) for key, model in _keyed(role, m).items()}
+        for role, m in roles.items()})
 
 
 def load_bank(directory) -> ModelBank:
     """The bank in directory. Its emotion and speaker roles must be trained;
     the one-stage baseline may be missing."""
-    def build(index):
-        emotions = tuple(index["emotions"])
-        speakers = tuple(index["speakers"])
-        files = index["emotion_files"]
-        if not (emotions and speakers and files and index["speaker_files"]):
-            raise EmptyBankError(f"{directory}: bank is incomplete; train its "
-                                 f"emotion and speaker models first")
-
-        def model(load, name):
-            return load(os.path.join(directory, name))
-
-        return ModelBank(
-            emotions=emotions, speakers=speakers,
-            emotion_models={
-                e: EmotionModels(
-                    acoustic=model(hmm.load_model, files[e]["acoustic"]),
-                    supra=model(supra_mod.load_supra_model, files[e]["supra"]))
-                for e in emotions},
-            speaker_models={
-                (s, e): model(hmm.load_model, index["speaker_files"][s][e])
-                for s in speakers for e in emotions},
-            one_stage_models={
-                s: model(hmm.load_model, name)
-                for s, name in index["one_stage_files"].items()})
-
-    return hmm.read_json_file(os.path.join(directory, _BANK_INDEX),
-                              BANK_FORMAT, BANK_VERSION, build)
+    return _model_bank(directory, *_read_bank(directory))
 
 
-def normalized_features(directory, cfg: RunConfig, train_records,
-                        used_records, cache: Mapping[str, UtteranceFeatures]):
-    """The bank index in directory and the features of used_records, with
-    MFCCs z-normalized by the bank's train-split statistics.
+def open_bank(directory, cfg: RunConfig, train_records, used_records,
+              cache: Mapping[str, UtteranceFeatures]):
+    """The bank in directory, read once and checked against cfg's bank
+    fields and the train split of train_records, and the features of
+    used_records with MFCCs z-normalized by the bank's statistics.
 
-    An existing index must record the bank fields of cfg; its statistics are
-    applied. With no index yet, the statistics are estimated on
-    train_records and kept in a fresh index for the first role write.
-    Returns (index, features).
+    Returns (bank, features).
     """
-    path = os.path.join(directory, _BANK_INDEX)
-    if os.path.exists(path):
-        def stored(index):
-            for name, value in _bank_config(cfg).items():
-                if index["config"] and index["config"][name] != value:
-                    raise BankMismatchError(
-                        f"{path}: bank was trained with {name} = "
-                        f"{index['config'][name]}, the config has {value}")
-            return index, index["normalization"] and \
-                corpus.NormalizationParams.from_dict(index["normalization"])
-
-        index, params = hmm.read_json_file(path, BANK_FORMAT, BANK_VERSION,
-                                           stored)
-        normalized = {r.id: params.apply(cache[r.id].features) if params
-                      else cache[r.id].features for r in used_records}
-    else:
-        train = {r.id: cache[r.id].features for r in train_records}
-        train_n, other_n, params = corpus.normalize_features(
-            train, {r.id: cache[r.id].features for r in used_records
-                    if r.id not in train})
-        normalized = {**train_n, **other_n}
-        index = _new_index(_bank_config(cfg), params.to_dict())
-    return index, {r.id: UtteranceFeatures(features=normalized[r.id],
-                                           prosody=cache[r.id].prosody)
-                   for r in used_records}
+    header, roles = _read_bank(directory)
+    _check(directory, header, cfg, train_records, cache)
+    return (_model_bank(directory, header, roles),
+            _normalized(header, used_records, cache))
 
 
 def train_role(role: str, directory, cfg: RunConfig, train_records,
                cache: Mapping[str, UtteranceFeatures]):
     """Train one model role ("emotion", "speaker" or "one_stage") on the
-    normalized train split and add it to the bank in directory.
+    normalized train split and swap it into the bank in directory, which is
+    rewritten whole. An existing bank is checked (_check, with the split's
+    labels) before any training; a new one takes the split's statistics.
 
     Returns the role's models and the TrainingReport of each model, keyed
     as the trainer files them.
     """
     records = list(train_records)
-    index, features = normalized_features(directory, cfg, records, records,
-                                          cache)
+    labels = {"emotions": list(_ordered_labels(r.emotion for r in records)),
+              "speakers": list(_ordered_labels(r.speaker for r in records))}
+    labels = {kind: labels[kind] for kind in _ROLE_LABELS[role]}
+    try:
+        header, roles = _read_bank(directory)
+    except FileNotFoundError:
+        train_n, _, params = corpus.normalize_features(
+            {r.id: cache[r.id].features for r in records}, {})
+        features = {r.id: UtteranceFeatures(features=train_n[r.id],
+                                            prosody=cache[r.id].prosody)
+                    for r in records}
+        header = {"emotions": [], "speakers": [], "config": _bank_config(cfg),
+                  "normalization": params.to_dict(),
+                  "train_split": _train_split(records, cache)}
+        roles = {}
+    else:
+        _check(directory, header, cfg, records, cache, labels)
+        features = _normalized(header, records, cache)
     reports: dict = {}
     models = _TRAINERS[role](records, features, cfg, reports)
-    _write_bank(directory, index, _ordered_labels(r.emotion for r in records),
-                _ordered_labels(r.speaker for r in records), {role: models},
-                {role: reports})
+    header.update(labels)
+    roles[role] = {key: (model, {
+        "iterations": reports[key].iterations_run,
+        "converged": reports[key].converged,
+        "log_likelihood": reports[key].log_likelihood_per_iteration[-1]})
+        for key, model in _keyed(role, models).items()}
+    _write_bank(directory, header, roles)
     return models, reports

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import hmm
+from . import container, hmm
 from .errors import IllegalPathError, LengthMismatchError
 from .frontend import ProsodicTrack
 
@@ -230,18 +230,29 @@ def fused_score(acoustic: hmm.AcousticModel, supra: SuprasegmentalModel,
                                    cfg.length_normalize), cfg.alpha)
 
 
+# A suprasegmental model is stored as its core model (hmm.encode_model) with
+# the mapping's group sizes added to the shape header.
+
+_SUPRA_MAGIC = b"EMOSM001"
+
+
+def encode_supra(model: SuprasegmentalModel) -> tuple[dict, bytes]:
+    spec, data = hmm.encode_model(model.core)
+    return {**spec, "group_sizes": list(model.mapping.group_sizes)}, data
+
+
+def decode_supra(spec: dict, payload) -> SuprasegmentalModel:
+    return SuprasegmentalModel(
+        core=hmm.decode_model(spec, payload),
+        mapping=SupraMapping(group_sizes=tuple(spec["group_sizes"])))
+
+
 def save_supra_model(model: SuprasegmentalModel, path) -> None:
-    """Write the model as versioned JSON; parameters round-trip bit-exactly."""
-    hmm.write_json_file(path, {
-        "format": hmm.FILE_FORMAT, "version": hmm.FILE_VERSION,
-        "kind": "suprasegmental",
-        "group_sizes": list(model.mapping.group_sizes),
-        **hmm.model_to_dict(model.core)})
+    """Write the model as a container file (see emocue.container)."""
+    spec, data = encode_supra(model)
+    container.write(path, _SUPRA_MAGIC, spec, [data])
 
 
 def load_supra_model(path) -> SuprasegmentalModel:
-    return hmm.read_json_file(
-        path, hmm.FILE_FORMAT, hmm.FILE_VERSION, kind="suprasegmental",
-        parse=lambda payload: SuprasegmentalModel(
-            core=hmm.model_from_dict(payload),
-            mapping=SupraMapping(group_sizes=tuple(payload["group_sizes"]))))
+    return container.read(path, _SUPRA_MAGIC, "suprasegmental model",
+                          decode_supra)

@@ -9,6 +9,7 @@ import json
 import time
 
 import pytest
+from hypothesis import strategies as st
 
 import emocue
 from emocue.cli import main as cli_main
@@ -23,6 +24,64 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def _json_paths(node, prefix=()):
+    yield prefix
+    children = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _json_paths(child, prefix + (key,))
+
+
+def container_parts(data: bytes):
+    """(magic, header, payload) of a container file (emocue.container)."""
+    head_len = int.from_bytes(data[8:16], "little")
+    return data[:8], json.loads(data[16:16 + head_len]), data[16 + head_len:]
+
+
+def container_bytes(magic: bytes, header, payload: bytes) -> bytes:
+    head = json.dumps(header).encode()
+    return magic + len(head).to_bytes(8, "little") + head + payload
+
+
+def edit_container_header(path, edit):
+    """Rewrite the container at path with edit(header) applied."""
+    magic, header, payload = container_parts(path.read_bytes())
+    edit(header)
+    path.write_bytes(container_bytes(magic, header, payload))
+
+
+def damaged_container(original: bytes, data) -> bytes:
+    """A container file with damage drawn by hypothesis: one value of its
+    JSON header replaced or deleted (the header length kept consistent, so
+    the damage reaches the parser), up to three bytes of its magic and
+    length field or of its payload overwritten, or the file cut short."""
+    magic, header, payload = container_parts(original)
+    where = data.draw(st.sampled_from(["header", "frame", "payload",
+                                       "length"]), label="where")
+    if where == "header":
+        path = data.draw(st.sampled_from(list(_json_paths(header))[1:]))
+        parent = header
+        for key in path[:-1]:
+            parent = parent[key]
+        replacement = data.draw(st.sampled_from(
+            [None, 0, -1, 1.5, True, "x", [], {}, [0.0], "delete"]))
+        if replacement == "delete" and isinstance(parent, dict):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = replacement
+        return container_bytes(magic, header, payload)
+    if where == "length":
+        return original[:data.draw(st.integers(0, len(original)),
+                                   label="length")]
+    damaged = bytearray(original)
+    start = 0 if where == "frame" else len(original) - len(payload)
+    end = 16 if where == "frame" else len(original)
+    for _ in range(data.draw(st.integers(1, 3), label="flips")):
+        damaged[data.draw(st.integers(start, end - 1))] = \
+            data.draw(st.integers(0, 255))
+    return bytes(damaged)
 
 
 def run_cli(*argv):

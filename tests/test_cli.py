@@ -23,7 +23,14 @@ from emocue.frontend import (
 )
 from emocue.recognizer import load_bank, train_model_bank
 
-from conftest import SMALL_CONFIG, SMALL_FLAGS, SMALL_SPLIT, run_cli
+from conftest import (
+    SMALL_CONFIG,
+    SMALL_FLAGS,
+    SMALL_SPLIT,
+    container_parts,
+    edit_container_header,
+    run_cli,
+)
 
 
 def _write_wav(path, samples):
@@ -342,22 +349,26 @@ def test_train_reports_em_cap_and_records_training(small_pipeline, tmp_path,
                       "without converging")
     assert err[1].endswith("of 3 model fits stopped at --em-max-iters 40 "
                            "without converging")
-    index = json.loads((tmp_path / "bank/bank.json").read_text())
-    names = [*index["one_stage_files"].values(),
-             *(name for pair in index["emotion_files"].values()
-               for name in pair.values())]
-    assert sorted(index["training"]) == sorted(names)
-    for name in names:
-        entry = index["training"][name]
-        assert set(entry) == {"iterations", "converged", "log_likelihood"}
-        assert isinstance(entry["log_likelihood"], float)
-        if name.startswith("emotion"):
-            assert entry == {**entry, "iterations": 1, "converged": False}
+    _, header, _ = container_parts((tmp_path / "bank/bank.bin").read_bytes())
+    assert [entry["role"] for entry in header["models"]] == \
+        ["emotion"] * 4 + ["one_stage"] * 3
+    for entry in header["models"]:
+        training = entry["training"]
+        assert set(training) == {"iterations", "converged", "log_likelihood"}
+        assert isinstance(training["log_likelihood"], float)
+        if entry["role"] == "emotion":
+            assert training == {**training, "iterations": 1,
+                                "converged": False}
         else:
-            assert 1 <= entry["iterations"] <= 40
-    # the bank the small pipeline trained records every model file
-    pipeline = json.loads((small_pipeline / "bank/bank.json").read_text())
-    assert len(pipeline["training"]) == 2 * 2 + 3 * 2 + 3
+            assert 1 <= training["iterations"] <= 40
+    # the bank the small pipeline trained records every model
+    _, pipeline, _ = container_parts(
+        (small_pipeline / "bank/bank.bin").read_bytes())
+    assert [entry["role"] for entry in pipeline["models"]] == \
+        ["emotion"] * (2 * 2) + ["speaker"] * (3 * 2) + ["one_stage"] * 3
+    assert all(entry["training"] is not None for entry in pipeline["models"])
+    assert [p.name for p in (small_pipeline / "bank").iterdir()] == \
+        ["bank.bin"]
 
 
 def test_evaluate_rejects_corrupt_results(tmp_path, capsys):
@@ -396,7 +407,7 @@ def test_train_speakers_rejects_mismatched_bank(small_pipeline, tmp_path,
             "--emotions", "neutral,sad", "--train-count", "2",
             "--test-count", "2", "--reps", "1", "--separation", "5",
             "--seed", "7")
-    index_before = (small_pipeline / "bank/bank.json").read_bytes()
+    index_before = (small_pipeline / "bank/bank.bin").read_bytes()
     code = cli.main(["train-speakers",
                      "--manifest", str(tmp_path / "manifest.tsv"),
                      "--features", str(tmp_path / "features.bin"),
@@ -404,7 +415,7 @@ def test_train_speakers_rejects_mismatched_bank(small_pipeline, tmp_path,
                      *SMALL_FLAGS, *SMALL_SPLIT])
     assert code == 2
     assert "trained on emotions" in capsys.readouterr().err
-    assert (small_pipeline / "bank/bank.json").read_bytes() == index_before
+    assert (small_pipeline / "bank/bank.bin").read_bytes() == index_before
 
 
 def test_retrain_emotions_rejects_other_emotion_set(small_pipeline, tmp_path,
@@ -415,14 +426,14 @@ def test_retrain_emotions_rejects_other_emotion_set(small_pipeline, tmp_path,
             "--emotions", "neutral,sad", "--train-count", "2",
             "--test-count", "2", "--reps", "1", "--separation", "5",
             "--seed", "7")
-    index_before = (bank / "bank.json").read_bytes()
+    index_before = (bank / "bank.bin").read_bytes()
     code = cli.main(["train-emotions",
                      "--manifest", str(tmp_path / "sad/manifest.tsv"),
                      "--features", str(tmp_path / "sad/features.bin"),
                      "--bank-dir", str(bank), *SMALL_FLAGS, *SMALL_SPLIT])
     assert code == 2
     assert "trained on emotions" in capsys.readouterr().err
-    assert (bank / "bank.json").read_bytes() == index_before
+    assert (bank / "bank.bin").read_bytes() == index_before
     run_cli("identify", "--manifest", small_pipeline / "corpus/manifest.tsv",
             "--features", small_pipeline / "corpus/features.bin",
             "--bank-dir", bank, "--out", tmp_path / "out.jsonl",
@@ -435,7 +446,7 @@ def test_default_config_rejects_small_bank(small_pipeline, tmp_path, capsys,
                                            command):
     bank = tmp_path / "bank"
     shutil.copytree(small_pipeline / "bank", bank)
-    index_before = (bank / "bank.json").read_bytes()
+    index_before = (bank / "bank.bin").read_bytes()
     argv = [command,
             "--manifest", str(small_pipeline / "corpus/manifest.tsv"),
             "--features", str(small_pipeline / "corpus/features.bin"),
@@ -445,8 +456,36 @@ def test_default_config_rejects_small_bank(small_pipeline, tmp_path, capsys,
     code = cli.main(argv)
     assert code == 2
     err = capsys.readouterr().err
-    assert "bank.json" in err and "num_states = 3" in err
-    assert (bank / "bank.json").read_bytes() == index_before
+    assert "bank.bin" in err and "num_states = 3" in err
+    assert (bank / "bank.bin").read_bytes() == index_before
+
+
+@pytest.mark.parametrize("command", ["identify", "sweep-alpha",
+                                     "train-onestage"])
+def test_bank_from_another_train_split_is_refused(small_pipeline, tmp_path,
+                                                  capsys, command):
+    # the same labels and ids as the small pipeline's corpus, drawn from
+    # another seed, so the utterances differ in length
+    run_cli("gen-synthetic", "--out-dir", tmp_path / "other", "--speakers",
+            "3", "--emotions", "neutral,angry", "--train-count", "2",
+            "--test-count", "2", "--reps", "1", "--separation", "5",
+            "--seed", "8")
+    assert load_manifest(tmp_path / "other/manifest.tsv") == \
+        load_manifest(small_pipeline / "corpus/manifest.tsv")
+    bank = tmp_path / "bank"
+    shutil.copytree(small_pipeline / "bank", bank)
+    before = (bank / "bank.bin").read_bytes()
+    argv = [command, "--manifest", str(tmp_path / "other/manifest.tsv"),
+            "--features", str(tmp_path / "other/features.bin"),
+            "--bank-dir", str(bank), *SMALL_FLAGS, *SMALL_SPLIT]
+    if not command.startswith("train-"):
+        argv += ["--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {bank / 'bank.bin'}: bank was "
+                          f"trained on another train split")
+    assert (bank / "bank.bin").read_bytes() == before
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_bank_equals_library_bank(small_pipeline):
@@ -510,20 +549,28 @@ def _cut(path):
     path.write_bytes(data[:len(data) // 2])
 
 
-def _edit_index(bank, edit):
-    index = json.loads((bank / "bank.json").read_text())
-    edit(index)
-    (bank / "bank.json").write_text(json.dumps(index))
+def _cut_within(path, part):
+    """Cut a container file halfway through its header or its payload."""
+    data = path.read_bytes()
+    _, _, payload = container_parts(data)
+    head_end = len(data) - len(payload)
+    path.write_bytes(data[:(16 + head_end) // 2 if part == "header"
+                          else (head_end + len(data)) // 2])
+
+
+def _drop_spk00(header):
+    # spk00's first speaker model is filed under a speaker the bank lacks
+    next(entry for entry in header["models"] if entry["role"] == "speaker"
+         and entry["key"][0] == "spk00")["key"][0] = "nobody"
 
 
 _CORRUPTIONS = {
-    "truncated index": ("bank.json", lambda bank: _cut(bank / "bank.json")),
-    "truncated model": ("emotion_0.acoustic.json",
-                        lambda bank: _cut(bank / "emotion_0.acoustic.json")),
-    "missing speaker entry": ("bank.json", lambda bank: _edit_index(
-        bank, lambda index: index["speaker_files"].pop("spk00"))),
-    "short normalization": ("bank.json", lambda bank: _edit_index(
-        bank, lambda index: index["normalization"]["mean"].pop())),
+    "truncated index": lambda bank: _cut_within(bank / "bank.bin", "header"),
+    "truncated model": lambda bank: _cut_within(bank / "bank.bin", "payload"),
+    "missing speaker entry": lambda bank: edit_container_header(
+        bank / "bank.bin", _drop_spk00),
+    "short normalization": lambda bank: edit_container_header(
+        bank / "bank.bin", lambda header: header["normalization"]["mean"].pop()),
 }
 
 
@@ -532,8 +579,7 @@ def test_identify_rejects_corrupt_bank(small_pipeline, tmp_path, capsys,
                                        corruption):
     bank = tmp_path / "bank"
     shutil.copytree(small_pipeline / "bank", bank)
-    name, corrupt = _CORRUPTIONS[corruption]
-    corrupt(bank)
+    _CORRUPTIONS[corruption](bank)
     code = cli.main(["identify",
                      "--manifest", str(small_pipeline / "corpus/manifest.tsv"),
                      "--features", str(small_pipeline / "corpus/features.bin"),
@@ -542,7 +588,7 @@ def test_identify_rejects_corrupt_bank(small_pipeline, tmp_path, capsys,
                      *SMALL_FLAGS, *SMALL_SPLIT])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("data error: ") and str(bank / name) in err
+    assert err.startswith("data error: ") and str(bank / "bank.bin") in err
     assert not (tmp_path / "out.jsonl").exists()
 
 

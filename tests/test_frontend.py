@@ -5,6 +5,7 @@ reference implementations built independently of the vectorized code.
 """
 
 import math
+import os
 import wave
 
 import numpy as np
@@ -20,6 +21,8 @@ from emocue.errors import (
     TooShortError,
     UnsupportedFormatError,
 )
+
+from conftest import damaged_container
 
 
 def _tone(freq_hz, num_samples, amplitude=8000.0, rate=16000):
@@ -364,7 +367,7 @@ def test_interrupted_cache_write_keeps_previous_cache(tmp_path, monkeypatch):
 
     def interrupted(src, dst):
         raise OSError("interrupted")
-    monkeypatch.setattr(frontend.os, "replace", interrupted)
+    monkeypatch.setattr(os, "replace", interrupted)
     with pytest.raises(OSError):
         frontend.write_feature_cache(path, {"y": _analyzed(6, 2160)})
     assert path.read_bytes() == before
@@ -420,14 +423,8 @@ def test_cache_rejects_malformed_index(tmp_path, index):
 @given(data=st.data())
 def test_cache_damage_raises_only_typed_errors(tmp_path_factory, cache_bytes,
                                                data):
-    damaged = bytearray(cache_bytes[:data.draw(
-        st.integers(0, len(cache_bytes)), label="length")])
-    for _ in range(data.draw(st.integers(0, 3), label="flips")):
-        if damaged:
-            at = data.draw(st.integers(0, len(damaged) - 1))
-            damaged[at] = data.draw(st.integers(0, 255))
     path = tmp_path_factory.mktemp("fuzz") / "cache.bin"
-    path.write_bytes(bytes(damaged))
+    path.write_bytes(damaged_container(cache_bytes, data))
     try:
         frontend.read_feature_cache(path)
     except EmoCueError:

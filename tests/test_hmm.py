@@ -1,9 +1,9 @@
 """HMM core tests: scoring against path enumeration, training behavior,
 initialization invariances and persistence."""
 
-import io
 import json
 import math
+import os
 import warnings
 
 import numpy as np
@@ -34,6 +34,8 @@ from oracles import (
     scalar_log_density,
     sequence_baum_welch,
 )
+
+from conftest import container_bytes
 
 
 def _model_1state(mean, var):
@@ -551,6 +553,19 @@ def test_batched_em_matches_oracle_through_frame_fallback(monkeypatch):
     assert got.transitions[2, 2] == 0.0
 
 
+@pytest.mark.parametrize("offset", [146.0, 1e4])
+def test_em_variance_keeps_its_digits_far_from_zero(offset):
+    # One state and one component: a single M-step sets the variance to the
+    # pooled frames' variance, which E[x^2] - mean^2 from raw moments loses
+    # to cancellation at these offsets (2.4e-12 and 9.1e-10 relative here).
+    rng = np.random.default_rng(77)
+    seqs = [offset + rng.normal(0.0, np.sqrt(10.0), size=(t, 1))
+            for t in (50, 64, 77)]
+    model, _ = hmm.baum_welch(_model_1state(offset, 10.0), seqs, max_iters=1)
+    want = np.var(np.concatenate(seqs))
+    assert abs(model.mixtures[0].variances[0, 0] - want) <= 1e-12 * want
+
+
 @pytest.mark.parametrize("k", [1, 4, 10])
 def test_kmeans_matches_per_cluster_loop(k):
     rng = np.random.default_rng(72 + k)
@@ -621,7 +636,7 @@ def test_save_load_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(26)
     seqs = _training_set(rng, num=5)
     model, _ = hmm.baum_welch(hmm.init_model(seqs, 3, 2), seqs, max_iters=5)
-    path = tmp_path / "model.json"
+    path = tmp_path / "model.bin"
     hmm.save_model(model, path)
     loaded = hmm.load_model(path)
     np.testing.assert_array_equal(model.transitions, loaded.transitions)
@@ -634,52 +649,74 @@ def test_save_load_roundtrip_bit_exact(tmp_path):
         hmm.forward_log_likelihood(loaded, probe)
 
 
-def test_save_model_writes_json_dump_bytes(tmp_path):
+def _model_file(header, values) -> bytes:
+    return container_bytes(b"EMOAM001", header,
+                           np.asarray(values, dtype="<f8").tobytes())
+
+
+def test_save_model_writes_shape_header_and_parameters(tmp_path):
     rng = np.random.default_rng(28)
     model = random_model(rng, num_states=3, num_mixtures=2, dim=4)
-    path = tmp_path / "model.json"
+    path = tmp_path / "model.bin"
     hmm.save_model(model, path)
-    expected = io.StringIO()
-    json.dump({"format": hmm.FILE_FORMAT, "version": hmm.FILE_VERSION,
-               "kind": "acoustic", **hmm.model_to_dict(model)}, expected)
-    assert path.read_bytes() == (expected.getvalue() + "\n").encode()
-    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+    header = {"num_states": 3, "feature_dim": 4, "components": [2, 2, 2]}
+    values = [model.transitions.ravel()] + [
+        a.ravel() for mix in model.mixtures
+        for a in (mix.weights, mix.means, mix.variances)]
+    # compact separators, as the container writes its header
+    head = json.dumps(header, separators=(",", ":")).encode()
+    assert path.read_bytes() == (
+        b"EMOAM001" + len(head).to_bytes(8, "little") + head
+        + np.concatenate(values).astype("<f8").tobytes())
+    assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
 
 
 def test_interrupted_model_write_keeps_previous_file(tmp_path, monkeypatch):
     rng = np.random.default_rng(29)
-    path = tmp_path / "model.json"
+    path = tmp_path / "model.bin"
     hmm.save_model(random_model(rng, 2, 1, 2), path)
     before = path.read_bytes()
 
     def interrupted(src, dst):
         raise OSError("interrupted")
-    monkeypatch.setattr(hmm.os, "replace", interrupted)
+    monkeypatch.setattr(os, "replace", interrupted)
     with pytest.raises(OSError):
         hmm.save_model(random_model(rng, 3, 2, 2), path)
     assert path.read_bytes() == before
+    # the temporary file is removed
+    assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
 
 
 def test_load_rejects_wrong_format(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text('{"format": "something-else", "version": 1}')
+    # a version-1 JSON model file is not a container
+    path.write_text('{"format": "emocue-model", "version": 1}')
     with pytest.raises(UnsupportedFormatError):
         hmm.load_model(path)
 
 
-@pytest.mark.parametrize("content", [
-    "cut",
-    '[1, 2]',
-    '{"format": "emocue-model", "version": 1, "kind": "acoustic"}',
-    '{"format": "emocue-model", "version": 1, "kind": "acoustic", '
-    '"num_states": 1, "feature_dim": 2, "transitions": [[1.0]], '
-    '"states": [{"weights": [1.0], "means": [[0.0]], "variances": [[1.0]]}]}',
-])
-def test_load_rejects_corrupt_file(tmp_path, content):
-    path = tmp_path / "model.json"
-    if content == "cut":
-        hmm.save_model(hmm.init_model([np.eye(4, 2)], 2, 1), path)
-        content = path.read_text()[:40]
-    path.write_text(content)
-    with pytest.raises(CorruptFileError, match="model.json"):
+# one state, one component in two dimensions: transitions [[1]], weight 1,
+# mean (0, 0), variances (1, 1)
+_ONE_STATE = {"num_states": 1, "feature_dim": 2, "components": [1]}
+_ONE_STATE_VALUES = [1.0, 1.0, 0.0, 0.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("data", [
+    _model_file(_ONE_STATE, _ONE_STATE_VALUES)[:40],
+    _model_file(_ONE_STATE, _ONE_STATE_VALUES) + b"\0",
+    _model_file([1, 2], []),
+    _model_file({"num_states": 1, "feature_dim": 2}, _ONE_STATE_VALUES),
+    _model_file({**_ONE_STATE, "components": [0]}, [1.0]),
+    _model_file({**_ONE_STATE, "feature_dim": True}, [1.0] * 4),
+    _model_file(_ONE_STATE, [1.0, 0.5, 0.0, 0.0, 1.0, 1.0]),
+    _model_file(_ONE_STATE, [1.0, 1.0, np.nan, 0.0, 1.0, 1.0]),
+], ids=["cut", "trailing byte", "[1, 2]", "no components",
+        "empty state", "boolean dimension", "weights sum to 0.5",
+        "non-finite mean"])
+def test_load_rejects_corrupt_file(tmp_path, data):
+    path = tmp_path / "model.bin"
+    path.write_bytes(_model_file(_ONE_STATE, _ONE_STATE_VALUES))
+    assert hmm.load_model(path).num_states == 1
+    path.write_bytes(data)
+    with pytest.raises(CorruptFileError, match="model.bin"):
         hmm.load_model(path)

@@ -2,8 +2,6 @@
 bank persistence."""
 
 import dataclasses
-import json
-import shutil
 
 import numpy as np
 import pytest
@@ -35,7 +33,12 @@ from emocue.recognizer import (
 from emocue.frontend import FeatureSequence, ProsodicTrack, UtteranceFeatures
 from emocue.supra import FusionConfig, fused_score
 
-from conftest import SMALL_CONFIG
+from conftest import (
+    SMALL_CONFIG,
+    container_parts,
+    damaged_container,
+    edit_container_header,
+)
 
 
 def test_identification_result_requires_argmax():
@@ -275,6 +278,7 @@ def test_score_test_set_names_utterance_it_cannot_score(tiny_trained):
 def test_bank_roundtrip(tmp_path, tiny_trained):
     bank = tiny_trained["bank"]
     save_bank(bank, tmp_path)
+    assert [p.name for p in tmp_path.iterdir()] == ["bank.bin"]
     loaded = load_bank(tmp_path)
     assert loaded.emotions == bank.emotions
     assert loaded.speakers == bank.speakers
@@ -297,90 +301,96 @@ def test_bank_roundtrip(tmp_path, tiny_trained):
 
 def test_library_bank_is_scored_on_raw_features(tmp_path, tiny_trained):
     save_bank(tiny_trained["bank"], tmp_path)
-    index = json.loads((tmp_path / "bank.json").read_text())
-    assert index["config"] is None and index["normalization"] is None
+    _, header, _ = container_parts((tmp_path / "bank.bin").read_bytes())
+    assert header["config"] is None and header["normalization"] is None
+    # no train split is recorded, so none is checked
+    assert header["train_split"] is None
     features = tiny_trained["synth"].features
     test = tiny_trained["test"]
-    _, used = recognizer.normalized_features(tmp_path, RunConfig(),
-                                             tiny_trained["train"], test,
-                                             features)
+    _, used = recognizer.open_bank(tmp_path, RunConfig(),
+                                   tiny_trained["train"], test, features)
     assert used == {r.id: features[r.id] for r in test}
 
 
 def test_load_bank_rejects_foreign_index(tmp_path):
-    (tmp_path / "bank.json").write_text('{"format": "other", "version": 2}')
-    with pytest.raises(UnsupportedFormatError):
+    # a feature cache's magic where the bank's belongs
+    (tmp_path / "bank.bin").write_bytes(b"EMOFC001" + bytes(8))
+    with pytest.raises(UnsupportedFormatError, match="bank.bin"):
         load_bank(tmp_path)
 
 
-def test_load_bank_rejects_version_1_index(tmp_path, tiny_trained):
-    save_bank(tiny_trained["bank"], tmp_path)
-    index = json.loads((tmp_path / "bank.json").read_text())
-    index["version"] = 1
-    (tmp_path / "bank.json").write_text(json.dumps(index))
+def test_load_bank_rejects_version_1_index(tmp_path):
+    (tmp_path / "bank.json").write_text('{"format": "emocue-bank", '
+                                        '"version": 1}')
     with pytest.raises(UnsupportedFormatError, match="bank.json"):
         load_bank(tmp_path)
 
 
-def _saved_index(tmp_path, bank):
-    save_bank(bank, tmp_path)
-    return json.loads((tmp_path / "bank.json").read_text())
+def test_version_2_bank_must_be_retrained(tmp_path, tiny_trained):
+    # a version-2 bank: bank.json beside one JSON file per model
+    (tmp_path / "bank.json").write_text('{"format": "emocue-bank", '
+                                        '"version": 2}')
+    (tmp_path / "emotion_0.acoustic.json").write_text("{}")
+    for action in (lambda: load_bank(tmp_path),
+                   lambda: recognizer.open_bank(
+                       tmp_path, SMALL_CONFIG, tiny_trained["train"],
+                       tiny_trained["test"], tiny_trained["synth"].features),
+                   lambda: recognizer.train_role(
+                       "one_stage", tmp_path, SMALL_CONFIG,
+                       tiny_trained["train"], tiny_trained["synth"].features)):
+        with pytest.raises(UnsupportedFormatError,
+                           match=r"bank\.json: a version-2 bank"):
+            action()
+    assert not (tmp_path / "bank.bin").exists()
+
+
+def _speaker_entries(header):
+    return [entry for entry in header["models"] if entry["role"] == "speaker"]
 
 
 def test_load_bank_rejects_missing_speaker_entry(tmp_path, tiny_trained):
-    index = _saved_index(tmp_path, tiny_trained["bank"])
-    del index["speaker_files"][tiny_trained["bank"].speakers[-1]]
-    (tmp_path / "bank.json").write_text(json.dumps(index))
+    save_bank(tiny_trained["bank"], tmp_path)
+
+    def rekey(header):
+        _speaker_entries(header)[-1]["key"][0] = "nobody"
+    edit_container_header(tmp_path / "bank.bin", rekey)
     with pytest.raises(CorruptFileError,
-                       match=r"bank\.json: .*missing entry 'spk02'"):
+                       match=r"bank\.bin: models do not match the labels: "
+                             r"speaker_models must cover speakers x emotions"):
         load_bank(tmp_path)
 
 
 def test_load_bank_requires_emotion_and_speaker_roles(tmp_path, tiny_trained):
-    index = _saved_index(tmp_path, tiny_trained["bank"])
-    index["emotion_files"] = {}
-    (tmp_path / "bank.json").write_text(json.dumps(index))
+    bank = tiny_trained["bank"]
+    save_bank(ModelBank(emotions=bank.emotions, speakers=(),
+                        emotion_models=bank.emotion_models,
+                        speaker_models={}, one_stage_models={}), tmp_path)
     with pytest.raises(EmptyBankError, match="bank is incomplete"):
         load_bank(tmp_path)
 
 
-def _json_paths(node, prefix=()):
-    yield prefix
-    children = node.items() if isinstance(node, dict) else \
-        enumerate(node) if isinstance(node, list) else ()
-    for key, child in children:
-        yield from _json_paths(child, prefix + (key,))
-
-
 @pytest.fixture(scope="module")
-def saved_bank(tmp_path_factory, tiny_trained):
-    directory = tmp_path_factory.mktemp("saved_bank")
-    save_bank(tiny_trained["bank"], directory)
-    return directory
+def trained_bank(tmp_path_factory, tiny_trained):
+    """A bank.bin that train_role wrote for every role, so it records a
+    config, a normalization, a train split and a training summary per
+    model."""
+    directory = tmp_path_factory.mktemp("trained_bank")
+    for role in ("emotion", "speaker", "one_stage"):
+        recognizer.train_role(role, directory, SMALL_CONFIG,
+                              tiny_trained["train"],
+                              tiny_trained["synth"].features)
+    return (directory / "bank.bin").read_bytes()
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_damaged_bank_raises_only_typed_errors(tmp_path_factory, saved_bank,
+def test_damaged_bank_raises_only_typed_errors(tmp_path_factory, trained_bank,
                                                tiny_trained, data):
     directory = tmp_path_factory.mktemp("damaged")
-    shutil.copytree(saved_bank, directory, dirs_exist_ok=True)
-    name = data.draw(st.sampled_from(["bank.json", "emotion_0.supra.json"]))
-    payload = json.loads((directory / name).read_text())
-    path = data.draw(st.sampled_from(list(_json_paths(payload))[1:]))
-    parent = payload
-    for key in path[:-1]:
-        parent = parent[key]
-    replacement = data.draw(st.sampled_from([None, 0, -1, 1.5, "x", [], {},
-                                             [0.0], "delete"]))
-    if replacement == "delete" and isinstance(parent, dict):
-        del parent[path[-1]]
-    else:
-        parent[path[-1]] = replacement
-    (directory / name).write_text(json.dumps(payload))
+    (directory / "bank.bin").write_bytes(damaged_container(trained_bank, data))
     for read in (lambda: load_bank(directory),
-                 lambda: recognizer.normalized_features(
-                     directory, RunConfig(), tiny_trained["train"],
+                 lambda: recognizer.open_bank(
+                     directory, SMALL_CONFIG, tiny_trained["train"],
                      tiny_trained["test"], tiny_trained["synth"].features)):
         try:
             read()
@@ -392,16 +402,94 @@ def test_interrupted_index_write_keeps_previous_index(tmp_path, tiny_trained,
                                                       monkeypatch):
     bank = tiny_trained["bank"]
     save_bank(bank, tmp_path)
-    before = (tmp_path / "bank.json").read_bytes()
+    before = (tmp_path / "bank.bin").read_bytes()
 
     def interrupted(src, dst):
         raise OSError("interrupted")
     monkeypatch.setattr(recognizer.os, "replace", interrupted)
     with pytest.raises(OSError):
         save_bank(dataclasses.replace(bank, one_stage_models={}), tmp_path)
-    assert (tmp_path / "bank.json").read_bytes() == before
+    assert (tmp_path / "bank.bin").read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["bank.bin"]
     assert load_bank(tmp_path).one_stage_models.keys() == \
         bank.one_stage_models.keys()
+
+
+class _Interrupt(Exception):
+    pass
+
+
+_ENCODE = hmm.encode_model
+
+
+def _encode_failing_at(monkeypatch, position, calls):
+    """Make hmm.encode_model (every model's encoder) raise on its call
+    number position (from 0), recording each call in calls."""
+    def failing(model):
+        calls.append(model)
+        if len(calls) > position:
+            raise _Interrupt(f"interrupted at model {position}")
+        return _ENCODE(model)
+    monkeypatch.setattr(hmm, "encode_model", failing)
+
+
+def test_interrupted_bank_write_keeps_bank_at_every_model(tmp_path,
+                                                          trained_bank,
+                                                          tiny_trained,
+                                                          monkeypatch):
+    path = tmp_path / "bank.bin"
+    path.write_bytes(trained_bank)
+    train, cache = tiny_trained["train"], tiny_trained["synth"].features
+    # a one-stage retrain rewrites every model of the bank
+    quick = dataclasses.replace(SMALL_CONFIG, em_max_iters=1)
+    total = 2 * 2 + 3 * 2 + 3
+    for position in range(total):
+        calls = []
+        _encode_failing_at(monkeypatch, position, calls)
+        with pytest.raises(_Interrupt):
+            recognizer.train_role("one_stage", tmp_path, quick, train, cache)
+        assert len(calls) == position + 1
+        assert path.read_bytes() == trained_bank
+        assert [p.name for p in tmp_path.iterdir()] == ["bank.bin"]
+        assert load_bank(tmp_path).speakers == tiny_trained["bank"].speakers
+    # the interrupts covered every model: a write that completes encodes
+    # no more
+    calls = []
+    _encode_failing_at(monkeypatch, total, calls)
+    recognizer.train_role("one_stage", tmp_path, quick, train, cache)
+    assert len(calls) == total and path.read_bytes() != trained_bank
+
+
+def test_interrupted_speaker_retrain_keeps_previous_bank(tmp_path, tiny_trained,
+                                                         monkeypatch):
+    train, cache = tiny_trained["train"], tiny_trained["synth"].features
+    quick = dataclasses.replace(SMALL_CONFIG, em_max_iters=1)
+    for role in ("emotion", "speaker"):
+        recognizer.train_role(role, tmp_path, quick, train, cache)
+    before = (tmp_path / "bank.bin").read_bytes()
+    # the emotion role's two acoustic and two prosodic models are encoded
+    # first; the retrain stops after 2 of its 6 speaker models
+    calls = []
+    _encode_failing_at(monkeypatch, 4 + 2, calls)
+    with pytest.raises(_Interrupt):
+        recognizer.train_role("speaker", tmp_path, SMALL_CONFIG, train, cache)
+    assert len(calls) == 4 + 3
+    assert (tmp_path / "bank.bin").read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["bank.bin"]
+    _, header, _ = container_parts(before)
+    assert [entry["training"]["iterations"]
+            for entry in _speaker_entries(header)] == [1] * 6
+    monkeypatch.undo()
+    old = load_bank(tmp_path)
+    models, _ = recognizer.train_role("speaker", tmp_path, SMALL_CONFIG,
+                                      train, cache)
+    new = load_bank(tmp_path)
+    for key, model in models.items():
+        np.testing.assert_array_equal(new.speaker_models[key].transitions,
+                                      model.transitions)
+    assert any(not np.array_equal(old.speaker_models[k].transitions,
+                                  new.speaker_models[k].transitions)
+               for k in models)
 
 
 def test_train_role_records_training_reports(tmp_path, tiny_trained):
@@ -411,22 +499,24 @@ def test_train_role_records_training_reports(tmp_path, tiny_trained):
     models, reports = recognizer.train_role("speaker", tmp_path, cfg, train,
                                             cache)
     assert reports.keys() == models.keys()
-    index = json.loads((tmp_path / "bank.json").read_text())
-    for s, files in index["speaker_files"].items():
-        for e, name in files.items():
-            report = reports[(s, e)]
-            assert index["training"][name] == {
-                "iterations": report.iterations_run,
-                "converged": report.converged,
-                "log_likelihood": report.log_likelihood_per_iteration[-1]}
-            assert 1 <= report.iterations_run <= 3
+    _, header, _ = container_parts((tmp_path / "bank.bin").read_bytes())
+    entries = _speaker_entries(header)
+    assert [tuple(entry["key"]) for entry in entries] == list(models)
+    for entry in entries:
+        report = reports[tuple(entry["key"])]
+        assert entry["training"] == {
+            "iterations": report.iterations_run,
+            "converged": report.converged,
+            "log_likelihood": report.log_likelihood_per_iteration[-1]}
+        assert 1 <= report.iterations_run <= 3
 
 
 def test_load_bank_accepts_index_without_training(tmp_path, tiny_trained):
+    # save_bank records no training summary for any model
     save_bank(tiny_trained["bank"], tmp_path)
-    index = json.loads((tmp_path / "bank.json").read_text())
-    assert index.pop("training") == {}
-    (tmp_path / "bank.json").write_text(json.dumps(index, indent=2))
+    _, header, _ = container_parts((tmp_path / "bank.bin").read_bytes())
+    assert [entry["training"] for entry in header["models"]] == \
+        [None] * (2 * 2 + 3 * 2 + 3)
     loaded = load_bank(tmp_path)
     assert loaded.emotions == tiny_trained["bank"].emotions
 

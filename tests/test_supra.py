@@ -1,8 +1,6 @@
 """Suprasegmental layer tests: state grouping, segment summaries,
 prosodic model training and score fusion."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -16,6 +14,7 @@ from emocue.errors import (
 )
 from emocue.frontend import FeatureSequence, ProsodicTrack, UtteranceFeatures
 
+from conftest import container_parts
 from oracles import loop_segment_summaries
 
 
@@ -285,7 +284,7 @@ def test_fusion_config_validates_alpha():
 
 def test_supra_roundtrip_bit_exact(tmp_path, trained_pair):
     acoustic, model, probe = trained_pair
-    path = tmp_path / "supra.json"
+    path = tmp_path / "supra.bin"
     supra.save_supra_model(model, path)
     loaded = supra.load_supra_model(path)
     assert loaded.mapping.group_sizes == model.mapping.group_sizes
@@ -296,16 +295,16 @@ def test_supra_roundtrip_bit_exact(tmp_path, trained_pair):
     _, before = supra.score_components(acoustic, model, probe)
     _, after = supra.score_components(acoustic, loaded, probe)
     assert before == after
-    # the payload as one line of JSON
-    assert path.read_text() == json.dumps({
-        "format": hmm.FILE_FORMAT, "version": hmm.FILE_VERSION,
-        "kind": "suprasegmental", "group_sizes": list(model.mapping.group_sizes),
-        **hmm.model_to_dict(model.core)}) + "\n"
+    # the core model's shape header with the group sizes added
+    magic, header, _ = container_parts(path.read_bytes())
+    assert magic == b"EMOSM001"
+    assert header == {**hmm.encode_model(model.core)[0],
+                      "group_sizes": list(model.mapping.group_sizes)}
 
 
 def test_supra_load_rejects_acoustic_file(tmp_path, trained_pair):
     acoustic, _, _ = trained_pair
-    path = tmp_path / "acoustic.json"
+    path = tmp_path / "acoustic.bin"
     hmm.save_model(acoustic, path)
     with pytest.raises(UnsupportedFormatError):
         supra.load_supra_model(path)
