@@ -7,6 +7,8 @@ pools every emotion into a single model per speaker is included for
 comparison.
 """
 
+import types
+
 from .config import RunConfig, make_config, parse_config_file
 from .corpus import (
     DEFAULT_EMOTIONS,
@@ -45,15 +47,18 @@ from .errors import (
 )
 from .evaluation import (
     ConfusionMatrix,
+    Evaluation,
     PerformanceTable,
     SweepResult,
     TTestResult,
     alpha_sweep,
     average_diagonal,
     confusion_matrix,
+    evaluate,
     performance_table,
     pooled_t,
     pooled_t_from_stats,
+    write_evaluation,
 )
 from .frontend import (
     AudioClip,
@@ -89,10 +94,12 @@ from .recognizer import (
     identify_speaker_given_emotion,
     load_bank,
     one_stage_identify,
+    read_results,
     save_bank,
     score_test_set,
     train_model_bank,
     two_stage_identify,
+    write_results,
 )
 from .supra import (
     FusionConfig,
@@ -108,91 +115,7 @@ from .supra import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AcousticModel",
-    "AudioClip",
-    "BankMismatchError",
-    "ConfusionMatrix",
-    "CorruptFileError",
-    "DEFAULT_EMOTIONS",
-    "DegenerateDimensionError",
-    "DimensionMismatchError",
-    "DuplicateUtteranceError",
-    "EmoCueError",
-    "EmotionModels",
-    "EmptyBankError",
-    "EmptyResultsError",
-    "EmptySequenceError",
-    "EmptyTrainingSetError",
-    "FeatureSequence",
-    "FusionConfig",
-    "GaussianMixture",
-    "IdentificationResult",
-    "IllegalPathError",
-    "LengthMismatchError",
-    "ManifestError",
-    "ModelBank",
-    "NoLegalPathError",
-    "NonFiniteObservationError",
-    "NormalizationParams",
-    "NumericalUnderflowError",
-    "PerformanceTable",
-    "ProsodicTrack",
-    "ResultRow",
-    "RunConfig",
-    "SequenceTooShortError",
-    "SplitProtocol",
-    "SupraMapping",
-    "SupraObservationSequence",
-    "SuprasegmentalModel",
-    "SweepResult",
-    "SyntheticCorpus",
-    "TooShortError",
-    "TrainingReport",
-    "TTestResult",
-    "UnknownEmotionError",
-    "UnknownLabelError",
-    "UnsupportedFormatError",
-    "UtteranceFeatures",
-    "UtteranceRecord",
-    "alpha_sweep",
-    "analyze_clip",
-    "average_diagonal",
-    "baum_welch",
-    "confusion_matrix",
-    "forward_backward",
-    "forward_log_likelihood",
-    "frame_signal",
-    "fused_score",
-    "identify_emotion",
-    "identify_speaker_given_emotion",
-    "init_model",
-    "load_audio",
-    "load_bank",
-    "load_manifest",
-    "load_model",
-    "make_config",
-    "mfcc",
-    "normalize_features",
-    "one_stage_identify",
-    "parse_config_file",
-    "performance_table",
-    "pooled_t",
-    "pooled_t_from_stats",
-    "prosodic_track",
-    "read_feature_cache",
-    "save_bank",
-    "save_model",
-    "score_components",
-    "score_test_set",
-    "segment_summaries",
-    "split_records",
-    "supra_observations",
-    "synthesize_corpus",
-    "train_model_bank",
-    "train_suprasegmental",
-    "two_stage_identify",
-    "viterbi",
-    "write_feature_cache",
-    "write_manifest",
-]
+# Every name imported above; the submodules are not part of it.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_")
+                 and not isinstance(value, types.ModuleType))

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
@@ -53,27 +52,16 @@ def _add_config_options(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("run configuration")
     group.add_argument("--config", metavar="FILE",
                        help="key = value settings file")
-    group.add_argument("--alpha", type=float, help="fusion weight in [0, 1]")
-    group.add_argument("--num-states", type=int, help="acoustic model states")
-    group.add_argument("--num-mixtures", type=int,
-                       help="mixture components per acoustic state")
-    group.add_argument("--num-supra-mixtures", type=int,
-                       help="mixture components per suprasegmental state")
-    group.add_argument("--supra-groups", metavar="N,N,...",
-                       help="acoustic states per suprasegmental state")
-    group.add_argument("--train-sentences", metavar="S,S,...",
-                       help="sentence indices of the training split")
-    group.add_argument("--test-sentences", metavar="S,S,...",
-                       help="sentence indices of the test split")
-    group.add_argument("--variance-floor", type=float,
-                       help="minimum Gaussian variance")
-    group.add_argument("--em-tol", type=float,
-                       help="relative log-likelihood improvement to stop EM")
-    group.add_argument("--em-max-iters", type=int, help="EM iteration cap")
-    group.add_argument("--seed", type=int, help="generator seed")
-    group.add_argument("--length-normalize",
-                       action=argparse.BooleanOptionalAction, default=None,
-                       help="divide each fused term by its sequence length")
+    for f in dataclasses.fields(RunConfig):
+        flag, help_text = "--" + f.name.replace("_", "-"), f.metadata["help"]
+        if f.type is bool:
+            group.add_argument(flag, action=argparse.BooleanOptionalAction,
+                               default=None, help=help_text)
+        else:
+            # list settings arrive as text; RunConfig parses them
+            group.add_argument(flag, metavar=f.metadata["metavar"],
+                               type=f.type if f.type in (int, float) else None,
+                               help=help_text)
 
 
 def _config_from(args) -> RunConfig:
@@ -161,95 +149,21 @@ def _cmd_identify(args) -> int:
         rows = recognizer.score_test_set(bank, selected, features, cfg.fusion)
     except EmoCueError as exc:
         raise type(exc)(f"{args.features}: {exc}") from exc
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(dataclasses.asdict(row)) + "\n")
+    recognizer.write_results(args.out, rows)
     print(f"identified {len(rows)} utterances -> {args.out}")
     return EXIT_OK
 
 
-# The fields of a results row and the JSON types evaluate relies on.
-_RESULT_TYPES = {f.name: str for f in dataclasses.fields(recognizer.ResultRow)}
-_RESULT_TYPES.update(one_stage_speaker=(str, type(None)), emotion_scores=dict,
-                     speaker_scores=dict)
-
-
-def _read_results(path) -> list[dict]:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append((lineno, json.loads(line)))
-            except json.JSONDecodeError as exc:
-                raise ManifestError(f"{path}:{lineno}: bad results line: "
-                                    f"{exc}") from exc
-    if not rows:
-        raise ManifestError(f"{path}: no results")
-    for lineno, row in rows:
-        if not isinstance(row, dict):
-            raise ManifestError(f"{path}:{lineno}: a results row must be a "
-                                f"JSON object")
-        bad = [k for k, kind in _RESULT_TYPES.items()
-               if k not in row or not isinstance(row[k], kind)]
-        if bad:
-            raise ManifestError(f"{path}:{lineno}: results row has missing "
-                                f"or mistyped fields {bad}")
-    return [row for _, row in rows]
-
-
 def _cmd_evaluate(args) -> int:
-    rows = _read_results(args.results)
-    emotions = tuple(rows[0]["emotion_scores"].keys())
-    os.makedirs(args.out_dir, exist_ok=True)
-
-    cm = evaluation.confusion_matrix(
-        [(r["true_emotion"], r["identified_emotion"]) for r in rows],
-        labels=emotions)
-    evaluation.write_confusion_tsv(cm, os.path.join(args.out_dir,
-                                                    "confusion.tsv"))
-    two_stage = evaluation.performance_table(
-        [(r["true_speaker"], r["identified_speaker"], r["true_emotion"],
-          r["gender"]) for r in rows], emotions=emotions)
-    evaluation.write_performance_tsv(
-        two_stage, os.path.join(args.out_dir, "performance_two_stage.tsv"))
-
-    summary = {
-        "num_results": len(rows),
-        "emotion_average_diagonal": evaluation.average_diagonal(cm),
-        "two_stage": {"mean": two_stage.overall_mean,
-                      "sd": two_stage.overall_sd},
-        "one_stage": None,
-        "t_two_vs_one": None,
-        "t_critical_005": evaluation.T_CRITICAL_005,
-    }
-    if all(r.get("one_stage_speaker") is not None for r in rows):
-        one_stage = evaluation.performance_table(
-            [(r["true_speaker"], r["one_stage_speaker"], r["true_emotion"],
-              r["gender"]) for r in rows], emotions=emotions)
-        evaluation.write_performance_tsv(
-            one_stage, os.path.join(args.out_dir,
-                                    "performance_one_stage.tsv"))
-        n_pool = args.n_pool or len({r["true_speaker"] for r in rows})
-        ttest = evaluation.pooled_t(one_stage.row_averages,
-                                    two_stage.row_averages, n_pool)
-        summary["one_stage"] = {"mean": one_stage.overall_mean,
-                                "sd": one_stage.overall_sd}
-        summary["t_two_vs_one"] = ttest.t
-        summary["t_n_pool"] = n_pool
-    with open(os.path.join(args.out_dir, "summary.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
-    print(f"emotion stage average: {summary['emotion_average_diagonal']:.2f}")
-    print(f"two-stage speaker accuracy: {two_stage.overall_mean:.2f} "
-          f"(sd {two_stage.overall_sd:.2f})")
-    if summary["one_stage"] is not None:
-        print(f"one-stage speaker accuracy: "
-              f"{summary['one_stage']['mean']:.2f} "
-              f"(sd {summary['one_stage']['sd']:.2f})")
+    result = evaluation.evaluate(recognizer.read_results(args.results),
+                                 args.n_pool)
+    evaluation.write_evaluation(result, args.out_dir)
+    print(f"emotion stage average: "
+          f"{evaluation.average_diagonal(result.confusion):.2f}")
+    for name, table in (("two", result.two_stage), ("one", result.one_stage)):
+        if table is not None:
+            print(f"{name}-stage speaker accuracy: {table.overall_mean:.2f} "
+                  f"(sd {table.overall_sd:.2f})")
     return EXIT_OK
 
 

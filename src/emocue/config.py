@@ -3,12 +3,15 @@
 Config files use one `key = value` line per setting, `#` comments, and the
 same key names as the RunConfig fields. Command-line flags override file
 values, which override the defaults.
+
+RunConfig is the only declaration of a setting: its default is the library
+constant it sets, its parser follows from its annotation (FIELD_PARSERS),
+and its command-line help and metavar sit in the field's metadata.
 """
 
-from __future__ import annotations
+from dataclasses import dataclass, field, fields
 
-from dataclasses import dataclass
-
+from . import hmm, supra
 from .corpus import SplitProtocol
 from .supra import FusionConfig, SupraMapping
 
@@ -31,40 +34,65 @@ def _parse_int_tuple(text) -> tuple[int, ...]:
     return tuple(int(p) for p in parts)
 
 
+# The parser of a setting's text, by the setting's annotation.
+FIELD_PARSERS = {float: float, int: int, bool: _parse_bool,
+                 tuple[int, ...]: _parse_int_tuple}
+
+_FUSION = FusionConfig()
+_SPLIT = SplitProtocol()
+
+
+def _setting(default, help: str, metavar: str | None = None):
+    return field(default=default, metadata={"help": help, "metavar": metavar})
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Every knob of the pipeline, defaulting to the standard setup:
     9-state/10-mixture acoustic models, 3 supra states of 3 mixtures over
     state groups of 3, sentences 1-4 for training and 5-8 for testing, and
-    an even score blend (alpha 0.5)."""
+    an even score blend (alpha 0.5).
 
-    alpha: float = 0.5
-    num_states: int = 9
-    num_mixtures: int = 10
-    num_supra_mixtures: int = 3
-    supra_groups: tuple[int, ...] = (3, 3, 3)
-    train_sentences: tuple[int, ...] = (1, 2, 3, 4)
-    test_sentences: tuple[int, ...] = (5, 6, 7, 8)
-    variance_floor: float = 1e-4
-    em_tol: float = 1e-5
-    em_max_iters: int = 40
-    seed: int = 0
-    length_normalize: bool = False
+    A text value of any field is parsed by its FIELD_PARSERS entry."""
+
+    alpha: float = _setting(_FUSION.alpha, "fusion weight in [0, 1]")
+    num_states: int = _setting(sum(supra.DEFAULT_GROUPS),
+                               "acoustic model states")
+    num_mixtures: int = _setting(10, "mixture components per acoustic state")
+    num_supra_mixtures: int = _setting(
+        supra.DEFAULT_SUPRA_MIXTURES,
+        "mixture components per suprasegmental state")
+    supra_groups: tuple[int, ...] = _setting(
+        supra.DEFAULT_GROUPS, "acoustic states per suprasegmental state",
+        "N,N,...")
+    train_sentences: tuple[int, ...] = _setting(
+        _SPLIT.train_sentences, "sentence indices of the training split",
+        "S,S,...")
+    test_sentences: tuple[int, ...] = _setting(
+        _SPLIT.test_sentences, "sentence indices of the test split",
+        "S,S,...")
+    variance_floor: float = _setting(hmm.VARIANCE_FLOOR,
+                                     "minimum Gaussian variance")
+    em_tol: float = _setting(hmm.EM_TOL,
+                             "relative log-likelihood improvement to stop EM")
+    em_max_iters: int = _setting(hmm.EM_MAX_ITERS, "EM iteration cap")
+    seed: int = _setting(0, "generator seed")
+    length_normalize: bool = _setting(
+        _FUSION.length_normalize,
+        "divide each fused term by its sequence length")
 
     def __post_init__(self):
-        object.__setattr__(self, "supra_groups",
-                           _parse_int_tuple(self.supra_groups))
-        object.__setattr__(self, "train_sentences",
-                           _parse_int_tuple(self.train_sentences))
-        object.__setattr__(self, "test_sentences",
-                           _parse_int_tuple(self.test_sentences))
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, (str, tuple)):
+                object.__setattr__(self, f.name,
+                                   FIELD_PARSERS[f.type](value))
+        self.fusion  # FusionConfig checks alpha
         if self.num_states < 1 or self.num_mixtures < 1:
             raise ValueError("num_states and num_mixtures must be >= 1")
         if self.num_supra_mixtures < 1:
             raise ValueError("num_supra_mixtures must be >= 1")
-        if sum(self.supra_groups) != self.num_states:
+        if self.mapping.num_acoustic_states != self.num_states:
             raise ValueError(
                 f"supra_groups {self.supra_groups} must sum to num_states "
                 f"{self.num_states}")
@@ -72,7 +100,7 @@ class RunConfig:
             raise ValueError("variance_floor and em_tol must be positive")
         if self.em_max_iters < 1:
             raise ValueError("em_max_iters must be >= 1")
-        self.protocol  # validates sentence-set disjointness
+        self.protocol  # SplitProtocol checks the sentence sets
 
     @property
     def protocol(self) -> SplitProtocol:
@@ -89,21 +117,7 @@ class RunConfig:
         return SupraMapping(group_sizes=self.supra_groups)
 
 
-# One parser per RunConfig field; tests assert the two stay in sync.
-_FIELD_PARSERS = {
-    "alpha": float,
-    "num_states": int,
-    "num_mixtures": int,
-    "num_supra_mixtures": int,
-    "supra_groups": _parse_int_tuple,
-    "train_sentences": _parse_int_tuple,
-    "test_sentences": _parse_int_tuple,
-    "variance_floor": float,
-    "em_tol": float,
-    "em_max_iters": int,
-    "seed": int,
-    "length_normalize": _parse_bool,
-}
+_FIELDS = {f.name: f for f in fields(RunConfig)}
 
 
 def parse_config_file(path) -> dict:
@@ -118,10 +132,10 @@ def parse_config_file(path) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in _FIELD_PARSERS:
+            if key not in _FIELDS:
                 raise ValueError(f"{path}:{lineno}: unknown setting {key!r}")
             try:
-                values[key] = _FIELD_PARSERS[key](value.strip())
+                values[key] = FIELD_PARSERS[_FIELDS[key].type](value.strip())
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad value for {key}: "
                                  f"{exc}") from exc
@@ -138,8 +152,7 @@ def make_config(config_path=None, **overrides) -> RunConfig:
     for key, value in overrides.items():
         if value is None:
             continue
-        if key not in _FIELD_PARSERS:
+        if key not in _FIELDS:
             raise ValueError(f"unknown setting {key!r}")
-        values[key] = _FIELD_PARSERS[key](value) if isinstance(value, str) \
-            else value
+        values[key] = value
     return RunConfig(**values)

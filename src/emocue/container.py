@@ -1,13 +1,17 @@
-"""The one framing of every binary file emocue writes: 8 bytes of magic
-(the kind of file and its format version), a little-endian uint64 header
-length, a JSON header and a little-endian payload laid out as the header
-says. Writes go through <path>.tmp and one os.replace, so an interrupted
-write leaves the previous file whole.
+"""The one writer of every file emocue writes, and the one framing of its
+binary files.
+
+replace writes a file through <path>.tmp and one os.replace, so an
+interrupted write leaves the previous file whole. A binary file is 8 bytes
+of magic (the kind of file and its format version), a little-endian uint64
+header length, a JSON header and a little-endian payload laid out as the
+header says.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import os
 import struct
@@ -17,22 +21,28 @@ import numpy as np
 from .errors import CorruptFileError, UnsupportedFormatError
 
 
-def write(path, magic: bytes, header: dict, payload) -> None:
-    """Write header and the byte chunks of payload under magic to path."""
-    head = json.dumps(header, separators=(",", ":")).encode("utf-8")
+def replace(path, chunks) -> None:
+    """Replace the file at path with the chunks, bytes or str (written as
+    UTF-8), in order. Chunks may be made lazily: if one raises, the
+    previous file stays as it was and no <path>.tmp is left."""
     temp = f"{path}.tmp"
     try:
         with open(temp, "wb") as fh:
-            fh.write(magic)
-            fh.write(struct.pack("<Q", len(head)))
-            fh.write(head)
-            for chunk in payload:
-                fh.write(chunk)
+            for chunk in chunks:
+                fh.write(chunk.encode("utf-8") if isinstance(chunk, str)
+                         else chunk)
         os.replace(temp, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.remove(temp)
         raise
+
+
+def write(path, magic: bytes, header: dict, payload) -> None:
+    """Write header and the byte chunks of payload under magic to path."""
+    head = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    replace(path, itertools.chain(
+        (magic, struct.pack("<Q", len(head)), head), payload))
 
 
 class Payload:

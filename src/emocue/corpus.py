@@ -10,12 +10,13 @@ checked against ground truth.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from . import hmm
+from . import container, hmm
 from .errors import (
     DegenerateDimensionError,
     DuplicateUtteranceError,
@@ -127,13 +128,14 @@ def load_manifest(path, emotions=DEFAULT_EMOTIONS) -> list[UtteranceRecord]:
 
 
 def write_manifest(records, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter="\t", lineterminator="\n")
-        writer.writerow(_MANIFEST_FIELDS)
-        for r in records:
-            writer.writerow([r.id, r.speaker, r.gender, r.emotion,
-                             r.sentence, r.repetition,
-                             "-" if r.audio is None else r.audio])
+    text = io.StringIO()
+    writer = csv.writer(text, delimiter="\t", lineterminator="\n")
+    writer.writerow(_MANIFEST_FIELDS)
+    for r in records:
+        writer.writerow([r.id, r.speaker, r.gender, r.emotion,
+                         r.sentence, r.repetition,
+                         "-" if r.audio is None else r.audio])
+    container.replace(path, [text.getvalue()])
 
 
 def split_records(records, protocol: SplitProtocol = SplitProtocol()):

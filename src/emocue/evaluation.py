@@ -11,12 +11,15 @@ written out.
 
 from __future__ import annotations
 
+import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import recognizer
+from . import container, recognizer
+from .corpus import GENDERS
 from .errors import EmptyResultsError, UnknownLabelError
 from .supra import FusionConfig, blend, score_components
 
@@ -24,7 +27,6 @@ from .supra import FusionConfig, blend, score_components
 # 0.05 significance level.
 T_CRITICAL_005 = 1.645
 
-GENDERS = ("male", "female")
 DEFAULT_ALPHAS = tuple(round(0.1 * i, 1) for i in range(11))
 # The sweep scores length-normalized streams: without normalization the
 # acoustic term's sheer magnitude makes the blend weight nearly inert.
@@ -162,8 +164,9 @@ class TTestResult:
     t: float
 
 
-def _pooled(mean_1: float, sd_1: float, mean_2: float, sd_2: float,
-            n_pool: int) -> TTestResult:
+def pooled_t_from_stats(mean_1: float, sd_1: float, mean_2: float, sd_2: float,
+                        n_pool: int) -> TTestResult:
+    """t statistic from already-summarized samples (reported means and SDs)."""
     if n_pool < 1:
         raise ValueError(f"n_pool must be >= 1, got {n_pool}")
     sd_pooled = float(np.sqrt((sd_1 ** 2 + sd_2 ** 2) / n_pool))
@@ -192,13 +195,90 @@ def pooled_t(sample_1, sample_2, n_pool: int) -> TTestResult:
     b = np.asarray(sample_2, dtype=np.float64)
     if a.size < 2 or b.size < 2:
         raise ValueError("each sample needs at least two values")
-    return _pooled(a.mean(), a.std(ddof=1), b.mean(), b.std(ddof=1), n_pool)
+    return pooled_t_from_stats(a.mean(), a.std(ddof=1), b.mean(),
+                               b.std(ddof=1), n_pool)
 
 
-def pooled_t_from_stats(mean_1: float, sd_1: float, mean_2: float, sd_2: float,
-                        n_pool: int) -> TTestResult:
-    """t statistic from already-summarized samples (reported means and SDs)."""
-    return _pooled(mean_1, sd_1, mean_2, sd_2, n_pool)
+# --- the two-stage against one-stage comparison ------------------------------
+
+@dataclass(frozen=True)
+class Evaluation:
+    """The comparison of evaluate: the stage-a confusion matrix, speaker
+    accuracy tables of both recognizers and the pooled t between them.
+    one_stage and t_test are None when some row has no one-stage decision.
+    """
+
+    num_results: int
+    confusion: ConfusionMatrix
+    two_stage: PerformanceTable
+    one_stage: PerformanceTable | None
+    t_test: TTestResult | None
+
+    @property
+    def summary(self) -> dict:
+        """The headline numbers, as written to summary.json."""
+        summary = {
+            "num_results": self.num_results,
+            "emotion_average_diagonal": average_diagonal(self.confusion),
+            "two_stage": {"mean": self.two_stage.overall_mean,
+                          "sd": self.two_stage.overall_sd},
+            "one_stage": None,
+            "t_two_vs_one": None,
+            "t_critical_005": T_CRITICAL_005,
+        }
+        if self.one_stage is not None:
+            summary["one_stage"] = {"mean": self.one_stage.overall_mean,
+                                    "sd": self.one_stage.overall_sd}
+            summary["t_two_vs_one"] = self.t_test.t
+            summary["t_n_pool"] = self.t_test.n_pool
+        return summary
+
+
+def evaluate(rows, n_pool: int | None = None) -> Evaluation:
+    """Tabulate recognizer.ResultRows (from score_test_set or read_results).
+
+    Emotions are ordered as the first row's emotion_scores. The one-stage
+    table and the t of two-stage against one-stage accuracy (pooled_t over
+    the per-emotion row averages) are made when every row has a one-stage
+    decision; n_pool defaults to the number of true speakers.
+    """
+    rows = list(rows)
+    if not rows:
+        raise EmptyResultsError("no results to tabulate")
+    emotions = tuple(rows[0].emotion_scores)
+
+    def table(decision: str) -> PerformanceTable:
+        return performance_table(
+            [(r.true_speaker, getattr(r, decision), r.true_emotion, r.gender)
+             for r in rows], emotions=emotions)
+
+    confusion = confusion_matrix(
+        [(r.true_emotion, r.identified_emotion) for r in rows],
+        labels=emotions)
+    two_stage = table("identified_speaker")
+    one_stage = t_test = None
+    if all(r.one_stage_speaker is not None for r in rows):
+        one_stage = table("one_stage_speaker")
+        t_test = pooled_t(one_stage.row_averages, two_stage.row_averages,
+                          n_pool or len({r.true_speaker for r in rows}))
+    return Evaluation(num_results=len(rows), confusion=confusion,
+                      two_stage=two_stage, one_stage=one_stage, t_test=t_test)
+
+
+def write_evaluation(result: Evaluation, out_dir) -> None:
+    """Write confusion.tsv, performance_two_stage.tsv, with a one-stage
+    table performance_one_stage.tsv, and summary.json to out_dir."""
+    os.makedirs(out_dir, exist_ok=True)
+    write_confusion_tsv(result.confusion,
+                        os.path.join(out_dir, "confusion.tsv"))
+    write_performance_tsv(result.two_stage,
+                          os.path.join(out_dir, "performance_two_stage.tsv"))
+    if result.one_stage is not None:
+        write_performance_tsv(
+            result.one_stage,
+            os.path.join(out_dir, "performance_one_stage.tsv"))
+    container.replace(os.path.join(out_dir, "summary.json"),
+                      [json.dumps(result.summary, indent=2), "\n"])
 
 
 # --- fusion-weight sweep -----------------------------------------------------
@@ -284,26 +364,29 @@ def alpha_sweep(bank, test_records, features,
 # --- table output ------------------------------------------------------------
 
 def write_confusion_tsv(cm: ConfusionMatrix, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("model\t" + "\t".join(cm.labels) + "\n")
+    def lines():
+        yield "model\t" + "\t".join(cm.labels) + "\n"
         for i, label in enumerate(cm.labels):
             cells = "\t".join(f"{v:.2f}" for v in cm.cells[i])
-            fh.write(f"{label}\t{cells}\n")
+            yield f"{label}\t{cells}\n"
+    container.replace(path, lines())
 
 
 def write_performance_tsv(table: PerformanceTable, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("emotion\t" + "\t".join(table.genders) + "\taverage\n")
+    def lines():
+        yield "emotion\t" + "\t".join(table.genders) + "\taverage\n"
         for i, emotion in enumerate(table.emotions):
             cells = "\t".join(f"{v:.2f}" for v in table.cells[i])
-            fh.write(f"{emotion}\t{cells}\t{table.row_averages[i]:.2f}\n")
-        fh.write(f"mean\t\t\t{table.overall_mean:.2f}\n")
-        fh.write(f"sd\t\t\t{table.overall_sd:.2f}\n")
+            yield f"{emotion}\t{cells}\t{table.row_averages[i]:.2f}\n"
+        yield f"mean\t\t\t{table.overall_mean:.2f}\n"
+        yield f"sd\t\t\t{table.overall_sd:.2f}\n"
+    container.replace(path, lines())
 
 
 def write_sweep_tsv(sweep: SweepResult, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("alpha\t" + "\t".join(sweep.emotions) + "\toverall\n")
+    def lines():
+        yield "alpha\t" + "\t".join(sweep.emotions) + "\toverall\n"
         for i, alpha in enumerate(sweep.alphas):
             cells = "\t".join(f"{v:.2f}" for v in sweep.accuracies[i])
-            fh.write(f"{alpha:.1f}\t{cells}\t{sweep.overall[i]:.2f}\n")
+            yield f"{alpha:.1f}\t{cells}\t{sweep.overall[i]:.2f}\n"
+    container.replace(path, lines())

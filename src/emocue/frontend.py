@@ -79,15 +79,13 @@ class AudioClip:
 class FrameSequence:
     """Hamming-windowed analysis frames of one clip."""
 
-    frames: np.ndarray   # (num_frames, frame_len) float64
-    frame_len: int = FRAME_LEN
-    hop: int = HOP
+    frames: np.ndarray   # (num_frames, FRAME_LEN) float64
 
     def __post_init__(self):
         frames = np.asarray(self.frames, dtype=np.float64)
-        if frames.ndim != 2 or frames.shape[1] != self.frame_len:
+        if frames.ndim != 2 or frames.shape[1] != FRAME_LEN:
             raise ValueError(
-                f"frames must have shape (n, {self.frame_len}), got {frames.shape}")
+                f"frames must have shape (n, {FRAME_LEN}), got {frames.shape}")
         object.__setattr__(self, "frames", _readonly(frames))
 
     def __len__(self) -> int:
@@ -206,22 +204,20 @@ def _mel_inv(mel):
     return 700.0 * (10.0 ** (np.asarray(mel) / 2595.0) - 1.0)
 
 
-def mel_filterbank(num_filters: int = NUM_MEL_FILTERS,
-                   fft_size: int = FFT_SIZE,
-                   sample_rate: int = SAMPLE_RATE,
-                   low_hz: float = MEL_LOW_HZ,
-                   high_hz: float = MEL_HIGH_HZ) -> np.ndarray:
-    """Triangular mel filter weights, shape (num_filters, fft_size // 2 + 1).
-
-    Filter edges are spaced uniformly on the mel scale; each triangle is
-    evaluated at the FFT bin centre frequencies.
-    """
-    edges_hz = _mel_inv(np.linspace(_mel(low_hz), _mel(high_hz), num_filters + 2))
-    bin_hz = np.arange(fft_size // 2 + 1) * (sample_rate / fft_size)
+def _mel_filterbank() -> np.ndarray:
+    edges_hz = _mel_inv(np.linspace(_mel(MEL_LOW_HZ), _mel(MEL_HIGH_HZ),
+                                    NUM_MEL_FILTERS + 2))
+    bin_hz = np.arange(FFT_SIZE // 2 + 1) * (SAMPLE_RATE / FFT_SIZE)
     lo, mid, hi = edges_hz[:-2, None], edges_hz[1:-1, None], edges_hz[2:, None]
     rising = (bin_hz - lo) / (mid - lo)
     falling = (hi - bin_hz) / (hi - mid)
-    return np.maximum(0.0, np.minimum(rising, falling))
+    return _readonly(np.maximum(0.0, np.minimum(rising, falling)))
+
+
+# Triangular mel filter weights, shape (NUM_MEL_FILTERS, FFT_SIZE // 2 + 1).
+# Filter edges are spaced uniformly on the mel scale; each triangle is
+# evaluated at the FFT bin centre frequencies.
+MEL_FILTERBANK = _mel_filterbank()
 
 
 def mfcc(frames: FrameSequence) -> FeatureSequence:
@@ -237,7 +233,7 @@ def mfcc(frames: FrameSequence) -> FeatureSequence:
     emphasized = np.concatenate(
         [x[:, :1], x[:, 1:] - PREEMPHASIS * x[:, :-1]], axis=1)
     spectrum = np.abs(np.fft.rfft(emphasized, FFT_SIZE, axis=1))
-    energies = spectrum @ mel_filterbank().T
+    energies = spectrum @ MEL_FILTERBANK.T
     log_energies = np.log(np.maximum(energies, ENERGY_FLOOR))
     cepstra = scipy.fft.dct(log_energies, type=2, norm="ortho", axis=1)
     return FeatureSequence(vectors=cepstra[:, 1:FEATURE_DIM + 1])

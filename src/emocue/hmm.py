@@ -118,10 +118,14 @@ class GaussianMixture:
             raise ValueError("expected weights (M,), means and variances (M, D)")
         if weights.size != means.shape[0]:
             raise ValueError("one weight per component required")
-        if np.any(weights < 0.0) or abs(weights.sum() - 1.0) > _ROW_SUM_TOL:
+        # written so that a NaN fails every comparison it takes part in
+        if not ((weights >= 0.0).all()
+                and abs(weights.sum() - 1.0) <= _ROW_SUM_TOL):
             raise ValueError("weights must be non-negative and sum to 1")
-        if np.any(variances <= 0.0):
-            raise ValueError("variances must be strictly positive")
+        if not ((variances > 0.0) & (variances < np.inf)).all():
+            raise ValueError("variances must be finite and strictly positive")
+        if not np.isfinite(means).all():
+            raise ValueError("means must be finite")
         object.__setattr__(self, "weights", _readonly(weights))
         object.__setattr__(self, "means", _readonly(means))
         object.__setattr__(self, "variances", _readonly(variances))
@@ -157,9 +161,10 @@ class AcousticModel:
         band = np.triu(np.tril(np.ones((n, n), dtype=bool), 1))
         if np.any(transitions[~band] != 0.0):
             raise ValueError("only self and single-step transitions may be nonzero")
-        if np.any(transitions < 0.0):
+        # a NaN or an infinity fails one of these comparisons
+        if not (transitions >= 0.0).all():
             raise ValueError("transition probabilities must be non-negative")
-        if np.any(np.abs(transitions.sum(axis=1) - 1.0) > _ROW_SUM_TOL):
+        if not (np.abs(transitions.sum(axis=1) - 1.0) <= _ROW_SUM_TOL).all():
             raise ValueError("transition rows must sum to 1")
         for mix in mixtures:
             if mix.dim != self.feature_dim:
@@ -752,13 +757,10 @@ def encode_model(model: AcousticModel) -> tuple[dict, bytes]:
 
 def decode_model(spec: dict, payload) -> AcousticModel:
     """Read the model spec describes from a container payload. Every
-    constructor check applies, and a non-finite parameter is refused
-    (ValueError): the constructors' sum checks pass a NaN."""
+    constructor check applies, so a non-finite parameter is refused."""
     n, dim, counts = spec["num_states"], spec["feature_dim"], spec["components"]
     sizes = [n * n] + [c * k for c in counts for k in (1, dim, dim)]
     values = payload.array(sum(sizes))
-    if not np.isfinite(values).all():
-        raise ValueError("model parameters must be finite")
     parts = iter(np.split(values, np.cumsum(sizes)[:-1]))
     transitions = next(parts).reshape(n, n)
     return AcousticModel(num_states=n, feature_dim=dim, transitions=transitions,

@@ -12,8 +12,9 @@ bank order and every decision is deterministic.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Mapping, NamedTuple
 
 from . import container, corpus, hmm, supra as supra_mod
@@ -24,6 +25,7 @@ from .errors import (
     EmoCueError,
     EmptyBankError,
     EmptyResultsError,
+    ManifestError,
     UnknownEmotionError,
     UnsupportedFormatError,
 )
@@ -267,6 +269,51 @@ def score_test_set(bank: ModelBank, test_records,
             emotion_scores=result.emotion_scores,
             speaker_scores=result.speaker_scores))
     return rows
+
+
+# results.jsonl: one JSON object per ResultRow, its fields by name, one row
+# per line. Each field's JSON type, as read_results checks it:
+_ROW_TYPES = {f.name: str for f in fields(ResultRow)}
+_ROW_TYPES.update(one_stage_speaker=(str, type(None)), emotion_scores=dict,
+                  speaker_scores=dict)
+
+
+def write_results(path, rows) -> None:
+    """Write ResultRows to path as JSON lines, replacing the file whole."""
+    container.replace(path, (json.dumps(asdict(row)) + "\n" for row in rows))
+
+
+def read_results(path) -> list[ResultRow]:
+    """The ResultRows of a results file; blank lines and keys that are not
+    ResultRow fields are ignored.
+
+    A line that is not JSON, a row that is not an object or lacks a field
+    or has one of another JSON type, and a file with no rows raise
+    ManifestError naming path (and path:line for a row).
+    """
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rows.append((lineno, json.loads(line)))
+            except json.JSONDecodeError as exc:
+                raise ManifestError(f"{path}:{lineno}: bad results line: "
+                                    f"{exc}") from exc
+    if not rows:
+        raise ManifestError(f"{path}: no results")
+    for lineno, row in rows:
+        if not isinstance(row, dict):
+            raise ManifestError(f"{path}:{lineno}: a results row must be a "
+                                f"JSON object")
+        bad = [k for k, kind in _ROW_TYPES.items()
+               if k not in row or not isinstance(row[k], kind)]
+        if bad:
+            raise ManifestError(f"{path}:{lineno}: results row has missing "
+                                f"or mistyped fields {bad}")
+    return [ResultRow(**{k: row[k] for k in _ROW_TYPES}) for _, row in rows]
 
 
 # --- persistence -------------------------------------------------------------

@@ -10,7 +10,7 @@ import wave
 import numpy as np
 import pytest
 
-from emocue import RunConfig, cli
+from emocue import RunConfig, cli, evaluation, recognizer
 from emocue.corpus import load_manifest, normalize_features, split_records
 from emocue.errors import NumericalUnderflowError
 from emocue.frontend import (
@@ -515,6 +515,51 @@ def test_cli_bank_equals_library_bank(small_pipeline):
             np.testing.assert_array_equal(x.means, y.means)
             np.testing.assert_array_equal(x.variances, y.variances)
             np.testing.assert_array_equal(x.weights, y.weights)
+
+
+def test_library_evaluation_equals_cli_evaluation(small_pipeline, tmp_path):
+    records = load_manifest(small_pipeline / "corpus/manifest.tsv")
+    cache = read_feature_cache(small_pipeline / "corpus/features.bin")
+    cfg = dataclasses.replace(SMALL_CONFIG, train_sentences=(1, 2),
+                              test_sentences=(3, 4))
+    train, test = split_records(records, cfg.protocol)
+    bank, features = recognizer.open_bank(small_pipeline / "bank", cfg, train,
+                                          test, cache)
+    rows = recognizer.score_test_set(bank, test, features, cfg.fusion)
+    assert rows == recognizer.read_results(small_pipeline / "results.jsonl")
+    result = evaluation.evaluate(rows, n_pool=3)
+    evaluation.write_evaluation(result, tmp_path)
+    cli_dir = small_pipeline / "eval"
+    names = sorted(p.name for p in cli_dir.iterdir())
+    assert names == ["confusion.tsv", "performance_one_stage.tsv",
+                     "performance_two_stage.tsv", "summary.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (cli_dir / name).read_bytes()
+    assert result.summary == json.loads((cli_dir / "summary.json").read_text())
+
+
+def test_interrupted_identify_keeps_previous_results(small_pipeline, tmp_path,
+                                                     monkeypatch):
+    out = tmp_path / "results.jsonl"
+    shutil.copy(small_pipeline / "results.jsonl", out)
+    before = out.read_bytes()
+    score = recognizer.score_test_set
+
+    def unencodable_third_row(*args, **kwargs):
+        rows = score(*args, **kwargs)
+        rows[2] = dataclasses.replace(rows[2], speaker_scores={"s": object()})
+        return rows
+
+    monkeypatch.setattr(recognizer, "score_test_set", unencodable_third_row)
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        cli.main(["identify",
+                  "--manifest", str(small_pipeline / "corpus/manifest.tsv"),
+                  "--features", str(small_pipeline / "corpus/features.bin"),
+                  "--bank-dir", str(small_pipeline / "bank"),
+                  "--out", str(out), *SMALL_FLAGS, *SMALL_SPLIT])
+    assert out.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["results.jsonl"]
 
 
 def test_identify_rejects_empty_test_split(tmp_path, capsys):

@@ -53,8 +53,12 @@ def test_derived_views():
 
 
 def test_parsers_cover_every_field():
-    fields = {f.name for f in dataclasses.fields(RunConfig)}
-    assert set(config._FIELD_PARSERS) == fields
+    for f in dataclasses.fields(RunConfig):
+        parse = config.FIELD_PARSERS[f.type]
+        default = getattr(RunConfig(), f.name)
+        text = ",".join(map(str, default)) if isinstance(default, tuple) \
+            else str(default)
+        assert parse(text) == default
 
 
 def test_parse_config_file(tmp_path):

@@ -186,8 +186,9 @@ def test_mfcc_tone_matches_reference():
 
 
 def test_mel_filterbank_shape_and_coverage():
-    fbank = frontend.mel_filterbank()
+    fbank = frontend.MEL_FILTERBANK
     assert fbank.shape == (26, 257)
+    assert not fbank.flags.writeable
     assert np.all(fbank >= 0.0)
     assert np.all(fbank.max(axis=1) > 0.0)
     # interior bins are covered by at least one filter

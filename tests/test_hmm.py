@@ -629,6 +629,42 @@ def test_mixture_rejects_nonpositive_variance():
                             variances=np.zeros((1, 1)))
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("weights, means, variances", [
+    ([_NAN], [[0.0]], [[_NAN]]),
+    ([_NAN], [[0.0]], [[1.0]]),
+    ([1.0], [[0.0]], [[_NAN]]),
+    ([1.0], [[_NAN]], [[1.0]]),
+    ([1.0], [[_INF]], [[1.0]]),
+    ([1.0], [[-_INF]], [[1.0]]),
+    ([1.0], [[0.0]], [[_INF]]),
+    ([_INF, 0.0], [[0.0], [1.0]], [[1.0], [1.0]]),
+], ids=["nan weight and variance", "nan weight", "nan variance", "nan mean",
+        "inf mean", "-inf mean", "inf variance", "inf weight"])
+def test_mixture_rejects_non_finite_parameters(weights, means, variances):
+    with pytest.raises(ValueError):
+        hmm.GaussianMixture(weights=np.array(weights), means=np.array(means),
+                            variances=np.array(variances))
+
+
+@pytest.mark.parametrize("transitions", [
+    [[_NAN, _NAN], [0.0, 1.0]],
+    [[1.0, 0.0], [0.0, _NAN]],
+    [[_INF, 0.0], [0.0, 1.0]],
+], ids=["nan row", "nan absorbing state", "inf self-loop"])
+def test_model_rejects_non_finite_transitions(transitions):
+    with pytest.raises(ValueError):
+        hmm.AcousticModel(
+            num_states=2, feature_dim=1, transitions=np.array(transitions),
+            mixtures=tuple(
+                hmm.GaussianMixture(weights=np.array([1.0]),
+                                    means=np.zeros((1, 1)),
+                                    variances=np.ones((1, 1)))
+                for _ in range(2)))
+
+
 # --- persistence -------------------------------------------------------------
 
 

@@ -272,6 +272,41 @@ def test_score_test_set_names_utterance_it_cannot_score(tiny_trained):
                        {**tiny_trained["synth"].features, record.id: short})
 
 
+def _score_bits(scores):
+    return [(label, float(v).hex()) for label, v in scores.items()]
+
+
+def test_results_file_round_trips_every_score_bit_exactly(tmp_path,
+                                                           tiny_trained):
+    rows = score_test_set(tiny_trained["bank"], tiny_trained["test"],
+                          tiny_trained["synth"].features)
+    extreme = dataclasses.replace(
+        rows[0], id="extreme", one_stage_speaker=None,
+        emotion_scores={"neutral": -0.0, "angry": 5e-324},
+        speaker_scores={"a": -1.7976931348623157e308, "b": float("-inf"),
+                        "c": 0.1 + 0.2})
+    path = tmp_path / "results.jsonl"
+    recognizer.write_results(path, [*rows, extreme])
+    read = recognizer.read_results(path)
+    assert read == [*rows, extreme]
+    for want, got in zip([*rows, extreme], read):
+        assert _score_bits(got.emotion_scores) == \
+            _score_bits(want.emotion_scores)
+        assert _score_bits(got.speaker_scores) == \
+            _score_bits(want.speaker_scores)
+
+
+def test_read_results_ignores_extra_keys_and_blank_lines(tmp_path,
+                                                          tiny_trained):
+    row = score_test_set(tiny_trained["bank"], tiny_trained["test"][:1],
+                         tiny_trained["synth"].features)[0]
+    path = tmp_path / "results.jsonl"
+    recognizer.write_results(path, [row])
+    text = path.read_text()
+    path.write_text("\n" + text.replace("{", '{"margin": 1.5, ', 1) + "\n")
+    assert recognizer.read_results(path) == [row]
+
+
 # --- persistence -------------------------------------------------------------
 
 
