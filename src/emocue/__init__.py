@@ -87,7 +87,6 @@ from .hmm import (
 )
 from .recognizer import (
     EmotionModels,
-    IdentificationResult,
     ModelBank,
     ResultRow,
     identify_emotion,
@@ -95,10 +94,7 @@ from .recognizer import (
     load_bank,
     one_stage_identify,
     read_results,
-    save_bank,
     score_test_set,
-    train_model_bank,
-    two_stage_identify,
     write_results,
 )
 from .supra import (

@@ -30,6 +30,7 @@ from .errors import (
     ManifestError,
     NoLegalPathError,
     NumericalUnderflowError,
+    _prefixed,
 )
 from .frontend import analyze_clip, load_audio, read_feature_cache, \
     write_feature_cache
@@ -120,12 +121,12 @@ def _cmd_train(args) -> int:
     cfg = _config_from(args)
     records, cache = _load_corpus(args.manifest, args.features)
     train, _ = corpus.split_records(records, cfg.protocol)
-    models, reports = recognizer.train_role(args.role, args.bank_dir, cfg,
-                                            train, cache)
-    print(f"trained {len(models)} {args.role} models "
+    trained = recognizer.train_role(args.role, args.bank_dir, cfg, train,
+                                    cache)
+    print(f"trained {len(trained)} {args.role} models "
           f"({len(train)} utterances) -> {args.bank_dir}")
-    capped = sum(not report.converged for report in reports.values())
-    print(f"{capped} of {len(reports)} model fits stopped at --em-max-iters "
+    capped = sum(not report.converged for _, report in trained.values())
+    print(f"{capped} of {len(trained)} model fits stopped at --em-max-iters "
           f"{cfg.em_max_iters} without converging", file=sys.stderr)
     return EXIT_OK
 
@@ -145,10 +146,8 @@ def _cmd_identify(args) -> int:
         selected = test
     bank, features = recognizer.open_bank(args.bank_dir, cfg, train, selected,
                                           cache)
-    try:
+    with _prefixed(args.features):
         rows = recognizer.score_test_set(bank, selected, features, cfg.fusion)
-    except EmoCueError as exc:
-        raise type(exc)(f"{args.features}: {exc}") from exc
     recognizer.write_results(args.out, rows)
     print(f"identified {len(rows)} utterances -> {args.out}")
     return EXIT_OK
@@ -176,7 +175,8 @@ def _cmd_sweep_alpha(args) -> int:
     alphas = evaluation.DEFAULT_ALPHAS
     if args.alphas:
         alphas = tuple(float(a) for a in args.alphas.split(","))
-    sweep = evaluation.alpha_sweep(bank, test, features, alphas=alphas)
+    with _prefixed(args.features):
+        sweep = evaluation.alpha_sweep(bank, test, features, alphas=alphas)
     evaluation.write_sweep_tsv(sweep, args.out)
     print(f"swept {len(alphas)} fusion weights -> {args.out}")
     return EXIT_OK

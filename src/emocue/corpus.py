@@ -181,12 +181,12 @@ class NormalizationParams:
         return cls(mean=mean, std=std)
 
 
-def normalize_features(train: Mapping[str, FeatureSequence],
-                       test: Mapping[str, FeatureSequence]):
-    """Z-normalize both sets with statistics taken from the training set only.
+def normalize_features(train: Mapping[str, FeatureSequence]):
+    """Z-normalize the training set with its own statistics.
 
-    Returns (normalized train, normalized test, params). A dimension that is
-    constant across the training frames cannot be scaled and is an error.
+    Returns (normalized train, params); params.apply normalizes held-out
+    features the same way. A dimension that is constant across the training
+    frames cannot be scaled and is an error.
     """
     if not train:
         raise DegenerateDimensionError("cannot normalize an empty training set")
@@ -199,9 +199,7 @@ def normalize_features(train: Mapping[str, FeatureSequence],
             f"feature dimensions {degenerate.tolist()} are constant on the "
             f"training set")
     params = NormalizationParams(mean=mean, std=std)
-    return ({k: params.apply(v) for k, v in train.items()},
-            {k: params.apply(v) for k, v in test.items()},
-            params)
+    return {k: params.apply(v) for k, v in train.items()}, params
 
 
 # --- synthetic corpus --------------------------------------------------------

@@ -5,9 +5,21 @@ misuse and OSError for file-system failures) derives from EmoCueError so
 callers can catch the whole family at once.
 """
 
+import contextlib
+
 
 class EmoCueError(Exception):
     """Base class for all emocue errors."""
+
+
+@contextlib.contextmanager
+def _prefixed(what: str):
+    """Re-raise an EmoCueError from the block as the same type, its message
+    prefixed by what (the utterance or file at fault)."""
+    try:
+        yield
+    except EmoCueError as exc:
+        raise type(exc)(f"{what}: {exc}") from exc
 
 
 # --- audio / feature frontend ---

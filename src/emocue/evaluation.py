@@ -20,7 +20,7 @@ import numpy as np
 
 from . import container, recognizer
 from .corpus import GENDERS
-from .errors import EmptyResultsError, UnknownLabelError
+from .errors import EmptyResultsError, UnknownLabelError, _prefixed
 from .supra import FusionConfig, blend, score_components
 
 # Reference point for the t statistics: one-sided critical value at the
@@ -240,8 +240,11 @@ def evaluate(rows, n_pool: int | None = None) -> Evaluation:
     Emotions are ordered as the first row's emotion_scores. The one-stage
     table and the t of two-stage against one-stage accuracy (pooled_t over
     the per-emotion row averages) are made when every row has a one-stage
-    decision; n_pool defaults to the number of true speakers.
+    decision; n_pool defaults to the number of true speakers and, when
+    given, must be at least 1.
     """
+    if n_pool is not None and n_pool < 1:
+        raise ValueError(f"n_pool must be >= 1, got {n_pool}")
     rows = list(rows)
     if not rows:
         raise EmptyResultsError("no results to tabulate")
@@ -313,6 +316,8 @@ def alpha_sweep(bank, test_records, features,
     identify_emotion; the speaker stage does not depend on alpha, so its
     verdict is cached per (utterance, chosen emotion). Every weight must
     lie in [0, 1]; FusionConfig rejects any other, as it does for identify.
+    An utterance that cannot be scored re-raises its error, of the same
+    type, naming the utterance id, as in score_test_set.
     """
     alphas = tuple(FusionConfig(alpha=a).alpha for a in alphas)
     records = list(test_records)
@@ -322,19 +327,21 @@ def alpha_sweep(bank, test_records, features,
     components = {}
     for r in records:
         utt = features[r.id]
-        components[r.id] = {
-            e: score_components(bank.emotion_models[e].acoustic,
-                                bank.emotion_models[e].supra, utt,
-                                SWEEP_LENGTH_NORMALIZE)
-            for e in emotions}
+        with _prefixed(f"utterance {r.id!r}"):
+            components[r.id] = {
+                e: score_components(bank.emotion_models[e].acoustic,
+                                    bank.emotion_models[e].supra, utt,
+                                    SWEEP_LENGTH_NORMALIZE)
+                for e in emotions}
 
     speaker_verdict: dict[tuple[str, str], bool] = {}
 
     def speaker_correct(record, e_star: str) -> bool:
         key = (record.id, e_star)
         if key not in speaker_verdict:
-            s_star, _ = recognizer.identify_speaker_given_emotion(
-                features[record.id].features, e_star, bank)
+            with _prefixed(f"utterance {record.id!r}"):
+                s_star, _ = recognizer.identify_speaker_given_emotion(
+                    features[record.id].features, e_star, bank)
             speaker_verdict[key] = (s_star == record.speaker)
         return speaker_verdict[key]
 

@@ -22,12 +22,12 @@ from .config import RunConfig
 from .errors import (
     BankMismatchError,
     CorruptFileError,
-    EmoCueError,
     EmptyBankError,
     EmptyResultsError,
     ManifestError,
     UnknownEmotionError,
     UnsupportedFormatError,
+    _prefixed,
 )
 from .frontend import UtteranceFeatures
 from .supra import FusionConfig, SuprasegmentalModel, fused_score
@@ -74,24 +74,6 @@ class ModelBank:
             raise ValueError(f"models disagree on feature dimension: {sorted(dims)}")
 
 
-@dataclass(frozen=True)
-class IdentificationResult:
-    """Outcome of a two-stage pass over one utterance."""
-
-    identified_emotion: str
-    identified_speaker: str
-    emotion_scores: dict[str, float]
-    speaker_scores: dict[str, float]
-
-    def __post_init__(self):
-        if self.emotion_scores[self.identified_emotion] < max(
-                self.emotion_scores.values()):
-            raise ValueError("identified emotion must attain the score maximum")
-        if self.speaker_scores[self.identified_speaker] < max(
-                self.speaker_scores.values()):
-            raise ValueError("identified speaker must attain the score maximum")
-
-
 def identify_emotion(utterance, bank: ModelBank,
                      cfg: FusionConfig = FusionConfig()):
     """Stage a: best emotion by blended score, with all candidate scores."""
@@ -115,18 +97,6 @@ def identify_speaker_given_emotion(features, e_star: str, bank: ModelBank):
     return max(bank.speakers, key=scores.__getitem__), scores
 
 
-def two_stage_identify(utterance, bank: ModelBank,
-                       cfg: FusionConfig = FusionConfig()) -> IdentificationResult:
-    """Run stage a, feed its emotion into stage b, report both decisions."""
-    features, _ = utterance
-    e_star, emotion_scores = identify_emotion(utterance, bank, cfg)
-    s_star, speaker_scores = identify_speaker_given_emotion(features, e_star, bank)
-    return IdentificationResult(identified_emotion=e_star,
-                                identified_speaker=s_star,
-                                emotion_scores=emotion_scores,
-                                speaker_scores=speaker_scores)
-
-
 def one_stage_identify(features, bank: ModelBank):
     """Baseline: best speaker under the emotion-pooled models."""
     if not bank.one_stage_models:
@@ -142,87 +112,47 @@ def _ordered_labels(values) -> tuple[str, ...]:
     return tuple(dict.fromkeys(values))
 
 
-def _fit(seqs, cfg: RunConfig, reports, key) -> hmm.AcousticModel:
-    init = hmm.init_model(seqs, cfg.num_states, cfg.num_mixtures,
-                          variance_floor=cfg.variance_floor)
-    model, report = hmm.baum_welch(init, seqs, max_iters=cfg.em_max_iters,
-                                   tol=cfg.em_tol,
-                                   variance_floor=cfg.variance_floor)
-    if reports is not None:
-        reports[key] = report
-    return model
+def _train(role: str, train_records,
+           features: Mapping[str, UtteranceFeatures], cfg: RunConfig) -> dict:
+    """Every model of one role with its TrainingReport, as train_role
+    returns them.
 
-
-# Each trainer files its models' TrainingReports in reports, when given:
-# under (emotion, "acoustic") and (emotion, "supra"), (speaker, emotion) and
-# speaker, respectively.
-
-def train_emotion_models(train_records,
-                         features: Mapping[str, UtteranceFeatures],
-                         cfg: RunConfig = RunConfig(),
-                         reports: dict | None = None,
-                         ) -> dict[str, EmotionModels]:
-    """Per emotion, an acoustic model pooled over all speakers and the
-    prosodic model trained on its alignments."""
-    models = {}
-    for e in _ordered_labels(r.emotion for r in train_records):
-        utts = [features[r.id] for r in train_records if r.emotion == e]
-        acoustic = _fit([u.features for u in utts], cfg, reports,
-                        (e, "acoustic"))
-        supra_model, report = supra_mod.train_suprasegmental(
-            acoustic, utts, cfg.mapping, num_mixtures=cfg.num_supra_mixtures,
-            max_iters=cfg.em_max_iters, tol=cfg.em_tol,
-            variance_floor=cfg.variance_floor)
-        if reports is not None:
-            reports[(e, "supra")] = report
-        models[e] = EmotionModels(acoustic=acoustic, supra=supra_model)
-    return models
-
-
-def train_speaker_models(train_records,
-                         features: Mapping[str, UtteranceFeatures],
-                         cfg: RunConfig = RunConfig(),
-                         reports: dict | None = None,
-                         ) -> dict[tuple[str, str], hmm.AcousticModel]:
-    """One acoustic model per (speaker, emotion) cell."""
-    emotions = _ordered_labels(r.emotion for r in train_records)
-    models = {}
-    for s in _ordered_labels(r.speaker for r in train_records):
-        for e in emotions:
-            seqs = [features[r.id].features for r in train_records
-                    if r.speaker == s and r.emotion == e]
-            models[(s, e)] = _fit(seqs, cfg, reports, (s, e))
-    return models
-
-
-def train_one_stage_models(train_records,
-                           features: Mapping[str, UtteranceFeatures],
-                           cfg: RunConfig = RunConfig(),
-                           reports: dict | None = None,
-                           ) -> dict[str, hmm.AcousticModel]:
-    """One acoustic model per speaker, pooled over every emotion."""
-    models = {}
-    for s in _ordered_labels(r.speaker for r in train_records):
-        seqs = [features[r.id].features for r in train_records if r.speaker == s]
-        models[s] = _fit(seqs, cfg, reports, s)
-    return models
-
-
-def train_model_bank(train_records, features: Mapping[str, UtteranceFeatures],
-                     cfg: RunConfig = RunConfig()) -> ModelBank:
-    """Train every model role from one training split.
-
-    Candidate order follows first appearance in the records.
+    The emotion role pools each emotion over all speakers into an acoustic
+    model and trains the prosodic model on its alignments. The speaker role
+    fits one acoustic model per (speaker, emotion) cell, the one-stage role
+    one per speaker, pooled over every emotion. Labels are taken in
+    first-appearance order.
     """
-    records = list(train_records)
-    if not records:
-        raise EmptyBankError("no training records")
-    return ModelBank(
-        emotions=_ordered_labels(r.emotion for r in records),
-        speakers=_ordered_labels(r.speaker for r in records),
-        emotion_models=train_emotion_models(records, features, cfg),
-        speaker_models=train_speaker_models(records, features, cfg),
-        one_stage_models=train_one_stage_models(records, features, cfg))
+    emotions = _ordered_labels(r.emotion for r in train_records)
+    speakers = _ordered_labels(r.speaker for r in train_records)
+    if role == "emotion":
+        groups = {e: [r for r in train_records if r.emotion == e]
+                  for e in emotions}
+    elif role == "speaker":
+        groups = {(s, e): [r for r in train_records
+                           if r.speaker == s and r.emotion == e]
+                  for s in speakers for e in emotions}
+    else:
+        groups = {s: [r for r in train_records if r.speaker == s]
+                  for s in speakers}
+    trained = {}
+    for key, records in groups.items():
+        utts = [features[r.id] for r in records]
+        seqs = [u.features for u in utts]
+        init = hmm.init_model(seqs, cfg.num_states, cfg.num_mixtures,
+                              variance_floor=cfg.variance_floor)
+        model, report = hmm.baum_welch(init, seqs, max_iters=cfg.em_max_iters,
+                                       tol=cfg.em_tol,
+                                       variance_floor=cfg.variance_floor)
+        if role == "emotion":
+            trained[(key, "acoustic")] = model, report
+            trained[(key, "supra")] = supra_mod.train_suprasegmental(
+                model, utts, cfg.mapping, num_mixtures=cfg.num_supra_mixtures,
+                max_iters=cfg.em_max_iters, tol=cfg.em_tol,
+                variance_floor=cfg.variance_floor)
+        else:
+            trained[key] = model, report
+    return trained
 
 
 @dataclass(frozen=True)
@@ -255,19 +185,17 @@ def score_test_set(bank: ModelBank, test_records,
     rows = []
     for r in records:
         utt = features[r.id]
-        try:
-            result = two_stage_identify(utt, bank, cfg)
+        with _prefixed(f"utterance {r.id!r}"):
+            e_star, emotion_scores = identify_emotion(utt, bank, cfg)
+            s_star, speaker_scores = identify_speaker_given_emotion(
+                utt.features, e_star, bank)
             one_stage = (one_stage_identify(utt.features, bank)[0]
                          if bank.one_stage_models else None)
-        except EmoCueError as exc:
-            raise type(exc)(f"utterance {r.id!r}: {exc}") from exc
         rows.append(ResultRow(
             id=r.id, true_speaker=r.speaker, true_emotion=r.emotion,
-            gender=r.gender, identified_emotion=result.identified_emotion,
-            identified_speaker=result.identified_speaker,
-            one_stage_speaker=one_stage,
-            emotion_scores=result.emotion_scores,
-            speaker_scores=result.speaker_scores))
+            gender=r.gender, identified_emotion=e_star,
+            identified_speaker=s_star, one_stage_speaker=one_stage,
+            emotion_scores=emotion_scores, speaker_scores=speaker_scores))
     return rows
 
 
@@ -323,8 +251,9 @@ def read_results(path) -> list[ResultRow]:
 # bank order, the _BANK_FIELDS of the config, the train split's MFCC
 # statistics ("normalization") and sha256 ("train_split"), and under
 # "models" one entry per model: its role, key, shape header and training
-# summary. The payload holds the parameters in entry order. save_bank
-# records null for everything but labels and models.
+# summary. The payload holds the parameters in entry order. Each of these
+# is recorded: a null config, normalization, train split or training summary
+# makes the file corrupt.
 
 BANK_FILE = "bank.bin"
 _BANK_MAGIC = b"EMOBK003"
@@ -336,18 +265,6 @@ _BANK_FIELDS = ("num_states", "num_mixtures", "num_supra_mixtures",
 # The labels each role's models are keyed by; the roles in file order.
 _ROLE_LABELS = {"emotion": ("emotions",), "speaker": ("emotions", "speakers"),
                 "one_stage": ("speakers",)}
-_TRAINERS = {"emotion": train_emotion_models, "speaker": train_speaker_models,
-             "one_stage": train_one_stage_models}
-
-
-def _keyed(role: str, models: Mapping) -> Mapping:
-    """A role's models under the keys its trainer files TrainingReports
-    under: the emotion role's pairs become (emotion, "acoustic") and
-    (emotion, "supra")."""
-    if role != "emotion":
-        return models
-    return {(e, part): getattr(pair, part) for e, pair in models.items()
-            for part in ("acoustic", "supra")}
 
 
 def _read_bank(directory):
@@ -364,14 +281,17 @@ def _read_bank(directory):
             if not (isinstance(labels, list) and len(set(labels)) == len(labels)
                     and all(isinstance(label, str) for label in labels)):
                 raise ValueError(f"labels must be distinct strings: {labels}")
-        if header["config"] is not None:
-            header["config"] = {name: header["config"][name]
-                                for name in _BANK_FIELDS}
-        if header["normalization"] is not None:
-            corpus.NormalizationParams.from_dict(header["normalization"])
+        for name in ("config", "normalization", "train_split"):
+            if header[name] is None:
+                raise ValueError(f"{name} is null")
+        header["config"] = {name: header["config"][name]
+                            for name in _BANK_FIELDS}
+        corpus.NormalizationParams.from_dict(header["normalization"])
         roles = {role: {} for role in _ROLE_LABELS}
         for entry in header.pop("models"):
             role, key = entry["role"], entry["key"]
+            if entry["training"] is None:
+                raise ValueError(f"the training of {role} model {key} is null")
             key = key if role == "one_stage" else tuple(key)
             decode = (supra_mod.decode_supra if role == "emotion"
                       and key[1] == "supra" else hmm.decode_model)
@@ -434,11 +354,10 @@ def _train_split(records, cache: Mapping[str, UtteranceFeatures]) -> str:
 def _check(directory, header: dict, cfg: RunConfig, train_records,
            cache: Mapping[str, UtteranceFeatures], labels=None) -> None:
     """Refuse (BankMismatchError) a bank trained under other bank fields of
-    cfg, on other labels (when given) or on another train split. What the
-    bank records as null is not checked."""
+    cfg, on other labels (when given) or on another train split."""
     path = os.path.join(directory, BANK_FILE)
     for name, value in _bank_config(cfg).items():
-        if header["config"] is not None and header["config"][name] != value:
+        if header["config"][name] != value:
             raise BankMismatchError(
                 f"{path}: bank was trained with {name} = "
                 f"{header['config'][name]}, the config has {value}")
@@ -448,32 +367,17 @@ def _check(directory, header: dict, cfg: RunConfig, train_records,
                                     f"{header[kind]}, the training split has "
                                     f"{want}")
     split = header["train_split"]
-    if split is not None and split != (ours := _train_split(train_records,
-                                                            cache)):
+    if split != (ours := _train_split(train_records, cache)):
         raise BankMismatchError(f"{path}: bank was trained on another train "
                                 f"split (sha256 {split}) than this feature "
                                 f"cache's ({ours})")
 
 
 def _normalized(header: dict, records, cache: Mapping[str, UtteranceFeatures]):
-    params = header["normalization"] and \
-        corpus.NormalizationParams.from_dict(header["normalization"])
-    return {r.id: UtteranceFeatures(
-        features=params.apply(cache[r.id].features) if params
-        else cache[r.id].features, prosody=cache[r.id].prosody)
-        for r in records}
-
-
-def save_bank(bank: ModelBank, directory) -> None:
-    """Write the bank to directory/bank.bin, with no config, normalization,
-    train split or training summaries."""
-    roles = {"emotion": bank.emotion_models, "speaker": bank.speaker_models,
-             "one_stage": bank.one_stage_models}
-    _write_bank(directory, {
-        "emotions": list(bank.emotions), "speakers": list(bank.speakers),
-        "config": None, "normalization": None, "train_split": None}, {
-        role: {key: (model, None) for key, model in _keyed(role, m).items()}
-        for role, m in roles.items()})
+    params = corpus.NormalizationParams.from_dict(header["normalization"])
+    return {r.id: UtteranceFeatures(features=params.apply(cache[r.id].features),
+                                    prosody=cache[r.id].prosody)
+            for r in records}
 
 
 def load_bank(directory) -> ModelBank:
@@ -503,8 +407,10 @@ def train_role(role: str, directory, cfg: RunConfig, train_records,
     rewritten whole. An existing bank is checked (_check, with the split's
     labels) before any training; a new one takes the split's statistics.
 
-    Returns the role's models and the TrainingReport of each model, keyed
-    as the trainer files them.
+    Returns the role's models with their TrainingReports as {key: (model,
+    report)}, keyed and ordered as bank.bin stores them: (emotion,
+    "acoustic") and (emotion, "supra") per emotion; (speaker, emotion) per
+    speaker, then per emotion; or speaker.
     """
     records = list(train_records)
     labels = {"emotions": list(_ordered_labels(r.emotion for r in records)),
@@ -513,8 +419,8 @@ def train_role(role: str, directory, cfg: RunConfig, train_records,
     try:
         header, roles = _read_bank(directory)
     except FileNotFoundError:
-        train_n, _, params = corpus.normalize_features(
-            {r.id: cache[r.id].features for r in records}, {})
+        train_n, params = corpus.normalize_features(
+            {r.id: cache[r.id].features for r in records})
         features = {r.id: UtteranceFeatures(features=train_n[r.id],
                                             prosody=cache[r.id].prosody)
                     for r in records}
@@ -525,13 +431,11 @@ def train_role(role: str, directory, cfg: RunConfig, train_records,
     else:
         _check(directory, header, cfg, records, cache, labels)
         features = _normalized(header, records, cache)
-    reports: dict = {}
-    models = _TRAINERS[role](records, features, cfg, reports)
+    trained = _train(role, records, features, cfg)
     header.update(labels)
     roles[role] = {key: (model, {
-        "iterations": reports[key].iterations_run,
-        "converged": reports[key].converged,
-        "log_likelihood": reports[key].log_likelihood_per_iteration[-1]})
-        for key, model in _keyed(role, models).items()}
+        "iterations": report.iterations_run, "converged": report.converged,
+        "log_likelihood": report.log_likelihood_per_iteration[-1]})
+        for key, (model, report) in trained.items()}
     _write_bank(directory, header, roles)
-    return models, reports
+    return trained

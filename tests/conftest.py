@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import emocue
 from emocue.cli import main as cli_main
-from emocue.recognizer import train_emotion_models, train_speaker_models
+from emocue.recognizer import open_bank, train_role
 
 # Pass/fail lines recorded by the acceptance tests, echoed after the run.
 ACCEPTANCE_LINES = []
@@ -131,13 +131,22 @@ def small_pipeline(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def tiny_trained(tmp_path_factory):
-    """A small trained bank plus its corpus, built through the library API."""
+    """A small bank that train_role wrote for every role, in "directory",
+    plus its corpus. "bank" and "features" are what open_bank gives: the
+    bank and every utterance's features normalized by its statistics; the
+    raw feature cache is "synth".features."""
     synth = emocue.synthesize_corpus(
         num_speakers=3, emotions=("neutral", "angry"), train_sentences=2,
         test_sentences=2, repetitions=1, separation=5.0, seed=11)
     train, test = emocue.split_records(synth.records, synth.protocol)
-    bank = emocue.train_model_bank(train, synth.features, SMALL_CONFIG)
-    return {"synth": synth, "train": train, "test": test, "bank": bank}
+    directory = tmp_path_factory.mktemp("tiny_bank")
+    trained = {role: train_role(role, directory, SMALL_CONFIG, train,
+                                synth.features)
+               for role in ("emotion", "speaker", "one_stage")}
+    bank, features = open_bank(directory, SMALL_CONFIG, train, synth.records,
+                               synth.features)
+    return {"synth": synth, "train": train, "test": test, "bank": bank,
+            "features": features, "directory": directory, "trained": trained}
 
 
 @pytest.fixture(scope="session")
@@ -175,20 +184,17 @@ def acceptance_run(tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
-def chance_run():
+def chance_run(tmp_path_factory):
     """Zero-separation corpus: every generator identical, labels carry nothing."""
     synth = emocue.synthesize_corpus(
         num_speakers=5, emotions=emocue.DEFAULT_EMOTIONS, train_sentences=4,
         test_sentences=4, repetitions=5, separation=0.0, seed=4242)
     train, test = emocue.split_records(synth.records, synth.protocol)
+    directory = tmp_path_factory.mktemp("chance_bank")
     # Criterion 7 reads two-stage decisions only, so no baseline is trained.
-    bank = emocue.ModelBank(
-        emotions=tuple(dict.fromkeys(r.emotion for r in train)),
-        speakers=tuple(dict.fromkeys(r.speaker for r in train)),
-        emotion_models=train_emotion_models(train, synth.features,
-                                            SMALL_CONFIG),
-        speaker_models=train_speaker_models(train, synth.features,
-                                            SMALL_CONFIG),
-        one_stage_models={})
-    rows = emocue.score_test_set(bank, test, synth.features)
+    for role in ("emotion", "speaker"):
+        train_role(role, directory, SMALL_CONFIG, train, synth.features)
+    bank, features = open_bank(directory, SMALL_CONFIG, train, test,
+                               synth.features)
+    rows = emocue.score_test_set(bank, test, features)
     return {"num_speakers": 5, "rows": rows}

@@ -179,10 +179,10 @@ def test_criterion_3_parameter_recovery():
 def test_criterion_4_fusion_identities(tiny_trained):
     failures = []
     bank = tiny_trained["bank"]
-    synth = tiny_trained["synth"]
+    features = tiny_trained["features"]
     worst = 0.0
     for record in tiny_trained["test"][:4]:
-        utt = synth.features[record.id]
+        utt = features[record.id]
         for e in bank.emotions:
             pair = bank.emotion_models[e]
             log_a, log_s = score_components(pair.acoustic, pair.supra, utt)

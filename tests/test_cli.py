@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from emocue import RunConfig, cli, evaluation, recognizer
-from emocue.corpus import load_manifest, normalize_features, split_records
+from emocue.corpus import load_manifest, split_records
 from emocue.errors import NumericalUnderflowError
 from emocue.frontend import (
     SAMPLE_RATE,
@@ -21,7 +21,6 @@ from emocue.frontend import (
     read_feature_cache,
     write_feature_cache,
 )
-from emocue.recognizer import load_bank, train_model_bank
 
 from conftest import (
     SMALL_CONFIG,
@@ -291,9 +290,10 @@ def test_identify_rejects_non_finite_frame(small_pipeline, tmp_path, capsys):
     assert repr(uid) in err
 
 
-def test_identify_names_utterance_that_fails_scoring(small_pipeline, tmp_path,
-                                                     capsys):
-    # a 2-frame test utterance fits no path through the 3-state models
+def _score_with_short_utterance(small_pipeline, tmp_path, command, out):
+    """Run command on a copy of the feature cache in which one test
+    utterance is cut to 2 frames, which fit no path through the 3-state
+    models. Returns (exit code, the cut cache, the cut utterance's id)."""
     manifest = small_pipeline / "corpus/manifest.tsv"
     short = next(r.id for r in load_manifest(manifest) if r.sentence == 3)
     cache = read_feature_cache(small_pipeline / "corpus/features.bin")
@@ -304,15 +304,34 @@ def test_identify_names_utterance_that_fails_scoring(small_pipeline, tmp_path,
                               voiced=track.voiced[:2]))
     cut = tmp_path / "features.bin"
     write_feature_cache(cut, cache)
-    out = tmp_path / "out.jsonl"
-    code = cli.main(["identify", "--manifest", str(manifest),
+    code = cli.main([command, "--manifest", str(manifest),
                      "--features", str(cut),
                      "--bank-dir", str(small_pipeline / "bank"),
                      "--out", str(out), *SMALL_FLAGS, *SMALL_SPLIT])
+    return code, cut, short
+
+
+def test_identify_names_utterance_that_fails_scoring(small_pipeline, tmp_path,
+                                                     capsys):
+    out = tmp_path / "out.jsonl"
+    code, cut, short = _score_with_short_utterance(small_pipeline, tmp_path,
+                                                   "identify", out)
     assert code == 3
     err = capsys.readouterr().err
     assert "numerical failure" in err and "no left-to-right path" in err
     assert str(cut) in err and repr(short) in err
+    assert not out.exists()
+
+
+def test_sweep_names_utterance_that_fails_scoring(small_pipeline, tmp_path,
+                                                  capsys):
+    out = tmp_path / "sweep.tsv"
+    code, cut, short = _score_with_short_utterance(small_pipeline, tmp_path,
+                                                   "sweep-alpha", out)
+    assert code == 3
+    assert capsys.readouterr().err == (
+        f"numerical failure: {cut}: utterance {short!r}: no left-to-right "
+        f"path through 3 states fits 2 frames\n")
     assert not out.exists()
 
 
@@ -369,6 +388,20 @@ def test_train_reports_em_cap_and_records_training(small_pipeline, tmp_path,
     assert all(entry["training"] is not None for entry in pipeline["models"])
     assert [p.name for p in (small_pipeline / "bank").iterdir()] == \
         ["bank.bin"]
+
+
+def test_evaluate_refuses_n_pool_below_one_as_ttest_does(small_pipeline,
+                                                         tmp_path, capsys):
+    assert cli.main(["ttest", "--sample1", "70,72", "--sample2", "75,77",
+                     "--n-pool", "0"]) == 1
+    ttest_err = capsys.readouterr().err
+    code = cli.main(["evaluate", "--results",
+                     str(small_pipeline / "results.jsonl"),
+                     "--out-dir", str(tmp_path / "eval"), "--n-pool", "0"])
+    assert code == 1
+    assert capsys.readouterr().err == ttest_err == \
+        "configuration error: n_pool must be >= 1, got 0\n"
+    assert not (tmp_path / "eval").exists()
 
 
 def test_evaluate_rejects_corrupt_results(tmp_path, capsys):
@@ -488,35 +521,6 @@ def test_bank_from_another_train_split_is_refused(small_pipeline, tmp_path,
     assert not (tmp_path / "out").exists()
 
 
-def test_cli_bank_equals_library_bank(small_pipeline):
-    records = load_manifest(small_pipeline / "corpus/manifest.tsv")
-    cache = read_feature_cache(small_pipeline / "corpus/features.bin")
-    cfg = dataclasses.replace(SMALL_CONFIG, train_sentences=(1, 2),
-                              test_sentences=(3, 4))
-    train, _ = split_records(records, cfg.protocol)
-    normalized, _, _ = normalize_features(
-        {r.id: cache[r.id].features for r in train}, {})
-    want = train_model_bank(
-        train, {uid: cache[uid]._replace(features=feats)
-                for uid, feats in normalized.items()}, cfg)
-    got = load_bank(small_pipeline / "bank")
-    assert (got.emotions, got.speakers) == (want.emotions, want.speakers)
-    pairs = [(got.emotion_models[e].acoustic, want.emotion_models[e].acoustic)
-             for e in want.emotions]
-    pairs += [(got.emotion_models[e].supra.core,
-               want.emotion_models[e].supra.core) for e in want.emotions]
-    pairs += [(got.speaker_models[k], m) for k, m in want.speaker_models.items()]
-    pairs += [(got.one_stage_models[s], m)
-              for s, m in want.one_stage_models.items()]
-    assert len(pairs) == 2 * 2 + 3 * 2 + 3
-    for a, b in pairs:
-        np.testing.assert_array_equal(a.transitions, b.transitions)
-        for x, y in zip(a.mixtures, b.mixtures, strict=True):
-            np.testing.assert_array_equal(x.means, y.means)
-            np.testing.assert_array_equal(x.variances, y.variances)
-            np.testing.assert_array_equal(x.weights, y.weights)
-
-
 def test_library_evaluation_equals_cli_evaluation(small_pipeline, tmp_path):
     records = load_manifest(small_pipeline / "corpus/manifest.tsv")
     cache = read_feature_cache(small_pipeline / "corpus/features.bin")
@@ -609,7 +613,17 @@ def _drop_spk00(header):
          and entry["key"][0] == "spk00")["key"][0] = "nobody"
 
 
+def _null(field):
+    """Record null for field: for "training", in the last model's entry."""
+    def edit(header):
+        owner = header["models"][-1] if field == "training" else header
+        owner[field] = None
+    return lambda bank: edit_container_header(bank / "bank.bin", edit)
+
+
 _CORRUPTIONS = {
+    **{f"null {field}": _null(field) for field in
+       ("config", "normalization", "train_split", "training")},
     "truncated index": lambda bank: _cut_within(bank / "bank.bin", "header"),
     "truncated model": lambda bank: _cut_within(bank / "bank.bin", "payload"),
     "missing speaker entry": lambda bank: edit_container_header(

@@ -186,7 +186,7 @@ def _seqs(rng, count, frames=20):
 def test_normalize_train_stats():
     rng = np.random.default_rng(0)
     train = _seqs(rng, 4)
-    norm_train, _, params = normalize_features(train, {})
+    norm_train, params = normalize_features(train)
     stacked = np.concatenate([np.asarray(f) for f in norm_train.values()])
     np.testing.assert_allclose(stacked.mean(axis=0), 0.0, atol=1e-10)
     np.testing.assert_allclose(stacked.std(axis=0), 1.0, atol=1e-10)
@@ -198,11 +198,11 @@ def test_normalize_train_stats():
 def test_normalize_test_uses_train_params():
     rng = np.random.default_rng(1)
     train = _seqs(rng, 3)
-    test = _seqs(rng, 2)
-    _, norm_test, params = normalize_features(train, test)
-    for key, seq in test.items():
+    held_out = _seqs(rng, 2)
+    _, params = normalize_features(train)
+    for seq in held_out.values():
         want = (np.asarray(seq) - params.mean) / params.std
-        np.testing.assert_array_equal(np.asarray(norm_test[key]), want)
+        np.testing.assert_array_equal(np.asarray(params.apply(seq)), want)
 
 
 def test_normalize_rejects_constant_dimension():
@@ -213,12 +213,12 @@ def test_normalize_rejects_constant_dimension():
         vectors[:, 5] = 7.0
         train[f"u{i}"] = FeatureSequence(vectors=vectors)
     with pytest.raises(DegenerateDimensionError):
-        normalize_features(train, {})
+        normalize_features(train)
 
 
 def test_normalize_rejects_empty_training_set():
     with pytest.raises(DegenerateDimensionError):
-        normalize_features({}, {})
+        normalize_features({})
 
 
 def test_normalization_params_roundtrip():

@@ -222,7 +222,7 @@ def test_t_matches_direct_formula(a, b, n):
 
 def test_sweep_grid_and_shapes(tiny_trained):
     sweep = alpha_sweep(tiny_trained["bank"], tiny_trained["test"],
-                        tiny_trained["synth"].features)
+                        tiny_trained["features"])
     assert sweep.alphas == evaluation.DEFAULT_ALPHAS
     assert sweep.emotions == tiny_trained["bank"].emotions
     assert sweep.accuracies.shape == (11, 2)
@@ -233,14 +233,14 @@ def test_sweep_grid_and_shapes(tiny_trained):
 
 def test_sweep_alpha_zero_matches_acoustic_only(tiny_trained):
     bank = tiny_trained["bank"]
-    synth = tiny_trained["synth"]
+    features = tiny_trained["features"]
     records = tiny_trained["test"]
-    sweep = alpha_sweep(bank, records, synth.features, alphas=(0.0,))
+    sweep = alpha_sweep(bank, records, features, alphas=(0.0,))
     cfg = FusionConfig(alpha=0.0, length_normalize=True)
     correct = {e: 0 for e in bank.emotions}
     counts = {e: 0 for e in bank.emotions}
     for r in records:
-        utt = synth.features[r.id]
+        utt = features[r.id]
         e_star, _ = identify_emotion(utt, bank, cfg)
         s_star, _ = identify_speaker_given_emotion(utt.features, e_star, bank)
         counts[r.emotion] += 1
@@ -252,7 +252,7 @@ def test_sweep_alpha_zero_matches_acoustic_only(tiny_trained):
 
 def test_sweep_overall_is_weighted_mean(tiny_trained):
     sweep = alpha_sweep(tiny_trained["bank"], tiny_trained["test"],
-                        tiny_trained["synth"].features, alphas=(0.3, 0.8))
+                        tiny_trained["features"], alphas=(0.3, 0.8))
     records = tiny_trained["test"]
     counts = np.array([sum(1 for r in records if r.emotion == e)
                        for e in sweep.emotions], dtype=float)
@@ -262,7 +262,7 @@ def test_sweep_overall_is_weighted_mean(tiny_trained):
 
 def test_sweep_rejects_empty_records(tiny_trained):
     with pytest.raises(EmptyResultsError):
-        alpha_sweep(tiny_trained["bank"], [], tiny_trained["synth"].features)
+        alpha_sweep(tiny_trained["bank"], [], tiny_trained["features"])
 
 
 @pytest.mark.parametrize("alphas", [(0.5, 1.5), (-0.1,), (float("nan"),),
@@ -270,7 +270,7 @@ def test_sweep_rejects_empty_records(tiny_trained):
 def test_sweep_rejects_weights_outside_unit_interval(tiny_trained, alphas):
     with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\]"):
         alpha_sweep(tiny_trained["bank"], tiny_trained["test"],
-                    tiny_trained["synth"].features, alphas=alphas)
+                    tiny_trained["features"], alphas=alphas)
 
 
 def test_sweep_rejects_missing_emotion(tiny_trained):
@@ -278,7 +278,7 @@ def test_sweep_rejects_missing_emotion(tiny_trained):
                   if r.emotion == tiny_trained["bank"].emotions[0]]
     with pytest.raises(ValueError):
         alpha_sweep(tiny_trained["bank"], only_first,
-                    tiny_trained["synth"].features)
+                    tiny_trained["features"])
 
 
 # --- table output ------------------------------------------------------------
@@ -310,7 +310,7 @@ def test_performance_tsv_format(tmp_path):
 
 def test_sweep_tsv_format(tmp_path, tiny_trained):
     sweep = alpha_sweep(tiny_trained["bank"], tiny_trained["test"],
-                        tiny_trained["synth"].features, alphas=(0.0, 1.0))
+                        tiny_trained["features"], alphas=(0.0, 1.0))
     path = tmp_path / "sweep.tsv"
     write_sweep_tsv(sweep, path)
     lines = path.read_text().splitlines()

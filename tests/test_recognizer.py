@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emocue import RunConfig, hmm, recognizer
+from emocue import hmm, recognizer
 from emocue.errors import (
     CorruptFileError,
     EmoCueError,
@@ -19,16 +19,13 @@ from emocue.errors import (
     UnsupportedFormatError,
 )
 from emocue.recognizer import (
-    IdentificationResult,
+    EmotionModels,
     ModelBank,
     identify_emotion,
     identify_speaker_given_emotion,
     load_bank,
     one_stage_identify,
-    save_bank,
     score_test_set,
-    train_model_bank,
-    two_stage_identify,
 )
 from emocue.frontend import FeatureSequence, ProsodicTrack, UtteranceFeatures
 from emocue.supra import FusionConfig, fused_score
@@ -39,19 +36,6 @@ from conftest import (
     damaged_container,
     edit_container_header,
 )
-
-
-def test_identification_result_requires_argmax():
-    with pytest.raises(ValueError):
-        IdentificationResult(identified_emotion="sad",
-                             identified_speaker="s1",
-                             emotion_scores={"sad": 0.0, "angry": 1.0},
-                             speaker_scores={"s1": 0.0})
-    with pytest.raises(ValueError):
-        IdentificationResult(identified_emotion="sad",
-                             identified_speaker="s1",
-                             emotion_scores={"sad": 1.0},
-                             speaker_scores={"s1": 0.0, "s2": 2.0})
 
 
 # --- bank structure ----------------------------------------------------------
@@ -81,7 +65,7 @@ def test_bank_one_stage_all_or_nothing(tiny_trained):
     stripped = dataclasses.replace(bank, one_stage_models={})
     with pytest.raises(EmptyBankError):
         one_stage_identify(
-            tiny_trained["synth"].features[tiny_trained["test"][0].id].features,
+            tiny_trained["features"][tiny_trained["test"][0].id].features,
             stripped)
 
 
@@ -101,7 +85,7 @@ def test_bank_rejects_mixed_feature_dims(tiny_trained):
 
 def test_emotion_scores_cover_bank_order(tiny_trained):
     bank = tiny_trained["bank"]
-    utt = tiny_trained["synth"].features[tiny_trained["test"][0].id]
+    utt = tiny_trained["features"][tiny_trained["test"][0].id]
     label, scores = identify_emotion(utt, bank)
     assert tuple(scores) == bank.emotions
     assert label in bank.emotions
@@ -111,34 +95,18 @@ def test_emotion_scores_cover_bank_order(tiny_trained):
 def test_generator_labels_recovered(tiny_trained):
     """Well-separated classes should be recovered almost everywhere even
     with the fixture's deliberately small models and training split."""
-    bank = tiny_trained["bank"]
-    synth = tiny_trained["synth"]
-    hits_e = hits_s = 0
-    for record in tiny_trained["test"]:
-        result = two_stage_identify(synth.features[record.id], bank)
-        hits_e += result.identified_emotion == record.emotion
-        hits_s += result.identified_speaker == record.speaker
-    total = len(tiny_trained["test"])
+    rows = score_test_set(tiny_trained["bank"], tiny_trained["test"],
+                          tiny_trained["features"])
+    hits_e = sum(row.identified_emotion == row.true_emotion for row in rows)
+    hits_s = sum(row.identified_speaker == row.true_speaker for row in rows)
+    total = len(rows)
     assert hits_e >= total - 2
     assert hits_s >= total - 2
 
 
-def test_two_stage_composes_the_stages(tiny_trained):
-    bank = tiny_trained["bank"]
-    utt = tiny_trained["synth"].features[tiny_trained["test"][3].id]
-    result = two_stage_identify(utt, bank)
-    e_star, emotion_scores = identify_emotion(utt, bank)
-    s_star, speaker_scores = identify_speaker_given_emotion(
-        utt.features, e_star, bank)
-    assert result.identified_emotion == e_star
-    assert result.identified_speaker == s_star
-    assert result.emotion_scores == emotion_scores
-    assert result.speaker_scores == speaker_scores
-
-
 def test_stage_b_scores_under_chosen_emotion(tiny_trained):
     bank = tiny_trained["bank"]
-    utt = tiny_trained["synth"].features[tiny_trained["test"][0].id]
+    utt = tiny_trained["features"][tiny_trained["test"][0].id]
     emotion = bank.emotions[1]
     _, scores = identify_speaker_given_emotion(utt.features, emotion, bank)
     for s in bank.speakers:
@@ -149,14 +117,14 @@ def test_stage_b_scores_under_chosen_emotion(tiny_trained):
 
 def test_stage_b_rejects_unknown_emotion(tiny_trained):
     bank = tiny_trained["bank"]
-    utt = tiny_trained["synth"].features[tiny_trained["test"][0].id]
+    utt = tiny_trained["features"][tiny_trained["test"][0].id]
     with pytest.raises(UnknownEmotionError):
         identify_speaker_given_emotion(utt.features, "bored", bank)
 
 
 def test_ties_resolve_to_earliest_in_bank_order(tiny_trained):
     bank = tiny_trained["bank"]
-    utt = tiny_trained["synth"].features[tiny_trained["test"][0].id]
+    utt = tiny_trained["features"][tiny_trained["test"][0].id]
     e0 = bank.emotions[0]
     _, scores = identify_speaker_given_emotion(utt.features, e0, bank)
     low = min(bank.speakers, key=scores.__getitem__)
@@ -173,11 +141,13 @@ def test_ties_resolve_to_earliest_in_bank_order(tiny_trained):
                             for s in speakers for e in (e0, "twin")},
             one_stage_models={s: bank.one_stage_models[models[s]]
                               for s in speakers})
-        result = two_stage_identify(utt, twins)
-        assert result.emotion_scores[e0] == result.emotion_scores["twin"]
-        assert result.identified_emotion == e0
-        assert result.speaker_scores[best] == result.speaker_scores["twin"]
-        assert result.identified_speaker == speakers[1]
+        e_star, emotion_scores = identify_emotion(utt, twins)
+        assert emotion_scores[e0] == emotion_scores["twin"]
+        assert e_star == e0
+        s_star, speaker_scores = identify_speaker_given_emotion(
+            utt.features, e_star, twins)
+        assert speaker_scores[best] == speaker_scores["twin"]
+        assert s_star == speakers[1]
         one_stage, one_scores = one_stage_identify(utt.features, twins)
         assert one_scores[best] == one_scores["twin"]
         assert one_stage == speakers[1]
@@ -185,7 +155,7 @@ def test_ties_resolve_to_earliest_in_bank_order(tiny_trained):
 
 def test_acoustic_only_fusion_matches_plain_likelihood(tiny_trained):
     bank = tiny_trained["bank"]
-    utt = tiny_trained["synth"].features[tiny_trained["test"][1].id]
+    utt = tiny_trained["features"][tiny_trained["test"][1].id]
     _, scores = identify_emotion(utt, bank, FusionConfig(alpha=0.0))
     for e in bank.emotions:
         want = hmm.forward_log_likelihood(bank.emotion_models[e].acoustic,
@@ -195,7 +165,7 @@ def test_acoustic_only_fusion_matches_plain_likelihood(tiny_trained):
 
 def test_fused_emotion_scores_match_module_fusion(tiny_trained):
     bank = tiny_trained["bank"]
-    utt = tiny_trained["synth"].features[tiny_trained["test"][2].id]
+    utt = tiny_trained["features"][tiny_trained["test"][2].id]
     cfg = FusionConfig(alpha=0.7)
     _, scores = identify_emotion(utt, bank, cfg)
     for e in bank.emotions:
@@ -213,63 +183,53 @@ def test_train_bank_label_order_is_first_appearance(tiny_trained):
     assert bank.speakers == tuple(dict.fromkeys(r.speaker for r in train))
 
 
-def test_train_bank_rejects_empty_split():
-    with pytest.raises(EmptyBankError):
-        train_model_bank([], {})
-
-
-def test_train_bank_rejects_mismatched_groups(tiny_trained):
-    with pytest.raises(ValueError):
-        train_model_bank(tiny_trained["train"],
-                         tiny_trained["synth"].features,
-                         RunConfig(num_states=3, num_mixtures=2,
-                                   supra_groups=(2, 2)))
-
-
 # --- batch scoring -----------------------------------------------------------
 
 
 def test_score_test_set_rows(tiny_trained):
     bank = tiny_trained["bank"]
-    synth = tiny_trained["synth"]
-    rows = score_test_set(bank, tiny_trained["test"], synth.features)
+    features = tiny_trained["features"]
+    rows = score_test_set(bank, tiny_trained["test"], features)
     assert len(rows) == len(tiny_trained["test"])
     for record, row in zip(tiny_trained["test"], rows):
         assert row.id == record.id
         assert row.true_speaker == record.speaker
         assert row.true_emotion == record.emotion
         assert row.gender == record.gender
-        result = two_stage_identify(synth.features[record.id], bank)
-        assert row.identified_emotion == result.identified_emotion
-        assert row.identified_speaker == result.identified_speaker
-        assert row.emotion_scores == result.emotion_scores
-        one_label, _ = one_stage_identify(synth.features[record.id].features,
-                                          bank)
+        utt = features[record.id]
+        e_star, emotion_scores = identify_emotion(utt, bank)
+        s_star, speaker_scores = identify_speaker_given_emotion(
+            utt.features, e_star, bank)
+        assert row.identified_emotion == e_star
+        assert row.identified_speaker == s_star
+        assert row.emotion_scores == emotion_scores
+        assert row.speaker_scores == speaker_scores
+        one_label, _ = one_stage_identify(utt.features, bank)
         assert row.one_stage_speaker == one_label
 
 
 def test_score_test_set_rejects_empty_split(tiny_trained):
     with pytest.raises(EmptyResultsError, match="no test records"):
-        score_test_set(tiny_trained["bank"], [], tiny_trained["synth"].features)
+        score_test_set(tiny_trained["bank"], [], tiny_trained["features"])
 
 
 def test_score_test_set_without_baseline(tiny_trained):
     bank = dataclasses.replace(tiny_trained["bank"], one_stage_models={})
     rows = score_test_set(bank, tiny_trained["test"][:2],
-                          tiny_trained["synth"].features)
+                          tiny_trained["features"])
     assert all(row.one_stage_speaker is None for row in rows)
 
 
 def test_score_test_set_names_utterance_it_cannot_score(tiny_trained):
     record = tiny_trained["test"][1]
-    features, track = tiny_trained["synth"].features[record.id]
+    features, track = tiny_trained["features"][record.id]
     short = UtteranceFeatures(
         features=FeatureSequence(vectors=features.vectors[:2]),
         prosody=ProsodicTrack(f0=track.f0[:2], log_energy=track.log_energy[:2],
                               voiced=track.voiced[:2]))
     with pytest.raises(NoLegalPathError, match=f"utterance {record.id!r}: "):
         score_test_set(tiny_trained["bank"], tiny_trained["test"][:2],
-                       {**tiny_trained["synth"].features, record.id: short})
+                       {**tiny_trained["features"], record.id: short})
 
 
 def _score_bits(scores):
@@ -279,7 +239,7 @@ def _score_bits(scores):
 def test_results_file_round_trips_every_score_bit_exactly(tmp_path,
                                                            tiny_trained):
     rows = score_test_set(tiny_trained["bank"], tiny_trained["test"],
-                          tiny_trained["synth"].features)
+                          tiny_trained["features"])
     extreme = dataclasses.replace(
         rows[0], id="extreme", one_stage_speaker=None,
         emotion_scores={"neutral": -0.0, "angry": 5e-324},
@@ -299,7 +259,7 @@ def test_results_file_round_trips_every_score_bit_exactly(tmp_path,
 def test_read_results_ignores_extra_keys_and_blank_lines(tmp_path,
                                                           tiny_trained):
     row = score_test_set(tiny_trained["bank"], tiny_trained["test"][:1],
-                         tiny_trained["synth"].features)[0]
+                         tiny_trained["features"])[0]
     path = tmp_path / "results.jsonl"
     recognizer.write_results(path, [row])
     text = path.read_text()
@@ -310,41 +270,46 @@ def test_read_results_ignores_extra_keys_and_blank_lines(tmp_path,
 # --- persistence -------------------------------------------------------------
 
 
-def test_bank_roundtrip(tmp_path, tiny_trained):
-    bank = tiny_trained["bank"]
-    save_bank(bank, tmp_path)
-    assert [p.name for p in tmp_path.iterdir()] == ["bank.bin"]
-    loaded = load_bank(tmp_path)
-    assert loaded.emotions == bank.emotions
-    assert loaded.speakers == bank.speakers
-    for e in bank.emotions:
-        np.testing.assert_array_equal(
-            loaded.emotion_models[e].acoustic.transitions,
-            bank.emotion_models[e].acoustic.transitions)
-        for a, b in zip(loaded.emotion_models[e].acoustic.mixtures,
-                        bank.emotion_models[e].acoustic.mixtures):
+@pytest.fixture(scope="module")
+def trained_bank(tiny_trained):
+    """The bank.bin that train_role wrote for every role of tiny_trained."""
+    return (tiny_trained["directory"] / "bank.bin").read_bytes()
+
+
+def test_bank_roundtrip(tiny_trained):
+    """load_bank reads back every model train_role returned, bit for bit."""
+    directory = tiny_trained["directory"]
+    assert [p.name for p in directory.iterdir()] == ["bank.bin"]
+    loaded = load_bank(directory)
+    models = {role: {key: model for key, (model, _) in trained.items()}
+              for role, trained in tiny_trained["trained"].items()}
+    train = tiny_trained["train"]
+    assert loaded.emotions == tuple(dict.fromkeys(r.emotion for r in train))
+    assert loaded.speakers == tuple(dict.fromkeys(r.speaker for r in train))
+    pairs = [(getattr(loaded.emotion_models[e], part), m)
+             for (e, part), m in models["emotion"].items()]
+    pairs += [(loaded.speaker_models[k], m)
+              for k, m in models["speaker"].items()]
+    pairs += [(loaded.one_stage_models[s], m)
+              for s, m in models["one_stage"].items()]
+    assert len(pairs) == 2 * 2 + 3 * 2 + 3
+    for got, want in pairs:
+        # a prosodic model is compared through its HMM
+        got, want = getattr(got, "core", got), getattr(want, "core", want)
+        np.testing.assert_array_equal(got.transitions, want.transitions)
+        for a, b in zip(got.mixtures, want.mixtures, strict=True):
             np.testing.assert_array_equal(a.means, b.means)
             np.testing.assert_array_equal(a.variances, b.variances)
             np.testing.assert_array_equal(a.weights, b.weights)
-    utt = tiny_trained["synth"].features[tiny_trained["test"][0].id]
-    before = two_stage_identify(utt, bank)
-    after = two_stage_identify(utt, loaded)
-    assert before == after
-    assert one_stage_identify(utt.features, loaded) == \
-        one_stage_identify(utt.features, bank)
-
-
-def test_library_bank_is_scored_on_raw_features(tmp_path, tiny_trained):
-    save_bank(tiny_trained["bank"], tmp_path)
-    _, header, _ = container_parts((tmp_path / "bank.bin").read_bytes())
-    assert header["config"] is None and header["normalization"] is None
-    # no train split is recorded, so none is checked
-    assert header["train_split"] is None
-    features = tiny_trained["synth"].features
-    test = tiny_trained["test"]
-    _, used = recognizer.open_bank(tmp_path, RunConfig(),
-                                   tiny_trained["train"], test, features)
-    assert used == {r.id: features[r.id] for r in test}
+    returned = ModelBank(
+        emotions=loaded.emotions, speakers=loaded.speakers,
+        emotion_models={e: EmotionModels(models["emotion"][(e, "acoustic")],
+                                         models["emotion"][(e, "supra")])
+                        for e in loaded.emotions},
+        speaker_models=models["speaker"], one_stage_models=models["one_stage"])
+    test, features = tiny_trained["test"], tiny_trained["features"]
+    assert score_test_set(loaded, test, features) == \
+        score_test_set(returned, test, features)
 
 
 def test_load_bank_rejects_foreign_index(tmp_path):
@@ -383,8 +348,8 @@ def _speaker_entries(header):
     return [entry for entry in header["models"] if entry["role"] == "speaker"]
 
 
-def test_load_bank_rejects_missing_speaker_entry(tmp_path, tiny_trained):
-    save_bank(tiny_trained["bank"], tmp_path)
+def test_load_bank_rejects_missing_speaker_entry(tmp_path, trained_bank):
+    (tmp_path / "bank.bin").write_bytes(trained_bank)
 
     def rekey(header):
         _speaker_entries(header)[-1]["key"][0] = "nobody"
@@ -396,25 +361,11 @@ def test_load_bank_rejects_missing_speaker_entry(tmp_path, tiny_trained):
 
 
 def test_load_bank_requires_emotion_and_speaker_roles(tmp_path, tiny_trained):
-    bank = tiny_trained["bank"]
-    save_bank(ModelBank(emotions=bank.emotions, speakers=(),
-                        emotion_models=bank.emotion_models,
-                        speaker_models={}, one_stage_models={}), tmp_path)
+    quick = dataclasses.replace(SMALL_CONFIG, em_max_iters=1)
+    recognizer.train_role("emotion", tmp_path, quick, tiny_trained["train"],
+                          tiny_trained["synth"].features)
     with pytest.raises(EmptyBankError, match="bank is incomplete"):
         load_bank(tmp_path)
-
-
-@pytest.fixture(scope="module")
-def trained_bank(tmp_path_factory, tiny_trained):
-    """A bank.bin that train_role wrote for every role, so it records a
-    config, a normalization, a train split and a training summary per
-    model."""
-    directory = tmp_path_factory.mktemp("trained_bank")
-    for role in ("emotion", "speaker", "one_stage"):
-        recognizer.train_role(role, directory, SMALL_CONFIG,
-                              tiny_trained["train"],
-                              tiny_trained["synth"].features)
-    return (directory / "bank.bin").read_bytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -433,21 +384,23 @@ def test_damaged_bank_raises_only_typed_errors(tmp_path_factory, trained_bank,
             pass
 
 
-def test_interrupted_index_write_keeps_previous_index(tmp_path, tiny_trained,
+def test_interrupted_index_write_keeps_previous_index(tmp_path, trained_bank,
+                                                      tiny_trained,
                                                       monkeypatch):
-    bank = tiny_trained["bank"]
-    save_bank(bank, tmp_path)
-    before = (tmp_path / "bank.bin").read_bytes()
+    (tmp_path / "bank.bin").write_bytes(trained_bank)
+    quick = dataclasses.replace(SMALL_CONFIG, em_max_iters=1)
 
     def interrupted(src, dst):
         raise OSError("interrupted")
     monkeypatch.setattr(recognizer.os, "replace", interrupted)
     with pytest.raises(OSError):
-        save_bank(dataclasses.replace(bank, one_stage_models={}), tmp_path)
-    assert (tmp_path / "bank.bin").read_bytes() == before
+        recognizer.train_role("one_stage", tmp_path, quick,
+                              tiny_trained["train"],
+                              tiny_trained["synth"].features)
+    assert (tmp_path / "bank.bin").read_bytes() == trained_bank
     assert [p.name for p in tmp_path.iterdir()] == ["bank.bin"]
     assert load_bank(tmp_path).one_stage_models.keys() == \
-        bank.one_stage_models.keys()
+        tiny_trained["bank"].one_stage_models.keys()
 
 
 class _Interrupt(Exception):
@@ -516,44 +469,35 @@ def test_interrupted_speaker_retrain_keeps_previous_bank(tmp_path, tiny_trained,
             for entry in _speaker_entries(header)] == [1] * 6
     monkeypatch.undo()
     old = load_bank(tmp_path)
-    models, _ = recognizer.train_role("speaker", tmp_path, SMALL_CONFIG,
-                                      train, cache)
+    trained = recognizer.train_role("speaker", tmp_path, SMALL_CONFIG, train,
+                                    cache)
     new = load_bank(tmp_path)
-    for key, model in models.items():
+    for key, (model, _) in trained.items():
         np.testing.assert_array_equal(new.speaker_models[key].transitions,
                                       model.transitions)
     assert any(not np.array_equal(old.speaker_models[k].transitions,
                                   new.speaker_models[k].transitions)
-               for k in models)
+               for k in trained)
 
 
 def test_train_role_records_training_reports(tmp_path, tiny_trained):
     train = tiny_trained["train"]
     cache = tiny_trained["synth"].features
     cfg = dataclasses.replace(SMALL_CONFIG, em_max_iters=3)
-    models, reports = recognizer.train_role("speaker", tmp_path, cfg, train,
-                                            cache)
-    assert reports.keys() == models.keys()
+    trained = recognizer.train_role("speaker", tmp_path, cfg, train, cache)
+    speakers = dict.fromkeys(r.speaker for r in train)
+    emotions = dict.fromkeys(r.emotion for r in train)
+    assert list(trained) == [(s, e) for s in speakers for e in emotions]
     _, header, _ = container_parts((tmp_path / "bank.bin").read_bytes())
     entries = _speaker_entries(header)
-    assert [tuple(entry["key"]) for entry in entries] == list(models)
+    assert [tuple(entry["key"]) for entry in entries] == list(trained)
     for entry in entries:
-        report = reports[tuple(entry["key"])]
+        _, report = trained[tuple(entry["key"])]
         assert entry["training"] == {
             "iterations": report.iterations_run,
             "converged": report.converged,
             "log_likelihood": report.log_likelihood_per_iteration[-1]}
         assert 1 <= report.iterations_run <= 3
-
-
-def test_load_bank_accepts_index_without_training(tmp_path, tiny_trained):
-    # save_bank records no training summary for any model
-    save_bank(tiny_trained["bank"], tmp_path)
-    _, header, _ = container_parts((tmp_path / "bank.bin").read_bytes())
-    assert [entry["training"] for entry in header["models"]] == \
-        [None] * (2 * 2 + 3 * 2 + 3)
-    loaded = load_bank(tmp_path)
-    assert loaded.emotions == tiny_trained["bank"].emotions
 
 
 def test_load_bank_missing_directory(tmp_path):
