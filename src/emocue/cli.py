@@ -27,6 +27,7 @@ from . import corpus, evaluation, recognizer
 from .config import RunConfig, make_config
 from .errors import (
     EmoCueError,
+    EmptyTrainingSetError,
     ManifestError,
     NoLegalPathError,
     NumericalUnderflowError,
@@ -121,8 +122,9 @@ def _cmd_train(args) -> int:
     cfg = _config_from(args)
     records, cache = _load_corpus(args.manifest, args.features)
     train, _ = corpus.split_records(records, cfg.protocol)
-    trained = recognizer.train_role(args.role, args.bank_dir, cfg, train,
-                                    cache)
+    with _prefixed(args.manifest, EmptyTrainingSetError):
+        trained = recognizer.train_role(args.role, args.bank_dir, cfg, train,
+                                        cache)
     print(f"trained {len(trained)} {args.role} models "
           f"({len(train)} utterances) -> {args.bank_dir}")
     capped = sum(not report.converged for _, report in trained.values())

@@ -13,12 +13,12 @@ class EmoCueError(Exception):
 
 
 @contextlib.contextmanager
-def _prefixed(what: str):
-    """Re-raise an EmoCueError from the block as the same type, its message
-    prefixed by what (the utterance or file at fault)."""
+def _prefixed(what: str, kind: type[EmoCueError] = EmoCueError):
+    """Re-raise an error of kind (an EmoCueError) from the block as the same
+    type, its message prefixed by what (the utterance or file at fault)."""
     try:
         yield
-    except EmoCueError as exc:
+    except kind as exc:
         raise type(exc)(f"{what}: {exc}") from exc
 
 

@@ -43,6 +43,17 @@ VOICING_THRESHOLD = 0.45
 SUBHARMONIC_TOLERANCE = 0.9
 ENERGY_FLOOR = 1e-10
 
+_WINDOW = np.hamming(FRAME_LEN)
+_WINDOW.setflags(write=False)
+# Pitch lag search range in samples, and an autocorrelation length that
+# keeps lags up to _LAG_MAX + 1 (one past, for refinement) free of wrap-round.
+_LAG_MIN = int(np.ceil(SAMPLE_RATE / F0_MAX))
+_LAG_MAX = int(np.floor(SAMPLE_RATE / F0_MIN))
+_AUTOCORR_LEN = scipy.fft.next_fast_len(FRAME_LEN + _LAG_MAX + 1, real=True)
+# analyze_clip analyses at most this many frames at a time, so its memory
+# stays bounded however long the clip is.
+_BLOCK_FRAMES = 256
+
 _CACHE_MAGIC = b"EMOFC001"
 
 
@@ -77,7 +88,7 @@ class AudioClip:
 
 @dataclass(frozen=True)
 class FrameSequence:
-    """Hamming-windowed analysis frames of one clip."""
+    """Raw (un-windowed) analysis frames of one clip."""
 
     frames: np.ndarray   # (num_frames, FRAME_LEN) float64
 
@@ -182,18 +193,18 @@ def load_audio(path) -> AudioClip:
 
 
 def frame_signal(clip: AudioClip) -> FrameSequence:
-    """Slice a clip into Hamming-windowed frames (30 ms window, 5 ms hop).
+    """Slice a clip into raw frames (30 ms window, 5 ms hop).
 
-    Samples past the last full window are dropped; the frame count is
-    floor((num_samples - frame_len) / hop) + 1.
+    The frames are the samples themselves; mfcc and the frame energy apply
+    the Hamming window. Samples past the last full window are dropped; the
+    frame count is floor((num_samples - frame_len) / hop) + 1.
     """
     samples = clip.samples.astype(np.float64)
     if samples.size < FRAME_LEN:
         raise TooShortError(
             f"need at least {FRAME_LEN} samples, got {samples.size}")
-    windows = np.lib.stride_tricks.sliding_window_view(samples, FRAME_LEN)[::HOP]
-    frames = windows * np.hamming(FRAME_LEN)
-    return FrameSequence(frames=frames)
+    return FrameSequence(
+        frames=np.lib.stride_tricks.sliding_window_view(samples, FRAME_LEN)[::HOP])
 
 
 def _mel(hz):
@@ -223,16 +234,15 @@ MEL_FILTERBANK = _mel_filterbank()
 def mfcc(frames: FrameSequence) -> FeatureSequence:
     """Compute 16 MFCCs per frame (coefficients 1..16, no energy term).
 
-    Per frame: pre-emphasis, zero-padded magnitude spectrum, triangular mel
-    filterbank, floored log, orthonormal DCT-II. Coefficient 0 is dropped to
-    keep the features robust to overall gain.
+    Per frame: Hamming window, pre-emphasis, zero-padded magnitude spectrum,
+    triangular mel filterbank, floored log, orthonormal DCT-II. Coefficient 0
+    is dropped to keep the features robust to overall gain.
     """
-    x = frames.frames
-    if x.shape[0] == 0:
+    if len(frames) == 0:
         raise ValueError("empty frame sequence")
-    emphasized = np.concatenate(
-        [x[:, :1], x[:, 1:] - PREEMPHASIS * x[:, :-1]], axis=1)
-    spectrum = np.abs(np.fft.rfft(emphasized, FFT_SIZE, axis=1))
+    emphasized = frames.frames * _WINDOW
+    emphasized[:, 1:] -= PREEMPHASIS * emphasized[:, :-1]
+    spectrum = np.abs(scipy.fft.rfft(emphasized, FFT_SIZE, axis=1))
     energies = spectrum @ MEL_FILTERBANK.T
     log_energies = np.log(np.maximum(energies, ENERGY_FLOOR))
     cepstra = scipy.fft.dct(log_energies, type=2, norm="ortho", axis=1)
@@ -242,68 +252,62 @@ def mfcc(frames: FrameSequence) -> FeatureSequence:
 def prosodic_track(frames: FrameSequence) -> ProsodicTrack:
     """Estimate per-frame F0, log energy and voicing.
 
-    F0 is searched over [60, 400] Hz with a normalized autocorrelation; a
-    frame is voiced when the normalized peak reaches the voicing threshold.
-    The normalization cancels the overall signal scale, so amplification
-    changes neither voicing decisions nor F0 values.
-
-    The analysis window taper would drag long-lag correlation peaks toward
-    shorter lags, so the taper is divided out and the lag search runs on
-    the plain samples. Frame energy keeps the windowed convention.
+    F0 is searched over [60, 400] Hz with a normalized autocorrelation of
+    the raw frame; a frame is voiced when the normalized peak reaches the
+    voicing threshold. The normalization cancels the overall signal scale,
+    so amplification changes neither voicing decisions nor F0 values. The
+    lag search runs on raw samples because a window's taper would drag
+    long-lag peaks toward shorter lags; the frame energy is that of the
+    Hamming-windowed frame.
     """
-    windowed = frames.frames
-    n_frames, frame_len = windowed.shape
+    x = frames.frames
+    n_frames, frame_len = x.shape
     if n_frames == 0:
         raise ValueError("empty frame sequence")
-    x = windowed / np.hamming(frame_len)
+    lag_min, lag_max = _LAG_MIN, _LAG_MAX
+    base = lag_min - 1                  # ncc column j holds lag base + j
 
-    lag_min = int(np.ceil(SAMPLE_RATE / F0_MAX))
-    lag_max = int(np.floor(SAMPLE_RATE / F0_MIN))
-    n_lags = lag_max + 2                      # one past lag_max for refinement
-    fft_len = int(2 ** np.ceil(np.log2(frame_len + n_lags)))
+    spec = scipy.fft.rfft(x, _AUTOCORR_LEN, axis=1)
+    power = spec.real * spec.real + spec.imag * spec.imag
+    autocorr = scipy.fft.irfft(power, _AUTOCORR_LEN, axis=1)[:, base:lag_max + 2]
 
-    spec = np.fft.rfft(x, fft_len, axis=1)
-    autocorr = np.fft.irfft(spec * np.conj(spec), fft_len, axis=1)[:, :n_lags]
-
-    # Energy of the two offset segments entering the lag-tau product.
-    prefix = np.concatenate(
-        [np.zeros((n_frames, 1)), np.cumsum(x * x, axis=1)], axis=1)
-    total = prefix[:, -1]
-    lags = np.arange(n_lags)
-    head = prefix[:, frame_len - lags]            # energy of x[0 : L - tau]
-    tail = total[:, None] - prefix[:, lags]       # energy of x[tau : L]
+    # Energy of the two offset segments entering the lag-tau product:
+    # head = energy of x[0 : L - tau] = cumulative[L - tau - 1] and
+    # tail = energy of x[tau : L] = cumulative[L - 1] - cumulative[tau - 1].
+    squares = x * x
+    cumulative = np.cumsum(squares, axis=1)
+    head = cumulative[:, frame_len - lag_max - 2:frame_len - base][:, ::-1]
+    tail = cumulative[:, -1:] - cumulative[:, base - 1:lag_max + 1]
     denom = np.sqrt(np.maximum(head * tail, 0.0))
-    ncc = np.where(denom > 0.0, autocorr / np.where(denom > 0.0, denom, 1.0), 0.0)
+    ncc = np.divide(autocorr, denom, out=np.zeros_like(autocorr),
+                    where=denom > 0.0)
 
-    search = ncc[:, lag_min:lag_max + 1]
     rows = np.arange(n_frames)
-    peak_idx = np.argmax(search, axis=1) + lag_min
-    peak = ncc[rows, peak_idx]
+    peak_idx = np.argmax(ncc[:, 1:-1], axis=1) + lag_min
+    peak = ncc[rows, peak_idx - base]
     voiced = peak >= VOICING_THRESHOLD
 
     # A periodic signal correlates equally well at every multiple of its
     # period, so the raw argmax can land an octave (or more) low. Replace
-    # it with the shortest integer submultiple whose correlation stays
-    # within tolerance of the global peak.
-    best_idx = peak_idx.copy()
-    for k in range(2, lag_max // lag_min + 1):
-        cand = np.rint(peak_idx / k).astype(np.int64)
-        legal = cand >= lag_min
-        cand = np.where(legal, cand, lag_min)
-        neighbors = np.stack([ncc[rows, cand - 1], ncc[rows, cand],
-                              ncc[rows, cand + 1]])
-        offset = np.argmax(neighbors, axis=0) - 1
-        value = np.max(neighbors, axis=0)
-        lag = cand + offset
-        take = (legal & (lag >= lag_min) & (lag < best_idx)
-                & (value >= SUBHARMONIC_TOLERANCE * peak))
-        best_idx = np.where(take, lag, best_idx)
-    peak_idx = best_idx
+    # it with the shortest integer submultiple (the best of the three lags
+    # around peak / k) whose correlation stays within tolerance of the
+    # global peak.
+    divisors = np.arange(2, lag_max // lag_min + 1)
+    cand = np.rint(peak_idx[:, None] / divisors).astype(np.int64)
+    legal = cand >= lag_min
+    cand = np.maximum(cand, lag_min)
+    around = cand[:, :, None] + np.arange(-1, 2)     # lags cand - 1 .. cand + 1
+    neighbors = ncc[rows[:, None, None], around - base]
+    lag = cand + np.argmax(neighbors, axis=2) - 1
+    take = (legal & (lag >= lag_min)
+            & (neighbors.max(axis=2) >= SUBHARMONIC_TOLERANCE * peak[:, None]))
+    peak_idx = np.minimum(peak_idx,
+                          np.where(take, lag, peak_idx[:, None]).min(axis=1))
 
     # Parabolic refinement around the chosen peak.
-    left = ncc[rows, peak_idx - 1]
-    right = ncc[rows, peak_idx + 1]
-    peak = ncc[rows, peak_idx]
+    left = ncc[rows, peak_idx - 1 - base]
+    right = ncc[rows, peak_idx + 1 - base]
+    peak = ncc[rows, peak_idx - base]
     curvature = left - 2.0 * peak + right
     shift = np.where(curvature < 0.0,
                      0.5 * (left - right) / np.where(curvature < 0.0, curvature, 1.0),
@@ -312,14 +316,37 @@ def prosodic_track(frames: FrameSequence) -> ProsodicTrack:
                       float(lag_min), float(lag_max))
     f0 = np.where(voiced, SAMPLE_RATE / refined, 0.0)
 
-    log_energy = np.log(np.sum(windowed * windowed, axis=1) + ENERGY_FLOOR)
+    log_energy = np.log(squares @ (_WINDOW * _WINDOW) + ENERGY_FLOOR)
     return ProsodicTrack(f0=f0, log_energy=log_energy, voiced=voiced)
 
 
 def analyze_clip(clip: AudioClip) -> UtteranceFeatures:
-    """Full frontend for one clip: framing, MFCCs and prosody."""
-    frames = frame_signal(clip)
-    return UtteranceFeatures(features=mfcc(frames), prosody=prosodic_track(frames))
+    """Full frontend for one clip: framing, MFCCs and prosody.
+
+    The frames are analysed in blocks of at most _BLOCK_FRAMES, each framed
+    from a sub-clip over the samples it covers, so memory stays bounded
+    however long the clip is. The blocks are of near-equal size: BLAS picks
+    its kernel by matrix size, and a short remainder block would round the
+    mel energies differently from a whole-clip pass.
+    """
+    n_frames = (len(clip) - FRAME_LEN) // HOP + 1
+    n_blocks = -(-n_frames // _BLOCK_FRAMES)
+    vectors, f0, log_energy, voiced = [], [], [], []
+    for b in range(n_blocks):
+        first = b * n_frames // n_blocks
+        last = (b + 1) * n_frames // n_blocks - 1
+        frames = frame_signal(AudioClip(
+            samples=clip.samples[first * HOP:last * HOP + FRAME_LEN]))
+        track = prosodic_track(frames)
+        vectors.append(mfcc(frames).vectors)
+        f0.append(track.f0)
+        log_energy.append(track.log_energy)
+        voiced.append(track.voiced)
+    return UtteranceFeatures(
+        features=FeatureSequence(vectors=np.concatenate(vectors)),
+        prosody=ProsodicTrack(f0=np.concatenate(f0),
+                              log_energy=np.concatenate(log_energy),
+                              voiced=np.concatenate(voiced)))
 
 
 # --- feature cache -----------------------------------------------------------

@@ -24,6 +24,7 @@ from .errors import (
     CorruptFileError,
     EmptyBankError,
     EmptyResultsError,
+    EmptyTrainingSetError,
     ManifestError,
     UnknownEmotionError,
     UnsupportedFormatError,
@@ -406,6 +407,8 @@ def train_role(role: str, directory, cfg: RunConfig, train_records,
     normalized train split and swap it into the bank in directory, which is
     rewritten whole. An existing bank is checked (_check, with the split's
     labels) before any training; a new one takes the split's statistics.
+    A split that selects no utterance raises EmptyTrainingSetError before
+    the bank is read.
 
     Returns the role's models with their TrainingReports as {key: (model,
     report)}, keyed and ordered as bank.bin stores them: (emotion,
@@ -413,6 +416,8 @@ def train_role(role: str, directory, cfg: RunConfig, train_records,
     speaker, then per emotion; or speaker.
     """
     records = list(train_records)
+    if not records:
+        raise EmptyTrainingSetError("the train split selects no utterance")
     labels = {"emotions": list(_ordered_labels(r.emotion for r in records)),
               "speakers": list(_ordered_labels(r.speaker for r in records))}
     labels = {kind: labels[kind] for kind in _ROLE_LABELS[role]}

@@ -434,6 +434,22 @@ def test_evaluate_rejects_malformed_rows(small_pipeline, tmp_path, capsys,
     assert not (tmp_path / "eval").exists()
 
 
+@pytest.mark.parametrize("command", ["train-emotions", "train-speakers",
+                                     "train-onestage"])
+def test_train_refuses_an_empty_train_split(small_pipeline, tmp_path, capsys,
+                                            command):
+    # the small corpus has sentences 1-4, so sentence 5 selects nothing
+    manifest = small_pipeline / "corpus/manifest.tsv"
+    code = cli.main([command, "--manifest", str(manifest),
+                     "--features", str(small_pipeline / "corpus/features.bin"),
+                     "--bank-dir", str(tmp_path / "bank"), *SMALL_FLAGS,
+                     "--train-sentences", "5", "--test-sentences", "1,2,3,4"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{manifest}: the train split selects no utterance" in err
+    assert not (tmp_path / "bank" / "bank.bin").exists()
+
+
 def test_train_speakers_rejects_mismatched_bank(small_pipeline, tmp_path,
                                                 capsys):
     run_cli("gen-synthetic", "--out-dir", tmp_path, "--speakers", "3",

@@ -4,9 +4,13 @@ The MFCC and pitch pipelines are both checked against slow scalar
 reference implementations built independently of the vectorized code.
 """
 
+import importlib.util
 import math
 import os
+import sys
+import tracemalloc
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +27,8 @@ from emocue.errors import (
 )
 
 from conftest import damaged_container
+
+WAVGEN_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "wavgen.py"
 
 
 def _tone(freq_hz, num_samples, amplitude=8000.0, rate=16000):
@@ -97,13 +103,10 @@ def _reference_mfcc(samples):
 
 
 def _reference_pitch_frame(frame):
-    """Scalar normalized-autocorrelation pitch for one windowed frame."""
+    """Scalar normalized-autocorrelation pitch for one raw frame."""
     lag_min, lag_max = 40, 266
     x = np.asarray(frame, dtype=np.float64)
     length = len(x)
-    window = np.array([0.54 - 0.46 * math.cos(2 * math.pi * i / (length - 1))
-                       for i in range(length)])
-    x = x / window
     ncc = {}
     for lag in range(lag_min - 1, lag_max + 2):
         num = float(x[:length - lag] @ x[lag:])
@@ -152,11 +155,14 @@ def test_frame_count_formula(num_samples):
     assert frames.frames.shape[0] == (num_samples - 480) // 80 + 1
 
 
-def test_frame_windowing_applied():
-    frames = frontend.frame_signal(
-        _clip(np.full(480, 1000, dtype=np.int16)))
-    expected = 1000.0 * np.hamming(480)
-    np.testing.assert_allclose(frames.frames[0], expected)
+def test_frames_are_raw_samples():
+    # the Hamming window is applied by mfcc and the frame energy, not here
+    rng = np.random.default_rng(4)
+    samples = rng.integers(-12000, 12000, size=480 + 80 * 3).astype(np.int16)
+    frames = frontend.frame_signal(_clip(samples))
+    for i in range(4):
+        np.testing.assert_array_equal(frames.frames[i],
+                                      samples[80 * i:80 * i + 480])
 
 
 def test_too_short_clip_rejected():
@@ -175,14 +181,14 @@ def test_mfcc_matches_scalar_reference():
     got = np.asarray(frontend.mfcc(frames))
     want = _reference_mfcc(samples)
     assert got.shape == (5, 16)
-    np.testing.assert_allclose(got, want, atol=1e-8)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
 
 def test_mfcc_tone_matches_reference():
     samples = _tone(220.0, 480 + 80 * 2)
     frames = frontend.frame_signal(_clip(samples))
     np.testing.assert_allclose(np.asarray(frontend.mfcc(frames)),
-                               _reference_mfcc(samples), atol=1e-8)
+                               _reference_mfcc(samples), rtol=0, atol=1e-9)
 
 
 def test_mel_filterbank_shape_and_coverage():
@@ -223,7 +229,85 @@ def test_pitch_matches_scalar_reference():
         for i in range(frames.frames.shape[0]):
             want_f0, want_voiced = _reference_pitch_frame(frames.frames[i])
             assert bool(track.voiced[i]) == want_voiced
-            assert track.f0[i] == pytest.approx(want_f0, abs=1e-8)
+            assert track.f0[i] == pytest.approx(want_f0, abs=1e-9)
+
+
+def _glide(num_samples, seed=5):
+    """A 90-320 Hz glide in light noise, with a noise-only middle third, so
+    neighbouring frames differ and both voicing decisions occur."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(num_samples) / 16000
+    hz = 90.0 + 230.0 * np.arange(num_samples) / num_samples
+    signal = 6000.0 * np.sin(2 * np.pi * np.cumsum(hz) / 16000)
+    signal[num_samples // 3:2 * num_samples // 3] = 0.0
+    return np.round(signal + 200.0 * np.sin(2 * np.pi * 3.0 * t)
+                    + rng.normal(0.0, 300.0, num_samples)).astype(np.int16)
+
+
+@pytest.mark.parametrize("num_frames", [
+    1, frontend._BLOCK_FRAMES, 2 * frontend._BLOCK_FRAMES + 7])
+def test_analyze_clip_blocks_match_scalar_reference(num_frames):
+    samples = _glide(480 + 80 * (num_frames - 1))
+    utt = frontend.analyze_clip(_clip(samples))
+    assert len(utt.features) == len(utt.prosody) \
+        == (len(samples) - 480) // 80 + 1 == num_frames
+    np.testing.assert_allclose(np.asarray(utt.features),
+                               _reference_mfcc(samples), rtol=0, atol=1e-9)
+    window = np.hamming(480)
+    for i in range(num_frames):
+        frame = samples[80 * i:80 * i + 480].astype(np.float64)
+        want_f0, want_voiced = _reference_pitch_frame(frame)
+        assert bool(utt.prosody.voiced[i]) == want_voiced
+        assert utt.prosody.f0[i] == pytest.approx(want_f0, abs=1e-9)
+        want_energy = math.log(float(np.sum((frame * window) ** 2)) + 1e-10)
+        assert utt.prosody.log_energy[i] == pytest.approx(want_energy,
+                                                          abs=1e-9)
+    if num_frames > 1:
+        assert 0 < np.count_nonzero(utt.prosody.voiced) < num_frames
+
+
+def _wavgen():
+    spec = importlib.util.spec_from_file_location("perfbench_wavgen",
+                                                  WAVGEN_PATH)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look the defining module up in sys.modules
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_pitch_matches_known_truth():
+    # the benchmark's clips: harmonic glides with vibrato between noise
+    # stretches, with per-frame F0 and voicing truth
+    wavgen = _wavgen()
+    gross = f0_scored = voicing = voicing_scored = 0
+    for seed in (1, 2):
+        for clip in wavgen.make_clips(seed, 10):
+            utt = frontend.analyze_clip(_clip(clip.samples))
+            g, fs, v, vs = wavgen.pitch_errors(clip, utt.prosody.f0,
+                                               utt.prosody.voiced)
+            gross, f0_scored = gross + g, f0_scored + fs
+            voicing, voicing_scored = voicing + v, voicing_scored + vs
+    assert f0_scored > 1000 and voicing_scored > 2000
+    assert 100.0 * gross / f0_scored <= 2.0
+    assert 100.0 * voicing / voicing_scored <= 2.0
+
+
+def test_analyze_clip_memory_is_bounded_on_long_clips():
+    # a whole-clip pass holds several (frames, 480) float64 matrices:
+    # 465 MB at 60 s
+    num_samples = 240 * 16000
+    rng = np.random.default_rng(6)
+    clip = _clip(_tone(150.0, num_samples)
+                 + rng.integers(-300, 300, size=num_samples))
+    tracemalloc.start()
+    try:
+        utt = frontend.analyze_clip(clip)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(utt.prosody) == (num_samples - 480) // 80 + 1
+    assert peak < 100e6
 
 
 def test_noise_is_unvoiced():
