@@ -120,7 +120,7 @@ class FeatureSequence:
         return self.vectors.shape[0]
 
     def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.vectors, dtype=dtype)
+        return np.array(self.vectors, dtype=dtype, copy=copy)
 
 
 @dataclass(frozen=True)

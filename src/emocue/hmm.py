@@ -22,22 +22,32 @@ Numerics:
   means are first centred on the model's mean of means. Against a scalar
   evaluation (16 dimensions, floor variances, features 0.05 from the
   means), the uncentred expansion is off by 2e-9 at feature offset 10 and
-  3e-5 at offset 1e3; centred, by about 1e-13 at any offset. An
-  overflowing cross term (inf - inf) saturates to a -inf log density,
-  never NaN.
+  3e-5 at offset 1e3; centred, by about 1e-13 at any offset. Each state's
+  mixture sum is shifted by its peak, the max over its components, and
+  the floor, exp, sum and log run in place. An overflowing cross term
+  (inf - inf) gives NaN, which the max carries, so one isfinite check on
+  the (N, T) peaks finds it as well as a state whose every component is
+  -inf. Only then does the pass map NaN to -inf and take _logsumexp's
+  general path: the log density saturates to -inf, never NaN.
 * Recursions. In the left-to-right band, state j's scores over time obey
   a first-order recurrence x_t = op(x_{t-1} + s, e_t) + b_t: s is the log
   self-loop, e_t the entry from state j-1 (its score at t-1 plus the log
   advance), b_t the log emission, and op is logaddexp (max for Viterbi).
   With the offset C_t = sum of s + b over frames 1..t, y = x - C obeys
   y_t = op(y_{t-1}, e_t - C_{t-1} - s): one np.logaddexp.accumulate
-  (np.maximum.accumulate) over time, so each pass loops over the N states
-  instead of the T frames. Backward is the same recurrence in reversed
-  time. Viterbi loops where y_t == y_{t-1}, that is where
-  y_{t-1} >= e_t - C_{t-1} - s, so ties still go to looping. A -inf in
-  s + b (a zero self-loop, an emission that underflowed) leaves C
-  undefined from there on; that state, in that sequence, then runs the
-  recurrence frame by frame.
+  (np.maximum.accumulate) over time, written into the state's rows of the
+  score array, so each pass loops over the N states instead of the T
+  frames. State 0 is entered at frame 0 only and op(y, -inf) = y, so its
+  scores are its first emission plus C, in closed form. Backward is the
+  same recurrence in reversed time. Viterbi loops where y_t == y_{t-1},
+  that is where y_{t-1} >= e_t - C_{t-1} - s, so ties still go to looping.
+  A -inf in s + b (a zero self-loop, an emission that underflowed) leaves
+  C undefined from there on; that state, in that sequence, then runs the
+  recurrence frame by frame. One isfinite check on the last offsets skips
+  this bookkeeping when no row is stuck. The Viterbi backtrack takes one
+  np.maximum.accumulate over the (N, T-1) entry frames (a frame where
+  state j did not loop), which gives every state's last entry at or
+  before any frame; the walk back then reads one entry per state.
 
 Training:
 
@@ -301,10 +311,18 @@ def _emissions(model: AcousticModel, obs: np.ndarray):
         comp = table.coef @ np.concatenate((x * x, x), axis=1).T
         comp += table.const
     comp = comp.reshape(*table.shape, obs.shape[0])
-    lb = _logsumexp(comp, axis=0)
-    if np.isnan(lb).any():
+    # a NaN carries through the max, so finite peaks mean a finite block
+    peak = comp.max(axis=0)
+    if not np.isfinite(peak).all():
         comp[np.isnan(comp)] = -np.inf
-        lb = _logsumexp(comp, axis=0)
+        return comp, _logsumexp(comp, axis=0)
+    # _logsumexp's steps for finite peaks, in place
+    terms = np.subtract(comp, peak)
+    np.maximum(terms, _EXP_FLOOR, out=terms)
+    np.exp(terms, out=terms)
+    lb = terms.sum(axis=0)
+    np.log(lb, out=lb)
+    lb += peak
     return comp, lb
 
 
@@ -338,10 +356,10 @@ def _frames(first: float, loop: np.ndarray, enter: np.ndarray,
 
 def _stuck_rows(offset_end: np.ndarray) -> list:
     """Per state, the sequences whose cumulative offset is not finite."""
-    stuck = ~np.isfinite(offset_end)
-    if not stuck.any():
-        return [()] * stuck.shape[0]
-    return [np.flatnonzero(row) for row in stuck]
+    finite = np.isfinite(offset_end)
+    if finite.all():
+        return [()] * finite.shape[0]
+    return [np.flatnonzero(~row) for row in finite]
 
 
 def _forward(band, lb: np.ndarray, best: bool = False):
@@ -354,43 +372,40 @@ def _forward(band, lb: np.ndarray, best: bool = False):
     """
     la_self, la_next = band
     n, k, t_len = lb.shape
-    offset = np.zeros((n, k, t_len))
+    accumulate = np.maximum.accumulate if best else np.logaddexp.accumulate
+    offset = np.empty((n, k, t_len))
+    offset[..., 0] = 0.0
+    scores = np.empty((n, k, t_len))
+    looped = np.ones((n, k, t_len - 1), dtype=bool) if best else None
+    v = np.empty((k, t_len))
+    v[:, 0] = -np.inf
     # Both branches into (j, t) add frame t's emission, so the entry is
     # shifted by the offset before it; no emission enters the comparison.
     # An offset that overflows to -inf sends its row to the frame loop;
-    # that row's shifted entries are garbage and are overwritten.
+    # that row's shifted entries and scores are garbage (they may overflow
+    # or be NaN) and are overwritten.
     with np.errstate(over="ignore", invalid="ignore"):
-        np.cumsum(lb[..., 1:] + la_self[:, None, None], axis=2,
-                  out=offset[..., 1:])
-        shifted_enter = la_next[:, None, None] - (offset[1:, :, :-1]
-                                                  + la_self[1:, None, None])
-    stuck = _stuck_rows(offset[..., -1])
-    accumulate = np.maximum.accumulate if best else np.logaddexp.accumulate
-
-    scores = np.empty((n, k, t_len))
-    looped = np.empty((n, k, t_len - 1), dtype=bool)
-    v = np.empty((k, t_len))
-    # only stuck rows overflow or produce NaN, and they are overwritten
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(n):
-            if j > 0:
-                v[:, 0] = -np.inf
-                np.add(scores[j - 1, :, :-1], shifted_enter[j - 1],
-                       out=v[:, 1:])
-            else:
-                v[:, 0] = lb[0, :, 0]
-                v[:, 1:] = -np.inf
-            y = accumulate(v, axis=1)
-            np.add(y, offset[j], out=scores[j])
+        np.add(lb[..., 1:], la_self[:, None, None], out=offset[..., 1:])
+        np.cumsum(offset[..., 1:], axis=2, out=offset[..., 1:])
+        shifted_enter = np.add(offset[1:, :, :-1], la_self[1:, None, None])
+        np.subtract(la_next[:, None, None], shifted_enter, out=shifted_enter)
+        stuck = _stuck_rows(offset[..., -1])
+        # State 0 is entered at frame 0 only and op(y, -inf) = y, so its
+        # scores are its first emission plus the offset, stuck rows included.
+        np.add(offset[0], lb[0, :, :1], out=scores[0])
+        for j in range(1, n):
+            np.add(scores[j - 1, :, :-1], shifted_enter[j - 1], out=v[:, 1:])
+            y = accumulate(v, axis=1, out=scores[j])
             if best:
                 np.equal(y[:, 1:], y[:, :-1], out=looped[j])
+            y += offset[j]
             for r in stuck[j]:
-                enter = (scores[j - 1, r, :-1] + la_next[j - 1] if j > 0
-                         else np.full(t_len - 1, -np.inf))
-                scores[j, r], looped[j, r] = _frames(
-                    v[r, 0], np.full(t_len - 1, la_self[j]), enter,
-                    lb[j, r, 1:], best)
-    return scores, (looped if best else None)
+                scores[j, r], flags = _frames(
+                    -np.inf, np.full(t_len - 1, la_self[j]),
+                    scores[j - 1, r, :-1] + la_next[j - 1], lb[j, r, 1:], best)
+                if best:
+                    looped[j, r] = flags
+    return scores, looped
 
 
 def _backward(band, lb: np.ndarray) -> np.ndarray:
@@ -434,7 +449,7 @@ def forward_log_likelihood(model: AcousticModel, seq) -> float:
     obs = _as_observations(model, seq)
     alpha, _ = _forward(model._band,
                         state_log_densities(model, obs).T[:, None])
-    return float(_logsumexp(alpha[:, 0, -1], axis=0))
+    return float(np.logaddexp.reduce(alpha[:, 0, -1]))
 
 
 def forward_backward(model: AcousticModel, seq):
@@ -466,15 +481,18 @@ def viterbi(model: AcousticModel, seq):
     if not np.isfinite(log_prob):
         raise NoLegalPathError(
             f"no left-to-right path through {n} states fits {t_len} frames")
-    # State j runs back from frame t to the last frame at or before t where
-    # it was entered from j-1 (looped is False there).
-    path = np.empty(t_len, dtype=np.int64)
+    # entered[j, t - 1] is the last frame at or before t where state j was
+    # entered from j-1 (looped is False there). Each state's first frame
+    # gets a 1, and the running sum of those is the path.
+    entered = np.maximum.accumulate(
+        np.where(looped, 0, np.arange(1, t_len)), axis=1)
+    path = np.zeros(t_len, dtype=np.int64)
     t = t_len - 1
     for j in range(n - 1, 0, -1):
-        start = int(np.flatnonzero(~looped[j, :t])[-1]) + 1
-        path[start:t + 1] = j
+        start = int(entered[j, t - 1])
+        path[start] = 1
         t = start - 1
-    path[:t + 1] = 0
+    np.cumsum(path, out=path)
     return path, float(log_prob)
 
 

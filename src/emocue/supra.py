@@ -87,7 +87,7 @@ class SupraObservationSequence:
         return self.vectors.shape[0]
 
     def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.vectors, dtype=dtype)
+        return np.array(self.vectors, dtype=dtype, copy=copy)
 
 
 @dataclass(frozen=True)
@@ -129,38 +129,47 @@ def segment_summaries(path, track: ProsodicTrack,
     if path.ndim != 1 or path.size != len(track):
         raise LengthMismatchError(
             f"path length {path.size} does not match track length {len(track)}")
-    steps = np.diff(path)
-    if (path.size == 0 or path[0] != 0 or np.any(steps < 0) or np.any(steps > 1)
+    t_total = path.size
+    steps = path[1:] - path[:-1]
+    # a negative step wraps round to a huge unsigned one, so one comparison
+    # bounds every step to 0 or 1
+    if (t_total == 0 or path[0] != 0 or not (steps.view(np.uint64) <= 1).all()
             or path[-1] >= mapping.num_acoustic_states):
         raise IllegalPathError("path must start at state 0 and advance by 0 or 1 "
                                "within the mapped state range")
 
     # A legal path advances by 0 or 1 from state 0, so path[t] is the index
-    # of frame t's segment and every statistic is a per-segment bincount.
-    t_total = path.size
+    # of frame t's segment. hmm._grouped_sums adds each segment's frames in
+    # frame order, as a bincount per statistic did, so the summaries (and
+    # the prosodic models trained on them) keep every bit.
     segments = int(path[-1]) + 1
+    voiced, f0 = track.voiced, track.f0
+    pos = np.arange(t_total, dtype=np.float64)
+    columns = np.empty((t_total, 4))
+    columns[:, 0] = voiced
+    columns[:, 1] = f0
+    np.multiply(pos, voiced, out=columns[:, 2])
+    columns[:, 3] = track.log_energy
+    sums, frames = hmm._grouped_sums(columns, path, segments)
+    n_voiced, f0_sum, pos_sum, energy_sum = sums.T
 
-    def per_segment(weights):
-        return np.bincount(path, weights=weights, minlength=segments)
-
-    voiced = track.voiced
-    frames = per_segment(None)
-    n_voiced = per_segment(voiced)
+    vectors = np.zeros((segments, SUPRA_DIM))
     has_voice = n_voiced > 0
-    mean_f0 = np.divide(per_segment(track.f0), n_voiced, out=np.zeros(segments),
-                        where=has_voice)
+    mean_f0 = np.divide(f0_sum, n_voiced, out=vectors[:, 0], where=has_voice)
+    mean_pos = np.divide(pos_sum, n_voiced, out=np.zeros(segments),
+                         where=has_voice)
     # least-squares line through (frame position, F0) over the voiced
     # frames of each segment, in centred form
-    pos = np.arange(t_total, dtype=np.float64)
-    mean_pos = np.divide(per_segment(pos * voiced), n_voiced,
-                         out=np.zeros(segments), where=has_voice)
     d_pos = np.where(voiced, pos - mean_pos[path], 0.0)
-    d_f0 = np.where(voiced, track.f0 - mean_f0[path], 0.0)
-    slope = np.divide(per_segment(d_pos * d_f0), per_segment(d_pos * d_pos),
-                      out=np.zeros(segments), where=n_voiced >= 2)
-    vectors = np.column_stack((mean_f0, slope,
-                               per_segment(track.log_energy) / frames,
-                               frames / t_total, n_voiced / frames))
+    d_f0 = np.where(voiced, f0 - mean_f0[path], 0.0)
+    # columns 0 and 1 are read; they take the slope's products
+    np.multiply(d_pos, d_f0, out=columns[:, 0])
+    np.multiply(d_pos, d_pos, out=columns[:, 1])
+    cross, spread = hmm._grouped_sums(columns[:, :2], path, segments)[0].T
+    np.divide(cross, spread, out=vectors[:, 1], where=n_voiced >= 2)
+    np.divide(energy_sum, frames, out=vectors[:, 2])
+    np.divide(frames, t_total, out=vectors[:, 3])
+    np.divide(n_voiced, frames, out=vectors[:, 4])
     return SupraObservationSequence(vectors=vectors)
 
 

@@ -187,6 +187,131 @@ def test_non_finite_band_falls_back_to_per_frame(monkeypatch):
     assert calls
 
 
+# --- kernel edge cases -------------------------------------------------------
+
+
+def test_viterbi_exact_tie_loops_as_frame_viterbi(monkeypatch):
+    # With l = log 0.5, staying in state 1 at frame 2 scores l + l and
+    # advancing from state 0 scores (0 + l) + l: the same double, also in
+    # the library's offset-shifted recurrence.
+    base = random_model(np.random.default_rng(50), num_states=2,
+                        num_mixtures=1, dim=1)
+    model = hmm.AcousticModel(num_states=2, feature_dim=1,
+                              transitions=[[0.5, 0.5], [0.0, 1.0]],
+                              mixtures=base.mixtures)
+    half = math.log(0.5)
+    logb = np.array([[0.0, -50.0], [0.0, half], [-50.0, 0.0]])
+    monkeypatch.setattr(hmm, "state_log_densities", lambda m, obs: logb)
+    obs = np.zeros((3, 1))
+    want_path, want_score = frame_viterbi(model, logb)
+    path, score = hmm.viterbi(model, obs)
+    assert want_path == [0, 1, 1]
+    assert list(path) == want_path and score == want_score == 2 * half
+    assert hmm.forward_log_likelihood(model, obs) == pytest.approx(
+        np.logaddexp.reduce(frame_forward(model, logb)[-1]), rel=1e-12)
+
+
+def test_zero_self_loop_in_state_zero_matches_oracles():
+    # state 0's cumulative offset is -inf after frame 0
+    rng = np.random.default_rng(51)
+    base = random_model(rng, num_states=3, num_mixtures=2, dim=2)
+    transitions = np.array(base.transitions)
+    transitions[0, :2] = [0.0, 1.0]
+    model = hmm.AcousticModel(num_states=3, feature_dim=2,
+                              transitions=transitions, mixtures=base.mixtures)
+    for length in (3, 4, 7):
+        obs = rng.normal(0.0, 2.0, size=(length, 2))
+        _check_against_frames(model, obs)
+        assert hmm.forward_log_likelihood(model, obs) == pytest.approx(
+            enumerated_forward(model, obs), abs=1e-9)
+        assert hmm.viterbi(model, obs)[0][1] == 1
+
+
+def _last_state_underflow_case(num_states=3, length=8, outlier=4):
+    """Observations whose frame `outlier` has a log emission of -inf in the
+    last state only. Dimension 0 carries the outlier: the last state's
+    variance there is the floor, so (1e153)^2 / 1e-4 overflows, while the
+    other states' variance 1e300 keeps theirs finite. Dimension 1 carries
+    the signal."""
+    rng = np.random.default_rng(52)
+    base = random_model(rng, num_states=num_states, num_mixtures=2, dim=2)
+    mixtures = []
+    for j, mix in enumerate(base.mixtures):
+        means, variances = np.array(mix.means), np.array(mix.variances)
+        means[:, 0] = 0.0
+        variances[:, 0] = hmm.VARIANCE_FLOOR if j == num_states - 1 else 1e300
+        mixtures.append(hmm.GaussianMixture(weights=mix.weights, means=means,
+                                            variances=variances))
+    model = hmm.AcousticModel(num_states=num_states, feature_dim=2,
+                              transitions=base.transitions,
+                              mixtures=tuple(mixtures))
+    obs = np.column_stack((np.zeros(length), rng.normal(0.0, 2.0, length)))
+    obs[outlier, 0] = 1e153
+    return model, obs
+
+
+def test_emission_underflow_in_last_state_matches_frame_oracles(monkeypatch):
+    model, obs = _last_state_underflow_case()
+    finite = np.isfinite(hmm.state_log_densities(model, obs))
+    assert not finite[4, -1] and finite.sum() == finite.size - 1
+    calls = []
+    frames = hmm._frames
+    monkeypatch.setattr(hmm, "_frames",
+                        lambda *args: calls.append(1) or frames(*args))
+    _check_against_frames(model, obs)
+    assert calls
+    assert hmm.viterbi(model, obs)[0][4] < 2
+
+
+def test_non_finite_emission_peak_takes_the_fallback():
+    # Every component of the last state is -inf at frame 2, so its peak is
+    # -inf, and shifting by it would give -inf - (-inf) = NaN. (The NaN
+    # peak of an inf - inf product is covered by
+    # test_state_densities_overflowing_cross_term_is_minus_inf.)
+    model, obs = _last_state_underflow_case(length=6, outlier=2)
+    logb = hmm.state_log_densities(model, obs)
+    assert not np.isnan(logb).any()
+    assert logb[2, -1] == -math.inf
+    want = [[scalar_log_density(mix, row) for mix in model.mixtures]
+            for row in np.delete(obs, 2, axis=0)]
+    np.testing.assert_allclose(np.delete(logb, 2, axis=0), want, rtol=1e-12)
+    alpha = frame_forward(model, logb)
+    assert hmm.forward_log_likelihood(model, obs) == pytest.approx(
+        np.logaddexp.reduce(alpha[-1]), rel=1e-12)
+    path, score = hmm.viterbi(model, obs)
+    want_path, want_score = frame_viterbi(model, logb)
+    assert list(path) == want_path
+    assert score == pytest.approx(want_score, rel=1e-12)
+
+
+@pytest.mark.parametrize("num_states", [1, 2, 4])
+def test_forward_single_frame_matches_oracles(num_states):
+    rng = np.random.default_rng(53 + num_states)
+    model = random_model(rng, num_states=num_states, num_mixtures=2, dim=2)
+    obs = rng.normal(0.0, 2.0, size=(1, 2))
+    got = hmm.forward_log_likelihood(model, obs)
+    alpha = frame_forward(model, hmm.state_log_densities(model, obs))
+    assert got == pytest.approx(enumerated_forward(model, obs), abs=1e-12)
+    assert got == np.logaddexp.reduce(alpha[-1]) == alpha[0, 0]
+
+
+@pytest.mark.parametrize("num_states", [1, 2, 3, 5])
+@pytest.mark.parametrize("extra", [0, 1])
+def test_viterbi_at_minimum_lengths_matches_oracles(num_states, extra):
+    # T = N forces the staircase; T = N + 1 lets exactly one state loop
+    rng = np.random.default_rng(60 + 2 * num_states + extra)
+    model = random_model(rng, num_states=num_states, num_mixtures=2, dim=2)
+    obs = rng.normal(0.0, 2.0, size=(num_states + extra, 2))
+    path, score = hmm.viterbi(model, obs)
+    want_path, want_score = enumerated_viterbi(model, obs)
+    assert list(path) == want_path
+    assert score == pytest.approx(want_score, abs=1e-9)
+    frame_path, frame_score = frame_viterbi(
+        model, hmm.state_log_densities(model, obs))
+    assert list(path) == frame_path
+    assert score == pytest.approx(frame_score, rel=1e-12)
+
+
 # --- forward -----------------------------------------------------------------
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
+import emocue
 from emocue import hmm
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -64,3 +65,23 @@ def test_tracer_counts_a_real_baum_welch_fit():
     assert spans[0]["iterations"] == report.iterations_run
     assert spans[0]["frame_iters"] == report.iterations_run * (12 + 20 + 9)
     assert spans[0]["converged"] == int(report.converged)
+
+
+def test_score_test_set_keeps_the_pinned_call_counts(tiny_trained):
+    # perfbench's closed forms pin U(2E+2S) forward passes (acoustic and
+    # prosodic per emotion, speakers given the emotion, one-stage), U*E
+    # Viterbi alignments and one emission pass per forward or Viterbi call
+    bank, test = tiny_trained["bank"], tiny_trained["test"]
+    u, e, s = len(test), len(bank.emotions), len(bank.speakers)
+    module = _tracer_module()
+    tracer = module.Tracer()
+    tracer.install()
+    try:
+        with tracer.request("identify", 0):
+            emocue.score_test_set(bank, test, tiny_trained["features"])
+    finally:
+        tracer.uninstall()
+    calls = module.aggregate(tracer.spans)
+    assert calls["hmm.forward_log_likelihood"]["calls"] == u * (2 * e + 2 * s)
+    assert calls["hmm.viterbi"]["calls"] == u * e
+    assert calls["hmm.state_log_densities"]["calls"] == u * (3 * e + 2 * s)

@@ -183,6 +183,27 @@ def test_summaries_reject_out_of_range_state():
                                 supra.SupraMapping(group_sizes=(1,)))
 
 
+def test_summaries_reject_backward_step():
+    with pytest.raises(IllegalPathError):
+        supra.segment_summaries([0, 1, 0], _track([0.0] * 3, [False] * 3),
+                                supra.SupraMapping(group_sizes=(1, 1)))
+
+
+@pytest.mark.parametrize("seq", [
+    FeatureSequence(vectors=np.arange(32.0).reshape(2, 16)),
+    supra.SupraObservationSequence(vectors=[[1.0, 0.0, 0.0, 1.0, 1.0]])])
+def test_observation_sequences_honour_copy(seq):
+    copied = np.array(seq, copy=True)
+    assert copied.flags.writeable
+    assert not np.shares_memory(copied, seq.vectors)
+    np.testing.assert_array_equal(copied, seq.vectors)
+    # the scoring path reads the sequence's own buffer
+    assert np.shares_memory(np.asarray(seq), seq.vectors)
+    assert np.shares_memory(np.asarray(seq, dtype=np.float64), seq.vectors)
+    with pytest.raises(ValueError):
+        np.array(seq, dtype=np.float32, copy=False)
+
+
 def test_observation_sequence_validates_durations():
     bad = np.zeros((2, 5))
     bad[:, 3] = [0.5, 0.6]
