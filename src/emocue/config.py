@@ -9,6 +9,7 @@ constant it sets, its parser follows from its annotation (FIELD_PARSERS),
 and its command-line help and metavar sit in the field's metadata.
 """
 
+import math
 from dataclasses import dataclass, field, fields
 
 from . import hmm, supra
@@ -96,8 +97,10 @@ class RunConfig:
             raise ValueError(
                 f"supra_groups {self.supra_groups} must sum to num_states "
                 f"{self.num_states}")
-        if self.variance_floor <= 0.0 or self.em_tol <= 0.0:
-            raise ValueError("variance_floor and em_tol must be positive")
+        for name in ("variance_floor", "em_tol"):
+            if not 0.0 < getattr(self, name) < math.inf:  # NaN fails it
+                raise ValueError(f"{name} must be finite and positive, got "
+                                 f"{getattr(self, name)}")
         if self.em_max_iters < 1:
             raise ValueError("em_max_iters must be >= 1")
         self.protocol  # SplitProtocol checks the sentence sets

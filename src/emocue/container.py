@@ -1,5 +1,5 @@
-"""The one writer of every file emocue writes, and the one framing of its
-binary files.
+"""The one writer of every file emocue writes, the one framing of its
+binary files, and the read-only array helper of every module above it.
 
 replace writes a file through <path>.tmp and one os.replace, so an
 interrupted write leaves the previous file whole. A binary file is 8 bytes
@@ -36,6 +36,13 @@ def replace(path, chunks) -> None:
         with contextlib.suppress(OSError):
             os.remove(temp)
         raise
+
+
+def readonly(a, dtype=np.float64) -> np.ndarray:
+    """a as a C-contiguous, read-only array of dtype (None keeps a's)."""
+    a = np.ascontiguousarray(a, dtype=dtype)
+    a.setflags(write=False)
+    return a
 
 
 def write(path, magic: bytes, header: dict, payload) -> None:

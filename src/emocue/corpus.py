@@ -273,8 +273,8 @@ def synthesize_corpus(num_speakers: int,
         raise ValueError("need at least one speaker and one repetition")
     if train_sentences < 1 or test_sentences < 1:
         raise ValueError("need at least one sentence on each side of the split")
-    if separation < 0.0:
-        raise ValueError("separation must be >= 0")
+    if not 0.0 <= separation < np.inf:
+        raise ValueError(f"separation must be finite and >= 0, got {separation}")
     if len(set(emotions)) != len(emotions) or not emotions:
         raise ValueError("emotions must be a non-empty set of distinct labels")
 
@@ -305,25 +305,19 @@ def synthesize_corpus(num_speakers: int,
         for k, e in enumerate(emotions)
     }
 
-    transitions = np.zeros((_GEN_STATES, _GEN_STATES))
-    for i in range(_GEN_STATES - 1):
-        transitions[i, i] = 1.0 - _GEN_ADVANCE
-        transitions[i, i + 1] = _GEN_ADVANCE
-    transitions[_GEN_STATES - 1, _GEN_STATES - 1] = 1.0
+    transitions = ((1.0 - _GEN_ADVANCE) * np.eye(_GEN_STATES)
+                   + _GEN_ADVANCE * np.eye(_GEN_STATES, k=1))
+    transitions[-1, -1] = 1.0
+    grid = (_GEN_MIXTURES, _GEN_STATES)
 
     generators: dict[tuple[str, str], hmm.AcousticModel] = {}
     for s in speakers:
         for e in emotions:
             shift = separation * (0.6 * speaker_dirs[s] + 0.8 * pair_dirs[(s, e)])
-            mixtures = tuple(
-                hmm.GaussianMixture(
-                    weights=np.full(_GEN_MIXTURES, 1.0 / _GEN_MIXTURES),
-                    means=state_base[i] + shift + comp_offsets,
-                    variances=np.ones((_GEN_MIXTURES, dim)))
-                for i in range(_GEN_STATES))
-            generators[(s, e)] = hmm.AcousticModel(
-                num_states=_GEN_STATES, feature_dim=dim,
-                transitions=transitions, mixtures=mixtures)
+            generators[(s, e)] = hmm.AcousticModel._from_arrays(
+                transitions, np.full(grid, 1.0 / _GEN_MIXTURES),
+                comp_offsets[:, None] + (state_base + shift),
+                np.ones((*grid, dim)), np.full(_GEN_STATES, _GEN_MIXTURES))
 
     num_sentences = train_sentences + test_sentences
     records: list[UtteranceRecord] = []
@@ -342,10 +336,8 @@ def synthesize_corpus(num_speakers: int,
                     moves[0] = False
                     states = np.minimum(np.cumsum(moves), _GEN_STATES - 1)
                     comps = rng.integers(0, _GEN_MIXTURES, size=t_len)
-                    means = np.stack(
-                        [model.mixtures[st].means[c]
-                         for st, c in zip(states, comps)])
-                    vectors = means + rng.standard_normal((t_len, dim))
+                    vectors = (model.means[comps, states]
+                               + rng.standard_normal((t_len, dim)))
 
                     voiced = rng.random(t_len) < profile.voicing_rate
                     drift = profile.f0_slope * (np.arange(t_len) - t_len / 2.0)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import container, recognizer
+from .container import readonly
 from .corpus import GENDERS
 from .errors import EmptyResultsError, UnknownLabelError, _prefixed
 from .supra import FusionConfig, blend, score_components
@@ -31,12 +32,6 @@ DEFAULT_ALPHAS = tuple(round(0.1 * i, 1) for i in range(11))
 # The sweep scores length-normalized streams: without normalization the
 # acoustic term's sheer magnitude makes the blend weight nearly inert.
 SWEEP_LENGTH_NORMALIZE = True
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -58,7 +53,7 @@ class ConfusionMatrix:
         if np.any(np.abs(cells.sum(axis=0) - 100.0) > 1e-9):
             raise ValueError("every column must sum to 100")
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "cells", _readonly(cells))
+        object.__setattr__(self, "cells", readonly(cells))
 
 
 def confusion_matrix(results, labels=None) -> ConfusionMatrix:
@@ -111,8 +106,8 @@ class PerformanceTable:
     def __post_init__(self):
         object.__setattr__(self, "emotions", tuple(self.emotions))
         object.__setattr__(self, "genders", tuple(self.genders))
-        object.__setattr__(self, "cells", _readonly(self.cells))
-        object.__setattr__(self, "row_averages", _readonly(self.row_averages))
+        object.__setattr__(self, "cells", readonly(self.cells))
+        object.__setattr__(self, "row_averages", readonly(self.row_averages))
 
 
 def performance_table(results, emotions=None,
@@ -298,8 +293,8 @@ class SweepResult:
     def __post_init__(self):
         object.__setattr__(self, "alphas", tuple(self.alphas))
         object.__setattr__(self, "emotions", tuple(self.emotions))
-        object.__setattr__(self, "accuracies", _readonly(self.accuracies))
-        object.__setattr__(self, "overall", _readonly(self.overall))
+        object.__setattr__(self, "accuracies", readonly(self.accuracies))
+        object.__setattr__(self, "overall", readonly(self.overall))
 
     def accuracy_at(self, alpha: float, emotion: str) -> float:
         return float(self.accuracies[self.alphas.index(alpha),

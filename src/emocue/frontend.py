@@ -20,6 +20,7 @@ import numpy as np
 import scipy.fft
 
 from . import container
+from .container import readonly
 from .errors import (
     NonFiniteObservationError,
     TooShortError,
@@ -57,12 +58,6 @@ _BLOCK_FRAMES = 256
 _CACHE_MAGIC = b"EMOFC001"
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True)
 class AudioClip:
     """Mono 16-bit PCM audio at 16 kHz."""
@@ -80,7 +75,7 @@ class AudioClip:
         if samples.size < FRAME_LEN:
             raise TooShortError(
                 f"need at least {FRAME_LEN} samples, got {samples.size}")
-        object.__setattr__(self, "samples", _readonly(samples))
+        object.__setattr__(self, "samples", readonly(samples, None))
 
     def __len__(self) -> int:
         return self.samples.size
@@ -97,7 +92,7 @@ class FrameSequence:
         if frames.ndim != 2 or frames.shape[1] != FRAME_LEN:
             raise ValueError(
                 f"frames must have shape (n, {FRAME_LEN}), got {frames.shape}")
-        object.__setattr__(self, "frames", _readonly(frames))
+        object.__setattr__(self, "frames", readonly(frames, None))
 
     def __len__(self) -> int:
         return self.frames.shape[0]
@@ -114,7 +109,7 @@ class FeatureSequence:
         if vectors.ndim != 2 or vectors.shape[1] != FEATURE_DIM:
             raise ValueError(
                 f"vectors must have shape (T, {FEATURE_DIM}), got {vectors.shape}")
-        object.__setattr__(self, "vectors", _readonly(vectors))
+        object.__setattr__(self, "vectors", readonly(vectors, None))
 
     def __len__(self) -> int:
         return self.vectors.shape[0]
@@ -146,9 +141,9 @@ class ProsodicTrack:
         in_range = (f0 == 0.0) | ((f0 >= F0_MIN) & (f0 <= F0_MAX))
         if not np.all(in_range):
             raise ValueError(f"voiced f0 must lie in [{F0_MIN}, {F0_MAX}] Hz")
-        object.__setattr__(self, "f0", _readonly(f0))
-        object.__setattr__(self, "log_energy", _readonly(log_energy))
-        object.__setattr__(self, "voiced", _readonly(voiced))
+        object.__setattr__(self, "f0", readonly(f0, None))
+        object.__setattr__(self, "log_energy", readonly(log_energy, None))
+        object.__setattr__(self, "voiced", readonly(voiced, None))
 
     def __len__(self) -> int:
         return self.f0.size
@@ -222,7 +217,7 @@ def _mel_filterbank() -> np.ndarray:
     lo, mid, hi = edges_hz[:-2, None], edges_hz[1:-1, None], edges_hz[2:, None]
     rising = (bin_hz - lo) / (mid - lo)
     falling = (hi - bin_hz) / (hi - mid)
-    return _readonly(np.maximum(0.0, np.minimum(rising, falling)))
+    return readonly(np.maximum(0.0, np.minimum(rising, falling)))
 
 
 # Triangular mel filter weights, shape (NUM_MEL_FILTERS, FFT_SIZE // 2 + 1).

@@ -14,12 +14,17 @@ Conventions:
 * observations must be finite; a NaN or infinite entry raises
   NonFiniteObservationError naming the first bad frame.
 
+A model is its padded arrays (AcousticModel): seeding, EM, decoding and the
+emission pass read and write them directly. GaussianMixture is only the
+input of the hand-built constructor and the per-state view of a model.
+
 Numerics:
 
 * Emissions. All N*M diagonal Gaussians of a model are evaluated in one
   pass per sequence from the expanded quadratic
   x^2 . (1/var) - 2 x . (mean/var) + const, as a BLAS product. Features and
-  means are first centred on the model's mean of means. Against a scalar
+  means are first centred on the model's mean of means, taken over the real
+  components in state-major order (the order of a file). Against a scalar
   evaluation (16 dimensions, floor variances, features 0.05 from the
   means), the uncentred expansion is off by 2e-9 at feature offset 10 and
   3e-5 at offset 1e3; centred, by about 1e-13 at any offset. Each state's
@@ -83,6 +88,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import container
+from .container import readonly
 from .errors import (
     DimensionMismatchError,
     EmptySequenceError,
@@ -106,10 +112,18 @@ _LOG_TINY = float(np.log(np.finfo(np.float64).tiny))
 _ROW_SUM_TOL = 1e-9
 
 
-def _readonly(a: np.ndarray, dtype=np.float64) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=dtype)
-    a.setflags(write=False)
-    return a
+def _check_mixtures(weights: np.ndarray, means: np.ndarray,
+                    variances: np.ndarray) -> None:
+    """The parameter checks of N mixtures in one pass: weights (M, N), means
+    and variances (M, N, D), any padding canonical (see AcousticModel)."""
+    # written so that a NaN fails every comparison it takes part in
+    if not ((weights >= 0.0).all() and
+            (np.abs(weights.sum(axis=0) - 1.0) <= _ROW_SUM_TOL).all()):
+        raise ValueError("weights must be non-negative and sum to 1")
+    if not ((variances > 0.0) & (variances < np.inf)).all():
+        raise ValueError("variances must be finite and strictly positive")
+    if not np.isfinite(means).all():
+        raise ValueError("means must be finite")
 
 
 @dataclass(frozen=True)
@@ -121,70 +135,110 @@ class GaussianMixture:
     variances: np.ndarray  # (M, D)
 
     def __post_init__(self):
-        weights = np.asarray(self.weights, dtype=np.float64)
-        means = np.asarray(self.means, dtype=np.float64)
-        variances = np.asarray(self.variances, dtype=np.float64)
+        weights, means, variances = (np.asarray(a, dtype=np.float64) for a in
+                                     (self.weights, self.means, self.variances))
         if weights.ndim != 1 or means.ndim != 2 or variances.shape != means.shape:
             raise ValueError("expected weights (M,), means and variances (M, D)")
         if weights.size != means.shape[0]:
             raise ValueError("one weight per component required")
-        # written so that a NaN fails every comparison it takes part in
-        if not ((weights >= 0.0).all()
-                and abs(weights.sum() - 1.0) <= _ROW_SUM_TOL):
-            raise ValueError("weights must be non-negative and sum to 1")
-        if not ((variances > 0.0) & (variances < np.inf)).all():
-            raise ValueError("variances must be finite and strictly positive")
-        if not np.isfinite(means).all():
-            raise ValueError("means must be finite")
-        object.__setattr__(self, "weights", _readonly(weights))
-        object.__setattr__(self, "means", _readonly(means))
-        object.__setattr__(self, "variances", _readonly(variances))
+        _check_mixtures(weights[:, None], means[:, None], variances[:, None])
+        vars(self).update(weights=readonly(weights), means=readonly(means),
+                          variances=readonly(variances))
 
     @property
     def num_components(self) -> int:
         return self.weights.size
 
-    @property
-    def dim(self) -> int:
-        return self.means.shape[1]
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class AcousticModel:
-    """Left-to-right GMM-HMM. All initial probability sits on state 0."""
+    """Left-to-right GMM-HMM. All initial probability sits on state 0.
+
+    State j's counts[j] components fill rows 0..counts[j]-1 of column j of
+    the (M, N) grid; every slot below them is padding with weight 0, mean 0
+    and variance 1."""
 
     num_states: int
     feature_dim: int
-    transitions: np.ndarray                 # (N, N), banded row-stochastic
-    mixtures: tuple[GaussianMixture, ...]   # one per state
+    transitions: np.ndarray   # (N, N), banded row-stochastic
+    weights: np.ndarray       # (M, N)
+    means: np.ndarray         # (M, N, D)
+    variances: np.ndarray     # (M, N, D)
+    counts: np.ndarray        # (N,) components of each state
 
-    def __post_init__(self):
-        n = self.num_states
-        transitions = np.asarray(self.transitions, dtype=np.float64)
-        mixtures = tuple(self.mixtures)
-        if n < 1:
+    def __init__(self, num_states: int, feature_dim: int, transitions,
+                 mixtures):
+        """Pack one GaussianMixture per state into the arrays."""
+        mixtures = tuple(mixtures)
+        if num_states < 1:
             raise ValueError("num_states must be >= 1")
+        if len(mixtures) != num_states:
+            raise ValueError("one mixture per state required")
+        if any(mix.means.shape[1] != feature_dim for mix in mixtures):
+            raise ValueError("mixture dimension must match feature_dim")
+        counts = np.array([mix.num_components for mix in mixtures])
+        values = np.concatenate([a.ravel() for mix in mixtures for a in
+                                 (mix.weights, mix.means, mix.variances)])
+        self._set(transitions, *_unpack(values, feature_dim, counts), counts)
+
+    @classmethod
+    def _from_arrays(cls, transitions, weights, means, variances,
+                    counts) -> AcousticModel:
+        """The model of arrays padded as the class notes say (which is not
+        checked), its parameters checked as a packed model's are."""
+        model = object.__new__(cls)
+        model._set(transitions, weights, means, variances, counts)
+        return model
+
+    def _set(self, transitions, weights, means, variances, counts) -> None:
+        n = counts.size
+        transitions = np.asarray(transitions, dtype=np.float64)
         if transitions.shape != (n, n):
             raise ValueError(f"transitions must be ({n}, {n})")
-        if len(mixtures) != n:
-            raise ValueError("one mixture per state required")
-        band = np.triu(np.tril(np.ones((n, n), dtype=bool), 1))
-        if np.any(transitions[~band] != 0.0):
+        band = np.diag(transitions), np.diag(transitions, 1)  # NaN counts
+        if np.count_nonzero(transitions) != sum(map(np.count_nonzero, band)):
             raise ValueError("only self and single-step transitions may be nonzero")
         # a NaN or an infinity fails one of these comparisons
         if not (transitions >= 0.0).all():
             raise ValueError("transition probabilities must be non-negative")
         if not (np.abs(transitions.sum(axis=1) - 1.0) <= _ROW_SUM_TOL).all():
             raise ValueError("transition rows must sum to 1")
-        for mix in mixtures:
-            if mix.dim != self.feature_dim:
-                raise ValueError("mixture dimension must match feature_dim")
-        object.__setattr__(self, "transitions", _readonly(transitions))
-        object.__setattr__(self, "mixtures", mixtures)
+        _check_mixtures(weights, means, variances)
+        vars(self).update(
+            num_states=n, feature_dim=means.shape[2],
+            transitions=readonly(transitions), weights=readonly(weights),
+            means=readonly(means), variances=readonly(variances),
+            counts=readonly(counts, np.intp))
+
+    @cached_property
+    def mixtures(self) -> tuple[GaussianMixture, ...]:
+        """Read-only per-state views of the arrays, for per-state readers
+        (the tests and perfbench's tracer)."""
+        views = tuple(object.__new__(GaussianMixture) for _ in self.counts)
+        for j, (view, c) in enumerate(zip(views, self.counts)):
+            vars(view).update(weights=self.weights[:c, j],
+                              means=self.means[:c, j],
+                              variances=self.variances[:c, j])
+        return views
 
     @cached_property
     def _emission(self) -> _EmissionTable:
-        return _pack_emissions(self.mixtures)
+        m, n, dim = self.means.shape
+        real = np.arange(m)[:, None] < self.counts
+        # State-major, the order of the parameters in a file: the mean's
+        # last bits depend on the order of its terms, and EM carries them
+        # into every parameter it writes.
+        centre = self.means.transpose(1, 0, 2)[real.T].mean(axis=0)
+        centred = np.where(real[..., None], self.means - centre, 0.0)
+        prec = 1.0 / self.variances
+        with np.errstate(divide="ignore"):    # a zero weight's log is -inf
+            const = np.log(self.weights) - 0.5 * (
+                dim * _LOG_2PI + np.sum(np.log(self.variances), axis=2)
+                + np.sum(centred * centred * prec, axis=2))
+        coef = np.concatenate([-0.5 * prec, centred * prec], axis=2)
+        return _EmissionTable(centre=centre,
+                              coef=coef.reshape(m * n, 2 * dim),
+                              const=const.reshape(m * n, 1))
 
     @cached_property
     def _band(self) -> tuple[np.ndarray, np.ndarray]:
@@ -207,30 +261,32 @@ class TrainingReport:
     converged: bool
 
 
-def _as_observations(model: AcousticModel, seq) -> np.ndarray:
-    obs = np.asarray(seq, dtype=np.float64)
-    if obs.ndim != 2:
-        raise DimensionMismatchError(f"observations must be 2-D, got shape {obs.shape}")
-    if obs.shape[0] == 0:
-        raise EmptySequenceError("empty observation sequence")
-    if obs.shape[1] != model.feature_dim:
-        raise DimensionMismatchError(
-            f"model expects dimension {model.feature_dim}, got {obs.shape[1]}")
-    _check_finite(obs)
-    return obs
-
-
-def _check_finite(obs: np.ndarray) -> None:
-    finite = np.isfinite(obs)
-    if not finite.all():
-        frame = int(np.flatnonzero(~finite.all(axis=1))[0])
-        raise NonFiniteObservationError(
-            f"observation frame {frame} of {obs.shape[0]} is not finite")
-
-
-def _log_weights(weights: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.log(weights)
+def _sequences(sequences, num_states: int, dim: int | None = None):
+    """The sequences as float arrays, each 2-D with dim columns (by default
+    the first one's), finite, and at least num_states frames long."""
+    arrays = [np.asarray(s, dtype=np.float64) for s in sequences]
+    if not arrays:
+        raise EmptyTrainingSetError("no training sequences")
+    if dim is None:
+        dim = arrays[0].shape[1] if arrays[0].ndim == 2 else -1
+    for a in arrays:
+        if a.ndim != 2:
+            raise DimensionMismatchError(
+                f"observations must be 2-D, got shape {a.shape}")
+        if a.shape[0] == 0:
+            raise EmptySequenceError("empty observation sequence")
+        if a.shape[1] != dim:
+            raise DimensionMismatchError(
+                f"expected dimension {dim}, got {a.shape[1]}")
+        finite = np.isfinite(a)
+        if not finite.all():
+            frame = int(np.flatnonzero(~finite.all(axis=1))[0])
+            raise NonFiniteObservationError(
+                f"observation frame {frame} of {a.shape[0]} is not finite")
+        if a.shape[0] < num_states:
+            raise SequenceTooShortError(f"sequence of {a.shape[0]} frames is "
+                                        f"shorter than {num_states} states")
+    return arrays
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
@@ -253,51 +309,15 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
                     np.squeeze(peak, axis=axis))
 
 
-@dataclass(frozen=True)
-class _EmissionTable:
-    """A model's Gaussians packed for one BLAS pass (see the module notes).
+class _EmissionTable(NamedTuple):
+    """A model's Gaussians in the form of one BLAS pass (see the module
+    notes). Rows run component-major as the model's (M, N) grid does (row
+    m*N + j is component m of state j), so the mixture sum reduces over the
+    leading axis; padding rows have const -inf."""
 
-    Rows run component-major (row m*N + j is component m of state j), so the
-    mixture sum reduces over the leading axis. States with fewer than M
-    components are padded with zero-weight ones. means and variances keep
-    the raw parameters in the same (M, N) layout for the M-step, the padding
-    at mean 0 and variance 1.
-    """
-
-    means: np.ndarray       # (M, N, D)
-    variances: np.ndarray   # (M, N, D)
-    counts: np.ndarray      # (N,) components of each state
-    centre: np.ndarray      # (D,) mean of all component means
+    centre: np.ndarray      # (D,) mean of the real component means
     coef: np.ndarray        # (M*N, 2D): -0.5/var, then centred mean/var
     const: np.ndarray       # (M*N, 1) log weight + normaliser, -inf if weight 0
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        """(M, N)"""
-        return self.means.shape[:2]
-
-
-def _pack_emissions(mixtures) -> _EmissionTable:
-    n = len(mixtures)
-    counts = np.array([mix.num_components for mix in mixtures])
-    m, dim = int(counts.max()), mixtures[0].dim
-    centre = np.concatenate([mix.means for mix in mixtures]).mean(axis=0)
-    log_w = np.full((m, n), -np.inf)
-    means = np.zeros((m, n, dim))
-    variances = np.ones((m, n, dim))
-    for j, mix in enumerate(mixtures):
-        log_w[:counts[j], j] = _log_weights(mix.weights)
-        means[:counts[j], j] = mix.means
-        variances[:counts[j], j] = mix.variances
-    real = (np.arange(m)[:, None] < counts)[:, :, None]
-    centred = np.where(real, means - centre, 0.0)
-    prec = 1.0 / variances
-    const = log_w - 0.5 * (dim * _LOG_2PI + np.sum(np.log(variances), axis=2)
-                           + np.sum(centred * centred * prec, axis=2))
-    coef = np.concatenate([-0.5 * prec, centred * prec], axis=2)
-    return _EmissionTable(means=means, variances=variances, counts=counts,
-                          centre=centre, coef=coef.reshape(m * n, 2 * dim),
-                          const=const.reshape(m * n, 1))
 
 
 def _emissions(model: AcousticModel, obs: np.ndarray):
@@ -310,7 +330,7 @@ def _emissions(model: AcousticModel, obs: np.ndarray):
     with np.errstate(over="ignore", invalid="ignore"):
         comp = table.coef @ np.concatenate((x * x, x), axis=1).T
         comp += table.const
-    comp = comp.reshape(*table.shape, obs.shape[0])
+    comp = comp.reshape(*model.weights.shape, obs.shape[0])
     # a NaN carries through the max, so finite peaks mean a finite block
     peak = comp.max(axis=0)
     if not np.isfinite(peak).all():
@@ -446,7 +466,7 @@ def _backward(band, lb: np.ndarray) -> np.ndarray:
 
 def forward_log_likelihood(model: AcousticModel, seq) -> float:
     """Total log-likelihood of the sequence, summed over all state paths."""
-    obs = _as_observations(model, seq)
+    obs, = _sequences([seq], 1, model.feature_dim)
     alpha, _ = _forward(model._band,
                         state_log_densities(model, obs).T[:, None])
     return float(np.logaddexp.reduce(alpha[:, 0, -1]))
@@ -458,7 +478,7 @@ def forward_backward(model: AcousticModel, seq):
     For every t, logsumexp(alpha[t] + beta[t]) equals the total
     log-likelihood of the sequence.
     """
-    obs = _as_observations(model, seq)
+    obs, = _sequences([seq], 1, model.feature_dim)
     lb = state_log_densities(model, obs).T[:, None]
     return (_forward(model._band, lb)[0][:, 0].T,
             _backward(model._band, lb)[:, 0].T)
@@ -470,7 +490,7 @@ def viterbi(model: AcousticModel, seq):
     Returns (path, log_probability) where path is an int array of state
     indices. Ties between looping and advancing resolve to looping.
     """
-    obs = _as_observations(model, seq)
+    obs, = _sequences([seq], 1, model.feature_dim)
     delta, looped = _forward(model._band,
                              state_log_densities(model, obs).T[:, None],
                              best=True)
@@ -538,7 +558,8 @@ def _kmeans(frames: np.ndarray, k: int) -> np.ndarray:
 
 
 def _mixture_from_frames(frames: np.ndarray, num_mixtures: int,
-                         variance_floor: float) -> GaussianMixture:
+                         variance_floor: float):
+    """One state's seeded weights (M,), means and variances (M, D)."""
     labels = _kmeans(frames, num_mixtures)
     sums, counts = _grouped_sums(frames, labels, num_mixtures)
     size = np.maximum(counts, 1)[:, None]
@@ -547,9 +568,8 @@ def _mixture_from_frames(frames: np.ndarray, num_mixtures: int,
     means = np.where(counts[:, None] > 0, sums / size, frames.mean(axis=0))
     deviation = frames - means[labels]
     squares, _ = _grouped_sums(deviation * deviation, labels, num_mixtures)
-    return GaussianMixture(weights=counts / frames.shape[0], means=means,
-                           variances=np.maximum(squares / size,
-                                                variance_floor))
+    return (counts / frames.shape[0], means,
+            np.maximum(squares / size, variance_floor))
 
 
 def init_model(sequences, num_states: int, num_mixtures: int,
@@ -563,31 +583,17 @@ def init_model(sequences, num_states: int, num_mixtures: int,
     """
     if num_states < 1 or num_mixtures < 1:
         raise ValueError("num_states and num_mixtures must be >= 1")
-    arrays = [np.asarray(s, dtype=np.float64) for s in sequences]
-    if not arrays:
-        raise EmptyTrainingSetError("no training sequences")
-    dim = arrays[0].shape[1] if arrays[0].ndim == 2 else -1
-    for a in arrays:
-        if a.ndim != 2 or a.shape[1] != dim:
-            raise DimensionMismatchError("sequences must share one feature dimension")
-        _check_finite(a)
-        if a.shape[0] < num_states:
-            raise SequenceTooShortError(
-                f"sequence of {a.shape[0]} frames cannot seed {num_states} states")
-
+    arrays = _sequences(sequences, num_states)
     chunks = [np.array_split(a, num_states) for a in arrays]
-    mixtures = tuple(
-        _mixture_from_frames(
-            np.concatenate([c[i] for c in chunks]), num_mixtures, variance_floor)
-        for i in range(num_states))
+    states = [_mixture_from_frames(np.concatenate([c[i] for c in chunks]),
+                                   num_mixtures, variance_floor)
+              for i in range(num_states)]
 
-    transitions = np.zeros((num_states, num_states))
-    for i in range(num_states - 1):
-        transitions[i, i] = 0.5
-        transitions[i, i + 1] = 0.5
-    transitions[num_states - 1, num_states - 1] = 1.0
-    return AcousticModel(num_states=num_states, feature_dim=dim,
-                         transitions=transitions, mixtures=mixtures)
+    transitions = 0.5 * (np.eye(num_states) + np.eye(num_states, k=1))
+    transitions[-1, -1] = 1.0
+    return AcousticModel._from_arrays(
+        transitions, *(np.stack(part, axis=1) for part in zip(*states)),
+        np.full(num_states, num_mixtures))
 
 
 # --- training ----------------------------------------------------------------
@@ -687,7 +693,7 @@ def _reestimate(model: AcousticModel, counts: _Counts, shift: np.ndarray,
     """The M-step for every state at once, from moments about shift.
 
     A state never left in the training data keeps its transition row, and a
-    state never occupied keeps its mixture.
+    state never occupied keeps its weights, means and variances.
     """
     transitions = np.array(model.transitions)
     out = counts.stay + counts.move
@@ -695,25 +701,23 @@ def _reestimate(model: AcousticModel, counts: _Counts, shift: np.ndarray,
     transitions[i, i] = counts.stay[i] / out[i]
     transitions[i, i + 1] = counts.move[i] / out[i]
 
-    old = model._emission
     resp = counts.resp
     total = resp.sum(axis=0)
     weights = resp / np.where(total > 0.0, total, 1.0)
     seen = (resp > 0.0)[:, :, None]
     mass = np.maximum(resp, 1e-300)[:, :, None]
-    centred = np.where(seen, counts.obs_sum / mass, old.means - shift)
+    centred = np.where(seen, counts.obs_sum / mass, model.means - shift)
     second = np.where(seen, counts.sq_sum / mass,
-                      old.variances + centred ** 2)
+                      model.variances + centred ** 2)
     variances = np.maximum(second - centred ** 2, variance_floor)
-    means = np.where(seen, centred + shift, old.means)
-    mixtures = tuple(
-        GaussianMixture(weights=weights[:c, j], means=means[:c, j],
-                        variances=variances[:c, j]) if total[j] > 0.0
-        else model.mixtures[j]
-        for j, c in enumerate(old.counts))
-    return AcousticModel(num_states=model.num_states,
-                         feature_dim=model.feature_dim,
-                         transitions=transitions, mixtures=mixtures)
+    means = np.where(seen, centred + shift, model.means)
+    # padding, and every component of a state never occupied, keep their
+    # values bit for bit
+    fresh = (np.arange(len(resp))[:, None] < model.counts) & (total > 0.0)
+    return AcousticModel._from_arrays(
+        transitions, np.where(fresh, weights, model.weights),
+        np.where(fresh[..., None], means, model.means),
+        np.where(fresh[..., None], variances, model.variances), model.counts)
 
 
 def baum_welch(model: AcousticModel, sequences, max_iters: int = EM_MAX_ITERS,
@@ -725,17 +729,8 @@ def baum_welch(model: AcousticModel, sequences, max_iters: int = EM_MAX_ITERS,
     after max_iters expectation passes. Returns the refined model and a
     TrainingReport; the report's likelihood list is non-decreasing.
     """
-    arrays = [np.asarray(s, dtype=np.float64) for s in sequences]
-    if not arrays:
-        raise EmptyTrainingSetError("no training sequences")
-    for a in arrays:
-        _as_observations(model, a)
-        if a.shape[0] < model.num_states:
-            raise SequenceTooShortError(
-                f"sequence of {a.shape[0]} frames is shorter than "
-                f"{model.num_states} states")
-
-    batch = _batch(arrays)
+    batch = _batch(_sequences(sequences, model.num_states,
+                              model.feature_dim))
     current = model
     lls: list[float] = []
     converged = False
@@ -757,19 +752,37 @@ def baum_welch(model: AcousticModel, sequences, max_iters: int = EM_MAX_ITERS,
 #
 # A model is stored as a shape header, {"num_states": N, "feature_dim": D,
 # "components": [M_0, ..., M_{N-1}]}, and a float64 payload: the (N, N)
-# transitions, then per state its weights, means and variances, row-major.
-# Parameters round-trip bit-exactly.
+# transitions, then per state its weights, means and variances, row-major,
+# without padding. _unpack slices that layout into the padded arrays, for
+# decoding and for the packing of AcousticModel's constructor. Parameters
+# round-trip bit-exactly.
 
 _MODEL_MAGIC = b"EMOAM001"
 
 
+def _unpack(values: np.ndarray, dim: int, counts: np.ndarray):
+    """The padded weights (M, N), means and variances (M, N, D) of per-state
+    parameters laid out as in a file, sliced straight into place."""
+    m, n = counts.max(), counts.size
+    weights, means = np.zeros((m, n)), np.zeros((m, n, dim))
+    variances = np.ones_like(means)
+    at = 0
+    for j, c in enumerate(counts.tolist()):
+        weights[:c, j] = values[at:at + c]
+        means[:c, j] = values[at + c:at + c + c * dim].reshape(c, dim)
+        at += c + c * dim
+        variances[:c, j] = values[at:at + c * dim].reshape(c, dim)
+        at += c * dim
+    return weights, means, variances
+
+
 def encode_model(model: AcousticModel) -> tuple[dict, bytes]:
     """The model's shape header and its parameters' payload bytes."""
-    arrays = [model.transitions] + [a for mix in model.mixtures
-                                    for a in (mix.weights, mix.means,
-                                              mix.variances)]
+    arrays = [model.transitions] + [
+        grid[:c, j] for j, c in enumerate(model.counts)
+        for grid in (model.weights, model.means, model.variances)]
     return ({"num_states": model.num_states, "feature_dim": model.feature_dim,
-             "components": [mix.num_components for mix in model.mixtures]},
+             "components": model.counts.tolist()},
             b"".join(a.astype("<f8").tobytes() for a in arrays))
 
 
@@ -777,16 +790,15 @@ def decode_model(spec: dict, payload) -> AcousticModel:
     """Read the model spec describes from a container payload. Every
     constructor check applies, so a non-finite parameter is refused."""
     n, dim, counts = spec["num_states"], spec["feature_dim"], spec["components"]
-    sizes = [n * n] + [c * k for c in counts for k in (1, dim, dim)]
-    values = payload.array(sum(sizes))
-    parts = iter(np.split(values, np.cumsum(sizes)[:-1]))
-    transitions = next(parts).reshape(n, n)
-    return AcousticModel(num_states=n, feature_dim=dim, transitions=transitions,
-                         mixtures=tuple(GaussianMixture(
-                             weights=next(parts),
-                             means=next(parts).reshape(c, dim),
-                             variances=next(parts).reshape(c, dim))
-                             for c in counts))
+    if len(counts) != n or not all(type(v) is int and v >= 1
+                                   for v in (n, dim, *counts)):
+        raise ValueError(f"not a model's shape: {n} states, dimension {dim}, "
+                         f"components {counts}")
+    values = payload.array(n * n + sum(counts) * (1 + 2 * dim))
+    counts = np.array(counts)
+    return AcousticModel._from_arrays(values[:n * n].reshape(n, n),
+                                      *_unpack(values[n * n:], dim, counts),
+                                      counts)
 
 
 def save_model(model: AcousticModel, path) -> None:

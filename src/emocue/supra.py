@@ -15,18 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import container, hmm
+from .container import readonly
 from .errors import IllegalPathError, LengthMismatchError
 from .frontend import ProsodicTrack
 
 SUPRA_DIM = 5
 DEFAULT_GROUPS = (3, 3, 3)
 DEFAULT_SUPRA_MIXTURES = 3
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -81,7 +76,7 @@ class SupraObservationSequence:
             raise ValueError("at least one segment required")
         if abs(vectors[:, 3].sum() - 1.0) > 1e-9:
             raise ValueError("segment duration fractions must sum to 1")
-        object.__setattr__(self, "vectors", _readonly(vectors))
+        object.__setattr__(self, "vectors", readonly(vectors))
 
     def __len__(self) -> int:
         return self.vectors.shape[0]

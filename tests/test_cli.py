@@ -69,6 +69,27 @@ def test_bad_config_value_is_usage_error(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, setting", [
+    (["train-emotions", "--em-tol", "nan"], "em_tol"),
+    (["train-emotions", "--variance-floor", "nan"], "variance_floor"),
+    (["train-emotions", "--variance-floor", "inf"], "variance_floor"),
+    (["gen-synthetic", "--separation", "nan"], "separation"),
+    (["gen-synthetic", "--separation", "inf"], "separation"),
+], ids=["em-tol nan", "variance-floor nan", "variance-floor inf",
+        "separation nan", "separation inf"])
+def test_non_finite_setting_is_usage_error_naming_it(tmp_path, capsys, argv,
+                                                     setting):
+    paths = (["--out-dir", str(tmp_path / "out")]
+             if argv[0] == "gen-synthetic" else
+             ["--manifest", str(tmp_path / "m.tsv"),
+              "--features", str(tmp_path / "f.bin"),
+              "--bank-dir", str(tmp_path / "bank")])
+    assert cli.main([*argv, *paths]) == 1
+    assert f"configuration error: {setting} must be finite" in \
+        capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_missing_manifest_is_data_error(tmp_path, capsys):
     code = cli.main(["train-emotions", "--manifest",
                      str(tmp_path / "absent.tsv"),

@@ -1,6 +1,7 @@
 """Run-configuration tests: defaults, validation, file parsing and layering."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -41,6 +42,15 @@ def test_validation_errors():
         RunConfig(em_max_iters=0)
     with pytest.raises(ValueError):
         RunConfig(num_supra_mixtures=0)
+
+
+@pytest.mark.parametrize("value", [math.nan, "nan", math.inf, -math.inf,
+                                   0.0, -1e-5])
+@pytest.mark.parametrize("name", ["variance_floor", "em_tol"])
+def test_non_finite_or_non_positive_setting_is_refused_by_name(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite and "
+                                         f"positive"):
+        make_config(**{name: value})
 
 
 def test_derived_views():

@@ -1,6 +1,8 @@
 """Corpus handling tests: manifests, splits, normalization and the
 synthetic generator."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -255,6 +257,13 @@ def test_synthesis_counts_and_ids():
     # per-emotion training pool: speakers x train sentences x repetitions
     pool = [r for r in train if r.emotion == "angry"]
     assert len(pool) == 2 * 2 * 2
+
+
+@pytest.mark.parametrize("separation", [math.nan, math.inf, -1.0])
+def test_synthesis_refuses_bad_separation_by_name(separation):
+    with pytest.raises(ValueError, match="^separation must be finite"):
+        synthesize_corpus(num_speakers=1, emotions=("neutral",),
+                          separation=separation)
 
 
 def test_synthesis_protocol_wiring():

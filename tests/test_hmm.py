@@ -815,21 +815,100 @@ def _model_file(header, values) -> bytes:
                            np.asarray(values, dtype="<f8").tobytes())
 
 
+def _unequal_model(rng, counts=(3, 1, 2), dim=4):
+    """A model whose states have the given component counts."""
+    base = random_model(rng, num_states=len(counts), num_mixtures=max(counts),
+                        dim=dim)
+    mixtures = []
+    for mix, c in zip(base.mixtures, counts):
+        raw = rng.uniform(0.2, 1.0, size=c)
+        mixtures.append(hmm.GaussianMixture(weights=raw / raw.sum(),
+                                            means=mix.means[:c],
+                                            variances=mix.variances[:c]))
+    return hmm.AcousticModel(num_states=len(counts), feature_dim=dim,
+                             transitions=base.transitions, mixtures=mixtures)
+
+
 def test_save_model_writes_shape_header_and_parameters(tmp_path):
     rng = np.random.default_rng(28)
-    model = random_model(rng, num_states=3, num_mixtures=2, dim=4)
-    path = tmp_path / "model.bin"
-    hmm.save_model(model, path)
-    header = {"num_states": 3, "feature_dim": 4, "components": [2, 2, 2]}
-    values = [model.transitions.ravel()] + [
-        a.ravel() for mix in model.mixtures
-        for a in (mix.weights, mix.means, mix.variances)]
-    # compact separators, as the container writes its header
-    head = json.dumps(header, separators=(",", ":")).encode()
-    assert path.read_bytes() == (
-        b"EMOAM001" + len(head).to_bytes(8, "little") + head
-        + np.concatenate(values).astype("<f8").tobytes())
-    assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
+    # equal counts, then unequal ones: the payload holds no padding
+    for counts in ((2, 2, 2), (3, 1, 2)):
+        model = _unequal_model(rng, counts)
+        path = tmp_path / "model.bin"
+        hmm.save_model(model, path)
+        header = {"num_states": 3, "feature_dim": 4,
+                  "components": list(counts)}
+        values = [model.transitions.ravel()] + [
+            a.ravel() for mix in model.mixtures
+            for a in (mix.weights, mix.means, mix.variances)]
+        # compact separators, as the container writes its header
+        head = json.dumps(header, separators=(",", ":")).encode()
+        assert path.read_bytes() == (
+            b"EMOAM001" + len(head).to_bytes(8, "little") + head
+            + np.concatenate(values).astype("<f8").tobytes())
+        assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
+        loaded = hmm.load_model(path)
+        for name in ("transitions", "weights", "means", "variances",
+                     "counts"):
+            np.testing.assert_array_equal(getattr(loaded, name),
+                                          getattr(model, name))
+
+
+def _assert_views_match_arrays(model):
+    """model.mixtures are read-only views equal to the stored parameters,
+    and every padding slot is canonical."""
+    m = model.weights.shape[0]
+    assert model.weights.shape == (m, model.num_states)
+    assert model.means.shape == model.variances.shape == \
+        (m, model.num_states, model.feature_dim)
+    for j, (mix, c) in enumerate(zip(model.mixtures, model.counts,
+                                     strict=True)):
+        assert mix.num_components == c
+        for name in ("weights", "means", "variances"):
+            view, stored = getattr(mix, name), getattr(model, name)
+            assert not view.flags.writeable
+            with pytest.raises(ValueError):
+                view[0] = 0.5
+            np.testing.assert_array_equal(view, stored[:c, j])
+            assert np.shares_memory(view, stored)
+        assert np.all(model.weights[c:, j] == 0.0)
+        assert np.all(model.means[c:, j] == 0.0)
+        assert np.all(model.variances[c:, j] == 1.0)
+    for name in ("transitions", "weights", "means", "variances", "counts"):
+        assert not getattr(model, name).flags.writeable
+
+
+def test_mixture_views_are_read_only_parameters(tmp_path):
+    rng = np.random.default_rng(30)
+    seqs = _training_set(rng, num=6, dim=4)
+    seeded = hmm.init_model(seqs, 3, 3)
+    unequal = _unequal_model(rng)
+    trained, _ = hmm.baum_welch(unequal, seqs, max_iters=4)
+    hmm.save_model(trained, tmp_path / "model.bin")
+    loaded = hmm.load_model(tmp_path / "model.bin")
+    for model in (seeded, unequal, trained, loaded):
+        _assert_views_match_arrays(model)
+    assert list(trained.counts) == list(loaded.counts) == [3, 1, 2]
+
+
+@pytest.mark.parametrize("weights, means, variances", [
+    ([_NAN], [[0.0]], [[_NAN]]),
+    ([1.0], [[_INF]], [[1.0]]),
+    ([1.0], [[0.0]], [[0.0]]),
+    ([0.5], [[0.0]], [[1.0]]),
+    ([-1.0, 2.0], [[0.0], [1.0]], [[1.0], [1.0]]),
+], ids=["nan", "inf mean", "zero variance", "weights sum to 0.5",
+        "negative weight"])
+def test_array_model_makes_the_mixture_checks(weights, means, variances):
+    with pytest.raises(ValueError) as mixture_error:
+        hmm.GaussianMixture(weights=np.array(weights), means=np.array(means),
+                            variances=np.array(variances))
+    with pytest.raises(ValueError) as model_error:
+        hmm.AcousticModel._from_arrays(
+            np.array([[1.0]]), np.array(weights)[:, None],
+            np.array(means)[:, None], np.array(variances)[:, None],
+            np.array([len(weights)]))
+    assert str(model_error.value) == str(mixture_error.value)
 
 
 def test_interrupted_model_write_keeps_previous_file(tmp_path, monkeypatch):
@@ -871,9 +950,20 @@ _ONE_STATE_VALUES = [1.0, 1.0, 0.0, 0.0, 1.0, 1.0]
     _model_file({**_ONE_STATE, "feature_dim": True}, [1.0] * 4),
     _model_file(_ONE_STATE, [1.0, 0.5, 0.0, 0.0, 1.0, 1.0]),
     _model_file(_ONE_STATE, [1.0, 1.0, np.nan, 0.0, 1.0, 1.0]),
+    # a count of -1 in the second state, the payload sized to match
+    _model_file({**_ONE_STATE, "num_states": 2, "components": [2, -1]},
+                [0.5, 0.5, 0.0, 1.0] + [0.5] * 5),
+    # each sized as the counts given would read it
+    _model_file({**_ONE_STATE, "num_states": 2},
+                [0.5, 0.5, 0.0, 1.0] + _ONE_STATE_VALUES[1:]),
+    _model_file({**_ONE_STATE, "components": [1, 1]},
+                _ONE_STATE_VALUES + _ONE_STATE_VALUES[1:]),
+    _model_file({**_ONE_STATE, "feature_dim": -1}, []),
+    _model_file({**_ONE_STATE, "components": [1.0]}, _ONE_STATE_VALUES),
 ], ids=["cut", "trailing byte", "[1, 2]", "no components",
         "empty state", "boolean dimension", "weights sum to 0.5",
-        "non-finite mean"])
+        "non-finite mean", "negative count", "too few counts",
+        "too many counts", "negative dimension", "float count"])
 def test_load_rejects_corrupt_file(tmp_path, data):
     path = tmp_path / "model.bin"
     path.write_bytes(_model_file(_ONE_STATE, _ONE_STATE_VALUES))
