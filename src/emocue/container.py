@@ -39,10 +39,17 @@ def replace(path, chunks) -> None:
 
 
 def readonly(a, dtype=np.float64) -> np.ndarray:
-    """a as a C-contiguous, read-only array of dtype (None keeps a's)."""
-    a = np.ascontiguousarray(a, dtype=dtype)
-    a.setflags(write=False)
-    return a
+    """a as a C-contiguous, read-only array of dtype (None keeps a's).
+
+    A writeable array that needs no conversion is copied, so the caller's
+    array keeps its flags and a later write to it changes nothing here; a
+    read-only one, such as a decoded payload slice, is kept as it is.
+    """
+    out = np.ascontiguousarray(a, dtype=dtype)
+    if out.flags.writeable and (out is a or out.base is not None):
+        out = out.copy()
+    out.setflags(write=False)
+    return out
 
 
 def write(path, magic: bytes, header: dict, payload) -> None:

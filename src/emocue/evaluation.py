@@ -18,11 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import container, recognizer
+from . import container, hmm
 from .container import readonly
 from .corpus import GENDERS
-from .errors import EmptyResultsError, UnknownLabelError, _prefixed
-from .supra import FusionConfig, blend, score_components
+from .errors import (EmptyBankError, EmptyResultsError, UnknownLabelError,
+                     _prefixed)
+from .supra import FusionConfig, aligned_components, blend
 
 # Reference point for the t statistics: one-sided critical value at the
 # 0.05 significance level.
@@ -308,26 +309,45 @@ def alpha_sweep(bank, test_records, features,
 
     Both log scores are computed once per (utterance, emotion), with
     SWEEP_LENGTH_NORMALIZE, and blended per alpha by the same rule as
-    identify_emotion; the speaker stage does not depend on alpha, so its
-    verdict is cached per (utterance, chosen emotion). Every weight must
-    lie in [0, 1]; FusionConfig rejects any other, as it does for identify.
-    An utterance that cannot be scored re-raises its error, of the same
-    type, naming the utterance id, as in score_test_set.
+    identify_emotion. One hmm.ModelStack pass per utterance gives every
+    emotion's acoustic score and alignment; the speaker stage does not
+    depend on alpha, so its verdict, from one pass over the chosen
+    emotion's speaker stack, is cached per (utterance, chosen emotion).
+    Every score equals identify's bit for bit, and ties go to the earliest
+    label in bank order as there. Every weight must lie in [0, 1];
+    FusionConfig rejects any other, as it does for identify. A test split
+    that lacks one of the bank's emotions raises ValueError before any
+    scoring. An utterance that cannot be scored re-raises its error, of the
+    same type, naming the utterance id, as in score_test_set.
     """
     alphas = tuple(FusionConfig(alpha=a).alpha for a in alphas)
     records = list(test_records)
     if not records:
         raise EmptyResultsError("no test records")
-    emotions = bank.emotions
+    emotions, speakers = bank.emotions, bank.speakers
+    if not emotions:
+        raise EmptyBankError("bank has no emotion models")
+    if not speakers:
+        raise EmptyBankError("bank has no speaker models")
+    e_counts = {e: sum(1 for r in records if r.emotion == e) for e in emotions}
+    missing = [e for e, c in e_counts.items() if c == 0]
+    if missing:
+        raise ValueError(f"emotions without test utterances: {missing}")
+
+    acoustic = hmm.ModelStack(bank.emotion_models[e].acoustic
+                              for e in emotions)
+    speaker_stacks = {e: hmm.ModelStack(bank.speaker_models[(s, e)]
+                                        for s in speakers)
+                      for e in emotions}
     components = {}
     for r in records:
         utt = features[r.id]
         with _prefixed(f"utterance {r.id!r}"):
+            totals, paths = acoustic.forward_and_viterbi(utt.features)
             components[r.id] = {
-                e: score_components(bank.emotion_models[e].acoustic,
-                                    bank.emotion_models[e].supra, utt,
-                                    SWEEP_LENGTH_NORMALIZE)
-                for e in emotions}
+                e: aligned_components(total, path, bank.emotion_models[e].supra,
+                                      utt, SWEEP_LENGTH_NORMALIZE)
+                for e, total, path in zip(emotions, totals.tolist(), paths)}
 
     speaker_verdict: dict[tuple[str, str], bool] = {}
 
@@ -335,15 +355,12 @@ def alpha_sweep(bank, test_records, features,
         key = (record.id, e_star)
         if key not in speaker_verdict:
             with _prefixed(f"utterance {record.id!r}"):
-                s_star, _ = recognizer.identify_speaker_given_emotion(
-                    features[record.id].features, e_star, bank)
+                totals = speaker_stacks[e_star].forward_log_likelihoods(
+                    features[record.id].features)
+            scores = dict(zip(speakers, totals.tolist()))
+            s_star = max(speakers, key=scores.__getitem__)
             speaker_verdict[key] = (s_star == record.speaker)
         return speaker_verdict[key]
-
-    e_counts = {e: sum(1 for r in records if r.emotion == e) for e in emotions}
-    missing = [e for e, c in e_counts.items() if c == 0]
-    if missing:
-        raise ValueError(f"emotions without test utterances: {missing}")
 
     accuracies = np.zeros((len(alphas), len(emotions)))
     overall = np.zeros(len(alphas))

@@ -34,6 +34,16 @@ Numerics:
   the (N, T) peaks finds it as well as a state whose every component is
   -inf. Only then does the pass map NaN to -inf and take _logsumexp's
   general path: the log density saturates to -inf, never NaN.
+* Stacks. ModelStack scores K models of one topology in one pass. Their
+  emission tables sit on a leading K axis, each model keeping its own
+  centre, and _emissions makes one batched product over them; a single
+  model is the same kernel with K = 1. np.matmul computes each model's
+  slice as the (M*N, 2D) by (2D, T) product the model's own pass makes, so
+  the stacked densities equal the per-model ones bit for bit (the tests
+  check every length from 1 to 120 frames). Models with different
+  component counts M are stacked per M: padding a grid to a larger M
+  changes the shape of its product, and OpenBLAS then rounds some rows
+  differently.
 * Recursions. In the left-to-right band, state j's scores over time obey
   a first-order recurrence x_t = op(x_{t-1} + s, e_t) + b_t: s is the log
   self-loop, e_t the entry from state j-1 (its score at t-1 plus the log
@@ -42,7 +52,9 @@ Numerics:
   y_t = op(y_{t-1}, e_t - C_{t-1} - s): one np.logaddexp.accumulate
   (np.maximum.accumulate) over time, written into the state's rows of the
   score array, so each pass loops over the N states instead of the T
-  frames. State 0 is entered at frame 0 only and op(y, -inf) = y, so its
+  frames. A pass runs K rows side by side: the sequences of one EM batch
+  under one model's band, or one sequence under a stack's K bands, taken
+  as (N, K) rows. State 0 is entered at frame 0 only and op(y, -inf) = y, so its
   scores are its first emission plus C, in closed form. Backward is the
   same recurrence in reversed time. Viterbi loops where y_t == y_{t-1},
   that is where y_{t-1} >= e_t - C_{t-1} - s, so ties still go to looping.
@@ -236,16 +248,17 @@ class AcousticModel:
                 dim * _LOG_2PI + np.sum(np.log(self.variances), axis=2)
                 + np.sum(centred * centred * prec, axis=2))
         coef = np.concatenate([-0.5 * prec, centred * prec], axis=2)
-        return _EmissionTable(centre=centre,
-                              coef=coef.reshape(m * n, 2 * dim),
-                              const=const.reshape(m * n, 1))
+        return _EmissionTable(centre=centre.reshape(1, 1, dim),
+                              coef=coef.reshape(1, m * n, 2 * dim),
+                              const=const.reshape(1, m * n, 1), grid=(m, n))
 
     @cached_property
     def _band(self) -> tuple[np.ndarray, np.ndarray]:
-        """Log self-loop and advance probabilities of the transition band."""
+        """Log self-loop (N, 1) and advance (N-1, 1) probabilities of the
+        transition band: one model's rows of a stack's (see _forward)."""
         with np.errstate(divide="ignore"):
-            return (np.log(np.diag(self.transitions)),
-                    np.log(np.diag(self.transitions, 1)))
+            return (np.log(np.diag(self.transitions))[:, None],
+                    np.log(np.diag(self.transitions, 1))[:, None])
 
 
 @dataclass(frozen=True)
@@ -310,37 +323,38 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
 
 
 class _EmissionTable(NamedTuple):
-    """A model's Gaussians in the form of one BLAS pass (see the module
-    notes). Rows run component-major as the model's (M, N) grid does (row
-    m*N + j is component m of state j), so the mixture sum reduces over the
-    leading axis; padding rows have const -inf."""
+    """The Gaussians of K models in the form of one batched BLAS pass (see
+    the module notes); one model is K = 1. Each model's rows run
+    component-major as its (M, N) grid does (row m*N + j is component m of
+    state j), so the mixture sum reduces over the M axis; padding rows have
+    const -inf."""
 
-    centre: np.ndarray      # (D,) mean of the real component means
-    coef: np.ndarray        # (M*N, 2D): -0.5/var, then centred mean/var
-    const: np.ndarray       # (M*N, 1) log weight + normaliser, -inf if weight 0
+    centre: np.ndarray      # (K, 1, D) mean of each model's real means
+    coef: np.ndarray        # (K, M*N, 2D): -0.5/var, then centred mean/var
+    const: np.ndarray       # (K, M*N, 1) log weight + normaliser, -inf if weight 0
+    grid: tuple[int, int]   # (M, N)
 
 
-def _emissions(model: AcousticModel, obs: np.ndarray):
-    """Weighted component log densities, shape (M, N, T), and their mixture
-    sums log b_j(o_t), state-major with shape (N, T)."""
-    table = model._emission
+def _emissions(table: _EmissionTable, obs: np.ndarray):
+    """Weighted component log densities of K models, shape (K, M, N, T), and
+    their mixture sums log b_j(o_t), state-major with shape (K, N, T)."""
     x = obs - table.centre
     # an extreme outlier may overflow x^2 or the cross term; -inf is the
     # correct saturation and inf - inf is mapped to it below
     with np.errstate(over="ignore", invalid="ignore"):
-        comp = table.coef @ np.concatenate((x * x, x), axis=1).T
+        comp = table.coef @ np.concatenate((x * x, x), axis=2).transpose(0, 2, 1)
         comp += table.const
-    comp = comp.reshape(*model.weights.shape, obs.shape[0])
+    comp = comp.reshape(comp.shape[0], *table.grid, obs.shape[0])
     # a NaN carries through the max, so finite peaks mean a finite block
-    peak = comp.max(axis=0)
+    peak = comp.max(axis=1)
     if not np.isfinite(peak).all():
         comp[np.isnan(comp)] = -np.inf
-        return comp, _logsumexp(comp, axis=0)
+        return comp, _logsumexp(comp, axis=1)
     # _logsumexp's steps for finite peaks, in place
-    terms = np.subtract(comp, peak)
+    terms = np.subtract(comp, peak[:, None])
     np.maximum(terms, _EXP_FLOOR, out=terms)
     np.exp(terms, out=terms)
-    lb = terms.sum(axis=0)
+    lb = terms.sum(axis=1)
     np.log(lb, out=lb)
     lb += peak
     return comp, lb
@@ -348,7 +362,7 @@ def _emissions(model: AcousticModel, obs: np.ndarray):
 
 def state_log_densities(model: AcousticModel, obs: np.ndarray) -> np.ndarray:
     """log b_j(o_t) for every frame and state, shape (T, N)."""
-    return _emissions(model, obs)[1].T
+    return _emissions(model._emission, obs)[1][0].T
 
 
 def _frames(first: float, loop: np.ndarray, enter: np.ndarray,
@@ -384,11 +398,12 @@ def _stuck_rows(offset_end: np.ndarray) -> list:
 
 def _forward(band, lb: np.ndarray, best: bool = False):
     """Forward (or, with best, Viterbi) scores from state-major log
-    emissions lb of shape (N, K, T): K sequences side by side.
+    emissions lb of shape (N, K, T): K rows side by side.
 
-    band is the model's (log self-loop, log advance) pair. Returns the
-    (N, K, T) scores and, with best, the (N, K, T-1) flags of frames
-    t = 1..T-1 where looping won (else None).
+    band is the (log self-loop (N, K), log advance (N-1, K)) pair of K
+    models, or of one model, (N, 1) and (N-1, 1), shared by K sequences.
+    Returns the (N, K, T) scores and, with best, the (N, K, T-1) flags of
+    frames t = 1..T-1 where looping won (else None).
     """
     la_self, la_next = band
     n, k, t_len = lb.shape
@@ -405,10 +420,10 @@ def _forward(band, lb: np.ndarray, best: bool = False):
     # that row's shifted entries and scores are garbage (they may overflow
     # or be NaN) and are overwritten.
     with np.errstate(over="ignore", invalid="ignore"):
-        np.add(lb[..., 1:], la_self[:, None, None], out=offset[..., 1:])
+        np.add(lb[..., 1:], la_self[..., None], out=offset[..., 1:])
         np.cumsum(offset[..., 1:], axis=2, out=offset[..., 1:])
-        shifted_enter = np.add(offset[1:, :, :-1], la_self[1:, None, None])
-        np.subtract(la_next[:, None, None], shifted_enter, out=shifted_enter)
+        shifted_enter = np.add(offset[1:, :, :-1], la_self[1:, :, None])
+        np.subtract(la_next[..., None], shifted_enter, out=shifted_enter)
         stuck = _stuck_rows(offset[..., -1])
         # State 0 is entered at frame 0 only and op(y, -inf) = y, so its
         # scores are its first emission plus the offset, stuck rows included.
@@ -420,9 +435,11 @@ def _forward(band, lb: np.ndarray, best: bool = False):
                 np.equal(y[:, 1:], y[:, :-1], out=looped[j])
             y += offset[j]
             for r in stuck[j]:
+                col = r if la_self.shape[1] > 1 else 0   # else one shared band
                 scores[j, r], flags = _frames(
-                    -np.inf, np.full(t_len - 1, la_self[j]),
-                    scores[j - 1, r, :-1] + la_next[j - 1], lb[j, r, 1:], best)
+                    -np.inf, np.full(t_len - 1, la_self[j, col]),
+                    scores[j - 1, r, :-1] + la_next[j - 1, col], lb[j, r, 1:],
+                    best)
                 if best:
                     looped[j, r] = flags
     return scores, looped
@@ -430,14 +447,14 @@ def _forward(band, lb: np.ndarray, best: bool = False):
 
 def _backward(band, lb: np.ndarray) -> np.ndarray:
     """Backward log probabilities, shape (N, K, T), from lb of the same
-    shape.
+    shape and band as _forward takes them.
 
     The same recurrence in reversed time; the offsets are suffix sums.
     """
     la_self, la_next = band
     n, k, t_len = lb.shape
-    loop = lb[..., 1:] + la_self[:, None, None]
-    leave = lb[1:, :, 1:] + la_next[:, None, None]
+    loop = lb[..., 1:] + la_self[..., None]
+    leave = lb[1:, :, 1:] + la_next[..., None]
     offset = np.zeros((n, k, t_len))
     with np.errstate(over="ignore", invalid="ignore"):
         np.cumsum(loop[..., ::-1], axis=2, out=offset[..., -2::-1])
@@ -464,12 +481,17 @@ def _backward(band, lb: np.ndarray) -> np.ndarray:
     return beta
 
 
+def _totals(band, lb: np.ndarray) -> np.ndarray:
+    """Total log-likelihood of each of _forward's K rows, shape (K,)."""
+    alpha, _ = _forward(band, lb)
+    return np.logaddexp.reduce(alpha[:, :, -1], axis=0)
+
+
 def forward_log_likelihood(model: AcousticModel, seq) -> float:
     """Total log-likelihood of the sequence, summed over all state paths."""
     obs, = _sequences([seq], 1, model.feature_dim)
-    alpha, _ = _forward(model._band,
-                        state_log_densities(model, obs).T[:, None])
-    return float(np.logaddexp.reduce(alpha[:, 0, -1]))
+    return float(_totals(model._band,
+                         state_log_densities(model, obs).T[:, None])[0])
 
 
 def forward_backward(model: AcousticModel, seq):
@@ -484,19 +506,10 @@ def forward_backward(model: AcousticModel, seq):
             _backward(model._band, lb)[:, 0].T)
 
 
-def viterbi(model: AcousticModel, seq):
-    """Best state path that starts in state 0 and ends in state N-1.
-
-    Returns (path, log_probability) where path is an int array of state
-    indices. Ties between looping and advancing resolve to looping.
-    """
-    obs, = _sequences([seq], 1, model.feature_dim)
-    delta, looped = _forward(model._band,
-                             state_log_densities(model, obs).T[:, None],
-                             best=True)
-    delta, looped = delta[:, 0], looped[:, 0]
+def _best_path(delta: np.ndarray, looped: np.ndarray):
+    """viterbi's (path, log_probability) from one row's Viterbi scores
+    (N, T) and loop flags (N, T-1)."""
     n, t_len = delta.shape
-
     log_prob = delta[n - 1, t_len - 1]
     if not np.isfinite(log_prob):
         raise NoLegalPathError(
@@ -514,6 +527,74 @@ def viterbi(model: AcousticModel, seq):
         t = start - 1
     np.cumsum(path, out=path)
     return path, float(log_prob)
+
+
+def viterbi(model: AcousticModel, seq):
+    """Best state path that starts in state 0 and ends in state N-1.
+
+    Returns (path, log_probability) where path is an int array of state
+    indices. Ties between looping and advancing resolve to looping.
+    """
+    obs, = _sequences([seq], 1, model.feature_dim)
+    delta, looped = _forward(model._band,
+                             state_log_densities(model, obs).T[:, None],
+                             best=True)
+    return _best_path(delta[:, 0], looped[:, 0])
+
+
+class ModelStack:
+    """K acoustic models of one topology (num_states and feature_dim),
+    scored side by side: one batched emission pass, each model keeping its
+    own centre, and one recursion with the K transition bands as rows.
+    Every score and path equals the per-model function's bit for bit (see
+    the module notes)."""
+
+    def __init__(self, models):
+        models = tuple(models)
+        if not models:
+            raise ValueError("a model stack needs at least one model")
+        shapes = sorted({(a.num_states, a.feature_dim) for a in models})
+        if len(shapes) > 1:
+            raise ValueError(f"stacked models must share num_states and "
+                             f"feature_dim, got (N, D) pairs {shapes}")
+        (n, dim), = shapes
+        # One product per component count M: padding a grid to another M
+        # changes the shape of its BLAS product, and OpenBLAS may then
+        # round its rows differently.
+        by_count: dict[int, list[int]] = {}
+        for k, a in enumerate(models):
+            by_count.setdefault(a._emission.grid[0], []).append(k)
+        self._groups = []
+        for rows in by_count.values():
+            tables = [models[k]._emission for k in rows]
+            parts = zip(*(t[:3] for t in tables))  # centres, coefs, consts
+            self._groups.append((rows, _EmissionTable(
+                *map(np.concatenate, parts), grid=tables[0].grid)))
+        self._band = tuple(np.concatenate(rows, axis=1)
+                           for rows in zip(*(a._band for a in models)))
+        self.num_states, self.feature_dim, self.size = n, dim, len(models)
+
+    def _log_densities(self, seq) -> np.ndarray:
+        """log b_j(o_t) of every model, state-major with shape (N, K, T)."""
+        obs, = _sequences([seq], 1, self.feature_dim)
+        lb = np.empty((self.num_states, self.size, obs.shape[0]))
+        for rows, table in self._groups:
+            lb[:, rows] = _emissions(table, obs)[1].transpose(1, 0, 2)
+        return lb
+
+    def forward_log_likelihoods(self, seq) -> np.ndarray:
+        """Each model's forward_log_likelihood of the sequence, shape (K,)."""
+        return _totals(self._band, self._log_densities(seq))
+
+    def forward_and_viterbi(self, seq):
+        """Each model's forward_log_likelihood, shape (K,), and its viterbi
+        path, shape (K, T), from one emission pass. A model that no
+        left-to-right path fits raises NoLegalPathError as viterbi does."""
+        lb = self._log_densities(seq)
+        delta, looped = _forward(self._band, lb, best=True)
+        paths = [_best_path(delta[:, k], looped[:, k])[0]
+                 for k in range(self.size)]
+        return _totals(self._band, lb), np.stack(paths)
 
 
 # --- initialization ----------------------------------------------------------
@@ -649,7 +730,8 @@ class _Counts(NamedTuple):
 def _expect(model: AcousticModel, batch: _Batch) -> tuple[_Counts, float]:
     """One E-step over every sequence of the batch: the expected counts and
     the total log-likelihood."""
-    comp, lb = _emissions(model, batch.obs)                  # (M, N, F), (N, F)
+    comp, lb = (a[0] for a in _emissions(model._emission, batch.obs))
+    # comp (M, N, F), lb (N, F)
     n, k = model.num_states, batch.grid[0]
     padded = np.zeros((n, k * batch.grid[1]))
     padded[:, batch.cell] = lb
@@ -666,8 +748,8 @@ def _expect(model: AcousticModel, batch: _Batch) -> tuple[_Counts, float]:
     t = batch.step
     ahead = lb[:, t] + beta[:, t] - ll_frame[t]
     came = alpha[:-1, t - 1]
-    stay = np.exp(came + la_self[:-1, None] + ahead[:-1]).sum(axis=1)
-    move = np.exp(came + la_next[:, None] + ahead[1:]).sum(axis=1)
+    stay = np.exp(came + la_self[:-1] + ahead[:-1]).sum(axis=1)
+    move = np.exp(came + la_next + ahead[1:]).sum(axis=1)
 
     # Responsibilities split each state's occupancy gamma across components;
     # where a state's emission underflowed, gamma is 0 and so is each share.

@@ -207,9 +207,27 @@ def score_components(acoustic: hmm.AcousticModel, supra: SuprasegmentalModel,
     features, track = utterance
     log_acoustic = hmm.forward_log_likelihood(acoustic, features)
     summaries = supra_observations(acoustic, (features, track), supra.mapping)
+    return _component_pair(log_acoustic, summaries, supra, len(features),
+                           length_normalize)
+
+
+def aligned_components(log_acoustic: float, path, supra: SuprasegmentalModel,
+                       utterance, length_normalize: bool = False):
+    """score_components from the acoustic model's score of the utterance
+    and its Viterbi path, as an hmm.ModelStack pass gives them."""
+    features, track = utterance
+    summaries = segment_summaries(path, track, supra.mapping)
+    return _component_pair(log_acoustic, summaries, supra, len(features),
+                           length_normalize)
+
+
+def _component_pair(log_acoustic: float, summaries,
+                    supra: SuprasegmentalModel, num_frames: int,
+                    length_normalize: bool):
+    """The two scores, the prosodic one from the segment summaries."""
     log_supra = hmm.forward_log_likelihood(supra.core, summaries)
     if length_normalize:
-        log_acoustic /= len(features)
+        log_acoustic /= num_frames
         log_supra /= len(summaries)
     return log_acoustic, log_supra
 

@@ -10,9 +10,12 @@ import math
 
 import numpy as np
 
-from emocue import hmm
-from emocue.errors import NumericalUnderflowError
+from emocue import hmm, recognizer
+from emocue.errors import NumericalUnderflowError, _prefixed
+from emocue.evaluation import (DEFAULT_ALPHAS, SWEEP_LENGTH_NORMALIZE,
+                               SweepResult)
 from emocue.hmm import AcousticModel, GaussianMixture
+from emocue.supra import FusionConfig, blend, score_components
 
 
 def scalar_log_density(mixture, x):
@@ -261,7 +264,8 @@ def loop_init_model(sequences, num_states, num_mixtures,
 
 def sequence_accumulate(model, obs, stats):
     """One E-step over a single sequence; returns its log-likelihood."""
-    comp, lb = hmm._emissions(model, obs)                    # (M, N, T), (N, T)
+    comp, lb = (a[0] for a in hmm._emissions(model._emission, obs))
+    # comp (M, N, T), lb (N, T)
     alpha = frame_forward(model, lb.T).T
     beta = frame_backward(model, lb.T).T
     ll = float(hmm._logsumexp(alpha[:, -1], axis=0))
@@ -357,6 +361,56 @@ def sequence_baum_welch(model, sequences, max_iters=hmm.EM_MAX_ITERS,
     return current, hmm.TrainingReport(
         log_likelihood_per_iteration=tuple(lls), iterations_run=len(lls),
         converged=converged)
+
+
+def loop_alpha_sweep(bank, test_records, features, alphas=DEFAULT_ALPHAS):
+    """evaluation.alpha_sweep one model at a time: score_components per
+    (utterance, emotion) and identify_speaker_given_emotion per
+    (utterance, chosen emotion)."""
+    alphas = tuple(FusionConfig(alpha=a).alpha for a in alphas)
+    records = list(test_records)
+    emotions = bank.emotions
+    components = {}
+    for r in records:
+        utt = features[r.id]
+        with _prefixed(f"utterance {r.id!r}"):
+            components[r.id] = {
+                e: score_components(bank.emotion_models[e].acoustic,
+                                    bank.emotion_models[e].supra, utt,
+                                    SWEEP_LENGTH_NORMALIZE)
+                for e in emotions}
+
+    speaker_verdict = {}
+
+    def speaker_correct(record, e_star):
+        key = (record.id, e_star)
+        if key not in speaker_verdict:
+            with _prefixed(f"utterance {record.id!r}"):
+                s_star, _ = recognizer.identify_speaker_given_emotion(
+                    features[record.id].features, e_star, bank)
+            speaker_verdict[key] = (s_star == record.speaker)
+        return speaker_verdict[key]
+
+    e_counts = {e: sum(1 for r in records if r.emotion == e) for e in emotions}
+    missing = [e for e, c in e_counts.items() if c == 0]
+    if missing:
+        raise ValueError(f"emotions without test utterances: {missing}")
+
+    accuracies = np.zeros((len(alphas), len(emotions)))
+    overall = np.zeros(len(alphas))
+    for a_idx, alpha in enumerate(alphas):
+        correct = {e: 0 for e in emotions}
+        for r in records:
+            comp = components[r.id]
+            scores = {e: blend(*comp[e], alpha) for e in emotions}
+            e_star = max(emotions, key=scores.__getitem__)
+            if speaker_correct(r, e_star):
+                correct[r.emotion] += 1
+        for e_idx, e in enumerate(emotions):
+            accuracies[a_idx, e_idx] = 100.0 * correct[e] / e_counts[e]
+        overall[a_idx] = 100.0 * sum(correct.values()) / len(records)
+    return SweepResult(alphas=alphas, emotions=emotions,
+                       accuracies=accuracies, overall=overall)
 
 
 # --- reference evaluation outcomes -------------------------------------------

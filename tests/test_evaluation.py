@@ -3,7 +3,7 @@ pooled-SD t values, the fusion-weight sweep, and table output."""
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emocue import evaluation
@@ -21,6 +21,7 @@ from emocue.evaluation import (
     write_sweep_tsv,
 )
 from emocue.recognizer import identify_emotion, identify_speaker_given_emotion
+from emocue.frontend import FeatureSequence, ProsodicTrack, UtteranceFeatures
 from emocue.supra import FusionConfig
 
 from oracles import (
@@ -31,6 +32,7 @@ from oracles import (
     REF_SPEAKER_TWO_STAGE,
     REF_SPEAKER_TWO_STAGE_SUPRA,
     confusion_pairs,
+    loop_alpha_sweep,
     speaker_results,
 )
 
@@ -279,6 +281,43 @@ def test_sweep_rejects_missing_emotion(tiny_trained):
     with pytest.raises(ValueError):
         alpha_sweep(tiny_trained["bank"], only_first,
                     tiny_trained["features"])
+
+
+def test_sweep_rejects_missing_emotion_before_scoring(tiny_trained):
+    # the split lacks an emotion and also holds an utterance too short for
+    # the bank's 3-state models: the label check comes first
+    only_first = [r for r in tiny_trained["test"]
+                  if r.emotion == tiny_trained["bank"].emotions[0]]
+    features = dict(tiny_trained["features"])
+    utt = features[only_first[0].id]
+    features[only_first[0].id] = UtteranceFeatures(
+        features=FeatureSequence(vectors=utt.features.vectors[:2]),
+        prosody=ProsodicTrack(f0=utt.prosody.f0[:2],
+                              log_energy=utt.prosody.log_energy[:2],
+                              voiced=utt.prosody.voiced[:2]))
+    with pytest.raises(ValueError, match="emotions without test utterances"):
+        alpha_sweep(tiny_trained["bank"], only_first, features)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_sweep_equals_per_model_loop(tiny_trained, data):
+    bank, test = tiny_trained["bank"], tiny_trained["test"]
+    # a non-empty subset of every emotion's test records, in split order
+    chosen = set()
+    for e in bank.emotions:
+        ids = [r.id for r in test if r.emotion == e]
+        chosen |= data.draw(st.sets(st.sampled_from(ids), min_size=1))
+    records = [r for r in test if r.id in chosen]
+    alphas = data.draw(st.one_of(
+        st.just(evaluation.DEFAULT_ALPHAS),
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6)))
+    got = alpha_sweep(bank, records, tiny_trained["features"], alphas)
+    want = loop_alpha_sweep(bank, records, tiny_trained["features"], alphas)
+    assert got.alphas == want.alphas
+    assert got.emotions == want.emotions
+    assert np.array_equal(got.accuracies, want.accuracies)
+    assert np.array_equal(got.overall, want.overall)
 
 
 # --- table output ------------------------------------------------------------

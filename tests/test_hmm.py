@@ -21,6 +21,7 @@ from emocue.errors import (
     SequenceTooShortError,
     UnsupportedFormatError,
 )
+from emocue.frontend import FeatureSequence
 from oracles import (
     enumerated_forward,
     enumerated_viterbi,
@@ -423,6 +424,114 @@ def test_forward_backward_consistent_at_every_time():
             assert total == pytest.approx(ll, abs=1e-8)
 
 
+# --- model stacks against per-model calls ------------------------------------
+
+
+def _assert_stack_matches(models, obs):
+    """Stacked densities, totals and paths equal to the per-model calls bit
+    for bit; a sequence that some model's viterbi refuses is refused by the
+    stack with the same message."""
+    stack = hmm.ModelStack(models)
+    densities = stack._log_densities(obs)
+    totals = stack.forward_log_likelihoods(obs)
+    for k, model in enumerate(models):
+        assert np.array_equal(densities[:, k].T,
+                              hmm.state_log_densities(model, obs))
+        assert np.array_equal(totals[k], hmm.forward_log_likelihood(model, obs))
+    try:
+        paths = [hmm.viterbi(model, obs)[0] for model in models]
+    except NoLegalPathError as exc:
+        with pytest.raises(NoLegalPathError) as refused:
+            stack.forward_and_viterbi(obs)
+        assert str(refused.value) == str(exc)
+        return
+    both, stacked_paths = stack.forward_and_viterbi(obs)
+    assert np.array_equal(both, totals)
+    assert np.array_equal(stacked_paths, np.stack(paths))
+
+
+def test_stack_matches_per_model_calls_on_bank_models(tiny_trained):
+    bank, features = tiny_trained["bank"], tiny_trained["features"]
+    roles = [[bank.emotion_models[e].acoustic for e in bank.emotions],
+             list(bank.one_stage_models.values())]
+    roles += [[bank.speaker_models[(s, e)] for s in bank.speakers]
+              for e in bank.emotions]
+    for r in tiny_trained["test"]:
+        for models in roles:
+            _assert_stack_matches(models, features[r.id].features.vectors)
+
+
+def test_stack_matches_per_model_calls_with_unequal_component_counts():
+    rng = np.random.default_rng(60)
+    # feature dimension 16, as in a bank: padding these grids to one M
+    # changes the last bits of some emission products
+    models = [_unequal_model(rng, counts, dim=16) for counts in
+              ((3, 1, 2), (1, 1, 1), (2, 2, 2), (4, 3, 1), (3, 1, 2))]
+    for length in (3, 5, 17, 64):
+        _assert_stack_matches(models, rng.normal(0.0, 2.0, size=(length, 16)))
+
+
+def test_stack_matches_per_model_calls_with_a_zero_self_loop():
+    # the stuck-row fallback runs for one row of the stack only
+    rng = np.random.default_rng(61)
+    base = random_model(rng, num_states=3, num_mixtures=2, dim=2)
+    transitions = np.array(base.transitions)
+    transitions[0, :2] = [0.0, 1.0]
+    stuck = hmm.AcousticModel(num_states=3, feature_dim=2,
+                              transitions=transitions, mixtures=base.mixtures)
+    for length in (3, 4, 7, 40):
+        _assert_stack_matches([base, stuck, base],
+                              rng.normal(0.0, 2.0, size=(length, 2)))
+
+
+def test_stack_matches_per_model_calls_when_length_equals_states():
+    rng = np.random.default_rng(62)
+    models = [random_model(rng, num_states=4, num_mixtures=2, dim=2)
+              for _ in range(3)]
+    obs = rng.normal(size=(4, 2))
+    _assert_stack_matches(models, obs)
+    _, paths = hmm.ModelStack(models).forward_and_viterbi(obs)
+    assert paths.tolist() == [[0, 1, 2, 3]] * 3
+
+
+@pytest.mark.parametrize("num_states, num_mixtures, dim",
+                         [(9, 10, 16), (3, 2, 16)])
+def test_stack_matches_per_model_calls_at_every_length(num_states,
+                                                       num_mixtures, dim):
+    # the batched product against one product per model, at every length
+    # from 1 to 120 frames, on the bank's default and small model sizes
+    rng = np.random.default_rng(63)
+    models = [random_model(rng, num_states, num_mixtures, dim)
+              for _ in range(3)]
+    models.append(_unequal_model(
+        rng, [1 + j % (num_mixtures - 1) for j in range(num_states)], dim))
+    for length in range(1, 121):
+        _assert_stack_matches(models,
+                              rng.normal(0.5, 2.0, size=(length, dim)))
+
+
+@pytest.mark.parametrize("shapes", [((3, 2), (4, 2)), ((3, 2), (3, 3))],
+                         ids=["num_states", "feature_dim"])
+def test_stack_rejects_models_of_another_topology(shapes):
+    rng = np.random.default_rng(64)
+    models = [random_model(rng, n, 2, d) for n, d in shapes]
+    with pytest.raises(ValueError, match="num_states and feature_dim"):
+        hmm.ModelStack(models)
+
+
+def test_stack_refuses_too_short_sequence_as_viterbi_does():
+    rng = np.random.default_rng(65)
+    models = [random_model(rng, num_states=5, num_mixtures=1, dim=1)
+              for _ in range(2)]
+    obs = rng.normal(size=(3, 1))
+    with pytest.raises(NoLegalPathError) as per_model:
+        hmm.viterbi(models[0], obs)
+    with pytest.raises(NoLegalPathError) as stacked:
+        hmm.ModelStack(models).forward_and_viterbi(obs)
+    assert str(stacked.value) == str(per_model.value) == (
+        "no left-to-right path through 5 states fits 3 frames")
+
+
 # --- initialization ----------------------------------------------------------
 
 
@@ -757,6 +866,48 @@ def test_mixture_rejects_nonpositive_variance():
 _NAN, _INF = float("nan"), float("inf")
 
 
+def _feature_sequence(arrays):
+    return FeatureSequence(vectors=arrays["vectors"])
+
+
+def _mixture(arrays):
+    return hmm.GaussianMixture(weights=arrays["weights"],
+                               means=arrays["means"],
+                               variances=arrays["variances"])
+
+
+def _acoustic_model(arrays):
+    return hmm.AcousticModel(num_states=2, feature_dim=3,
+                             transitions=arrays["transitions"],
+                             mixtures=[_mixture(arrays)] * 2)
+
+
+@pytest.mark.parametrize("build, names", [
+    (_feature_sequence, ("vectors",)),
+    (_mixture, ("weights", "means", "variances")),
+    (_acoustic_model, ("transitions", "weights", "means", "variances")),
+], ids=["FeatureSequence", "GaussianMixture", "AcousticModel"])
+def test_constructors_leave_the_callers_arrays_writeable(build, names):
+    arrays = {"vectors": np.zeros((4, 16)), "weights": np.array([0.25, 0.75]),
+              "means": np.zeros((2, 3)), "variances": np.ones((2, 3)),
+              "transitions": np.array([[0.5, 0.5], [0.0, 1.0]])}
+    built = build(arrays)
+    before = {name: np.array(getattr(built, name)) for name in names}
+    for name in names:
+        assert arrays[name].flags.writeable
+        arrays[name] += 1.0          # a later write does not reach the object
+    for name in names:
+        assert np.array_equal(getattr(built, name), before[name])
+        assert not getattr(built, name).flags.writeable
+
+
+def test_read_only_input_is_kept_without_a_copy():
+    payload = np.frombuffer(np.arange(32, dtype="<f8").tobytes())
+    assert not payload.flags.writeable
+    assert FeatureSequence(vectors=payload.reshape(2, 16)).vectors.base \
+        is payload
+
+
 @pytest.mark.parametrize("weights, means, variances", [
     ([_NAN], [[0.0]], [[_NAN]]),
     ([_NAN], [[0.0]], [[1.0]]),
@@ -889,6 +1040,48 @@ def test_mixture_views_are_read_only_parameters(tmp_path):
     for model in (seeded, unequal, trained, loaded):
         _assert_views_match_arrays(model)
     assert list(trained.counts) == list(loaded.counts) == [3, 1, 2]
+
+
+def _feature_sequence(arrays):
+    return FeatureSequence(vectors=arrays["vectors"])
+
+
+def _mixture(arrays):
+    return hmm.GaussianMixture(weights=arrays["weights"],
+                               means=arrays["means"],
+                               variances=arrays["variances"])
+
+
+def _acoustic_model(arrays):
+    return hmm.AcousticModel(num_states=2, feature_dim=3,
+                             transitions=arrays["transitions"],
+                             mixtures=[_mixture(arrays)] * 2)
+
+
+@pytest.mark.parametrize("build, names", [
+    (_feature_sequence, ("vectors",)),
+    (_mixture, ("weights", "means", "variances")),
+    (_acoustic_model, ("transitions", "weights", "means", "variances")),
+], ids=["FeatureSequence", "GaussianMixture", "AcousticModel"])
+def test_constructors_leave_the_callers_arrays_writeable(build, names):
+    arrays = {"vectors": np.zeros((4, 16)), "weights": np.array([0.25, 0.75]),
+              "means": np.zeros((2, 3)), "variances": np.ones((2, 3)),
+              "transitions": np.array([[0.5, 0.5], [0.0, 1.0]])}
+    built = build(arrays)
+    before = {name: np.array(getattr(built, name)) for name in names}
+    for name in names:
+        assert arrays[name].flags.writeable
+        arrays[name] += 1.0          # a later write does not reach the object
+    for name in names:
+        assert np.array_equal(getattr(built, name), before[name])
+        assert not getattr(built, name).flags.writeable
+
+
+def test_read_only_input_is_kept_without_a_copy():
+    payload = np.frombuffer(np.arange(32, dtype="<f8").tobytes())
+    assert not payload.flags.writeable
+    assert FeatureSequence(vectors=payload.reshape(2, 16)).vectors.base \
+        is payload
 
 
 @pytest.mark.parametrize("weights, means, variances", [

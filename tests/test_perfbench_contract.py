@@ -85,3 +85,26 @@ def test_score_test_set_keeps_the_pinned_call_counts(tiny_trained):
     assert calls["hmm.forward_log_likelihood"]["calls"] == u * (2 * e + 2 * s)
     assert calls["hmm.viterbi"]["calls"] == u * e
     assert calls["hmm.state_log_densities"]["calls"] == u * (3 * e + 2 * s)
+
+
+def test_alpha_sweep_scores_through_model_stacks(tiny_trained):
+    # sweep-alpha scores acoustics through hmm.ModelStack, which the tracer
+    # does not wrap: no Viterbi call and one traced forward pass per
+    # (utterance, emotion), each the prosodic model's
+    bank, test = tiny_trained["bank"], tiny_trained["test"]
+    u, e = len(test), len(bank.emotions)
+    module = _tracer_module()
+    tracer = module.Tracer()
+    tracer.install()
+    try:
+        with tracer.request("sweep-alpha", 0):
+            emocue.alpha_sweep(bank, test, tiny_trained["features"])
+    finally:
+        tracer.uninstall()
+    calls = module.aggregate(tracer.spans)
+    assert "hmm.viterbi" not in calls
+    assert calls["hmm.forward_log_likelihood"]["calls"] == u * e
+    # each on the segment summaries of a full alignment, one per state
+    num_states = bank.emotion_models[bank.emotions[0]].acoustic.num_states
+    assert calls["hmm.forward_log_likelihood"]["frames"] == \
+        u * e * num_states
