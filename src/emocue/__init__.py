@@ -105,6 +105,8 @@ from .supra import (
     fused_score,
     score_components,
     segment_summaries,
+    stage_a_components,
+    summary_stack,
     supra_observations,
     train_suprasegmental,
 )

@@ -7,6 +7,13 @@ cross emotion with speaker gender and average per row, and two recognizers
 are compared by t = (mean2 - mean1) / sqrt((sd1^2 + sd2^2) / n). All
 arithmetic is done at full precision; rounding happens only when tables are
 written out.
+
+The fusion-weight sweep scores stage a once for every weight: per
+utterance one hmm.ModelStack pass over the emotions' acoustic models and
+one supra.summary_stack call, then one stacked prosodic pass over every
+(utterance, emotion) pair. The weights' decisions are an argmax over an
+array of blends, and stage b is scored once per (utterance, chosen
+emotion).
 """
 
 from __future__ import annotations
@@ -21,9 +28,9 @@ import numpy as np
 from . import container, hmm
 from .container import readonly
 from .corpus import GENDERS
-from .errors import (EmptyBankError, EmptyResultsError, UnknownLabelError,
-                     _prefixed)
-from .supra import FusionConfig, aligned_components, blend
+from .errors import (EmptyBankError, EmptyResultsError, UnknownEmotionError,
+                     UnknownLabelError, _prefixed)
+from .supra import FusionConfig, blend, summary_stack
 
 # Reference point for the t statistics: one-sided critical value at the
 # 0.05 significance level.
@@ -302,6 +309,34 @@ class SweepResult:
                                      self.emotions.index(emotion)])
 
 
+def _stage_a_scores(bank, records, features):
+    """alpha_sweep's acoustic and prosodic log scores, each (utterances,
+    emotions) and length-normalized under SWEEP_LENGTH_NORMALIZE. The
+    stacks and summaries are freed on return, before stage b runs."""
+    pairs = [bank.emotion_models[e] for e in bank.emotions]
+    acoustic = hmm.ModelStack(pair.acoustic for pair in pairs)
+    bounds = [pair.supra.mapping.num_acoustic_states for pair in pairs]
+    log_acoustic = np.empty((len(records), len(pairs)))
+    summaries = []
+    for u, r in enumerate(records):
+        utt = features[r.id]
+        with _prefixed(f"utterance {r.id!r}"):
+            log_acoustic[u], paths = acoustic.forward_and_viterbi(utt.features)
+            summaries.append(summary_stack(paths, utt.prosody, bounds))
+        if SWEEP_LENGTH_NORMALIZE:
+            log_acoustic[u] /= len(utt.features)
+    # every alignment ends in the stack's last state, so every summary
+    # sequence has one row per acoustic state
+    summaries = np.concatenate(summaries)
+    prosodic = hmm.ModelStack([pair.supra.core for pair in pairs]
+                              * len(records))
+    log_supra = prosodic.forward_log_likelihoods(summaries).reshape(
+        log_acoustic.shape)
+    if SWEEP_LENGTH_NORMALIZE:
+        log_supra /= summaries.shape[1]
+    return log_acoustic, log_supra
+
+
 def alpha_sweep(bank, test_records, features,
                 alphas=DEFAULT_ALPHAS) -> SweepResult:
     """Re-run the emotion stage across fusion weights and measure stage-b
@@ -309,16 +344,21 @@ def alpha_sweep(bank, test_records, features,
 
     Both log scores are computed once per (utterance, emotion), with
     SWEEP_LENGTH_NORMALIZE, and blended per alpha by the same rule as
-    identify_emotion. One hmm.ModelStack pass per utterance gives every
-    emotion's acoustic score and alignment; the speaker stage does not
+    identify_emotion. Per utterance, one hmm.ModelStack pass over the
+    emotions' acoustic models gives every acoustic score and alignment, and
+    one supra.summary_stack call summarises the alignments; one stacked
+    pass then scores the summaries of every (utterance, emotion) pair under
+    that emotion's prosodic model. The decisions of all weights are one
+    array of blends and its first-max argmax. The speaker stage does not
     depend on alpha, so its verdict, from one pass over the chosen
     emotion's speaker stack, is cached per (utterance, chosen emotion).
     Every score equals identify's bit for bit, and ties go to the earliest
     label in bank order as there. Every weight must lie in [0, 1];
     FusionConfig rejects any other, as it does for identify. A test split
-    that lacks one of the bank's emotions raises ValueError before any
-    scoring. An utterance that cannot be scored re-raises its error, of the
-    same type, naming the utterance id, as in score_test_set.
+    that lacks one of the bank's emotions, or holds one the bank lacks,
+    raises before any scoring. An utterance that cannot be scored re-raises
+    its error, of the same type, naming the utterance id, as in
+    score_test_set.
     """
     alphas = tuple(FusionConfig(alpha=a).alpha for a in alphas)
     records = list(test_records)
@@ -333,48 +373,37 @@ def alpha_sweep(bank, test_records, features,
     missing = [e for e, c in e_counts.items() if c == 0]
     if missing:
         raise ValueError(f"emotions without test utterances: {missing}")
+    unknown = sorted({r.emotion for r in records} - set(emotions))
+    if unknown:
+        raise UnknownEmotionError(f"no models for test emotions {unknown}")
 
-    acoustic = hmm.ModelStack(bank.emotion_models[e].acoustic
-                              for e in emotions)
+    log_acoustic, log_supra = _stage_a_scores(bank, records, features)
+    # (alphas, utterances): np.argmax keeps the first maximum, as max does
+    choices = blend(log_acoustic, log_supra,
+                    np.array(alphas)[:, None, None]).argmax(axis=2)
+
     speaker_stacks = {e: hmm.ModelStack(bank.speaker_models[(s, e)]
                                         for s in speakers)
                       for e in emotions}
-    components = {}
-    for r in records:
-        utt = features[r.id]
-        with _prefixed(f"utterance {r.id!r}"):
-            totals, paths = acoustic.forward_and_viterbi(utt.features)
-            components[r.id] = {
-                e: aligned_components(total, path, bank.emotion_models[e].supra,
-                                      utt, SWEEP_LENGTH_NORMALIZE)
-                for e, total, path in zip(emotions, totals.tolist(), paths)}
-
-    speaker_verdict: dict[tuple[str, str], bool] = {}
-
-    def speaker_correct(record, e_star: str) -> bool:
-        key = (record.id, e_star)
+    speaker_verdict: dict[tuple[int, int], bool] = {}
+    correct = np.empty(choices.shape, dtype=bool)
+    for (a_idx, u), e_idx in np.ndenumerate(choices):
+        key = (u, e_idx)
         if key not in speaker_verdict:
+            record, stack = records[u], speaker_stacks[emotions[e_idx]]
             with _prefixed(f"utterance {record.id!r}"):
-                totals = speaker_stacks[e_star].forward_log_likelihoods(
+                totals = stack.forward_log_likelihoods(
                     features[record.id].features)
             scores = dict(zip(speakers, totals.tolist()))
             s_star = max(speakers, key=scores.__getitem__)
             speaker_verdict[key] = (s_star == record.speaker)
-        return speaker_verdict[key]
+        correct[a_idx, u] = speaker_verdict[key]
 
-    accuracies = np.zeros((len(alphas), len(emotions)))
-    overall = np.zeros(len(alphas))
-    for a_idx, alpha in enumerate(alphas):
-        correct = {e: 0 for e in emotions}
-        for r in records:
-            comp = components[r.id]
-            scores = {e: blend(*comp[e], alpha) for e in emotions}
-            e_star = max(emotions, key=scores.__getitem__)
-            if speaker_correct(r, e_star):
-                correct[r.emotion] += 1
-        for e_idx, e in enumerate(emotions):
-            accuracies[a_idx, e_idx] = 100.0 * correct[e] / e_counts[e]
-        overall[a_idx] = 100.0 * sum(correct.values()) / len(records)
+    true = np.array([emotions.index(r.emotion) for r in records])
+    accuracies = np.stack([100.0 * correct[:, true == e_idx].sum(axis=1)
+                           / e_counts[e] for e_idx, e in enumerate(emotions)],
+                          axis=1)
+    overall = 100.0 * correct.sum(axis=1) / len(records)
     return SweepResult(alphas=alphas,
                        emotions=emotions, accuracies=accuracies,
                        overall=overall)
@@ -407,5 +436,5 @@ def write_sweep_tsv(sweep: SweepResult, path) -> None:
         yield "alpha\t" + "\t".join(sweep.emotions) + "\toverall\n"
         for i, alpha in enumerate(sweep.alphas):
             cells = "\t".join(f"{v:.2f}" for v in sweep.accuracies[i])
-            yield f"{alpha:.1f}\t{cells}\t{sweep.overall[i]:.2f}\n"
+            yield f"{float(alpha)!r}\t{cells}\t{sweep.overall[i]:.2f}\n"
     container.replace(path, lines())

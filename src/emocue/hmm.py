@@ -37,13 +37,14 @@ Numerics:
 * Stacks. ModelStack scores K models of one topology in one pass. Their
   emission tables sit on a leading K axis, each model keeping its own
   centre, and _emissions makes one batched product over them; a single
-  model is the same kernel with K = 1. np.matmul computes each model's
-  slice as the (M*N, 2D) by (2D, T) product the model's own pass makes, so
-  the stacked densities equal the per-model ones bit for bit (the tests
-  check every length from 1 to 120 frames). Models with different
-  component counts M are stacked per M: padding a grid to a larger M
-  changes the shape of its product, and OpenBLAS then rounds some rows
-  differently.
+  model is the same kernel with K = 1. A stack scores one sequence under
+  every model, or a (K, T, D) stack of sequences, sequence k under model k.
+  np.matmul computes each model's slice as the (M*N, 2D) by (2D, T) product
+  the model's own pass makes, so the stacked densities equal the per-model
+  ones bit for bit (the tests check every length from 1 to 120 frames).
+  Models with different component counts M are stacked per M: padding a
+  grid to a larger M changes the shape of its product, and OpenBLAS then
+  rounds some rows differently.
 * Recursions. In the left-to-right band, state j's scores over time obey
   a first-order recurrence x_t = op(x_{t-1} + s, e_t) + b_t: s is the log
   self-loop, e_t the entry from state j-1 (its score at t-1 plus the log
@@ -337,14 +338,15 @@ class _EmissionTable(NamedTuple):
 
 def _emissions(table: _EmissionTable, obs: np.ndarray):
     """Weighted component log densities of K models, shape (K, M, N, T), and
-    their mixture sums log b_j(o_t), state-major with shape (K, N, T)."""
+    their mixture sums log b_j(o_t), state-major with shape (K, N, T), of
+    one sequence obs (T, D) or of one sequence per model (K, T, D)."""
     x = obs - table.centre
     # an extreme outlier may overflow x^2 or the cross term; -inf is the
     # correct saturation and inf - inf is mapped to it below
     with np.errstate(over="ignore", invalid="ignore"):
         comp = table.coef @ np.concatenate((x * x, x), axis=2).transpose(0, 2, 1)
         comp += table.const
-    comp = comp.reshape(comp.shape[0], *table.grid, obs.shape[0])
+    comp = comp.reshape(comp.shape[0], *table.grid, obs.shape[-2])
     # a NaN carries through the max, so finite peaks mean a finite block
     peak = comp.max(axis=1)
     if not np.isfinite(peak).all():
@@ -575,26 +577,54 @@ class ModelStack:
         self.num_states, self.feature_dim, self.size = n, dim, len(models)
 
     def _log_densities(self, seq) -> np.ndarray:
-        """log b_j(o_t) of every model, state-major with shape (N, K, T)."""
-        obs, = _sequences([seq], 1, self.feature_dim)
-        lb = np.empty((self.num_states, self.size, obs.shape[0]))
+        """log b_j(o_t) of every model, state-major with shape (N, K, T), of
+        one sequence (T, D) or of a stack (K, T, D), sequence k under model
+        k."""
+        obs = np.asarray(seq, dtype=np.float64)
+        if obs.ndim == 3:
+            _check_stack(obs, self.size, self.feature_dim)
+        else:
+            obs, = _sequences([obs], 1, self.feature_dim)
+        lb = np.empty((self.num_states, self.size, obs.shape[-2]))
         for rows, table in self._groups:
-            lb[:, rows] = _emissions(table, obs)[1].transpose(1, 0, 2)
+            part = obs[rows] if obs.ndim == 3 else obs
+            lb[:, rows] = _emissions(table, part)[1].transpose(1, 0, 2)
         return lb
 
     def forward_log_likelihoods(self, seq) -> np.ndarray:
-        """Each model's forward_log_likelihood of the sequence, shape (K,)."""
+        """Each model's forward_log_likelihood, shape (K,), of one sequence
+        (T, D), or of a stack (K, T, D) with sequence k under model k."""
         return _totals(self._band, self._log_densities(seq))
 
     def forward_and_viterbi(self, seq):
         """Each model's forward_log_likelihood, shape (K,), and its viterbi
-        path, shape (K, T), from one emission pass. A model that no
-        left-to-right path fits raises NoLegalPathError as viterbi does."""
+        path, shape (K, T), from one emission pass, of a sequence or stack as
+        forward_log_likelihoods takes it. A model that no left-to-right path
+        fits raises NoLegalPathError as viterbi does."""
         lb = self._log_densities(seq)
         delta, looped = _forward(self._band, lb, best=True)
         paths = [_best_path(delta[:, k], looped[:, k])[0]
                  for k in range(self.size)]
         return _totals(self._band, lb), np.stack(paths)
+
+
+def _check_stack(obs: np.ndarray, size: int, dim: int) -> None:
+    """_sequences' checks of one sequence per model, on a (K, T, D) stack
+    in one pass."""
+    if obs.shape[0] != size:
+        raise ValueError(f"a stack of {size} models scores {size} sequences, "
+                         f"got {obs.shape[0]}")
+    if obs.shape[1] == 0:
+        raise EmptySequenceError("empty observation sequence")
+    if obs.shape[2] != dim:
+        raise DimensionMismatchError(
+            f"expected dimension {dim}, got {obs.shape[2]}")
+    finite = np.isfinite(obs)
+    if not finite.all():
+        k, frame = np.argwhere(~finite.all(axis=2))[0]
+        raise NonFiniteObservationError(
+            f"observation frame {frame} of {obs.shape[1]} in sequence {k} "
+            f"is not finite")
 
 
 # --- initialization ----------------------------------------------------------

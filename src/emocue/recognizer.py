@@ -31,7 +31,7 @@ from .errors import (
     _prefixed,
 )
 from .frontend import UtteranceFeatures
-from .supra import FusionConfig, SuprasegmentalModel, fused_score
+from .supra import FusionConfig, SuprasegmentalModel, blend
 
 
 class EmotionModels(NamedTuple):
@@ -77,12 +77,18 @@ class ModelBank:
 
 def identify_emotion(utterance, bank: ModelBank,
                      cfg: FusionConfig = FusionConfig()):
-    """Stage a: best emotion by blended score, with all candidate scores."""
+    """Stage a: best emotion by blended score, with all candidate scores.
+
+    The scores are supra.stage_a_components over the bank's emotion model
+    pairs, blended under cfg: each equals supra.fused_score of its pair.
+    """
     if not bank.emotions:
         raise EmptyBankError("bank has no emotion models")
-    scores = {e: fused_score(bank.emotion_models[e].acoustic,
-                             bank.emotion_models[e].supra, utterance, cfg)
-              for e in bank.emotions}
+    components = supra_mod.stage_a_components(
+        [bank.emotion_models[e] for e in bank.emotions], utterance,
+        cfg.length_normalize)
+    scores = {e: blend(log_a, log_s, cfg.alpha)
+              for e, (log_a, log_s) in zip(bank.emotions, components)}
     return max(bank.emotions, key=scores.__getitem__), scores
 
 

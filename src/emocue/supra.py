@@ -6,6 +6,15 @@ slope, mean log energy, duration fraction, voicing ratio), and the summary
 sequence is scored by a small left-to-right model that sits on top of the
 acoustic one. The two log scores are blended by a weighting factor alpha:
 alpha 0 trusts only the acoustic model, alpha 1 only the prosodic one.
+
+summary_stack is the one summaries kernel: it condenses a stack of
+alignments of one track in a single grouped sum, and segment_summaries is
+its one-path view. Stage a has one scoring routine, stage_a_components:
+per emotion its own acoustic forward and Viterbi calls and its own
+prosodic forward, with one summary_stack call over the alignments.
+score_components and fused_score are its one-emotion view. The sweep
+(evaluation.alpha_sweep) scores the same quantities through hmm.ModelStack
+and summary_stack, bit for bit.
 """
 
 from __future__ import annotations
@@ -74,6 +83,10 @@ class SupraObservationSequence:
                 f"vectors must have shape (K, {SUPRA_DIM}), got {vectors.shape}")
         if vectors.shape[0] == 0:
             raise ValueError("at least one segment required")
+        finite = np.isfinite(vectors).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"segment {np.flatnonzero(~finite)[0]} of "
+                             f"{len(vectors)} is not finite")
         if abs(vectors[:, 3].sum() - 1.0) > 1e-9:
             raise ValueError("segment duration fractions must sum to 1")
         object.__setattr__(self, "vectors", readonly(vectors))
@@ -113,59 +126,102 @@ class FusionConfig:
         object.__setattr__(self, "alpha", float(self.alpha))
 
 
-def segment_summaries(path, track: ProsodicTrack,
-                      mapping: SupraMapping) -> SupraObservationSequence:
-    """Condense each aligned state segment into one prosodic summary vector.
+def _state_indices(paths) -> np.ndarray:
+    """Alignment paths as int64 state indices. A value that is not a whole
+    number raises IllegalPathError naming its frame, where a cast would
+    truncate it."""
+    paths = np.asarray(paths)
+    if paths.dtype.kind in "iu":
+        return paths.astype(np.int64, copy=False)
+    values = np.asarray(paths, dtype=np.float64)
+    whole = np.isfinite(values) & (values == np.round(values))
+    if not whole.all():
+        bad = np.argwhere(~whole)[0]
+        where = (f"path frame {bad[-1]}" if values.ndim < 2 else
+                 f"frame {bad[-1]} of path {bad[0]}")
+        value = float(values[tuple(bad)])
+        raise IllegalPathError(f"{where} holds {value!r}, not a state index")
+    return values.astype(np.int64)
 
-    F0 statistics use voiced frames only; a fully unvoiced segment reports
-    F0 mean and slope 0, and a single voiced frame reports slope 0.
+
+def summary_stack(paths, track: ProsodicTrack, num_states) -> np.ndarray:
+    """The segment summaries of E alignments of one track, shape (E, S, 5).
+
+    paths is (E, T), one row per alignment of the track's T frames. Each
+    must start at state 0, advance by 0 or 1 and stay below num_states (an
+    int, or one bound per path). Row (e, s) summarises path e's frames in
+    state s; S is one more than the last state any path reaches, and a path
+    that ends sooner leaves its later rows 0. F0 statistics use voiced
+    frames only: a fully unvoiced segment reports F0 mean and slope 0, and
+    a single voiced frame reports slope 0.
+
+    One grouped sum over the labels e*S + path[e, t] summarises the whole
+    stack. hmm._grouped_sums adds each segment's frames in frame order, so
+    each summary equals the one segment_summaries gives for its path alone,
+    bit for bit, and the prosodic models trained on them keep every bit.
     """
-    path = np.asarray(path, dtype=np.int64)
-    if path.ndim != 1 or path.size != len(track):
-        raise LengthMismatchError(
-            f"path length {path.size} does not match track length {len(track)}")
-    t_total = path.size
-    steps = path[1:] - path[:-1]
+    paths = _state_indices(paths)
+    if paths.ndim != 2 or paths.shape[1] != len(track):
+        raise LengthMismatchError(f"paths of shape {paths.shape} do not match "
+                                  f"track length {len(track)}")
+    count, t_total = paths.shape
+    steps = paths[:, 1:] - paths[:, :-1]
     # a negative step wraps round to a huge unsigned one, so one comparison
     # bounds every step to 0 or 1
-    if (t_total == 0 or path[0] != 0 or not (steps.view(np.uint64) <= 1).all()
-            or path[-1] >= mapping.num_acoustic_states):
+    if (t_total == 0 or (paths[:, 0] != 0).any()
+            or not (steps.view(np.uint64) <= 1).all()
+            or (paths[:, -1] >= num_states).any()):
         raise IllegalPathError("path must start at state 0 and advance by 0 or 1 "
                                "within the mapped state range")
 
     # A legal path advances by 0 or 1 from state 0, so path[t] is the index
-    # of frame t's segment. hmm._grouped_sums adds each segment's frames in
-    # frame order, as a bincount per statistic did, so the summaries (and
-    # the prosodic models trained on them) keep every bit.
-    segments = int(path[-1]) + 1
+    # of frame t's segment.
+    segments = int(paths[:, -1].max()) + 1
+    cells = count * segments
+    labels = (paths + segments * np.arange(count)[:, None]).ravel()
     voiced, f0 = track.voiced, track.f0
     pos = np.arange(t_total, dtype=np.float64)
-    columns = np.empty((t_total, 4))
-    columns[:, 0] = voiced
-    columns[:, 1] = f0
-    np.multiply(pos, voiced, out=columns[:, 2])
-    columns[:, 3] = track.log_energy
-    sums, frames = hmm._grouped_sums(columns, path, segments)
+    columns = np.empty((count, t_total, 4))
+    columns[..., 0] = voiced
+    columns[..., 1] = f0
+    columns[..., 2] = pos * voiced
+    columns[..., 3] = track.log_energy
+    sums, frames = hmm._grouped_sums(columns.reshape(-1, 4), labels, cells)
     n_voiced, f0_sum, pos_sum, energy_sum = sums.T
 
-    vectors = np.zeros((segments, SUPRA_DIM))
+    vectors = np.zeros((cells, SUPRA_DIM))
     has_voice = n_voiced > 0
     mean_f0 = np.divide(f0_sum, n_voiced, out=vectors[:, 0], where=has_voice)
-    mean_pos = np.divide(pos_sum, n_voiced, out=np.zeros(segments),
+    mean_pos = np.divide(pos_sum, n_voiced, out=np.zeros(cells),
                          where=has_voice)
     # least-squares line through (frame position, F0) over the voiced
     # frames of each segment, in centred form
-    d_pos = np.where(voiced, pos - mean_pos[path], 0.0)
-    d_f0 = np.where(voiced, f0 - mean_f0[path], 0.0)
+    d_pos = np.where(voiced, pos - mean_pos[labels].reshape(count, t_total),
+                     0.0)
+    d_f0 = np.where(voiced, f0 - mean_f0[labels].reshape(count, t_total), 0.0)
     # columns 0 and 1 are read; they take the slope's products
-    np.multiply(d_pos, d_f0, out=columns[:, 0])
-    np.multiply(d_pos, d_pos, out=columns[:, 1])
-    cross, spread = hmm._grouped_sums(columns[:, :2], path, segments)[0].T
+    np.multiply(d_pos, d_f0, out=columns[..., 0])
+    np.multiply(d_pos, d_pos, out=columns[..., 1])
+    cross, spread = hmm._grouped_sums(columns[..., :2].reshape(-1, 2), labels,
+                                      cells)[0].T
     np.divide(cross, spread, out=vectors[:, 1], where=n_voiced >= 2)
-    np.divide(energy_sum, frames, out=vectors[:, 2])
+    present = frames > 0
+    np.divide(energy_sum, frames, out=vectors[:, 2], where=present)
     np.divide(frames, t_total, out=vectors[:, 3])
-    np.divide(n_voiced, frames, out=vectors[:, 4])
-    return SupraObservationSequence(vectors=vectors)
+    np.divide(n_voiced, frames, out=vectors[:, 4], where=present)
+    return vectors.reshape(count, segments, SUPRA_DIM)
+
+
+def segment_summaries(path, track: ProsodicTrack,
+                      mapping: SupraMapping) -> SupraObservationSequence:
+    """Condense each aligned state segment into one prosodic summary vector:
+    summary_stack of the one path."""
+    path = _state_indices(path)
+    if path.ndim != 1 or path.size != len(track):
+        raise LengthMismatchError(
+            f"path length {path.size} does not match track length {len(track)}")
+    return SupraObservationSequence(vectors=summary_stack(
+        path[None], track, mapping.num_acoustic_states)[0])
 
 
 def supra_observations(acoustic: hmm.AcousticModel, utterance,
@@ -201,39 +257,44 @@ def train_suprasegmental(acoustic: hmm.AcousticModel, utterances,
     return SuprasegmentalModel(core=core, mapping=mapping), report
 
 
+def stage_a_components(pairs, utterance, length_normalize: bool = False):
+    """score_components of one utterance under E (acoustic, prosodic) model
+    pairs, as a list of E (log_acoustic, log_supra) pairs.
+
+    Each pair makes its own forward_log_likelihood and viterbi call on the
+    features and its own prosodic forward_log_likelihood; one summary_stack
+    call summarises the E alignments.
+    """
+    features, track = utterance
+    log_acoustic, paths = [], []
+    for acoustic, _ in pairs:
+        log_acoustic.append(hmm.forward_log_likelihood(acoustic, features))
+        paths.append(hmm.viterbi(acoustic, features)[0])
+    summaries = summary_stack(
+        paths, track, [supra.mapping.num_acoustic_states for _, supra in pairs])
+    scores = []
+    for (_, supra), log_a, path, rows in zip(pairs, log_acoustic, paths,
+                                             summaries):
+        rows = rows[:path[-1] + 1]
+        log_s = hmm.forward_log_likelihood(supra.core, rows)
+        if length_normalize:
+            log_a /= len(features)
+            log_s /= len(rows)
+        scores.append((log_a, log_s))
+    return scores
+
+
 def score_components(acoustic: hmm.AcousticModel, supra: SuprasegmentalModel,
                      utterance, length_normalize: bool = False):
-    """Acoustic and prosodic log scores of one utterance, before blending."""
-    features, track = utterance
-    log_acoustic = hmm.forward_log_likelihood(acoustic, features)
-    summaries = supra_observations(acoustic, (features, track), supra.mapping)
-    return _component_pair(log_acoustic, summaries, supra, len(features),
-                           length_normalize)
-
-
-def aligned_components(log_acoustic: float, path, supra: SuprasegmentalModel,
-                       utterance, length_normalize: bool = False):
-    """score_components from the acoustic model's score of the utterance
-    and its Viterbi path, as an hmm.ModelStack pass gives them."""
-    features, track = utterance
-    summaries = segment_summaries(path, track, supra.mapping)
-    return _component_pair(log_acoustic, summaries, supra, len(features),
-                           length_normalize)
-
-
-def _component_pair(log_acoustic: float, summaries,
-                    supra: SuprasegmentalModel, num_frames: int,
-                    length_normalize: bool):
-    """The two scores, the prosodic one from the segment summaries."""
-    log_supra = hmm.forward_log_likelihood(supra.core, summaries)
-    if length_normalize:
-        log_acoustic /= num_frames
-        log_supra /= len(summaries)
-    return log_acoustic, log_supra
+    """Acoustic and prosodic log scores of one utterance, before blending:
+    stage_a_components of the one pair."""
+    return stage_a_components([(acoustic, supra)], utterance,
+                              length_normalize)[0]
 
 
 def blend(log_acoustic: float, log_supra: float, alpha: float) -> float:
-    """The stage-a score: (1 - alpha) * acoustic + alpha * prosodic.
+    """The stage-a score: (1 - alpha) * acoustic + alpha * prosodic, of
+    floats or, elementwise, of arrays that broadcast.
 
     For finite scores both endpoints are exact: alpha 0 gives the acoustic
     score and alpha 1 the prosodic one, bit for bit.

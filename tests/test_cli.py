@@ -267,6 +267,19 @@ def test_sweep_covers_default_grid(small_pipeline):
     assert alphas == [f"{0.1 * i:.1f}" for i in range(11)]
 
 
+def test_sweep_labels_custom_weights_as_given(small_pipeline, tmp_path):
+    # each row's label reads back as its weight; one decimal would write
+    # 0.2, 0.3 and 0.1 here
+    out = tmp_path / "sweep.tsv"
+    run_cli("sweep-alpha", "--manifest", small_pipeline / "corpus/manifest.tsv",
+            "--features", small_pipeline / "corpus/features.bin",
+            "--bank-dir", small_pipeline / "bank", "--out", out,
+            "--alphas", "0.25,0.35,0.05", *SMALL_FLAGS, *SMALL_SPLIT)
+    labels = [line.split("\t")[0]
+              for line in out.read_text().splitlines()[1:]]
+    assert labels == ["0.25", "0.35", "0.05"]
+
+
 def test_identify_selects_requested_ids(small_pipeline, tmp_path):
     rows = [json.loads(line) for line in
             (small_pipeline / "results.jsonl").read_text().splitlines()]

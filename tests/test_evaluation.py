@@ -1,13 +1,16 @@
 """Evaluation statistics tests: confusion tabulation, accuracy tables,
 pooled-SD t values, the fusion-weight sweep, and table output."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emocue import evaluation
-from emocue.errors import EmptyResultsError, UnknownLabelError
+from emocue.errors import (EmptyResultsError, UnknownEmotionError,
+                           UnknownLabelError)
 from emocue.evaluation import (
     ConfusionMatrix,
     alpha_sweep,
@@ -297,6 +300,14 @@ def test_sweep_rejects_missing_emotion_before_scoring(tiny_trained):
                               voiced=utt.prosody.voiced[:2]))
     with pytest.raises(ValueError, match="emotions without test utterances"):
         alpha_sweep(tiny_trained["bank"], only_first, features)
+
+
+def test_sweep_rejects_emotion_outside_bank(tiny_trained):
+    test = tiny_trained["test"]
+    stray = dataclasses.replace(test[0], emotion="fear")
+    with pytest.raises(UnknownEmotionError, match=r"\['fear'\]"):
+        alpha_sweep(tiny_trained["bank"], [*test, stray],
+                    tiny_trained["features"])
 
 
 @settings(max_examples=25, deadline=None)

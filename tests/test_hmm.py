@@ -532,6 +532,56 @@ def test_stack_refuses_too_short_sequence_as_viterbi_does():
         "no left-to-right path through 5 states fits 3 frames")
 
 
+def _zero_weight_model(rng, num_states, dim):
+    """A model whose first state holds a component of weight 0."""
+    base = random_model(rng, num_states, num_mixtures=2, dim=dim)
+    first, *rest = base.mixtures
+    first = hmm.GaussianMixture(weights=[0.0, 1.0], means=first.means,
+                                variances=first.variances)
+    return hmm.AcousticModel(num_states=num_states, feature_dim=dim,
+                             transitions=base.transitions,
+                             mixtures=[first, *rest])
+
+
+@pytest.mark.parametrize("num_states, dim", [(3, 5), (9, 16)])
+def test_stack_scores_one_sequence_per_model_as_per_model_calls(num_states,
+                                                                dim):
+    # a (K, T, D) stack, sequence k under model k, as sweep-alpha's
+    # prosodic pass scores it: models repeat, their component counts
+    # differ and one component has weight 0; every length from N to 30
+    rng = np.random.default_rng(66)
+    models = [random_model(rng, num_states, 3, dim),
+              _unequal_model(rng, [1 + j % 3 for j in range(num_states)],
+                             dim),
+              _zero_weight_model(rng, num_states, dim)] * 3
+    stack = hmm.ModelStack(models)
+    for length in range(num_states, 31):
+        seqs = rng.normal(0.5, 2.0, size=(len(models), length, dim))
+        totals, paths = stack.forward_and_viterbi(seqs)
+        assert np.array_equal(stack.forward_log_likelihoods(seqs), totals)
+        for k, (model, seq) in enumerate(zip(models, seqs)):
+            assert np.array_equal(totals[k],
+                                  hmm.forward_log_likelihood(model, seq))
+            assert np.array_equal(paths[k], hmm.viterbi(model, seq)[0])
+
+
+def test_stack_of_sequences_is_checked_as_each_sequence_is():
+    rng = np.random.default_rng(67)
+    stack = hmm.ModelStack(random_model(rng, 2, 1, 3) for _ in range(3))
+    with pytest.raises(ValueError, match="3 models scores 3 sequences, got 2"):
+        stack.forward_log_likelihoods(np.zeros((2, 4, 3)))
+    with pytest.raises(EmptySequenceError):
+        stack.forward_log_likelihoods(np.zeros((3, 0, 3)))
+    with pytest.raises(DimensionMismatchError, match="expected dimension 3"):
+        stack.forward_log_likelihoods(np.zeros((3, 4, 2)))
+    seqs = np.zeros((3, 4, 3))
+    seqs[1, 2, 0] = np.nan
+    seqs[2, 0, 1] = np.inf
+    with pytest.raises(NonFiniteObservationError,
+                       match="frame 2 of 4 in sequence 1 is not finite"):
+        stack.forward_log_likelihoods(seqs)
+
+
 # --- initialization ----------------------------------------------------------
 
 

@@ -3,6 +3,8 @@ prosodic model training and score fusion."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import emocue
 from emocue import hmm, supra
@@ -189,6 +191,85 @@ def test_summaries_reject_backward_step():
                                 supra.SupraMapping(group_sizes=(1, 1)))
 
 
+def test_summaries_reject_non_integer_path():
+    # a cast would truncate this path to [0, 0, 1, 1] and summarise it
+    with pytest.raises(IllegalPathError,
+                       match=r"^path frame 1 holds 0\.5, not a state index$"):
+        supra.segment_summaries([0, 0.5, 1.7, 1.2],
+                                _track([0.0] * 4, [False] * 4),
+                                supra.SupraMapping(group_sizes=(1, 1)))
+
+
+def test_summary_stack_rejects_non_integer_path():
+    paths = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, np.nan]])
+    with pytest.raises(IllegalPathError,
+                       match=r"^frame 2 of path 1 holds nan, not a state"):
+        supra.summary_stack(paths, _track([0.0] * 3, [False] * 3), 2)
+
+
+def test_summaries_accept_whole_float_path():
+    track = _track([0.0, 120.0, 130.0], [False, True, True])
+    mapping = supra.SupraMapping(group_sizes=(1, 1))
+    assert np.array_equal(
+        supra.segment_summaries([0.0, 1.0, 1.0], track, mapping).vectors,
+        supra.segment_summaries([0, 1, 1], track, mapping).vectors)
+
+
+def _assert_stack_matches_loop(paths, f0, voiced, log_energy, num_states):
+    """summary_stack against the per-segment loop, and each path's rows bit
+    for bit against segment_summaries of that path alone; rows past a
+    path's last state are 0."""
+    track = _track(f0, voiced, log_energy)
+    got = supra.summary_stack(paths, track, num_states)
+    mapping = supra.SupraMapping(group_sizes=(1,) * num_states)
+    assert got.shape == (len(paths), max(p[-1] for p in paths) + 1, 5)
+    for path, rows in zip(paths, got):
+        used = path[-1] + 1
+        np.testing.assert_allclose(
+            rows[:used], loop_segment_summaries(path, f0, log_energy, voiced),
+            rtol=1e-9, atol=1e-9)
+        assert np.array_equal(
+            rows[:used], supra.segment_summaries(path, track, mapping).vectors)
+        assert not rows[used:].any()
+
+
+def test_summary_stack_edge_cases_match_per_segment_loop():
+    # all-unvoiced segments, a single voiced frame, T = N, and paths that
+    # end in different states
+    f0 = np.array([0.0, 0.0, 150.0, 0.0, 0.0, 200.0, 210.0])
+    voiced = f0 > 0.0
+    log_energy = np.linspace(-4.0, 1.0, 7)
+    paths = np.array([[0, 0, 0, 0, 0, 0, 0], [0, 1, 2, 3, 4, 5, 6],
+                      [0, 0, 1, 1, 2, 2, 2], [0, 0, 0, 1, 1, 1, 1]])
+    _assert_stack_matches_loop(paths, f0, voiced, log_energy, 7)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_summary_stack_matches_per_segment_loop(data):
+    num_states = data.draw(st.integers(1, 9), label="num_states")
+    length = data.draw(st.integers(num_states, 40), label="length")
+    count = data.draw(st.integers(1, 4), label="paths")
+    # each path advances on the drawn frames until it reaches the last state
+    steps = data.draw(st.lists(
+        st.lists(st.booleans(), min_size=length - 1, max_size=length - 1),
+        min_size=count, max_size=count), label="advances")
+    paths = np.minimum(
+        np.concatenate([np.zeros((count, 1), dtype=int),
+                        np.cumsum(np.array(steps, dtype=int).reshape(
+                            count, length - 1), axis=1)], axis=1),
+        num_states - 1)
+    voiced = np.array(data.draw(st.lists(st.booleans(), min_size=length,
+                                         max_size=length), label="voiced"))
+    f0 = np.where(voiced, data.draw(st.lists(
+        st.floats(60.0, 400.0), min_size=length, max_size=length),
+        label="f0"), 0.0)
+    log_energy = np.array(data.draw(st.lists(
+        st.floats(-10.0, 5.0), min_size=length, max_size=length),
+        label="log_energy"))
+    _assert_stack_matches_loop(paths, f0, voiced, log_energy, num_states)
+
+
 @pytest.mark.parametrize("seq", [
     FeatureSequence(vectors=np.arange(32.0).reshape(2, 16)),
     supra.SupraObservationSequence(vectors=[[1.0, 0.0, 0.0, 1.0, 1.0]])])
@@ -209,6 +290,16 @@ def test_observation_sequence_validates_durations():
     bad[:, 3] = [0.5, 0.6]
     with pytest.raises(ValueError):
         supra.SupraObservationSequence(vectors=bad)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("column", range(supra.SUPRA_DIM))
+def test_observation_sequence_refuses_non_finite_vectors(column, value):
+    vectors = np.array([[120.0, 0.5, -2.0, 0.5, 1.0],
+                        [0.0, 0.0, -3.0, 0.5, 0.0]])
+    vectors[1, column] = value
+    with pytest.raises(ValueError, match="segment 1 of 2 is not finite"):
+        supra.SupraObservationSequence(vectors=vectors)
 
 
 # --- alignment and training --------------------------------------------------
