@@ -99,7 +99,6 @@ from .recognizer import (
 )
 from .supra import (
     FusionConfig,
-    SupraMapping,
     SupraObservationSequence,
     SuprasegmentalModel,
     fused_score,

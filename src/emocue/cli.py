@@ -27,6 +27,7 @@ from . import corpus, evaluation, recognizer
 from .config import RunConfig, make_config
 from .errors import (
     EmoCueError,
+    EmptyResultsError,
     EmptyTrainingSetError,
     ManifestError,
     NoLegalPathError,
@@ -143,6 +144,9 @@ def _cmd_identify(args) -> int:
         missing = [i for i in wanted if i not in by_id]
         if missing:
             raise ManifestError(f"unknown utterance ids: {missing}")
+        repeated = sorted({i for i in wanted if wanted.count(i) > 1})
+        if repeated:
+            raise ManifestError(f"repeated utterance ids: {repeated}")
         selected = [by_id[i] for i in wanted]
     else:
         selected = test
@@ -156,8 +160,9 @@ def _cmd_identify(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    result = evaluation.evaluate(recognizer.read_results(args.results),
-                                 args.n_pool)
+    rows = recognizer.read_results(args.results)
+    with _prefixed(args.results, EmptyResultsError):
+        result = evaluation.evaluate(rows, args.n_pool)
     evaluation.write_evaluation(result, args.out_dir)
     print(f"emotion stage average: "
           f"{evaluation.average_diagonal(result.confusion):.2f}")

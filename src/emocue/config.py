@@ -7,6 +7,8 @@ values, which override the defaults.
 RunConfig is the only declaration of a setting: its default is the library
 constant it sets, its parser follows from its annotation (FIELD_PARSERS),
 and its command-line help and metavar sit in the field's metadata.
+Each setting is checked on its own, except that num_supra_states may not
+exceed num_states (see emocue.supra).
 """
 
 import math
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field, fields
 
 from . import hmm, supra
 from .corpus import SplitProtocol
-from .supra import FusionConfig, SupraMapping
+from .supra import FusionConfig
 
 
 def _parse_bool(text: str) -> bool:
@@ -50,22 +52,20 @@ def _setting(default, help: str, metavar: str | None = None):
 @dataclass(frozen=True)
 class RunConfig:
     """Every knob of the pipeline, defaulting to the standard setup:
-    9-state/10-mixture acoustic models, 3 supra states of 3 mixtures over
-    state groups of 3, sentences 1-4 for training and 5-8 for testing, and
-    an even score blend (alpha 0.5).
+    9-state/10-mixture acoustic models, 3 supra states of 3 mixtures,
+    sentences 1-4 for training and 5-8 for testing, and an even score blend
+    (alpha 0.5).
 
     A text value of any field is parsed by its FIELD_PARSERS entry."""
 
     alpha: float = _setting(_FUSION.alpha, "fusion weight in [0, 1]")
-    num_states: int = _setting(sum(supra.DEFAULT_GROUPS),
-                               "acoustic model states")
+    num_states: int = _setting(9, "acoustic model states")
     num_mixtures: int = _setting(10, "mixture components per acoustic state")
     num_supra_mixtures: int = _setting(
         supra.DEFAULT_SUPRA_MIXTURES,
         "mixture components per suprasegmental state")
-    supra_groups: tuple[int, ...] = _setting(
-        supra.DEFAULT_GROUPS, "acoustic states per suprasegmental state",
-        "N,N,...")
+    num_supra_states: int = _setting(supra.DEFAULT_SUPRA_STATES,
+                                     "suprasegmental model states")
     train_sentences: tuple[int, ...] = _setting(
         _SPLIT.train_sentences, "sentence indices of the training split",
         "S,S,...")
@@ -93,10 +93,10 @@ class RunConfig:
             raise ValueError("num_states and num_mixtures must be >= 1")
         if self.num_supra_mixtures < 1:
             raise ValueError("num_supra_mixtures must be >= 1")
-        if self.mapping.num_acoustic_states != self.num_states:
-            raise ValueError(
-                f"supra_groups {self.supra_groups} must sum to num_states "
-                f"{self.num_states}")
+        if not 1 <= self.num_supra_states <= self.num_states:
+            raise ValueError(f"num_supra_states must lie in [1, num_states "
+                             f"{self.num_states}], got "
+                             f"{self.num_supra_states}")
         for name in ("variance_floor", "em_tol"):
             if not 0.0 < getattr(self, name) < math.inf:  # NaN fails it
                 raise ValueError(f"{name} must be finite and positive, got "
@@ -114,10 +114,6 @@ class RunConfig:
     def fusion(self) -> FusionConfig:
         return FusionConfig(alpha=self.alpha,
                             length_normalize=self.length_normalize)
-
-    @property
-    def mapping(self) -> SupraMapping:
-        return SupraMapping(group_sizes=self.supra_groups)
 
 
 _FIELDS = {f.name: f for f in fields(RunConfig)}

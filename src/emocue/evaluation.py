@@ -69,7 +69,8 @@ def confusion_matrix(results, labels=None) -> ConfusionMatrix:
 
     labels fixes the row/column order; by default the labels seen in the
     results are taken in sorted order. Every label must actually occur as a
-    truth at least once, otherwise its column would be undefined.
+    truth at least once, otherwise its column would be undefined: a label
+    that never does raises EmptyResultsError naming it.
     """
     pairs = list(results)
     if not pairs:
@@ -87,7 +88,7 @@ def confusion_matrix(results, labels=None) -> ConfusionMatrix:
     totals = counts.sum(axis=0)
     missing = [labels[i] for i in np.flatnonzero(totals == 0)]
     if missing:
-        raise ValueError(f"labels never appear as truth: {missing}")
+        raise EmptyResultsError(f"labels never appear as truth: {missing}")
     return ConfusionMatrix(labels=labels, cells=100.0 * counts / totals)
 
 
@@ -121,7 +122,8 @@ class PerformanceTable:
 def performance_table(results, emotions=None,
                       genders=GENDERS) -> PerformanceTable:
     """Tabulate accuracy from (true speaker, identified speaker, true
-    emotion, gender) records."""
+    emotion, gender) records. An (emotion, gender) group without records
+    raises EmptyResultsError naming it."""
     rows = list(results)
     if not rows:
         raise EmptyResultsError("no results to tabulate")
@@ -143,7 +145,7 @@ def performance_table(results, emotions=None,
     if np.any(total == 0):
         empty = [(emotions[i], genders[j])
                  for i, j in zip(*np.nonzero(total == 0))]
-        raise ValueError(f"no utterances for groups {empty}")
+        raise EmptyResultsError(f"no utterances for groups {empty}")
     cells = 100.0 * correct / total
     row_averages = cells.mean(axis=1)
     overall_sd = (float(np.std(row_averages, ddof=1))
@@ -315,14 +317,14 @@ def _stage_a_scores(bank, records, features):
     stacks and summaries are freed on return, before stage b runs."""
     pairs = [bank.emotion_models[e] for e in bank.emotions]
     acoustic = hmm.ModelStack(pair.acoustic for pair in pairs)
-    bounds = [pair.supra.mapping.num_acoustic_states for pair in pairs]
     log_acoustic = np.empty((len(records), len(pairs)))
     summaries = []
     for u, r in enumerate(records):
         utt = features[r.id]
         with _prefixed(f"utterance {r.id!r}"):
             log_acoustic[u], paths = acoustic.forward_and_viterbi(utt.features)
-            summaries.append(summary_stack(paths, utt.prosody, bounds))
+            summaries.append(summary_stack(paths, utt.prosody,
+                                           acoustic.num_states))
         if SWEEP_LENGTH_NORMALIZE:
             log_acoustic[u] /= len(utt.features)
     # every alignment ends in the stack's last state, so every summary
@@ -350,8 +352,9 @@ def alpha_sweep(bank, test_records, features,
     pass then scores the summaries of every (utterance, emotion) pair under
     that emotion's prosodic model. The decisions of all weights are one
     array of blends and its first-max argmax. The speaker stage does not
-    depend on alpha, so its verdict, from one pass over the chosen
-    emotion's speaker stack, is cached per (utterance, chosen emotion).
+    depend on alpha: its verdicts form one (utterance, emotion) table,
+    filled by one pass over the emotion's speaker stack only where some
+    weight chose that emotion, and each weight reads its verdicts from it.
     Every score equals identify's bit for bit, and ties go to the earliest
     label in bank order as there. Every weight must lie in [0, 1];
     FusionConfig rejects any other, as it does for identify. A test split
@@ -382,22 +385,17 @@ def alpha_sweep(bank, test_records, features,
     choices = blend(log_acoustic, log_supra,
                     np.array(alphas)[:, None, None]).argmax(axis=2)
 
-    speaker_stacks = {e: hmm.ModelStack(bank.speaker_models[(s, e)]
-                                        for s in speakers)
-                      for e in emotions}
-    speaker_verdict: dict[tuple[int, int], bool] = {}
-    correct = np.empty(choices.shape, dtype=bool)
-    for (a_idx, u), e_idx in np.ndenumerate(choices):
-        key = (u, e_idx)
-        if key not in speaker_verdict:
-            record, stack = records[u], speaker_stacks[emotions[e_idx]]
+    # stage b's verdict of every (utterance, emotion) some weight chose
+    verdicts = np.zeros((len(records), len(emotions)), dtype=bool)
+    for e_idx, e in enumerate(emotions):
+        stack = hmm.ModelStack(bank.speaker_models[(s, e)] for s in speakers)
+        for u in np.flatnonzero((choices == e_idx).any(axis=0)):
+            record = records[u]
             with _prefixed(f"utterance {record.id!r}"):
                 totals = stack.forward_log_likelihoods(
                     features[record.id].features)
-            scores = dict(zip(speakers, totals.tolist()))
-            s_star = max(speakers, key=scores.__getitem__)
-            speaker_verdict[key] = (s_star == record.speaker)
-        correct[a_idx, u] = speaker_verdict[key]
+            verdicts[u, e_idx] = speakers[totals.argmax()] == record.speaker
+    correct = verdicts[np.arange(len(records)), choices]
 
     true = np.array([emotions.index(r.emotion) for r in records])
     accuracies = np.stack([100.0 * correct[:, true == e_idx].sum(axis=1)

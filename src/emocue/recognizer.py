@@ -154,7 +154,8 @@ def _train(role: str, train_records,
         if role == "emotion":
             trained[(key, "acoustic")] = model, report
             trained[(key, "supra")] = supra_mod.train_suprasegmental(
-                model, utts, cfg.mapping, num_mixtures=cfg.num_supra_mixtures,
+                model, utts, cfg.num_supra_states,
+                num_mixtures=cfg.num_supra_mixtures,
                 max_iters=cfg.em_max_iters, tol=cfg.em_tol,
                 variance_floor=cfg.variance_floor)
         else:
@@ -254,7 +255,7 @@ def read_results(path) -> list[ResultRow]:
 # --- persistence -------------------------------------------------------------
 #
 # A bank is one container file (emocue.container), <directory>/bank.bin,
-# under magic "EMOBK003" (format version 3). The header holds the labels in
+# under magic "EMOBK004" (format version 4). The header holds the labels in
 # bank order, the _BANK_FIELDS of the config, the train split's MFCC
 # statistics ("normalization") and sha256 ("train_split"), and under
 # "models" one entry per model: its role, key, shape header and training
@@ -263,12 +264,12 @@ def read_results(path) -> list[ResultRow]:
 # makes the file corrupt.
 
 BANK_FILE = "bank.bin"
-_BANK_MAGIC = b"EMOBK003"
+_BANK_MAGIC = b"EMOBK004"
 # The RunConfig fields that fix a bank's model shapes and its training split.
 # Commands on one bank may differ in EM stopping rules, seed, fusion settings
 # and test split: a bank may be trained with a low EM cap and then scored.
 _BANK_FIELDS = ("num_states", "num_mixtures", "num_supra_mixtures",
-                "supra_groups", "train_sentences")
+                "num_supra_states", "train_sentences")
 # The labels each role's models are keyed by; the roles in file order.
 _ROLE_LABELS = {"emotion": ("emotions",), "speaker": ("emotions", "speakers"),
                 "one_stage": ("speakers",)}
@@ -276,12 +277,13 @@ _ROLE_LABELS = {"emotion": ("emotions",), "speaker": ("emotions", "speakers"),
 
 def _read_bank(directory):
     """The header of the bank in directory, without "models", and its
-    models as {role: {key: (model, training summary)}}."""
-    old = os.path.join(directory, "bank.json")
-    if not os.path.exists(os.path.join(directory, BANK_FILE)) and \
-            os.path.exists(old):
+    models as {role: {key: (model, training summary)}}. A version-2 or
+    version-3 bank raises UnsupportedFormatError naming its file."""
+    path, old = (os.path.join(directory, name)
+                 for name in (BANK_FILE, "bank.json"))
+    if not os.path.exists(path) and os.path.exists(old):
         raise UnsupportedFormatError(f"{old}: a version-2 bank; retrain it "
-                                     f"to write a version-3 {BANK_FILE}")
+                                     f"to write a version-4 {BANK_FILE}")
 
     def parse(header, payload):
         for labels in (header["emotions"], header["speakers"]):
@@ -305,8 +307,15 @@ def _read_bank(directory):
             roles[role][key] = (decode(entry, payload), entry["training"])
         return header, roles
 
-    return container.read(os.path.join(directory, BANK_FILE), _BANK_MAGIC,
-                          "model bank", parse)
+    try:
+        return container.read(path, _BANK_MAGIC, "model bank", parse)
+    except UnsupportedFormatError:
+        with open(path, "rb") as fh:
+            if fh.read(len(_BANK_MAGIC)) == b"EMOBK003":
+                raise UnsupportedFormatError(
+                    f"{path}: a version-3 bank; retrain it to write a "
+                    f"version-4 {BANK_FILE}") from None
+        raise
 
 
 def _write_bank(directory, header: dict, roles: Mapping) -> None:
@@ -314,9 +323,8 @@ def _write_bank(directory, header: dict, roles: Mapping) -> None:
     entries, payload = [], []
     for role in _ROLE_LABELS:
         for key, (model, training) in roles.get(role, {}).items():
-            spec, data = (supra_mod.encode_supra
-                          if isinstance(model, SuprasegmentalModel)
-                          else hmm.encode_model)(model)
+            spec, data = hmm.encode_model(
+                model.core if isinstance(model, SuprasegmentalModel) else model)
             entries.append({"role": role, "key": key, **spec,
                             "training": training})
             payload.append(data)

@@ -7,6 +7,10 @@ sequence is scored by a small left-to-right model that sits on top of the
 acoustic one. The two log scores are blended by a weighting factor alpha:
 alpha 0 trusts only the acoustic model, alpha 1 only the prosodic one.
 
+The summaries are taken per acoustic state: an alignment to an N-state
+acoustic model gives N of them. The prosodic model is sized by its own
+state count alone (num_supra_states, 3 by default, at most N).
+
 summary_stack is the one summaries kernel: it condenses a stack of
 alignments of one track in a single grouped sum, and segment_summaries is
 its one-path view. Stage a has one scoring routine, stage_a_components:
@@ -29,40 +33,8 @@ from .errors import IllegalPathError, LengthMismatchError
 from .frontend import ProsodicTrack
 
 SUPRA_DIM = 5
-DEFAULT_GROUPS = (3, 3, 3)
+DEFAULT_SUPRA_STATES = 3
 DEFAULT_SUPRA_MIXTURES = 3
-
-
-@dataclass(frozen=True)
-class SupraMapping:
-    """Contiguous grouping of acoustic states into suprasegmental states.
-
-    group_sizes lists how many consecutive acoustic states feed each
-    suprasegmental state; the default folds 9 acoustic states into 3.
-    """
-
-    group_sizes: tuple[int, ...] = DEFAULT_GROUPS
-
-    def __post_init__(self):
-        sizes = tuple(int(s) for s in self.group_sizes)
-        if len(sizes) == 0 or any(s < 1 for s in sizes):
-            raise ValueError("group sizes must be positive")
-        object.__setattr__(self, "group_sizes", sizes)
-
-    @property
-    def num_acoustic_states(self) -> int:
-        return sum(self.group_sizes)
-
-    @property
-    def num_supra_states(self) -> int:
-        return len(self.group_sizes)
-
-    def supra_state_of(self, acoustic_state: int) -> int:
-        """Index of the suprasegmental state covering an acoustic state."""
-        if not 0 <= acoustic_state < self.num_acoustic_states:
-            raise ValueError(f"acoustic state {acoustic_state} out of range")
-        bounds = np.cumsum(self.group_sizes)
-        return int(np.searchsorted(bounds, acoustic_state, side="right"))
 
 
 @dataclass(frozen=True)
@@ -100,17 +72,14 @@ class SupraObservationSequence:
 
 @dataclass(frozen=True)
 class SuprasegmentalModel:
-    """3-state (by default) LTR model over segment summaries plus its mapping."""
+    """3-state (by default) LTR model over segment summaries."""
 
     core: hmm.AcousticModel
-    mapping: SupraMapping
 
     def __post_init__(self):
         if self.core.feature_dim != SUPRA_DIM:
             raise ValueError(
                 f"suprasegmental emissions must be {SUPRA_DIM}-dimensional")
-        if self.core.num_states != self.mapping.num_supra_states:
-            raise ValueError("core state count must match the mapping")
 
 
 @dataclass(frozen=True)
@@ -172,7 +141,7 @@ def summary_stack(paths, track: ProsodicTrack, num_states) -> np.ndarray:
             or not (steps.view(np.uint64) <= 1).all()
             or (paths[:, -1] >= num_states).any()):
         raise IllegalPathError("path must start at state 0 and advance by 0 or 1 "
-                               "within the mapped state range")
+                               "below num_states")
 
     # A legal path advances by 0 or 1 from state 0, so path[t] is the index
     # of frame t's segment.
@@ -213,27 +182,27 @@ def summary_stack(paths, track: ProsodicTrack, num_states) -> np.ndarray:
 
 
 def segment_summaries(path, track: ProsodicTrack,
-                      mapping: SupraMapping) -> SupraObservationSequence:
+                      num_states: int) -> SupraObservationSequence:
     """Condense each aligned state segment into one prosodic summary vector:
-    summary_stack of the one path."""
+    summary_stack of the one path, whose states lie below num_states."""
     path = _state_indices(path)
     if path.ndim != 1 or path.size != len(track):
         raise LengthMismatchError(
             f"path length {path.size} does not match track length {len(track)}")
     return SupraObservationSequence(vectors=summary_stack(
-        path[None], track, mapping.num_acoustic_states)[0])
+        path[None], track, num_states)[0])
 
 
-def supra_observations(acoustic: hmm.AcousticModel, utterance,
-                       mapping: SupraMapping) -> SupraObservationSequence:
+def supra_observations(acoustic: hmm.AcousticModel,
+                       utterance) -> SupraObservationSequence:
     """Align an utterance with the acoustic model and summarize its segments."""
     features, track = utterance
     path, _ = hmm.viterbi(acoustic, features)
-    return segment_summaries(path, track, mapping)
+    return segment_summaries(path, track, acoustic.num_states)
 
 
 def train_suprasegmental(acoustic: hmm.AcousticModel, utterances,
-                         mapping: SupraMapping = SupraMapping(),
+                         num_supra_states: int = DEFAULT_SUPRA_STATES,
                          num_mixtures: int = DEFAULT_SUPRA_MIXTURES,
                          max_iters: int = hmm.EM_MAX_ITERS,
                          tol: float = hmm.EM_TOL,
@@ -243,18 +212,14 @@ def train_suprasegmental(acoustic: hmm.AcousticModel, utterances,
 
     Each utterance is Viterbi-aligned, its segment summaries form one
     training sequence, and the summary model is initialized and refined
-    with the shared HMM machinery.
+    with the shared HMM machinery into a num_supra_states-state model.
     """
-    if mapping.num_acoustic_states != acoustic.num_states:
-        raise ValueError(
-            f"mapping covers {mapping.num_acoustic_states} acoustic states, "
-            f"model has {acoustic.num_states}")
-    sequences = [supra_observations(acoustic, utt, mapping) for utt in utterances]
-    init = hmm.init_model(sequences, mapping.num_supra_states, num_mixtures,
+    sequences = [supra_observations(acoustic, utt) for utt in utterances]
+    init = hmm.init_model(sequences, num_supra_states, num_mixtures,
                           variance_floor=variance_floor)
     core, report = hmm.baum_welch(init, sequences, max_iters=max_iters, tol=tol,
                                   variance_floor=variance_floor)
-    return SuprasegmentalModel(core=core, mapping=mapping), report
+    return SuprasegmentalModel(core=core), report
 
 
 def stage_a_components(pairs, utterance, length_normalize: bool = False):
@@ -271,7 +236,7 @@ def stage_a_components(pairs, utterance, length_normalize: bool = False):
         log_acoustic.append(hmm.forward_log_likelihood(acoustic, features))
         paths.append(hmm.viterbi(acoustic, features)[0])
     summaries = summary_stack(
-        paths, track, [supra.mapping.num_acoustic_states for _, supra in pairs])
+        paths, track, [acoustic.num_states for acoustic, _ in pairs])
     scores = []
     for (_, supra), log_a, path, rows in zip(pairs, log_acoustic, paths,
                                              summaries):
@@ -313,26 +278,18 @@ def fused_score(acoustic: hmm.AcousticModel, supra: SuprasegmentalModel,
                                    cfg.length_normalize), cfg.alpha)
 
 
-# A suprasegmental model is stored as its core model (hmm.encode_model) with
-# the mapping's group sizes added to the shape header.
+# A suprasegmental model is stored as its core model (hmm.encode_model).
 
 _SUPRA_MAGIC = b"EMOSM001"
 
 
-def encode_supra(model: SuprasegmentalModel) -> tuple[dict, bytes]:
-    spec, data = hmm.encode_model(model.core)
-    return {**spec, "group_sizes": list(model.mapping.group_sizes)}, data
-
-
 def decode_supra(spec: dict, payload) -> SuprasegmentalModel:
-    return SuprasegmentalModel(
-        core=hmm.decode_model(spec, payload),
-        mapping=SupraMapping(group_sizes=tuple(spec["group_sizes"])))
+    return SuprasegmentalModel(core=hmm.decode_model(spec, payload))
 
 
 def save_supra_model(model: SuprasegmentalModel, path) -> None:
     """Write the model as a container file (see emocue.container)."""
-    spec, data = encode_supra(model)
+    spec, data = hmm.encode_model(model.core)
     container.write(path, _SUPRA_MAGIC, spec, [data])
 
 

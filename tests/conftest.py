@@ -90,11 +90,11 @@ def run_cli(*argv):
 
 
 SMALL_FLAGS = ("--num-states", "3", "--num-mixtures", "2",
-               "--num-supra-mixtures", "1", "--supra-groups", "1,1,1")
+               "--num-supra-mixtures", "1", "--num-supra-states", "3")
 SMALL_SPLIT = ("--train-sentences", "1,2", "--test-sentences", "3,4")
 # The library-side RunConfig of SMALL_FLAGS.
 SMALL_CONFIG = emocue.RunConfig(num_states=3, num_mixtures=2,
-                                num_supra_mixtures=1, supra_groups=(1, 1, 1))
+                                num_supra_mixtures=1, num_supra_states=3)
 
 
 def run_small_pipeline(root, seed=7):

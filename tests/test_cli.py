@@ -169,13 +169,14 @@ def test_gen_synthetic_rejects_unknown_emotions(tmp_path, capsys):
 
 def test_every_config_field_has_a_flag():
     want = RunConfig(alpha=0.25, num_states=3, num_mixtures=2,
-                     num_supra_mixtures=1, supra_groups=(1, 1, 1),
+                     num_supra_mixtures=1, num_supra_states=2,
                      train_sentences=(1, 2), test_sentences=(3, 4),
                      variance_floor=1e-3, em_tol=1e-4, em_max_iters=5, seed=9,
                      length_normalize=True)
     args = cli.build_parser().parse_args([
         "identify", "--manifest", "m", "--features", "f", "--bank-dir", "b",
         "--out", "o", "--alpha", "0.25", *SMALL_FLAGS, *SMALL_SPLIT,
+        "--num-supra-states", "2",
         "--variance-floor", "1e-3", "--em-tol", "1e-4", "--em-max-iters", "5",
         "--seed", "9", "--length-normalize"])
     got = cli._config_from(args)
@@ -302,6 +303,22 @@ def test_identify_rejects_unknown_id(small_pipeline, tmp_path, capsys):
                      "--ids", "nope", *SMALL_FLAGS, *SMALL_SPLIT])
     assert code == 2
     assert "unknown utterance ids" in capsys.readouterr().err
+
+
+def test_identify_rejects_repeated_ids(small_pipeline, tmp_path, capsys):
+    uid = json.loads((small_pipeline / "results.jsonl").read_text()
+                     .splitlines()[0])["id"]
+    out = tmp_path / "out.jsonl"
+    code = cli.main(["identify",
+                     "--manifest", str(small_pipeline / "corpus/manifest.tsv"),
+                     "--features", str(small_pipeline / "corpus/features.bin"),
+                     "--bank-dir", str(small_pipeline / "bank"),
+                     "--out", str(out), "--ids", f"{uid},{uid}",
+                     *SMALL_FLAGS, *SMALL_SPLIT])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        f"data error: repeated utterance ids: [{uid!r}]\n"
+    assert not out.exists()
 
 
 def test_identify_rejects_non_finite_frame(small_pipeline, tmp_path, capsys):
@@ -465,6 +482,26 @@ def test_evaluate_rejects_malformed_rows(small_pipeline, tmp_path, capsys,
     assert code == 2
     err = capsys.readouterr().err
     assert f"{path}:2: " in err and message in err
+    assert not (tmp_path / "eval").exists()
+
+
+@pytest.mark.parametrize("keep, message", [
+    (lambda row: row["true_emotion"] != "angry",
+     "labels never appear as truth: ['angry']"),
+    (lambda row: row["gender"] != "female",
+     "no utterances for groups [('neutral', 'female'), ('angry', 'female')]"),
+], ids=["emotion", "gender"])
+def test_evaluate_refuses_results_missing_a_group(small_pipeline, tmp_path,
+                                                  capsys, keep, message):
+    rows = [json.loads(line) for line in
+            (small_pipeline / "results.jsonl").read_text().splitlines()]
+    path = tmp_path / "results.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows
+                            if keep(row)))
+    code = cli.main(["evaluate", "--results", str(path),
+                     "--out-dir", str(tmp_path / "eval")])
+    assert code == 2
+    assert capsys.readouterr().err == f"data error: {path}: {message}\n"
     assert not (tmp_path / "eval").exists()
 
 
@@ -641,6 +678,24 @@ def test_identify_requires_complete_bank(tmp_path, capsys):
                      "--bank-dir", str(tmp_path / "bank"),
                      "--out", str(tmp_path / "out.jsonl")])
     assert code == 2
+
+
+def test_identify_refuses_version_3_bank(small_pipeline, tmp_path, capsys):
+    bank = tmp_path / "bank"
+    shutil.copytree(small_pipeline / "bank", bank)
+    data = (bank / "bank.bin").read_bytes()
+    (bank / "bank.bin").write_bytes(b"EMOBK003" + data[8:])
+    out = tmp_path / "out.jsonl"
+    code = cli.main(["identify",
+                     "--manifest", str(small_pipeline / "corpus/manifest.tsv"),
+                     "--features", str(small_pipeline / "corpus/features.bin"),
+                     "--bank-dir", str(bank), "--out", str(out),
+                     *SMALL_FLAGS, *SMALL_SPLIT])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"data error: {bank / 'bank.bin'}: a version-3 bank; retrain it to "
+        f"write a version-4 bank.bin\n")
+    assert not out.exists()
 
 
 def _cut(path):

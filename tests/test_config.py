@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import pathlib
+import re
 
 import pytest
 
@@ -15,24 +17,27 @@ def test_defaults_are_standard_setup():
     assert cfg.num_states == 9
     assert cfg.num_mixtures == 10
     assert cfg.num_supra_mixtures == 3
-    assert cfg.supra_groups == (3, 3, 3)
+    assert cfg.num_supra_states == 3
     assert cfg.train_sentences == (1, 2, 3, 4)
     assert cfg.test_sentences == (5, 6, 7, 8)
     assert cfg.length_normalize is False
 
 
 def test_string_fields_are_coerced():
-    cfg = RunConfig(num_states=3, supra_groups="1,1,1",
+    cfg = RunConfig(num_states=3, num_supra_states="2",
                     train_sentences="1,2", test_sentences="3,4")
-    assert cfg.supra_groups == (1, 1, 1)
+    assert cfg.num_supra_states == 2
     assert cfg.train_sentences == (1, 2)
 
 
 def test_validation_errors():
     with pytest.raises(ValueError):
         RunConfig(alpha=1.2)
-    with pytest.raises(ValueError):
-        RunConfig(num_states=4)  # default groups no longer sum correctly
+    with pytest.raises(ValueError, match=r"num_supra_states must lie in "
+                                         r"\[1, num_states 2\], got 3"):
+        RunConfig(num_states=2)  # fewer acoustic than prosodic states
+    with pytest.raises(ValueError, match="num_supra_states"):
+        RunConfig(num_supra_states=0)
     with pytest.raises(ValueError):
         RunConfig(train_sentences=(1, 2), test_sentences=(2, 3),
                   num_states=9)
@@ -58,8 +63,6 @@ def test_derived_views():
     assert cfg.protocol.train_sentences == (1, 2, 3, 4)
     assert cfg.fusion.alpha == 0.25
     assert cfg.fusion.length_normalize is True
-    assert cfg.mapping.num_acoustic_states == 9
-    assert cfg.mapping.num_supra_states == 3
 
 
 def test_parsers_cover_every_field():
@@ -71,17 +74,29 @@ def test_parsers_cover_every_field():
         assert parse(text) == default
 
 
+def test_readme_table_lists_every_field_with_its_default():
+    readme = pathlib.Path(__file__).parent.parent / "README.md"
+    table = readme.read_text().split("| key | default | meaning |\n", 1)[1]
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]+) \|", table.split("\n\n")[0],
+                      flags=re.MULTILINE)
+    fields = dataclasses.fields(RunConfig)
+    assert [name for name, _ in rows] == [f.name for f in fields]
+    for (name, text), f in zip(rows, fields):
+        assert config.FIELD_PARSERS[f.type](text.strip()) == \
+            getattr(RunConfig(), name), name
+
+
 def test_parse_config_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(
         "# comment line\n"
         "alpha = 0.9\n"
         "\n"
-        "supra_groups = 1,1,1   # trailing comment\n"
+        "num_supra_states = 2   # trailing comment\n"
         "num_states = 3\n"
         "length_normalize = yes\n")
     values = parse_config_file(path)
-    assert values == {"alpha": 0.9, "supra_groups": (1, 1, 1),
+    assert values == {"alpha": 0.9, "num_supra_states": 2,
                       "num_states": 3, "length_normalize": True}
 
 
@@ -121,9 +136,10 @@ def test_make_config_ignores_none_overrides():
 
 
 def test_make_config_parses_string_overrides():
-    cfg = make_config(num_states="3", supra_groups="1,1,1",
+    cfg = make_config(num_states="3", num_supra_states="1",
                       length_normalize="true")
     assert cfg.num_states == 3
+    assert cfg.num_supra_states == 1
     assert cfg.length_normalize is True
 
 

@@ -84,7 +84,8 @@ def test_confusion_rejects_label_outside_order():
 
 def test_confusion_rejects_label_never_true():
     # "b" appears only as a prediction, so its column has no mass
-    with pytest.raises(ValueError):
+    with pytest.raises(EmptyResultsError,
+                       match=r"^labels never appear as truth: \['b'\]$"):
         confusion_matrix([("a", "b"), ("a", "a")], labels=("a", "b"))
 
 
@@ -133,7 +134,8 @@ def test_performance_is_order_invariant():
 
 def test_performance_rejects_empty_group():
     rows = [("s", "s", "neutral", "male")]
-    with pytest.raises(ValueError):
+    with pytest.raises(EmptyResultsError, match=r"^no utterances for groups "
+                                                r"\[\('neutral', 'female'\)\]$"):
         performance_table(rows, emotions=("neutral",),
                           genders=("male", "female"))
 

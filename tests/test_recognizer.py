@@ -32,6 +32,7 @@ from emocue.supra import FusionConfig, fused_score
 
 from conftest import (
     SMALL_CONFIG,
+    container_bytes,
     container_parts,
     damaged_container,
     edit_container_header,
@@ -342,6 +343,32 @@ def test_version_2_bank_must_be_retrained(tmp_path, tiny_trained):
                            match=r"bank\.json: a version-2 bank"):
             action()
     assert not (tmp_path / "bank.bin").exists()
+
+
+def test_version_3_bank_must_be_retrained(tmp_path, tiny_trained,
+                                          trained_bank):
+    # a version-3 bank: the same layout under magic EMOBK003, with the
+    # prosodic states recorded as group sizes of acoustic states
+    _, header, payload = container_parts(trained_bank)
+    header["config"]["supra_groups"] = [1, 1, 1]
+    del header["config"]["num_supra_states"]
+    for entry in header["models"]:
+        if entry["role"] == "emotion" and entry["key"][1] == "supra":
+            entry["group_sizes"] = [1, 1, 1]
+    old = container_bytes(b"EMOBK003", header, payload)
+    (tmp_path / "bank.bin").write_bytes(old)
+    for action in (lambda: load_bank(tmp_path),
+                   lambda: recognizer.open_bank(
+                       tmp_path, SMALL_CONFIG, tiny_trained["train"],
+                       tiny_trained["test"], tiny_trained["synth"].features),
+                   lambda: recognizer.train_role(
+                       "one_stage", tmp_path, SMALL_CONFIG,
+                       tiny_trained["train"], tiny_trained["synth"].features)):
+        with pytest.raises(UnsupportedFormatError,
+                           match=r"bank\.bin: a version-3 bank; retrain it "
+                                 r"to write a version-4 bank\.bin$"):
+            action()
+    assert (tmp_path / "bank.bin").read_bytes() == old
 
 
 def _speaker_entries(header):

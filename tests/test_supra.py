@@ -1,5 +1,5 @@
-"""Suprasegmental layer tests: state grouping, segment summaries,
-prosodic model training and score fusion."""
+"""Suprasegmental layer tests: segment summaries, prosodic model training
+and score fusion."""
 
 import numpy as np
 import pytest
@@ -40,37 +40,10 @@ def trained_pair():
     seqs = [u.features for u in utts]
     acoustic, _ = hmm.baum_welch(hmm.init_model(seqs, 3, 2), seqs,
                                  max_iters=10)
-    mapping = supra.SupraMapping(group_sizes=(1, 1, 1))
-    model, _ = supra.train_suprasegmental(acoustic, utts, mapping,
-                                          num_mixtures=1, max_iters=10)
+    model, _ = supra.train_suprasegmental(acoustic, utts, 3, num_mixtures=1,
+                                          max_iters=10)
     probe = synth.features[test[0].id]
     return acoustic, model, probe
-
-
-# --- mapping -----------------------------------------------------------------
-
-
-def test_default_mapping_shape():
-    mapping = supra.SupraMapping()
-    assert mapping.num_acoustic_states == 9
-    assert mapping.num_supra_states == 3
-
-
-def test_mapping_assigns_groups():
-    mapping = supra.SupraMapping(group_sizes=(3, 3, 3))
-    assert [mapping.supra_state_of(s) for s in range(9)] == \
-        [0, 0, 0, 1, 1, 1, 2, 2, 2]
-
-
-def test_mapping_uneven_groups():
-    mapping = supra.SupraMapping(group_sizes=(2, 4, 3))
-    assert [mapping.supra_state_of(s) for s in range(9)] == \
-        [0, 0, 1, 1, 1, 1, 2, 2, 2]
-
-
-def test_mapping_rejects_nonpositive_group():
-    with pytest.raises(ValueError):
-        supra.SupraMapping(group_sizes=(3, 0, 3))
 
 
 # --- segment summaries -------------------------------------------------------
@@ -79,8 +52,7 @@ def test_mapping_rejects_nonpositive_group():
 def test_constant_f0_segments():
     path = [0, 0, 0, 1, 1, 2]
     track = _track([100.0] * 6, [True] * 6, [-1.5] * 6)
-    seq = supra.segment_summaries(path, track,
-                                  supra.SupraMapping(group_sizes=(1, 1, 1)))
+    seq = supra.segment_summaries(path, track, 3)
     vectors = np.asarray(seq)
     assert vectors.shape == (3, 5)
     np.testing.assert_allclose(vectors[:, 0], 100.0)          # F0 mean
@@ -93,8 +65,7 @@ def test_constant_f0_segments():
 def test_fully_unvoiced_segments():
     path = [0, 0, 1, 1]
     track = _track([0.0] * 4, [False] * 4)
-    vectors = np.asarray(supra.segment_summaries(
-        path, track, supra.SupraMapping(group_sizes=(1, 1))))
+    vectors = np.asarray(supra.segment_summaries(path, track, 2))
     np.testing.assert_allclose(vectors[:, 0], 0.0)
     np.testing.assert_allclose(vectors[:, 1], 0.0)
     np.testing.assert_allclose(vectors[:, 4], 0.0)
@@ -106,8 +77,7 @@ def test_linear_f0_slope_recovered():
     f0 = np.concatenate([100.0 + 2.0 * np.arange(5),
                          200.0 + 2.0 * np.arange(4)])
     track = _track(f0, [True] * 9)
-    vectors = np.asarray(supra.segment_summaries(
-        path, track, supra.SupraMapping(group_sizes=(1, 1))))
+    vectors = np.asarray(supra.segment_summaries(path, track, 2))
     np.testing.assert_allclose(vectors[:, 1], 2.0, atol=1e-9)
 
 
@@ -116,8 +86,7 @@ def test_slope_uses_frame_positions_of_voiced_frames():
     path = [0, 0, 0, 0]
     f0 = np.array([100.0, 0.0, 104.0, 106.0])
     track = _track(f0, [True, False, True, True])
-    vectors = np.asarray(supra.segment_summaries(
-        path, track, supra.SupraMapping(group_sizes=(1,))))
+    vectors = np.asarray(supra.segment_summaries(path, track, 1))
     assert vectors[0, 0] == pytest.approx(np.mean([100.0, 104.0, 106.0]))
     assert vectors[0, 1] == pytest.approx(2.0, abs=1e-9)
     assert vectors[0, 4] == pytest.approx(0.75)
@@ -125,8 +94,7 @@ def test_slope_uses_frame_positions_of_voiced_frames():
 
 def test_single_voiced_frame_has_zero_slope():
     vectors = np.asarray(supra.segment_summaries(
-        [0, 0], _track([120.0, 0.0], [True, False]),
-        supra.SupraMapping(group_sizes=(1,))))
+        [0, 0], _track([120.0, 0.0], [True, False]), 1))
     assert vectors[0, 0] == 120.0
     assert vectors[0, 1] == 0.0
     assert vectors[0, 4] == 0.5
@@ -134,7 +102,6 @@ def test_single_voiced_frame_has_zero_slope():
 
 def test_summaries_match_per_segment_loop():
     rng = np.random.default_rng(31)
-    mapping = supra.SupraMapping()
     for _ in range(200):
         length = int(rng.integers(1, 400))
         steps = rng.random(length - 1) < rng.uniform(0.0, 0.3)
@@ -143,52 +110,46 @@ def test_summaries_match_per_segment_loop():
         f0 = np.where(voiced, rng.uniform(60.0, 400.0, length), 0.0)
         log_energy = rng.normal(-2.0, 3.0, length)
         got = np.asarray(supra.segment_summaries(
-            path, _track(f0, voiced, log_energy), mapping))
+            path, _track(f0, voiced, log_energy), 9))
         want = loop_segment_summaries(path, f0, log_energy, voiced)
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
 
 
 def test_durations_sum_to_one():
     rng = np.random.default_rng(30)
-    mapping = supra.SupraMapping(group_sizes=(2, 2))
     for _ in range(25):
         length = int(rng.integers(4, 30))
         steps = rng.random(length - 1) < 0.2
         path = np.minimum(np.concatenate([[0], np.cumsum(steps)]), 3)
         track = _track(np.zeros(length), np.zeros(length, dtype=bool))
-        vectors = np.asarray(supra.segment_summaries(path, track, mapping))
+        vectors = np.asarray(supra.segment_summaries(path, track, 4))
         assert vectors[:, 3].sum() == pytest.approx(1.0, abs=1e-9)
         assert vectors.shape[0] <= 4
 
 
 def test_summaries_reject_length_mismatch():
     with pytest.raises(LengthMismatchError):
-        supra.segment_summaries([0, 0, 1], _track([0.0] * 4, [False] * 4),
-                                supra.SupraMapping(group_sizes=(1, 1)))
+        supra.segment_summaries([0, 0, 1], _track([0.0] * 4, [False] * 4), 2)
 
 
 def test_summaries_reject_bad_start():
     with pytest.raises(IllegalPathError):
-        supra.segment_summaries([1, 1], _track([0.0] * 2, [False] * 2),
-                                supra.SupraMapping(group_sizes=(1, 1)))
+        supra.segment_summaries([1, 1], _track([0.0] * 2, [False] * 2), 2)
 
 
 def test_summaries_reject_state_skip():
     with pytest.raises(IllegalPathError):
-        supra.segment_summaries([0, 2], _track([0.0] * 2, [False] * 2),
-                                supra.SupraMapping(group_sizes=(1, 1, 1)))
+        supra.segment_summaries([0, 2], _track([0.0] * 2, [False] * 2), 3)
 
 
 def test_summaries_reject_out_of_range_state():
     with pytest.raises(IllegalPathError):
-        supra.segment_summaries([0, 1], _track([0.0] * 2, [False] * 2),
-                                supra.SupraMapping(group_sizes=(1,)))
+        supra.segment_summaries([0, 1], _track([0.0] * 2, [False] * 2), 1)
 
 
 def test_summaries_reject_backward_step():
     with pytest.raises(IllegalPathError):
-        supra.segment_summaries([0, 1, 0], _track([0.0] * 3, [False] * 3),
-                                supra.SupraMapping(group_sizes=(1, 1)))
+        supra.segment_summaries([0, 1, 0], _track([0.0] * 3, [False] * 3), 2)
 
 
 def test_summaries_reject_non_integer_path():
@@ -196,8 +157,7 @@ def test_summaries_reject_non_integer_path():
     with pytest.raises(IllegalPathError,
                        match=r"^path frame 1 holds 0\.5, not a state index$"):
         supra.segment_summaries([0, 0.5, 1.7, 1.2],
-                                _track([0.0] * 4, [False] * 4),
-                                supra.SupraMapping(group_sizes=(1, 1)))
+                                _track([0.0] * 4, [False] * 4), 2)
 
 
 def test_summary_stack_rejects_non_integer_path():
@@ -209,10 +169,9 @@ def test_summary_stack_rejects_non_integer_path():
 
 def test_summaries_accept_whole_float_path():
     track = _track([0.0, 120.0, 130.0], [False, True, True])
-    mapping = supra.SupraMapping(group_sizes=(1, 1))
     assert np.array_equal(
-        supra.segment_summaries([0.0, 1.0, 1.0], track, mapping).vectors,
-        supra.segment_summaries([0, 1, 1], track, mapping).vectors)
+        supra.segment_summaries([0.0, 1.0, 1.0], track, 2).vectors,
+        supra.segment_summaries([0, 1, 1], track, 2).vectors)
 
 
 def _assert_stack_matches_loop(paths, f0, voiced, log_energy, num_states):
@@ -221,7 +180,6 @@ def _assert_stack_matches_loop(paths, f0, voiced, log_energy, num_states):
     path's last state are 0."""
     track = _track(f0, voiced, log_energy)
     got = supra.summary_stack(paths, track, num_states)
-    mapping = supra.SupraMapping(group_sizes=(1,) * num_states)
     assert got.shape == (len(paths), max(p[-1] for p in paths) + 1, 5)
     for path, rows in zip(paths, got):
         used = path[-1] + 1
@@ -229,7 +187,8 @@ def _assert_stack_matches_loop(paths, f0, voiced, log_energy, num_states):
             rows[:used], loop_segment_summaries(path, f0, log_energy, voiced),
             rtol=1e-9, atol=1e-9)
         assert np.array_equal(
-            rows[:used], supra.segment_summaries(path, track, mapping).vectors)
+            rows[:used],
+            supra.segment_summaries(path, track, num_states).vectors)
         assert not rows[used:].any()
 
 
@@ -307,7 +266,7 @@ def test_observation_sequence_refuses_non_finite_vectors(column, value):
 
 def test_supra_observations_shape(trained_pair):
     acoustic, model, probe = trained_pair
-    seq = supra.supra_observations(acoustic, probe, model.mapping)
+    seq = supra.supra_observations(acoustic, probe)
     vectors = np.asarray(seq)
     assert vectors.shape[1] == 5
     assert 1 <= vectors.shape[0] <= acoustic.num_states
@@ -318,13 +277,6 @@ def test_train_suprasegmental_structure(trained_pair):
     _, model, _ = trained_pair
     assert model.core.num_states == 3
     assert model.core.feature_dim == 5
-
-
-def test_train_rejects_mismatched_mapping(trained_pair):
-    acoustic, _, probe = trained_pair
-    with pytest.raises(ValueError):
-        supra.train_suprasegmental(acoustic, [probe],
-                                   supra.SupraMapping(group_sizes=(2, 2)))
 
 
 # --- fusion ------------------------------------------------------------------
@@ -359,7 +311,7 @@ def test_fusion_length_normalization(trained_pair):
                                             length_normalize=True)
     num_frames = np.asarray(probe.features).shape[0]
     num_segments = np.asarray(
-        supra.supra_observations(acoustic, probe, model.mapping)).shape[0]
+        supra.supra_observations(acoustic, probe)).shape[0]
     assert norm_a == pytest.approx(log_a / num_frames, abs=1e-12)
     assert norm_s == pytest.approx(log_s / num_segments, abs=1e-12)
     cfg = supra.FusionConfig(alpha=0.3, length_normalize=True)
@@ -399,7 +351,6 @@ def test_supra_roundtrip_bit_exact(tmp_path, trained_pair):
     path = tmp_path / "supra.bin"
     supra.save_supra_model(model, path)
     loaded = supra.load_supra_model(path)
-    assert loaded.mapping.group_sizes == model.mapping.group_sizes
     np.testing.assert_array_equal(loaded.core.transitions,
                                   model.core.transitions)
     for a, b in zip(loaded.core.mixtures, model.core.mixtures):
@@ -407,11 +358,10 @@ def test_supra_roundtrip_bit_exact(tmp_path, trained_pair):
     _, before = supra.score_components(acoustic, model, probe)
     _, after = supra.score_components(acoustic, loaded, probe)
     assert before == after
-    # the core model's shape header with the group sizes added
+    # the core model's shape header
     magic, header, _ = container_parts(path.read_bytes())
     assert magic == b"EMOSM001"
-    assert header == {**hmm.encode_model(model.core)[0],
-                      "group_sizes": list(model.mapping.group_sizes)}
+    assert header == hmm.encode_model(model.core)[0]
 
 
 def test_supra_load_rejects_acoustic_file(tmp_path, trained_pair):
