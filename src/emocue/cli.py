@@ -12,8 +12,10 @@ Subcommands cover the full experiment flow:
   sweep-alpha     stage-a accuracy across fusion weights
   ttest           pooled-SD t statistic between two samples
 
-Exit codes: 0 success, 1 usage or configuration error, 2 data error,
-3 numerical failure.
+Each command takes flags (and --config keys) only for the RunConfig settings
+it reads; identify and sweep-alpha read the model shapes from the bank. Exit
+codes: 0 success, 1 usage or configuration error, 2 data error, 3 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .errors import (
     ManifestError,
     NoLegalPathError,
     NumericalUnderflowError,
+    SequenceTooShortError,
     _prefixed,
 )
 from .frontend import analyze_clip, load_audio, read_feature_cache, \
@@ -44,18 +47,22 @@ EXIT_NUMERICAL = 3
 
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser whose usage errors exit with code 1, not 2."""
+    """ArgumentParser exiting 1 on usage errors, with no flag abbreviations."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _add_config_options(parser: argparse.ArgumentParser) -> None:
+def _add_config_options(parser: argparse.ArgumentParser, names) -> None:
     group = parser.add_argument_group("run configuration")
     group.add_argument("--config", metavar="FILE",
                        help="key = value settings file")
-    for f in dataclasses.fields(RunConfig):
+    parser.set_defaults(settings=names)
+    for f in (f for f in dataclasses.fields(RunConfig) if f.name in names):
         flag, help_text = "--" + f.name.replace("_", "-"), f.metadata["help"]
         if f.type is bool:
             group.add_argument(flag, action=argparse.BooleanOptionalAction,
@@ -68,9 +75,8 @@ def _add_config_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _config_from(args) -> RunConfig:
-    return make_config(config_path=args.config,
-                       **{f.name: getattr(args, f.name)
-                          for f in dataclasses.fields(RunConfig)})
+    return make_config(args.config, args.settings,
+                       **{name: getattr(args, name) for name in args.settings})
 
 
 def _load_corpus(manifest_path, features_path):
@@ -123,7 +129,8 @@ def _cmd_train(args) -> int:
     cfg = _config_from(args)
     records, cache = _load_corpus(args.manifest, args.features)
     train, _ = corpus.split_records(records, cfg.protocol)
-    with _prefixed(args.manifest, EmptyTrainingSetError):
+    with _prefixed(args.manifest, EmptyTrainingSetError), \
+            _prefixed(args.features, SequenceTooShortError):
         trained = recognizer.train_role(args.role, args.bank_dir, cfg, train,
                                         cache)
     print(f"trained {len(trained)} {args.role} models "
@@ -150,7 +157,7 @@ def _cmd_identify(args) -> int:
         selected = [by_id[i] for i in wanted]
     else:
         selected = test
-    bank, features = recognizer.open_bank(args.bank_dir, cfg, train, selected,
+    bank, features = recognizer.open_bank(args.bank_dir, train, selected,
                                           cache)
     with _prefixed(args.features):
         rows = recognizer.score_test_set(bank, selected, features, cfg.fusion)
@@ -177,8 +184,7 @@ def _cmd_sweep_alpha(args) -> int:
     cfg = _config_from(args)
     records, cache = _load_corpus(args.manifest, args.features)
     train, test = corpus.split_records(records, cfg.protocol)
-    bank, features = recognizer.open_bank(args.bank_dir, cfg, train, test,
-                                          cache)
+    bank, features = recognizer.open_bank(args.bank_dir, train, test, cache)
     alphas = evaluation.DEFAULT_ALPHAS
     if args.alphas:
         alphas = tuple(float(a) for a in args.alphas.split(","))
@@ -239,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="repetitions per sentence")
     p.add_argument("--separation", type=float, default=5.0,
                    help="class separation in units of within-class deviation")
-    _add_config_options(p)
+    _add_config_options(p, ("seed",))
     p.set_defaults(func=_cmd_gen_synthetic)
 
     for name, role, help_text in (
@@ -253,7 +259,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--manifest", required=True)
         p.add_argument("--features", required=True)
         p.add_argument("--bank-dir", required=True)
-        _add_config_options(p)
+        _add_config_options(p, (
+            "num_states", "num_mixtures", "num_supra_mixtures",
+            "num_supra_states", "train_sentences", "test_sentences",
+            "variance_floor", "em_tol", "em_max_iters"))
         p.set_defaults(func=_cmd_train, role=role)
 
     p = sub.add_parser("identify", help="run the two-stage recognizer")
@@ -263,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="JSONL results file")
     p.add_argument("--ids", help="comma-separated utterance ids "
                                  "(default: the test split)")
-    _add_config_options(p)
+    _add_config_options(p, ("train_sentences", "test_sentences", "alpha",
+                            "length_normalize"))
     p.set_defaults(func=_cmd_identify)
 
     p = sub.add_parser("evaluate", help="tabulate identification results")
@@ -282,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="TSV sweep table")
     p.add_argument("--alphas", help="comma-separated weights "
                                     "(default: 0.0,0.1,...,1.0)")
-    _add_config_options(p)
+    _add_config_options(p, ("train_sentences", "test_sentences"))
     p.set_defaults(func=_cmd_sweep_alpha)
 
     p = sub.add_parser("ttest",

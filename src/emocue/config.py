@@ -141,13 +141,15 @@ def parse_config_file(path) -> dict:
     return values
 
 
-def make_config(config_path=None, **overrides) -> RunConfig:
+def make_config(config_path=None, only=None, **overrides) -> RunConfig:
     """Layer defaults, an optional config file, and explicit overrides.
 
+    Only the file's settings named in only (when given) are read.
     Overrides with value None are ignored, so optional command-line flags
     can be passed through unconditionally.
     """
     values = parse_config_file(config_path) if config_path else {}
+    values = {k: v for k, v in values.items() if only is None or k in only}
     for key, value in overrides.items():
         if value is None:
             continue

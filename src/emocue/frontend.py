@@ -25,6 +25,7 @@ from .errors import (
     NonFiniteObservationError,
     TooShortError,
     UnsupportedFormatError,
+    _prefixed,
 )
 
 SAMPLE_RATE = 16000
@@ -180,11 +181,8 @@ def load_audio(path) -> AudioClip:
             f"{path}: expected 16-bit samples, got {8 * sampwidth}-bit")
     if rate != SAMPLE_RATE:
         raise UnsupportedFormatError(f"{path}: expected {SAMPLE_RATE} Hz, got {rate}")
-    samples = np.frombuffer(data, dtype="<i2")
-    if samples.size < FRAME_LEN:
-        raise TooShortError(
-            f"{path}: need at least {FRAME_LEN} samples, got {samples.size}")
-    return AudioClip(samples=samples)
+    with _prefixed(path, TooShortError):
+        return AudioClip(samples=np.frombuffer(data, dtype="<i2"))
 
 
 def frame_signal(clip: AudioClip) -> FrameSequence:
@@ -195,9 +193,6 @@ def frame_signal(clip: AudioClip) -> FrameSequence:
     frame count is floor((num_samples - frame_len) / hop) + 1.
     """
     samples = clip.samples.astype(np.float64)
-    if samples.size < FRAME_LEN:
-        raise TooShortError(
-            f"need at least {FRAME_LEN} samples, got {samples.size}")
     return FrameSequence(
         frames=np.lib.stride_tricks.sliding_window_view(samples, FRAME_LEN)[::HOP])
 
@@ -380,7 +375,8 @@ def read_feature_cache(path) -> dict[str, UtteranceFeatures]:
     """Read a cache written by write_feature_cache.
 
     A cache that is cut short, runs on past its last utterance or has a
-    malformed header raises CorruptFileError naming it.
+    malformed header, a repeated utterance id among them, raises
+    CorruptFileError naming it.
     """
     def parse(header, payload):
         out = {}
@@ -388,6 +384,8 @@ def read_feature_cache(path) -> dict[str, UtteranceFeatures]:
             if not (isinstance(uid, str) and isinstance(frames, int)
                     and frames >= 0):
                 raise ValueError(f"bad entry {uid!r} with {frames!r} frames")
+            if uid in out:
+                raise ValueError(f"repeated utterance id {uid!r}")
             vectors = payload.array(frames * FEATURE_DIM).reshape(
                 frames, FEATURE_DIM)
             f0 = payload.array(frames)

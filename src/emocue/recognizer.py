@@ -26,6 +26,7 @@ from .errors import (
     EmptyResultsError,
     EmptyTrainingSetError,
     ManifestError,
+    SequenceTooShortError,
     UnknownEmotionError,
     UnsupportedFormatError,
     _prefixed,
@@ -139,6 +140,11 @@ def _train(role: str, train_records,
         groups = {(s, e): [r for r in train_records
                            if r.speaker == s and r.emotion == e]
                   for s in speakers for e in emotions}
+        for (s, e), cell in groups.items():
+            if not cell:
+                raise EmptyTrainingSetError(f"the train split has no "
+                                            f"utterance of speaker {s!r} in "
+                                            f"emotion {e!r}")
     else:
         groups = {s: [r for r in train_records if r.speaker == s]
                   for s in speakers}
@@ -265,9 +271,9 @@ def read_results(path) -> list[ResultRow]:
 
 BANK_FILE = "bank.bin"
 _BANK_MAGIC = b"EMOBK004"
-# The RunConfig fields that fix a bank's model shapes and its training split.
-# Commands on one bank may differ in EM stopping rules, seed, fusion settings
-# and test split: a bank may be trained with a low EM cap and then scored.
+# The RunConfig fields that fix a bank's model shapes and its training split;
+# train_role adds models only under the same values. Scoring reads the
+# shapes from the models, and a bank may be trained with a low EM cap.
 _BANK_FIELDS = ("num_states", "num_mixtures", "num_supra_mixtures",
                 "num_supra_states", "train_sentences")
 # The labels each role's models are keyed by; the roles in file order.
@@ -366,12 +372,12 @@ def _train_split(records, cache: Mapping[str, UtteranceFeatures]) -> str:
         for uid in sorted(r.id for r in records)).encode()).hexdigest()
 
 
-def _check(directory, header: dict, cfg: RunConfig, train_records,
+def _check(directory, header: dict, cfg: RunConfig | None, train_records,
            cache: Mapping[str, UtteranceFeatures], labels=None) -> None:
     """Refuse (BankMismatchError) a bank trained under other bank fields of
-    cfg, on other labels (when given) or on another train split."""
+    cfg or on other labels (each when given), or on another train split."""
     path = os.path.join(directory, BANK_FILE)
-    for name, value in _bank_config(cfg).items():
+    for name, value in (_bank_config(cfg) if cfg else {}).items():
         if header["config"][name] != value:
             raise BankMismatchError(
                 f"{path}: bank was trained with {name} = "
@@ -401,16 +407,16 @@ def load_bank(directory) -> ModelBank:
     return _model_bank(directory, *_read_bank(directory))
 
 
-def open_bank(directory, cfg: RunConfig, train_records, used_records,
+def open_bank(directory, train_records, used_records,
               cache: Mapping[str, UtteranceFeatures]):
-    """The bank in directory, read once and checked against cfg's bank
-    fields and the train split of train_records, and the features of
-    used_records with MFCCs z-normalized by the bank's statistics.
+    """The bank in directory, read once and checked against the train split
+    of train_records (its models carry their own shapes), and the features
+    of used_records with MFCCs z-normalized by the bank's statistics.
 
     Returns (bank, features).
     """
     header, roles = _read_bank(directory)
-    _check(directory, header, cfg, train_records, cache)
+    _check(directory, header, None, train_records, cache)
     return (_model_bank(directory, header, roles),
             _normalized(header, used_records, cache))
 
@@ -421,8 +427,10 @@ def train_role(role: str, directory, cfg: RunConfig, train_records,
     normalized train split and swap it into the bank in directory, which is
     rewritten whole. An existing bank is checked (_check, with the split's
     labels) before any training; a new one takes the split's statistics.
-    A split that selects no utterance raises EmptyTrainingSetError before
-    the bank is read.
+    A split that selects no utterance, or (for the speaker role) no
+    utterance of some (speaker, emotion) cell, raises EmptyTrainingSetError,
+    and a train utterance shorter than num_states SequenceTooShortError
+    naming it; neither writes the bank.
 
     Returns the role's models with their TrainingReports as {key: (model,
     report)}, keyed and ordered as bank.bin stores them: (emotion,
@@ -432,6 +440,11 @@ def train_role(role: str, directory, cfg: RunConfig, train_records,
     records = list(train_records)
     if not records:
         raise EmptyTrainingSetError("the train split selects no utterance")
+    for r in records:
+        if len(cache[r.id].features) < cfg.num_states:
+            raise SequenceTooShortError(
+                f"utterance {r.id!r} has {len(cache[r.id].features)} frames, "
+                f"fewer than num_states {cfg.num_states}")
     labels = {"emotions": list(_ordered_labels(r.emotion for r in records)),
               "speakers": list(_ordered_labels(r.speaker for r in records))}
     labels = {kind: labels[kind] for kind in _ROLE_LABELS[role]}

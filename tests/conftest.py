@@ -89,6 +89,7 @@ def run_cli(*argv):
     assert code == 0, f"command {argv} exited with {code}"
 
 
+# The model shapes of a small bank; only train-* takes them.
 SMALL_FLAGS = ("--num-states", "3", "--num-mixtures", "2",
                "--num-supra-mixtures", "1", "--num-supra-states", "3")
 SMALL_SPLIT = ("--train-sentences", "1,2", "--test-sentences", "3,4")
@@ -113,12 +114,11 @@ def run_small_pipeline(root, seed=7):
                 "--bank-dir", bank_dir, *SMALL_FLAGS, *SMALL_SPLIT)
     run_cli("identify", "--manifest", manifest, "--features", features,
             "--bank-dir", bank_dir, "--out", root / "results.jsonl",
-            *SMALL_FLAGS, *SMALL_SPLIT)
+            *SMALL_SPLIT)
     run_cli("evaluate", "--results", root / "results.jsonl",
             "--out-dir", eval_dir, "--n-pool", "3")
     run_cli("sweep-alpha", "--manifest", manifest, "--features", features,
-            "--bank-dir", bank_dir, "--out", root / "sweep.tsv",
-            *SMALL_FLAGS, *SMALL_SPLIT)
+            "--bank-dir", bank_dir, "--out", root / "sweep.tsv", *SMALL_SPLIT)
 
 
 @pytest.fixture(scope="session")
@@ -143,7 +143,7 @@ def tiny_trained(tmp_path_factory):
     trained = {role: train_role(role, directory, SMALL_CONFIG, train,
                                 synth.features)
                for role in ("emotion", "speaker", "one_stage")}
-    bank, features = open_bank(directory, SMALL_CONFIG, train, synth.records,
+    bank, features = open_bank(directory, train, synth.records,
                                synth.features)
     return {"synth": synth, "train": train, "test": test, "bank": bank,
             "features": features, "directory": directory, "trained": trained}
@@ -194,7 +194,6 @@ def chance_run(tmp_path_factory):
     # Criterion 7 reads two-stage decisions only, so no baseline is trained.
     for role in ("emotion", "speaker"):
         train_role(role, directory, SMALL_CONFIG, train, synth.features)
-    bank, features = open_bank(directory, SMALL_CONFIG, train, test,
-                               synth.features)
+    bank, features = open_bank(directory, train, test, synth.features)
     rows = emocue.score_test_set(bank, test, features)
     return {"num_speakers": 5, "rows": rows}

@@ -2,6 +2,7 @@
 subcommand leaves behind. The heavy pipeline path itself is exercised by the
 session fixture; tests here read its outputs."""
 
+import argparse
 import dataclasses
 import json
 import shutil
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from emocue import RunConfig, cli, evaluation, recognizer
-from emocue.corpus import load_manifest, split_records
+from emocue.corpus import load_manifest, split_records, write_manifest
 from emocue.errors import NumericalUnderflowError
 from emocue.frontend import (
     SAMPLE_RATE,
@@ -23,7 +24,6 @@ from emocue.frontend import (
 )
 
 from conftest import (
-    SMALL_CONFIG,
     SMALL_FLAGS,
     SMALL_SPLIT,
     container_parts,
@@ -63,10 +63,13 @@ def test_unknown_subcommand_is_usage_error(capsys):
 
 
 def test_bad_config_value_is_usage_error(tmp_path, capsys):
-    code = cli.main(["gen-synthetic", "--out-dir", str(tmp_path),
-                     "--alpha", "1.5"])
+    code = cli.main(["identify", "--manifest", str(tmp_path / "m.tsv"),
+                     "--features", str(tmp_path / "f.bin"),
+                     "--bank-dir", str(tmp_path / "bank"),
+                     "--out", str(tmp_path / "out.jsonl"), "--alpha", "1.5"])
     assert code == 1
     assert "configuration error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv, setting", [
@@ -167,23 +170,103 @@ def test_gen_synthetic_rejects_unknown_emotions(tmp_path, capsys):
     assert not (tmp_path / "corpus").exists()
 
 
+_SPLIT_SETTINGS = {"train_sentences", "test_sentences"}
+_TRAIN_SETTINGS = {"num_states", "num_mixtures", "num_supra_mixtures",
+                   "num_supra_states", *_SPLIT_SETTINGS, "variance_floor",
+                   "em_tol", "em_max_iters"}
+# The RunConfig fields each command reads, and so takes flags for.
+COMMAND_SETTINGS = {
+    "extract": set(), "gen-synthetic": {"seed"},
+    "train-emotions": _TRAIN_SETTINGS, "train-speakers": _TRAIN_SETTINGS,
+    "train-onestage": _TRAIN_SETTINGS,
+    "identify": {*_SPLIT_SETTINGS, "alpha", "length_normalize"},
+    "evaluate": set(), "sweep-alpha": _SPLIT_SETTINGS, "ttest": set()}
+# A value off the default for every field, and its flag.
+_OFF_DEFAULT = {
+    "alpha": (0.25, ["--alpha", "0.25"]),
+    "num_states": (3, ["--num-states", "3"]),
+    "num_mixtures": (2, ["--num-mixtures", "2"]),
+    "num_supra_mixtures": (1, ["--num-supra-mixtures", "1"]),
+    "num_supra_states": (2, ["--num-supra-states", "2"]),
+    "train_sentences": ((1, 2), ["--train-sentences", "1,2"]),
+    "test_sentences": ((3, 4), ["--test-sentences", "3,4"]),
+    "variance_floor": (1e-3, ["--variance-floor", "1e-3"]),
+    "em_tol": (1e-4, ["--em-tol", "1e-4"]),
+    "em_max_iters": (5, ["--em-max-iters", "5"]),
+    "seed": (9, ["--seed", "9"]),
+    "length_normalize": (True, ["--length-normalize"])}
+
+
+def _subcommands():
+    parser = cli.build_parser()
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def test_every_config_field_has_a_flag():
-    want = RunConfig(alpha=0.25, num_states=3, num_mixtures=2,
-                     num_supra_mixtures=1, num_supra_states=2,
-                     train_sentences=(1, 2), test_sentences=(3, 4),
-                     variance_floor=1e-3, em_tol=1e-4, em_max_iters=5, seed=9,
-                     length_normalize=True)
-    args = cli.build_parser().parse_args([
-        "identify", "--manifest", "m", "--features", "f", "--bank-dir", "b",
-        "--out", "o", "--alpha", "0.25", *SMALL_FLAGS, *SMALL_SPLIT,
-        "--num-supra-states", "2",
-        "--variance-floor", "1e-3", "--em-tol", "1e-4", "--em-max-iters", "5",
-        "--seed", "9", "--length-normalize"])
-    got = cli._config_from(args)
-    assert got == want
+    names = {f.name for f in dataclasses.fields(RunConfig)}
     default = RunConfig()
-    assert all(getattr(want, f.name) != getattr(default, f.name)
-               for f in dataclasses.fields(RunConfig))
+    assert set(_OFF_DEFAULT) == names
+    assert all(getattr(default, name) != value
+               for name, (value, _) in _OFF_DEFAULT.items())
+    taken = {command: {a.dest for a in sub._actions} & names
+             for command, sub in _subcommands().items()}
+    assert taken == COMMAND_SETTINGS
+    assert set().union(*taken.values()) == names
+    for command, sub in _subcommands().items():
+        if not taken[command]:
+            continue
+        required = [arg for a in sub._actions if a.required
+                    for arg in (a.option_strings[0], "x")]
+        args = sub.parse_args([*required, *(
+            arg for name in sorted(taken[command])
+            for arg in _OFF_DEFAULT[name][1])])
+        got = cli._config_from(args)
+        assert got == dataclasses.replace(default, **{
+            name: _OFF_DEFAULT[name][0] for name in taken[command]}), command
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep-alpha", "--alpha", "0.3"],
+    ["identify", "--em-max-iters", "5"],
+    ["identify", "--num-states", "3"],
+    ["train-emotions", "--alpha", "0.3"],
+    ["gen-synthetic", "--num-supra-states", "12"],
+], ids=" ".join)
+def test_flag_a_command_does_not_read_is_refused(small_pipeline, tmp_path,
+                                                 capsys, argv):
+    command, flag = argv[:2]
+    if command == "gen-synthetic":
+        paths = ["--out-dir", str(tmp_path / "corpus"), *_TINY_GEN]
+    else:
+        paths = ["--manifest", str(small_pipeline / "corpus/manifest.tsv"),
+                 "--features", str(small_pipeline / "corpus/features.bin"),
+                 *SMALL_SPLIT]
+        paths += (["--bank-dir", str(tmp_path / "bank"), *SMALL_FLAGS]
+                  if command.startswith("train-") else
+                  ["--bank-dir", str(small_pipeline / "bank"),
+                   "--out", str(tmp_path / "out")])
+    assert cli.main([*argv, *paths]) == 1
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, name", [("identify", "results.jsonl"),
+                                           ("sweep-alpha", "sweep.tsv")])
+def test_scoring_reads_model_shapes_from_the_bank(small_pipeline, tmp_path,
+                                                  command, name):
+    # one experiment file for every command: scoring ignores its shape, EM
+    # and seed settings, so the small 3-state bank scores as with no file
+    config = tmp_path / "run.cfg"
+    config.write_text("num_states = 9\nnum_mixtures = 10\n"
+                      "num_supra_states = 9\nem_max_iters = 1\nseed = 3\n"
+                      "train_sentences = 1,2\ntest_sentences = 3,4\n")
+    run_cli(command, "--manifest", small_pipeline / "corpus/manifest.tsv",
+            "--features", small_pipeline / "corpus/features.bin",
+            "--bank-dir", small_pipeline / "bank", "--out", tmp_path / name,
+            "--config", config)
+    assert (tmp_path / name).read_bytes() == \
+        (small_pipeline / name).read_bytes()
 
 
 def test_seed_flag_overrides_config_file(tmp_path):
@@ -275,7 +358,7 @@ def test_sweep_labels_custom_weights_as_given(small_pipeline, tmp_path):
     run_cli("sweep-alpha", "--manifest", small_pipeline / "corpus/manifest.tsv",
             "--features", small_pipeline / "corpus/features.bin",
             "--bank-dir", small_pipeline / "bank", "--out", out,
-            "--alphas", "0.25,0.35,0.05", *SMALL_FLAGS, *SMALL_SPLIT)
+            "--alphas", "0.25,0.35,0.05", *SMALL_SPLIT)
     labels = [line.split("\t")[0]
               for line in out.read_text().splitlines()[1:]]
     assert labels == ["0.25", "0.35", "0.05"]
@@ -289,7 +372,7 @@ def test_identify_selects_requested_ids(small_pipeline, tmp_path):
     run_cli("identify", "--manifest", small_pipeline / "corpus/manifest.tsv",
             "--features", small_pipeline / "corpus/features.bin",
             "--bank-dir", small_pipeline / "bank", "--out", out,
-            "--ids", ",".join(wanted), *SMALL_FLAGS, *SMALL_SPLIT)
+            "--ids", ",".join(wanted), *SMALL_SPLIT)
     subset = [json.loads(line) for line in out.read_text().splitlines()]
     assert [r["id"] for r in subset] == wanted
 
@@ -300,7 +383,7 @@ def test_identify_rejects_unknown_id(small_pipeline, tmp_path, capsys):
                      "--features", str(small_pipeline / "corpus/features.bin"),
                      "--bank-dir", str(small_pipeline / "bank"),
                      "--out", str(tmp_path / "out.jsonl"),
-                     "--ids", "nope", *SMALL_FLAGS, *SMALL_SPLIT])
+                     "--ids", "nope", *SMALL_SPLIT])
     assert code == 2
     assert "unknown utterance ids" in capsys.readouterr().err
 
@@ -314,7 +397,7 @@ def test_identify_rejects_repeated_ids(small_pipeline, tmp_path, capsys):
                      "--features", str(small_pipeline / "corpus/features.bin"),
                      "--bank-dir", str(small_pipeline / "bank"),
                      "--out", str(out), "--ids", f"{uid},{uid}",
-                     *SMALL_FLAGS, *SMALL_SPLIT])
+                     *SMALL_SPLIT])
     assert code == 2
     assert capsys.readouterr().err == \
         f"data error: repeated utterance ids: [{uid!r}]\n"
@@ -334,7 +417,7 @@ def test_identify_rejects_non_finite_frame(small_pipeline, tmp_path, capsys):
                      "--features", str(tmp_path / "features.bin"),
                      "--bank-dir", str(small_pipeline / "bank"),
                      "--out", str(tmp_path / "out.jsonl"), "--ids", uid,
-                     *SMALL_FLAGS, *SMALL_SPLIT])
+                     *SMALL_SPLIT])
     assert code == 2
     err = capsys.readouterr().err
     assert "data error" in err and "frame 4 " in err and "not finite" in err
@@ -358,7 +441,7 @@ def _score_with_short_utterance(small_pipeline, tmp_path, command, out):
     code = cli.main([command, "--manifest", str(manifest),
                      "--features", str(cut),
                      "--bank-dir", str(small_pipeline / "bank"),
-                     "--out", str(out), *SMALL_FLAGS, *SMALL_SPLIT])
+                     "--out", str(out), *SMALL_SPLIT])
     return code, cut, short
 
 
@@ -391,8 +474,7 @@ def test_sweep_rejects_weights_outside_unit_interval(small_pipeline, tmp_path,
                                                      capsys, alphas):
     flags = ["--manifest", str(small_pipeline / "corpus/manifest.tsv"),
              "--features", str(small_pipeline / "corpus/features.bin"),
-             "--bank-dir", str(small_pipeline / "bank"), *SMALL_FLAGS,
-             *SMALL_SPLIT]
+             "--bank-dir", str(small_pipeline / "bank"), *SMALL_SPLIT]
     out = tmp_path / "sweep.tsv"
     code = cli.main(["sweep-alpha", *flags, "--out", str(out),
                      "--alphas", alphas])
@@ -521,6 +603,49 @@ def test_train_refuses_an_empty_train_split(small_pipeline, tmp_path, capsys,
     assert not (tmp_path / "bank" / "bank.bin").exists()
 
 
+def test_train_speakers_names_an_empty_cell(small_pipeline, tmp_path, capsys):
+    manifest = tmp_path / "manifest.tsv"
+    write_manifest([r for r in load_manifest(small_pipeline /
+                                             "corpus/manifest.tsv")
+                    if (r.speaker, r.emotion) != ("spk01", "angry")
+                    or r.sentence > 2], manifest)
+    code = cli.main(["train-speakers", "--manifest", str(manifest),
+                     "--features", str(small_pipeline / "corpus/features.bin"),
+                     "--bank-dir", str(tmp_path / "bank"), *SMALL_FLAGS,
+                     *SMALL_SPLIT])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"data error: {manifest}: the train split has no utterance of "
+        f"speaker 'spk01' in emotion 'angry'\n")
+    assert not (tmp_path / "bank").exists()
+
+
+@pytest.mark.parametrize("command", ["train-emotions", "train-speakers",
+                                     "train-onestage"])
+def test_train_names_an_utterance_shorter_than_the_states(small_pipeline,
+                                                          tmp_path, capsys,
+                                                          command):
+    manifest = small_pipeline / "corpus/manifest.tsv"
+    short = next(r.id for r in load_manifest(manifest) if r.sentence == 2)
+    cache = read_feature_cache(small_pipeline / "corpus/features.bin")
+    features, track = cache[short]
+    cache[short] = UtteranceFeatures(
+        features=FeatureSequence(vectors=features.vectors[:2]),
+        prosody=ProsodicTrack(f0=track.f0[:2], log_energy=track.log_energy[:2],
+                              voiced=track.voiced[:2]))
+    cut = tmp_path / "features.bin"
+    write_feature_cache(cut, cache)
+    code = cli.main([command, "--manifest", str(manifest),
+                     "--features", str(cut),
+                     "--bank-dir", str(tmp_path / "bank"), *SMALL_FLAGS,
+                     *SMALL_SPLIT])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"data error: {cut}: utterance {short!r} has 2 frames, fewer than "
+        f"num_states 3\n")
+    assert not (tmp_path / "bank").exists()
+
+
 def test_train_speakers_rejects_mismatched_bank(small_pipeline, tmp_path,
                                                 capsys):
     run_cli("gen-synthetic", "--out-dir", tmp_path, "--speakers", "3",
@@ -557,23 +682,22 @@ def test_retrain_emotions_rejects_other_emotion_set(small_pipeline, tmp_path,
     run_cli("identify", "--manifest", small_pipeline / "corpus/manifest.tsv",
             "--features", small_pipeline / "corpus/features.bin",
             "--bank-dir", bank, "--out", tmp_path / "out.jsonl",
-            *SMALL_FLAGS, *SMALL_SPLIT)
+            *SMALL_SPLIT)
 
 
-@pytest.mark.parametrize("command", ["identify", "sweep-alpha",
+@pytest.mark.parametrize("command", ["train-emotions", "train-speakers",
                                      "train-onestage"])
 def test_default_config_rejects_small_bank(small_pipeline, tmp_path, capsys,
                                            command):
+    # train-* must repeat the shapes a bank was trained with; identify and
+    # sweep-alpha read them from the bank
     bank = tmp_path / "bank"
     shutil.copytree(small_pipeline / "bank", bank)
     index_before = (bank / "bank.bin").read_bytes()
-    argv = [command,
-            "--manifest", str(small_pipeline / "corpus/manifest.tsv"),
-            "--features", str(small_pipeline / "corpus/features.bin"),
-            "--bank-dir", str(bank)]
-    if not command.startswith("train-"):
-        argv += ["--out", str(tmp_path / "out")]
-    code = cli.main(argv)
+    code = cli.main([command,
+                     "--manifest", str(small_pipeline / "corpus/manifest.tsv"),
+                     "--features", str(small_pipeline / "corpus/features.bin"),
+                     "--bank-dir", str(bank)])
     assert code == 2
     err = capsys.readouterr().err
     assert "bank.bin" in err and "num_states = 3" in err
@@ -597,9 +721,9 @@ def test_bank_from_another_train_split_is_refused(small_pipeline, tmp_path,
     before = (bank / "bank.bin").read_bytes()
     argv = [command, "--manifest", str(tmp_path / "other/manifest.tsv"),
             "--features", str(tmp_path / "other/features.bin"),
-            "--bank-dir", str(bank), *SMALL_FLAGS, *SMALL_SPLIT]
-    if not command.startswith("train-"):
-        argv += ["--out", str(tmp_path / "out")]
+            "--bank-dir", str(bank), *SMALL_SPLIT]
+    argv += (SMALL_FLAGS if command.startswith("train-")
+             else ["--out", str(tmp_path / "out")])
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"data error: {bank / 'bank.bin'}: bank was "
@@ -611,11 +735,10 @@ def test_bank_from_another_train_split_is_refused(small_pipeline, tmp_path,
 def test_library_evaluation_equals_cli_evaluation(small_pipeline, tmp_path):
     records = load_manifest(small_pipeline / "corpus/manifest.tsv")
     cache = read_feature_cache(small_pipeline / "corpus/features.bin")
-    cfg = dataclasses.replace(SMALL_CONFIG, train_sentences=(1, 2),
-                              test_sentences=(3, 4))
+    cfg = RunConfig(train_sentences=(1, 2), test_sentences=(3, 4))
     train, test = split_records(records, cfg.protocol)
-    bank, features = recognizer.open_bank(small_pipeline / "bank", cfg, train,
-                                          test, cache)
+    bank, features = recognizer.open_bank(small_pipeline / "bank", train, test,
+                                          cache)
     rows = recognizer.score_test_set(bank, test, features, cfg.fusion)
     assert rows == recognizer.read_results(small_pipeline / "results.jsonl")
     result = evaluation.evaluate(rows, n_pool=3)
@@ -648,7 +771,7 @@ def test_interrupted_identify_keeps_previous_results(small_pipeline, tmp_path,
                   "--manifest", str(small_pipeline / "corpus/manifest.tsv"),
                   "--features", str(small_pipeline / "corpus/features.bin"),
                   "--bank-dir", str(small_pipeline / "bank"),
-                  "--out", str(out), *SMALL_FLAGS, *SMALL_SPLIT])
+                  "--out", str(out), *SMALL_SPLIT])
     assert out.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["results.jsonl"]
 
@@ -658,10 +781,10 @@ def test_identify_rejects_empty_test_split(tmp_path, capsys):
             "--seed", "1")
     flags = ["--manifest", tmp_path / "corpus/manifest.tsv",
              "--features", tmp_path / "corpus/features.bin",
-             "--bank-dir", tmp_path / "bank", *SMALL_FLAGS,
+             "--bank-dir", tmp_path / "bank",
              "--train-sentences", "1,2", "--test-sentences", "3"]
-    run_cli("train-emotions", *flags)
-    run_cli("train-speakers", *flags)
+    run_cli("train-emotions", *flags, *SMALL_FLAGS)
+    run_cli("train-speakers", *flags, *SMALL_FLAGS)
     code = cli.main(["identify", *map(str, flags),
                      "--out", str(tmp_path / "out.jsonl")])
     assert code == 2
@@ -690,7 +813,7 @@ def test_identify_refuses_version_3_bank(small_pipeline, tmp_path, capsys):
                      "--manifest", str(small_pipeline / "corpus/manifest.tsv"),
                      "--features", str(small_pipeline / "corpus/features.bin"),
                      "--bank-dir", str(bank), "--out", str(out),
-                     *SMALL_FLAGS, *SMALL_SPLIT])
+                     *SMALL_SPLIT])
     assert code == 2
     assert capsys.readouterr().err == (
         f"data error: {bank / 'bank.bin'}: a version-3 bank; retrain it to "
@@ -749,7 +872,7 @@ def test_identify_rejects_corrupt_bank(small_pipeline, tmp_path, capsys,
                      "--features", str(small_pipeline / "corpus/features.bin"),
                      "--bank-dir", str(bank),
                      "--out", str(tmp_path / "out.jsonl"),
-                     *SMALL_FLAGS, *SMALL_SPLIT])
+                     *SMALL_SPLIT])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and str(bank / "bank.bin") in err
@@ -766,7 +889,7 @@ def test_identify_rejects_truncated_feature_cache(small_pipeline, tmp_path,
                      "--features", str(cache),
                      "--bank-dir", str(small_pipeline / "bank"),
                      "--out", str(tmp_path / "out.jsonl"),
-                     *SMALL_FLAGS, *SMALL_SPLIT])
+                     *SMALL_SPLIT])
     assert code == 2
     err = capsys.readouterr().err
     assert f"data error: {cache}: feature cache is truncated" in err

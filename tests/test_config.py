@@ -1,5 +1,6 @@
 """Run-configuration tests: defaults, validation, file parsing and layering."""
 
+import argparse
 import dataclasses
 import math
 import pathlib
@@ -7,7 +8,7 @@ import re
 
 import pytest
 
-from emocue import config
+from emocue import cli, config
 from emocue.config import RunConfig, make_config, parse_config_file
 
 
@@ -76,14 +77,30 @@ def test_parsers_cover_every_field():
 
 def test_readme_table_lists_every_field_with_its_default():
     readme = pathlib.Path(__file__).parent.parent / "README.md"
-    table = readme.read_text().split("| key | default | meaning |\n", 1)[1]
-    rows = re.findall(r"^\| `(\w+)` \| ([^|]+) \|", table.split("\n\n")[0],
-                      flags=re.MULTILINE)
+    table = readme.read_text().split(
+        "| key | default | meaning | commands |\n", 1)[1]
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]+) \|[^|]+\| ([^|]+) \|$",
+                      table.split("\n\n")[0], flags=re.MULTILINE)
     fields = dataclasses.fields(RunConfig)
-    assert [name for name, _ in rows] == [f.name for f in fields]
-    for (name, text), f in zip(rows, fields):
+    assert [name for name, _, _ in rows] == [f.name for f in fields]
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    for (name, text, listed), f in zip(rows, fields):
         assert config.FIELD_PARSERS[f.type](text.strip()) == \
             getattr(RunConfig(), name), name
+        listed = set(re.findall(r"`([\w*-]+)`", listed))
+        assert {c for c in commands if c in listed or c.startswith("train-")
+                and "train-*" in listed} == \
+            {c for c, sub in commands.items()
+             if name in {a.dest for a in sub._actions}}, name
+
+
+def test_make_config_reads_only_the_named_file_settings(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("seed = 3\nnum_supra_states = 12\n")
+    assert make_config(path, only=("seed",)) == RunConfig(seed=3)
+    with pytest.raises(ValueError, match="num_supra_states must lie in"):
+        make_config(path)
 
 
 def test_parse_config_file(tmp_path):

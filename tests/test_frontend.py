@@ -26,7 +26,7 @@ from emocue.errors import (
     UnsupportedFormatError,
 )
 
-from conftest import damaged_container
+from conftest import damaged_container, edit_container_header
 
 WAVGEN_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "wavgen.py"
 
@@ -501,6 +501,21 @@ def test_cache_rejects_malformed_index(tmp_path, index):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"EMOFC001" + len(index).to_bytes(8, "little") + index)
     with pytest.raises(CorruptFileError, match="bad.bin: malformed"):
+        frontend.read_feature_cache(path)
+
+
+def test_cache_rejects_repeated_id(tmp_path, cache_bytes):
+    # two entries under one id, each with its own payload: the later one
+    # must not silently replace the earlier
+    path = tmp_path / "twice.bin"
+    path.write_bytes(cache_bytes)
+
+    def rename_v_to_u(header):
+        header["entries"][1]["id"] = "u"
+    edit_container_header(path, rename_v_to_u)
+    with pytest.raises(CorruptFileError, match="twice.bin: malformed feature "
+                                               "cache: repeated utterance id "
+                                               "'u'"):
         frontend.read_feature_cache(path)
 
 

@@ -334,7 +334,7 @@ def test_version_2_bank_must_be_retrained(tmp_path, tiny_trained):
     (tmp_path / "emotion_0.acoustic.json").write_text("{}")
     for action in (lambda: load_bank(tmp_path),
                    lambda: recognizer.open_bank(
-                       tmp_path, SMALL_CONFIG, tiny_trained["train"],
+                       tmp_path, tiny_trained["train"],
                        tiny_trained["test"], tiny_trained["synth"].features),
                    lambda: recognizer.train_role(
                        "one_stage", tmp_path, SMALL_CONFIG,
@@ -359,7 +359,7 @@ def test_version_3_bank_must_be_retrained(tmp_path, tiny_trained,
     (tmp_path / "bank.bin").write_bytes(old)
     for action in (lambda: load_bank(tmp_path),
                    lambda: recognizer.open_bank(
-                       tmp_path, SMALL_CONFIG, tiny_trained["train"],
+                       tmp_path, tiny_trained["train"],
                        tiny_trained["test"], tiny_trained["synth"].features),
                    lambda: recognizer.train_role(
                        "one_stage", tmp_path, SMALL_CONFIG,
@@ -403,7 +403,7 @@ def test_damaged_bank_raises_only_typed_errors(tmp_path_factory, trained_bank,
     (directory / "bank.bin").write_bytes(damaged_container(trained_bank, data))
     for read in (lambda: load_bank(directory),
                  lambda: recognizer.open_bank(
-                     directory, SMALL_CONFIG, tiny_trained["train"],
+                     directory, tiny_trained["train"],
                      tiny_trained["test"], tiny_trained["synth"].features)):
         try:
             read()
