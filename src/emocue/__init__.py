@@ -75,7 +75,6 @@ from .frontend import (
 )
 from .hmm import (
     AcousticModel,
-    GaussianMixture,
     TrainingReport,
     baum_welch,
     forward_backward,

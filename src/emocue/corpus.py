@@ -314,7 +314,7 @@ def synthesize_corpus(num_speakers: int,
     for s in speakers:
         for e in emotions:
             shift = separation * (0.6 * speaker_dirs[s] + 0.8 * pair_dirs[(s, e)])
-            generators[(s, e)] = hmm.AcousticModel._from_arrays(
+            generators[(s, e)] = hmm.AcousticModel(
                 transitions, np.full(grid, 1.0 / _GEN_MIXTURES),
                 comp_offsets[:, None] + (state_base + shift),
                 np.ones((*grid, dim)), np.full(_GEN_STATES, _GEN_MIXTURES))

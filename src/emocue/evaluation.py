@@ -171,9 +171,16 @@ class TTestResult:
 
 def pooled_t_from_stats(mean_1: float, sd_1: float, mean_2: float, sd_2: float,
                         n_pool: int) -> TTestResult:
-    """t statistic from already-summarized samples (reported means and SDs)."""
+    """t statistic from already-summarized samples (reported means and SDs).
+    A non-finite mean or SD, or a negative SD, raises ValueError."""
     if n_pool < 1:
         raise ValueError(f"n_pool must be >= 1, got {n_pool}")
+    for name, value in (("mean_1", mean_1), ("sd_1", sd_1),
+                        ("mean_2", mean_2), ("sd_2", sd_2)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+        if name.startswith("sd") and value < 0.0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
     sd_pooled = float(np.sqrt((sd_1 ** 2 + sd_2 ** 2) / n_pool))
     diff = mean_2 - mean_1
     if diff == 0.0:
@@ -194,12 +201,17 @@ def pooled_t(sample_1, sample_2, n_pool: int) -> TTestResult:
     Sample standard deviations use the n-1 denominator. n_pool is the n in
     the pooled-SD formula and is supplied by the caller rather than taken
     from the sample sizes, so reported statistics can be reproduced even
-    when a study pooled over a different n.
+    when a study pooled over a different n. A non-finite value raises
+    ValueError.
     """
     a = np.asarray(sample_1, dtype=np.float64)
     b = np.asarray(sample_2, dtype=np.float64)
     if a.size < 2 or b.size < 2:
         raise ValueError("each sample needs at least two values")
+    for name, sample in (("sample_1", a), ("sample_2", b)):
+        bad = sample[~np.isfinite(sample)]
+        if bad.size:
+            raise ValueError(f"{name} value {bad[0]} is not finite")
     return pooled_t_from_stats(a.mean(), a.std(ddof=1), b.mean(),
                                b.std(ddof=1), n_pool)
 
@@ -357,13 +369,17 @@ def alpha_sweep(bank, test_records, features,
     weight chose that emotion, and each weight reads its verdicts from it.
     Every score equals identify's bit for bit, and ties go to the earliest
     label in bank order as there. Every weight must lie in [0, 1];
-    FusionConfig rejects any other, as it does for identify. A test split
-    that lacks one of the bank's emotions, or holds one the bank lacks,
-    raises before any scoring. An utterance that cannot be scored re-raises
-    its error, of the same type, naming the utterance id, as in
+    FusionConfig rejects any other, as it does for identify, and a repeated
+    weight raises ValueError, since its rows could not be told apart. A
+    test split that lacks one of the bank's emotions, or holds one the bank
+    lacks, raises before any scoring. An utterance that cannot be scored
+    re-raises its error, of the same type, naming the utterance id, as in
     score_test_set.
     """
     alphas = tuple(FusionConfig(alpha=a).alpha for a in alphas)
+    repeated = sorted({a for a in alphas if alphas.count(a) > 1})
+    if repeated:
+        raise ValueError(f"repeated fusion weights: {repeated}")
     records = list(test_records)
     if not records:
         raise EmptyResultsError("no test records")

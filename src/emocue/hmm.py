@@ -12,11 +12,13 @@ Conventions:
   sequence must be at least num_states frames long; ties between looping
   and advancing resolve to looping,
 * observations must be finite; a NaN or infinite entry raises
-  NonFiniteObservationError naming the first bad frame.
+  NonFiniteObservationError naming the first bad frame, and its sequence
+  where a call takes several.
 
-A model is its padded arrays (AcousticModel): seeding, EM, decoding and the
-emission pass read and write them directly. GaussianMixture is only the
-input of the hand-built constructor and the per-state view of a model.
+A model is its padded arrays (AcousticModel), and its one constructor
+takes them: seeding, EM, decoding and the emission pass read and write
+them directly. GaussianMixture is only the per-state view that
+model.mixtures gives.
 
 Numerics:
 
@@ -125,38 +127,14 @@ _LOG_TINY = float(np.log(np.finfo(np.float64).tiny))
 _ROW_SUM_TOL = 1e-9
 
 
-def _check_mixtures(weights: np.ndarray, means: np.ndarray,
-                    variances: np.ndarray) -> None:
-    """The parameter checks of N mixtures in one pass: weights (M, N), means
-    and variances (M, N, D), any padding canonical (see AcousticModel)."""
-    # written so that a NaN fails every comparison it takes part in
-    if not ((weights >= 0.0).all() and
-            (np.abs(weights.sum(axis=0) - 1.0) <= _ROW_SUM_TOL).all()):
-        raise ValueError("weights must be non-negative and sum to 1")
-    if not ((variances > 0.0) & (variances < np.inf)).all():
-        raise ValueError("variances must be finite and strictly positive")
-    if not np.isfinite(means).all():
-        raise ValueError("means must be finite")
-
-
 @dataclass(frozen=True)
 class GaussianMixture:
-    """Diagonal-covariance Gaussian mixture over one emission state."""
+    """Read-only view of one state's components in an AcousticModel, as
+    model.mixtures gives them."""
 
     weights: np.ndarray    # (M,)
     means: np.ndarray      # (M, D)
     variances: np.ndarray  # (M, D)
-
-    def __post_init__(self):
-        weights, means, variances = (np.asarray(a, dtype=np.float64) for a in
-                                     (self.weights, self.means, self.variances))
-        if weights.ndim != 1 or means.ndim != 2 or variances.shape != means.shape:
-            raise ValueError("expected weights (M,), means and variances (M, D)")
-        if weights.size != means.shape[0]:
-            raise ValueError("one weight per component required")
-        _check_mixtures(weights[:, None], means[:, None], variances[:, None])
-        vars(self).update(weights=readonly(weights), means=readonly(means),
-                          variances=readonly(variances))
 
     @property
     def num_components(self) -> int:
@@ -179,33 +157,32 @@ class AcousticModel:
     variances: np.ndarray     # (M, N, D)
     counts: np.ndarray        # (N,) components of each state
 
-    def __init__(self, num_states: int, feature_dim: int, transitions,
-                 mixtures):
-        """Pack one GaussianMixture per state into the arrays."""
-        mixtures = tuple(mixtures)
-        if num_states < 1:
+    def __init__(self, transitions, weights, means, variances, counts):
+        """The model of the padded arrays. Raises ValueError on a shape,
+        count, padding slot or parameter that breaks the layout above."""
+        transitions, weights, means, variances = (
+            np.asarray(a, dtype=np.float64)
+            for a in (transitions, weights, means, variances))
+        counts = np.asarray(counts)
+        if not (means.ndim == 3 and variances.shape == means.shape
+                and weights.shape == means.shape[:2]):
+            raise ValueError("expected weights (M, N), means and variances "
+                             "(M, N, D)")
+        m, n, dim = means.shape
+        if n < 1:
             raise ValueError("num_states must be >= 1")
-        if len(mixtures) != num_states:
-            raise ValueError("one mixture per state required")
-        if any(mix.means.shape[1] != feature_dim for mix in mixtures):
-            raise ValueError("mixture dimension must match feature_dim")
-        counts = np.array([mix.num_components for mix in mixtures])
-        values = np.concatenate([a.ravel() for mix in mixtures for a in
-                                 (mix.weights, mix.means, mix.variances)])
-        self._set(transitions, *_unpack(values, feature_dim, counts), counts)
-
-    @classmethod
-    def _from_arrays(cls, transitions, weights, means, variances,
-                    counts) -> AcousticModel:
-        """The model of arrays padded as the class notes say (which is not
-        checked), its parameters checked as a packed model's are."""
-        model = object.__new__(cls)
-        model._set(transitions, weights, means, variances, counts)
-        return model
-
-    def _set(self, transitions, weights, means, variances, counts) -> None:
-        n = counts.size
-        transitions = np.asarray(transitions, dtype=np.float64)
+        # checked as Python ints: numpy's reductions cost more on N values
+        sizes = counts.tolist() if counts.dtype.kind in "iu" else []
+        if not (counts.shape == (n,) and 1 <= min(sizes, default=0)
+                and max(sizes) <= m):
+            raise ValueError(f"counts must be {n} integers in [1, {m}], "
+                             f"got {counts.tolist()}")
+        if min(sizes) < m:    # some state has padding
+            pad = np.arange(m)[:, None] >= counts
+            if not ((weights[pad] == 0.0).all() and (means[pad] == 0.0).all()
+                    and (variances[pad] == 1.0).all()):
+                raise ValueError("padding must have weight 0, mean 0 and "
+                                 "variance 1")
         if transitions.shape != (n, n):
             raise ValueError(f"transitions must be ({n}, {n})")
         band = np.diag(transitions), np.diag(transitions, 1)  # NaN counts
@@ -216,9 +193,15 @@ class AcousticModel:
             raise ValueError("transition probabilities must be non-negative")
         if not (np.abs(transitions.sum(axis=1) - 1.0) <= _ROW_SUM_TOL).all():
             raise ValueError("transition rows must sum to 1")
-        _check_mixtures(weights, means, variances)
+        if not ((weights >= 0.0).all() and
+                (np.abs(weights.sum(axis=0) - 1.0) <= _ROW_SUM_TOL).all()):
+            raise ValueError("weights must be non-negative and sum to 1")
+        if not ((variances > 0.0) & (variances < np.inf)).all():
+            raise ValueError("variances must be finite and strictly positive")
+        if not np.isfinite(means).all():
+            raise ValueError("means must be finite")
         vars(self).update(
-            num_states=n, feature_dim=means.shape[2],
+            num_states=n, feature_dim=dim,
             transitions=readonly(transitions), weights=readonly(weights),
             means=readonly(means), variances=readonly(variances),
             counts=readonly(counts, np.intp))
@@ -227,12 +210,10 @@ class AcousticModel:
     def mixtures(self) -> tuple[GaussianMixture, ...]:
         """Read-only per-state views of the arrays, for per-state readers
         (the tests and perfbench's tracer)."""
-        views = tuple(object.__new__(GaussianMixture) for _ in self.counts)
-        for j, (view, c) in enumerate(zip(views, self.counts)):
-            vars(view).update(weights=self.weights[:c, j],
-                              means=self.means[:c, j],
-                              variances=self.variances[:c, j])
-        return views
+        return tuple(GaussianMixture(weights=self.weights[:c, j],
+                                     means=self.means[:c, j],
+                                     variances=self.variances[:c, j])
+                     for j, c in enumerate(self.counts))
 
     @cached_property
     def _emission(self) -> _EmissionTable:
@@ -277,13 +258,14 @@ class TrainingReport:
 
 def _sequences(sequences, num_states: int, dim: int | None = None):
     """The sequences as float arrays, each 2-D with dim columns (by default
-    the first one's), finite, and at least num_states frames long."""
+    the first one's), finite, and at least num_states frames long. Where
+    there are several, a non-finite frame is named with its sequence."""
     arrays = [np.asarray(s, dtype=np.float64) for s in sequences]
     if not arrays:
         raise EmptyTrainingSetError("no training sequences")
     if dim is None:
         dim = arrays[0].shape[1] if arrays[0].ndim == 2 else -1
-    for a in arrays:
+    for k, a in enumerate(arrays):
         if a.ndim != 2:
             raise DimensionMismatchError(
                 f"observations must be 2-D, got shape {a.shape}")
@@ -295,8 +277,10 @@ def _sequences(sequences, num_states: int, dim: int | None = None):
         finite = np.isfinite(a)
         if not finite.all():
             frame = int(np.flatnonzero(~finite.all(axis=1))[0])
+            where = f" in sequence {k}" if len(arrays) > 1 else ""
             raise NonFiniteObservationError(
-                f"observation frame {frame} of {a.shape[0]} is not finite")
+                f"observation frame {frame} of {a.shape[0]}{where} is not "
+                f"finite")
         if a.shape[0] < num_states:
             raise SequenceTooShortError(f"sequence of {a.shape[0]} frames is "
                                         f"shorter than {num_states} states")
@@ -581,10 +565,10 @@ class ModelStack:
         one sequence (T, D) or of a stack (K, T, D), sequence k under model
         k."""
         obs = np.asarray(seq, dtype=np.float64)
-        if obs.ndim == 3:
-            _check_stack(obs, self.size, self.feature_dim)
-        else:
-            obs, = _sequences([obs], 1, self.feature_dim)
+        if obs.ndim == 3 and obs.shape[0] != self.size:
+            raise ValueError(f"a stack of {self.size} models scores "
+                             f"{self.size} sequences, got {obs.shape[0]}")
+        _sequences(obs if obs.ndim == 3 else [obs], 1, self.feature_dim)
         lb = np.empty((self.num_states, self.size, obs.shape[-2]))
         for rows, table in self._groups:
             part = obs[rows] if obs.ndim == 3 else obs
@@ -606,25 +590,6 @@ class ModelStack:
         paths = [_best_path(delta[:, k], looped[:, k])[0]
                  for k in range(self.size)]
         return _totals(self._band, lb), np.stack(paths)
-
-
-def _check_stack(obs: np.ndarray, size: int, dim: int) -> None:
-    """_sequences' checks of one sequence per model, on a (K, T, D) stack
-    in one pass."""
-    if obs.shape[0] != size:
-        raise ValueError(f"a stack of {size} models scores {size} sequences, "
-                         f"got {obs.shape[0]}")
-    if obs.shape[1] == 0:
-        raise EmptySequenceError("empty observation sequence")
-    if obs.shape[2] != dim:
-        raise DimensionMismatchError(
-            f"expected dimension {dim}, got {obs.shape[2]}")
-    finite = np.isfinite(obs)
-    if not finite.all():
-        k, frame = np.argwhere(~finite.all(axis=2))[0]
-        raise NonFiniteObservationError(
-            f"observation frame {frame} of {obs.shape[1]} in sequence {k} "
-            f"is not finite")
 
 
 # --- initialization ----------------------------------------------------------
@@ -702,7 +667,7 @@ def init_model(sequences, num_states: int, num_mixtures: int,
 
     transitions = 0.5 * (np.eye(num_states) + np.eye(num_states, k=1))
     transitions[-1, -1] = 1.0
-    return AcousticModel._from_arrays(
+    return AcousticModel(
         transitions, *(np.stack(part, axis=1) for part in zip(*states)),
         np.full(num_states, num_mixtures))
 
@@ -826,7 +791,7 @@ def _reestimate(model: AcousticModel, counts: _Counts, shift: np.ndarray,
     # padding, and every component of a state never occupied, keep their
     # values bit for bit
     fresh = (np.arange(len(resp))[:, None] < model.counts) & (total > 0.0)
-    return AcousticModel._from_arrays(
+    return AcousticModel(
         transitions, np.where(fresh, weights, model.weights),
         np.where(fresh[..., None], means, model.means),
         np.where(fresh[..., None], variances, model.variances), model.counts)
@@ -865,9 +830,8 @@ def baum_welch(model: AcousticModel, sequences, max_iters: int = EM_MAX_ITERS,
 # A model is stored as a shape header, {"num_states": N, "feature_dim": D,
 # "components": [M_0, ..., M_{N-1}]}, and a float64 payload: the (N, N)
 # transitions, then per state its weights, means and variances, row-major,
-# without padding. _unpack slices that layout into the padded arrays, for
-# decoding and for the packing of AcousticModel's constructor. Parameters
-# round-trip bit-exactly.
+# without padding. _unpack slices that layout into the padded arrays.
+# Parameters round-trip bit-exactly.
 
 _MODEL_MAGIC = b"EMOAM001"
 
@@ -908,9 +872,8 @@ def decode_model(spec: dict, payload) -> AcousticModel:
                          f"components {counts}")
     values = payload.array(n * n + sum(counts) * (1 + 2 * dim))
     counts = np.array(counts)
-    return AcousticModel._from_arrays(values[:n * n].reshape(n, n),
-                                      *_unpack(values[n * n:], dim, counts),
-                                      counts)
+    return AcousticModel(values[:n * n].reshape(n, n),
+                         *_unpack(values[n * n:], dim, counts), counts)
 
 
 def save_model(model: AcousticModel, path) -> None:

@@ -14,7 +14,7 @@ from emocue import hmm, recognizer
 from emocue.errors import NumericalUnderflowError, _prefixed
 from emocue.evaluation import (DEFAULT_ALPHAS, SWEEP_LENGTH_NORMALIZE,
                                SweepResult)
-from emocue.hmm import AcousticModel, GaussianMixture
+from emocue.hmm import AcousticModel
 from emocue.supra import FusionConfig, blend, score_components
 
 
@@ -86,6 +86,20 @@ def enumerated_viterbi(model, observations):
     return list(best), ending[best]
 
 
+def model_from_states(transitions, states):
+    """The AcousticModel of per-state (weights, means, variances) triples,
+    each state's components padded below with weight 0, mean 0 and
+    variance 1 as the constructor requires."""
+    counts = np.array([len(weights) for weights, _, _ in states])
+    m, n, dim = counts.max(), counts.size, np.shape(states[0][1])[1]
+    weights, means = np.zeros((m, n)), np.zeros((m, n, dim))
+    variances = np.ones((m, n, dim))
+    for j, state in enumerate(states):
+        c = counts[j]
+        weights[:c, j], means[:c, j], variances[:c, j] = state
+    return AcousticModel(transitions, weights, means, variances, counts)
+
+
 def random_model(rng, num_states, num_mixtures, dim):
     """A random left-to-right model with a strictly positive band."""
     transitions = np.zeros((num_states, num_states))
@@ -94,15 +108,13 @@ def random_model(rng, num_states, num_mixtures, dim):
         transitions[i, i] = stay
         transitions[i, i + 1] = 1.0 - stay
     transitions[num_states - 1, num_states - 1] = 1.0
-    mixtures = []
+    states = []
     for _ in range(num_states):
         raw = rng.uniform(0.2, 1.0, size=num_mixtures)
-        mixtures.append(GaussianMixture(
-            weights=raw / raw.sum(),
-            means=rng.normal(0.0, 2.0, size=(num_mixtures, dim)),
-            variances=rng.uniform(0.3, 2.0, size=(num_mixtures, dim))))
-    return AcousticModel(num_states=num_states, feature_dim=dim,
-                         transitions=transitions, mixtures=tuple(mixtures))
+        states.append((raw / raw.sum(),
+                       rng.normal(0.0, 2.0, size=(num_mixtures, dim)),
+                       rng.uniform(0.3, 2.0, size=(num_mixtures, dim))))
+    return model_from_states(transitions, states)
 
 
 def random_case(rng, max_states=3, max_mixtures=2, max_len=6,
@@ -241,7 +253,7 @@ def loop_mixture_from_frames(frames, num_mixtures, variance_floor):
         else:
             # Empty cluster: park a zero-weight component at the chunk mean.
             means[j] = overall_mean
-    return GaussianMixture(weights=weights, means=means, variances=variances)
+    return weights, means, variances
 
 
 def loop_init_model(sequences, num_states, num_mixtures,
@@ -249,17 +261,16 @@ def loop_init_model(sequences, num_states, num_mixtures,
     """Segmental seeding: uniform chunks, then per-cluster k-means."""
     arrays = [np.asarray(s, dtype=np.float64) for s in sequences]
     chunks = [np.array_split(a, num_states) for a in arrays]
-    mixtures = tuple(
+    states = [
         loop_mixture_from_frames(
             np.concatenate([c[i] for c in chunks]), num_mixtures, variance_floor)
-        for i in range(num_states))
+        for i in range(num_states)]
     transitions = np.zeros((num_states, num_states))
     for i in range(num_states - 1):
         transitions[i, i] = 0.5
         transitions[i, i + 1] = 0.5
     transitions[num_states - 1, num_states - 1] = 1.0
-    return AcousticModel(num_states=num_states, feature_dim=arrays[0].shape[1],
-                         transitions=transitions, mixtures=mixtures)
+    return model_from_states(transitions, states)
 
 
 def sequence_accumulate(model, obs, stats):
@@ -310,14 +321,13 @@ def state_reestimate(model, stats, variance_floor):
             transitions[i, i + 1] = model.transitions[i, i + 1]
     transitions[n - 1, n - 1] = 1.0
 
-    mixtures = []
-    for j in range(n):
-        old = model.mixtures[j]
+    states = []
+    for j, old in enumerate(model.mixtures):
         k = old.num_components
         resp = stats["resp"][:k, j]
         total = resp.sum()
         if total <= 0.0:
-            mixtures.append(old)
+            states.append((old.weights, old.means, old.variances))
             continue
         weights = resp / total
         means = np.where(resp[:, None] > 0.0,
@@ -327,10 +337,8 @@ def state_reestimate(model, stats, variance_floor):
                           stats["sq_sum"][:k, j] / np.maximum(resp[:, None], 1e-300),
                           old.variances + old.means ** 2)
         variances = np.maximum(second - means ** 2, variance_floor)
-        mixtures.append(GaussianMixture(weights=weights, means=means,
-                                        variances=variances))
-    return AcousticModel(num_states=n, feature_dim=model.feature_dim,
-                         transitions=transitions, mixtures=tuple(mixtures))
+        states.append((weights, means, variances))
+    return model_from_states(transitions, states)
 
 
 def sequence_baum_welch(model, sequences, max_iters=hmm.EM_MAX_ITERS,

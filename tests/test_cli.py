@@ -147,6 +147,25 @@ def test_ttest_requires_n_pool():
     assert cli.main(["ttest", "--sample1", "1,2", "--sample2", "3,4"]) == 1
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--sample1", "1,2", "--sample2", "3,nan"],
+     "sample_2 value nan is not finite"),
+    (["--sample1", "1,inf", "--sample2", "3,4"],
+     "sample_1 value inf is not finite"),
+    (["--mean1", "1", "--sd1", "-1", "--mean2", "2", "--sd2", "1"],
+     "sd_1 must be >= 0, got -1.0"),
+    (["--mean1", "1", "--sd1", "1", "--mean2", "nan", "--sd2", "1"],
+     "mean_2 must be finite, got nan"),
+    (["--mean1", "1", "--sd1", "1", "--mean2", "2", "--sd2", "inf"],
+     "sd_2 must be finite, got inf"),
+], ids=["nan sample", "inf sample", "negative sd", "nan mean", "inf sd"])
+def test_ttest_rejects_bad_inputs(capsys, flags, message):
+    code = cli.main(["ttest", *flags, "--n-pool", "3"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"configuration error: {message}\n"
+
+
 # --- gen-synthetic and config layering ---------------------------------------
 
 
@@ -466,6 +485,19 @@ def test_sweep_names_utterance_that_fails_scoring(small_pipeline, tmp_path,
     assert capsys.readouterr().err == (
         f"numerical failure: {cut}: utterance {short!r}: no left-to-right "
         f"path through 3 states fits 2 frames\n")
+    assert not out.exists()
+
+
+def test_sweep_rejects_repeated_weight(small_pipeline, tmp_path, capsys):
+    out = tmp_path / "sweep.tsv"
+    code = cli.main([
+        "sweep-alpha", "--manifest", str(small_pipeline / "corpus/manifest.tsv"),
+        "--features", str(small_pipeline / "corpus/features.bin"),
+        "--bank-dir", str(small_pipeline / "bank"), *SMALL_SPLIT,
+        "--out", str(out), "--alphas", "0.5,0.5"])
+    assert code == 1
+    assert capsys.readouterr().err == \
+        "configuration error: repeated fusion weights: [0.5]\n"
     assert not out.exists()
 
 

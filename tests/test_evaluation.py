@@ -209,6 +209,35 @@ def test_t_validates_inputs():
         pooled_t_from_stats(70.0, 5.0, 75.0, 5.0, -1)
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("sample_1, sample_2, message", [
+    ([1.0, 2.0], [3.0, _NAN], "sample_2 value nan is not finite"),
+    ([1.0, _INF], [3.0, 4.0], "sample_1 value inf is not finite"),
+    ([-_INF, 2.0], [3.0, 4.0], "sample_1 value -inf is not finite"),
+], ids=["nan", "inf", "-inf"])
+def test_t_rejects_non_finite_sample_value(sample_1, sample_2, message):
+    with pytest.raises(ValueError) as error:
+        pooled_t(sample_1, sample_2, 3)
+    assert str(error.value) == message
+
+
+@pytest.mark.parametrize("stats, message", [
+    ((1.0, -1.0, 2.0, 1.0), "sd_1 must be >= 0, got -1.0"),
+    ((1.0, 1.0, 2.0, -0.5), "sd_2 must be >= 0, got -0.5"),
+    ((_NAN, 1.0, 2.0, 1.0), "mean_1 must be finite, got nan"),
+    ((1.0, 1.0, -_INF, 1.0), "mean_2 must be finite, got -inf"),
+    ((1.0, _INF, 2.0, 1.0), "sd_1 must be finite, got inf"),
+    ((1.0, 1.0, 2.0, _NAN), "sd_2 must be finite, got nan"),
+], ids=["negative sd_1", "negative sd_2", "nan mean_1", "-inf mean_2",
+        "inf sd_1", "nan sd_2"])
+def test_t_from_stats_rejects_bad_stats(stats, message):
+    with pytest.raises(ValueError) as error:
+        pooled_t_from_stats(*stats, 3)
+    assert str(error.value) == message
+
+
 @given(st.lists(st.floats(min_value=0, max_value=100), min_size=2, max_size=8),
        st.lists(st.floats(min_value=0, max_value=100), min_size=2, max_size=8),
        st.integers(min_value=1, max_value=500))
@@ -280,6 +309,17 @@ def test_sweep_rejects_weights_outside_unit_interval(tiny_trained, alphas):
                     tiny_trained["features"], alphas=alphas)
 
 
+def test_sweep_rejects_repeated_weight_before_scoring(tiny_trained,
+                                                     monkeypatch):
+    def scored(*args):
+        raise AssertionError("scored before the weights were checked")
+    monkeypatch.setattr(evaluation, "_stage_a_scores", scored)
+    with pytest.raises(ValueError) as error:
+        alpha_sweep(tiny_trained["bank"], tiny_trained["test"],
+                    tiny_trained["features"], alphas=(0.5, 0.2, 0.5, 0.2))
+    assert str(error.value) == "repeated fusion weights: [0.2, 0.5]"
+
+
 def test_sweep_rejects_missing_emotion(tiny_trained):
     only_first = [r for r in tiny_trained["test"]
                   if r.emotion == tiny_trained["bank"].emotions[0]]
@@ -324,7 +364,7 @@ def test_sweep_equals_per_model_loop(tiny_trained, data):
     records = [r for r in test if r.id in chosen]
     alphas = data.draw(st.one_of(
         st.just(evaluation.DEFAULT_ALPHAS),
-        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6)))
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6, unique=True)))
     got = alpha_sweep(bank, records, tiny_trained["features"], alphas)
     want = loop_alpha_sweep(bank, records, tiny_trained["features"], alphas)
     assert got.alphas == want.alphas

@@ -30,6 +30,7 @@ from oracles import (
     frame_viterbi,
     loop_init_model,
     loop_kmeans,
+    model_from_states,
     random_case,
     random_model,
     scalar_log_density,
@@ -40,12 +41,7 @@ from conftest import container_bytes
 
 
 def _model_1state(mean, var):
-    return hmm.AcousticModel(
-        num_states=1, feature_dim=1,
-        transitions=np.array([[1.0]]),
-        mixtures=(hmm.GaussianMixture(weights=np.array([1.0]),
-                                      means=np.array([[mean]]),
-                                      variances=np.array([[var]])),))
+    return hmm.AcousticModel([[1.0]], [[1.0]], [[[mean]]], [[[var]]], [1])
 
 
 # --- emission densities ------------------------------------------------------
@@ -54,18 +50,16 @@ def _model_1state(mean, var):
 def _floor_variance_model(rng, offset, num_states=3, dim=3):
     """Tight components near a common offset, one of them with zero weight;
     state j has j + 2 components."""
-    mixtures = []
+    states = []
     for j in range(num_states):
         weights = rng.uniform(0.2, 1.0, size=j + 2)
         if j == 0:
             weights[1] = 0.0
-        mixtures.append(hmm.GaussianMixture(
-            weights=weights / weights.sum(),
-            means=offset + rng.normal(0.0, 0.05, size=(j + 2, dim)),
-            variances=np.full((j + 2, dim), hmm.VARIANCE_FLOOR)))
+        states.append((weights / weights.sum(),
+                       offset + rng.normal(0.0, 0.05, size=(j + 2, dim)),
+                       np.full((j + 2, dim), hmm.VARIANCE_FLOOR)))
     transitions = random_model(rng, num_states, 1, 1).transitions
-    return hmm.AcousticModel(num_states=num_states, feature_dim=dim,
-                             transitions=transitions, mixtures=tuple(mixtures))
+    return model_from_states(transitions, states)
 
 
 @pytest.mark.parametrize("offset", [0.0, 10.0, 1e3])
@@ -82,14 +76,8 @@ def test_state_densities_match_scalar_oracle_far_from_origin(offset):
 
 def test_state_densities_overflowing_cross_term_is_minus_inf():
     model = hmm.AcousticModel(
-        num_states=2, feature_dim=2,
-        transitions=np.array([[0.5, 0.5], [0.0, 1.0]]),
-        mixtures=(hmm.GaussianMixture(weights=np.array([1.0]),
-                                      means=np.array([[-1.0, -1.0]]),
-                                      variances=np.full((1, 2), 1e-4)),
-                  hmm.GaussianMixture(weights=np.array([1.0]),
-                                      means=np.array([[1.0, 1.0]]),
-                                      variances=np.full((1, 2), 1e-4))))
+        [[0.5, 0.5], [0.0, 1.0]], [[1.0, 1.0]],
+        [[[-1.0, -1.0], [1.0, 1.0]]], np.full((1, 2, 2), 1e-4), [1, 1])
     # the square and the cross term both overflow: -inf + inf, which BLAS
     # may or may not fold to -inf depending on the kernel it picks
     outlier = np.array([[1e305, 1e305]])
@@ -165,14 +153,10 @@ def test_non_finite_band_falls_back_to_per_frame(monkeypatch):
     base = random_model(rng, num_states=9, num_mixtures=10, dim=3)
     transitions = np.array(base.transitions)
     transitions[3, 3], transitions[3, 4] = 0.0, 1.0      # zero self-loop
-    mixtures = list(base.mixtures)
-    tight = mixtures[5]                          # the outlier underflows here
-    mixtures[5] = hmm.GaussianMixture(
-        weights=tight.weights, means=tight.means,
-        variances=np.full_like(tight.variances, hmm.VARIANCE_FLOOR))
-    model = hmm.AcousticModel(num_states=9, feature_dim=3,
-                              transitions=transitions,
-                              mixtures=tuple(mixtures))
+    variances = np.array(base.variances)
+    variances[:, 5] = hmm.VARIANCE_FLOOR         # the outlier underflows here
+    model = hmm.AcousticModel(transitions, base.weights, base.means,
+                              variances, base.counts)
     obs = rng.normal(0.0, 2.0, size=(300, 3))
     # last frame, so every path decision before it stays well conditioned
     obs[-1] = 1e153
@@ -197,9 +181,8 @@ def test_viterbi_exact_tie_loops_as_frame_viterbi(monkeypatch):
     # the library's offset-shifted recurrence.
     base = random_model(np.random.default_rng(50), num_states=2,
                         num_mixtures=1, dim=1)
-    model = hmm.AcousticModel(num_states=2, feature_dim=1,
-                              transitions=[[0.5, 0.5], [0.0, 1.0]],
-                              mixtures=base.mixtures)
+    model = hmm.AcousticModel([[0.5, 0.5], [0.0, 1.0]], base.weights,
+                              base.means, base.variances, base.counts)
     half = math.log(0.5)
     logb = np.array([[0.0, -50.0], [0.0, half], [-50.0, 0.0]])
     monkeypatch.setattr(hmm, "state_log_densities", lambda m, obs: logb)
@@ -218,8 +201,8 @@ def test_zero_self_loop_in_state_zero_matches_oracles():
     base = random_model(rng, num_states=3, num_mixtures=2, dim=2)
     transitions = np.array(base.transitions)
     transitions[0, :2] = [0.0, 1.0]
-    model = hmm.AcousticModel(num_states=3, feature_dim=2,
-                              transitions=transitions, mixtures=base.mixtures)
+    model = hmm.AcousticModel(transitions, base.weights, base.means,
+                              base.variances, base.counts)
     for length in (3, 4, 7):
         obs = rng.normal(0.0, 2.0, size=(length, 2))
         _check_against_frames(model, obs)
@@ -236,16 +219,12 @@ def _last_state_underflow_case(num_states=3, length=8, outlier=4):
     the signal."""
     rng = np.random.default_rng(52)
     base = random_model(rng, num_states=num_states, num_mixtures=2, dim=2)
-    mixtures = []
-    for j, mix in enumerate(base.mixtures):
-        means, variances = np.array(mix.means), np.array(mix.variances)
-        means[:, 0] = 0.0
-        variances[:, 0] = hmm.VARIANCE_FLOOR if j == num_states - 1 else 1e300
-        mixtures.append(hmm.GaussianMixture(weights=mix.weights, means=means,
-                                            variances=variances))
-    model = hmm.AcousticModel(num_states=num_states, feature_dim=2,
-                              transitions=base.transitions,
-                              mixtures=tuple(mixtures))
+    means, variances = np.array(base.means), np.array(base.variances)
+    means[..., 0] = 0.0
+    variances[..., 0] = 1e300
+    variances[:, -1, 0] = hmm.VARIANCE_FLOOR
+    model = hmm.AcousticModel(base.transitions, base.weights, means,
+                              variances, base.counts)
     obs = np.column_stack((np.zeros(length), rng.normal(0.0, 2.0, length)))
     obs[outlier, 0] = 1e153
     return model, obs
@@ -477,8 +456,8 @@ def test_stack_matches_per_model_calls_with_a_zero_self_loop():
     base = random_model(rng, num_states=3, num_mixtures=2, dim=2)
     transitions = np.array(base.transitions)
     transitions[0, :2] = [0.0, 1.0]
-    stuck = hmm.AcousticModel(num_states=3, feature_dim=2,
-                              transitions=transitions, mixtures=base.mixtures)
+    stuck = hmm.AcousticModel(transitions, base.weights, base.means,
+                              base.variances, base.counts)
     for length in (3, 4, 7, 40):
         _assert_stack_matches([base, stuck, base],
                               rng.normal(0.0, 2.0, size=(length, 2)))
@@ -535,12 +514,10 @@ def test_stack_refuses_too_short_sequence_as_viterbi_does():
 def _zero_weight_model(rng, num_states, dim):
     """A model whose first state holds a component of weight 0."""
     base = random_model(rng, num_states, num_mixtures=2, dim=dim)
-    first, *rest = base.mixtures
-    first = hmm.GaussianMixture(weights=[0.0, 1.0], means=first.means,
-                                variances=first.variances)
-    return hmm.AcousticModel(num_states=num_states, feature_dim=dim,
-                             transitions=base.transitions,
-                             mixtures=[first, *rest])
+    weights = np.array(base.weights)
+    weights[:, 0] = [0.0, 1.0]
+    return hmm.AcousticModel(base.transitions, weights, base.means,
+                             base.variances, base.counts)
 
 
 @pytest.mark.parametrize("num_states, dim", [(3, 5), (9, 16)])
@@ -730,13 +707,9 @@ def test_baum_welch_keeps_per_state_component_counts():
     rng = np.random.default_rng(27)
     seqs = _training_set(rng, num=6)
     init = hmm.init_model(seqs, 3, 3)
-    init = hmm.AcousticModel(
-        num_states=3, feature_dim=2, transitions=init.transitions,
-        mixtures=(init.mixtures[0],
-                  hmm.GaussianMixture(weights=np.array([1.0]),
-                                      means=init.mixtures[1].means[:1],
-                                      variances=init.mixtures[1].variances[:1]),
-                  init.mixtures[2]))
+    states = [(m.weights, m.means, m.variances) for m in init.mixtures]
+    states[1] = ([1.0], states[1][1][:1], states[1][2][:1])
+    init = model_from_states(init.transitions, states)
     trained, report = hmm.baum_welch(init, seqs, max_iters=5)
     assert [m.num_components for m in trained.mixtures] == [3, 1, 3]
     lls = report.log_likelihood_per_iteration
@@ -806,15 +779,10 @@ def test_batched_em_matches_oracle_with_unequal_component_counts():
     seqs = [rng.normal(size=(t, 3)) + 0.5 * i
             for i, t in enumerate((31, 18, 44, 25))]
     init = hmm.init_model(seqs, 3, 4)
-    init = hmm.AcousticModel(
-        num_states=3, feature_dim=3, transitions=init.transitions,
-        mixtures=(init.mixtures[0],
-                  hmm.GaussianMixture(weights=np.array([1.0]),
-                                      means=init.mixtures[1].means[:1],
-                                      variances=init.mixtures[1].variances[:1]),
-                  hmm.GaussianMixture(weights=np.array([0.25, 0.75]),
-                                      means=init.mixtures[2].means[:2],
-                                      variances=init.mixtures[2].variances[:2])))
+    states = [(m.weights, m.means, m.variances) for m in init.mixtures]
+    states[1] = ([1.0], states[1][1][:1], states[1][2][:1])
+    states[2] = ([0.25, 0.75], states[2][1][:2], states[2][2][:2])
+    init = model_from_states(init.transitions, states)
     _check_em_against_oracle(init, seqs, max_iters=15)
 
 
@@ -823,8 +791,8 @@ def test_batched_em_matches_oracle_through_frame_fallback(monkeypatch):
     base = random_model(rng, num_states=5, num_mixtures=3, dim=2)
     transitions = np.array(base.transitions)
     transitions[2, 2], transitions[2, 3] = 0.0, 1.0      # zero self-loop
-    model = hmm.AcousticModel(num_states=5, feature_dim=2,
-                              transitions=transitions, mixtures=base.mixtures)
+    model = hmm.AcousticModel(transitions, base.weights, base.means,
+                              base.variances, base.counts)
     seqs = [rng.normal(0.0, 2.0, size=(t, 2)) for t in (40, 5, 57)]
     seqs[2][30] = [40.0, -35.0]                          # an outlier frame
 
@@ -872,74 +840,149 @@ def test_init_model_matches_per_cluster_seeding():
 
 # --- model validation --------------------------------------------------------
 
+# one component of weight 1, mean 0 and variance 1 in one dimension
+_STANDARD = ([1.0], [[0.0]], [[1.0]])
+
 
 def test_model_rejects_skip_transitions():
     with pytest.raises(ValueError):
-        hmm.AcousticModel(
-            num_states=3, feature_dim=1,
-            transitions=np.array([[0.5, 0.25, 0.25],
-                                  [0.0, 0.5, 0.5],
-                                  [0.0, 0.0, 1.0]]),
-            mixtures=tuple(
-                hmm.GaussianMixture(weights=np.array([1.0]),
-                                    means=np.zeros((1, 1)),
-                                    variances=np.ones((1, 1)))
-                for _ in range(3)))
+        model_from_states([[0.5, 0.25, 0.25], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]],
+                          [_STANDARD] * 3)
 
 
 def test_model_rejects_non_stochastic_rows():
     with pytest.raises(ValueError):
-        hmm.AcousticModel(
-            num_states=2, feature_dim=1,
-            transitions=np.array([[0.4, 0.4], [0.0, 1.0]]),
-            mixtures=tuple(
-                hmm.GaussianMixture(weights=np.array([1.0]),
-                                    means=np.zeros((1, 1)),
-                                    variances=np.ones((1, 1)))
-                for _ in range(2)))
+        model_from_states([[0.4, 0.4], [0.0, 1.0]], [_STANDARD] * 2)
 
 
 def test_mixture_rejects_bad_weights():
     with pytest.raises(ValueError):
-        hmm.GaussianMixture(weights=np.array([0.5, 0.4]),
-                            means=np.zeros((2, 1)),
-                            variances=np.ones((2, 1)))
+        model_from_states([[1.0]], [([0.5, 0.4], np.zeros((2, 1)),
+                                     np.ones((2, 1)))])
 
 
 def test_mixture_rejects_nonpositive_variance():
     with pytest.raises(ValueError):
-        hmm.GaussianMixture(weights=np.array([1.0]),
-                            means=np.zeros((1, 1)),
-                            variances=np.zeros((1, 1)))
+        model_from_states([[1.0]], [([1.0], [[0.0]], [[0.0]])])
 
 
 _NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("weights, means, variances", [
+    ([_NAN], [[0.0]], [[_NAN]]),
+    ([_NAN], [[0.0]], [[1.0]]),
+    ([1.0], [[0.0]], [[_NAN]]),
+    ([1.0], [[_NAN]], [[1.0]]),
+    ([1.0], [[_INF]], [[1.0]]),
+    ([1.0], [[-_INF]], [[1.0]]),
+    ([1.0], [[0.0]], [[_INF]]),
+    ([_INF, 0.0], [[0.0], [1.0]], [[1.0], [1.0]]),
+], ids=["nan weight and variance", "nan weight", "nan variance", "nan mean",
+        "inf mean", "-inf mean", "inf variance", "inf weight"])
+def test_mixture_rejects_non_finite_parameters(weights, means, variances):
+    with pytest.raises(ValueError):
+        model_from_states([[1.0]], [(weights, means, variances)])
+
+
+@pytest.mark.parametrize("weights, means, variances, message", [
+    ([_NAN], [[0.0]], [[_NAN]], "weights must be non-negative and sum to 1"),
+    ([1.0], [[_INF]], [[1.0]], "means must be finite"),
+    ([1.0], [[0.0]], [[0.0]],
+     "variances must be finite and strictly positive"),
+    ([0.5], [[0.0]], [[1.0]], "weights must be non-negative and sum to 1"),
+    ([-1.0, 2.0], [[0.0], [1.0]], [[1.0], [1.0]],
+     "weights must be non-negative and sum to 1"),
+], ids=["nan", "inf mean", "zero variance", "weights sum to 0.5",
+        "negative weight"])
+def test_array_model_makes_the_mixture_checks(weights, means, variances,
+                                              message):
+    with pytest.raises(ValueError) as error:
+        hmm.AcousticModel(
+            np.array([[1.0]]), np.array(weights)[:, None],
+            np.array(means)[:, None], np.array(variances)[:, None],
+            np.array([len(weights)]))
+    assert str(error.value) == message
+
+
+@pytest.mark.parametrize("transitions", [
+    [[_NAN, _NAN], [0.0, 1.0]],
+    [[1.0, 0.0], [0.0, _NAN]],
+    [[_INF, 0.0], [0.0, 1.0]],
+], ids=["nan row", "nan absorbing state", "inf self-loop"])
+def test_model_rejects_non_finite_transitions(transitions):
+    with pytest.raises(ValueError):
+        model_from_states(transitions, [_STANDARD] * 2)
+
+
+# two states in one dimension; the second has one component, so its second
+# slot is padding
+_GRID = {"transitions": [[0.5, 0.5], [0.0, 1.0]],
+         "weights": [[0.5, 1.0], [0.5, 0.0]],
+         "means": [[[0.0], [0.0]], [[1.0], [0.0]]],
+         "variances": np.ones((2, 2, 1)), "counts": [2, 1]}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"weights": [0.5, 0.5]}, "expected weights (M, N), means and variances"),
+    ({"means": np.zeros((2, 2))},
+     "expected weights (M, N), means and variances"),
+    ({"variances": np.ones((2, 2, 2))},
+     "expected weights (M, N), means and variances"),
+    ({"weights": np.full((2, 3), 0.5)},
+     "expected weights (M, N), means and variances"),
+    ({"transitions": [[1.0]]}, "transitions must be (2, 2)"),
+    ({"weights": np.ones((1, 0)), "means": np.zeros((1, 0, 1)),
+      "variances": np.ones((1, 0, 1)), "counts": np.zeros(0, dtype=int)},
+     "num_states must be >= 1"),
+], ids=["1-D weights", "2-D means", "variances unlike means",
+        "weights unlike means", "transitions", "no state"])
+def test_model_rejects_inconsistent_shapes(change, message):
+    with pytest.raises(ValueError) as error:
+        hmm.AcousticModel(**{**_GRID, **change})
+    assert str(error.value).startswith(message)
+
+
+@pytest.mark.parametrize("counts", [[0, 1], [2, 3], [2], [2, 1, 1],
+                                    [2.0, 1.0]],
+                         ids=["zero", "above M", "too few", "too many",
+                              "float"])
+def test_model_rejects_counts_outside_one_to_m(counts):
+    with pytest.raises(ValueError, match=r"counts must be 2 integers in "
+                                         r"\[1, 2\]"):
+        hmm.AcousticModel(**{**_GRID, "counts": counts})
+
+
+@pytest.mark.parametrize("name, value", [
+    ("weights", 0.25), ("means", 1.0), ("variances", 2.0)])
+def test_model_rejects_non_canonical_padding(name, value):
+    # a weight in the padding slot also breaks its state's sum
+    arrays = {k: np.array(v, dtype=float) for k, v in _GRID.items()}
+    arrays["counts"] = np.array(_GRID["counts"])
+    arrays[name][1, 1] = value
+    with pytest.raises(ValueError, match="padding must have weight 0, mean 0 "
+                                         "and variance 1"):
+        hmm.AcousticModel(**arrays)
+    assert hmm.AcousticModel(**_GRID).counts.tolist() == [2, 1]
 
 
 def _feature_sequence(arrays):
     return FeatureSequence(vectors=arrays["vectors"])
 
 
-def _mixture(arrays):
-    return hmm.GaussianMixture(weights=arrays["weights"],
-                               means=arrays["means"],
-                               variances=arrays["variances"])
-
-
 def _acoustic_model(arrays):
-    return hmm.AcousticModel(num_states=2, feature_dim=3,
-                             transitions=arrays["transitions"],
-                             mixtures=[_mixture(arrays)] * 2)
+    return hmm.AcousticModel(arrays["transitions"], arrays["weights"],
+                             arrays["means"], arrays["variances"], [2, 2])
 
 
 @pytest.mark.parametrize("build, names", [
     (_feature_sequence, ("vectors",)),
-    (_mixture, ("weights", "means", "variances")),
     (_acoustic_model, ("transitions", "weights", "means", "variances")),
-], ids=["FeatureSequence", "GaussianMixture", "AcousticModel"])
+], ids=["FeatureSequence", "AcousticModel"])
 def test_constructors_leave_the_callers_arrays_writeable(build, names):
-    arrays = {"vectors": np.zeros((4, 16)), "weights": np.array([0.25, 0.75]),
-              "means": np.zeros((2, 3)), "variances": np.ones((2, 3)),
+    arrays = {"vectors": np.zeros((4, 16)),
+              "weights": np.array([[0.25, 0.5], [0.75, 0.5]]),
+              "means": np.zeros((2, 2, 3)), "variances": np.ones((2, 2, 3)),
               "transitions": np.array([[0.5, 0.5], [0.0, 1.0]])}
     built = build(arrays)
     before = {name: np.array(getattr(built, name)) for name in names}
@@ -956,39 +999,6 @@ def test_read_only_input_is_kept_without_a_copy():
     assert not payload.flags.writeable
     assert FeatureSequence(vectors=payload.reshape(2, 16)).vectors.base \
         is payload
-
-
-@pytest.mark.parametrize("weights, means, variances", [
-    ([_NAN], [[0.0]], [[_NAN]]),
-    ([_NAN], [[0.0]], [[1.0]]),
-    ([1.0], [[0.0]], [[_NAN]]),
-    ([1.0], [[_NAN]], [[1.0]]),
-    ([1.0], [[_INF]], [[1.0]]),
-    ([1.0], [[-_INF]], [[1.0]]),
-    ([1.0], [[0.0]], [[_INF]]),
-    ([_INF, 0.0], [[0.0], [1.0]], [[1.0], [1.0]]),
-], ids=["nan weight and variance", "nan weight", "nan variance", "nan mean",
-        "inf mean", "-inf mean", "inf variance", "inf weight"])
-def test_mixture_rejects_non_finite_parameters(weights, means, variances):
-    with pytest.raises(ValueError):
-        hmm.GaussianMixture(weights=np.array(weights), means=np.array(means),
-                            variances=np.array(variances))
-
-
-@pytest.mark.parametrize("transitions", [
-    [[_NAN, _NAN], [0.0, 1.0]],
-    [[1.0, 0.0], [0.0, _NAN]],
-    [[_INF, 0.0], [0.0, 1.0]],
-], ids=["nan row", "nan absorbing state", "inf self-loop"])
-def test_model_rejects_non_finite_transitions(transitions):
-    with pytest.raises(ValueError):
-        hmm.AcousticModel(
-            num_states=2, feature_dim=1, transitions=np.array(transitions),
-            mixtures=tuple(
-                hmm.GaussianMixture(weights=np.array([1.0]),
-                                    means=np.zeros((1, 1)),
-                                    variances=np.ones((1, 1)))
-                for _ in range(2)))
 
 
 # --- persistence -------------------------------------------------------------
@@ -1020,14 +1030,11 @@ def _unequal_model(rng, counts=(3, 1, 2), dim=4):
     """A model whose states have the given component counts."""
     base = random_model(rng, num_states=len(counts), num_mixtures=max(counts),
                         dim=dim)
-    mixtures = []
+    states = []
     for mix, c in zip(base.mixtures, counts):
         raw = rng.uniform(0.2, 1.0, size=c)
-        mixtures.append(hmm.GaussianMixture(weights=raw / raw.sum(),
-                                            means=mix.means[:c],
-                                            variances=mix.variances[:c]))
-    return hmm.AcousticModel(num_states=len(counts), feature_dim=dim,
-                             transitions=base.transitions, mixtures=mixtures)
+        states.append((raw / raw.sum(), mix.means[:c], mix.variances[:c]))
+    return model_from_states(base.transitions, states)
 
 
 def test_save_model_writes_shape_header_and_parameters(tmp_path):
@@ -1090,68 +1097,6 @@ def test_mixture_views_are_read_only_parameters(tmp_path):
     for model in (seeded, unequal, trained, loaded):
         _assert_views_match_arrays(model)
     assert list(trained.counts) == list(loaded.counts) == [3, 1, 2]
-
-
-def _feature_sequence(arrays):
-    return FeatureSequence(vectors=arrays["vectors"])
-
-
-def _mixture(arrays):
-    return hmm.GaussianMixture(weights=arrays["weights"],
-                               means=arrays["means"],
-                               variances=arrays["variances"])
-
-
-def _acoustic_model(arrays):
-    return hmm.AcousticModel(num_states=2, feature_dim=3,
-                             transitions=arrays["transitions"],
-                             mixtures=[_mixture(arrays)] * 2)
-
-
-@pytest.mark.parametrize("build, names", [
-    (_feature_sequence, ("vectors",)),
-    (_mixture, ("weights", "means", "variances")),
-    (_acoustic_model, ("transitions", "weights", "means", "variances")),
-], ids=["FeatureSequence", "GaussianMixture", "AcousticModel"])
-def test_constructors_leave_the_callers_arrays_writeable(build, names):
-    arrays = {"vectors": np.zeros((4, 16)), "weights": np.array([0.25, 0.75]),
-              "means": np.zeros((2, 3)), "variances": np.ones((2, 3)),
-              "transitions": np.array([[0.5, 0.5], [0.0, 1.0]])}
-    built = build(arrays)
-    before = {name: np.array(getattr(built, name)) for name in names}
-    for name in names:
-        assert arrays[name].flags.writeable
-        arrays[name] += 1.0          # a later write does not reach the object
-    for name in names:
-        assert np.array_equal(getattr(built, name), before[name])
-        assert not getattr(built, name).flags.writeable
-
-
-def test_read_only_input_is_kept_without_a_copy():
-    payload = np.frombuffer(np.arange(32, dtype="<f8").tobytes())
-    assert not payload.flags.writeable
-    assert FeatureSequence(vectors=payload.reshape(2, 16)).vectors.base \
-        is payload
-
-
-@pytest.mark.parametrize("weights, means, variances", [
-    ([_NAN], [[0.0]], [[_NAN]]),
-    ([1.0], [[_INF]], [[1.0]]),
-    ([1.0], [[0.0]], [[0.0]]),
-    ([0.5], [[0.0]], [[1.0]]),
-    ([-1.0, 2.0], [[0.0], [1.0]], [[1.0], [1.0]]),
-], ids=["nan", "inf mean", "zero variance", "weights sum to 0.5",
-        "negative weight"])
-def test_array_model_makes_the_mixture_checks(weights, means, variances):
-    with pytest.raises(ValueError) as mixture_error:
-        hmm.GaussianMixture(weights=np.array(weights), means=np.array(means),
-                            variances=np.array(variances))
-    with pytest.raises(ValueError) as model_error:
-        hmm.AcousticModel._from_arrays(
-            np.array([[1.0]]), np.array(weights)[:, None],
-            np.array(means)[:, None], np.array(variances)[:, None],
-            np.array([len(weights)]))
-    assert str(model_error.value) == str(mixture_error.value)
 
 
 def test_interrupted_model_write_keeps_previous_file(tmp_path, monkeypatch):
