@@ -98,8 +98,6 @@ from .recognizer import (
 )
 from .supra import (
     FusionConfig,
-    SupraObservationSequence,
-    SuprasegmentalModel,
     fused_score,
     score_components,
     segment_summaries,

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
+import re
 import sys
 
 from . import corpus, evaluation, recognizer
@@ -47,10 +48,12 @@ EXIT_NUMERICAL = 3
 
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser exiting 1 on usage errors, with no flag abbreviations."""
+    """ArgumentParser exiting 1 on usage errors, with no flag abbreviations.
+    No flag starts with a digit, so -1e5 or -1,2 is a value, not a flag."""
 
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         self.print_usage(sys.stderr)

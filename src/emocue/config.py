@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, fields
 
 from . import hmm, supra
 from .corpus import SplitProtocol
+from .errors import _utf8
 from .supra import FusionConfig
 
 
@@ -122,7 +123,7 @@ _FIELDS = {f.name: f for f in fields(RunConfig)}
 def parse_config_file(path) -> dict:
     """Read `key = value` settings; returns a field-name -> value dict."""
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, _utf8(path, ValueError):
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

@@ -22,6 +22,7 @@ from .errors import (
     DuplicateUtteranceError,
     ManifestError,
     UnknownLabelError,
+    _utf8,
 )
 from .frontend import FEATURE_DIM, FeatureSequence, ProsodicTrack, UtteranceFeatures
 
@@ -78,7 +79,8 @@ def load_manifest(path, emotions=DEFAULT_EMOTIONS) -> list[UtteranceRecord]:
     records: list[UtteranceRecord] = []
     seen_keys: set = set()
     seen_ids: set = set()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh, \
+            _utf8(path, ManifestError):
         reader = csv.reader(fh, delimiter="\t")
         try:
             header = next(reader)

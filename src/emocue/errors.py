@@ -22,6 +22,18 @@ def _prefixed(what: str, kind: type[EmoCueError] = EmoCueError):
         raise type(exc)(f"{what}: {exc}") from exc
 
 
+@contextlib.contextmanager
+def _utf8(path, kind: type[Exception]):
+    """Re-raise a UnicodeDecodeError from reading the text file at path in
+    the block as kind, naming path."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        # the codec counts its byte position from the chunk it was given,
+        # not from the start of the file, so only the reason is kept
+        raise kind(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
 # --- audio / feature frontend ---
 
 class UnsupportedFormatError(EmoCueError):
@@ -35,7 +47,7 @@ class TooShortError(EmoCueError):
 # --- stored files ---
 
 class CorruptFileError(EmoCueError):
-    """A feature cache, model file or bank file is cut short or malformed."""
+    """A feature cache, model, bank or WAV file is cut short or malformed."""
 
 
 # --- HMM core ---

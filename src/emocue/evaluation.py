@@ -172,7 +172,7 @@ class TTestResult:
 def pooled_t_from_stats(mean_1: float, sd_1: float, mean_2: float, sd_2: float,
                         n_pool: int) -> TTestResult:
     """t statistic from already-summarized samples (reported means and SDs).
-    A non-finite mean or SD, or a negative SD, raises ValueError."""
+    A non-finite, negative or overflowing statistic raises ValueError."""
     if n_pool < 1:
         raise ValueError(f"n_pool must be >= 1, got {n_pool}")
     for name, value in (("mean_1", mean_1), ("sd_1", sd_1),
@@ -181,8 +181,13 @@ def pooled_t_from_stats(mean_1: float, sd_1: float, mean_2: float, sd_2: float,
             raise ValueError(f"{name} must be finite, got {value}")
         if name.startswith("sd") and value < 0.0:
             raise ValueError(f"{name} must be >= 0, got {value}")
-    sd_pooled = float(np.sqrt((sd_1 ** 2 + sd_2 ** 2) / n_pool))
-    diff = mean_2 - mean_1
+    # a numpy float's ** overflows to inf, where a Python float's raises
+    sd_1, sd_2 = np.float64(sd_1), np.float64(sd_2)
+    with np.errstate(over="ignore"):
+        sd_pooled = float(np.sqrt((sd_1 ** 2 + sd_2 ** 2) / n_pool))
+    diff = float(mean_2) - float(mean_1)
+    if not (math.isfinite(sd_pooled) and math.isfinite(diff)):
+        raise ValueError("the pooled SD or the mean difference overflows")
     if diff == 0.0:
         t = 0.0
     elif sd_pooled == 0.0:
@@ -201,19 +206,23 @@ def pooled_t(sample_1, sample_2, n_pool: int) -> TTestResult:
     Sample standard deviations use the n-1 denominator. n_pool is the n in
     the pooled-SD formula and is supplied by the caller rather than taken
     from the sample sizes, so reported statistics can be reproduced even
-    when a study pooled over a different n. A non-finite value raises
-    ValueError.
+    when a study pooled over a different n. A non-finite value, or a mean
+    or SD that overflows, raises ValueError naming its sample.
     """
     a = np.asarray(sample_1, dtype=np.float64)
     b = np.asarray(sample_2, dtype=np.float64)
     if a.size < 2 or b.size < 2:
         raise ValueError("each sample needs at least two values")
+    stats = []
     for name, sample in (("sample_1", a), ("sample_2", b)):
         bad = sample[~np.isfinite(sample)]
         if bad.size:
             raise ValueError(f"{name} value {bad[0]} is not finite")
-    return pooled_t_from_stats(a.mean(), a.std(ddof=1), b.mean(),
-                               b.std(ddof=1), n_pool)
+        with np.errstate(over="ignore", invalid="ignore"):
+            stats += [sample.mean(), sample.std(ddof=1)]
+        if not np.isfinite(stats[-2:]).all():
+            raise ValueError(f"{name} overflows: its mean or SD is not finite")
+    return pooled_t_from_stats(*stats, n_pool)
 
 
 # --- the two-stage against one-stage comparison ------------------------------
@@ -342,8 +351,7 @@ def _stage_a_scores(bank, records, features):
     # every alignment ends in the stack's last state, so every summary
     # sequence has one row per acoustic state
     summaries = np.concatenate(summaries)
-    prosodic = hmm.ModelStack([pair.supra.core for pair in pairs]
-                              * len(records))
+    prosodic = hmm.ModelStack([pair.supra for pair in pairs] * len(records))
     log_supra = prosodic.forward_log_likelihoods(summaries).reshape(
         log_acoustic.shape)
     if SWEEP_LENGTH_NORMALIZE:

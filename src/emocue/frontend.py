@@ -22,6 +22,7 @@ import scipy.fft
 from . import container
 from .container import readonly
 from .errors import (
+    CorruptFileError,
     NonFiniteObservationError,
     TooShortError,
     UnsupportedFormatError,
@@ -160,8 +161,9 @@ class UtteranceFeatures(NamedTuple):
 def load_audio(path) -> AudioClip:
     """Read a mono 16-bit 16 kHz PCM WAV file.
 
-    Raises UnsupportedFormatError for any other encoding, TooShortError for
-    clips below one analysis frame, and OSError for file-system failures.
+    Raises UnsupportedFormatError for any other encoding, CorruptFileError
+    for a file cut short, TooShortError for clips below one analysis frame,
+    and OSError for file-system failures.
     """
     try:
         with wave.open(str(path), "rb") as wav:
@@ -172,6 +174,8 @@ def load_audio(path) -> AudioClip:
             data = wav.readframes(wav.getnframes())
     except wave.Error as exc:
         raise UnsupportedFormatError(f"{path}: not a PCM WAV file ({exc})") from exc
+    except EOFError as exc:
+        raise CorruptFileError(f"{path}: WAV file is cut short") from exc
     if comptype != "NONE":
         raise UnsupportedFormatError(f"{path}: compressed WAV not supported")
     if channels != 1:
@@ -181,6 +185,8 @@ def load_audio(path) -> AudioClip:
             f"{path}: expected 16-bit samples, got {8 * sampwidth}-bit")
     if rate != SAMPLE_RATE:
         raise UnsupportedFormatError(f"{path}: expected {SAMPLE_RATE} Hz, got {rate}")
+    if len(data) % sampwidth:
+        raise CorruptFileError(f"{path}: WAV data is cut short inside a sample")
     with _prefixed(path, TooShortError):
         return AudioClip(samples=np.frombuffer(data, dtype="<i2"))
 

@@ -30,16 +30,17 @@ from .errors import (
     UnknownEmotionError,
     UnsupportedFormatError,
     _prefixed,
+    _utf8,
 )
 from .frontend import UtteranceFeatures
-from .supra import FusionConfig, SuprasegmentalModel, blend
+from .supra import FusionConfig, blend
 
 
 class EmotionModels(NamedTuple):
     """The acoustic and prosodic model pair of one emotion."""
 
     acoustic: hmm.AcousticModel
-    supra: SuprasegmentalModel
+    supra: hmm.AcousticModel
 
 
 @dataclass(frozen=True)
@@ -148,22 +149,19 @@ def _train(role: str, train_records,
     else:
         groups = {s: [r for r in train_records if r.speaker == s]
                   for s in speakers}
+    em = dict(max_iters=cfg.em_max_iters, tol=cfg.em_tol,
+              variance_floor=cfg.variance_floor)
     trained = {}
     for key, records in groups.items():
         utts = [features[r.id] for r in records]
         seqs = [u.features for u in utts]
         init = hmm.init_model(seqs, cfg.num_states, cfg.num_mixtures,
                               variance_floor=cfg.variance_floor)
-        model, report = hmm.baum_welch(init, seqs, max_iters=cfg.em_max_iters,
-                                       tol=cfg.em_tol,
-                                       variance_floor=cfg.variance_floor)
+        model, report = hmm.baum_welch(init, seqs, **em)
         if role == "emotion":
             trained[(key, "acoustic")] = model, report
             trained[(key, "supra")] = supra_mod.train_suprasegmental(
-                model, utts, cfg.num_supra_states,
-                num_mixtures=cfg.num_supra_mixtures,
-                max_iters=cfg.em_max_iters, tol=cfg.em_tol,
-                variance_floor=cfg.variance_floor)
+                model, utts, cfg.num_supra_states, cfg.num_supra_mixtures, **em)
         else:
             trained[key] = model, report
     return trained
@@ -229,12 +227,12 @@ def read_results(path) -> list[ResultRow]:
     """The ResultRows of a results file; blank lines and keys that are not
     ResultRow fields are ignored.
 
-    A line that is not JSON, a row that is not an object or lacks a field
-    or has one of another JSON type, and a file with no rows raise
-    ManifestError naming path (and path:line for a row).
+    Text that is not UTF-8, a line that is not JSON, a row that is not an
+    object or lacks a field or has one of another JSON type, and a file
+    with no rows raise ManifestError naming path (and path:line for a row).
     """
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, _utf8(path, ManifestError):
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -329,8 +327,7 @@ def _write_bank(directory, header: dict, roles: Mapping) -> None:
     entries, payload = [], []
     for role in _ROLE_LABELS:
         for key, (model, training) in roles.get(role, {}).items():
-            spec, data = hmm.encode_model(
-                model.core if isinstance(model, SuprasegmentalModel) else model)
+            spec, data = hmm.encode_model(model)
             entries.append({"role": role, "key": key, **spec,
                             "training": training})
             payload.append(data)

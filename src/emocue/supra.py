@@ -1,11 +1,13 @@
 """Suprasegmental layer: prosodic segment summaries and score fusion.
 
 An acoustic alignment cuts an utterance into per-state segments. Each
-segment is condensed into one 5-dimensional prosodic summary (F0 mean and
-slope, mean log energy, duration fraction, voicing ratio), and the summary
-sequence is scored by a small left-to-right model that sits on top of the
-acoustic one. The two log scores are blended by a weighting factor alpha:
-alpha 0 trusts only the acoustic model, alpha 1 only the prosodic one.
+segment is condensed into one row of 5 summary columns (mean voiced F0,
+F0 slope, mean log energy, duration fraction, voicing ratio), and
+segment_summaries and supra_observations return the rows as a read-only
+(S, 5) array. The prosodic model that scores them is an hmm.AcousticModel
+over the 5 summary columns, on top of the acoustic one. The two log scores
+are blended by a weighting factor alpha: alpha 0 trusts only the acoustic
+model, alpha 1 only the prosodic one.
 
 The summaries are taken per acoustic state: an alignment to an N-state
 acoustic model gives N of them. The prosodic model is sized by its own
@@ -35,51 +37,6 @@ from .frontend import ProsodicTrack
 SUPRA_DIM = 5
 DEFAULT_SUPRA_STATES = 3
 DEFAULT_SUPRA_MIXTURES = 3
-
-
-@dataclass(frozen=True)
-class SupraObservationSequence:
-    """Per-segment prosodic summaries of one aligned utterance.
-
-    Columns: mean voiced F0 (Hz), F0 slope (Hz/frame), mean log energy,
-    segment duration as a fraction of the utterance, voicing ratio. The
-    duration fractions cover the whole utterance, so they sum to 1.
-    """
-
-    vectors: np.ndarray  # (num_segments, 5)
-
-    def __post_init__(self):
-        vectors = np.asarray(self.vectors, dtype=np.float64)
-        if vectors.ndim != 2 or vectors.shape[1] != SUPRA_DIM:
-            raise ValueError(
-                f"vectors must have shape (K, {SUPRA_DIM}), got {vectors.shape}")
-        if vectors.shape[0] == 0:
-            raise ValueError("at least one segment required")
-        finite = np.isfinite(vectors).all(axis=1)
-        if not finite.all():
-            raise ValueError(f"segment {np.flatnonzero(~finite)[0]} of "
-                             f"{len(vectors)} is not finite")
-        if abs(vectors[:, 3].sum() - 1.0) > 1e-9:
-            raise ValueError("segment duration fractions must sum to 1")
-        object.__setattr__(self, "vectors", readonly(vectors))
-
-    def __len__(self) -> int:
-        return self.vectors.shape[0]
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.vectors, dtype=dtype, copy=copy)
-
-
-@dataclass(frozen=True)
-class SuprasegmentalModel:
-    """3-state (by default) LTR model over segment summaries."""
-
-    core: hmm.AcousticModel
-
-    def __post_init__(self):
-        if self.core.feature_dim != SUPRA_DIM:
-            raise ValueError(
-                f"suprasegmental emissions must be {SUPRA_DIM}-dimensional")
 
 
 @dataclass(frozen=True)
@@ -182,19 +139,15 @@ def summary_stack(paths, track: ProsodicTrack, num_states) -> np.ndarray:
 
 
 def segment_summaries(path, track: ProsodicTrack,
-                      num_states: int) -> SupraObservationSequence:
+                      num_states: int) -> np.ndarray:
     """Condense each aligned state segment into one prosodic summary vector:
     summary_stack of the one path, whose states lie below num_states."""
-    path = _state_indices(path)
-    if path.ndim != 1 or path.size != len(track):
-        raise LengthMismatchError(
-            f"path length {path.size} does not match track length {len(track)}")
-    return SupraObservationSequence(vectors=summary_stack(
-        path[None], track, num_states)[0])
+    return readonly(summary_stack(_state_indices(path)[None], track,
+                                  num_states)[0])
 
 
 def supra_observations(acoustic: hmm.AcousticModel,
-                       utterance) -> SupraObservationSequence:
+                       utterance) -> np.ndarray:
     """Align an utterance with the acoustic model and summarize its segments."""
     features, track = utterance
     path, _ = hmm.viterbi(acoustic, features)
@@ -207,7 +160,7 @@ def train_suprasegmental(acoustic: hmm.AcousticModel, utterances,
                          max_iters: int = hmm.EM_MAX_ITERS,
                          tol: float = hmm.EM_TOL,
                          variance_floor: float = hmm.VARIANCE_FLOOR,
-                         ) -> tuple[SuprasegmentalModel, hmm.TrainingReport]:
+                         ) -> tuple[hmm.AcousticModel, hmm.TrainingReport]:
     """Train the prosodic model on top of a trained acoustic model.
 
     Each utterance is Viterbi-aligned, its segment summaries form one
@@ -217,9 +170,8 @@ def train_suprasegmental(acoustic: hmm.AcousticModel, utterances,
     sequences = [supra_observations(acoustic, utt) for utt in utterances]
     init = hmm.init_model(sequences, num_supra_states, num_mixtures,
                           variance_floor=variance_floor)
-    core, report = hmm.baum_welch(init, sequences, max_iters=max_iters, tol=tol,
-                                  variance_floor=variance_floor)
-    return SuprasegmentalModel(core=core), report
+    return hmm.baum_welch(init, sequences, max_iters=max_iters, tol=tol,
+                          variance_floor=variance_floor)
 
 
 def stage_a_components(pairs, utterance, length_normalize: bool = False):
@@ -241,7 +193,7 @@ def stage_a_components(pairs, utterance, length_normalize: bool = False):
     for (_, supra), log_a, path, rows in zip(pairs, log_acoustic, paths,
                                              summaries):
         rows = rows[:path[-1] + 1]
-        log_s = hmm.forward_log_likelihood(supra.core, rows)
+        log_s = hmm.forward_log_likelihood(supra, rows)
         if length_normalize:
             log_a /= len(features)
             log_s /= len(rows)
@@ -249,7 +201,7 @@ def stage_a_components(pairs, utterance, length_normalize: bool = False):
     return scores
 
 
-def score_components(acoustic: hmm.AcousticModel, supra: SuprasegmentalModel,
+def score_components(acoustic: hmm.AcousticModel, supra: hmm.AcousticModel,
                      utterance, length_normalize: bool = False):
     """Acoustic and prosodic log scores of one utterance, before blending:
     stage_a_components of the one pair."""
@@ -267,7 +219,7 @@ def blend(log_acoustic: float, log_supra: float, alpha: float) -> float:
     return (1.0 - alpha) * log_acoustic + alpha * log_supra
 
 
-def fused_score(acoustic: hmm.AcousticModel, supra: SuprasegmentalModel,
+def fused_score(acoustic: hmm.AcousticModel, supra: hmm.AcousticModel,
                 utterance, cfg: FusionConfig = FusionConfig()) -> float:
     """The blend of an utterance's two log scores under cfg.
 
@@ -278,21 +230,25 @@ def fused_score(acoustic: hmm.AcousticModel, supra: SuprasegmentalModel,
                                    cfg.length_normalize), cfg.alpha)
 
 
-# A suprasegmental model is stored as its core model (hmm.encode_model).
+# A prosodic model is stored as any other model (hmm.encode_model).
 
 _SUPRA_MAGIC = b"EMOSM001"
 
 
-def decode_supra(spec: dict, payload) -> SuprasegmentalModel:
-    return SuprasegmentalModel(core=hmm.decode_model(spec, payload))
+def decode_supra(spec: dict, payload) -> hmm.AcousticModel:
+    model = hmm.decode_model(spec, payload)
+    if model.feature_dim != SUPRA_DIM:
+        raise ValueError(f"a prosodic model emits {SUPRA_DIM} columns, not "
+                         f"{model.feature_dim}")
+    return model
 
 
-def save_supra_model(model: SuprasegmentalModel, path) -> None:
+def save_supra_model(model: hmm.AcousticModel, path) -> None:
     """Write the model as a container file (see emocue.container)."""
-    spec, data = hmm.encode_model(model.core)
+    spec, data = hmm.encode_model(model)
     container.write(path, _SUPRA_MAGIC, spec, [data])
 
 
-def load_supra_model(path) -> SuprasegmentalModel:
+def load_supra_model(path) -> hmm.AcousticModel:
     return container.read(path, _SUPRA_MAGIC, "suprasegmental model",
                           decode_supra)

@@ -13,7 +13,7 @@ import pytest
 
 from emocue import RunConfig, cli, evaluation, recognizer
 from emocue.corpus import load_manifest, split_records, write_manifest
-from emocue.errors import NumericalUnderflowError
+from emocue.errors import CorruptFileError, NumericalUnderflowError
 from emocue.frontend import (
     SAMPLE_RATE,
     FeatureSequence,
@@ -158,12 +158,34 @@ def test_ttest_requires_n_pool():
      "mean_2 must be finite, got nan"),
     (["--mean1", "1", "--sd1", "1", "--mean2", "2", "--sd2", "inf"],
      "sd_2 must be finite, got inf"),
-], ids=["nan sample", "inf sample", "negative sd", "nan mean", "inf sd"])
+    (["--sample1", "1e308,1e308", "--sample2", "1,2"],
+     "sample_1 overflows: its mean or SD is not finite"),
+    (["--sample1", "1,2", "--sample2", "1e200,-1e200"],
+     "sample_2 overflows: its mean or SD is not finite"),
+    (["--mean1", "1", "--sd1", "1e200", "--mean2", "2", "--sd2", "1"],
+     "the pooled SD or the mean difference overflows"),
+    (["--mean1", "-1e308", "--sd1", "1", "--mean2", "1e308", "--sd2", "1"],
+     "the pooled SD or the mean difference overflows"),
+], ids=["nan sample", "inf sample", "negative sd", "nan mean", "inf sd",
+        "overflowing mean", "overflowing sd", "overflowing pooled sd",
+        "overflowing difference"])
 def test_ttest_rejects_bad_inputs(capsys, flags, message):
     code = cli.main(["ttest", *flags, "--n-pool", "3"])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err == f"configuration error: {message}\n"
+
+
+@pytest.mark.parametrize("flags, means", [
+    (["--mean1", "1", "--sd1", "1", "--mean2", "-1e5", "--sd2", "1"],
+     ("1.000", "-100000.000")),
+    (["--sample1", "-1,2", "--sample2", "-1e1,-.5"], ("0.500", "-5.250")),
+], ids=["stats", "samples"])
+def test_ttest_takes_negative_values(capsys, flags, means):
+    assert cli.main(["ttest", *flags, "--n-pool", "3"]) == 0
+    out = capsys.readouterr().out
+    for k, mean in enumerate(means, start=1):
+        assert f"sample {k}: mean {mean}," in out
 
 
 # --- gen-synthetic and config layering ---------------------------------------
@@ -288,6 +310,17 @@ def test_scoring_reads_model_shapes_from_the_bank(small_pipeline, tmp_path,
         (small_pipeline / name).read_bytes()
 
 
+def test_config_file_that_is_not_utf8_is_named(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"seed = 3  # \xff\n")
+    code = cli.main(["gen-synthetic", "--out-dir", str(tmp_path / "corpus"),
+                     "--config", str(cfg)])
+    assert code == 1
+    assert capsys.readouterr().err == (f"configuration error: {cfg}: not "
+                                       f"UTF-8 text (invalid start byte)\n")
+    assert not (tmp_path / "corpus").exists()
+
+
 def test_seed_flag_overrides_config_file(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("seed = 3\n")
@@ -331,6 +364,45 @@ def test_extract_rejects_cached_only_manifest(tmp_path, capsys):
                      "--out", str(tmp_path / "features.bin")])
     assert code == 2
     assert "nothing to extract" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"", "WAV file is cut short"),
+    (b"RIFF\x00\x00", "WAV file is cut short"),
+    (None, "WAV data is cut short inside a sample"),
+], ids=["empty", "cut header", "odd data"])
+def test_extract_names_a_damaged_wav(tmp_path, capsys, content, message):
+    wav = tmp_path / "clip.wav"
+    if content is None:
+        # a data chunk cut one byte into its 4801st sample
+        _write_wav(wav, np.zeros(SAMPLE_RATE))
+        data = wav.read_bytes()
+        wav.write_bytes(data[:44 + 9601])
+    else:
+        wav.write_bytes(content)
+    (tmp_path / "manifest.tsv").write_text(
+        "id\tspeaker\tgender\temotion\tsentence\trepetition\taudio\n"
+        "u1\ts1\tmale\tneutral\t1\t1\tclip.wav\n")
+    code = cli.main(["extract", "--manifest", str(tmp_path / "manifest.tsv"),
+                     "--out", str(tmp_path / "features.bin")])
+    assert code == 2
+    assert capsys.readouterr().err == f"data error: {wav}: {message}\n"
+    assert not (tmp_path / "features.bin").exists()
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("manifest.tsv", ["extract", "--manifest", "{path}", "--out", "{out}"]),
+    ("results.jsonl", ["evaluate", "--results", "{path}", "--out-dir",
+                       "{out}"]),
+], ids=["manifest", "results"])
+def test_text_input_that_is_not_utf8_is_named(tmp_path, capsys, name, argv):
+    path, out = tmp_path / name, tmp_path / "out"
+    path.write_bytes(b"id\tspeaker\xff\n")
+    code = cli.main([a.format(path=path, out=out) for a in argv])
+    assert code == 2
+    assert capsys.readouterr().err == (f"data error: {path}: not UTF-8 text "
+                                       f"(invalid start byte)\n")
+    assert not out.exists()
 
 
 # --- pipeline outputs --------------------------------------------------------
@@ -908,6 +980,32 @@ def test_identify_rejects_corrupt_bank(small_pipeline, tmp_path, capsys,
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and str(bank / "bank.bin") in err
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+def test_identify_refuses_a_prosodic_model_of_other_width(small_pipeline,
+                                                          tmp_path, capsys):
+    # the first emotion's prosodic entry re-encoded as a 16-column model
+    bank = tmp_path / "bank"
+    shutil.copytree(small_pipeline / "bank", bank)
+    header, roles = recognizer._read_bank(bank)
+    emotion = roles["emotion"]
+    first = header["emotions"][0]
+    emotion[(first, "supra")] = (emotion[(first, "acoustic")][0],
+                                 emotion[(first, "supra")][1])
+    recognizer._write_bank(bank, header, roles)
+    message = (f"{bank / 'bank.bin'}: malformed model bank: a prosodic model "
+               f"emits 5 columns, not 16")
+    with pytest.raises(CorruptFileError) as info:
+        recognizer.load_bank(bank)
+    assert str(info.value) == message
+    code = cli.main(["identify",
+                     "--manifest", str(small_pipeline / "corpus/manifest.tsv"),
+                     "--features", str(small_pipeline / "corpus/features.bin"),
+                     "--bank-dir", str(bank),
+                     "--out", str(tmp_path / "out.jsonl"), *SMALL_SPLIT])
+    assert code == 2
+    assert capsys.readouterr().err == f"data error: {message}\n"
     assert not (tmp_path / "out.jsonl").exists()
 
 

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 import emocue
 from emocue import hmm, supra
 from emocue.errors import (
+    CorruptFileError,
     IllegalPathError,
     LengthMismatchError,
     NoLegalPathError,
+    NonFiniteObservationError,
     UnsupportedFormatError,
 )
 from emocue.frontend import FeatureSequence, ProsodicTrack, UtteranceFeatures
@@ -52,9 +54,9 @@ def trained_pair():
 def test_constant_f0_segments():
     path = [0, 0, 0, 1, 1, 2]
     track = _track([100.0] * 6, [True] * 6, [-1.5] * 6)
-    seq = supra.segment_summaries(path, track, 3)
-    vectors = np.asarray(seq)
-    assert vectors.shape == (3, 5)
+    vectors = supra.segment_summaries(path, track, 3)
+    assert type(vectors) is np.ndarray and vectors.shape == (3, 5)
+    assert not vectors.flags.writeable
     np.testing.assert_allclose(vectors[:, 0], 100.0)          # F0 mean
     np.testing.assert_allclose(vectors[:, 1], 0.0, atol=1e-9)  # slope
     np.testing.assert_allclose(vectors[:, 2], -1.5)           # energy
@@ -169,9 +171,8 @@ def test_summary_stack_rejects_non_integer_path():
 
 def test_summaries_accept_whole_float_path():
     track = _track([0.0, 120.0, 130.0], [False, True, True])
-    assert np.array_equal(
-        supra.segment_summaries([0.0, 1.0, 1.0], track, 2).vectors,
-        supra.segment_summaries([0, 1, 1], track, 2).vectors)
+    assert np.array_equal(supra.segment_summaries([0.0, 1.0, 1.0], track, 2),
+                          supra.segment_summaries([0, 1, 1], track, 2))
 
 
 def _assert_stack_matches_loop(paths, f0, voiced, log_energy, num_states):
@@ -186,9 +187,8 @@ def _assert_stack_matches_loop(paths, f0, voiced, log_energy, num_states):
         np.testing.assert_allclose(
             rows[:used], loop_segment_summaries(path, f0, log_energy, voiced),
             rtol=1e-9, atol=1e-9)
-        assert np.array_equal(
-            rows[:used],
-            supra.segment_summaries(path, track, num_states).vectors)
+        assert np.array_equal(rows[:used],
+                              supra.segment_summaries(path, track, num_states))
         assert not rows[used:].any()
 
 
@@ -229,9 +229,9 @@ def test_summary_stack_matches_per_segment_loop(data):
     _assert_stack_matches_loop(paths, f0, voiced, log_energy, num_states)
 
 
+# of the observation types, only FeatureSequence wraps its array
 @pytest.mark.parametrize("seq", [
-    FeatureSequence(vectors=np.arange(32.0).reshape(2, 16)),
-    supra.SupraObservationSequence(vectors=[[1.0, 0.0, 0.0, 1.0, 1.0]])])
+    FeatureSequence(vectors=np.arange(32.0).reshape(2, 16))])
 def test_observation_sequences_honour_copy(seq):
     copied = np.array(seq, copy=True)
     assert copied.flags.writeable
@@ -244,21 +244,38 @@ def test_observation_sequences_honour_copy(seq):
         np.array(seq, dtype=np.float32, copy=False)
 
 
-def test_observation_sequence_validates_durations():
-    bad = np.zeros((2, 5))
-    bad[:, 3] = [0.5, 0.6]
-    with pytest.raises(ValueError):
-        supra.SupraObservationSequence(vectors=bad)
-
-
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("column", range(supra.SUPRA_DIM))
-def test_observation_sequence_refuses_non_finite_vectors(column, value):
-    vectors = np.array([[120.0, 0.5, -2.0, 0.5, 1.0],
-                        [0.0, 0.0, -3.0, 0.5, 0.0]])
+def test_observation_sequence_refuses_non_finite_vectors(trained_pair, column,
+                                                         value):
+    # a summary sequence is a plain (S, 5) array: the prosodic model refuses
+    # a non-finite one in training and in scoring, as any observation
+    _, model, _ = trained_pair
+    clean = np.array([[120.0, 0.5, -2.0, 0.4, 1.0],
+                      [0.0, 0.0, -3.0, 0.4, 0.0],
+                      [150.0, -1.0, -1.0, 0.2, 0.5]])
+    vectors = clean.copy()
     vectors[1, column] = value
-    with pytest.raises(ValueError, match="segment 1 of 2 is not finite"):
-        supra.SupraObservationSequence(vectors=vectors)
+    with pytest.raises(NonFiniteObservationError,
+                       match="^observation frame 1 of 3 is not finite$"):
+        hmm.forward_log_likelihood(model, vectors)
+    with pytest.raises(NonFiniteObservationError,
+                       match="^observation frame 1 of 3 in sequence 1 is not"):
+        hmm.init_model([clean, vectors], 3, 1)
+
+
+def test_nan_log_energy_is_refused_in_training_and_scoring(trained_pair):
+    acoustic, model, probe = trained_pair
+    log_energy = np.array(probe.prosody.log_energy)
+    log_energy[len(log_energy) // 2] = np.nan
+    bad = UtteranceFeatures(features=probe.features, prosody=ProsodicTrack(
+        f0=probe.prosody.f0, log_energy=log_energy,
+        voiced=probe.prosody.voiced))
+    with pytest.raises(NonFiniteObservationError,
+                       match=r"in sequence 1 is not finite$"):
+        supra.train_suprasegmental(acoustic, [probe, bad], 3, num_mixtures=1)
+    with pytest.raises(NonFiniteObservationError, match="is not finite$"):
+        supra.score_components(acoustic, model, bad)
 
 
 # --- alignment and training --------------------------------------------------
@@ -266,8 +283,8 @@ def test_observation_sequence_refuses_non_finite_vectors(column, value):
 
 def test_supra_observations_shape(trained_pair):
     acoustic, model, probe = trained_pair
-    seq = supra.supra_observations(acoustic, probe)
-    vectors = np.asarray(seq)
+    vectors = supra.supra_observations(acoustic, probe)
+    assert not vectors.flags.writeable
     assert vectors.shape[1] == 5
     assert 1 <= vectors.shape[0] <= acoustic.num_states
     assert vectors[:, 3].sum() == pytest.approx(1.0, abs=1e-9)
@@ -275,8 +292,9 @@ def test_supra_observations_shape(trained_pair):
 
 def test_train_suprasegmental_structure(trained_pair):
     _, model, _ = trained_pair
-    assert model.core.num_states == 3
-    assert model.core.feature_dim == 5
+    assert type(model) is hmm.AcousticModel
+    assert model.num_states == 3
+    assert model.feature_dim == 5
 
 
 # --- fusion ------------------------------------------------------------------
@@ -310,8 +328,7 @@ def test_fusion_length_normalization(trained_pair):
     norm_a, norm_s = supra.score_components(acoustic, model, probe,
                                             length_normalize=True)
     num_frames = np.asarray(probe.features).shape[0]
-    num_segments = np.asarray(
-        supra.supra_observations(acoustic, probe)).shape[0]
+    num_segments = len(supra.supra_observations(acoustic, probe))
     assert norm_a == pytest.approx(log_a / num_frames, abs=1e-12)
     assert norm_s == pytest.approx(log_s / num_segments, abs=1e-12)
     cfg = supra.FusionConfig(alpha=0.3, length_normalize=True)
@@ -351,17 +368,16 @@ def test_supra_roundtrip_bit_exact(tmp_path, trained_pair):
     path = tmp_path / "supra.bin"
     supra.save_supra_model(model, path)
     loaded = supra.load_supra_model(path)
-    np.testing.assert_array_equal(loaded.core.transitions,
-                                  model.core.transitions)
-    for a, b in zip(loaded.core.mixtures, model.core.mixtures):
+    np.testing.assert_array_equal(loaded.transitions, model.transitions)
+    for a, b in zip(loaded.mixtures, model.mixtures):
         np.testing.assert_array_equal(a.means, b.means)
     _, before = supra.score_components(acoustic, model, probe)
     _, after = supra.score_components(acoustic, loaded, probe)
     assert before == after
-    # the core model's shape header
+    # the model's own shape header
     magic, header, _ = container_parts(path.read_bytes())
     assert magic == b"EMOSM001"
-    assert header == hmm.encode_model(model.core)[0]
+    assert header == hmm.encode_model(model)[0]
 
 
 def test_supra_load_rejects_acoustic_file(tmp_path, trained_pair):
@@ -370,3 +386,14 @@ def test_supra_load_rejects_acoustic_file(tmp_path, trained_pair):
     hmm.save_model(acoustic, path)
     with pytest.raises(UnsupportedFormatError):
         supra.load_supra_model(path)
+
+
+def test_supra_load_refuses_a_model_of_other_width(tmp_path, trained_pair):
+    # a 16-column model stored under the prosodic model's magic
+    acoustic, _, _ = trained_pair
+    path = tmp_path / "supra.bin"
+    supra.save_supra_model(acoustic, path)
+    with pytest.raises(CorruptFileError) as info:
+        supra.load_supra_model(path)
+    assert str(info.value) == (f"{path}: malformed suprasegmental model: a "
+                               f"prosodic model emits 5 columns, not 16")
