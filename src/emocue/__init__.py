@@ -77,6 +77,7 @@ from .hmm import (
     AcousticModel,
     TrainingReport,
     baum_welch,
+    baum_welch_stack,
     forward_backward,
     forward_log_likelihood,
     init_model,

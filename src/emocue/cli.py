@@ -82,6 +82,20 @@ def _config_from(args) -> RunConfig:
                        **{name: getattr(args, name) for name in args.settings})
 
 
+def _numbers(flag: str, text: str) -> list[float]:
+    """The comma-separated numbers of a list flag. An item that is empty or
+    not a number raises ValueError naming the flag and the item's 1-based
+    position."""
+    values = []
+    for position, item in enumerate(text.split(","), start=1):
+        try:
+            values.append(float(item))
+        except ValueError:
+            raise ValueError(f"{flag} item {position} ({item!r}) is not a "
+                             f"number") from None
+    return values
+
+
 def _load_corpus(manifest_path, features_path):
     records = corpus.load_manifest(manifest_path)
     cache = read_feature_cache(features_path)
@@ -185,12 +199,12 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_sweep_alpha(args) -> int:
     cfg = _config_from(args)
+    alphas = evaluation.DEFAULT_ALPHAS
+    if args.alphas:
+        alphas = tuple(_numbers("--alphas", args.alphas))
     records, cache = _load_corpus(args.manifest, args.features)
     train, test = corpus.split_records(records, cfg.protocol)
     bank, features = recognizer.open_bank(args.bank_dir, train, test, cache)
-    alphas = evaluation.DEFAULT_ALPHAS
-    if args.alphas:
-        alphas = tuple(float(a) for a in args.alphas.split(","))
     with _prefixed(args.features):
         sweep = evaluation.alpha_sweep(bank, test, features, alphas=alphas)
     evaluation.write_sweep_tsv(sweep, args.out)
@@ -211,9 +225,9 @@ def _cmd_ttest(args) -> int:
         if not (args.sample1 and args.sample2):
             raise ValueError("pass either --sample1/--sample2 or "
                              "--mean1/--sd1/--mean2/--sd2")
-        sample_1 = [float(v) for v in args.sample1.split(",")]
-        sample_2 = [float(v) for v in args.sample2.split(",")]
-        result = evaluation.pooled_t(sample_1, sample_2, args.n_pool)
+        result = evaluation.pooled_t(_numbers("--sample1", args.sample1),
+                                     _numbers("--sample2", args.sample2),
+                                     args.n_pool)
     print(f"sample 1: mean {result.mean_1:.3f}, sd {result.sd_1:.3f}")
     print(f"sample 2: mean {result.mean_2:.3f}, sd {result.sd_2:.3f}")
     print(f"pooled sd (n = {result.n_pool}): {result.sd_pooled:.4f}")

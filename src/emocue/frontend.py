@@ -162,7 +162,8 @@ def load_audio(path) -> AudioClip:
     """Read a mono 16-bit 16 kHz PCM WAV file.
 
     Raises UnsupportedFormatError for any other encoding, CorruptFileError
-    for a file cut short, TooShortError for clips below one analysis frame,
+    for a file cut short (a data chunk with fewer samples than its header
+    declares included), TooShortError for clips below one analysis frame,
     and OSError for file-system failures.
     """
     try:
@@ -171,7 +172,8 @@ def load_audio(path) -> AudioClip:
             sampwidth = wav.getsampwidth()
             rate = wav.getframerate()
             comptype = wav.getcomptype()
-            data = wav.readframes(wav.getnframes())
+            declared = wav.getnframes()
+            data = wav.readframes(declared)
     except wave.Error as exc:
         raise UnsupportedFormatError(f"{path}: not a PCM WAV file ({exc})") from exc
     except EOFError as exc:
@@ -187,6 +189,10 @@ def load_audio(path) -> AudioClip:
         raise UnsupportedFormatError(f"{path}: expected {SAMPLE_RATE} Hz, got {rate}")
     if len(data) % sampwidth:
         raise CorruptFileError(f"{path}: WAV data is cut short inside a sample")
+    if len(data) // sampwidth != declared:
+        raise CorruptFileError(f"{path}: WAV data is cut short: "
+                               f"{len(data) // sampwidth} of {declared} "
+                               f"samples")
     with _prefixed(path, TooShortError):
         return AudioClip(samples=np.frombuffer(data, dtype="<i2"))
 

@@ -71,24 +71,48 @@ Numerics:
 
 Training:
 
-* baum_welch lays out a fit's K sequences once. Their frames are stacked
-  into one (F, D) block, with [x, x^2] beside it for x = obs minus the
-  frames' mean, so each E-step makes one emission product and one moment
-  product for all of them (moments about the mean keep each variance's
-  digits where raw ones cancel; the M-step adds the mean back). The
-  recursions run on a (K, T_max) grid that holds each sequence
-  left-aligned, every state's accumulate covering all K rows at once (the
-  padding costs work in proportion to how much the lengths differ). A
-  padded frame gets log emission 0. The forward pass is causal, so padding
-  never reaches a real frame. Backward from the end of the grid, each
-  padded step adds log(self-loop + advance), which is 0 up to rounding for
-  row-stochastic transitions, so beta at a sequence's last real frame is 0
-  as for the sequence alone. Counts are read at real frames only, and the
-  M-step updates every state at once. Against EM run one sequence at a time
-  on per-frame recursions (tests/oracles.py), fits take the same number of
+* baum_welch_stack runs G fits of one grid in lock-step, and baum_welch is
+  its one-fit view, so there is one EM implementation. Each iteration makes
+  one E-step and one M-step for every fit still running; a fit leaves when
+  it converges or reaches the cap, after exactly the iterations, the
+  log-likelihoods and the stop rule it has alone, and the rest run on. A
+  fit's frames are laid out once: its K sequences stacked into one (F, D)
+  block, with [x, x^2] beside it for x = obs minus the frames' mean (moments
+  about the mean keep each variance's digits where raw ones cancel; the
+  M-step adds the mean back). The fits' blocks are stacked in turn.
+* Every fit stays bit-equal to its lone run. OpenBLAS rounds a product by
+  its shape and numpy's pairwise sum depends on the length it reduces, so
+  each fit makes its own (M*N, 2D) by (2D, F_f) emission product and its
+  own (M*N, F_f) by (F_f, 2D) moment product, and its own sums over frames.
+  The elementwise work, the recursions and the M-step run once for all.
+  numpy sums an (N, 1) column pairwise and the columns of a wider array one
+  state at a time, so a fit's only sequence has its total taken as a row;
+  for the same reason a one-frame fit of a one-state model sums its
+  components alone.
+* The recursions run on (R, T) grids of all R sequences, every state's
+  accumulate covering all rows at once (padding costs work in proportion
+  to how much the lengths differ). A padded frame gets log emission 0. The
+  forward grid holds every sequence left-aligned: the pass is causal, so
+  padding never reaches a real frame. Backward from the end of a grid, each
+  padded step adds log(self-loop + advance), which is 0 only up to
+  rounding, so the backward grid holds each fit's block of rows ending at
+  its last column, sequences left-aligned inside it: each row has the
+  padding after it that its fit's own grid gives it, and no fit's backward
+  pass runs through another fit's. A row stuck at an offset of -inf is
+  stuck on both grids alike and takes the frame-by-frame path. Counts are
+  read at real frames only. Against EM run one sequence at a time on
+  per-frame recursions (tests/oracles.py), fits take the same number of
   iterations, converge alike and give every parameter to 1e-9.
-  Responsibilities below the smallest normal float (2.2e-308) are flushed
+* The E-step's arrays grow with the frames it holds: at its peak it has
+  about 4 KB allocated per frame of a 9-state, 10-mixture model. So
+  recognizer.train_role stacks a role's fits in groups under a frame budget
+  (recognizer.EM_STACK_FRAMES), and memory stays near what the largest lone
+  fit of a default-size bank needs.
+* Responsibilities below the smallest normal float (2.2e-308) are flushed
   to 0: exp and the BLAS product slow down many times on subnormals.
+* The M-step keeps each model's layout, signs and sums to 1; a parameter
+  that overflowed (or a variance floor of 0) sends the fits to the
+  constructor, which refuses them as it refuses any other model.
 * Seeding takes k-means cluster sums with one bincount, which adds each
   cluster's frames in the order members.mean(axis=0) does, so the labels
   and the seeded parameters equal a per-cluster loop's to the bit.
@@ -217,30 +241,14 @@ class AcousticModel:
 
     @cached_property
     def _emission(self) -> _EmissionTable:
-        m, n, dim = self.means.shape
-        real = np.arange(m)[:, None] < self.counts
-        # State-major, the order of the parameters in a file: the mean's
-        # last bits depend on the order of its terms, and EM carries them
-        # into every parameter it writes.
-        centre = self.means.transpose(1, 0, 2)[real.T].mean(axis=0)
-        centred = np.where(real[..., None], self.means - centre, 0.0)
-        prec = 1.0 / self.variances
-        with np.errstate(divide="ignore"):    # a zero weight's log is -inf
-            const = np.log(self.weights) - 0.5 * (
-                dim * _LOG_2PI + np.sum(np.log(self.variances), axis=2)
-                + np.sum(centred * centred * prec, axis=2))
-        coef = np.concatenate([-0.5 * prec, centred * prec], axis=2)
-        return _EmissionTable(centre=centre.reshape(1, 1, dim),
-                              coef=coef.reshape(1, m * n, 2 * dim),
-                              const=const.reshape(1, m * n, 1), grid=(m, n))
+        return _tables(self.weights[None], self.means[None],
+                       self.variances[None], self.counts[None])
 
     @cached_property
     def _band(self) -> tuple[np.ndarray, np.ndarray]:
         """Log self-loop (N, 1) and advance (N-1, 1) probabilities of the
         transition band: one model's rows of a stack's (see _forward)."""
-        with np.errstate(divide="ignore"):
-            return (np.log(np.diag(self.transitions))[:, None],
-                    np.log(np.diag(self.transitions, 1))[:, None])
+        return tuple(b.T for b in _log_band(self.transitions[None]))
 
 
 @dataclass(frozen=True)
@@ -320,6 +328,36 @@ class _EmissionTable(NamedTuple):
     grid: tuple[int, int]   # (M, N)
 
 
+def _log_band(transitions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Log self-loop (G, N) and advance (G, N-1) probabilities of G models'
+    stacked transitions (G, N, N)."""
+    with np.errstate(divide="ignore"):
+        return (np.log(np.diagonal(transitions, 0, 1, 2)),
+                np.log(np.diagonal(transitions, 1, 1, 2)))
+
+
+def _tables(weights, means, variances, counts) -> _EmissionTable:
+    """The emission tables of G models of one grid from their stacked padded
+    arrays: weights (G, M, N), means and variances (G, M, N, D) and counts
+    (G, N)."""
+    g, m, n, dim = means.shape
+    real = np.arange(m)[:, None] < counts[:, None]               # (G, M, N)
+    # State-major, the order of the parameters in a file: the mean's last
+    # bits depend on the order of its terms, and EM carries them into every
+    # parameter it writes.
+    centre = np.stack([mu.transpose(1, 0, 2)[r.T].mean(axis=0)
+                       for mu, r in zip(means, real)])[:, None]  # (G, 1, D)
+    centred = np.where(real[..., None], means - centre[:, None], 0.0)
+    prec = 1.0 / variances
+    with np.errstate(divide="ignore"):    # a zero weight's log is -inf
+        const = np.log(weights) - 0.5 * (
+            dim * _LOG_2PI + np.sum(np.log(variances), axis=3)
+            + np.sum(centred * centred * prec, axis=3))
+    coef = np.concatenate([-0.5 * prec, centred * prec], axis=3)
+    return _EmissionTable(centre=centre, coef=coef.reshape(g, m * n, 2 * dim),
+                          const=const.reshape(g, m * n, 1), grid=(m, n))
+
+
 def _emissions(table: _EmissionTable, obs: np.ndarray):
     """Weighted component log densities of K models, shape (K, M, N, T), and
     their mixture sums log b_j(o_t), state-major with shape (K, N, T), of
@@ -330,7 +368,14 @@ def _emissions(table: _EmissionTable, obs: np.ndarray):
     with np.errstate(over="ignore", invalid="ignore"):
         comp = table.coef @ np.concatenate((x * x, x), axis=2).transpose(0, 2, 1)
         comp += table.const
-    comp = comp.reshape(comp.shape[0], *table.grid, obs.shape[-2])
+    return _mixture_sums(comp.reshape(comp.shape[0], *table.grid,
+                                      obs.shape[-2]))
+
+
+def _mixture_sums(comp: np.ndarray):
+    """comp (K, M, N, T), with NaN mapped to -inf, and its sums over the M
+    axis in log space, shape (K, N, T). Elementwise in every frame, so a
+    block of frames gets the same sums alone as beside others."""
     # a NaN carries through the max, so finite peaks mean a finite block
     peak = comp.max(axis=1)
     if not np.isfinite(peak).all():
@@ -676,29 +721,17 @@ def init_model(sequences, num_states: int, num_mixtures: int,
 
 @dataclass(frozen=True)
 class _Batch:
-    """The K sequences of one fit, laid out once for every E-step.
-
-    Frames are stacked in sequence order (F frames in all). The recursions
-    run on a (K, T_max) grid that holds each sequence left-aligned, its
-    padding given log emission 0 (see the module notes).
-    """
+    """The K sequences of one fit, laid out once for every E-step: their
+    frames stacked in sequence order (F frames in all) and the moments the
+    M-step reads."""
 
     obs: np.ndarray       # (F, D) stacked frames
     shift: np.ndarray     # (D,) mean of the stacked frames
     moments: np.ndarray   # (F, 2D) [obs - shift, (obs - shift)^2]
-    cell: np.ndarray      # (F,) each frame's index in the flattened grid
-    grid: tuple[int, int] # (K, T_max)
-    seq: np.ndarray       # (F,) each frame's sequence
-    last: np.ndarray      # (K,) stacked index of each sequence's last frame
-    step: np.ndarray      # stacked indices of frames t >= 1 of a sequence
+    lengths: np.ndarray   # (K,) frames of each sequence
 
 
 def _batch(arrays) -> _Batch:
-    lengths = np.array([a.shape[0] for a in arrays])
-    t_max = int(lengths.max())
-    start = np.cumsum(lengths) - lengths
-    seq = np.repeat(np.arange(lengths.size), lengths)
-    t = np.arange(seq.size) - start[seq]
     obs = np.concatenate(arrays)
     # E[x^2] - mean^2 from raw moments cancels about 2000-fold on a feature
     # near 146 with variance 10. An outlier may overflow the shift or a
@@ -707,44 +740,153 @@ def _batch(arrays) -> _Batch:
         shift = obs.mean(axis=0)
         centred = obs - shift
         moments = np.concatenate((centred, centred * centred), axis=1)
-    return _Batch(obs=obs, shift=shift, moments=moments, cell=seq * t_max + t,
-                  grid=(lengths.size, t_max), seq=seq,
-                  last=start + lengths - 1, step=np.flatnonzero(t > 0))
+    return _Batch(obs=obs, shift=shift, moments=moments,
+                  lengths=np.array([a.shape[0] for a in arrays]))
+
+
+def _slices(sizes: np.ndarray) -> list[slice]:
+    ends = np.cumsum(sizes).tolist()
+    return [slice(end - size, end) for end, size in zip(ends, sizes.tolist())]
+
+
+class _Layout(NamedTuple):
+    """Where the frames and sequences of G fits sit in one lock-step E-step.
+
+    Frames are stacked fit by fit (F in all), and the sequences, the rows of
+    the grids, likewise (R in all). The forward grid (R, T) holds every
+    sequence left-aligned. The backward grid holds each fit's block of rows
+    ending at its last column, each sequence left-aligned in the block, so
+    every row has the padding after it that its fit's own grid gives it.
+    """
+
+    obs: np.ndarray        # (F, D) stacked frames
+    moments: list          # each fit's _Batch.moments
+    fit: np.ndarray        # (F,) each frame's fit
+    frames: list           # each fit's slice of the frames
+    steps: list            # each fit's slice of step
+    rows: list             # each fit's slice of the rows
+    row_fit: np.ndarray    # (R,) each row's fit
+    row: np.ndarray        # (F,) each frame's row
+    last: np.ndarray       # (R,) index of each row's last frame
+    step: np.ndarray       # indices of the frames t >= 1 of a sequence
+    alone: np.ndarray      # the rows that are their fit's only sequence
+    shared: np.ndarray     # the rows of fits of several sequences
+    forward: np.ndarray    # (F,) each frame's cell in the forward grid
+    backward: np.ndarray   # (F,) its cell in the backward grid
+    grid: tuple[int, int]  # (R, T)
+
+
+def _layout(batches) -> _Layout:
+    lengths = np.concatenate([b.lengths for b in batches])
+    sequences = np.array([b.lengths.size for b in batches])
+    frames = np.array([b.obs.shape[0] for b in batches])
+    t_max = int(lengths.max())
+    row_fit = np.repeat(np.arange(len(batches)), sequences)
+    start = np.cumsum(lengths) - lengths
+    row = np.repeat(np.arange(lengths.size), lengths)
+    t = np.arange(row.size) - start[row]
+    forward = row * t_max + t
+    lead = t_max - np.array([b.lengths.max() for b in batches])
+    return _Layout(
+        obs=np.concatenate([b.obs for b in batches]),
+        moments=[b.moments for b in batches],
+        fit=np.repeat(np.arange(len(batches)), frames),
+        frames=_slices(frames), steps=_slices(frames - sequences),
+        rows=_slices(sequences), row_fit=row_fit, row=row,
+        last=start + lengths - 1, step=np.flatnonzero(t > 0),
+        alone=np.flatnonzero(sequences[row_fit] == 1),
+        shared=np.flatnonzero(sequences[row_fit] > 1), forward=forward,
+        backward=forward + lead[row_fit][row] if lead.any() else forward,
+        grid=(lengths.size, t_max))
 
 
 class _Counts(NamedTuple):
-    """Expected counts of one E-step, component-major as in _emissions."""
+    """Expected counts of one E-step of G fits, component-major as in
+    _emissions."""
 
-    stay: np.ndarray      # (N-1,) transitions i -> i
-    move: np.ndarray      # (N-1,) transitions i -> i+1
-    resp: np.ndarray      # (M, N) component occupancies
-    obs_sum: np.ndarray   # (M, N, D) first moments about the batch shift
-    sq_sum: np.ndarray    # (M, N, D) second moments about the batch shift
+    stay: np.ndarray      # (G, N-1) transitions i -> i
+    move: np.ndarray      # (G, N-1) transitions i -> i+1
+    resp: np.ndarray      # (G, M, N) component occupancies
+    obs_sum: np.ndarray   # (G, M, N, D) first moments about the fit's shift
+    sq_sum: np.ndarray    # (G, M, N, D) second moments about the fit's shift
 
 
-def _expect(model: AcousticModel, batch: _Batch) -> tuple[_Counts, float]:
-    """One E-step over every sequence of the batch: the expected counts and
-    the total log-likelihood."""
-    comp, lb = (a[0] for a in _emissions(model._emission, batch.obs))
+class _Params(NamedTuple):
+    """The padded arrays of G models of one grid, stacked on a leading
+    axis."""
+
+    transitions: np.ndarray   # (G, N, N)
+    weights: np.ndarray       # (G, M, N)
+    means: np.ndarray         # (G, M, N, D)
+    variances: np.ndarray     # (G, M, N, D)
+    counts: np.ndarray        # (G, N)
+
+    def model(self, g: int) -> AcousticModel:
+        return AcousticModel(*(a[g] for a in self))
+
+
+def _expect(params: _Params, layout: _Layout):
+    """One E-step of every fit of the layout under its model in params: the
+    stacked expected counts and each fit's total log-likelihood.
+
+    Each fit makes its own emission and moment products and its own sums
+    over frames, the shapes its E-step has alone: OpenBLAS rounds by shape,
+    and numpy's pairwise sums depend on the length they reduce. The rest is
+    elementwise, or a recursion along one row, and runs once for all.
+    """
+    table = _tables(*params[1:])
+    m, n = table.grid
+    size = layout.obs.shape[0]
+    x = layout.obs - table.centre[layout.fit, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        products = np.concatenate((x * x, x), axis=1)
+        comp = np.empty((m * n, size))
+        for coef, const, frames in zip(table.coef, table.const, layout.frames):
+            block = comp[:, frames]
+            np.matmul(coef, products[frames].T, out=block)
+            block += const
+    comp, lb = (a[0] for a in _mixture_sums(comp.reshape(1, m, n, size)))
     # comp (M, N, F), lb (N, F)
-    n, k = model.num_states, batch.grid[0]
-    padded = np.zeros((n, k * batch.grid[1]))
-    padded[:, batch.cell] = lb
-    padded = padded.reshape(n, *batch.grid)
-    alpha = _forward(model._band, padded)[0].reshape(n, -1)[:, batch.cell]
-    beta = _backward(model._band, padded).reshape(n, -1)[:, batch.cell]
-    ll = _logsumexp(alpha[:, batch.last], axis=0)            # (K,)
+    if n == 1 and len(layout.frames) > 1:
+        # numpy adds the components of a lone (state, frame) cell pairwise,
+        # and those of a wider block one at a time: a one-frame fit of a
+        # one-state model sums its cell alone
+        for k in layout.frames:
+            if k.stop - k.start == 1:
+                lb[:, k] = _mixture_sums(comp[None, :, :, k])[1][0]
+
+    band = tuple(b[layout.row_fit].T                       # (N, R) rows
+                 for b in _log_band(params.transitions))
+    rows, t_len = layout.grid
+    grid = np.zeros((n, rows * t_len))
+    grid[:, layout.forward] = lb
+    alpha = _forward(band, grid.reshape(n, rows, t_len))[0]
+    alpha = alpha.reshape(n, -1)[:, layout.forward]
+    if layout.backward is not layout.forward:
+        grid = np.zeros((n, rows * t_len))
+        grid[:, layout.backward] = lb
+    beta = _backward(band, grid.reshape(n, rows, t_len))
+    beta = beta.reshape(n, -1)[:, layout.backward]
+
+    # numpy adds an (N, 1) column pairwise and the columns of a wider array
+    # one state at a time, so a fit's only sequence is summed as a row
+    ends = alpha[:, layout.last]
+    ll = np.empty(rows)
+    ll[layout.shared] = _logsumexp(ends[:, layout.shared], axis=0)
+    ll[layout.alone] = _logsumexp(
+        np.ascontiguousarray(ends[:, layout.alone].T), axis=1)
     if not np.isfinite(ll).all():
         raise NumericalUnderflowError("sequence has zero likelihood under the model")
-    ll_frame = ll[batch.seq]
+    ll_frame = ll[layout.row]
 
     # Band transition counts: xi summed over the steps t-1 -> t.
-    la_self, la_next = model._band
-    t = batch.step
+    la_self, la_next = band
+    t = layout.step
+    at = layout.row[t]
     ahead = lb[:, t] + beta[:, t] - ll_frame[t]
     came = alpha[:-1, t - 1]
-    stay = np.exp(came + la_self[:-1] + ahead[:-1]).sum(axis=1)
-    move = np.exp(came + la_next + ahead[1:]).sum(axis=1)
+    stay = np.exp(came + la_self[:-1, at] + ahead[:-1])
+    move = np.exp(came + la_next[:, at] + ahead[1:])
 
     # Responsibilities split each state's occupancy gamma across components;
     # where a state's emission underflowed, gamma is 0 and so is each share.
@@ -757,72 +899,138 @@ def _expect(model: AcousticModel, batch: _Batch) -> tuple[_Counts, float]:
     np.copyto(resp, 0.0, where=subnormal)
     np.exp(resp, out=resp)                                   # (M, N, F)
     np.copyto(resp, 0.0, where=subnormal)
-    m, _, f = resp.shape
-    moments = (resp.reshape(m * n, f) @ batch.moments).reshape(m, n, 2, -1)
-    counts = _Counts(stay=stay, move=move, resp=resp.sum(axis=2),
-                     obs_sum=moments[:, :, 0], sq_sum=moments[:, :, 1])
+    flat = resp.reshape(m * n, size)
+    moments = np.array([flat[:, k] @ fit_moments
+                        for k, fit_moments in zip(layout.frames,
+                                                  layout.moments)])
+    moments = moments.reshape(len(layout.frames), m, n, 2, -1)
+    counts = _Counts(
+        stay=np.array([stay[:, k].sum(axis=1) for k in layout.steps]),
+        move=np.array([move[:, k].sum(axis=1) for k in layout.steps]),
+        resp=np.array([resp[..., k].sum(axis=2) for k in layout.frames]),
+        obs_sum=moments[:, :, :, 0], sq_sum=moments[:, :, :, 1])
     # summed in sequence order, as a per-sequence loop adds them
-    return counts, sum(ll.tolist())
+    return counts, [sum(ll[k].tolist()) for k in layout.rows]
 
 
-def _reestimate(model: AcousticModel, counts: _Counts, shift: np.ndarray,
-                variance_floor: float) -> AcousticModel:
-    """The M-step for every state at once, from moments about shift.
+def _reestimate(params: _Params, counts: _Counts, shift: np.ndarray,
+                variance_floor: float) -> _Params:
+    """The M-step of G fits at once, every state of each, from moments about
+    each fit's shift (G, D).
 
     A state never left in the training data keeps its transition row, and a
     state never occupied keeps its weights, means and variances.
     """
-    transitions = np.array(model.transitions)
+    transitions = np.array(params.transitions)
     out = counts.stay + counts.move
-    i = np.flatnonzero(out > 0.0)
-    transitions[i, i] = counts.stay[i] / out[i]
-    transitions[i, i + 1] = counts.move[i] / out[i]
+    g, i = np.nonzero(out > 0.0)
+    transitions[g, i, i] = counts.stay[g, i] / out[g, i]
+    transitions[g, i, i + 1] = counts.move[g, i] / out[g, i]
 
     resp = counts.resp
-    total = resp.sum(axis=0)
-    weights = resp / np.where(total > 0.0, total, 1.0)
-    seen = (resp > 0.0)[:, :, None]
-    mass = np.maximum(resp, 1e-300)[:, :, None]
-    centred = np.where(seen, counts.obs_sum / mass, model.means - shift)
+    total = resp.sum(axis=1)                                 # (G, N)
+    weights = resp / np.where(total > 0.0, total, 1.0)[:, None]
+    seen = (resp > 0.0)[..., None]
+    mass = np.maximum(resp, 1e-300)[..., None]
+    shift = shift[:, None, None]
+    centred = np.where(seen, counts.obs_sum / mass, params.means - shift)
     second = np.where(seen, counts.sq_sum / mass,
-                      model.variances + centred ** 2)
+                      params.variances + centred ** 2)
     variances = np.maximum(second - centred ** 2, variance_floor)
-    means = np.where(seen, centred + shift, model.means)
+    means = np.where(seen, centred + shift, params.means)
     # padding, and every component of a state never occupied, keep their
     # values bit for bit
-    fresh = (np.arange(len(resp))[:, None] < model.counts) & (total > 0.0)
-    return AcousticModel(
-        transitions, np.where(fresh, weights, model.weights),
-        np.where(fresh[..., None], means, model.means),
-        np.where(fresh[..., None], variances, model.variances), model.counts)
+    fresh = ((np.arange(resp.shape[1])[:, None] < params.counts[:, None])
+             & (total > 0.0)[:, None])
+    new = _Params(transitions, np.where(fresh, weights, params.weights),
+                  np.where(fresh[..., None], means, params.means),
+                  np.where(fresh[..., None], variances, params.variances),
+                  params.counts)
+    # EM keeps each model's layout, signs and sums to 1; what it can break is
+    # a parameter that overflowed (or a variance floor of 0), and then the
+    # constructor refuses the model as it refuses any other
+    if not (all(np.isfinite(a).all() for a in new[:3])
+            and ((new.variances > 0.0) & (new.variances < np.inf)).all()):
+        for k in range(len(new.counts)):
+            new.model(k)
+    return new
+
+
+def baum_welch_stack(models, sequence_lists, max_iters: int = EM_MAX_ITERS,
+                     tol: float = EM_TOL,
+                     variance_floor: float = VARIANCE_FLOOR):
+    """baum_welch of G models of one grid (the same num_states, feature_dim
+    and component grid M), model g refined on sequence_lists[g], the fits
+    run in lock-step.
+
+    Each iteration makes one E-step and one M-step for every fit still
+    running; a fit leaves when it converges or reaches max_iters, after
+    exactly the iterations it runs alone. Returns G (model, TrainingReport)
+    pairs in order, each equal to baum_welch of its fit alone bit for bit.
+    Every fit's sequences are checked before the first E-step.
+    """
+    models, sequence_lists = tuple(models), tuple(sequence_lists)
+    if len(models) != len(sequence_lists):
+        raise ValueError(f"{len(models)} models for {len(sequence_lists)} "
+                         f"lists of sequences")
+    if not models:
+        return []
+    grids = sorted({a.means.shape for a in models})
+    if len(grids) > 1:
+        raise ValueError(f"stacked fits must share one (M, N, D) grid, got "
+                         f"{grids}")
+    batches = [_batch(_sequences(seqs, a.num_states, a.feature_dim))
+               for a, seqs in zip(models, sequence_lists)]
+    lls: list[list[float]] = [[] for _ in models]
+    converged = [False] * len(models)
+    done = list(models)
+    running = list(range(len(models)))
+    params = _Params(*map(np.stack, zip(*(
+        (a.transitions, a.weights, a.means, a.variances, a.counts)
+        for a in models))))
+    shift = np.stack([b.shift for b in batches])
+    layout = _layout(batches)
+    for _ in range(max_iters):
+        counts, totals = _expect(params, layout)
+        going = []
+        for k, (g, ll) in enumerate(zip(running, totals)):
+            lls[g].append(ll)
+            if len(lls[g]) > 1 and ll - lls[g][-2] < tol * max(
+                    1.0, abs(lls[g][-2])):
+                converged[g] = True
+                done[g] = params.model(k)
+            else:
+                going.append(k)
+        if not going:
+            break
+        params = _reestimate(_Params(*(a[going] for a in params)),
+                             _Counts(*(a[going] for a in counts)),
+                             shift[[running[k] for k in going]],
+                             variance_floor)
+        if len(going) < len(running):
+            running = [running[k] for k in going]
+            layout = _layout([batches[g] for g in running])
+    else:
+        for k, g in enumerate(running):
+            done[g] = params.model(k) if lls[g] else models[g]
+    return [(model, TrainingReport(log_likelihood_per_iteration=tuple(ll),
+                                   iterations_run=len(ll),
+                                   converged=flag))
+            for model, ll, flag in zip(done, lls, converged)]
 
 
 def baum_welch(model: AcousticModel, sequences, max_iters: int = EM_MAX_ITERS,
                tol: float = EM_TOL,
                variance_floor: float = VARIANCE_FLOOR):
-    """Multi-sequence EM refinement of an acoustic model.
+    """Multi-sequence EM refinement of an acoustic model: baum_welch_stack
+    of the one fit.
 
     Stops once the relative log-likelihood improvement falls below tol or
     after max_iters expectation passes. Returns the refined model and a
     TrainingReport; the report's likelihood list is non-decreasing.
     """
-    batch = _batch(_sequences(sequences, model.num_states,
-                              model.feature_dim))
-    current = model
-    lls: list[float] = []
-    converged = False
-    for _ in range(max_iters):
-        counts, ll = _expect(current, batch)
-        lls.append(ll)
-        if len(lls) > 1:
-            gain = lls[-1] - lls[-2]
-            if gain < tol * max(1.0, abs(lls[-2])):
-                converged = True
-                break
-        current = _reestimate(current, counts, batch.shift, variance_floor)
-    return current, TrainingReport(log_likelihood_per_iteration=tuple(lls),
-                                   iterations_run=len(lls),
-                                   converged=converged)
+    return baum_welch_stack([model], [sequences], max_iters, tol,
+                            variance_floor)[0]
 
 
 # --- persistence -------------------------------------------------------------

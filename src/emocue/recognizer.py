@@ -121,6 +121,31 @@ def _ordered_labels(values) -> tuple[str, ...]:
     return tuple(dict.fromkeys(values))
 
 
+# A role's EM fits run through hmm.baum_welch_stack in groups, filled in
+# role order while their frames sum to at most this many; a fit above it
+# runs alone. A stacked E-step of a 9-state, 10-mixture model peaks at about
+# 4 KB allocated per frame, so a group needs about what the largest lone
+# fit of a default-size bank (some 1440 frames) needs, and fewer, larger
+# groups gain little more time.
+EM_STACK_FRAMES = 1400
+
+
+def _fit_all(inits, sequence_lists, em: dict) -> list:
+    """baum_welch of each init on its sequences, as (model, report) pairs in
+    order, run in lock-step groups under EM_STACK_FRAMES."""
+    groups = []
+    for k, seqs in enumerate(sequence_lists):
+        size = sum(len(s) for s in seqs)
+        if groups and frames + size <= EM_STACK_FRAMES:
+            groups[-1].append(k)
+            frames += size
+        else:
+            groups.append([k])
+            frames = size
+    return [fit for group in groups for fit in hmm.baum_welch_stack(
+        [inits[k] for k in group], [sequence_lists[k] for k in group], **em)]
+
+
 def _train(role: str, train_records,
            features: Mapping[str, UtteranceFeatures], cfg: RunConfig) -> dict:
     """Every model of one role with its TrainingReport, as train_role
@@ -130,7 +155,8 @@ def _train(role: str, train_records,
     model and trains the prosodic model on its alignments. The speaker role
     fits one acoustic model per (speaker, emotion) cell, the one-stage role
     one per speaker, pooled over every emotion. Labels are taken in
-    first-appearance order.
+    first-appearance order. The role's fits run through _fit_all: for the
+    emotion role the acoustic fits, then the prosodic ones.
     """
     emotions = _ordered_labels(r.emotion for r in train_records)
     speakers = _ordered_labels(r.speaker for r in train_records)
@@ -151,19 +177,21 @@ def _train(role: str, train_records,
                   for s in speakers}
     em = dict(max_iters=cfg.em_max_iters, tol=cfg.em_tol,
               variance_floor=cfg.variance_floor)
+    utts = [[features[r.id] for r in records] for records in groups.values()]
+    seqs = [[u.features for u in cell] for cell in utts]
+    fits = _fit_all([hmm.init_model(cell, cfg.num_states, cfg.num_mixtures,
+                                    variance_floor=cfg.variance_floor)
+                     for cell in seqs], seqs, em)
+    if role != "emotion":
+        return dict(zip(groups, fits))
+    inits, summaries = zip(*(supra_mod.seed_suprasegmental(
+        model, cell, cfg.num_supra_states, cfg.num_supra_mixtures,
+        cfg.variance_floor) for (model, _), cell in zip(fits, utts)))
     trained = {}
-    for key, records in groups.items():
-        utts = [features[r.id] for r in records]
-        seqs = [u.features for u in utts]
-        init = hmm.init_model(seqs, cfg.num_states, cfg.num_mixtures,
-                              variance_floor=cfg.variance_floor)
-        model, report = hmm.baum_welch(init, seqs, **em)
-        if role == "emotion":
-            trained[(key, "acoustic")] = model, report
-            trained[(key, "supra")] = supra_mod.train_suprasegmental(
-                model, utts, cfg.num_supra_states, cfg.num_supra_mixtures, **em)
-        else:
-            trained[key] = model, report
+    for e, acoustic, prosodic in zip(groups, fits,
+                                     _fit_all(inits, summaries, em)):
+        trained[(e, "acoustic")] = acoustic
+        trained[(e, "supra")] = prosodic
     return trained
 
 

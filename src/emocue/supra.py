@@ -154,6 +154,21 @@ def supra_observations(acoustic: hmm.AcousticModel,
     return segment_summaries(path, track, acoustic.num_states)
 
 
+def seed_suprasegmental(acoustic: hmm.AcousticModel, utterances,
+                        num_supra_states: int = DEFAULT_SUPRA_STATES,
+                        num_mixtures: int = DEFAULT_SUPRA_MIXTURES,
+                        variance_floor: float = hmm.VARIANCE_FLOOR):
+    """The seeded prosodic model and its training sequences.
+
+    Each utterance is Viterbi-aligned with the acoustic model and its
+    segment summaries form one training sequence; hmm.init_model seeds a
+    num_supra_states-state model on them. Returns (model, sequences).
+    """
+    sequences = [supra_observations(acoustic, utt) for utt in utterances]
+    return (hmm.init_model(sequences, num_supra_states, num_mixtures,
+                           variance_floor=variance_floor), sequences)
+
+
 def train_suprasegmental(acoustic: hmm.AcousticModel, utterances,
                          num_supra_states: int = DEFAULT_SUPRA_STATES,
                          num_mixtures: int = DEFAULT_SUPRA_MIXTURES,
@@ -161,15 +176,11 @@ def train_suprasegmental(acoustic: hmm.AcousticModel, utterances,
                          tol: float = hmm.EM_TOL,
                          variance_floor: float = hmm.VARIANCE_FLOOR,
                          ) -> tuple[hmm.AcousticModel, hmm.TrainingReport]:
-    """Train the prosodic model on top of a trained acoustic model.
-
-    Each utterance is Viterbi-aligned, its segment summaries form one
-    training sequence, and the summary model is initialized and refined
-    with the shared HMM machinery into a num_supra_states-state model.
-    """
-    sequences = [supra_observations(acoustic, utt) for utt in utterances]
-    init = hmm.init_model(sequences, num_supra_states, num_mixtures,
-                          variance_floor=variance_floor)
+    """Train the prosodic model on top of a trained acoustic model: the
+    seed_suprasegmental model refined by hmm.baum_welch on its sequences."""
+    init, sequences = seed_suprasegmental(acoustic, utterances,
+                                          num_supra_states, num_mixtures,
+                                          variance_floor)
     return hmm.baum_welch(init, sequences, max_iters=max_iters, tol=tol,
                           variance_floor=variance_floor)
 

@@ -11,7 +11,7 @@ import wave
 import numpy as np
 import pytest
 
-from emocue import RunConfig, cli, evaluation, recognizer
+from emocue import RunConfig, cli, evaluation, hmm, recognizer
 from emocue.corpus import load_manifest, split_records, write_manifest
 from emocue.errors import CorruptFileError, NumericalUnderflowError
 from emocue.frontend import (
@@ -173,6 +173,23 @@ def test_ttest_rejects_bad_inputs(capsys, flags, message):
     code = cli.main(["ttest", *flags, "--n-pool", "3"])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
+    assert captured.err == f"configuration error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["ttest", "--sample1", "1,,2", "--sample2", "3,4", "--n-pool", "3"],
+     "--sample1 item 2 ('') is not a number"),
+    (["ttest", "--sample1", "1,2", "--sample2", "3,4x", "--n-pool", "3"],
+     "--sample2 item 2 ('4x') is not a number"),
+    (["sweep-alpha", "--manifest", "none.tsv", "--features", "none.bin",
+      "--bank-dir", "none", "--out", "sweep.tsv", "--alphas", ",0.5"],
+     "--alphas item 1 ('') is not a number"),
+], ids=["empty sample item", "bad sample item", "empty weight"])
+def test_list_flag_names_its_bad_item(capsys, argv, message):
+    # the list is read before any file, so the missing files never matter
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
     assert captured.err == f"configuration error: {message}\n"
 
 
@@ -369,15 +386,16 @@ def test_extract_rejects_cached_only_manifest(tmp_path, capsys):
 @pytest.mark.parametrize("content, message", [
     (b"", "WAV file is cut short"),
     (b"RIFF\x00\x00", "WAV file is cut short"),
-    (None, "WAV data is cut short inside a sample"),
-], ids=["empty", "cut header", "odd data"])
+    (9601, "WAV data is cut short inside a sample"),
+    (9600, "WAV data is cut short: 4800 of 16000 samples"),
+], ids=["empty", "cut header", "odd data", "whole samples"])
 def test_extract_names_a_damaged_wav(tmp_path, capsys, content, message):
     wav = tmp_path / "clip.wav"
-    if content is None:
-        # a data chunk cut one byte into its 4801st sample
+    if isinstance(content, int):
+        # a data chunk of 16000 samples cut to its first content bytes
         _write_wav(wav, np.zeros(SAMPLE_RATE))
         data = wav.read_bytes()
-        wav.write_bytes(data[:44 + 9601])
+        wav.write_bytes(data[:44 + content])
     else:
         wav.write_bytes(content)
     (tmp_path / "manifest.tsv").write_text(
@@ -590,6 +608,38 @@ def test_sweep_rejects_weights_outside_unit_interval(small_pipeline, tmp_path,
     assert code == identify_code == 1
     assert "alpha must lie in [0, 1]" in err
     assert "alpha must lie in [0, 1]" in capsys.readouterr().err
+
+
+def test_zero_likelihood_fit_in_a_stacked_pass_exits_3(small_pipeline,
+                                                        tmp_path, monkeypatch,
+                                                        capsys):
+    # the second of six stacked speaker fits starts 1e5 away from its frames
+    # with variances of 1e-300, so every squared distance over a variance
+    # overflows: the pass stops with the message a lone fit gives, and no
+    # bank is written
+    seeded = []
+    init = hmm.init_model
+
+    def far_second(sequences, *args, **kwargs):
+        model = init(sequences, *args, **kwargs)
+        seeded.append(model)
+        if len(seeded) == 2:
+            model = hmm.AcousticModel(model.transitions, model.weights,
+                                      model.means + 1e5,
+                                      np.full_like(model.variances, 1e-300),
+                                      model.counts)
+        return model
+
+    monkeypatch.setattr(hmm, "init_model", far_second)
+    code = cli.main([
+        "train-speakers",
+        "--manifest", str(small_pipeline / "corpus/manifest.tsv"),
+        "--features", str(small_pipeline / "corpus/features.bin"),
+        "--bank-dir", str(tmp_path / "bank"), *SMALL_FLAGS, *SMALL_SPLIT])
+    assert code == 3 and len(seeded) == 6
+    assert capsys.readouterr().err == ("numerical failure: sequence has zero "
+                                       "likelihood under the model\n")
+    assert not (tmp_path / "bank").exists()
 
 
 def test_train_reports_em_cap_and_records_training(small_pipeline, tmp_path,

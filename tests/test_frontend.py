@@ -387,6 +387,16 @@ def test_load_audio_rejects_short_clip(tmp_path):
         frontend.load_audio(path)
 
 
+def test_load_audio_rejects_data_cut_at_a_whole_sample(tmp_path):
+    # the header declares 16000 samples; the data chunk holds 4800
+    path = tmp_path / "cut.wav"
+    _write_wav(path, np.zeros(16000, dtype=np.int16))
+    path.write_bytes(path.read_bytes()[:44 + 9600])
+    with pytest.raises(CorruptFileError, match=f"^{path}: WAV data is cut "
+                       f"short: 4800 of 16000 samples$"):
+        frontend.load_audio(path)
+
+
 def test_load_audio_rejects_garbage(tmp_path):
     path = tmp_path / "noise.bin"
     path.write_bytes(b"definitely not a wav file")

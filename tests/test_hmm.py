@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emocue import hmm
 from emocue.errors import (
@@ -816,6 +818,128 @@ def test_em_variance_keeps_its_digits_far_from_zero(offset):
     model, _ = hmm.baum_welch(_model_1state(offset, 10.0), seqs, max_iters=1)
     want = np.var(np.concatenate(seqs))
     assert abs(model.mixtures[0].variances[0, 0] - want) <= 1e-12 * want
+
+
+# --- lock-step EM against lone fits -------------------------------------------
+
+
+def _assert_fits_equal(got, want):
+    """Two (model, report) pairs equal bit for bit."""
+    (model, report), (alone, expected) = got, want
+    for name in ("transitions", "weights", "means", "variances", "counts"):
+        assert np.array_equal(getattr(model, name), getattr(alone, name)), name
+    assert report == expected
+
+
+def _zero_self_loop(model, j):
+    transitions = np.array(model.transitions)
+    transitions[j, j], transitions[j, j + 1] = 0.0, 1.0
+    return hmm.AcousticModel(transitions, model.weights, model.means,
+                             model.variances, model.counts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_stacked_fits_equal_lone_fits_bit_for_bit(data):
+    if data.draw(st.booleans(), label="prosodic shape"):
+        # 3 states of 3 components over 5 columns: a 9-row emission product
+        num_states, mixtures, dim = 3, 3, 5
+    else:
+        num_states = data.draw(st.integers(1, 6), label="num_states")
+        mixtures = data.draw(st.integers(1, 10), label="mixtures")
+        dim = data.draw(st.integers(1, 4), label="dim")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
+                                          label="seed"))
+    em = dict(max_iters=data.draw(st.integers(1, 12), label="max_iters"),
+              tol=data.draw(st.sampled_from([1e-2, 1e-4, 1e-9]), label="tol"))
+    models, lists = [], []
+    for _ in range(data.draw(st.integers(1, 5), label="fits")):
+        lengths = data.draw(st.lists(st.integers(num_states, num_states + 40),
+                                     min_size=1, max_size=6), label="lengths")
+        seqs = [rng.normal(size=(t, dim)) + rng.normal(size=dim)
+                for t in lengths]
+        model = hmm.init_model(seqs, num_states, mixtures)
+        kind = data.draw(st.sampled_from(["seeded", "converged",
+                                          "zero self-loop", "padded state"]),
+                         label="kind")
+        if kind == "converged":       # leaves the stack after two E-steps
+            model, _ = hmm.baum_welch(model, seqs, max_iters=100,
+                                      tol=em["tol"])
+        elif kind == "zero self-loop" and num_states > 1:
+            model = _zero_self_loop(model, int(rng.integers(num_states - 1)))
+        elif kind == "padded state" and mixtures > 1:
+            # one state keeps a single component: the others' grid, padded
+            states = [(m.weights, m.means, m.variances)
+                      for m in model.mixtures]
+            j = int(rng.integers(num_states))
+            states[j] = ([1.0], states[j][1][:1], states[j][2][:1])
+            model = model_from_states(model.transitions, states)
+            if model.means.shape[0] != mixtures:     # every state padded
+                continue
+        models.append(model)
+        lists.append(seqs)
+    for got, model, seqs in zip(hmm.baum_welch_stack(models, lists, **em),
+                                models, lists):
+        _assert_fits_equal(got, hmm.baum_welch(model, seqs, **em))
+
+
+def test_stack_fits_leave_on_their_own_iterations(monkeypatch):
+    # one fit converged beforehand, one stopped by the cap and one through
+    # the frame-by-frame fallback, with 1, 3 and 2 sequences of unequal
+    # lengths
+    rng = np.random.default_rng(80)
+    lists = [[rng.normal(size=(t, 3)) + rng.normal(size=3) for t in lengths]
+             for lengths in ((41,), (12, 30, 7), (25, 19))]
+    seeded = [hmm.init_model(seqs, 4, 3) for seqs in lists]
+    models = [hmm.baum_welch(seeded[0], lists[0], max_iters=500,
+                             tol=1e-6)[0],
+              seeded[1], _zero_self_loop(seeded[2], 1)]
+    calls = []
+    frames = hmm._frames
+    monkeypatch.setattr(hmm, "_frames",
+                        lambda *args: calls.append(1) or frames(*args))
+    stacked = hmm.baum_welch_stack(models, lists, max_iters=6, tol=1e-6)
+    assert calls
+    assert [report.iterations_run for _, report in stacked] == [2, 6, 6]
+    assert [report.converged for _, report in stacked] == [True, False, False]
+    assert stacked[2][0].transitions[1, 1] == 0.0
+    for got, model, seqs in zip(stacked, models, lists):
+        _assert_fits_equal(got, hmm.baum_welch(model, seqs, max_iters=6,
+                                               tol=1e-6))
+
+
+def test_stack_reports_a_zero_likelihood_fit_as_alone():
+    good = [np.array([[0.5], [-0.3], [1.2]])]
+    bad = [np.array([[1e200], [1e200]])]
+    model = _model_1state(0.0, 1.0)
+    with pytest.raises(NumericalUnderflowError) as alone:
+        hmm.baum_welch(model, bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalUnderflowError) as stacked:
+            hmm.baum_welch_stack([model, model, model], [good, bad, good])
+    assert str(stacked.value) == str(alone.value) == \
+        "sequence has zero likelihood under the model"
+
+
+def test_stack_refuses_fits_of_other_grids():
+    rng = np.random.default_rng(81)
+    seqs = [rng.normal(size=(20, 2))]
+    with pytest.raises(ValueError, match="one \\(M, N, D\\) grid"):
+        hmm.baum_welch_stack([hmm.init_model(seqs, 3, 2),
+                              hmm.init_model(seqs, 3, 1)], [seqs, seqs])
+    with pytest.raises(ValueError, match="2 models for 1 lists"):
+        hmm.baum_welch_stack([hmm.init_model(seqs, 3, 2)] * 2, [seqs])
+    assert hmm.baum_welch_stack([], []) == []
+
+
+def test_stack_without_iterations_returns_the_models():
+    rng = np.random.default_rng(82)
+    seqs = [rng.normal(size=(20, 2))]
+    model = hmm.init_model(seqs, 3, 2)
+    (same, report), = hmm.baum_welch_stack([model], [seqs], max_iters=0)
+    assert same is model
+    assert report == hmm.TrainingReport((), 0, False)
 
 
 @pytest.mark.parametrize("k", [1, 4, 10])

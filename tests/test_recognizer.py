@@ -527,6 +527,51 @@ def test_train_role_records_training_reports(tmp_path, tiny_trained):
         assert 1 <= report.iterations_run <= 3
 
 
+@pytest.mark.parametrize("role", ["emotion", "speaker", "one_stage"])
+def test_train_role_stacks_each_budget_group_once(tmp_path, tiny_trained,
+                                                  monkeypatch, role):
+    # A role's fits run as one hmm.baum_welch_stack pass per group, filled
+    # in role order while their frames fit EM_STACK_FRAMES (the emotion
+    # role's acoustic fits, then its prosodic ones). The models and reports
+    # do not depend on the grouping.
+    train, cache = tiny_trained["train"], tiny_trained["synth"].features
+    passes = []
+    stack = hmm.baum_welch_stack
+
+    def recording(models, sequence_lists, **em):
+        passes.append([sum(map(len, seqs)) for seqs in sequence_lists])
+        return stack(models, sequence_lists, **em)
+
+    monkeypatch.setattr(hmm, "baum_welch_stack", recording)
+
+    def train_under(budget):
+        passes.clear()
+        monkeypatch.setattr(recognizer, "EM_STACK_FRAMES", budget)
+        trained = recognizer.train_role(role, tmp_path / str(budget),
+                                        SMALL_CONFIG, train, cache)
+        for key, (model, report) in trained.items():
+            want, expected = tiny_trained["trained"][role][key]
+            assert report == expected
+            for name in ("transitions", "weights", "means", "variances"):
+                assert np.array_equal(getattr(model, name),
+                                      getattr(want, name))
+        return list(passes)
+
+    # the tiny split fits in one group of each kind
+    kinds = 2 if role == "emotion" else 1
+    whole = train_under(recognizer.EM_STACK_FRAMES)
+    assert len(whole) == kinds and all(len(group) > 1 for group in whole)
+    sizes = [size for group in whole for size in group]
+    # a budget of the first two fits' frames groups them in twos
+    pairs = train_under(sizes[0] + sizes[1])
+    assert pairs[0] == sizes[:2]
+    assert all(len(group) <= 2 and (len(group) == 1 or sum(group) <=
+                                    sizes[0] + sizes[1]) for group in pairs)
+    assert [size for group in pairs for size in group] == sizes
+    # a fit above the budget runs alone
+    assert train_under(min(sizes) - 1) == [[size] for size in sizes]
+
+
 def test_load_bank_missing_directory(tmp_path):
     with pytest.raises(OSError):
         load_bank(tmp_path / "absent")
