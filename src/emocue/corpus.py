@@ -319,7 +319,7 @@ def synthesize_corpus(num_speakers: int,
             generators[(s, e)] = hmm.AcousticModel(
                 transitions, np.full(grid, 1.0 / _GEN_MIXTURES),
                 comp_offsets[:, None] + (state_base + shift),
-                np.ones((*grid, dim)), np.full(_GEN_STATES, _GEN_MIXTURES))
+                np.ones((*grid, dim)))
 
     num_sentences = train_sentences + test_sentences
     records: list[UtteranceRecord] = []

@@ -359,7 +359,7 @@ def analyze_clip(clip: AudioClip) -> UtteranceFeatures:
 #              float64[frames * 16]  MFCC vectors (row-major)
 #              float64[frames]       f0
 #              float64[frames]       log energy
-#              uint8[frames]         voicing flags
+#              uint8[frames]         voicing flags, 0 or 1
 
 def write_feature_cache(path, entries: Mapping[str, UtteranceFeatures]) -> None:
     """Write both observation streams for a set of utterances.
@@ -387,8 +387,8 @@ def read_feature_cache(path) -> dict[str, UtteranceFeatures]:
     """Read a cache written by write_feature_cache.
 
     A cache that is cut short, runs on past its last utterance or has a
-    malformed header, a repeated utterance id among them, raises
-    CorruptFileError naming it.
+    malformed header, a repeated utterance id among them, or a voicing flag
+    other than 0 or 1 raises CorruptFileError naming it.
     """
     def parse(header, payload):
         out = {}
@@ -402,7 +402,12 @@ def read_feature_cache(path) -> dict[str, UtteranceFeatures]:
                 frames, FEATURE_DIM)
             f0 = payload.array(frames)
             log_energy = payload.array(frames)
-            voiced = payload.array(frames, np.uint8).astype(bool)
+            voiced = payload.array(frames, np.uint8)
+            if (voiced > 1).any():
+                frame = int(np.argmax(voiced > 1))
+                raise CorruptFileError(f"{path}: utterance {uid!r}: voicing "
+                                       f"flag {voiced[frame]} at frame {frame}"
+                                       f" of {frames} is not 0 or 1")
             finite = np.isfinite(vectors).all(axis=1) & np.isfinite(f0) \
                 & np.isfinite(log_energy)
             if not finite.all():

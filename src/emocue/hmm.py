@@ -15,17 +15,17 @@ Conventions:
   NonFiniteObservationError naming the first bad frame, and its sequence
   where a call takes several.
 
-A model is its padded arrays (AcousticModel), and its one constructor
-takes them: seeding, EM, decoding and the emission pass read and write
-them directly. GaussianMixture is only the per-state view that
-model.mixtures gives.
+A model is its arrays (AcousticModel): one (M, N) grid of components,
+every state with the same M. Its one constructor takes them: seeding, EM,
+decoding and the emission pass read and write them directly.
+GaussianMixture is only the per-state view that model.mixtures gives.
 
 Numerics:
 
 * Emissions. All N*M diagonal Gaussians of a model are evaluated in one
   pass per sequence from the expanded quadratic
   x^2 . (1/var) - 2 x . (mean/var) + const, as a BLAS product. Features and
-  means are first centred on the model's mean of means, taken over the real
+  means are first centred on the model's mean of means, taken over its
   components in state-major order (the order of a file). Against a scalar
   evaluation (16 dimensions, floor variances, features 0.05 from the
   means), the uncentred expansion is off by 2e-9 at feature offset 10 and
@@ -44,9 +44,9 @@ Numerics:
   np.matmul computes each model's slice as the (M*N, 2D) by (2D, T) product
   the model's own pass makes, so the stacked densities equal the per-model
   ones bit for bit (the tests check every length from 1 to 120 frames).
-  Models with different component counts M are stacked per M: padding a
-  grid to a larger M changes the shape of its product, and OpenBLAS then
-  rounds some rows differently.
+  A stack holds models of one grid: padding a grid to a larger M would
+  change the shape of its product, and OpenBLAS then rounds some rows
+  differently.
 * Recursions. In the left-to-right band, state j's scores over time obey
   a first-order recurrence x_t = op(x_{t-1} + s, e_t) + b_t: s is the log
   self-loop, e_t the entry from state j-1 (its score at t-1 plus the log
@@ -55,9 +55,9 @@ Numerics:
   y_t = op(y_{t-1}, e_t - C_{t-1} - s): one np.logaddexp.accumulate
   (np.maximum.accumulate) over time, written into the state's rows of the
   score array, so each pass loops over the N states instead of the T
-  frames. A pass runs K rows side by side: the sequences of one EM batch
-  under one model's band, or one sequence under a stack's K bands, taken
-  as (N, K) rows. State 0 is entered at frame 0 only and op(y, -inf) = y, so its
+  frames. A pass runs K rows side by side, each under its own band: the
+  sequences of a lock-step E-step, or one sequence under a stack's K
+  models. State 0 is entered at frame 0 only and op(y, -inf) = y, so its
   scores are its first emission plus C, in closed form. Backward is the
   same recurrence in reversed time. Viterbi loops where y_t == y_{t-1},
   that is where y_{t-1} >= e_t - C_{t-1} - s, so ties still go to looping.
@@ -110,7 +110,7 @@ Training:
   fit of a default-size bank needs.
 * Responsibilities below the smallest normal float (2.2e-308) are flushed
   to 0: exp and the BLAS product slow down many times on subnormals.
-* The M-step keeps each model's layout, signs and sums to 1; a parameter
+* The M-step keeps each model's grid, signs and sums to 1; a parameter
   that overflowed (or a variance floor of 0) sends the fits to the
   constructor, which refuses them as it refuses any other model.
 * Seeding takes k-means cluster sums with one bincount, which adds each
@@ -169,9 +169,7 @@ class GaussianMixture:
 class AcousticModel:
     """Left-to-right GMM-HMM. All initial probability sits on state 0.
 
-    State j's counts[j] components fill rows 0..counts[j]-1 of column j of
-    the (M, N) grid; every slot below them is padding with weight 0, mean 0
-    and variance 1."""
+    Column j of the (M, N) grid holds state j's M components."""
 
     num_states: int
     feature_dim: int
@@ -179,34 +177,20 @@ class AcousticModel:
     weights: np.ndarray       # (M, N)
     means: np.ndarray         # (M, N, D)
     variances: np.ndarray     # (M, N, D)
-    counts: np.ndarray        # (N,) components of each state
 
-    def __init__(self, transitions, weights, means, variances, counts):
-        """The model of the padded arrays. Raises ValueError on a shape,
-        count, padding slot or parameter that breaks the layout above."""
+    def __init__(self, transitions, weights, means, variances):
+        """The model of the arrays. Raises ValueError on a shape or
+        parameter that breaks the layout above."""
         transitions, weights, means, variances = (
             np.asarray(a, dtype=np.float64)
             for a in (transitions, weights, means, variances))
-        counts = np.asarray(counts)
         if not (means.ndim == 3 and variances.shape == means.shape
                 and weights.shape == means.shape[:2]):
             raise ValueError("expected weights (M, N), means and variances "
                              "(M, N, D)")
-        m, n, dim = means.shape
+        _, n, dim = means.shape
         if n < 1:
             raise ValueError("num_states must be >= 1")
-        # checked as Python ints: numpy's reductions cost more on N values
-        sizes = counts.tolist() if counts.dtype.kind in "iu" else []
-        if not (counts.shape == (n,) and 1 <= min(sizes, default=0)
-                and max(sizes) <= m):
-            raise ValueError(f"counts must be {n} integers in [1, {m}], "
-                             f"got {counts.tolist()}")
-        if min(sizes) < m:    # some state has padding
-            pad = np.arange(m)[:, None] >= counts
-            if not ((weights[pad] == 0.0).all() and (means[pad] == 0.0).all()
-                    and (variances[pad] == 1.0).all()):
-                raise ValueError("padding must have weight 0, mean 0 and "
-                                 "variance 1")
         if transitions.shape != (n, n):
             raise ValueError(f"transitions must be ({n}, {n})")
         band = np.diag(transitions), np.diag(transitions, 1)  # NaN counts
@@ -227,22 +211,20 @@ class AcousticModel:
         vars(self).update(
             num_states=n, feature_dim=dim,
             transitions=readonly(transitions), weights=readonly(weights),
-            means=readonly(means), variances=readonly(variances),
-            counts=readonly(counts, np.intp))
+            means=readonly(means), variances=readonly(variances))
 
     @cached_property
     def mixtures(self) -> tuple[GaussianMixture, ...]:
         """Read-only per-state views of the arrays, for per-state readers
         (the tests and perfbench's tracer)."""
-        return tuple(GaussianMixture(weights=self.weights[:c, j],
-                                     means=self.means[:c, j],
-                                     variances=self.variances[:c, j])
-                     for j, c in enumerate(self.counts))
+        return tuple(GaussianMixture(self.weights[:, j], self.means[:, j],
+                                     self.variances[:, j])
+                     for j in range(self.num_states))
 
     @cached_property
     def _emission(self) -> _EmissionTable:
         return _tables(self.weights[None], self.means[None],
-                       self.variances[None], self.counts[None])
+                       self.variances[None])
 
     @cached_property
     def _band(self) -> tuple[np.ndarray, np.ndarray]:
@@ -319,10 +301,10 @@ class _EmissionTable(NamedTuple):
     """The Gaussians of K models in the form of one batched BLAS pass (see
     the module notes); one model is K = 1. Each model's rows run
     component-major as its (M, N) grid does (row m*N + j is component m of
-    state j), so the mixture sum reduces over the M axis; padding rows have
-    const -inf."""
+    state j), so the mixture sum reduces over the M axis; a component of
+    weight 0 has const -inf."""
 
-    centre: np.ndarray      # (K, 1, D) mean of each model's real means
+    centre: np.ndarray      # (K, 1, D) mean of each model's means
     coef: np.ndarray        # (K, M*N, 2D): -0.5/var, then centred mean/var
     const: np.ndarray       # (K, M*N, 1) log weight + normaliser, -inf if weight 0
     grid: tuple[int, int]   # (M, N)
@@ -336,18 +318,16 @@ def _log_band(transitions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 np.log(np.diagonal(transitions, 1, 1, 2)))
 
 
-def _tables(weights, means, variances, counts) -> _EmissionTable:
-    """The emission tables of G models of one grid from their stacked padded
-    arrays: weights (G, M, N), means and variances (G, M, N, D) and counts
-    (G, N)."""
+def _tables(weights, means, variances) -> _EmissionTable:
+    """The emission tables of G models of one grid from their stacked
+    arrays: weights (G, M, N), means and variances (G, M, N, D)."""
     g, m, n, dim = means.shape
-    real = np.arange(m)[:, None] < counts[:, None]               # (G, M, N)
     # State-major, the order of the parameters in a file: the mean's last
     # bits depend on the order of its terms, and EM carries them into every
     # parameter it writes.
-    centre = np.stack([mu.transpose(1, 0, 2)[r.T].mean(axis=0)
-                       for mu, r in zip(means, real)])[:, None]  # (G, 1, D)
-    centred = np.where(real[..., None], means - centre[:, None], 0.0)
+    centre = np.stack([mu.transpose(1, 0, 2).reshape(n * m, dim).mean(axis=0)
+                       for mu in means])[:, None]                # (G, 1, D)
+    centred = means - centre[:, None]
     prec = 1.0 / variances
     with np.errstate(divide="ignore"):    # a zero weight's log is -inf
         const = np.log(weights) - 0.5 * (
@@ -431,10 +411,9 @@ def _forward(band, lb: np.ndarray, best: bool = False):
     """Forward (or, with best, Viterbi) scores from state-major log
     emissions lb of shape (N, K, T): K rows side by side.
 
-    band is the (log self-loop (N, K), log advance (N-1, K)) pair of K
-    models, or of one model, (N, 1) and (N-1, 1), shared by K sequences.
-    Returns the (N, K, T) scores and, with best, the (N, K, T-1) flags of
-    frames t = 1..T-1 where looping won (else None).
+    band is the (log self-loop (N, K), log advance (N-1, K)) pair of the
+    K rows' models. Returns the (N, K, T) scores and, with best, the
+    (N, K, T-1) flags of frames t = 1..T-1 where looping won (else None).
     """
     la_self, la_next = band
     n, k, t_len = lb.shape
@@ -466,10 +445,9 @@ def _forward(band, lb: np.ndarray, best: bool = False):
                 np.equal(y[:, 1:], y[:, :-1], out=looped[j])
             y += offset[j]
             for r in stuck[j]:
-                col = r if la_self.shape[1] > 1 else 0   # else one shared band
                 scores[j, r], flags = _frames(
-                    -np.inf, np.full(t_len - 1, la_self[j, col]),
-                    scores[j - 1, r, :-1] + la_next[j - 1, col], lb[j, r, 1:],
+                    -np.inf, np.full(t_len - 1, la_self[j, r]),
+                    scores[j - 1, r, :-1] + la_next[j - 1, r], lb[j, r, 1:],
                     best)
                 if best:
                     looped[j, r] = flags
@@ -574,33 +552,25 @@ def viterbi(model: AcousticModel, seq):
 
 
 class ModelStack:
-    """K acoustic models of one topology (num_states and feature_dim),
-    scored side by side: one batched emission pass, each model keeping its
-    own centre, and one recursion with the K transition bands as rows.
-    Every score and path equals the per-model function's bit for bit (see
-    the module notes)."""
+    """K acoustic models of one (M, N, D) grid, scored side by side: one
+    batched emission pass, each model keeping its own centre, and one
+    recursion with the K transition bands as rows. Every score and path
+    equals the per-model function's bit for bit (see the module notes)."""
 
     def __init__(self, models):
         models = tuple(models)
         if not models:
             raise ValueError("a model stack needs at least one model")
-        shapes = sorted({(a.num_states, a.feature_dim) for a in models})
-        if len(shapes) > 1:
+        grids = sorted({a.means.shape for a in models})
+        if len(grids) > 1:
             raise ValueError(f"stacked models must share num_states and "
-                             f"feature_dim, got (N, D) pairs {shapes}")
-        (n, dim), = shapes
-        # One product per component count M: padding a grid to another M
-        # changes the shape of its BLAS product, and OpenBLAS may then
-        # round its rows differently.
-        by_count: dict[int, list[int]] = {}
-        for k, a in enumerate(models):
-            by_count.setdefault(a._emission.grid[0], []).append(k)
-        self._groups = []
-        for rows in by_count.values():
-            tables = [models[k]._emission for k in rows]
-            parts = zip(*(t[:3] for t in tables))  # centres, coefs, consts
-            self._groups.append((rows, _EmissionTable(
-                *map(np.concatenate, parts), grid=tables[0].grid)))
+                             f"feature_dim and their component count, got "
+                             f"(M, N, D) grids {grids}")
+        (_, n, dim), = grids
+        tables = [a._emission for a in models]
+        self._table = _EmissionTable(
+            *(np.concatenate(part) for part in zip(*(t[:3] for t in tables))),
+            grid=tables[0].grid)
         self._band = tuple(np.concatenate(rows, axis=1)
                            for rows in zip(*(a._band for a in models)))
         self.num_states, self.feature_dim, self.size = n, dim, len(models)
@@ -614,11 +584,8 @@ class ModelStack:
             raise ValueError(f"a stack of {self.size} models scores "
                              f"{self.size} sequences, got {obs.shape[0]}")
         _sequences(obs if obs.ndim == 3 else [obs], 1, self.feature_dim)
-        lb = np.empty((self.num_states, self.size, obs.shape[-2]))
-        for rows, table in self._groups:
-            part = obs[rows] if obs.ndim == 3 else obs
-            lb[:, rows] = _emissions(table, part)[1].transpose(1, 0, 2)
-        return lb
+        return np.ascontiguousarray(
+            _emissions(self._table, obs)[1].transpose(1, 0, 2))
 
     def forward_log_likelihoods(self, seq) -> np.ndarray:
         """Each model's forward_log_likelihood, shape (K,), of one sequence
@@ -713,8 +680,7 @@ def init_model(sequences, num_states: int, num_mixtures: int,
     transitions = 0.5 * (np.eye(num_states) + np.eye(num_states, k=1))
     transitions[-1, -1] = 1.0
     return AcousticModel(
-        transitions, *(np.stack(part, axis=1) for part in zip(*states)),
-        np.full(num_states, num_mixtures))
+        transitions, *(np.stack(part, axis=1) for part in zip(*states)))
 
 
 # --- training ----------------------------------------------------------------
@@ -812,14 +778,12 @@ class _Counts(NamedTuple):
 
 
 class _Params(NamedTuple):
-    """The padded arrays of G models of one grid, stacked on a leading
-    axis."""
+    """The arrays of G models of one grid, stacked on a leading axis."""
 
     transitions: np.ndarray   # (G, N, N)
     weights: np.ndarray       # (G, M, N)
     means: np.ndarray         # (G, M, N, D)
     variances: np.ndarray     # (G, M, N, D)
-    counts: np.ndarray        # (G, N)
 
     def model(self, g: int) -> AcousticModel:
         return AcousticModel(*(a[g] for a in self))
@@ -938,20 +902,17 @@ def _reestimate(params: _Params, counts: _Counts, shift: np.ndarray,
                       params.variances + centred ** 2)
     variances = np.maximum(second - centred ** 2, variance_floor)
     means = np.where(seen, centred + shift, params.means)
-    # padding, and every component of a state never occupied, keep their
-    # values bit for bit
-    fresh = ((np.arange(resp.shape[1])[:, None] < params.counts[:, None])
-             & (total > 0.0)[:, None])
+    # every component of a state never occupied keeps its values bit for bit
+    fresh = (total > 0.0)[:, None]
     new = _Params(transitions, np.where(fresh, weights, params.weights),
                   np.where(fresh[..., None], means, params.means),
-                  np.where(fresh[..., None], variances, params.variances),
-                  params.counts)
-    # EM keeps each model's layout, signs and sums to 1; what it can break is
+                  np.where(fresh[..., None], variances, params.variances))
+    # EM keeps each model's grid, signs and sums to 1; what it can break is
     # a parameter that overflowed (or a variance floor of 0), and then the
     # constructor refuses the model as it refuses any other
     if not (all(np.isfinite(a).all() for a in new[:3])
             and ((new.variances > 0.0) & (new.variances < np.inf)).all()):
-        for k in range(len(new.counts)):
+        for k in range(len(new.transitions)):
             new.model(k)
     return new
 
@@ -960,7 +921,7 @@ def baum_welch_stack(models, sequence_lists, max_iters: int = EM_MAX_ITERS,
                      tol: float = EM_TOL,
                      variance_floor: float = VARIANCE_FLOOR):
     """baum_welch of G models of one grid (the same num_states, feature_dim
-    and component grid M), model g refined on sequence_lists[g], the fits
+    and component count M), model g refined on sequence_lists[g], the fits
     run in lock-step.
 
     Each iteration makes one E-step and one M-step for every fit still
@@ -986,8 +947,7 @@ def baum_welch_stack(models, sequence_lists, max_iters: int = EM_MAX_ITERS,
     done = list(models)
     running = list(range(len(models)))
     params = _Params(*map(np.stack, zip(*(
-        (a.transitions, a.weights, a.means, a.variances, a.counts)
-        for a in models))))
+        (a.transitions, a.weights, a.means, a.variances) for a in models))))
     shift = np.stack([b.shift for b in batches])
     layout = _layout(batches)
     for _ in range(max_iters):
@@ -1036,38 +996,24 @@ def baum_welch(model: AcousticModel, sequences, max_iters: int = EM_MAX_ITERS,
 # --- persistence -------------------------------------------------------------
 #
 # A model is stored as a shape header, {"num_states": N, "feature_dim": D,
-# "components": [M_0, ..., M_{N-1}]}, and a float64 payload: the (N, N)
-# transitions, then per state its weights, means and variances, row-major,
-# without padding. _unpack slices that layout into the padded arrays.
-# Parameters round-trip bit-exactly.
+# "components": [M, ..., M]} with one count per state, all equal, and a
+# float64 payload: the (N, N) transitions, then per state its weights, means
+# and variances, row-major. Parameters round-trip bit-exactly.
 
 _MODEL_MAGIC = b"EMOAM001"
 
 
-def _unpack(values: np.ndarray, dim: int, counts: np.ndarray):
-    """The padded weights (M, N), means and variances (M, N, D) of per-state
-    parameters laid out as in a file, sliced straight into place."""
-    m, n = counts.max(), counts.size
-    weights, means = np.zeros((m, n)), np.zeros((m, n, dim))
-    variances = np.ones_like(means)
-    at = 0
-    for j, c in enumerate(counts.tolist()):
-        weights[:c, j] = values[at:at + c]
-        means[:c, j] = values[at + c:at + c + c * dim].reshape(c, dim)
-        at += c + c * dim
-        variances[:c, j] = values[at:at + c * dim].reshape(c, dim)
-        at += c * dim
-    return weights, means, variances
-
-
 def encode_model(model: AcousticModel) -> tuple[dict, bytes]:
     """The model's shape header and its parameters' payload bytes."""
-    arrays = [model.transitions] + [
-        grid[:c, j] for j, c in enumerate(model.counts)
-        for grid in (model.weights, model.means, model.variances)]
-    return ({"num_states": model.num_states, "feature_dim": model.feature_dim,
-             "components": model.counts.tolist()},
-            b"".join(a.astype("<f8").tobytes() for a in arrays))
+    m, n = model.weights.shape
+    rows = np.concatenate(
+        [model.weights.T] + [grid.transpose(1, 0, 2).reshape(n, -1)
+                             for grid in (model.means, model.variances)],
+        axis=1)
+    return ({"num_states": n, "feature_dim": model.feature_dim,
+             "components": [m] * n},
+            b"".join(a.astype("<f8").tobytes()
+                     for a in (model.transitions, rows)))
 
 
 def decode_model(spec: dict, payload) -> AcousticModel:
@@ -1078,10 +1024,16 @@ def decode_model(spec: dict, payload) -> AcousticModel:
                                    for v in (n, dim, *counts)):
         raise ValueError(f"not a model's shape: {n} states, dimension {dim}, "
                          f"components {counts}")
-    values = payload.array(n * n + sum(counts) * (1 + 2 * dim))
-    counts = np.array(counts)
-    return AcousticModel(values[:n * n].reshape(n, n),
-                         *_unpack(values[n * n:], dim, counts), counts)
+    if len(set(counts)) > 1:
+        raise ValueError(f"components {counts} differ between states; every "
+                         f"state of a model has the same count")
+    m = counts[0]
+    values = payload.array(n * n + n * m * (1 + 2 * dim))
+    rows = values[n * n:].reshape(n, -1)
+    return AcousticModel(
+        values[:n * n].reshape(n, n), rows[:, :m].T,
+        *(rows[:, at:at + m * dim].reshape(n, m, dim).transpose(1, 0, 2)
+          for at in (m, m + m * dim)))
 
 
 def save_model(model: AcousticModel, path) -> None:

@@ -293,7 +293,9 @@ def read_results(path) -> list[ResultRow]:
 # "models" one entry per model: its role, key, shape header and training
 # summary. The payload holds the parameters in entry order. Each of these
 # is recorded: a null config, normalization, train split or training summary
-# makes the file corrupt.
+# makes the file corrupt, and so does a model whose (M, N) component grid is
+# not the config's: num_mixtures x num_states for an acoustic model,
+# num_supra_mixtures x num_supra_states for a prosodic one.
 
 BANK_FILE = "bank.bin"
 _BANK_MAGIC = b"EMOBK004"
@@ -325,8 +327,8 @@ def _read_bank(directory):
         for name in ("config", "normalization", "train_split"):
             if header[name] is None:
                 raise ValueError(f"{name} is null")
-        header["config"] = {name: header["config"][name]
-                            for name in _BANK_FIELDS}
+        config = header["config"] = {name: header["config"][name]
+                                     for name in _BANK_FIELDS}
         corpus.NormalizationParams.from_dict(header["normalization"])
         roles = {role: {} for role in _ROLE_LABELS}
         for entry in header.pop("models"):
@@ -334,9 +336,18 @@ def _read_bank(directory):
             if entry["training"] is None:
                 raise ValueError(f"the training of {role} model {key} is null")
             key = key if role == "one_stage" else tuple(key)
-            decode = (supra_mod.decode_supra if role == "emotion"
-                      and key[1] == "supra" else hmm.decode_model)
-            roles[role][key] = (decode(entry, payload), entry["training"])
+            prosodic = role == "emotion" and key[1] == "supra"
+            model = (supra_mod.decode_supra if prosodic
+                     else hmm.decode_model)(entry, payload)
+            m, n = model.weights.shape
+            want = ((config["num_supra_mixtures"], config["num_supra_states"])
+                    if prosodic else
+                    (config["num_mixtures"], config["num_states"]))
+            if (m, n) != want:
+                raise ValueError(f"{role} model {key} has {m} x {n} components"
+                                 f" (M x N); the config gives {want[0]} x "
+                                 f"{want[1]}")
+            roles[role][key] = (model, entry["training"])
         return header, roles
 
     try:

@@ -88,16 +88,9 @@ def enumerated_viterbi(model, observations):
 
 def model_from_states(transitions, states):
     """The AcousticModel of per-state (weights, means, variances) triples,
-    each state's components padded below with weight 0, mean 0 and
-    variance 1 as the constructor requires."""
-    counts = np.array([len(weights) for weights, _, _ in states])
-    m, n, dim = counts.max(), counts.size, np.shape(states[0][1])[1]
-    weights, means = np.zeros((m, n)), np.zeros((m, n, dim))
-    variances = np.ones((m, n, dim))
-    for j, state in enumerate(states):
-        c = counts[j]
-        weights[:c, j], means[:c, j], variances[:c, j] = state
-    return AcousticModel(transitions, weights, means, variances, counts)
+    every state with the same number of components."""
+    return AcousticModel(transitions,
+                         *(np.stack(part, axis=1) for part in zip(*states)))
 
 
 def random_model(rng, num_states, num_mixtures, dim):

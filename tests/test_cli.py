@@ -626,8 +626,7 @@ def test_zero_likelihood_fit_in_a_stacked_pass_exits_3(small_pipeline,
         if len(seeded) == 2:
             model = hmm.AcousticModel(model.transitions, model.weights,
                                       model.means + 1e5,
-                                      np.full_like(model.variances, 1e-300),
-                                      model.counts)
+                                      np.full_like(model.variances, 1e-300))
         return model
 
     monkeypatch.setattr(hmm, "init_model", far_second)
@@ -1046,6 +1045,73 @@ def test_identify_refuses_a_prosodic_model_of_other_width(small_pipeline,
     recognizer._write_bank(bank, header, roles)
     message = (f"{bank / 'bank.bin'}: malformed model bank: a prosodic model "
                f"emits 5 columns, not 16")
+    with pytest.raises(CorruptFileError) as info:
+        recognizer.load_bank(bank)
+    assert str(info.value) == message
+    code = cli.main(["identify",
+                     "--manifest", str(small_pipeline / "corpus/manifest.tsv"),
+                     "--features", str(small_pipeline / "corpus/features.bin"),
+                     "--bank-dir", str(bank),
+                     "--out", str(tmp_path / "out.jsonl"), *SMALL_SPLIT])
+    assert code == 2
+    assert capsys.readouterr().err == f"data error: {message}\n"
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+def _with_extra_component(model):
+    """model with one more component per state, at weight 0."""
+    return hmm.AcousticModel(
+        model.transitions,
+        np.concatenate([model.weights, np.zeros((1, model.num_states))]),
+        *(np.concatenate([grid, grid[:1]])
+          for grid in (model.means, model.variances)))
+
+
+@pytest.mark.parametrize("role", ["speaker", "emotion"])
+@pytest.mark.parametrize("command", ["identify", "sweep-alpha"])
+def test_scoring_refuses_a_model_off_the_config_grid(small_pipeline, tmp_path,
+                                                     capsys, command, role):
+    # one speaker model, or the first emotion's prosodic model, gains a
+    # component: a grid the bank's config does not give
+    bank = tmp_path / "bank"
+    shutil.copytree(small_pipeline / "bank", bank)
+    header, roles = recognizer._read_bank(bank)
+    key, grid = ((next(iter(roles[role])), (2, 3)) if role == "speaker" else
+                 ((header["emotions"][0], "supra"), (1, 3)))
+    model, training = roles[role][key]
+    roles[role][key] = (_with_extra_component(model), training)
+    recognizer._write_bank(bank, header, roles)
+    message = (f"{bank / 'bank.bin'}: malformed model bank: {role} model "
+               f"{key} has {grid[0] + 1} x {grid[1]} components (M x N); the "
+               f"config gives {grid[0]} x {grid[1]}")
+    with pytest.raises(CorruptFileError) as info:
+        recognizer.load_bank(bank)
+    assert str(info.value) == message
+    out = tmp_path / "out"
+    code = cli.main([command,
+                     "--manifest", str(small_pipeline / "corpus/manifest.tsv"),
+                     "--features", str(small_pipeline / "corpus/features.bin"),
+                     "--bank-dir", str(bank), "--out", str(out), *SMALL_SPLIT])
+    assert code == 2
+    assert capsys.readouterr().err == f"data error: {message}\n"
+    assert not out.exists()
+
+
+def test_identify_refuses_a_model_with_unequal_component_counts(
+        small_pipeline, tmp_path, capsys):
+    # the first speaker entry's counts [2, 2, 2] read as [3, 2, 1], which
+    # sizes the same payload
+    bank = tmp_path / "bank"
+    shutil.copytree(small_pipeline / "bank", bank)
+
+    def ragged(header):
+        entry = next(e for e in header["models"] if e["role"] == "speaker")
+        assert entry["components"] == [2, 2, 2]
+        entry["components"] = [3, 2, 1]
+    edit_container_header(bank / "bank.bin", ragged)
+    message = (f"{bank / 'bank.bin'}: malformed model bank: components "
+               f"[3, 2, 1] differ between states; every state of a model has "
+               f"the same count")
     with pytest.raises(CorruptFileError) as info:
         recognizer.load_bank(bank)
     assert str(info.value) == message

@@ -26,7 +26,7 @@ from emocue.errors import (
     UnsupportedFormatError,
 )
 
-from conftest import damaged_container, edit_container_header
+from conftest import container_parts, damaged_container, edit_container_header
 
 WAVGEN_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "wavgen.py"
 
@@ -526,6 +526,19 @@ def test_cache_rejects_repeated_id(tmp_path, cache_bytes):
     with pytest.raises(CorruptFileError, match="twice.bin: malformed feature "
                                                "cache: repeated utterance id "
                                                "'u'"):
+        frontend.read_feature_cache(path)
+
+
+def test_cache_rejects_a_voicing_flag_other_than_0_or_1(tmp_path, cache_bytes):
+    # v's voicing flags, one byte per frame, end the file
+    frames = container_parts(cache_bytes)[1]["entries"][1]["frames"]
+    data = bytearray(cache_bytes)
+    data[-3] = 7
+    path = tmp_path / "voicing.bin"
+    path.write_bytes(bytes(data))
+    with pytest.raises(CorruptFileError,
+                       match=f"^{path}: utterance 'v': voicing flag 7 at "
+                             f"frame {frames - 3} of {frames} is not 0 or 1$"):
         frontend.read_feature_cache(path)
 
 

@@ -43,23 +43,23 @@ from conftest import container_bytes
 
 
 def _model_1state(mean, var):
-    return hmm.AcousticModel([[1.0]], [[1.0]], [[[mean]]], [[[var]]], [1])
+    return hmm.AcousticModel([[1.0]], [[1.0]], [[[mean]]], [[[var]]])
 
 
 # --- emission densities ------------------------------------------------------
 
 
 def _floor_variance_model(rng, offset, num_states=3, dim=3):
-    """Tight components near a common offset, one of them with zero weight;
-    state j has j + 2 components."""
+    """Tight components near a common offset, four per state, one of them
+    with zero weight."""
     states = []
     for j in range(num_states):
-        weights = rng.uniform(0.2, 1.0, size=j + 2)
+        weights = rng.uniform(0.2, 1.0, size=4)
         if j == 0:
             weights[1] = 0.0
         states.append((weights / weights.sum(),
-                       offset + rng.normal(0.0, 0.05, size=(j + 2, dim)),
-                       np.full((j + 2, dim), hmm.VARIANCE_FLOOR)))
+                       offset + rng.normal(0.0, 0.05, size=(4, dim)),
+                       np.full((4, dim), hmm.VARIANCE_FLOOR)))
     transitions = random_model(rng, num_states, 1, 1).transitions
     return model_from_states(transitions, states)
 
@@ -79,7 +79,7 @@ def test_state_densities_match_scalar_oracle_far_from_origin(offset):
 def test_state_densities_overflowing_cross_term_is_minus_inf():
     model = hmm.AcousticModel(
         [[0.5, 0.5], [0.0, 1.0]], [[1.0, 1.0]],
-        [[[-1.0, -1.0], [1.0, 1.0]]], np.full((1, 2, 2), 1e-4), [1, 1])
+        [[[-1.0, -1.0], [1.0, 1.0]]], np.full((1, 2, 2), 1e-4))
     # the square and the cross term both overflow: -inf + inf, which BLAS
     # may or may not fold to -inf depending on the kernel it picks
     outlier = np.array([[1e305, 1e305]])
@@ -158,7 +158,7 @@ def test_non_finite_band_falls_back_to_per_frame(monkeypatch):
     variances = np.array(base.variances)
     variances[:, 5] = hmm.VARIANCE_FLOOR         # the outlier underflows here
     model = hmm.AcousticModel(transitions, base.weights, base.means,
-                              variances, base.counts)
+                              variances)
     obs = rng.normal(0.0, 2.0, size=(300, 3))
     # last frame, so every path decision before it stays well conditioned
     obs[-1] = 1e153
@@ -184,7 +184,7 @@ def test_viterbi_exact_tie_loops_as_frame_viterbi(monkeypatch):
     base = random_model(np.random.default_rng(50), num_states=2,
                         num_mixtures=1, dim=1)
     model = hmm.AcousticModel([[0.5, 0.5], [0.0, 1.0]], base.weights,
-                              base.means, base.variances, base.counts)
+                              base.means, base.variances)
     half = math.log(0.5)
     logb = np.array([[0.0, -50.0], [0.0, half], [-50.0, 0.0]])
     monkeypatch.setattr(hmm, "state_log_densities", lambda m, obs: logb)
@@ -204,7 +204,7 @@ def test_zero_self_loop_in_state_zero_matches_oracles():
     transitions = np.array(base.transitions)
     transitions[0, :2] = [0.0, 1.0]
     model = hmm.AcousticModel(transitions, base.weights, base.means,
-                              base.variances, base.counts)
+                              base.variances)
     for length in (3, 4, 7):
         obs = rng.normal(0.0, 2.0, size=(length, 2))
         _check_against_frames(model, obs)
@@ -226,7 +226,7 @@ def _last_state_underflow_case(num_states=3, length=8, outlier=4):
     variances[..., 0] = 1e300
     variances[:, -1, 0] = hmm.VARIANCE_FLOOR
     model = hmm.AcousticModel(base.transitions, base.weights, means,
-                              variances, base.counts)
+                              variances)
     obs = np.column_stack((np.zeros(length), rng.normal(0.0, 2.0, length)))
     obs[outlier, 0] = 1e153
     return model, obs
@@ -442,16 +442,6 @@ def test_stack_matches_per_model_calls_on_bank_models(tiny_trained):
             _assert_stack_matches(models, features[r.id].features.vectors)
 
 
-def test_stack_matches_per_model_calls_with_unequal_component_counts():
-    rng = np.random.default_rng(60)
-    # feature dimension 16, as in a bank: padding these grids to one M
-    # changes the last bits of some emission products
-    models = [_unequal_model(rng, counts, dim=16) for counts in
-              ((3, 1, 2), (1, 1, 1), (2, 2, 2), (4, 3, 1), (3, 1, 2))]
-    for length in (3, 5, 17, 64):
-        _assert_stack_matches(models, rng.normal(0.0, 2.0, size=(length, 16)))
-
-
 def test_stack_matches_per_model_calls_with_a_zero_self_loop():
     # the stuck-row fallback runs for one row of the stack only
     rng = np.random.default_rng(61)
@@ -459,7 +449,7 @@ def test_stack_matches_per_model_calls_with_a_zero_self_loop():
     transitions = np.array(base.transitions)
     transitions[0, :2] = [0.0, 1.0]
     stuck = hmm.AcousticModel(transitions, base.weights, base.means,
-                              base.variances, base.counts)
+                              base.variances)
     for length in (3, 4, 7, 40):
         _assert_stack_matches([base, stuck, base],
                               rng.normal(0.0, 2.0, size=(length, 2)))
@@ -484,18 +474,21 @@ def test_stack_matches_per_model_calls_at_every_length(num_states,
     rng = np.random.default_rng(63)
     models = [random_model(rng, num_states, num_mixtures, dim)
               for _ in range(3)]
-    models.append(_unequal_model(
-        rng, [1 + j % (num_mixtures - 1) for j in range(num_states)], dim))
+    models.append(_sparse_model(
+        rng, [1 + j % (num_mixtures - 1) for j in range(num_states)],
+        num_mixtures, dim))
     for length in range(1, 121):
         _assert_stack_matches(models,
                               rng.normal(0.5, 2.0, size=(length, dim)))
 
 
-@pytest.mark.parametrize("shapes", [((3, 2), (4, 2)), ((3, 2), (3, 3))],
-                         ids=["num_states", "feature_dim"])
+@pytest.mark.parametrize("shapes", [((3, 2, 2), (4, 2, 2)),
+                                    ((3, 2, 2), (3, 2, 3)),
+                                    ((3, 2, 2), (3, 3, 2))],
+                         ids=["num_states", "feature_dim", "components"])
 def test_stack_rejects_models_of_another_topology(shapes):
     rng = np.random.default_rng(64)
-    models = [random_model(rng, n, 2, d) for n, d in shapes]
+    models = [random_model(rng, n, m, d) for n, m, d in shapes]
     with pytest.raises(ValueError, match="num_states and feature_dim"):
         hmm.ModelStack(models)
 
@@ -513,26 +506,29 @@ def test_stack_refuses_too_short_sequence_as_viterbi_does():
         "no left-to-right path through 5 states fits 3 frames")
 
 
-def _zero_weight_model(rng, num_states, dim):
-    """A model whose first state holds a component of weight 0."""
-    base = random_model(rng, num_states, num_mixtures=2, dim=dim)
-    weights = np.array(base.weights)
-    weights[:, 0] = [0.0, 1.0]
+def _sparse_model(rng, live=(3, 1, 2), num_mixtures=3, dim=4):
+    """A model whose state j has live[j] components of nonzero weight; the
+    rest of its num_mixtures have weight 0."""
+    base = random_model(rng, len(live), num_mixtures, dim)
+    weights = np.zeros((num_mixtures, len(live)))
+    for j, c in enumerate(live):
+        raw = rng.uniform(0.2, 1.0, size=c)
+        weights[:c, j] = raw / raw.sum()
     return hmm.AcousticModel(base.transitions, weights, base.means,
-                             base.variances, base.counts)
+                             base.variances)
 
 
 @pytest.mark.parametrize("num_states, dim", [(3, 5), (9, 16)])
 def test_stack_scores_one_sequence_per_model_as_per_model_calls(num_states,
                                                                 dim):
     # a (K, T, D) stack, sequence k under model k, as sweep-alpha's
-    # prosodic pass scores it: models repeat, their component counts
-    # differ and one component has weight 0; every length from N to 30
+    # prosodic pass scores it: models repeat, and some of their states hold
+    # components of weight 0; every length from N to 30
     rng = np.random.default_rng(66)
     models = [random_model(rng, num_states, 3, dim),
-              _unequal_model(rng, [1 + j % 3 for j in range(num_states)],
-                             dim),
-              _zero_weight_model(rng, num_states, dim)] * 3
+              _sparse_model(rng, [1 + j % 3 for j in range(num_states)],
+                            3, dim),
+              _sparse_model(rng, [2] + [3] * (num_states - 1), 3, dim)] * 3
     stack = hmm.ModelStack(models)
     for length in range(num_states, 31):
         seqs = rng.normal(0.5, 2.0, size=(len(models), length, dim))
@@ -705,19 +701,6 @@ def test_baum_welch_deterministic():
         np.testing.assert_array_equal(a.means, b.means)
 
 
-def test_baum_welch_keeps_per_state_component_counts():
-    rng = np.random.default_rng(27)
-    seqs = _training_set(rng, num=6)
-    init = hmm.init_model(seqs, 3, 3)
-    states = [(m.weights, m.means, m.variances) for m in init.mixtures]
-    states[1] = ([1.0], states[1][1][:1], states[1][2][:1])
-    init = model_from_states(init.transitions, states)
-    trained, report = hmm.baum_welch(init, seqs, max_iters=5)
-    assert [m.num_components for m in trained.mixtures] == [3, 1, 3]
-    lls = report.log_likelihood_per_iteration
-    assert all(b >= a - 1e-6 for a, b in zip(lls, lls[1:]))
-
-
 def test_baum_welch_rejects_short_sequence():
     rng = np.random.default_rng(25)
     seqs = [rng.normal(size=(10, 1))]
@@ -776,15 +759,16 @@ def test_batched_em_matches_per_sequence_em(count):
     assert report.iterations_run > 2
 
 
-def test_batched_em_matches_oracle_with_unequal_component_counts():
+def test_batched_em_matches_oracle_with_zero_weight_components():
     rng = np.random.default_rng(70)
     seqs = [rng.normal(size=(t, 3)) + 0.5 * i
             for i, t in enumerate((31, 18, 44, 25))]
     init = hmm.init_model(seqs, 3, 4)
-    states = [(m.weights, m.means, m.variances) for m in init.mixtures]
-    states[1] = ([1.0], states[1][1][:1], states[1][2][:1])
-    states[2] = ([0.25, 0.75], states[2][1][:2], states[2][2][:2])
-    init = model_from_states(init.transitions, states)
+    weights = np.array(init.weights)
+    weights[:, 1] = [1.0, 0.0, 0.0, 0.0]
+    weights[:, 2] = [0.25, 0.75, 0.0, 0.0]
+    init = hmm.AcousticModel(init.transitions, weights, init.means,
+                             init.variances)
     _check_em_against_oracle(init, seqs, max_iters=15)
 
 
@@ -794,7 +778,7 @@ def test_batched_em_matches_oracle_through_frame_fallback(monkeypatch):
     transitions = np.array(base.transitions)
     transitions[2, 2], transitions[2, 3] = 0.0, 1.0      # zero self-loop
     model = hmm.AcousticModel(transitions, base.weights, base.means,
-                              base.variances, base.counts)
+                              base.variances)
     seqs = [rng.normal(0.0, 2.0, size=(t, 2)) for t in (40, 5, 57)]
     seqs[2][30] = [40.0, -35.0]                          # an outlier frame
 
@@ -826,7 +810,7 @@ def test_em_variance_keeps_its_digits_far_from_zero(offset):
 def _assert_fits_equal(got, want):
     """Two (model, report) pairs equal bit for bit."""
     (model, report), (alone, expected) = got, want
-    for name in ("transitions", "weights", "means", "variances", "counts"):
+    for name in ("transitions", "weights", "means", "variances"):
         assert np.array_equal(getattr(model, name), getattr(alone, name)), name
     assert report == expected
 
@@ -835,7 +819,7 @@ def _zero_self_loop(model, j):
     transitions = np.array(model.transitions)
     transitions[j, j], transitions[j, j + 1] = 0.0, 1.0
     return hmm.AcousticModel(transitions, model.weights, model.means,
-                             model.variances, model.counts)
+                             model.variances)
 
 
 @settings(max_examples=60, deadline=None)
@@ -860,22 +844,12 @@ def test_stacked_fits_equal_lone_fits_bit_for_bit(data):
                 for t in lengths]
         model = hmm.init_model(seqs, num_states, mixtures)
         kind = data.draw(st.sampled_from(["seeded", "converged",
-                                          "zero self-loop", "padded state"]),
-                         label="kind")
+                                          "zero self-loop"]), label="kind")
         if kind == "converged":       # leaves the stack after two E-steps
             model, _ = hmm.baum_welch(model, seqs, max_iters=100,
                                       tol=em["tol"])
         elif kind == "zero self-loop" and num_states > 1:
             model = _zero_self_loop(model, int(rng.integers(num_states - 1)))
-        elif kind == "padded state" and mixtures > 1:
-            # one state keeps a single component: the others' grid, padded
-            states = [(m.weights, m.means, m.variances)
-                      for m in model.mixtures]
-            j = int(rng.integers(num_states))
-            states[j] = ([1.0], states[j][1][:1], states[j][2][:1])
-            model = model_from_states(model.transitions, states)
-            if model.means.shape[0] != mixtures:     # every state padded
-                continue
         models.append(model)
         lists.append(seqs)
     for got, model, seqs in zip(hmm.baum_welch_stack(models, lists, **em),
@@ -1024,8 +998,7 @@ def test_array_model_makes_the_mixture_checks(weights, means, variances,
     with pytest.raises(ValueError) as error:
         hmm.AcousticModel(
             np.array([[1.0]]), np.array(weights)[:, None],
-            np.array(means)[:, None], np.array(variances)[:, None],
-            np.array([len(weights)]))
+            np.array(means)[:, None], np.array(variances)[:, None])
     assert str(error.value) == message
 
 
@@ -1039,12 +1012,11 @@ def test_model_rejects_non_finite_transitions(transitions):
         model_from_states(transitions, [_STANDARD] * 2)
 
 
-# two states in one dimension; the second has one component, so its second
-# slot is padding
+# two states of two components in one dimension
 _GRID = {"transitions": [[0.5, 0.5], [0.0, 1.0]],
          "weights": [[0.5, 1.0], [0.5, 0.0]],
          "means": [[[0.0], [0.0]], [[1.0], [0.0]]],
-         "variances": np.ones((2, 2, 1)), "counts": [2, 1]}
+         "variances": np.ones((2, 2, 1))}
 
 
 @pytest.mark.parametrize("change, message", [
@@ -1057,7 +1029,7 @@ _GRID = {"transitions": [[0.5, 0.5], [0.0, 1.0]],
      "expected weights (M, N), means and variances"),
     ({"transitions": [[1.0]]}, "transitions must be (2, 2)"),
     ({"weights": np.ones((1, 0)), "means": np.zeros((1, 0, 1)),
-      "variances": np.ones((1, 0, 1)), "counts": np.zeros(0, dtype=int)},
+      "variances": np.ones((1, 0, 1))},
      "num_states must be >= 1"),
 ], ids=["1-D weights", "2-D means", "variances unlike means",
         "weights unlike means", "transitions", "no state"])
@@ -1067,36 +1039,13 @@ def test_model_rejects_inconsistent_shapes(change, message):
     assert str(error.value).startswith(message)
 
 
-@pytest.mark.parametrize("counts", [[0, 1], [2, 3], [2], [2, 1, 1],
-                                    [2.0, 1.0]],
-                         ids=["zero", "above M", "too few", "too many",
-                              "float"])
-def test_model_rejects_counts_outside_one_to_m(counts):
-    with pytest.raises(ValueError, match=r"counts must be 2 integers in "
-                                         r"\[1, 2\]"):
-        hmm.AcousticModel(**{**_GRID, "counts": counts})
-
-
-@pytest.mark.parametrize("name, value", [
-    ("weights", 0.25), ("means", 1.0), ("variances", 2.0)])
-def test_model_rejects_non_canonical_padding(name, value):
-    # a weight in the padding slot also breaks its state's sum
-    arrays = {k: np.array(v, dtype=float) for k, v in _GRID.items()}
-    arrays["counts"] = np.array(_GRID["counts"])
-    arrays[name][1, 1] = value
-    with pytest.raises(ValueError, match="padding must have weight 0, mean 0 "
-                                         "and variance 1"):
-        hmm.AcousticModel(**arrays)
-    assert hmm.AcousticModel(**_GRID).counts.tolist() == [2, 1]
-
-
 def _feature_sequence(arrays):
     return FeatureSequence(vectors=arrays["vectors"])
 
 
 def _acoustic_model(arrays):
     return hmm.AcousticModel(arrays["transitions"], arrays["weights"],
-                             arrays["means"], arrays["variances"], [2, 2])
+                             arrays["means"], arrays["variances"])
 
 
 @pytest.mark.parametrize("build, names", [
@@ -1150,63 +1099,44 @@ def _model_file(header, values) -> bytes:
                            np.asarray(values, dtype="<f8").tobytes())
 
 
-def _unequal_model(rng, counts=(3, 1, 2), dim=4):
-    """A model whose states have the given component counts."""
-    base = random_model(rng, num_states=len(counts), num_mixtures=max(counts),
-                        dim=dim)
-    states = []
-    for mix, c in zip(base.mixtures, counts):
-        raw = rng.uniform(0.2, 1.0, size=c)
-        states.append((raw / raw.sum(), mix.means[:c], mix.variances[:c]))
-    return model_from_states(base.transitions, states)
-
-
 def test_save_model_writes_shape_header_and_parameters(tmp_path):
     rng = np.random.default_rng(28)
-    # equal counts, then unequal ones: the payload holds no padding
-    for counts in ((2, 2, 2), (3, 1, 2)):
-        model = _unequal_model(rng, counts)
-        path = tmp_path / "model.bin"
-        hmm.save_model(model, path)
-        header = {"num_states": 3, "feature_dim": 4,
-                  "components": list(counts)}
-        values = [model.transitions.ravel()] + [
-            a.ravel() for mix in model.mixtures
-            for a in (mix.weights, mix.means, mix.variances)]
-        # compact separators, as the container writes its header
-        head = json.dumps(header, separators=(",", ":")).encode()
-        assert path.read_bytes() == (
-            b"EMOAM001" + len(head).to_bytes(8, "little") + head
-            + np.concatenate(values).astype("<f8").tobytes())
-        assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
-        loaded = hmm.load_model(path)
-        for name in ("transitions", "weights", "means", "variances",
-                     "counts"):
-            np.testing.assert_array_equal(getattr(loaded, name),
-                                          getattr(model, name))
+    model = _sparse_model(rng, (2, 2, 2), 2)
+    path = tmp_path / "model.bin"
+    hmm.save_model(model, path)
+    header = {"num_states": 3, "feature_dim": 4, "components": [2, 2, 2]}
+    values = [model.transitions.ravel()] + [
+        a.ravel() for mix in model.mixtures
+        for a in (mix.weights, mix.means, mix.variances)]
+    # compact separators, as the container writes its header
+    head = json.dumps(header, separators=(",", ":")).encode()
+    assert path.read_bytes() == (
+        b"EMOAM001" + len(head).to_bytes(8, "little") + head
+        + np.concatenate(values).astype("<f8").tobytes())
+    assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
+    loaded = hmm.load_model(path)
+    for name in ("transitions", "weights", "means", "variances"):
+        np.testing.assert_array_equal(getattr(loaded, name),
+                                      getattr(model, name))
 
 
 def _assert_views_match_arrays(model):
-    """model.mixtures are read-only views equal to the stored parameters,
-    and every padding slot is canonical."""
+    """model.mixtures are read-only views equal to the stored parameters."""
     m = model.weights.shape[0]
     assert model.weights.shape == (m, model.num_states)
     assert model.means.shape == model.variances.shape == \
         (m, model.num_states, model.feature_dim)
-    for j, (mix, c) in enumerate(zip(model.mixtures, model.counts,
-                                     strict=True)):
-        assert mix.num_components == c
+    assert len(model.mixtures) == model.num_states
+    for j, mix in enumerate(model.mixtures):
+        assert mix.num_components == m
         for name in ("weights", "means", "variances"):
             view, stored = getattr(mix, name), getattr(model, name)
             assert not view.flags.writeable
             with pytest.raises(ValueError):
                 view[0] = 0.5
-            np.testing.assert_array_equal(view, stored[:c, j])
+            np.testing.assert_array_equal(view, stored[:, j])
             assert np.shares_memory(view, stored)
-        assert np.all(model.weights[c:, j] == 0.0)
-        assert np.all(model.means[c:, j] == 0.0)
-        assert np.all(model.variances[c:, j] == 1.0)
-    for name in ("transitions", "weights", "means", "variances", "counts"):
+    for name in ("transitions", "weights", "means", "variances"):
         assert not getattr(model, name).flags.writeable
 
 
@@ -1214,13 +1144,12 @@ def test_mixture_views_are_read_only_parameters(tmp_path):
     rng = np.random.default_rng(30)
     seqs = _training_set(rng, num=6, dim=4)
     seeded = hmm.init_model(seqs, 3, 3)
-    unequal = _unequal_model(rng)
-    trained, _ = hmm.baum_welch(unequal, seqs, max_iters=4)
+    sparse = _sparse_model(rng)
+    trained, _ = hmm.baum_welch(sparse, seqs, max_iters=4)
     hmm.save_model(trained, tmp_path / "model.bin")
     loaded = hmm.load_model(tmp_path / "model.bin")
-    for model in (seeded, unequal, trained, loaded):
+    for model in (seeded, sparse, trained, loaded):
         _assert_views_match_arrays(model)
-    assert list(trained.counts) == list(loaded.counts) == [3, 1, 2]
 
 
 def test_interrupted_model_write_keeps_previous_file(tmp_path, monkeypatch):
@@ -1272,10 +1201,15 @@ _ONE_STATE_VALUES = [1.0, 1.0, 0.0, 0.0, 1.0, 1.0]
                 _ONE_STATE_VALUES + _ONE_STATE_VALUES[1:]),
     _model_file({**_ONE_STATE, "feature_dim": -1}, []),
     _model_file({**_ONE_STATE, "components": [1.0]}, _ONE_STATE_VALUES),
+    # two components in the first state, one in the second, sized to match
+    _model_file({**_ONE_STATE, "num_states": 2, "components": [2, 1]},
+                [0.5, 0.5, 0.0, 1.0, 0.5, 0.5, 0.0, 0.0, 1.0, 1.0,
+                 1.0, 1.0, 1.0, 1.0] + _ONE_STATE_VALUES[1:]),
 ], ids=["cut", "trailing byte", "[1, 2]", "no components",
         "empty state", "boolean dimension", "weights sum to 0.5",
         "non-finite mean", "negative count", "too few counts",
-        "too many counts", "negative dimension", "float count"])
+        "too many counts", "negative dimension", "float count",
+        "unequal counts"])
 def test_load_rejects_corrupt_file(tmp_path, data):
     path = tmp_path / "model.bin"
     path.write_bytes(_model_file(_ONE_STATE, _ONE_STATE_VALUES))

@@ -85,6 +85,15 @@ def test_score_test_set_keeps_the_pinned_call_counts(tiny_trained):
     assert calls["hmm.forward_log_likelihood"]["calls"] == u * (2 * e + 2 * s)
     assert calls["hmm.viterbi"]["calls"] == u * e
     assert calls["hmm.state_log_densities"]["calls"] == u * (3 * e + 2 * s)
+    # each emission pass evaluates frames x M x N Gaussians: every frame
+    # under 2E + 2S acoustic models, and one summary row per acoustic state
+    # under each of the E prosodic models
+    frames = sum(len(tiny_trained["features"][r.id].features) for r in test)
+    acoustic = bank.one_stage_models[bank.speakers[0]]
+    prosodic = bank.emotion_models[bank.emotions[0]].supra
+    assert calls["hmm.state_log_densities"]["gauss_evals"] == (
+        frames * (2 * e + 2 * s) * acoustic.weights.size
+        + u * e * acoustic.num_states * prosodic.weights.size)
 
 
 def test_alpha_sweep_scores_through_model_stacks(tiny_trained):
