@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
 import numpy as np
-import scipy.fft
 
 from . import container
 from .container import readonly
@@ -49,10 +48,12 @@ ENERGY_FLOOR = 1e-10
 _WINDOW = np.hamming(FRAME_LEN)
 _WINDOW.setflags(write=False)
 # Pitch lag search range in samples, and an autocorrelation length that
-# keeps lags up to _LAG_MAX + 1 (one past, for refinement) free of wrap-round.
+# keeps lags up to _LAG_MAX + 1 (one past, for refinement) free of wrap-round:
+# at least FRAME_LEN + _LAG_MAX + 1 = 747, with prime factors 2, 3 and 5 only
+# so the FFT stays fast.
 _LAG_MIN = int(np.ceil(SAMPLE_RATE / F0_MAX))
 _LAG_MAX = int(np.floor(SAMPLE_RATE / F0_MIN))
-_AUTOCORR_LEN = scipy.fft.next_fast_len(FRAME_LEN + _LAG_MAX + 1, real=True)
+_AUTOCORR_LEN = 750
 # analyze_clip analyses at most this many frames at a time, so its memory
 # stays bounded however long the clip is.
 _BLOCK_FRAMES = 256
@@ -233,22 +234,34 @@ def _mel_filterbank() -> np.ndarray:
 MEL_FILTERBANK = _mel_filterbank()
 
 
+def _dct_basis() -> np.ndarray:
+    k = np.arange(NUM_MEL_FILTERS)[:, None]
+    i = np.arange(1, FEATURE_DIM + 1)
+    return readonly(np.sqrt(2.0 / NUM_MEL_FILTERS)
+                    * np.cos(np.pi * i * (2 * k + 1) / (2 * NUM_MEL_FILTERS)))
+
+
+# Orthonormal DCT-II basis for cepstral coefficients 1..FEATURE_DIM, shape
+# (NUM_MEL_FILTERS, FEATURE_DIM): log mel energies @ _DCT_BASIS gives them.
+_DCT_BASIS = _dct_basis()
+
+
 def mfcc(frames: FrameSequence) -> FeatureSequence:
     """Compute 16 MFCCs per frame (coefficients 1..16, no energy term).
 
     Per frame: Hamming window, pre-emphasis, zero-padded magnitude spectrum,
-    triangular mel filterbank, floored log, orthonormal DCT-II. Coefficient 0
-    is dropped to keep the features robust to overall gain.
+    triangular mel filterbank, floored log, orthonormal DCT-II applied as a
+    fixed basis. Coefficient 0 is dropped to keep the features robust to
+    overall gain.
     """
     if len(frames) == 0:
         raise ValueError("empty frame sequence")
     emphasized = frames.frames * _WINDOW
     emphasized[:, 1:] -= PREEMPHASIS * emphasized[:, :-1]
-    spectrum = np.abs(scipy.fft.rfft(emphasized, FFT_SIZE, axis=1))
+    spectrum = np.abs(np.fft.rfft(emphasized, FFT_SIZE, axis=1))
     energies = spectrum @ MEL_FILTERBANK.T
     log_energies = np.log(np.maximum(energies, ENERGY_FLOOR))
-    cepstra = scipy.fft.dct(log_energies, type=2, norm="ortho", axis=1)
-    return FeatureSequence(vectors=cepstra[:, 1:FEATURE_DIM + 1])
+    return FeatureSequence(vectors=log_energies @ _DCT_BASIS)
 
 
 def prosodic_track(frames: FrameSequence) -> ProsodicTrack:
@@ -269,9 +282,9 @@ def prosodic_track(frames: FrameSequence) -> ProsodicTrack:
     lag_min, lag_max = _LAG_MIN, _LAG_MAX
     base = lag_min - 1                  # ncc column j holds lag base + j
 
-    spec = scipy.fft.rfft(x, _AUTOCORR_LEN, axis=1)
+    spec = np.fft.rfft(x, _AUTOCORR_LEN, axis=1)
     power = spec.real * spec.real + spec.imag * spec.imag
-    autocorr = scipy.fft.irfft(power, _AUTOCORR_LEN, axis=1)[:, base:lag_max + 2]
+    autocorr = np.fft.irfft(power, _AUTOCORR_LEN, axis=1)[:, base:lag_max + 2]
 
     # Energy of the two offset segments entering the lag-tau product:
     # head = energy of x[0 : L - tau] = cumulative[L - tau - 1] and
@@ -329,7 +342,7 @@ def analyze_clip(clip: AudioClip) -> UtteranceFeatures:
     from a sub-clip over the samples it covers, so memory stays bounded
     however long the clip is. The blocks are of near-equal size: BLAS picks
     its kernel by matrix size, and a short remainder block would round the
-    mel energies differently from a whole-clip pass.
+    mel energies or cepstra differently from a whole-clip pass.
     """
     n_frames = (len(clip) - FRAME_LEN) // HOP + 1
     n_blocks = -(-n_frames // _BLOCK_FRAMES)

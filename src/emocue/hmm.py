@@ -283,8 +283,8 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     A slice that is all -inf gives -inf. Terms more than 700 below the
     maximum are raised to exp(-700), about 1e-304: beside the maximum's
     exp(0) = 1 they cannot change the sum, and exp stays on its fast path.
-    Local because scipy's dispatch costs more than the arithmetic on arrays
-    this small.
+    Written out here, not imported: a general-purpose logsumexp's argument
+    handling costs more than the arithmetic on arrays this small.
     """
     peak = np.max(a, axis=axis, keepdims=True)
     finite = np.isfinite(peak)

@@ -5,8 +5,12 @@ session fixture; tests here read its outputs."""
 import argparse
 import dataclasses
 import json
+import os
 import shutil
+import subprocess
+import sys
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +36,20 @@ from conftest import (
 )
 
 
+# The directory holding the emocue package, for fresh interpreters.
+SRC_DIR = Path(cli.__file__).resolve().parents[1]
+
+
+def _python(*args, **env):
+    """Run a fresh interpreter that imports emocue from SRC_DIR, with env
+    added to the environment."""
+    env = {**os.environ, **env}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, check=True,
+                          capture_output=True, text=True)
+
+
 def _write_wav(path, samples):
     scaled = np.clip(np.asarray(samples) * 32767.0, -32768, 32767)
     with wave.open(str(path), "wb") as fh:
@@ -51,6 +69,18 @@ def test_help_lists_every_subcommand(capsys):
                  "train-speakers", "train-onestage", "identify", "evaluate",
                  "sweep-alpha", "ttest"):
         assert name in out
+
+
+def test_import_loads_numpy_only():
+    # scipy alone would add some 27 MB and 0.3 s to every command
+    out = _python("-c", """
+import sys
+before = {name.partition(".")[0] for name in sys.modules}
+import emocue, emocue.cli
+after = {name.partition(".")[0] for name in sys.modules}
+print(*sorted(after - before - set(sys.stdlib_module_names)))
+""").stdout.split()
+    assert set(out) == {"emocue", "numpy"}
 
 
 def test_no_subcommand_is_usage_error(capsys):
@@ -371,6 +401,31 @@ def test_extract_builds_feature_cache(tmp_path):
     assert set(cache) == {"u1"}
     assert np.asarray(cache["u1"].features).shape[0] == \
         cache["u1"].prosody.f0.size
+
+
+def test_extract_is_thread_invariant(tmp_path):
+    # the mel and DCT products must round alike at any BLAS thread count
+    rng = np.random.default_rng(4)
+    rows = []
+    for i, seconds in enumerate((0.5, 1.3, 2.1)):
+        t = np.arange(int(seconds * SAMPLE_RATE)) / SAMPLE_RATE
+        hz = 110.0 + 60.0 * i + 40.0 * t
+        _write_wav(tmp_path / f"c{i}.wav",
+                   0.3 * np.sin(2 * np.pi * np.cumsum(hz) / SAMPLE_RATE)
+                   + 0.02 * rng.standard_normal(t.size))
+        rows.append(f"u{i}\ts1\tmale\tneutral\t1\t{i + 1}\tc{i}.wav\n")
+    (tmp_path / "manifest.tsv").write_text(
+        "id\tspeaker\tgender\temotion\tsentence\trepetition\taudio\n"
+        + "".join(rows))
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"features{threads}.bin"
+        _python("-m", "emocue.cli", "extract",
+                "--manifest", str(tmp_path / "manifest.tsv"), "--out", str(out),
+                OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        outputs.append(out.read_bytes())
+    assert len(read_feature_cache(tmp_path / "features1.bin")) == 3
+    assert outputs[0] == outputs[1]
 
 
 def test_extract_rejects_cached_only_manifest(tmp_path, capsys):

@@ -191,6 +191,15 @@ def test_mfcc_tone_matches_reference():
                                _reference_mfcc(samples), rtol=0, atol=1e-9)
 
 
+def test_autocorr_len_is_free_of_wrap_round_and_fast():
+    length = frontend._AUTOCORR_LEN
+    assert length >= frontend.FRAME_LEN + frontend._LAG_MAX + 1 == 747
+    for prime in (2, 3, 5):
+        while length % prime == 0:
+            length //= prime
+    assert length == 1
+
+
 def test_mel_filterbank_shape_and_coverage():
     fbank = frontend.MEL_FILTERBANK
     assert fbank.shape == (26, 257)
@@ -251,6 +260,14 @@ def test_analyze_clip_blocks_match_scalar_reference(num_frames):
     utt = frontend.analyze_clip(_clip(samples))
     assert len(utt.features) == len(utt.prosody) \
         == (len(samples) - 480) // 80 + 1 == num_frames
+    # the block split rounds exactly as one whole-clip pass does
+    frames = frontend.frame_signal(_clip(samples))
+    whole = frontend.prosodic_track(frames)
+    np.testing.assert_array_equal(utt.features.vectors,
+                                  frontend.mfcc(frames).vectors)
+    np.testing.assert_array_equal(utt.prosody.f0, whole.f0)
+    np.testing.assert_array_equal(utt.prosody.log_energy, whole.log_energy)
+    np.testing.assert_array_equal(utt.prosody.voiced, whole.voiced)
     np.testing.assert_allclose(np.asarray(utt.features),
                                _reference_mfcc(samples), rtol=0, atol=1e-9)
     window = np.hamming(480)
