@@ -61,8 +61,6 @@ from .evaluation import (
     write_evaluation,
 )
 from .frontend import (
-    AudioClip,
-    FeatureSequence,
     ProsodicTrack,
     UtteranceFeatures,
     analyze_clip,

@@ -96,15 +96,8 @@ def _numbers(flag: str, text: str) -> list[float]:
     return values
 
 
-def _load_corpus(manifest_path, features_path):
-    records = corpus.load_manifest(manifest_path)
-    cache = read_feature_cache(features_path)
-    missing = [r.id for r in records if r.id not in cache]
-    if missing:
-        raise ManifestError(
-            f"{features_path}: feature cache is missing {len(missing)} "
-            f"utterances (first: {missing[0]!r})")
-    return records, cache
+def _load_corpus(manifest, features):
+    return corpus.load_manifest(manifest), read_feature_cache(features)
 
 
 def _cmd_extract(args) -> int:
@@ -147,7 +140,7 @@ def _cmd_train(args) -> int:
     records, cache = _load_corpus(args.manifest, args.features)
     train, _ = corpus.split_records(records, cfg.protocol)
     with _prefixed(args.manifest, EmptyTrainingSetError), \
-            _prefixed(args.features, SequenceTooShortError):
+            _prefixed(args.features, (SequenceTooShortError, ManifestError)):
         trained = recognizer.train_role(args.role, args.bank_dir, cfg, train,
                                         cache)
     print(f"trained {len(trained)} {args.role} models "
@@ -174,8 +167,9 @@ def _cmd_identify(args) -> int:
         selected = [by_id[i] for i in wanted]
     else:
         selected = test
-    bank, features = recognizer.open_bank(args.bank_dir, train, selected,
-                                          cache)
+    with _prefixed(args.features, ManifestError):
+        bank, features = recognizer.open_bank(args.bank_dir, train, selected,
+                                              cache)
     with _prefixed(args.features):
         rows = recognizer.score_test_set(bank, selected, features, cfg.fusion)
     recognizer.write_results(args.out, rows)
@@ -204,7 +198,9 @@ def _cmd_sweep_alpha(args) -> int:
         alphas = tuple(_numbers("--alphas", args.alphas))
     records, cache = _load_corpus(args.manifest, args.features)
     train, test = corpus.split_records(records, cfg.protocol)
-    bank, features = recognizer.open_bank(args.bank_dir, train, test, cache)
+    with _prefixed(args.features, ManifestError):
+        bank, features = recognizer.open_bank(args.bank_dir, train, test,
+                                              cache)
     with _prefixed(args.features):
         sweep = evaluation.alpha_sweep(bank, test, features, alphas=alphas)
     evaluation.write_sweep_tsv(sweep, args.out)

@@ -24,7 +24,7 @@ from .errors import (
     UnknownLabelError,
     _utf8,
 )
-from .frontend import FEATURE_DIM, FeatureSequence, ProsodicTrack, UtteranceFeatures
+from .frontend import FEATURE_DIM, ProsodicTrack, UtteranceFeatures
 
 DEFAULT_EMOTIONS = ("neutral", "angry", "sad", "happy", "disgust", "fear")
 GENDERS = ("male", "female")
@@ -163,8 +163,8 @@ class NormalizationParams:
     mean: np.ndarray
     std: np.ndarray
 
-    def apply(self, features: FeatureSequence) -> FeatureSequence:
-        return FeatureSequence(vectors=(features.vectors - self.mean) / self.std)
+    def apply(self, features: np.ndarray) -> np.ndarray:
+        return container.readonly((features - self.mean) / self.std)
 
     def to_dict(self) -> dict:
         return {"mean": self.mean.tolist(), "std": self.std.tolist()}
@@ -183,7 +183,7 @@ class NormalizationParams:
         return cls(mean=mean, std=std)
 
 
-def normalize_features(train: Mapping[str, FeatureSequence]):
+def normalize_features(train: Mapping[str, np.ndarray]):
     """Z-normalize the training set with its own statistics.
 
     Returns (normalized train, params); params.apply normalizes held-out
@@ -192,7 +192,7 @@ def normalize_features(train: Mapping[str, FeatureSequence]):
     """
     if not train:
         raise DegenerateDimensionError("cannot normalize an empty training set")
-    stacked = np.concatenate([np.asarray(f) for f in train.values()])
+    stacked = np.concatenate(list(train.values()))
     mean = stacked.mean(axis=0)
     std = stacked.std(axis=0)
     degenerate = np.flatnonzero(std < 1e-12)
@@ -234,12 +234,10 @@ class ProsodyProfile:
 
 @dataclass(frozen=True)
 class SyntheticCorpus:
-    """Sampled corpus plus the generator models that produced it."""
+    """Sampled utterance records, their features and their split."""
 
     records: tuple[UtteranceRecord, ...]
     features: dict[str, UtteranceFeatures]
-    generators: dict[tuple[str, str], hmm.AcousticModel]
-    prosody: dict[str, ProsodyProfile]
     protocol: SplitProtocol
 
 
@@ -262,7 +260,7 @@ def synthesize_corpus(num_speakers: int,
                       repetitions: int = 3,
                       separation: float = 5.0,
                       seed: int = 0) -> SyntheticCorpus:
-    """Sample a labeled corpus from known per-(speaker, emotion) generators.
+    """Sample a labeled corpus from internal per-(speaker, emotion) generators.
 
     Acoustic frames come from small left-to-right GMM generators whose means
     separate speakers (a shared per-speaker direction plus a per-pair
@@ -354,7 +352,7 @@ def synthesize_corpus(num_speakers: int,
                         id=uid, speaker=s, gender=gender, emotion=e,
                         sentence=sentence, repetition=rep, audio=None))
                     features[uid] = UtteranceFeatures(
-                        features=FeatureSequence(vectors=vectors),
+                        features=container.readonly(vectors),
                         prosody=ProsodicTrack(f0=f0, log_energy=log_energy,
                                               voiced=voiced))
 
@@ -362,5 +360,4 @@ def synthesize_corpus(num_speakers: int,
         train_sentences=tuple(range(1, train_sentences + 1)),
         test_sentences=tuple(range(train_sentences + 1, num_sentences + 1)))
     return SyntheticCorpus(records=tuple(records), features=features,
-                           generators=generators, prosody=prosody,
                            protocol=protocol)

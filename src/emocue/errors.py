@@ -13,9 +13,9 @@ class EmoCueError(Exception):
 
 
 @contextlib.contextmanager
-def _prefixed(what: str, kind: type[EmoCueError] = EmoCueError):
-    """Re-raise an error of kind (an EmoCueError) from the block as the same
-    type, its message prefixed by what (the utterance or file at fault)."""
+def _prefixed(what: str, kind=EmoCueError):
+    """Re-raise an error of kind (EmoCueError types) from the block as the
+    same type, its message prefixed by what (the utterance or file at fault)."""
     try:
         yield
     except kind as exc:

@@ -1,13 +1,13 @@
 """Audio frontend: WAV ingestion, framing, MFCC and prosodic analysis.
 
-The frontend turns mono 16 kHz PCM audio into the two observation streams
-used by the classifiers:
+The frontend turns mono 16 kHz PCM audio, a 1-D int16 sample array, into
+the two observation streams used by the classifiers:
 
-* a sequence of 16-dimensional MFCC vectors (one per 30 ms frame, 5 ms hop),
+* a (T, 16) float64 array of MFCC vectors (one per 30 ms frame, 5 ms hop),
 * a prosodic track holding per-frame fundamental frequency, log energy and
   a voicing decision.
 
-All functions are pure; returned containers hold read-only arrays.
+All functions are pure, and every array they return is read-only.
 """
 
 from __future__ import annotations
@@ -62,66 +62,6 @@ _CACHE_MAGIC = b"EMOFC001"
 
 
 @dataclass(frozen=True)
-class AudioClip:
-    """Mono 16-bit PCM audio at 16 kHz."""
-
-    samples: np.ndarray
-    sample_rate: int = SAMPLE_RATE
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.int16)
-        if self.sample_rate != SAMPLE_RATE:
-            raise UnsupportedFormatError(
-                f"sample rate must be {SAMPLE_RATE} Hz, got {self.sample_rate}")
-        if samples.ndim != 1:
-            raise UnsupportedFormatError("samples must be a 1-D mono sequence")
-        if samples.size < FRAME_LEN:
-            raise TooShortError(
-                f"need at least {FRAME_LEN} samples, got {samples.size}")
-        object.__setattr__(self, "samples", readonly(samples, None))
-
-    def __len__(self) -> int:
-        return self.samples.size
-
-
-@dataclass(frozen=True)
-class FrameSequence:
-    """Raw (un-windowed) analysis frames of one clip."""
-
-    frames: np.ndarray   # (num_frames, FRAME_LEN) float64
-
-    def __post_init__(self):
-        frames = np.asarray(self.frames, dtype=np.float64)
-        if frames.ndim != 2 or frames.shape[1] != FRAME_LEN:
-            raise ValueError(
-                f"frames must have shape (n, {FRAME_LEN}), got {frames.shape}")
-        object.__setattr__(self, "frames", readonly(frames, None))
-
-    def __len__(self) -> int:
-        return self.frames.shape[0]
-
-
-@dataclass(frozen=True)
-class FeatureSequence:
-    """Time-ordered 16-dimensional MFCC observation vectors."""
-
-    vectors: np.ndarray  # (T, 16) float64
-
-    def __post_init__(self):
-        vectors = np.asarray(self.vectors, dtype=np.float64)
-        if vectors.ndim != 2 or vectors.shape[1] != FEATURE_DIM:
-            raise ValueError(
-                f"vectors must have shape (T, {FEATURE_DIM}), got {vectors.shape}")
-        object.__setattr__(self, "vectors", readonly(vectors, None))
-
-    def __len__(self) -> int:
-        return self.vectors.shape[0]
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.vectors, dtype=dtype, copy=copy)
-
-
-@dataclass(frozen=True)
 class ProsodicTrack:
     """Per-frame fundamental frequency, log energy and voicing flags.
 
@@ -153,14 +93,36 @@ class ProsodicTrack:
 
 
 class UtteranceFeatures(NamedTuple):
-    """Both observation streams of one utterance."""
+    """Both observation streams of one utterance, over the same T frames."""
 
-    features: FeatureSequence
+    features: np.ndarray   # (T, 16) float64 MFCC vectors
     prosody: ProsodicTrack
 
 
-def load_audio(path) -> AudioClip:
-    """Read a mono 16-bit 16 kHz PCM WAV file.
+def _samples(samples) -> np.ndarray:
+    """samples as a read-only array: UnsupportedFormatError unless 1-D
+    int16 (no other dtype is cast), TooShortError if under one frame."""
+    samples = np.asarray(samples)
+    if samples.ndim != 1 or samples.dtype != np.int16:
+        raise UnsupportedFormatError(f"samples must be 1-D int16, got "
+                                     f"{samples.ndim}-D {samples.dtype}")
+    if samples.size < FRAME_LEN:
+        raise TooShortError(
+            f"need at least {FRAME_LEN} samples, got {samples.size}")
+    return readonly(samples, None)
+
+
+def _frames(frames) -> np.ndarray:
+    """frames as float64, refused (ValueError) unless (T >= 1, FRAME_LEN)."""
+    frames = np.asarray(frames, dtype=np.float64)
+    if frames.ndim != 2 or frames.shape[1] != FRAME_LEN or not len(frames):
+        raise ValueError(f"frames must have shape (n >= 1, {FRAME_LEN}), "
+                         f"got {frames.shape}")
+    return frames
+
+
+def load_audio(path) -> np.ndarray:
+    """Read a mono 16-bit 16 kHz PCM WAV file as its 1-D int16 samples.
 
     Raises UnsupportedFormatError for any other encoding, CorruptFileError
     for a file cut short (a data chunk with fewer samples than its header
@@ -194,20 +156,21 @@ def load_audio(path) -> AudioClip:
         raise CorruptFileError(f"{path}: WAV data is cut short: "
                                f"{len(data) // sampwidth} of {declared} "
                                f"samples")
+    samples = np.frombuffer(data, "<i2").astype(np.int16, copy=False)
     with _prefixed(path, TooShortError):
-        return AudioClip(samples=np.frombuffer(data, dtype="<i2"))
+        return _samples(samples)
 
 
-def frame_signal(clip: AudioClip) -> FrameSequence:
-    """Slice a clip into raw frames (30 ms window, 5 ms hop).
+def frame_signal(samples) -> np.ndarray:
+    """Slice int16 samples into raw (T, 480) float64 frames (30 ms, 5 ms hop).
 
     The frames are the samples themselves; mfcc and the frame energy apply
     the Hamming window. Samples past the last full window are dropped; the
     frame count is floor((num_samples - frame_len) / hop) + 1.
     """
-    samples = clip.samples.astype(np.float64)
-    return FrameSequence(
-        frames=np.lib.stride_tricks.sliding_window_view(samples, FRAME_LEN)[::HOP])
+    samples = _samples(samples).astype(np.float64)
+    return readonly(
+        np.lib.stride_tricks.sliding_window_view(samples, FRAME_LEN)[::HOP])
 
 
 def _mel(hz):
@@ -246,25 +209,23 @@ def _dct_basis() -> np.ndarray:
 _DCT_BASIS = _dct_basis()
 
 
-def mfcc(frames: FrameSequence) -> FeatureSequence:
-    """Compute 16 MFCCs per frame (coefficients 1..16, no energy term).
+def mfcc(frames) -> np.ndarray:
+    """The (T, 16) MFCCs of T frames: coefficients 1..16, no energy term.
 
     Per frame: Hamming window, pre-emphasis, zero-padded magnitude spectrum,
     triangular mel filterbank, floored log, orthonormal DCT-II applied as a
     fixed basis. Coefficient 0 is dropped to keep the features robust to
     overall gain.
     """
-    if len(frames) == 0:
-        raise ValueError("empty frame sequence")
-    emphasized = frames.frames * _WINDOW
+    emphasized = _frames(frames) * _WINDOW
     emphasized[:, 1:] -= PREEMPHASIS * emphasized[:, :-1]
     spectrum = np.abs(np.fft.rfft(emphasized, FFT_SIZE, axis=1))
     energies = spectrum @ MEL_FILTERBANK.T
     log_energies = np.log(np.maximum(energies, ENERGY_FLOOR))
-    return FeatureSequence(vectors=log_energies @ _DCT_BASIS)
+    return readonly(log_energies @ _DCT_BASIS)
 
 
-def prosodic_track(frames: FrameSequence) -> ProsodicTrack:
+def prosodic_track(frames) -> ProsodicTrack:
     """Estimate per-frame F0, log energy and voicing.
 
     F0 is searched over [60, 400] Hz with a normalized autocorrelation of
@@ -275,10 +236,8 @@ def prosodic_track(frames: FrameSequence) -> ProsodicTrack:
     long-lag peaks toward shorter lags; the frame energy is that of the
     Hamming-windowed frame.
     """
-    x = frames.frames
+    x = _frames(frames)
     n_frames, frame_len = x.shape
-    if n_frames == 0:
-        raise ValueError("empty frame sequence")
     lag_min, lag_max = _LAG_MIN, _LAG_MAX
     base = lag_min - 1                  # ncc column j holds lag base + j
 
@@ -335,8 +294,8 @@ def prosodic_track(frames: FrameSequence) -> ProsodicTrack:
     return ProsodicTrack(f0=f0, log_energy=log_energy, voiced=voiced)
 
 
-def analyze_clip(clip: AudioClip) -> UtteranceFeatures:
-    """Full frontend for one clip: framing, MFCCs and prosody.
+def analyze_clip(samples) -> UtteranceFeatures:
+    """Full frontend for one clip's int16 samples: framing, MFCCs, prosody.
 
     The frames are analysed in blocks of at most _BLOCK_FRAMES, each framed
     from a sub-clip over the samples it covers, so memory stays bounded
@@ -344,21 +303,21 @@ def analyze_clip(clip: AudioClip) -> UtteranceFeatures:
     its kernel by matrix size, and a short remainder block would round the
     mel energies or cepstra differently from a whole-clip pass.
     """
-    n_frames = (len(clip) - FRAME_LEN) // HOP + 1
+    samples = _samples(samples)
+    n_frames = (samples.size - FRAME_LEN) // HOP + 1
     n_blocks = -(-n_frames // _BLOCK_FRAMES)
     vectors, f0, log_energy, voiced = [], [], [], []
     for b in range(n_blocks):
         first = b * n_frames // n_blocks
         last = (b + 1) * n_frames // n_blocks - 1
-        frames = frame_signal(AudioClip(
-            samples=clip.samples[first * HOP:last * HOP + FRAME_LEN]))
+        frames = frame_signal(samples[first * HOP:last * HOP + FRAME_LEN])
         track = prosodic_track(frames)
-        vectors.append(mfcc(frames).vectors)
+        vectors.append(mfcc(frames))
         f0.append(track.f0)
         log_energy.append(track.log_energy)
         voiced.append(track.voiced)
     return UtteranceFeatures(
-        features=FeatureSequence(vectors=np.concatenate(vectors)),
+        features=readonly(np.concatenate(vectors)),
         prosody=ProsodicTrack(f0=np.concatenate(f0),
                               log_energy=np.concatenate(log_energy),
                               voiced=np.concatenate(voiced)))
@@ -378,15 +337,19 @@ def write_feature_cache(path, entries: Mapping[str, UtteranceFeatures]) -> None:
     """Write both observation streams for a set of utterances.
 
     Entries are stored sorted by utterance id, so identical inputs always
-    produce byte-identical files. An interrupted write leaves the previous
-    cache whole.
+    produce byte-identical files. An interrupted write, or an entry whose
+    MFCCs are not (T, 16) for its T prosody frames (ValueError), leaves the
+    previous cache whole.
     """
     ids = sorted(entries)
 
     def payload():
         for uid in ids:
             feats, track = entries[uid]
-            yield np.ascontiguousarray(feats.vectors, dtype="<f8").tobytes()
+            if np.shape(feats) != (len(track), FEATURE_DIM):
+                raise ValueError(f"utterance {uid!r}: MFCCs of shape "
+                                 f"{np.shape(feats)} for {len(track)} frames")
+            yield np.ascontiguousarray(feats, dtype="<f8").tobytes()
             yield np.ascontiguousarray(track.f0, dtype="<f8").tobytes()
             yield np.ascontiguousarray(track.log_energy, dtype="<f8").tobytes()
             yield np.ascontiguousarray(track.voiced, dtype=np.uint8).tobytes()
@@ -428,7 +391,7 @@ def read_feature_cache(path) -> dict[str, UtteranceFeatures]:
                     f"{path}: utterance {uid!r}: frame "
                     f"{int(np.argmin(finite))} of {frames} is not finite")
             out[uid] = UtteranceFeatures(
-                features=FeatureSequence(vectors=vectors),
+                features=vectors,
                 prosody=ProsodicTrack(f0=f0, log_energy=log_energy,
                                       voiced=voiced))
         return out

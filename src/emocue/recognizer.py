@@ -402,6 +402,14 @@ def _bank_config(cfg: RunConfig) -> dict:
             for name, v in values.items()}
 
 
+def _cached(records, cache: Mapping[str, UtteranceFeatures]) -> None:
+    """Refuse (ManifestError) records whose features the cache lacks."""
+    missing = list(dict.fromkeys(r.id for r in records if r.id not in cache))
+    if missing:
+        raise ManifestError(f"feature cache is missing {len(missing)} "
+                            f"utterances (first: {missing[0]!r})")
+
+
 def _train_split(records, cache: Mapping[str, UtteranceFeatures]) -> str:
     return hashlib.sha256("".join(
         f"{uid}\t{len(cache[uid].features)}\n"
@@ -447,10 +455,12 @@ def open_bank(directory, train_records, used_records,
               cache: Mapping[str, UtteranceFeatures]):
     """The bank in directory, read once and checked against the train split
     of train_records (its models carry their own shapes), and the features
-    of used_records with MFCCs z-normalized by the bank's statistics.
+    of used_records with MFCCs z-normalized by the bank's statistics. A
+    record of either set that the cache lacks raises ManifestError.
 
     Returns (bank, features).
     """
+    _cached([*train_records, *used_records], cache)
     header, roles = _read_bank(directory)
     _check(directory, header, None, train_records, cache)
     return (_model_bank(directory, header, roles),
@@ -463,10 +473,11 @@ def train_role(role: str, directory, cfg: RunConfig, train_records,
     normalized train split and swap it into the bank in directory, which is
     rewritten whole. An existing bank is checked (_check, with the split's
     labels) before any training; a new one takes the split's statistics.
-    A split that selects no utterance, or (for the speaker role) no
-    utterance of some (speaker, emotion) cell, raises EmptyTrainingSetError,
-    and a train utterance shorter than num_states SequenceTooShortError
-    naming it; neither writes the bank.
+    A train record that the cache lacks raises ManifestError. A split that
+    selects no utterance, or (for the speaker role) no utterance of some
+    (speaker, emotion) cell, raises EmptyTrainingSetError, and a train
+    utterance shorter than num_states SequenceTooShortError naming it;
+    none of these writes the bank.
 
     Returns the role's models with their TrainingReports as {key: (model,
     report)}, keyed and ordered as bank.bin stores them: (emotion,
@@ -476,6 +487,7 @@ def train_role(role: str, directory, cfg: RunConfig, train_records,
     records = list(train_records)
     if not records:
         raise EmptyTrainingSetError("the train split selects no utterance")
+    _cached(records, cache)
     for r in records:
         if len(cache[r.id].features) < cfg.num_states:
             raise SequenceTooShortError(

@@ -20,7 +20,6 @@ from emocue.corpus import load_manifest, split_records, write_manifest
 from emocue.errors import CorruptFileError, NumericalUnderflowError
 from emocue.frontend import (
     SAMPLE_RATE,
-    FeatureSequence,
     ProsodicTrack,
     UtteranceFeatures,
     read_feature_cache,
@@ -568,13 +567,46 @@ def test_identify_rejects_repeated_ids(small_pipeline, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_feature_cache_lacking_a_read_record_exits_2(small_pipeline,
+                                                       tmp_path, capsys):
+    manifest = small_pipeline / "corpus/manifest.tsv"
+    records = load_manifest(manifest)
+    missing = next(r.id for r in records if r.sentence == 2)
+    unread, kept = [r.id for r in records if r.sentence == 4][:2]
+    full = read_feature_cache(small_pipeline / "corpus/features.bin")
+    bank = ["--bank-dir", str(small_pipeline / "bank")]
+    for gone, command, extra in (
+            (missing, "train-emotions",
+             ["--bank-dir", str(tmp_path / "bank"), *SMALL_FLAGS]),
+            (missing, "identify", [*bank, "--out", str(tmp_path / "a.jsonl")]),
+            (unread, "sweep-alpha", [*bank, "--out", str(tmp_path / "a.tsv")])):
+        features = tmp_path / "features.bin"
+        write_feature_cache(features, {uid: utt for uid, utt in full.items()
+                                       if uid != gone})
+        code = cli.main([command, "--manifest", str(manifest),
+                         "--features", str(features), *extra, *SMALL_SPLIT])
+        assert code == 2, command
+        assert capsys.readouterr().err == (
+            f"data error: {features}: feature cache is missing 1 utterances "
+            f"(first: {gone!r})\n")
+    assert not (tmp_path / "bank").exists()
+    # identify reads the train split and the utterances it is asked for,
+    # not the rest of the manifest
+    out = tmp_path / "one.jsonl"
+    assert cli.main(["identify", "--manifest", str(manifest),
+                     "--features", str(features), *bank, "--out", str(out),
+                     "--ids", kept, *SMALL_SPLIT]) == 0
+    assert [json.loads(line)["id"]
+            for line in out.read_text().splitlines()] == [kept]
+
+
 def test_identify_rejects_non_finite_frame(small_pipeline, tmp_path, capsys):
     uid = json.loads((small_pipeline / "results.jsonl").read_text()
                      .splitlines()[0])["id"]
     cache = read_feature_cache(small_pipeline / "corpus/features.bin")
-    vectors = np.array(cache[uid].features.vectors)
+    vectors = np.array(cache[uid].features)
     vectors[4, 2] = np.nan
-    cache[uid] = cache[uid]._replace(features=FeatureSequence(vectors=vectors))
+    cache[uid] = cache[uid]._replace(features=vectors)
     write_feature_cache(tmp_path / "features.bin", cache)
     code = cli.main(["identify",
                      "--manifest", str(small_pipeline / "corpus/manifest.tsv"),
@@ -597,7 +629,7 @@ def _score_with_short_utterance(small_pipeline, tmp_path, command, out):
     cache = read_feature_cache(small_pipeline / "corpus/features.bin")
     features, track = cache[short]
     cache[short] = UtteranceFeatures(
-        features=FeatureSequence(vectors=features.vectors[:2]),
+        features=features[:2],
         prosody=ProsodicTrack(f0=track.f0[:2], log_energy=track.log_energy[:2],
                               voiced=track.voiced[:2]))
     cut = tmp_path / "features.bin"
@@ -838,7 +870,7 @@ def test_train_names_an_utterance_shorter_than_the_states(small_pipeline,
     cache = read_feature_cache(small_pipeline / "corpus/features.bin")
     features, track = cache[short]
     cache[short] = UtteranceFeatures(
-        features=FeatureSequence(vectors=features.vectors[:2]),
+        features=features[:2],
         prosody=ProsodicTrack(f0=track.f0[:2], log_energy=track.log_energy[:2],
                               voiced=track.voiced[:2]))
     cut = tmp_path / "features.bin"

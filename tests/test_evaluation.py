@@ -24,7 +24,7 @@ from emocue.evaluation import (
     write_sweep_tsv,
 )
 from emocue.recognizer import identify_emotion, identify_speaker_given_emotion
-from emocue.frontend import FeatureSequence, ProsodicTrack, UtteranceFeatures
+from emocue.frontend import ProsodicTrack, UtteranceFeatures
 from emocue.supra import FusionConfig
 
 from oracles import (
@@ -336,7 +336,7 @@ def test_sweep_rejects_missing_emotion_before_scoring(tiny_trained):
     features = dict(tiny_trained["features"])
     utt = features[only_first[0].id]
     features[only_first[0].id] = UtteranceFeatures(
-        features=FeatureSequence(vectors=utt.features.vectors[:2]),
+        features=utt.features[:2],
         prosody=ProsodicTrack(f0=utt.prosody.f0[:2],
                               log_energy=utt.prosody.log_energy[:2],
                               voiced=utt.prosody.voiced[:2]))

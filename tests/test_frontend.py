@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emocue import frontend
+from emocue import corpus, frontend
 from emocue.errors import (
     CorruptFileError,
     EmoCueError,
@@ -34,10 +34,6 @@ WAVGEN_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "wavgen.py"
 def _tone(freq_hz, num_samples, amplitude=8000.0, rate=16000):
     t = np.arange(num_samples) / rate
     return np.round(amplitude * np.sin(2 * np.pi * freq_hz * t)).astype(np.int16)
-
-
-def _clip(samples):
-    return frontend.AudioClip(samples=np.asarray(samples, dtype=np.int16))
 
 
 def _write_wav(path, samples, rate=16000, channels=1, sampwidth=2):
@@ -140,34 +136,52 @@ def _reference_pitch_frame(frame):
 
 
 def test_frame_count_exact():
-    frames = frontend.frame_signal(_clip(np.zeros(480, dtype=np.int16)))
-    assert frames.frames.shape == (1, 480)
-    frames = frontend.frame_signal(_clip(np.zeros(480 + 80 * 3 + 79,
-                                                  dtype=np.int16)))
-    assert frames.frames.shape[0] == 4
+    frames = frontend.frame_signal(np.zeros(480, dtype=np.int16))
+    assert frames.shape == (1, 480)
+    frames = frontend.frame_signal(np.zeros(480 + 80 * 3 + 79, dtype=np.int16))
+    assert frames.shape[0] == 4
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=480, max_value=20000))
 def test_frame_count_formula(num_samples):
-    frames = frontend.frame_signal(
-        _clip(np.zeros(num_samples, dtype=np.int16)))
-    assert frames.frames.shape[0] == (num_samples - 480) // 80 + 1
+    frames = frontend.frame_signal(np.zeros(num_samples, dtype=np.int16))
+    assert frames.shape[0] == (num_samples - 480) // 80 + 1
 
 
 def test_frames_are_raw_samples():
     # the Hamming window is applied by mfcc and the frame energy, not here
     rng = np.random.default_rng(4)
     samples = rng.integers(-12000, 12000, size=480 + 80 * 3).astype(np.int16)
-    frames = frontend.frame_signal(_clip(samples))
+    frames = frontend.frame_signal(samples)
     for i in range(4):
-        np.testing.assert_array_equal(frames.frames[i],
-                                      samples[80 * i:80 * i + 480])
+        np.testing.assert_array_equal(frames[i], samples[80 * i:80 * i + 480])
 
 
 def test_too_short_clip_rejected():
-    with pytest.raises(TooShortError):
-        frontend.AudioClip(samples=np.zeros(479, dtype=np.int16))
+    for analyze in (frontend.frame_signal, frontend.analyze_clip):
+        with pytest.raises(TooShortError):
+            analyze(np.zeros(479, dtype=np.int16))
+
+
+@pytest.mark.parametrize("samples", [
+    np.array([0.7, 40000.0] * 240), np.zeros(480, dtype=np.int32),
+    np.zeros(480, dtype=np.uint16), np.zeros((2, 480), dtype=np.int16)],
+    ids=["float", "int32", "uint16", "2-D"])
+@pytest.mark.parametrize("analyze", [frontend.frame_signal,
+                                     frontend.analyze_clip])
+def test_samples_other_than_1d_int16_are_refused_not_cast(analyze, samples):
+    with pytest.raises(UnsupportedFormatError, match="1-D int16"):
+        analyze(samples)
+
+
+@pytest.mark.parametrize("frames", [
+    np.zeros((0, 480)), np.zeros((3, 479)), np.zeros(480)],
+    ids=["no rows", "narrow", "1-D"])
+@pytest.mark.parametrize("analyze", [frontend.mfcc, frontend.prosodic_track])
+def test_frames_other_than_t_by_480_are_refused(analyze, frames):
+    with pytest.raises(ValueError, match="frames must have shape"):
+        analyze(frames)
 
 
 # --- MFCCs -------------------------------------------------------------------
@@ -177,7 +191,7 @@ def test_mfcc_matches_scalar_reference():
     rng = np.random.default_rng(0)
     samples = (rng.integers(-12000, 12000, size=480 + 80 * 4)
                .astype(np.int16))
-    frames = frontend.frame_signal(_clip(samples))
+    frames = frontend.frame_signal(samples)
     got = np.asarray(frontend.mfcc(frames))
     want = _reference_mfcc(samples)
     assert got.shape == (5, 16)
@@ -186,7 +200,7 @@ def test_mfcc_matches_scalar_reference():
 
 def test_mfcc_tone_matches_reference():
     samples = _tone(220.0, 480 + 80 * 2)
-    frames = frontend.frame_signal(_clip(samples))
+    frames = frontend.frame_signal(samples)
     np.testing.assert_allclose(np.asarray(frontend.mfcc(frames)),
                                _reference_mfcc(samples), rtol=0, atol=1e-9)
 
@@ -215,14 +229,14 @@ def test_mel_filterbank_shape_and_coverage():
 
 
 def test_tone_pitch_100hz():
-    frames = frontend.frame_signal(_clip(_tone(100.0, 480 + 80 * 9)))
+    frames = frontend.frame_signal(_tone(100.0, 480 + 80 * 9))
     track = frontend.prosodic_track(frames)
     assert np.all(track.voiced)
     np.testing.assert_allclose(track.f0, 100.0, atol=1.0)
 
 
 def test_tone_pitch_250hz():
-    frames = frontend.frame_signal(_clip(_tone(250.0, 480 + 80 * 9)))
+    frames = frontend.frame_signal(_tone(250.0, 480 + 80 * 9))
     track = frontend.prosodic_track(frames)
     assert np.all(track.voiced)
     np.testing.assert_allclose(track.f0, 250.0, atol=2.0)
@@ -233,10 +247,10 @@ def test_pitch_matches_scalar_reference():
     voiced_part = _tone(161.8, 480 + 80 * 2)
     noise_part = rng.integers(-500, 500, size=480).astype(np.int16)
     for samples in (voiced_part, noise_part):
-        frames = frontend.frame_signal(_clip(samples))
+        frames = frontend.frame_signal(samples)
         track = frontend.prosodic_track(frames)
-        for i in range(frames.frames.shape[0]):
-            want_f0, want_voiced = _reference_pitch_frame(frames.frames[i])
+        for i in range(frames.shape[0]):
+            want_f0, want_voiced = _reference_pitch_frame(frames[i])
             assert bool(track.voiced[i]) == want_voiced
             assert track.f0[i] == pytest.approx(want_f0, abs=1e-9)
 
@@ -257,14 +271,13 @@ def _glide(num_samples, seed=5):
     1, frontend._BLOCK_FRAMES, 2 * frontend._BLOCK_FRAMES + 7])
 def test_analyze_clip_blocks_match_scalar_reference(num_frames):
     samples = _glide(480 + 80 * (num_frames - 1))
-    utt = frontend.analyze_clip(_clip(samples))
+    utt = frontend.analyze_clip(samples)
     assert len(utt.features) == len(utt.prosody) \
         == (len(samples) - 480) // 80 + 1 == num_frames
     # the block split rounds exactly as one whole-clip pass does
-    frames = frontend.frame_signal(_clip(samples))
+    frames = frontend.frame_signal(samples)
     whole = frontend.prosodic_track(frames)
-    np.testing.assert_array_equal(utt.features.vectors,
-                                  frontend.mfcc(frames).vectors)
+    np.testing.assert_array_equal(utt.features, frontend.mfcc(frames))
     np.testing.assert_array_equal(utt.prosody.f0, whole.f0)
     np.testing.assert_array_equal(utt.prosody.log_energy, whole.log_energy)
     np.testing.assert_array_equal(utt.prosody.voiced, whole.voiced)
@@ -300,7 +313,7 @@ def test_pitch_matches_known_truth():
     gross = f0_scored = voicing = voicing_scored = 0
     for seed in (1, 2):
         for clip in wavgen.make_clips(seed, 10):
-            utt = frontend.analyze_clip(_clip(clip.samples))
+            utt = frontend.analyze_clip(clip.samples)
             g, fs, v, vs = wavgen.pitch_errors(clip, utt.prosody.f0,
                                                utt.prosody.voiced)
             gross, f0_scored = gross + g, f0_scored + fs
@@ -315,8 +328,8 @@ def test_analyze_clip_memory_is_bounded_on_long_clips():
     # 465 MB at 60 s
     num_samples = 240 * 16000
     rng = np.random.default_rng(6)
-    clip = _clip(_tone(150.0, num_samples)
-                 + rng.integers(-300, 300, size=num_samples))
+    clip = (_tone(150.0, num_samples)
+            + rng.integers(-300, 300, size=num_samples)).astype(np.int16)
     tracemalloc.start()
     try:
         utt = frontend.analyze_clip(clip)
@@ -330,14 +343,14 @@ def test_analyze_clip_memory_is_bounded_on_long_clips():
 def test_noise_is_unvoiced():
     rng = np.random.default_rng(1)
     samples = rng.integers(-12000, 12000, size=480 + 80 * 9).astype(np.int16)
-    track = frontend.prosodic_track(frontend.frame_signal(_clip(samples)))
+    track = frontend.prosodic_track(frontend.frame_signal(samples))
     assert not np.any(track.voiced)
     assert np.all(track.f0 == 0.0)
 
 
 def test_silence_is_unvoiced_with_floor_energy():
     track = frontend.prosodic_track(
-        frontend.frame_signal(_clip(np.zeros(480 * 2, dtype=np.int16))))
+        frontend.frame_signal(np.zeros(480 * 2, dtype=np.int16)))
     assert not np.any(track.voiced)
     assert np.all(track.f0 == 0.0)
     np.testing.assert_allclose(track.log_energy, np.log(1e-10))
@@ -346,8 +359,8 @@ def test_silence_is_unvoiced_with_floor_energy():
 def test_amplification_leaves_pitch_unchanged():
     quiet = _tone(130.0, 480 + 80 * 5, amplitude=500.0)
     loud = (quiet.astype(np.int32) * 16).astype(np.int16)
-    t_quiet = frontend.prosodic_track(frontend.frame_signal(_clip(quiet)))
-    t_loud = frontend.prosodic_track(frontend.frame_signal(_clip(loud)))
+    t_quiet = frontend.prosodic_track(frontend.frame_signal(quiet))
+    t_loud = frontend.prosodic_track(frontend.frame_signal(loud))
     np.testing.assert_array_equal(t_quiet.voiced, t_loud.voiced)
     np.testing.assert_array_equal(t_quiet.f0, t_loud.f0)
     np.testing.assert_allclose(t_loud.log_energy - t_quiet.log_energy,
@@ -358,7 +371,7 @@ def test_f0_range_contract():
     rng = np.random.default_rng(2)
     samples = (_tone(180.0, 480 + 80 * 20)
                + rng.integers(-300, 300, size=480 + 80 * 20)).astype(np.int16)
-    track = frontend.prosodic_track(frontend.frame_signal(_clip(samples)))
+    track = frontend.prosodic_track(frontend.frame_signal(samples))
     voiced_f0 = track.f0[track.voiced]
     assert voiced_f0.size > 0
     assert np.all((voiced_f0 >= 60.0) & (voiced_f0 <= 400.0))
@@ -372,8 +385,7 @@ def test_load_audio_roundtrip(tmp_path):
     samples = _tone(200.0, 1600)
     path = tmp_path / "ok.wav"
     _write_wav(path, samples)
-    clip = frontend.load_audio(path)
-    np.testing.assert_array_equal(clip.samples, samples)
+    np.testing.assert_array_equal(frontend.load_audio(path), samples)
 
 
 def test_load_audio_rejects_stereo(tmp_path):
@@ -428,7 +440,7 @@ def _analyzed(seed, num_samples):
     rng = np.random.default_rng(seed)
     samples = (_tone(150.0 + seed, num_samples)
                + rng.integers(-200, 200, size=num_samples)).astype(np.int16)
-    return frontend.analyze_clip(_clip(samples))
+    return frontend.analyze_clip(samples)
 
 
 def test_cache_roundtrip(tmp_path):
@@ -484,6 +496,23 @@ def test_interrupted_cache_write_keeps_previous_cache(tmp_path, monkeypatch):
         frontend.write_feature_cache(path, {"y": _analyzed(6, 2160)})
     assert path.read_bytes() == before
     assert list(frontend.read_feature_cache(path)) == ["x"]
+
+
+@pytest.mark.parametrize("rows, columns", [(5, 15), (4, 16)])
+def test_cache_write_refuses_mfccs_that_do_not_fit_the_track(tmp_path, rows,
+                                                             columns):
+    # such a cache would be written whole and then read back as corrupt
+    path = tmp_path / "cache.bin"
+    frontend.write_feature_cache(path, {"x": _analyzed(5, 2000)})
+    before = path.read_bytes()
+    track = frontend.ProsodicTrack(f0=np.zeros(5), log_energy=np.zeros(5),
+                                   voiced=np.zeros(5, dtype=bool))
+    bad = frontend.UtteranceFeatures(np.zeros((rows, columns)), track)
+    with pytest.raises(ValueError, match=rf"^utterance 'y': MFCCs of shape "
+                       rf"\({rows}, {columns}\) for 5 frames$"):
+        frontend.write_feature_cache(path, {"x": _analyzed(5, 2000), "y": bad})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.bin"]
 
 
 def test_cache_rejects_bad_magic(tmp_path):
@@ -574,3 +603,34 @@ def test_cache_damage_raises_only_typed_errors(tmp_path_factory, cache_bytes,
 def test_analyze_clip_streams_aligned():
     utt = _analyzed(9, 3200)
     assert np.asarray(utt.features).shape[0] == len(utt.prosody)
+
+
+def test_every_handed_out_array_is_read_only_with_its_dtype_and_shape(
+        tmp_path):
+    samples = _tone(150.0, 480 + 80 * 9)
+    _write_wav(tmp_path / "clip.wav", samples)
+    loaded = frontend.load_audio(tmp_path / "clip.wav")
+    frames = frontend.frame_signal(loaded)
+    utt = frontend.analyze_clip(loaded)
+    frontend.write_feature_cache(tmp_path / "cache.bin", {"u": utt})
+    cached = frontend.read_feature_cache(tmp_path / "cache.bin")["u"]
+    normalized, params = corpus.normalize_features({"u": utt.features})
+    synth = corpus.synthesize_corpus(num_speakers=1, emotions=("neutral",),
+                                     train_sentences=1, test_sentences=1,
+                                     repetitions=1, seed=3)
+    mfccs = (np.float64, (10, frontend.FEATURE_DIM))
+    arrays = {"load_audio": (loaded, np.int16, (len(samples),)),
+              "frame_signal": (frames, np.float64, (10, 480)),
+              "mfcc": (frontend.mfcc(frames), *mfccs),
+              "analyze_clip": (utt.features, *mfccs),
+              "read_feature_cache": (cached.features, *mfccs),
+              "normalize_features": (normalized["u"], *mfccs),
+              "NormalizationParams.apply": (params.apply(utt.features),
+                                            *mfccs)}
+    for uid, entry in synth.features.items():
+        arrays[uid] = (entry.features, np.float64,
+                       (len(entry.prosody), frontend.FEATURE_DIM))
+    for name, (array, dtype, shape) in arrays.items():
+        assert type(array) is np.ndarray, name
+        assert (array.dtype, array.shape) == (dtype, shape), name
+        assert not array.flags.writeable, name

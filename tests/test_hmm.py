@@ -4,6 +4,7 @@ initialization invariances and persistence."""
 import json
 import math
 import os
+import types
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emocue import hmm
+from emocue.container import readonly
 from emocue.errors import (
     CorruptFileError,
     DimensionMismatchError,
@@ -23,7 +25,6 @@ from emocue.errors import (
     SequenceTooShortError,
     UnsupportedFormatError,
 )
-from emocue.frontend import FeatureSequence
 from oracles import (
     enumerated_forward,
     enumerated_viterbi,
@@ -439,7 +440,7 @@ def test_stack_matches_per_model_calls_on_bank_models(tiny_trained):
               for e in bank.emotions]
     for r in tiny_trained["test"]:
         for models in roles:
-            _assert_stack_matches(models, features[r.id].features.vectors)
+            _assert_stack_matches(models, features[r.id].features)
 
 
 def test_stack_matches_per_model_calls_with_a_zero_self_loop():
@@ -1039,8 +1040,8 @@ def test_model_rejects_inconsistent_shapes(change, message):
     assert str(error.value).startswith(message)
 
 
-def _feature_sequence(arrays):
-    return FeatureSequence(vectors=arrays["vectors"])
+def _readonly_vectors(arrays):
+    return types.SimpleNamespace(vectors=readonly(arrays["vectors"]))
 
 
 def _acoustic_model(arrays):
@@ -1049,9 +1050,9 @@ def _acoustic_model(arrays):
 
 
 @pytest.mark.parametrize("build, names", [
-    (_feature_sequence, ("vectors",)),
+    (_readonly_vectors, ("vectors",)),
     (_acoustic_model, ("transitions", "weights", "means", "variances")),
-], ids=["FeatureSequence", "AcousticModel"])
+], ids=["readonly", "AcousticModel"])
 def test_constructors_leave_the_callers_arrays_writeable(build, names):
     arrays = {"vectors": np.zeros((4, 16)),
               "weights": np.array([[0.25, 0.5], [0.75, 0.5]]),
@@ -1070,8 +1071,7 @@ def test_constructors_leave_the_callers_arrays_writeable(build, names):
 def test_read_only_input_is_kept_without_a_copy():
     payload = np.frombuffer(np.arange(32, dtype="<f8").tobytes())
     assert not payload.flags.writeable
-    assert FeatureSequence(vectors=payload.reshape(2, 16)).vectors.base \
-        is payload
+    assert readonly(payload.reshape(2, 16)).base is payload
 
 
 # --- persistence -------------------------------------------------------------

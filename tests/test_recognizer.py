@@ -14,6 +14,7 @@ from emocue.errors import (
     EmoCueError,
     EmptyBankError,
     EmptyResultsError,
+    ManifestError,
     NoLegalPathError,
     UnknownEmotionError,
     UnsupportedFormatError,
@@ -27,7 +28,7 @@ from emocue.recognizer import (
     one_stage_identify,
     score_test_set,
 )
-from emocue.frontend import FeatureSequence, ProsodicTrack, UtteranceFeatures
+from emocue.frontend import ProsodicTrack, UtteranceFeatures
 from emocue.supra import FusionConfig, fused_score
 
 from conftest import (
@@ -225,7 +226,7 @@ def test_score_test_set_names_utterance_it_cannot_score(tiny_trained):
     record = tiny_trained["test"][1]
     features, track = tiny_trained["features"][record.id]
     short = UtteranceFeatures(
-        features=FeatureSequence(vectors=features.vectors[:2]),
+        features=features[:2],
         prosody=ProsodicTrack(f0=track.f0[:2], log_energy=track.log_energy[:2],
                               voiced=track.voiced[:2]))
     with pytest.raises(NoLegalPathError, match=f"utterance {record.id!r}: "):
@@ -385,6 +386,28 @@ def test_load_bank_rejects_missing_speaker_entry(tmp_path, trained_bank):
                        match=r"bank\.bin: models do not match the labels: "
                              r"speaker_models must cover speakers x emotions"):
         load_bank(tmp_path)
+
+
+def test_a_cache_lacking_a_read_record_raises_manifest_error(tmp_path,
+                                                             trained_bank,
+                                                             tiny_trained):
+    (tmp_path / "bank.bin").write_bytes(trained_bank)
+    train, synth = tiny_trained["train"], tiny_trained["synth"]
+    gone = (train[1].id, tiny_trained["test"][0].id)
+    cache = {uid: utt for uid, utt in synth.features.items()
+             if uid not in gone}
+    # a record in both sets counts once; the train set's come first
+    with pytest.raises(ManifestError, match=rf"^feature cache is missing 2 "
+                       rf"utterances \(first: '{gone[0]}'\)$"):
+        recognizer.open_bank(tmp_path, train, synth.records, cache)
+    with pytest.raises(ManifestError, match=rf"^feature cache is missing 1 "
+                       rf"utterances \(first: '{gone[0]}'\)$"):
+        recognizer.train_role("one_stage", tmp_path, SMALL_CONFIG, train,
+                              cache)
+    assert (tmp_path / "bank.bin").read_bytes() == trained_bank
+    # records that are not read need no features
+    recognizer.open_bank(tmp_path, train, train[2:], {
+        uid: utt for uid, utt in synth.features.items() if uid != gone[1]})
 
 
 def test_load_bank_requires_emotion_and_speaker_roles(tmp_path, tiny_trained):

@@ -16,7 +16,7 @@ from emocue.errors import (
     NonFiniteObservationError,
     UnsupportedFormatError,
 )
-from emocue.frontend import FeatureSequence, ProsodicTrack, UtteranceFeatures
+from emocue.frontend import ProsodicTrack, UtteranceFeatures
 
 from conftest import container_parts
 from oracles import loop_segment_summaries
@@ -229,21 +229,6 @@ def test_summary_stack_matches_per_segment_loop(data):
     _assert_stack_matches_loop(paths, f0, voiced, log_energy, num_states)
 
 
-# of the observation types, only FeatureSequence wraps its array
-@pytest.mark.parametrize("seq", [
-    FeatureSequence(vectors=np.arange(32.0).reshape(2, 16))])
-def test_observation_sequences_honour_copy(seq):
-    copied = np.array(seq, copy=True)
-    assert copied.flags.writeable
-    assert not np.shares_memory(copied, seq.vectors)
-    np.testing.assert_array_equal(copied, seq.vectors)
-    # the scoring path reads the sequence's own buffer
-    assert np.shares_memory(np.asarray(seq), seq.vectors)
-    assert np.shares_memory(np.asarray(seq, dtype=np.float64), seq.vectors)
-    with pytest.raises(ValueError):
-        np.array(seq, dtype=np.float32, copy=False)
-
-
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("column", range(supra.SUPRA_DIM))
 def test_observation_sequence_refuses_non_finite_vectors(trained_pair, column,
@@ -340,7 +325,7 @@ def test_fusion_at_alpha_zero_still_aligns(trained_pair):
     acoustic, model, probe = trained_pair
     frames = acoustic.num_states - 1
     short = UtteranceFeatures(
-        features=FeatureSequence(vectors=np.asarray(probe.features)[:frames]),
+        features=probe.features[:frames],
         prosody=ProsodicTrack(f0=probe.prosody.f0[:frames],
                               log_energy=probe.prosody.log_energy[:frames],
                               voiced=probe.prosody.voiced[:frames]))
