@@ -103,11 +103,12 @@ def _load_corpus(manifest, features):
 def _cmd_extract(args) -> int:
     records = corpus.load_manifest(args.manifest)
     root = args.audio_root or os.path.dirname(os.path.abspath(args.manifest))
-    entries = {}
     for record in records:
         if record.audio is None:
             raise ManifestError(
                 f"{record.id}: no audio path; nothing to extract")
+    entries = {}
+    for record in records:
         clip = load_audio(os.path.join(root, record.audio))
         entries[record.id] = analyze_clip(clip)
     write_feature_cache(args.out, entries)

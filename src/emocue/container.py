@@ -43,7 +43,9 @@ def readonly(a, dtype=np.float64) -> np.ndarray:
 
     A writeable array that needs no conversion is copied, so the caller's
     array keeps its flags and a later write to it changes nothing here; a
-    read-only one, such as a decoded payload slice, is kept as it is.
+    read-only one, such as a decoded payload slice, is kept as it is. A
+    function handing out an array it has just built makes it read-only in
+    place (setflags) rather than call this.
     """
     out = np.ascontiguousarray(a, dtype=dtype)
     if out.flags.writeable and (out is a or out.base is not None):

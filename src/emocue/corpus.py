@@ -164,7 +164,10 @@ class NormalizationParams:
     std: np.ndarray
 
     def apply(self, features: np.ndarray) -> np.ndarray:
-        return container.readonly((features - self.mean) / self.std)
+        normalized = np.subtract(features, self.mean, order="C")
+        normalized /= self.std
+        normalized.setflags(write=False)
+        return normalized
 
     def to_dict(self) -> dict:
         return {"mean": self.mean.tolist(), "std": self.std.tolist()}
@@ -338,6 +341,7 @@ def synthesize_corpus(num_speakers: int,
                     comps = rng.integers(0, _GEN_MIXTURES, size=t_len)
                     vectors = (model.means[comps, states]
                                + rng.standard_normal((t_len, dim)))
+                    vectors.setflags(write=False)
 
                     voiced = rng.random(t_len) < profile.voicing_rate
                     drift = profile.f0_slope * (np.arange(t_len) - t_len / 2.0)
@@ -352,7 +356,7 @@ def synthesize_corpus(num_speakers: int,
                         id=uid, speaker=s, gender=gender, emotion=e,
                         sentence=sentence, repetition=rep, audio=None))
                     features[uid] = UtteranceFeatures(
-                        features=container.readonly(vectors),
+                        features=vectors,
                         prosody=ProsodicTrack(f0=f0, log_energy=log_energy,
                                               voiced=voiced))
 

@@ -8,10 +8,17 @@ the two observation streams used by the classifiers:
   a voicing decision.
 
 All functions are pure, and every array they return is read-only.
+
+The row-wise parts of the analysis, the pitch search and the MFCC spectrum,
+are split into row chunks that run side by side on the CPUs of the
+process's affinity set (`taskset` limits them); the results do not depend
+on how many CPUs that is. With one CPU the frontend starts no thread.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 import wave
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
@@ -57,6 +64,8 @@ _AUTOCORR_LEN = 750
 # analyze_clip analyses at most this many frames at a time, so its memory
 # stays bounded however long the clip is.
 _BLOCK_FRAMES = 256
+# _rowwise gives each chunk at least this many frames.
+_MIN_CHUNK_ROWS = 32
 
 _CACHE_MAGIC = b"EMOFC001"
 
@@ -100,7 +109,7 @@ class UtteranceFeatures(NamedTuple):
 
 
 def _samples(samples) -> np.ndarray:
-    """samples as a read-only array: UnsupportedFormatError unless 1-D
+    """samples as an array, uncopied: UnsupportedFormatError unless 1-D
     int16 (no other dtype is cast), TooShortError if under one frame."""
     samples = np.asarray(samples)
     if samples.ndim != 1 or samples.dtype != np.int16:
@@ -109,7 +118,7 @@ def _samples(samples) -> np.ndarray:
     if samples.size < FRAME_LEN:
         raise TooShortError(
             f"need at least {FRAME_LEN} samples, got {samples.size}")
-    return readonly(samples, None)
+    return samples
 
 
 def _frames(frames) -> np.ndarray:
@@ -157,6 +166,7 @@ def load_audio(path) -> np.ndarray:
                                f"{len(data) // sampwidth} of {declared} "
                                f"samples")
     samples = np.frombuffer(data, "<i2").astype(np.int16, copy=False)
+    samples.setflags(write=False)
     with _prefixed(path, TooShortError):
         return _samples(samples)
 
@@ -209,50 +219,111 @@ def _dct_basis() -> np.ndarray:
 _DCT_BASIS = _dct_basis()
 
 
+# The frontend's thread pool (see _rowwise), made on first use.
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    """Drop the pool in a forked child, which has none of its threads."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _workers() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:          # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _rowwise(fn, *arrays):
+    """fn(*arrays), for an fn whose every output row is computed from the
+    same row of each input alone, split across the process's CPUs.
+
+    The rows are cut into one near-equal chunk per CPU, each of at least
+    _MIN_CHUNK_ROWS rows; the calling thread runs the first chunk and the
+    pool the others, and the outputs are concatenated. Each row's
+    arithmetic is that of one whole call, so the result is bit-identical
+    to fn(*arrays) whatever the CPU count, as long as fn makes no BLAS
+    call: BLAS may round a product by the number of rows it is given. With
+    one CPU, or too few rows for two chunks, fn(*arrays) runs as it is.
+    """
+    global _pool
+    rows, workers = len(arrays[0]), _workers()
+    chunks = min(workers, rows // _MIN_CHUNK_ROWS)
+    if chunks < 2:
+        return fn(*arrays)
+    edges = [rows * c // chunks for c in range(chunks + 1)]
+    parts = [[a[lo:hi] for a in arrays] for lo, hi in zip(edges, edges[1:])]
+    with _pool_lock:
+        if _pool is None:
+            # imported here, so that commands which analyse no audio skip it
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(workers - 1, "emocue-frontend")
+        futures = [_pool.submit(fn, *part) for part in parts[1:]]
+    try:
+        first = fn(*parts[0])
+    finally:
+        rest = [future.result() for future in futures]
+    return np.concatenate([first, *rest])
+
+
+def _spectrum(frames) -> np.ndarray:
+    """The zero-padded magnitude spectra of the Hamming-windowed,
+    pre-emphasised frames."""
+    emphasized = frames * _WINDOW
+    emphasized[:, 1:] -= PREEMPHASIS * emphasized[:, :-1]
+    return np.abs(np.fft.rfft(emphasized, FFT_SIZE, axis=1))
+
+
 def mfcc(frames) -> np.ndarray:
     """The (T, 16) MFCCs of T frames: coefficients 1..16, no energy term.
 
     Per frame: Hamming window, pre-emphasis, zero-padded magnitude spectrum,
     triangular mel filterbank, floored log, orthonormal DCT-II applied as a
     fixed basis. Coefficient 0 is dropped to keep the features robust to
-    overall gain.
+    overall gain. The spectra are computed row-wise (_rowwise); the mel and
+    DCT products take the whole block at once.
     """
-    emphasized = _frames(frames) * _WINDOW
-    emphasized[:, 1:] -= PREEMPHASIS * emphasized[:, :-1]
-    spectrum = np.abs(np.fft.rfft(emphasized, FFT_SIZE, axis=1))
-    energies = spectrum @ MEL_FILTERBANK.T
+    energies = _rowwise(_spectrum, _frames(frames)) @ MEL_FILTERBANK.T
     log_energies = np.log(np.maximum(energies, ENERGY_FLOOR))
-    return readonly(log_energies @ _DCT_BASIS)
+    vectors = log_energies @ _DCT_BASIS
+    vectors.setflags(write=False)
+    return vectors
 
 
-def prosodic_track(frames) -> ProsodicTrack:
-    """Estimate per-frame F0, log energy and voicing.
-
-    F0 is searched over [60, 400] Hz with a normalized autocorrelation of
-    the raw frame; a frame is voiced when the normalized peak reaches the
-    voicing threshold. The normalization cancels the overall signal scale,
-    so amplification changes neither voicing decisions nor F0 values. The
-    lag search runs on raw samples because a window's taper would drag
-    long-lag peaks toward shorter lags; the frame energy is that of the
-    Hamming-windowed frame.
-    """
-    x = _frames(frames)
+def _pitch(x, squares) -> np.ndarray:
+    """The F0 of each raw frame of x, 0 where it is unvoiced (see
+    prosodic_track). squares holds x * x and is overwritten."""
     n_frames, frame_len = x.shape
     lag_min, lag_max = _LAG_MIN, _LAG_MAX
     base = lag_min - 1                  # ncc column j holds lag base + j
 
+    # The autocorrelation is the inverse transform of the power spectrum,
+    # which is built in the spectrum's own buffer.
     spec = np.fft.rfft(x, _AUTOCORR_LEN, axis=1)
-    power = spec.real * spec.real + spec.imag * spec.imag
-    autocorr = np.fft.irfft(power, _AUTOCORR_LEN, axis=1)[:, base:lag_max + 2]
+    power, imag = spec.real, spec.imag
+    power *= power
+    imag *= imag
+    power += imag
+    imag[...] = 0.0
+    autocorr = np.fft.irfft(spec, _AUTOCORR_LEN, axis=1)[:, base:lag_max + 2]
 
     # Energy of the two offset segments entering the lag-tau product:
     # head = energy of x[0 : L - tau] = cumulative[L - tau - 1] and
     # tail = energy of x[tau : L] = cumulative[L - 1] - cumulative[tau - 1].
-    squares = x * x
-    cumulative = np.cumsum(squares, axis=1)
+    cumulative = np.cumsum(squares, axis=1, out=squares)
     head = cumulative[:, frame_len - lag_max - 2:frame_len - base][:, ::-1]
-    tail = cumulative[:, -1:] - cumulative[:, base - 1:lag_max + 1]
-    denom = np.sqrt(np.maximum(head * tail, 0.0))
+    denom = cumulative[:, -1:] - cumulative[:, base - 1:lag_max + 1]
+    denom *= head
+    np.maximum(denom, 0.0, out=denom)
+    np.sqrt(denom, out=denom)
     ncc = np.divide(autocorr, denom, out=np.zeros_like(autocorr),
                     where=denom > 0.0)
 
@@ -288,10 +359,27 @@ def prosodic_track(frames) -> ProsodicTrack:
                      0.0)
     refined = np.clip(peak_idx + np.clip(shift, -0.5, 0.5),
                       float(lag_min), float(lag_max))
-    f0 = np.where(voiced, SAMPLE_RATE / refined, 0.0)
+    return np.where(voiced, SAMPLE_RATE / refined, 0.0)
 
+
+def prosodic_track(frames) -> ProsodicTrack:
+    """Estimate per-frame F0, log energy and voicing.
+
+    F0 is searched over [60, 400] Hz with a normalized autocorrelation of
+    the raw frame; a frame is voiced when the normalized peak reaches the
+    voicing threshold. The normalization cancels the overall signal scale,
+    so amplification changes neither voicing decisions nor F0 values. The
+    lag search runs on raw samples because a window's taper would drag
+    long-lag peaks toward shorter lags; the frame energy is that of the
+    Hamming-windowed frame. The pitch search runs row-wise (_rowwise); the
+    energy product takes the whole block at once.
+    """
+    x = _frames(frames)
+    squares = x * x
     log_energy = np.log(squares @ (_WINDOW * _WINDOW) + ENERGY_FLOOR)
-    return ProsodicTrack(f0=f0, log_energy=log_energy, voiced=voiced)
+    f0 = _rowwise(_pitch, x, squares)
+    # a voiced F0 lies in [60, 400] Hz, an unvoiced one is 0
+    return ProsodicTrack(f0=f0, log_energy=log_energy, voiced=f0 > 0.0)
 
 
 def analyze_clip(samples) -> UtteranceFeatures:
@@ -316,8 +404,10 @@ def analyze_clip(samples) -> UtteranceFeatures:
         f0.append(track.f0)
         log_energy.append(track.log_energy)
         voiced.append(track.voiced)
+    features = np.concatenate(vectors)
+    features.setflags(write=False)
     return UtteranceFeatures(
-        features=readonly(np.concatenate(vectors)),
+        features=features,
         prosody=ProsodicTrack(f0=np.concatenate(f0),
                               log_energy=np.concatenate(log_energy),
                               voiced=np.concatenate(voiced)))

@@ -425,6 +425,73 @@ def test_extract_is_thread_invariant(tmp_path):
         outputs.append(out.read_bytes())
     assert len(read_feature_cache(tmp_path / "features1.bin")) == 3
     assert outputs[0] == outputs[1]
+    # nor may the number of CPUs the frontend splits its rows over; on one
+    # CPU it starts no thread
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("no os.sched_setaffinity for a one-CPU run")
+    out = tmp_path / "features_one_cpu.bin"
+    run = _python("-c", f"""
+import os, sys, threading
+os.sched_setaffinity(0, {{{min(os.sched_getaffinity(0))}}})
+from emocue import cli
+code = cli.main(sys.argv[1:])
+print(threading.active_count())
+sys.exit(code)
+""", "extract", "--manifest", str(tmp_path / "manifest.tsv"), "--out", str(out))
+    assert run.stdout.split()[-1] == "1"
+    assert out.read_bytes() == outputs[0]
+
+
+def test_extract_refuses_a_record_without_audio_before_reading_any(
+        tmp_path, monkeypatch, capsys):
+    # a missing audio path is reported before a broken WAV, and before any
+    # clip is analysed
+    _write_wav(tmp_path / "c1.wav", np.zeros(SAMPLE_RATE))
+    (tmp_path / "broken.wav").write_bytes(b"")
+    (tmp_path / "manifest.tsv").write_text(
+        "id\tspeaker\tgender\temotion\tsentence\trepetition\taudio\n"
+        "u1\ts1\tmale\tneutral\t1\t1\tc1.wav\n"
+        "u2\ts1\tmale\tneutral\t1\t2\tbroken.wav\n"
+        "u3\ts1\tmale\tneutral\t1\t3\t-\n")
+    calls = []
+    monkeypatch.setattr(cli, "load_audio", lambda path: calls.append(path))
+    monkeypatch.setattr(cli, "analyze_clip", lambda clip: calls.append(clip))
+    code = cli.main(["extract", "--manifest", str(tmp_path / "manifest.tsv"),
+                     "--out", str(tmp_path / "features.bin")])
+    assert code == 2
+    assert "u3: no audio path; nothing to extract" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "features.bin").exists()
+
+
+def test_only_the_frontend_starts_threads(small_pipeline, tmp_path):
+    corpus_dir, bank = small_pipeline / "corpus", tmp_path / "bank"
+    data = ["--manifest", str(corpus_dir / "manifest.tsv"),
+            "--features", str(corpus_dir / "features.bin"),
+            "--bank-dir", str(bank), *SMALL_SPLIT]
+    commands = [["gen-synthetic", "--out-dir", str(tmp_path / "corpus"),
+                 "--speakers", "2", "--emotions", "neutral,angry"]]
+    commands += [[sub, *data, *SMALL_FLAGS] for sub in
+                 ("train-emotions", "train-speakers", "train-onestage")]
+    commands += [["identify", *data, "--out", str(tmp_path / "r.jsonl")],
+                 ["evaluate", "--results", str(tmp_path / "r.jsonl"),
+                  "--out-dir", str(tmp_path / "eval"), "--n-pool", "3"],
+                 ["sweep-alpha", *data, "--out", str(tmp_path / "s.tsv")]]
+    out = _python("-c", """
+import json, sys, threading
+started = []
+start = threading.Thread.start
+def counted(thread):
+    started.append(thread.name)
+    start(thread)
+threading.Thread.start = counted
+before = threading.active_count()
+from emocue import cli
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, argv
+print(before, threading.active_count(), started)
+""", json.dumps(commands)).stdout.splitlines()
+    assert out[-1] == "1 1 []"
 
 
 def test_extract_rejects_cached_only_manifest(tmp_path, capsys):
