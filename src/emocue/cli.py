@@ -186,9 +186,8 @@ def _cmd_evaluate(args) -> int:
     print(f"emotion stage average: "
           f"{evaluation.average_diagonal(result.confusion):.2f}")
     for name, table in (("two", result.two_stage), ("one", result.one_stage)):
-        if table is not None:
-            print(f"{name}-stage speaker accuracy: {table.overall_mean:.2f} "
-                  f"(sd {table.overall_sd:.2f})")
+        print(f"{name}-stage speaker accuracy: {table.overall_mean:.2f} "
+              f"(sd {table.overall_sd:.2f})")
     return EXIT_OK
 
 

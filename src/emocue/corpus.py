@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from . import container, hmm
+from . import container
 from .errors import (
     DegenerateDimensionError,
     DuplicateUtteranceError,
@@ -308,19 +308,10 @@ def synthesize_corpus(num_speakers: int,
         for k, e in enumerate(emotions)
     }
 
-    transitions = ((1.0 - _GEN_ADVANCE) * np.eye(_GEN_STATES)
-                   + _GEN_ADVANCE * np.eye(_GEN_STATES, k=1))
-    transitions[-1, -1] = 1.0
-    grid = (_GEN_MIXTURES, _GEN_STATES)
-
-    generators: dict[tuple[str, str], hmm.AcousticModel] = {}
-    for s in speakers:
-        for e in emotions:
-            shift = separation * (0.6 * speaker_dirs[s] + 0.8 * pair_dirs[(s, e)])
-            generators[(s, e)] = hmm.AcousticModel(
-                transitions, np.full(grid, 1.0 / _GEN_MIXTURES),
-                comp_offsets[:, None] + (state_base + shift),
-                np.ones((*grid, dim)))
+    # each (speaker, emotion) generator's (M, N, D) component means
+    means = {(s, e): comp_offsets[:, None] + (state_base + separation * (
+        0.6 * speaker_dirs[s] + 0.8 * pair_dirs[(s, e)]))
+        for s in speakers for e in emotions}
 
     num_sentences = train_sentences + test_sentences
     records: list[UtteranceRecord] = []
@@ -328,7 +319,6 @@ def synthesize_corpus(num_speakers: int,
     for s_idx, s in enumerate(speakers):
         gender = GENDERS[s_idx % 2]
         for e in emotions:
-            model = generators[(s, e)]
             profile = prosody[e]
             for sentence in range(1, num_sentences + 1):
                 for rep in range(1, repetitions + 1):
@@ -339,9 +329,8 @@ def synthesize_corpus(num_speakers: int,
                     moves[0] = False
                     states = np.minimum(np.cumsum(moves), _GEN_STATES - 1)
                     comps = rng.integers(0, _GEN_MIXTURES, size=t_len)
-                    vectors = (model.means[comps, states]
+                    vectors = (means[(s, e)][comps, states]
                                + rng.standard_normal((t_len, dim)))
-                    vectors.setflags(write=False)
 
                     voiced = rng.random(t_len) < profile.voicing_rate
                     drift = profile.f0_slope * (np.arange(t_len) - t_len / 2.0)
@@ -351,6 +340,8 @@ def synthesize_corpus(num_speakers: int,
                     f0 = np.where(voiced, f0, 0.0)
                     log_energy = profile.energy_base + rng.normal(
                         0, _ENERGY_NOISE, t_len)
+                    for stream in (vectors, f0, log_energy, voiced):
+                        stream.setflags(write=False)
 
                     records.append(UtteranceRecord(
                         id=uid, speaker=s, gender=gender, emotion=e,

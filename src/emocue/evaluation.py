@@ -230,44 +230,37 @@ def pooled_t(sample_1, sample_2, n_pool: int) -> TTestResult:
 @dataclass(frozen=True)
 class Evaluation:
     """The comparison of evaluate: the stage-a confusion matrix, speaker
-    accuracy tables of both recognizers and the pooled t between them.
-    one_stage and t_test are None when some row has no one-stage decision.
-    """
+    accuracy tables of both recognizers and the pooled t between them."""
 
     num_results: int
     confusion: ConfusionMatrix
     two_stage: PerformanceTable
-    one_stage: PerformanceTable | None
-    t_test: TTestResult | None
+    one_stage: PerformanceTable
+    t_test: TTestResult
 
     @property
     def summary(self) -> dict:
         """The headline numbers, as written to summary.json."""
-        summary = {
+        return {
             "num_results": self.num_results,
             "emotion_average_diagonal": average_diagonal(self.confusion),
             "two_stage": {"mean": self.two_stage.overall_mean,
                           "sd": self.two_stage.overall_sd},
-            "one_stage": None,
-            "t_two_vs_one": None,
+            "one_stage": {"mean": self.one_stage.overall_mean,
+                          "sd": self.one_stage.overall_sd},
+            "t_two_vs_one": self.t_test.t,
             "t_critical_005": T_CRITICAL_005,
+            "t_n_pool": self.t_test.n_pool,
         }
-        if self.one_stage is not None:
-            summary["one_stage"] = {"mean": self.one_stage.overall_mean,
-                                    "sd": self.one_stage.overall_sd}
-            summary["t_two_vs_one"] = self.t_test.t
-            summary["t_n_pool"] = self.t_test.n_pool
-        return summary
 
 
 def evaluate(rows, n_pool: int | None = None) -> Evaluation:
     """Tabulate recognizer.ResultRows (from score_test_set or read_results).
 
-    Emotions are ordered as the first row's emotion_scores. The one-stage
-    table and the t of two-stage against one-stage accuracy (pooled_t over
-    the per-emotion row averages) are made when every row has a one-stage
-    decision; n_pool defaults to the number of true speakers and, when
-    given, must be at least 1.
+    Emotions are ordered as the first row's emotion_scores. The t of
+    two-stage against one-stage accuracy is pooled_t over the two tables'
+    per-emotion row averages; n_pool defaults to the number of true
+    speakers and, when given, must be at least 1.
     """
     if n_pool is not None and n_pool < 1:
         raise ValueError(f"n_pool must be >= 1, got {n_pool}")
@@ -285,27 +278,22 @@ def evaluate(rows, n_pool: int | None = None) -> Evaluation:
         [(r.true_emotion, r.identified_emotion) for r in rows],
         labels=emotions)
     two_stage = table("identified_speaker")
-    one_stage = t_test = None
-    if all(r.one_stage_speaker is not None for r in rows):
-        one_stage = table("one_stage_speaker")
-        t_test = pooled_t(one_stage.row_averages, two_stage.row_averages,
-                          n_pool or len({r.true_speaker for r in rows}))
+    one_stage = table("one_stage_speaker")
+    t_test = pooled_t(one_stage.row_averages, two_stage.row_averages,
+                      n_pool or len({r.true_speaker for r in rows}))
     return Evaluation(num_results=len(rows), confusion=confusion,
                       two_stage=two_stage, one_stage=one_stage, t_test=t_test)
 
 
 def write_evaluation(result: Evaluation, out_dir) -> None:
-    """Write confusion.tsv, performance_two_stage.tsv, with a one-stage
-    table performance_one_stage.tsv, and summary.json to out_dir."""
+    """Write confusion.tsv, performance_two_stage.tsv,
+    performance_one_stage.tsv and summary.json to out_dir."""
     os.makedirs(out_dir, exist_ok=True)
     write_confusion_tsv(result.confusion,
                         os.path.join(out_dir, "confusion.tsv"))
-    write_performance_tsv(result.two_stage,
-                          os.path.join(out_dir, "performance_two_stage.tsv"))
-    if result.one_stage is not None:
+    for name, table in (("two", result.two_stage), ("one", result.one_stage)):
         write_performance_tsv(
-            result.one_stage,
-            os.path.join(out_dir, "performance_one_stage.tsv"))
+            table, os.path.join(out_dir, f"performance_{name}_stage.tsv"))
     container.replace(os.path.join(out_dir, "summary.json"),
                       [json.dumps(result.summary, indent=2), "\n"])
 

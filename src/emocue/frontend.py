@@ -82,10 +82,11 @@ class ProsodicTrack:
     voiced: np.ndarray
 
     def __post_init__(self):
-        f0 = np.asarray(self.f0, dtype=np.float64)
-        log_energy = np.asarray(self.log_energy, dtype=np.float64)
-        voiced = np.asarray(self.voiced, dtype=bool)
-        if not (f0.shape == log_energy.shape == voiced.shape) or f0.ndim != 1:
+        # taken first: readonly makes a 0-d stream 1-D
+        ndims = {np.ndim(a) for a in (self.f0, self.log_energy, self.voiced)}
+        f0, log_energy = readonly(self.f0), readonly(self.log_energy)
+        voiced = readonly(self.voiced, bool)
+        if not (f0.shape == log_energy.shape == voiced.shape) or ndims != {1}:
             raise ValueError("f0, log_energy and voiced must be equal-length 1-D")
         bad = ~voiced & (f0 != 0.0)
         if np.any(bad):
@@ -93,9 +94,9 @@ class ProsodicTrack:
         in_range = (f0 == 0.0) | ((f0 >= F0_MIN) & (f0 <= F0_MAX))
         if not np.all(in_range):
             raise ValueError(f"voiced f0 must lie in [{F0_MIN}, {F0_MAX}] Hz")
-        object.__setattr__(self, "f0", readonly(f0, None))
-        object.__setattr__(self, "log_energy", readonly(log_energy, None))
-        object.__setattr__(self, "voiced", readonly(voiced, None))
+        object.__setattr__(self, "f0", f0)
+        object.__setattr__(self, "log_energy", log_energy)
+        object.__setattr__(self, "voiced", voiced)
 
     def __len__(self) -> int:
         return self.f0.size
@@ -379,7 +380,10 @@ def prosodic_track(frames) -> ProsodicTrack:
     log_energy = np.log(squares @ (_WINDOW * _WINDOW) + ENERGY_FLOOR)
     f0 = _rowwise(_pitch, x, squares)
     # a voiced F0 lies in [60, 400] Hz, an unvoiced one is 0
-    return ProsodicTrack(f0=f0, log_energy=log_energy, voiced=f0 > 0.0)
+    voiced = f0 > 0.0
+    for stream in (f0, log_energy, voiced):
+        stream.setflags(write=False)
+    return ProsodicTrack(f0=f0, log_energy=log_energy, voiced=voiced)
 
 
 def analyze_clip(samples) -> UtteranceFeatures:
@@ -404,13 +408,12 @@ def analyze_clip(samples) -> UtteranceFeatures:
         f0.append(track.f0)
         log_energy.append(track.log_energy)
         voiced.append(track.voiced)
-    features = np.concatenate(vectors)
-    features.setflags(write=False)
-    return UtteranceFeatures(
-        features=features,
-        prosody=ProsodicTrack(f0=np.concatenate(f0),
-                              log_energy=np.concatenate(log_energy),
-                              voiced=np.concatenate(voiced)))
+    streams = [np.concatenate(s) for s in (vectors, f0, log_energy, voiced)]
+    for stream in streams:
+        stream.setflags(write=False)
+    features, f0, log_energy, voiced = streams
+    return UtteranceFeatures(features=features, prosody=ProsodicTrack(
+        f0=f0, log_energy=log_energy, voiced=voiced))
 
 
 # --- feature cache -----------------------------------------------------------

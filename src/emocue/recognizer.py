@@ -48,8 +48,7 @@ class ModelBank:
     """Every trained model of one experiment, keyed by role.
 
     speaker_models maps (speaker, emotion) pairs and must cover the full
-    cross product; one_stage_models may be empty until the baseline is
-    trained.
+    cross product; one_stage_models must cover exactly the speakers.
     """
 
     emotions: tuple[str, ...]
@@ -68,7 +67,7 @@ class ModelBank:
         expected_pairs = {(s, e) for s in speakers for e in emotions}
         if set(self.speaker_models) != expected_pairs:
             raise ValueError("speaker_models must cover speakers x emotions")
-        if self.one_stage_models and set(self.one_stage_models) != set(speakers):
+        if set(self.one_stage_models) != set(speakers):
             raise ValueError("one_stage_models must cover exactly the speakers")
         dims = {m.acoustic.feature_dim for m in self.emotion_models.values()}
         dims |= {m.feature_dim for m in self.speaker_models.values()}
@@ -108,8 +107,8 @@ def identify_speaker_given_emotion(features, e_star: str, bank: ModelBank):
 
 def one_stage_identify(features, bank: ModelBank):
     """Baseline: best speaker under the emotion-pooled models."""
-    if not bank.one_stage_models:
-        raise EmptyBankError("bank has no one-stage models")
+    if not bank.speakers:
+        raise EmptyBankError("bank has no speaker models")
     scores = {s: hmm.forward_log_likelihood(bank.one_stage_models[s], features)
               for s in bank.speakers}
     return max(bank.speakers, key=scores.__getitem__), scores
@@ -205,7 +204,7 @@ class ResultRow:
     gender: str
     identified_emotion: str
     identified_speaker: str
-    one_stage_speaker: str | None
+    one_stage_speaker: str
     emotion_scores: dict[str, float]
     speaker_scores: dict[str, float]
 
@@ -213,7 +212,7 @@ class ResultRow:
 def score_test_set(bank: ModelBank, test_records,
                    features: Mapping[str, UtteranceFeatures],
                    cfg: FusionConfig = FusionConfig()) -> list[ResultRow]:
-    """Two-stage (and, when available, one-stage) decisions for a test split.
+    """Two-stage and one-stage decisions for a test split.
 
     An utterance that cannot be scored (one shorter than the models' state
     count raises NoLegalPathError) re-raises its error, of the same type,
@@ -229,8 +228,7 @@ def score_test_set(bank: ModelBank, test_records,
             e_star, emotion_scores = identify_emotion(utt, bank, cfg)
             s_star, speaker_scores = identify_speaker_given_emotion(
                 utt.features, e_star, bank)
-            one_stage = (one_stage_identify(utt.features, bank)[0]
-                         if bank.one_stage_models else None)
+            one_stage, _ = one_stage_identify(utt.features, bank)
         rows.append(ResultRow(
             id=r.id, true_speaker=r.speaker, true_emotion=r.emotion,
             gender=r.gender, identified_emotion=e_star,
@@ -242,8 +240,7 @@ def score_test_set(bank: ModelBank, test_records,
 # results.jsonl: one JSON object per ResultRow, its fields by name, one row
 # per line. Each field's JSON type, as read_results checks it:
 _ROW_TYPES = {f.name: str for f in fields(ResultRow)}
-_ROW_TYPES.update(one_stage_speaker=(str, type(None)), emotion_scores=dict,
-                  speaker_scores=dict)
+_ROW_TYPES.update(emotion_scores=dict, speaker_scores=dict)
 
 
 def write_results(path, rows) -> None:
@@ -376,14 +373,13 @@ def _write_bank(directory, header: dict, roles: Mapping) -> None:
 
 
 def _model_bank(directory, header: dict, roles: Mapping) -> ModelBank:
-    """Its emotion and speaker roles must be trained; the one-stage baseline
-    may be missing."""
+    """Its emotion, speaker and one-stage roles must all be trained."""
     path = os.path.join(directory, BANK_FILE)
     emotion, speaker, one_stage = ({key: model for key, (model, _) in
                                     roles[role].items()} for role in _ROLE_LABELS)
-    if not (emotion and speaker):
-        raise EmptyBankError(f"{path}: bank is incomplete; train its emotion "
-                             f"and speaker models first")
+    if not (emotion and speaker and one_stage):
+        raise EmptyBankError(f"{path}: bank is incomplete; train its emotion, "
+                             f"speaker and one-stage models first")
     try:
         return ModelBank(
             emotions=header["emotions"], speakers=header["speakers"],
@@ -446,8 +442,8 @@ def _normalized(header: dict, records, cache: Mapping[str, UtteranceFeatures]):
 
 
 def load_bank(directory) -> ModelBank:
-    """The bank in directory. Its emotion and speaker roles must be trained;
-    the one-stage baseline may be missing."""
+    """The bank in directory, whose emotion, speaker and one-stage roles
+    must all be trained."""
     return _model_bank(directory, *_read_bank(directory))
 
 

@@ -191,8 +191,7 @@ def chance_run(tmp_path_factory):
         test_sentences=4, repetitions=5, separation=0.0, seed=4242)
     train, test = emocue.split_records(synth.records, synth.protocol)
     directory = tmp_path_factory.mktemp("chance_bank")
-    # Criterion 7 reads two-stage decisions only, so no baseline is trained.
-    for role in ("emotion", "speaker"):
+    for role in ("emotion", "speaker", "one_stage"):
         train_role(role, directory, SMALL_CONFIG, train, synth.features)
     bank, features = open_bank(directory, train, test, synth.features)
     rows = emocue.score_test_set(bank, test, features)

@@ -859,7 +859,10 @@ def test_evaluate_rejects_corrupt_results(tmp_path, capsys):
      "fields ['true_speaker']"),
     (lambda row: {**row, "identified_emotion": ["angry"]},
      "fields ['identified_emotion']"),
-], ids=["not an object", "missing field", "mistyped field"])
+    (lambda row: {**row, "one_stage_speaker": None},
+     "fields ['one_stage_speaker']"),
+], ids=["not an object", "missing field", "mistyped field",
+        "null one-stage decision"])
 def test_evaluate_rejects_malformed_rows(small_pipeline, tmp_path, capsys,
                                          damage, message):
     lines = (small_pipeline / "results.jsonl").read_text().splitlines()
@@ -1090,8 +1093,8 @@ def test_identify_rejects_empty_test_split(tmp_path, capsys):
              "--features", tmp_path / "corpus/features.bin",
              "--bank-dir", tmp_path / "bank",
              "--train-sentences", "1,2", "--test-sentences", "3"]
-    run_cli("train-emotions", *flags, *SMALL_FLAGS)
-    run_cli("train-speakers", *flags, *SMALL_FLAGS)
+    for sub in ("train-emotions", "train-speakers", "train-onestage"):
+        run_cli(sub, *flags, *SMALL_FLAGS)
     code = cli.main(["identify", *map(str, flags),
                      "--out", str(tmp_path / "out.jsonl")])
     assert code == 2
@@ -1108,6 +1111,26 @@ def test_identify_requires_complete_bank(tmp_path, capsys):
                      "--bank-dir", str(tmp_path / "bank"),
                      "--out", str(tmp_path / "out.jsonl")])
     assert code == 2
+
+
+def test_identify_and_sweep_refuse_a_bank_without_one_stage_models(
+        small_pipeline, tmp_path, capsys):
+    flags = ["--manifest", str(small_pipeline / "corpus/manifest.tsv"),
+             "--features", str(small_pipeline / "corpus/features.bin"),
+             "--bank-dir", str(tmp_path / "bank"), *SMALL_SPLIT]
+    for sub in ("train-emotions", "train-speakers"):
+        run_cli(sub, *flags, *SMALL_FLAGS, "--em-max-iters", "1")
+    path = tmp_path / "bank/bank.bin"
+    before = path.read_bytes()
+    capsys.readouterr()
+    for command in ("identify", "sweep-alpha"):
+        out = tmp_path / f"{command}.out"
+        assert cli.main([command, *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {path}: bank is incomplete; train its emotion, "
+            f"speaker and one-stage models first\n")
+        assert not out.exists()
+    assert path.read_bytes() == before
 
 
 def test_identify_refuses_version_3_bank(small_pipeline, tmp_path, capsys):

@@ -665,6 +665,53 @@ def test_analyze_clip_streams_aligned():
     assert np.asarray(utt.features).shape[0] == len(utt.prosody)
 
 
+def test_producers_hand_the_track_streams_already_read_only(tmp_path,
+                                                           monkeypatch):
+    """A ProsodicTrack keeps the fresh streams its producers froze uncopied:
+    readonly is never handed a writeable array by them."""
+    handed = []
+    readonly = frontend.readonly
+
+    def recording(a, *args, **kwargs):
+        handed.append(isinstance(a, np.ndarray) and a.flags.writeable)
+        return readonly(a, *args, **kwargs)
+    monkeypatch.setattr(frontend, "readonly", recording)
+    samples = _tone(150.0, 480 + 80 * 300)
+    frontend.write_feature_cache(tmp_path / "cache.bin",
+                                 {"u": frontend.analyze_clip(samples)})
+    for name, produce in [
+            ("prosodic_track", lambda: frontend.prosodic_track(
+                frontend.frame_signal(samples))),
+            ("analyze_clip", lambda: frontend.analyze_clip(samples)),
+            ("read_feature_cache", lambda: frontend.read_feature_cache(
+                tmp_path / "cache.bin")),
+            ("synthesize_corpus", lambda: corpus.synthesize_corpus(
+                num_speakers=1, emotions=("neutral",), train_sentences=1,
+                test_sentences=1, repetitions=1, seed=3))]:
+        handed.clear()
+        produce()
+        assert handed and not any(handed), name
+
+
+@pytest.mark.parametrize("f0, log_energy, voiced", [
+    (np.float64(0.0), np.float64(0.0), np.False_),
+    (np.zeros(1), np.float64(0.0), np.zeros(1, dtype=bool)),
+], ids=["all 0-d", "one 0-d"])
+def test_track_refuses_a_0d_stream(f0, log_energy, voiced):
+    with pytest.raises(ValueError, match="equal-length 1-D"):
+        frontend.ProsodicTrack(f0=f0, log_energy=log_energy, voiced=voiced)
+
+
+def test_track_copies_a_callers_writeable_streams():
+    f0, log_energy = np.zeros(3), np.zeros(3)
+    voiced = np.zeros(3, dtype=bool)
+    track = frontend.ProsodicTrack(f0=f0, log_energy=log_energy, voiced=voiced)
+    for mine, kept in ((f0, track.f0), (log_energy, track.log_energy),
+                       (voiced, track.voiced)):
+        assert mine.flags.writeable and not kept.flags.writeable
+        assert not np.shares_memory(mine, kept)
+
+
 def test_every_handed_out_array_is_read_only_with_its_dtype_and_shape(
         tmp_path):
     samples = _tone(150.0, 480 + 80 * 9)

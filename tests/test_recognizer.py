@@ -2,6 +2,7 @@
 bank persistence."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -60,15 +61,20 @@ def test_bank_requires_matching_emotions(tiny_trained):
 
 
 def test_bank_one_stage_all_or_nothing(tiny_trained):
+    """one_stage_models must cover exactly the speakers: a partial mapping
+    and an empty one are both refused."""
     bank = tiny_trained["bank"]
     partial = {bank.speakers[0]: bank.one_stage_models[bank.speakers[0]]}
-    with pytest.raises(ValueError):
-        dataclasses.replace(bank, one_stage_models=partial)
-    stripped = dataclasses.replace(bank, one_stage_models={})
-    with pytest.raises(EmptyBankError):
+    for models in (partial, {}):
+        with pytest.raises(ValueError, match="one_stage_models must cover"):
+            dataclasses.replace(bank, one_stage_models=models)
+    # like stage b, the baseline refuses a bank without speakers
+    speakerless = dataclasses.replace(bank, speakers=(), speaker_models={},
+                                      one_stage_models={})
+    with pytest.raises(EmptyBankError, match="no speaker models"):
         one_stage_identify(
             tiny_trained["features"][tiny_trained["test"][0].id].features,
-            stripped)
+            speakerless)
 
 
 def test_bank_rejects_mixed_feature_dims(tiny_trained):
@@ -215,13 +221,6 @@ def test_score_test_set_rejects_empty_split(tiny_trained):
         score_test_set(tiny_trained["bank"], [], tiny_trained["features"])
 
 
-def test_score_test_set_without_baseline(tiny_trained):
-    bank = dataclasses.replace(tiny_trained["bank"], one_stage_models={})
-    rows = score_test_set(bank, tiny_trained["test"][:2],
-                          tiny_trained["features"])
-    assert all(row.one_stage_speaker is None for row in rows)
-
-
 def test_score_test_set_names_utterance_it_cannot_score(tiny_trained):
     record = tiny_trained["test"][1]
     features, track = tiny_trained["features"][record.id]
@@ -243,7 +242,7 @@ def test_results_file_round_trips_every_score_bit_exactly(tmp_path,
     rows = score_test_set(tiny_trained["bank"], tiny_trained["test"],
                           tiny_trained["features"])
     extreme = dataclasses.replace(
-        rows[0], id="extreme", one_stage_speaker=None,
+        rows[0], id="extreme", one_stage_speaker="",
         emotion_scores={"neutral": -0.0, "angry": 5e-324},
         speaker_scores={"a": -1.7976931348623157e308, "b": float("-inf"),
                         "c": 0.1 + 0.2})
@@ -410,12 +409,20 @@ def test_a_cache_lacking_a_read_record_raises_manifest_error(tmp_path,
         uid: utt for uid, utt in synth.features.items() if uid != gone[1]})
 
 
-def test_load_bank_requires_emotion_and_speaker_roles(tmp_path, tiny_trained):
+@pytest.mark.parametrize("roles", [("emotion",), ("emotion", "speaker")],
+                         ids=["emotion", "emotion+speaker"])
+def test_load_bank_requires_all_three_roles(tmp_path, tiny_trained, roles):
+    train, cache = tiny_trained["train"], tiny_trained["synth"].features
     quick = dataclasses.replace(SMALL_CONFIG, em_max_iters=1)
-    recognizer.train_role("emotion", tmp_path, quick, tiny_trained["train"],
-                          tiny_trained["synth"].features)
-    with pytest.raises(EmptyBankError, match="bank is incomplete"):
+    for role in roles:
+        recognizer.train_role(role, tmp_path, quick, train, cache)
+    message = (f"^{re.escape(str(tmp_path / 'bank.bin'))}: bank is "
+               f"incomplete; train its emotion, speaker and one-stage models "
+               f"first$")
+    with pytest.raises(EmptyBankError, match=message):
         load_bank(tmp_path)
+    with pytest.raises(EmptyBankError, match=message):
+        recognizer.open_bank(tmp_path, train, tiny_trained["test"], cache)
 
 
 @settings(max_examples=60, deadline=None)
@@ -502,7 +509,7 @@ def test_interrupted_speaker_retrain_keeps_previous_bank(tmp_path, tiny_trained,
                                                          monkeypatch):
     train, cache = tiny_trained["train"], tiny_trained["synth"].features
     quick = dataclasses.replace(SMALL_CONFIG, em_max_iters=1)
-    for role in ("emotion", "speaker"):
+    for role in ("emotion", "speaker", "one_stage"):
         recognizer.train_role(role, tmp_path, quick, train, cache)
     before = (tmp_path / "bank.bin").read_bytes()
     # the emotion role's two acoustic and two prosodic models are encoded
