@@ -156,8 +156,10 @@ def _cmd_identify(args) -> int:
     cfg = _config_from(args)
     records, cache = _load_corpus(args.manifest, args.features)
     train, test = corpus.split_records(records, cfg.protocol)
-    if args.ids:
+    if args.ids is not None:
         wanted = [i.strip() for i in args.ids.split(",") if i.strip()]
+        if not wanted:
+            raise ManifestError(f"--ids {args.ids!r} names no utterance id")
         by_id = {r.id: r for r in records}
         missing = [i for i in wanted if i not in by_id]
         if missing:
@@ -194,7 +196,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_sweep_alpha(args) -> int:
     cfg = _config_from(args)
     alphas = evaluation.DEFAULT_ALPHAS
-    if args.alphas:
+    if args.alphas is not None:
         alphas = tuple(_numbers("--alphas", args.alphas))
     records, cache = _load_corpus(args.manifest, args.features)
     train, test = corpus.split_records(records, cfg.protocol)

@@ -186,12 +186,12 @@ class NormalizationParams:
         return cls(mean=mean, std=std)
 
 
-def normalize_features(train: Mapping[str, np.ndarray]):
-    """Z-normalize the training set with its own statistics.
+def normalize_features(train: Mapping[str, np.ndarray]) -> NormalizationParams:
+    """The z-normalization statistics of the training set's frames.
 
-    Returns (normalized train, params); params.apply normalizes held-out
-    features the same way. A dimension that is constant across the training
-    frames cannot be scaled and is an error.
+    params.apply is the one way to normalize features with them, the
+    training set's own included. A dimension that is constant across the
+    training frames cannot be scaled and is an error.
     """
     if not train:
         raise DegenerateDimensionError("cannot normalize an empty training set")
@@ -203,8 +203,7 @@ def normalize_features(train: Mapping[str, np.ndarray]):
         raise DegenerateDimensionError(
             f"feature dimensions {degenerate.tolist()} are constant on the "
             f"training set")
-    params = NormalizationParams(mean=mean, std=std)
-    return {k: params.apply(v) for k, v in train.items()}, params
+    return NormalizationParams(mean=mean, std=std)
 
 
 # --- synthetic corpus --------------------------------------------------------
@@ -223,16 +222,6 @@ _ENERGY_PER_UNIT = 0.25
 _ENERGY_NOISE = 0.3
 _VOICING_BASE = 0.8
 _VOICING_PER_UNIT = 0.02
-
-
-@dataclass(frozen=True)
-class ProsodyProfile:
-    """Per-emotion prosodic generator parameters."""
-
-    f0_base: float
-    f0_slope: float
-    energy_base: float
-    voicing_rate: float
 
 
 @dataclass(frozen=True)
@@ -293,20 +282,14 @@ def synthesize_corpus(num_speakers: int,
     pair_dirs = {(s, e): _unit_vector(rng, dim)
                  for s in speakers for e in emotions}
 
-    z_f0 = _signed_grid(rng, len(emotions))
-    z_slope = _signed_grid(rng, len(emotions))
-    z_energy = _signed_grid(rng, len(emotions))
-    z_voicing = _signed_grid(rng, len(emotions))
-    prosody = {
-        e: ProsodyProfile(
-            f0_base=_F0_BASE + separation * _F0_PER_UNIT * z_f0[k],
-            f0_slope=separation * _SLOPE_PER_UNIT * z_slope[k],
-            energy_base=_ENERGY_BASE + separation * _ENERGY_PER_UNIT * z_energy[k],
-            voicing_rate=float(np.clip(
-                _VOICING_BASE + separation * _VOICING_PER_UNIT * z_voicing[k],
-                0.55, 0.95)))
-        for k, e in enumerate(emotions)
-    }
+    # each emotion's (f0_base, f0_slope, energy_base, voicing_rate)
+    z = np.stack([_signed_grid(rng, len(emotions)) for _ in range(4)])
+    profile = (np.array([[_F0_BASE], [0.0], [_ENERGY_BASE], [_VOICING_BASE]])
+               + separation * np.array([[_F0_PER_UNIT], [_SLOPE_PER_UNIT],
+                                        [_ENERGY_PER_UNIT],
+                                        [_VOICING_PER_UNIT]]) * z)
+    profile[3] = np.clip(profile[3], 0.55, 0.95)
+    prosody = dict(zip(emotions, profile.T.tolist()))
 
     # each (speaker, emotion) generator's (M, N, D) component means
     means = {(s, e): comp_offsets[:, None] + (state_base + separation * (
@@ -319,7 +302,7 @@ def synthesize_corpus(num_speakers: int,
     for s_idx, s in enumerate(speakers):
         gender = GENDERS[s_idx % 2]
         for e in emotions:
-            profile = prosody[e]
+            f0_base, f0_slope, energy_base, voicing_rate = prosody[e]
             for sentence in range(1, num_sentences + 1):
                 for rep in range(1, repetitions + 1):
                     uid = f"{s}_{e}_s{sentence}_r{rep}"
@@ -332,13 +315,13 @@ def synthesize_corpus(num_speakers: int,
                     vectors = (means[(s, e)][comps, states]
                                + rng.standard_normal((t_len, dim)))
 
-                    voiced = rng.random(t_len) < profile.voicing_rate
-                    drift = profile.f0_slope * (np.arange(t_len) - t_len / 2.0)
+                    voiced = rng.random(t_len) < voicing_rate
+                    drift = f0_slope * (np.arange(t_len) - t_len / 2.0)
                     f0 = np.clip(
-                        profile.f0_base + drift + rng.normal(0, _F0_JITTER, t_len),
+                        f0_base + drift + rng.normal(0, _F0_JITTER, t_len),
                         60.0, 400.0)
                     f0 = np.where(voiced, f0, 0.0)
-                    log_energy = profile.energy_base + rng.normal(
+                    log_energy = energy_base + rng.normal(
                         0, _ENERGY_NOISE, t_len)
                     for stream in (vectors, f0, log_energy, voiced):
                         stream.setflags(write=False)

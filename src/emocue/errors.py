@@ -93,7 +93,7 @@ class IllegalPathError(EmoCueError):
 # --- recognizer ---
 
 class EmptyBankError(EmoCueError):
-    """Model bank is missing the models required for this operation."""
+    """A bank file lacks its emotion, speaker or one-stage models."""
 
 
 class UnknownEmotionError(EmoCueError):

@@ -71,15 +71,16 @@ Numerics:
 
 Training:
 
-* baum_welch_stack runs G fits of one grid in lock-step, and baum_welch is
-  its one-fit view, so there is one EM implementation. Each iteration makes
-  one E-step and one M-step for every fit still running; a fit leaves when
-  it converges or reaches the cap, after exactly the iterations, the
-  log-likelihoods and the stop rule it has alone, and the rest run on. A
-  fit's frames are laid out once: its K sequences stacked into one (F, D)
-  block, with [x, x^2] beside it for x = obs minus the frames' mean (moments
-  about the mean keep each variance's digits where raw ones cancel; the
-  M-step adds the mean back). The fits' blocks are stacked in turn.
+* baum_welch_stack runs G fits of one grid in lock-step groups, and
+  baum_welch is its one-fit view, so there is one EM implementation. Each
+  iteration makes one E-step and one M-step for every fit of a group still
+  running; a fit leaves when it converges or reaches the cap, after exactly
+  the iterations, the log-likelihoods and the stop rule it has alone, and
+  the rest run on. A fit's frames are laid out once: its K sequences
+  stacked into one (F, D) block, with [x, x^2] beside it for x = obs minus
+  the frames' mean (moments about the mean keep each variance's digits
+  where raw ones cancel; the M-step adds the mean back). The fits' blocks
+  are stacked in turn.
 * Every fit stays bit-equal to its lone run. OpenBLAS rounds a product by
   its shape and numpy's pairwise sum depends on the length it reduces, so
   each fit makes its own (M*N, 2D) by (2D, F_f) emission product and its
@@ -105,9 +106,9 @@ Training:
   iterations, converge alike and give every parameter to 1e-9.
 * The E-step's arrays grow with the frames it holds: at its peak it has
   about 4 KB allocated per frame of a 9-state, 10-mixture model. So
-  recognizer.train_role stacks a role's fits in groups under a frame budget
-  (recognizer.EM_STACK_FRAMES), and memory stays near what the largest lone
-  fit of a default-size bank needs.
+  baum_welch_stack runs its fits in lock-step groups under a frame budget
+  (EM_STACK_FRAMES), laying out each group only when it runs, and memory
+  stays near what the largest lone fit of a default-size bank needs.
 * Responsibilities below the smallest normal float (2.2e-308) are flushed
   to 0: exp and the BLAS product slow down many times on subnormals.
 * The M-step keeps each model's grid, signs and sums to 1; a parameter
@@ -141,6 +142,11 @@ from .errors import (
 VARIANCE_FLOOR = 1e-4
 EM_TOL = 1e-5
 EM_MAX_ITERS = 40
+# The frames of one lock-step group of baum_welch_stack: about what the
+# largest lone fit of a default-size bank (some 1440 frames) needs, at 4 KB
+# per frame of a 9-state, 10-mixture E-step; fewer, larger groups gain
+# little more time.
+EM_STACK_FRAMES = 1400
 
 _LOG_2PI = np.log(2.0 * np.pi)
 # exp(-700) is about 1e-304. Below that, on the way to the subnormal range
@@ -921,27 +927,49 @@ def baum_welch_stack(models, sequence_lists, max_iters: int = EM_MAX_ITERS,
                      tol: float = EM_TOL,
                      variance_floor: float = VARIANCE_FLOOR):
     """baum_welch of G models of one grid (the same num_states, feature_dim
-    and component count M), model g refined on sequence_lists[g], the fits
-    run in lock-step.
+    and component count M), model g refined on sequence_lists[g].
 
-    Each iteration makes one E-step and one M-step for every fit still
-    running; a fit leaves when it converges or reaches max_iters, after
-    exactly the iterations it runs alone. Returns G (model, TrainingReport)
-    pairs in order, each equal to baum_welch of its fit alone bit for bit.
-    Every fit's sequences are checked before the first E-step.
+    This function owns the EM memory budget: the fits run in lock-step
+    groups, filled in order while their frames sum to at most
+    EM_STACK_FRAMES, and a fit above it runs alone. Every fit's sequences
+    are checked before the first E-step; a group's frames are laid out only
+    when it runs. Returns G (model, TrainingReport) pairs in order, each
+    equal to baum_welch of its fit alone bit for bit, whatever the grouping.
     """
     models, sequence_lists = tuple(models), tuple(sequence_lists)
     if len(models) != len(sequence_lists):
         raise ValueError(f"{len(models)} models for {len(sequence_lists)} "
                          f"lists of sequences")
-    if not models:
-        return []
     grids = sorted({a.means.shape for a in models})
     if len(grids) > 1:
         raise ValueError(f"stacked fits must share one (M, N, D) grid, got "
                          f"{grids}")
-    batches = [_batch(_sequences(seqs, a.num_states, a.feature_dim))
-               for a, seqs in zip(models, sequence_lists)]
+    arrays = [_sequences(seqs, a.num_states, a.feature_dim)
+              for a, seqs in zip(models, sequence_lists)]
+    groups = []
+    for k, seqs in enumerate(arrays):
+        size = sum(len(a) for a in seqs)
+        if groups and frames + size <= EM_STACK_FRAMES:
+            groups[-1].append(k)
+            frames += size
+        else:
+            groups.append([k])
+            frames = size
+    return [fit for group in groups for fit in _lockstep(
+        [models[k] for k in group], [arrays[k] for k in group], max_iters,
+        tol, variance_floor)]
+
+
+def _lockstep(models, arrays, max_iters: int, tol: float,
+              variance_floor: float):
+    """The fits of one group of baum_welch_stack, run in lock-step on their
+    checked sequences.
+
+    Each iteration makes one E-step and one M-step for every fit still
+    running; a fit leaves when it converges or reaches max_iters, after
+    exactly the iterations it runs alone.
+    """
+    batches = [_batch(seqs) for seqs in arrays]
     lls: list[list[float]] = [[] for _ in models]
     converged = [False] * len(models)
     done = list(models)

@@ -47,6 +47,8 @@ class EmotionModels(NamedTuple):
 class ModelBank:
     """Every trained model of one experiment, keyed by role.
 
+    The bank owns its shape: construction refuses (ValueError) a bank with
+    no emotion or no speaker, so the scoring functions need not check.
     speaker_models maps (speaker, emotion) pairs and must cover the full
     cross product; one_stage_models must cover exactly the speakers.
     """
@@ -62,6 +64,9 @@ class ModelBank:
         speakers = tuple(self.speakers)
         object.__setattr__(self, "emotions", emotions)
         object.__setattr__(self, "speakers", speakers)
+        if not (emotions and speakers):
+            raise ValueError("a bank needs at least one emotion and one "
+                             "speaker")
         if set(self.emotion_models) != set(emotions):
             raise ValueError("emotion_models must cover exactly the bank's emotions")
         expected_pairs = {(s, e) for s in speakers for e in emotions}
@@ -83,8 +88,6 @@ def identify_emotion(utterance, bank: ModelBank,
     The scores are supra.stage_a_components over the bank's emotion model
     pairs, blended under cfg: each equals supra.fused_score of its pair.
     """
-    if not bank.emotions:
-        raise EmptyBankError("bank has no emotion models")
     components = supra_mod.stage_a_components(
         [bank.emotion_models[e] for e in bank.emotions], utterance,
         cfg.length_normalize)
@@ -97,8 +100,6 @@ def identify_speaker_given_emotion(features, e_star: str, bank: ModelBank):
     """Stage b: best speaker under the given emotion's acoustic models."""
     if e_star not in bank.emotions:
         raise UnknownEmotionError(f"no models for emotion {e_star!r}")
-    if not bank.speakers:
-        raise EmptyBankError("bank has no speaker models")
     scores = {s: hmm.forward_log_likelihood(bank.speaker_models[(s, e_star)],
                                             features)
               for s in bank.speakers}
@@ -107,8 +108,6 @@ def identify_speaker_given_emotion(features, e_star: str, bank: ModelBank):
 
 def one_stage_identify(features, bank: ModelBank):
     """Baseline: best speaker under the emotion-pooled models."""
-    if not bank.speakers:
-        raise EmptyBankError("bank has no speaker models")
     scores = {s: hmm.forward_log_likelihood(bank.one_stage_models[s], features)
               for s in bank.speakers}
     return max(bank.speakers, key=scores.__getitem__), scores
@@ -120,31 +119,6 @@ def _ordered_labels(values) -> tuple[str, ...]:
     return tuple(dict.fromkeys(values))
 
 
-# A role's EM fits run through hmm.baum_welch_stack in groups, filled in
-# role order while their frames sum to at most this many; a fit above it
-# runs alone. A stacked E-step of a 9-state, 10-mixture model peaks at about
-# 4 KB allocated per frame, so a group needs about what the largest lone
-# fit of a default-size bank (some 1440 frames) needs, and fewer, larger
-# groups gain little more time.
-EM_STACK_FRAMES = 1400
-
-
-def _fit_all(inits, sequence_lists, em: dict) -> list:
-    """baum_welch of each init on its sequences, as (model, report) pairs in
-    order, run in lock-step groups under EM_STACK_FRAMES."""
-    groups = []
-    for k, seqs in enumerate(sequence_lists):
-        size = sum(len(s) for s in seqs)
-        if groups and frames + size <= EM_STACK_FRAMES:
-            groups[-1].append(k)
-            frames += size
-        else:
-            groups.append([k])
-            frames = size
-    return [fit for group in groups for fit in hmm.baum_welch_stack(
-        [inits[k] for k in group], [sequence_lists[k] for k in group], **em)]
-
-
 def _train(role: str, train_records,
            features: Mapping[str, UtteranceFeatures], cfg: RunConfig) -> dict:
     """Every model of one role with its TrainingReport, as train_role
@@ -154,8 +128,9 @@ def _train(role: str, train_records,
     model and trains the prosodic model on its alignments. The speaker role
     fits one acoustic model per (speaker, emotion) cell, the one-stage role
     one per speaker, pooled over every emotion. Labels are taken in
-    first-appearance order. The role's fits run through _fit_all: for the
-    emotion role the acoustic fits, then the prosodic ones.
+    first-appearance order. The role's fits run through one
+    hmm.baum_welch_stack call, which sizes its own lock-step groups; the
+    emotion role makes two, its acoustic fits, then its prosodic ones.
     """
     emotions = _ordered_labels(r.emotion for r in train_records)
     speakers = _ordered_labels(r.speaker for r in train_records)
@@ -178,17 +153,17 @@ def _train(role: str, train_records,
               variance_floor=cfg.variance_floor)
     utts = [[features[r.id] for r in records] for records in groups.values()]
     seqs = [[u.features for u in cell] for cell in utts]
-    fits = _fit_all([hmm.init_model(cell, cfg.num_states, cfg.num_mixtures,
-                                    variance_floor=cfg.variance_floor)
-                     for cell in seqs], seqs, em)
+    fits = hmm.baum_welch_stack([hmm.init_model(
+        cell, cfg.num_states, cfg.num_mixtures,
+        variance_floor=cfg.variance_floor) for cell in seqs], seqs, **em)
     if role != "emotion":
         return dict(zip(groups, fits))
     inits, summaries = zip(*(supra_mod.seed_suprasegmental(
         model, cell, cfg.num_supra_states, cfg.num_supra_mixtures,
         cfg.variance_floor) for (model, _), cell in zip(fits, utts)))
     trained = {}
-    for e, acoustic, prosodic in zip(groups, fits,
-                                     _fit_all(inits, summaries, em)):
+    for e, acoustic, prosodic in zip(
+            groups, fits, hmm.baum_welch_stack(inits, summaries, **em)):
         trained[(e, "acoustic")] = acoustic
         trained[(e, "supra")] = prosodic
     return trained
@@ -495,19 +470,15 @@ def train_role(role: str, directory, cfg: RunConfig, train_records,
     try:
         header, roles = _read_bank(directory)
     except FileNotFoundError:
-        train_n, params = corpus.normalize_features(
+        params = corpus.normalize_features(
             {r.id: cache[r.id].features for r in records})
-        features = {r.id: UtteranceFeatures(features=train_n[r.id],
-                                            prosody=cache[r.id].prosody)
-                    for r in records}
         header = {"emotions": [], "speakers": [], "config": _bank_config(cfg),
                   "normalization": params.to_dict(),
                   "train_split": _train_split(records, cache)}
         roles = {}
     else:
         _check(directory, header, cfg, records, cache, labels)
-        features = _normalized(header, records, cache)
-    trained = _train(role, records, features, cfg)
+    trained = _train(role, records, _normalized(header, records, cache), cfg)
     header.update(labels)
     roles[role] = {key: (model, {
         "iterations": report.iterations_run, "converged": report.converged,

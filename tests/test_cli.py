@@ -213,7 +213,11 @@ def test_ttest_rejects_bad_inputs(capsys, flags, message):
     (["sweep-alpha", "--manifest", "none.tsv", "--features", "none.bin",
       "--bank-dir", "none", "--out", "sweep.tsv", "--alphas", ",0.5"],
      "--alphas item 1 ('') is not a number"),
-], ids=["empty sample item", "bad sample item", "empty weight"])
+    (["sweep-alpha", "--manifest", "none.tsv", "--features", "none.bin",
+      "--bank-dir", "none", "--out", "sweep.tsv", "--alphas", ""],
+     "--alphas item 1 ('') is not a number"),
+], ids=["empty sample item", "bad sample item", "empty weight",
+        "empty weight list"])
 def test_list_flag_names_its_bad_item(capsys, argv, message):
     # the list is read before any file, so the missing files never matter
     assert cli.main(argv) == 1
@@ -616,6 +620,22 @@ def test_identify_rejects_unknown_id(small_pipeline, tmp_path, capsys):
                      "--ids", "nope", *SMALL_SPLIT])
     assert code == 2
     assert "unknown utterance ids" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ids", ["", ","], ids=["empty", "comma"])
+def test_identify_rejects_ids_that_name_no_id(small_pipeline, tmp_path,
+                                              capsys, ids):
+    # an explicitly empty list is not the default test split
+    out = tmp_path / "out.jsonl"
+    code = cli.main(["identify",
+                     "--manifest", str(small_pipeline / "corpus/manifest.tsv"),
+                     "--features", str(small_pipeline / "corpus/features.bin"),
+                     "--bank-dir", str(small_pipeline / "bank"),
+                     "--out", str(out), "--ids", ids, *SMALL_SPLIT])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        f"data error: --ids {ids!r} names no utterance id\n"
+    assert not out.exists()
 
 
 def test_identify_rejects_repeated_ids(small_pipeline, tmp_path, capsys):

@@ -187,8 +187,8 @@ def _seqs(rng, count, frames=20):
 def test_normalize_train_stats():
     rng = np.random.default_rng(0)
     train = _seqs(rng, 4)
-    norm_train, params = normalize_features(train)
-    stacked = np.concatenate([np.asarray(f) for f in norm_train.values()])
+    params = normalize_features(train)
+    stacked = np.concatenate([params.apply(f) for f in train.values()])
     np.testing.assert_allclose(stacked.mean(axis=0), 0.0, atol=1e-10)
     np.testing.assert_allclose(stacked.std(axis=0), 1.0, atol=1e-10)
     raw = np.concatenate([np.asarray(f) for f in train.values()])
@@ -200,7 +200,7 @@ def test_normalize_test_uses_train_params():
     rng = np.random.default_rng(1)
     train = _seqs(rng, 3)
     held_out = _seqs(rng, 2)
-    _, params = normalize_features(train)
+    params = normalize_features(train)
     for seq in held_out.values():
         want = (np.asarray(seq) - params.mean) / params.std
         np.testing.assert_array_equal(np.asarray(params.apply(seq)), want)

@@ -917,6 +917,64 @@ def test_stack_without_iterations_returns_the_models():
     assert report == hmm.TrainingReport((), 0, False)
 
 
+def _budget_case():
+    """Five fits of one grid, of 41, 49, 44, 33 and 40 frames."""
+    rng = np.random.default_rng(83)
+    lists = [[rng.normal(size=(t, 3)) + rng.normal(size=3) for t in lengths]
+             for lengths in ((41,), (12, 30, 7), (25, 19), (33,), (20, 20))]
+    return [hmm.init_model(seqs, 4, 3) for seqs in lists], lists
+
+
+def test_stack_runs_its_fits_in_groups_under_the_frame_budget(monkeypatch):
+    # baum_welch_stack fills lock-step groups in order while their frames
+    # fit EM_STACK_FRAMES, and a fit above the budget runs alone. The
+    # models and reports do not depend on the grouping.
+    models, lists = _budget_case()
+    sizes = [sum(map(len, seqs)) for seqs in lists]
+    lone = [hmm.baum_welch(model, seqs, max_iters=5)
+            for model, seqs in zip(models, lists)]
+    groups = []
+    lockstep = hmm._lockstep
+
+    def recording(models, arrays, *em):
+        groups.append([sum(map(len, fit)) for fit in arrays])
+        return lockstep(models, arrays, *em)
+
+    monkeypatch.setattr(hmm, "_lockstep", recording)
+
+    def run_under(budget):
+        groups.clear()
+        monkeypatch.setattr(hmm, "EM_STACK_FRAMES", budget)
+        stacked = hmm.baum_welch_stack(models, lists, max_iters=5)
+        for got, want in zip(stacked, lone, strict=True):
+            _assert_fits_equal(got, want)
+        return list(groups)
+
+    # these fits take one group under the default budget
+    assert run_under(hmm.EM_STACK_FRAMES) == [sizes]
+    # a budget of the first two fits' frames groups them in twos
+    pairs = run_under(sizes[0] + sizes[1])
+    assert pairs == [sizes[:2], sizes[2:4], sizes[4:]]
+    assert all(sum(group) <= sizes[0] + sizes[1] for group in pairs)
+    # a fit above the budget runs alone
+    assert run_under(min(sizes) - 1) == [[size] for size in sizes]
+
+
+def test_stack_checks_every_group_before_the_first_e_step(monkeypatch):
+    models, lists = _budget_case()
+    lists[-1][1][7, 2] = np.nan
+    calls = []
+    expect = hmm._expect
+    monkeypatch.setattr(hmm, "_expect",
+                        lambda *args: calls.append(1) or expect(*args))
+    monkeypatch.setattr(hmm, "EM_STACK_FRAMES", 90)
+    with pytest.raises(NonFiniteObservationError,
+                       match="^observation frame 7 of 20 in sequence 1 is "
+                             "not finite$"):
+        hmm.baum_welch_stack(models, lists)
+    assert calls == []
+
+
 @pytest.mark.parametrize("k", [1, 4, 10])
 def test_kmeans_matches_per_cluster_loop(k):
     rng = np.random.default_rng(72 + k)

@@ -68,13 +68,20 @@ def test_bank_one_stage_all_or_nothing(tiny_trained):
     for models in (partial, {}):
         with pytest.raises(ValueError, match="one_stage_models must cover"):
             dataclasses.replace(bank, one_stage_models=models)
-    # like stage b, the baseline refuses a bank without speakers
-    speakerless = dataclasses.replace(bank, speakers=(), speaker_models={},
-                                      one_stage_models={})
-    with pytest.raises(EmptyBankError, match="no speaker models"):
-        one_stage_identify(
-            tiny_trained["features"][tiny_trained["test"][0].id].features,
-            speakerless)
+
+
+@pytest.mark.parametrize("empty", ["emotions", "speakers"])
+def test_bank_refuses_no_emotions_or_no_speakers(tiny_trained, empty):
+    """A bank is never empty, so no scoring function checks: a bank whose
+    models cover its empty labels is still refused at construction."""
+    bank = tiny_trained["bank"]
+    if empty == "emotions":
+        changes = dict(emotions=(), emotion_models={}, speaker_models={})
+    else:
+        changes = dict(speakers=(), speaker_models={}, one_stage_models={})
+    with pytest.raises(ValueError, match="^a bank needs at least one emotion "
+                                         "and one speaker$"):
+        dataclasses.replace(bank, **changes)
 
 
 def test_bank_rejects_mixed_feature_dims(tiny_trained):
@@ -558,48 +565,34 @@ def test_train_role_records_training_reports(tmp_path, tiny_trained):
 
 
 @pytest.mark.parametrize("role", ["emotion", "speaker", "one_stage"])
-def test_train_role_stacks_each_budget_group_once(tmp_path, tiny_trained,
-                                                  monkeypatch, role):
-    # A role's fits run as one hmm.baum_welch_stack pass per group, filled
-    # in role order while their frames fit EM_STACK_FRAMES (the emotion
-    # role's acoustic fits, then its prosodic ones). The models and reports
-    # do not depend on the grouping.
+def test_train_role_models_do_not_depend_on_the_frame_budget(
+        tmp_path, tiny_trained, monkeypatch, role):
+    # A role hands all its fits of one kind to one hmm.baum_welch_stack call
+    # (the emotion role's acoustic fits, then its prosodic ones), which
+    # sizes its own lock-step groups: the models and reports are the same
+    # under the default budget and with every fit alone.
     train, cache = tiny_trained["train"], tiny_trained["synth"].features
-    passes = []
+    calls = []
     stack = hmm.baum_welch_stack
 
     def recording(models, sequence_lists, **em):
-        passes.append([sum(map(len, seqs)) for seqs in sequence_lists])
+        calls.append(len(models))
         return stack(models, sequence_lists, **em)
 
     monkeypatch.setattr(hmm, "baum_welch_stack", recording)
-
-    def train_under(budget):
-        passes.clear()
-        monkeypatch.setattr(recognizer, "EM_STACK_FRAMES", budget)
+    for budget in (hmm.EM_STACK_FRAMES, 1):
+        calls.clear()
+        monkeypatch.setattr(hmm, "EM_STACK_FRAMES", budget)
         trained = recognizer.train_role(role, tmp_path / str(budget),
                                         SMALL_CONFIG, train, cache)
+        assert len(calls) == (2 if role == "emotion" else 1)
+        assert sum(calls) == len(trained)
         for key, (model, report) in trained.items():
             want, expected = tiny_trained["trained"][role][key]
             assert report == expected
             for name in ("transitions", "weights", "means", "variances"):
                 assert np.array_equal(getattr(model, name),
                                       getattr(want, name))
-        return list(passes)
-
-    # the tiny split fits in one group of each kind
-    kinds = 2 if role == "emotion" else 1
-    whole = train_under(recognizer.EM_STACK_FRAMES)
-    assert len(whole) == kinds and all(len(group) > 1 for group in whole)
-    sizes = [size for group in whole for size in group]
-    # a budget of the first two fits' frames groups them in twos
-    pairs = train_under(sizes[0] + sizes[1])
-    assert pairs[0] == sizes[:2]
-    assert all(len(group) <= 2 and (len(group) == 1 or sum(group) <=
-                                    sizes[0] + sizes[1]) for group in pairs)
-    assert [size for group in pairs for size in group] == sizes
-    # a fit above the budget runs alone
-    assert train_under(min(sizes) - 1) == [[size] for size in sizes]
 
 
 def test_load_bank_missing_directory(tmp_path):
