@@ -29,6 +29,7 @@ import sys
 from . import corpus, evaluation, recognizer
 from .config import RunConfig, make_config
 from .errors import (
+    DegenerateDimensionError,
     EmoCueError,
     EmptyResultsError,
     EmptyTrainingSetError,
@@ -141,7 +142,8 @@ def _cmd_train(args) -> int:
     records, cache = _load_corpus(args.manifest, args.features)
     train, _ = corpus.split_records(records, cfg.protocol)
     with _prefixed(args.manifest, EmptyTrainingSetError), \
-            _prefixed(args.features, (SequenceTooShortError, ManifestError)):
+            _prefixed(args.features, (SequenceTooShortError, ManifestError,
+                                      DegenerateDimensionError)):
         trained = recognizer.train_role(args.role, args.bank_dir, cfg, train,
                                         cache)
     print(f"trained {len(trained)} {args.role} models "

@@ -81,17 +81,21 @@ class Payload:
         return np.frombuffer(self.take(count * dtype.itemsize), dtype)
 
 
-def read(path, magic: bytes, kind: str, parse):
+def read(path, magic: bytes, kind: str, parse, retired=None):
     """parse(header, payload) of the container at path.
 
-    Another magic raises UnsupportedFormatError. A file cut short, bytes
+    retired maps each retired magic of this kind of file to a message; a
+    file under one raises UnsupportedFormatError "<path>: <message>", and
+    any other magic raises UnsupportedFormatError. A file cut short, bytes
     left after the parse, or a parse that raises AttributeError, KeyError,
     IndexError, TypeError or ValueError raise CorruptFileError naming path.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        if fh.read(len(magic)) != magic:
-            raise UnsupportedFormatError(f"{path}: not a {kind} file")
+        found = fh.read(len(magic))
+        if found != magic:
+            message = (retired or {}).get(found, f"not a {kind} file")
+            raise UnsupportedFormatError(f"{path}: {message}")
         payload = Payload(fh, path, kind, size)
         (head_len,) = struct.unpack("<Q", payload.take(8))
         try:

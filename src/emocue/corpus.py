@@ -190,14 +190,21 @@ def normalize_features(train: Mapping[str, np.ndarray]) -> NormalizationParams:
     """The z-normalization statistics of the training set's frames.
 
     params.apply is the one way to normalize features with them, the
-    training set's own included. A dimension that is constant across the
-    training frames cannot be scaled and is an error.
+    training set's own included. A dimension whose mean or standard
+    deviation overflows, or that is constant across the training frames,
+    cannot be scaled and is an error.
     """
     if not train:
         raise DegenerateDimensionError("cannot normalize an empty training set")
     stacked = np.concatenate(list(train.values()))
-    mean = stacked.mean(axis=0)
-    std = stacked.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = stacked.mean(axis=0)
+        std = stacked.std(axis=0)
+    overflow = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
+    if overflow.size:
+        raise DegenerateDimensionError(
+            f"feature dimensions {overflow.tolist()} overflow on the training "
+            f"set")
     degenerate = np.flatnonzero(std < 1e-12)
     if degenerate.size:
         raise DegenerateDimensionError(
@@ -323,7 +330,7 @@ def synthesize_corpus(num_speakers: int,
                     f0 = np.where(voiced, f0, 0.0)
                     log_energy = energy_base + rng.normal(
                         0, _ENERGY_NOISE, t_len)
-                    for stream in (vectors, f0, log_energy, voiced):
+                    for stream in (vectors, f0, log_energy):
                         stream.setflags(write=False)
 
                     records.append(UtteranceRecord(
@@ -331,8 +338,7 @@ def synthesize_corpus(num_speakers: int,
                         sentence=sentence, repetition=rep, audio=None))
                     features[uid] = UtteranceFeatures(
                         features=vectors,
-                        prosody=ProsodicTrack(f0=f0, log_energy=log_energy,
-                                              voiced=voiced))
+                        prosody=ProsodicTrack(f0=f0, log_energy=log_energy))
 
     protocol = SplitProtocol(
         train_sentences=tuple(range(1, train_sentences + 1)),

@@ -37,9 +37,6 @@ from .supra import FusionConfig, blend, summary_stack
 T_CRITICAL_005 = 1.645
 
 DEFAULT_ALPHAS = tuple(round(0.1 * i, 1) for i in range(11))
-# The sweep scores length-normalized streams: without normalization the
-# acoustic term's sheer magnitude makes the blend weight nearly inert.
-SWEEP_LENGTH_NORMALIZE = True
 
 
 @dataclass(frozen=True)
@@ -262,8 +259,6 @@ def evaluate(rows, n_pool: int | None = None) -> Evaluation:
     per-emotion row averages; n_pool defaults to the number of true
     speakers and, when given, must be at least 1.
     """
-    if n_pool is not None and n_pool < 1:
-        raise ValueError(f"n_pool must be >= 1, got {n_pool}")
     rows = list(rows)
     if not rows:
         raise EmptyResultsError("no results to tabulate")
@@ -279,8 +274,9 @@ def evaluate(rows, n_pool: int | None = None) -> Evaluation:
         labels=emotions)
     two_stage = table("identified_speaker")
     one_stage = table("one_stage_speaker")
-    t_test = pooled_t(one_stage.row_averages, two_stage.row_averages,
-                      n_pool or len({r.true_speaker for r in rows}))
+    if n_pool is None:
+        n_pool = len({r.true_speaker for r in rows})
+    t_test = pooled_t(one_stage.row_averages, two_stage.row_averages, n_pool)
     return Evaluation(num_results=len(rows), confusion=confusion,
                       two_stage=two_stage, one_stage=one_stage, t_test=t_test)
 
@@ -322,8 +318,9 @@ class SweepResult:
 
 def _stage_a_scores(bank, records, features):
     """alpha_sweep's acoustic and prosodic log scores, each (utterances,
-    emotions) and length-normalized under SWEEP_LENGTH_NORMALIZE. The
-    stacks and summaries are freed on return, before stage b runs."""
+    emotions) and length-normalized: without normalization the acoustic
+    term's sheer magnitude makes the blend weight nearly inert. The stacks
+    and summaries are freed on return, before stage b runs."""
     pairs = [bank.emotion_models[e] for e in bank.emotions]
     acoustic = hmm.ModelStack(pair.acoustic for pair in pairs)
     log_acoustic = np.empty((len(records), len(pairs)))
@@ -334,16 +331,14 @@ def _stage_a_scores(bank, records, features):
             log_acoustic[u], paths = acoustic.forward_and_viterbi(utt.features)
             summaries.append(summary_stack(paths, utt.prosody,
                                            acoustic.num_states))
-        if SWEEP_LENGTH_NORMALIZE:
-            log_acoustic[u] /= len(utt.features)
+        log_acoustic[u] /= len(utt.features)
     # every alignment ends in the stack's last state, so every summary
     # sequence has one row per acoustic state
     summaries = np.concatenate(summaries)
     prosodic = hmm.ModelStack([pair.supra for pair in pairs] * len(records))
     log_supra = prosodic.forward_log_likelihoods(summaries).reshape(
         log_acoustic.shape)
-    if SWEEP_LENGTH_NORMALIZE:
-        log_supra /= summaries.shape[1]
+    log_supra /= summaries.shape[1]
     return log_acoustic, log_supra
 
 
@@ -352,8 +347,8 @@ def alpha_sweep(bank, test_records, features,
     """Re-run the emotion stage across fusion weights and measure stage-b
     speaker accuracy per true emotion.
 
-    Both log scores are computed once per (utterance, emotion), with
-    SWEEP_LENGTH_NORMALIZE, and blended per alpha by the same rule as
+    Both log scores are computed once per (utterance, emotion),
+    length-normalized, and blended per alpha by the same rule as
     identify_emotion. Per utterance, one hmm.ModelStack pass over the
     emotions' acoustic models gives every acoustic score and alignment, and
     one supra.summary_stack call summarises the alignments; one stacked

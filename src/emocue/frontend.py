@@ -4,8 +4,8 @@ The frontend turns mono 16 kHz PCM audio, a 1-D int16 sample array, into
 the two observation streams used by the classifiers:
 
 * a (T, 16) float64 array of MFCC vectors (one per 30 ms frame, 5 ms hop),
-* a prosodic track holding per-frame fundamental frequency, log energy and
-  a voicing decision.
+* a prosodic track holding per-frame fundamental frequency and log energy;
+  a frame is voiced exactly when its F0 is above 0.
 
 All functions are pure, and every array they return is read-only.
 
@@ -21,6 +21,7 @@ import os
 import threading
 import wave
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -67,36 +68,38 @@ _BLOCK_FRAMES = 256
 # _rowwise gives each chunk at least this many frames.
 _MIN_CHUNK_ROWS = 32
 
-_CACHE_MAGIC = b"EMOFC001"
+_CACHE_MAGIC = b"EMOFC002"
 
 
 @dataclass(frozen=True)
 class ProsodicTrack:
-    """Per-frame fundamental frequency, log energy and voicing flags.
+    """Per-frame fundamental frequency and log energy.
 
-    f0 is 0 for unvoiced frames and lies in [60, 400] Hz for voiced ones.
+    f0 is 0 for unvoiced frames and lies in [60, 400] Hz for voiced ones;
+    voiced is that view of it, f0 > 0, and is stored nowhere else.
     """
 
     f0: np.ndarray
     log_energy: np.ndarray
-    voiced: np.ndarray
 
     def __post_init__(self):
         # taken first: readonly makes a 0-d stream 1-D
-        ndims = {np.ndim(a) for a in (self.f0, self.log_energy, self.voiced)}
+        ndims = {np.ndim(a) for a in (self.f0, self.log_energy)}
         f0, log_energy = readonly(self.f0), readonly(self.log_energy)
-        voiced = readonly(self.voiced, bool)
-        if not (f0.shape == log_energy.shape == voiced.shape) or ndims != {1}:
-            raise ValueError("f0, log_energy and voiced must be equal-length 1-D")
-        bad = ~voiced & (f0 != 0.0)
-        if np.any(bad):
-            raise ValueError("unvoiced frames must carry f0 == 0")
+        if f0.shape != log_energy.shape or ndims != {1}:
+            raise ValueError("f0 and log_energy must be equal-length 1-D")
         in_range = (f0 == 0.0) | ((f0 >= F0_MIN) & (f0 <= F0_MAX))
         if not np.all(in_range):
             raise ValueError(f"voiced f0 must lie in [{F0_MIN}, {F0_MAX}] Hz")
         object.__setattr__(self, "f0", f0)
         object.__setattr__(self, "log_energy", log_energy)
-        object.__setattr__(self, "voiced", voiced)
+
+    @cached_property
+    def voiced(self) -> np.ndarray:
+        """The read-only voicing flags, f0 > 0."""
+        voiced = self.f0 > 0.0
+        voiced.setflags(write=False)
+        return voiced
 
     def __len__(self) -> int:
         return self.f0.size
@@ -379,11 +382,9 @@ def prosodic_track(frames) -> ProsodicTrack:
     squares = x * x
     log_energy = np.log(squares @ (_WINDOW * _WINDOW) + ENERGY_FLOOR)
     f0 = _rowwise(_pitch, x, squares)
-    # a voiced F0 lies in [60, 400] Hz, an unvoiced one is 0
-    voiced = f0 > 0.0
-    for stream in (f0, log_energy, voiced):
+    for stream in (f0, log_energy):
         stream.setflags(write=False)
-    return ProsodicTrack(f0=f0, log_energy=log_energy, voiced=voiced)
+    return ProsodicTrack(f0=f0, log_energy=log_energy)
 
 
 def analyze_clip(samples) -> UtteranceFeatures:
@@ -398,7 +399,7 @@ def analyze_clip(samples) -> UtteranceFeatures:
     samples = _samples(samples)
     n_frames = (samples.size - FRAME_LEN) // HOP + 1
     n_blocks = -(-n_frames // _BLOCK_FRAMES)
-    vectors, f0, log_energy, voiced = [], [], [], []
+    vectors, f0, log_energy = [], [], []
     for b in range(n_blocks):
         first = b * n_frames // n_blocks
         last = (b + 1) * n_frames // n_blocks - 1
@@ -407,24 +408,23 @@ def analyze_clip(samples) -> UtteranceFeatures:
         vectors.append(mfcc(frames))
         f0.append(track.f0)
         log_energy.append(track.log_energy)
-        voiced.append(track.voiced)
-    streams = [np.concatenate(s) for s in (vectors, f0, log_energy, voiced)]
+    streams = [np.concatenate(s) for s in (vectors, f0, log_energy)]
     for stream in streams:
         stream.setflags(write=False)
-    features, f0, log_energy, voiced = streams
+    features, f0, log_energy = streams
     return UtteranceFeatures(features=features, prosody=ProsodicTrack(
-        f0=f0, log_energy=log_energy, voiced=voiced))
+        f0=f0, log_energy=log_energy))
 
 
 # --- feature cache -----------------------------------------------------------
 #
-# A container file (see emocue.container) under magic "EMOFC001":
+# A container file (see emocue.container) under magic "EMOFC002" (format
+# version 2):
 #   header   {"entries": [{"id": str, "frames": int}, ...]} sorted by id
 #   payload  per entry, in header order:
 #              float64[frames * 16]  MFCC vectors (row-major)
 #              float64[frames]       f0
 #              float64[frames]       log energy
-#              uint8[frames]         voicing flags, 0 or 1
 
 def write_feature_cache(path, entries: Mapping[str, UtteranceFeatures]) -> None:
     """Write both observation streams for a set of utterances.
@@ -445,7 +445,6 @@ def write_feature_cache(path, entries: Mapping[str, UtteranceFeatures]) -> None:
             yield np.ascontiguousarray(feats, dtype="<f8").tobytes()
             yield np.ascontiguousarray(track.f0, dtype="<f8").tobytes()
             yield np.ascontiguousarray(track.log_energy, dtype="<f8").tobytes()
-            yield np.ascontiguousarray(track.voiced, dtype=np.uint8).tobytes()
 
     container.write(path, _CACHE_MAGIC, {"entries": [
         {"id": uid, "frames": len(entries[uid].features)} for uid in ids]},
@@ -456,8 +455,8 @@ def read_feature_cache(path) -> dict[str, UtteranceFeatures]:
     """Read a cache written by write_feature_cache.
 
     A cache that is cut short, runs on past its last utterance or has a
-    malformed header, a repeated utterance id among them, or a voicing flag
-    other than 0 or 1 raises CorruptFileError naming it.
+    malformed header or a repeated utterance id raises CorruptFileError
+    naming it; a version-1 cache raises UnsupportedFormatError naming it.
     """
     def parse(header, payload):
         out = {}
@@ -471,12 +470,6 @@ def read_feature_cache(path) -> dict[str, UtteranceFeatures]:
                 frames, FEATURE_DIM)
             f0 = payload.array(frames)
             log_energy = payload.array(frames)
-            voiced = payload.array(frames, np.uint8)
-            if (voiced > 1).any():
-                frame = int(np.argmax(voiced > 1))
-                raise CorruptFileError(f"{path}: utterance {uid!r}: voicing "
-                                       f"flag {voiced[frame]} at frame {frame}"
-                                       f" of {frames} is not 0 or 1")
             finite = np.isfinite(vectors).all(axis=1) & np.isfinite(f0) \
                 & np.isfinite(log_energy)
             if not finite.all():
@@ -485,8 +478,9 @@ def read_feature_cache(path) -> dict[str, UtteranceFeatures]:
                     f"{int(np.argmin(finite))} of {frames} is not finite")
             out[uid] = UtteranceFeatures(
                 features=vectors,
-                prosody=ProsodicTrack(f0=f0, log_energy=log_energy,
-                                      voiced=voiced))
+                prosody=ProsodicTrack(f0=f0, log_energy=log_energy))
         return out
 
-    return container.read(path, _CACHE_MAGIC, "feature cache", parse)
+    return container.read(path, _CACHE_MAGIC, "feature cache", parse,
+                          retired={b"EMOFC001": "a version-1 feature cache; "
+                                   "re-run extract or gen-synthetic"})

@@ -322,15 +322,9 @@ def _read_bank(directory):
             roles[role][key] = (model, entry["training"])
         return header, roles
 
-    try:
-        return container.read(path, _BANK_MAGIC, "model bank", parse)
-    except UnsupportedFormatError:
-        with open(path, "rb") as fh:
-            if fh.read(len(_BANK_MAGIC)) == b"EMOBK003":
-                raise UnsupportedFormatError(
-                    f"{path}: a version-3 bank; retrain it to write a "
-                    f"version-4 {BANK_FILE}") from None
-        raise
+    return container.read(path, _BANK_MAGIC, "model bank", parse, retired={
+        b"EMOBK003": f"a version-3 bank; retrain it to write a version-4 "
+                     f"{BANK_FILE}"})
 
 
 def _write_bank(directory, header: dict, roles: Mapping) -> None:

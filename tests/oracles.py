@@ -12,8 +12,7 @@ import numpy as np
 
 from emocue import hmm, recognizer
 from emocue.errors import NumericalUnderflowError, _prefixed
-from emocue.evaluation import (DEFAULT_ALPHAS, SWEEP_LENGTH_NORMALIZE,
-                               SweepResult)
+from emocue.evaluation import DEFAULT_ALPHAS, SweepResult
 from emocue.hmm import AcousticModel
 from emocue.supra import FusionConfig, blend, score_components
 
@@ -378,7 +377,7 @@ def loop_alpha_sweep(bank, test_records, features, alphas=DEFAULT_ALPHAS):
             components[r.id] = {
                 e: score_components(bank.emotion_models[e].acoustic,
                                     bank.emotion_models[e].supra, utt,
-                                    SWEEP_LENGTH_NORMALIZE)
+                                    True)
                 for e in emotions}
 
     speaker_verdict = {}

@@ -717,8 +717,8 @@ def _score_with_short_utterance(small_pipeline, tmp_path, command, out):
     features, track = cache[short]
     cache[short] = UtteranceFeatures(
         features=features[:2],
-        prosody=ProsodicTrack(f0=track.f0[:2], log_energy=track.log_energy[:2],
-                              voiced=track.voiced[:2]))
+        prosody=ProsodicTrack(f0=track.f0[:2],
+                              log_energy=track.log_energy[:2]))
     cut = tmp_path / "features.bin"
     write_feature_cache(cut, cache)
     code = cli.main([command, "--manifest", str(manifest),
@@ -862,6 +862,9 @@ def test_evaluate_refuses_n_pool_below_one_as_ttest_does(small_pipeline,
     assert capsys.readouterr().err == ttest_err == \
         "configuration error: n_pool must be >= 1, got 0\n"
     assert not (tmp_path / "eval").exists()
+    rows = recognizer.read_results(small_pipeline / "results.jsonl")
+    with pytest.raises(ValueError, match="^n_pool must be >= 1, got 0$"):
+        evaluation.evaluate(rows, 0)
 
 
 def test_evaluate_rejects_corrupt_results(tmp_path, capsys):
@@ -961,8 +964,8 @@ def test_train_names_an_utterance_shorter_than_the_states(small_pipeline,
     features, track = cache[short]
     cache[short] = UtteranceFeatures(
         features=features[:2],
-        prosody=ProsodicTrack(f0=track.f0[:2], log_energy=track.log_energy[:2],
-                              voiced=track.voiced[:2]))
+        prosody=ProsodicTrack(f0=track.f0[:2],
+                              log_energy=track.log_energy[:2]))
     cut = tmp_path / "features.bin"
     write_feature_cache(cut, cache)
     code = cli.main([command, "--manifest", str(manifest),
@@ -1169,6 +1172,56 @@ def test_identify_refuses_version_3_bank(small_pipeline, tmp_path, capsys):
         f"data error: {bank / 'bank.bin'}: a version-3 bank; retrain it to "
         f"write a version-4 bank.bin\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["identify", "train-emotions"])
+def test_a_version_1_feature_cache_is_refused_by_name(small_pipeline, tmp_path,
+                                                      capsys, command):
+    features = tmp_path / "features.bin"
+    data = (small_pipeline / "corpus/features.bin").read_bytes()
+    features.write_bytes(b"EMOFC001" + data[8:])
+    bank = tmp_path / "bank"
+    shutil.copytree(small_pipeline / "bank", bank)
+    before = (bank / "bank.bin").read_bytes()
+    out = tmp_path / "out.jsonl"
+    flags = ["--out", str(out)] if command == "identify" else SMALL_FLAGS
+    code = cli.main([command,
+                     "--manifest", str(small_pipeline / "corpus/manifest.tsv"),
+                     "--features", str(features), "--bank-dir", str(bank),
+                     *flags, *SMALL_SPLIT])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"data error: {features}: a version-1 feature cache; re-run extract "
+        f"or gen-synthetic\n")
+    assert not out.exists()
+    assert (bank / "bank.bin").read_bytes() == before
+
+
+def test_train_refuses_overflowing_feature_statistics(tmp_path, capsys):
+    corpus_dir, bank = tmp_path / "c", tmp_path / "bank"
+    features = corpus_dir / "features.bin"
+    run_cli("gen-synthetic", "--out-dir", corpus_dir, "--speakers", "2",
+            "--emotions", "neutral,angry", "--train-count", "2",
+            "--test-count", "2", "--reps", "1", "--seed", "7")
+    records = load_manifest(corpus_dir / "manifest.tsv")
+    train, _ = split_records(records, RunConfig(train_sentences=(1, 2),
+                                                test_sentences=(3, 4)).protocol)
+    cache = read_feature_cache(features)
+    for record, value in zip(train, (1e300, -1e300)):
+        vectors = np.array(cache[record.id].features)
+        vectors[0, 0] = value
+        cache[record.id] = UtteranceFeatures(vectors, cache[record.id].prosody)
+    write_feature_cache(features, cache)
+    capsys.readouterr()
+    code = cli.main(["train-emotions",
+                     "--manifest", str(corpus_dir / "manifest.tsv"),
+                     "--features", str(features), "--bank-dir", str(bank),
+                     *SMALL_FLAGS, *SMALL_SPLIT])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"data error: {features}: feature dimensions [0] overflow on the "
+        f"training set\n")
+    assert not bank.exists()
 
 
 def _cut(path):

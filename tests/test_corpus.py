@@ -217,6 +217,18 @@ def test_normalize_rejects_constant_dimension():
         normalize_features(train)
 
 
+def test_normalize_rejects_overflowing_dimensions():
+    rng = np.random.default_rng(2)
+    train = {f"u{i}": rng.normal(size=(10, FEATURE_DIM)) for i in range(2)}
+    train["u0"][3, 2], train["u1"][4, 2] = 1e300, -1e300
+    train["u0"][0, 9] = 1e308
+    train["u1"][0, 9] = 1e308
+    with pytest.raises(DegenerateDimensionError,
+                       match=r"^feature dimensions \[2, 9\] overflow on the "
+                             r"training set$"):
+        normalize_features(train)
+
+
 def test_normalize_rejects_empty_training_set():
     with pytest.raises(DegenerateDimensionError):
         normalize_features({})

@@ -338,8 +338,7 @@ def test_sweep_rejects_missing_emotion_before_scoring(tiny_trained):
     features[only_first[0].id] = UtteranceFeatures(
         features=utt.features[:2],
         prosody=ProsodicTrack(f0=utt.prosody.f0[:2],
-                              log_energy=utt.prosody.log_energy[:2],
-                              voiced=utt.prosody.voiced[:2]))
+                              log_energy=utt.prosody.log_energy[:2]))
     with pytest.raises(ValueError, match="emotions without test utterances"):
         alpha_sweep(tiny_trained["bank"], only_first, features)
 

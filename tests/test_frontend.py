@@ -4,6 +4,7 @@ The MFCC and pitch pipelines are both checked against slow scalar
 reference implementations built independently of the vectorized code.
 """
 
+import dataclasses
 import importlib.util
 import math
 import os
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emocue import corpus, frontend
+from emocue import container, corpus, frontend
 from emocue.errors import (
     CorruptFileError,
     EmoCueError,
@@ -29,7 +30,7 @@ from emocue.errors import (
     UnsupportedFormatError,
 )
 
-from conftest import container_parts, damaged_container, edit_container_header
+from conftest import container_bytes, damaged_container, edit_container_header
 
 WAVGEN_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "wavgen.py"
 
@@ -524,8 +525,7 @@ def test_cache_rejects_non_finite_prosody(tmp_path):
     features, prosody = _analyzed(3, 2000)
     log_energy = np.array(prosody.log_energy)
     log_energy[3] = np.nan
-    bad = frontend.ProsodicTrack(f0=prosody.f0, log_energy=log_energy,
-                                 voiced=prosody.voiced)
+    bad = frontend.ProsodicTrack(f0=prosody.f0, log_energy=log_energy)
     path = tmp_path / "cache.bin"
     frontend.write_feature_cache(
         path, {"ok": _analyzed(4, 2000),
@@ -565,8 +565,7 @@ def test_cache_write_refuses_mfccs_that_do_not_fit_the_track(tmp_path, rows,
     path = tmp_path / "cache.bin"
     frontend.write_feature_cache(path, {"x": _analyzed(5, 2000)})
     before = path.read_bytes()
-    track = frontend.ProsodicTrack(f0=np.zeros(5), log_energy=np.zeros(5),
-                                   voiced=np.zeros(5, dtype=bool))
+    track = frontend.ProsodicTrack(f0=np.zeros(5), log_energy=np.zeros(5))
     bad = frontend.UtteranceFeatures(np.zeros((rows, columns)), track)
     with pytest.raises(ValueError, match=rf"^utterance 'y': MFCCs of shape "
                        rf"\({rows}, {columns}\) for 5 frames$"):
@@ -615,9 +614,35 @@ def test_cache_rejects_trailing_bytes(tmp_path, cache_bytes):
                                    b'{"entries": [{"id": "u", "frames": -2}]}'])
 def test_cache_rejects_malformed_index(tmp_path, index):
     path = tmp_path / "bad.bin"
-    path.write_bytes(b"EMOFC001" + len(index).to_bytes(8, "little") + index)
+    path.write_bytes(b"EMOFC002" + len(index).to_bytes(8, "little") + index)
     with pytest.raises(CorruptFileError, match="bad.bin: malformed"):
         frontend.read_feature_cache(path)
+
+
+def test_cache_refuses_a_version_1_cache_by_name(tmp_path, cache_bytes):
+    path = tmp_path / "old.bin"
+    path.write_bytes(b"EMOFC001" + cache_bytes[8:])
+    with pytest.raises(UnsupportedFormatError) as caught:
+        frontend.read_feature_cache(path)
+    assert str(caught.value) == (f"{path}: a version-1 feature cache; re-run "
+                                 f"extract or gen-synthetic")
+
+
+@pytest.mark.parametrize("magic, message", [
+    (b"KINDV001", "a version-1 kind; remake it"),
+    (b"OTHERV02", "not a kind file"),
+], ids=["retired", "unknown"])
+def test_container_read_names_a_retired_magic(tmp_path, magic, message):
+    path = tmp_path / "kind.bin"
+    retired = {b"KINDV001": "a version-1 kind; remake it"}
+    path.write_bytes(container_bytes(b"KINDV002", {"n": 1}, b""))
+    assert container.read(path, b"KINDV002", "kind", lambda h, p: h["n"],
+                          retired=retired) == 1
+    path.write_bytes(container_bytes(magic, {"n": 1}, b""))
+    with pytest.raises(UnsupportedFormatError) as caught:
+        container.read(path, b"KINDV002", "kind", lambda h, p: h["n"],
+                       retired=retired)
+    assert str(caught.value) == f"{path}: {message}"
 
 
 def test_cache_rejects_repeated_id(tmp_path, cache_bytes):
@@ -632,19 +657,6 @@ def test_cache_rejects_repeated_id(tmp_path, cache_bytes):
     with pytest.raises(CorruptFileError, match="twice.bin: malformed feature "
                                                "cache: repeated utterance id "
                                                "'u'"):
-        frontend.read_feature_cache(path)
-
-
-def test_cache_rejects_a_voicing_flag_other_than_0_or_1(tmp_path, cache_bytes):
-    # v's voicing flags, one byte per frame, end the file
-    frames = container_parts(cache_bytes)[1]["entries"][1]["frames"]
-    data = bytearray(cache_bytes)
-    data[-3] = 7
-    path = tmp_path / "voicing.bin"
-    path.write_bytes(bytes(data))
-    with pytest.raises(CorruptFileError,
-                       match=f"^{path}: utterance 'v': voicing flag 7 at "
-                             f"frame {frames - 3} of {frames} is not 0 or 1$"):
         frontend.read_feature_cache(path)
 
 
@@ -693,23 +705,43 @@ def test_producers_hand_the_track_streams_already_read_only(tmp_path,
         assert handed and not any(handed), name
 
 
-@pytest.mark.parametrize("f0, log_energy, voiced", [
-    (np.float64(0.0), np.float64(0.0), np.False_),
-    (np.zeros(1), np.float64(0.0), np.zeros(1, dtype=bool)),
+@pytest.mark.parametrize("f0, log_energy", [
+    (np.float64(0.0), np.float64(0.0)),
+    (np.zeros(1), np.float64(0.0)),
 ], ids=["all 0-d", "one 0-d"])
-def test_track_refuses_a_0d_stream(f0, log_energy, voiced):
+def test_track_refuses_a_0d_stream(f0, log_energy):
     with pytest.raises(ValueError, match="equal-length 1-D"):
-        frontend.ProsodicTrack(f0=f0, log_energy=log_energy, voiced=voiced)
+        frontend.ProsodicTrack(f0=f0, log_energy=log_energy)
+
+
+@pytest.mark.parametrize("f0", [59.9, 400.1, -120.0, np.nan])
+def test_track_refuses_an_f0_outside_the_pitch_range(f0):
+    with pytest.raises(ValueError, match=r"voiced f0 must lie in \[60.0, "
+                                         r"400.0\] Hz"):
+        frontend.ProsodicTrack(f0=[0.0, f0], log_energy=np.zeros(2))
+
+
+def test_track_voicing_is_a_read_only_view_of_f0():
+    track = frontend.ProsodicTrack(f0=[0.0, 120.0, 0.0, 60.0, 400.0],
+                                   log_energy=np.zeros(5))
+    assert [f.name for f in dataclasses.fields(track)] == ["f0",
+                                                           "log_energy"]
+    voiced = track.voiced
+    assert voiced.dtype == bool and not voiced.flags.writeable
+    np.testing.assert_array_equal(voiced, track.f0 > 0.0)
+    assert track.voiced is voiced
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(track, "voiced", np.ones(5, dtype=bool))
 
 
 def test_track_copies_a_callers_writeable_streams():
-    f0, log_energy = np.zeros(3), np.zeros(3)
-    voiced = np.zeros(3, dtype=bool)
-    track = frontend.ProsodicTrack(f0=f0, log_energy=log_energy, voiced=voiced)
-    for mine, kept in ((f0, track.f0), (log_energy, track.log_energy),
-                       (voiced, track.voiced)):
+    f0, log_energy = np.array([0.0, 120.0, 0.0]), np.zeros(3)
+    track = frontend.ProsodicTrack(f0=f0, log_energy=log_energy)
+    for mine, kept in ((f0, track.f0), (log_energy, track.log_energy)):
         assert mine.flags.writeable and not kept.flags.writeable
         assert not np.shares_memory(mine, kept)
+    f0[1] = 0.0
+    np.testing.assert_array_equal(track.voiced, [False, True, False])
 
 
 def test_every_handed_out_array_is_read_only_with_its_dtype_and_shape(

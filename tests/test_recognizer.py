@@ -233,8 +233,8 @@ def test_score_test_set_names_utterance_it_cannot_score(tiny_trained):
     features, track = tiny_trained["features"][record.id]
     short = UtteranceFeatures(
         features=features[:2],
-        prosody=ProsodicTrack(f0=track.f0[:2], log_energy=track.log_energy[:2],
-                              voiced=track.voiced[:2]))
+        prosody=ProsodicTrack(f0=track.f0[:2],
+                              log_energy=track.log_energy[:2]))
     with pytest.raises(NoLegalPathError, match=f"utterance {record.id!r}: "):
         score_test_set(tiny_trained["bank"], tiny_trained["test"][:2],
                        {**tiny_trained["features"], record.id: short})

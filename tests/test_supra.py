@@ -22,13 +22,11 @@ from conftest import container_parts
 from oracles import loop_segment_summaries
 
 
-def _track(f0, voiced, log_energy=None):
+def _track(f0, log_energy=None):
     f0 = np.asarray(f0, dtype=np.float64)
-    voiced = np.asarray(voiced, dtype=bool)
     if log_energy is None:
         log_energy = np.full(f0.size, -2.0)
-    return ProsodicTrack(f0=f0, log_energy=np.asarray(log_energy, float),
-                         voiced=voiced)
+    return ProsodicTrack(f0=f0, log_energy=np.asarray(log_energy, float))
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +51,7 @@ def trained_pair():
 
 def test_constant_f0_segments():
     path = [0, 0, 0, 1, 1, 2]
-    track = _track([100.0] * 6, [True] * 6, [-1.5] * 6)
+    track = _track([100.0] * 6, [-1.5] * 6)
     vectors = supra.segment_summaries(path, track, 3)
     assert type(vectors) is np.ndarray and vectors.shape == (3, 5)
     assert not vectors.flags.writeable
@@ -66,7 +64,7 @@ def test_constant_f0_segments():
 
 def test_fully_unvoiced_segments():
     path = [0, 0, 1, 1]
-    track = _track([0.0] * 4, [False] * 4)
+    track = _track([0.0] * 4)
     vectors = np.asarray(supra.segment_summaries(path, track, 2))
     np.testing.assert_allclose(vectors[:, 0], 0.0)
     np.testing.assert_allclose(vectors[:, 1], 0.0)
@@ -78,7 +76,7 @@ def test_linear_f0_slope_recovered():
     path = [0] * 5 + [1] * 4
     f0 = np.concatenate([100.0 + 2.0 * np.arange(5),
                          200.0 + 2.0 * np.arange(4)])
-    track = _track(f0, [True] * 9)
+    track = _track(f0)
     vectors = np.asarray(supra.segment_summaries(path, track, 2))
     np.testing.assert_allclose(vectors[:, 1], 2.0, atol=1e-9)
 
@@ -87,7 +85,7 @@ def test_slope_uses_frame_positions_of_voiced_frames():
     # voiced at segment positions 0, 2, 3 with f0 = 100 + 2 * position
     path = [0, 0, 0, 0]
     f0 = np.array([100.0, 0.0, 104.0, 106.0])
-    track = _track(f0, [True, False, True, True])
+    track = _track(f0)
     vectors = np.asarray(supra.segment_summaries(path, track, 1))
     assert vectors[0, 0] == pytest.approx(np.mean([100.0, 104.0, 106.0]))
     assert vectors[0, 1] == pytest.approx(2.0, abs=1e-9)
@@ -96,7 +94,7 @@ def test_slope_uses_frame_positions_of_voiced_frames():
 
 def test_single_voiced_frame_has_zero_slope():
     vectors = np.asarray(supra.segment_summaries(
-        [0, 0], _track([120.0, 0.0], [True, False]), 1))
+        [0, 0], _track([120.0, 0.0]), 1))
     assert vectors[0, 0] == 120.0
     assert vectors[0, 1] == 0.0
     assert vectors[0, 4] == 0.5
@@ -112,8 +110,8 @@ def test_summaries_match_per_segment_loop():
         f0 = np.where(voiced, rng.uniform(60.0, 400.0, length), 0.0)
         log_energy = rng.normal(-2.0, 3.0, length)
         got = np.asarray(supra.segment_summaries(
-            path, _track(f0, voiced, log_energy), 9))
-        want = loop_segment_summaries(path, f0, log_energy, voiced)
+            path, _track(f0, log_energy), 9))
+        want = loop_segment_summaries(path, f0, log_energy, f0 > 0.0)
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
 
 
@@ -123,7 +121,7 @@ def test_durations_sum_to_one():
         length = int(rng.integers(4, 30))
         steps = rng.random(length - 1) < 0.2
         path = np.minimum(np.concatenate([[0], np.cumsum(steps)]), 3)
-        track = _track(np.zeros(length), np.zeros(length, dtype=bool))
+        track = _track(np.zeros(length))
         vectors = np.asarray(supra.segment_summaries(path, track, 4))
         assert vectors[:, 3].sum() == pytest.approx(1.0, abs=1e-9)
         assert vectors.shape[0] <= 4
@@ -131,27 +129,27 @@ def test_durations_sum_to_one():
 
 def test_summaries_reject_length_mismatch():
     with pytest.raises(LengthMismatchError):
-        supra.segment_summaries([0, 0, 1], _track([0.0] * 4, [False] * 4), 2)
+        supra.segment_summaries([0, 0, 1], _track([0.0] * 4), 2)
 
 
 def test_summaries_reject_bad_start():
     with pytest.raises(IllegalPathError):
-        supra.segment_summaries([1, 1], _track([0.0] * 2, [False] * 2), 2)
+        supra.segment_summaries([1, 1], _track([0.0] * 2), 2)
 
 
 def test_summaries_reject_state_skip():
     with pytest.raises(IllegalPathError):
-        supra.segment_summaries([0, 2], _track([0.0] * 2, [False] * 2), 3)
+        supra.segment_summaries([0, 2], _track([0.0] * 2), 3)
 
 
 def test_summaries_reject_out_of_range_state():
     with pytest.raises(IllegalPathError):
-        supra.segment_summaries([0, 1], _track([0.0] * 2, [False] * 2), 1)
+        supra.segment_summaries([0, 1], _track([0.0] * 2), 1)
 
 
 def test_summaries_reject_backward_step():
     with pytest.raises(IllegalPathError):
-        supra.segment_summaries([0, 1, 0], _track([0.0] * 3, [False] * 3), 2)
+        supra.segment_summaries([0, 1, 0], _track([0.0] * 3), 2)
 
 
 def test_summaries_reject_non_integer_path():
@@ -159,33 +157,34 @@ def test_summaries_reject_non_integer_path():
     with pytest.raises(IllegalPathError,
                        match=r"^path frame 1 holds 0\.5, not a state index$"):
         supra.segment_summaries([0, 0.5, 1.7, 1.2],
-                                _track([0.0] * 4, [False] * 4), 2)
+                                _track([0.0] * 4), 2)
 
 
 def test_summary_stack_rejects_non_integer_path():
     paths = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, np.nan]])
     with pytest.raises(IllegalPathError,
                        match=r"^frame 2 of path 1 holds nan, not a state"):
-        supra.summary_stack(paths, _track([0.0] * 3, [False] * 3), 2)
+        supra.summary_stack(paths, _track([0.0] * 3), 2)
 
 
 def test_summaries_accept_whole_float_path():
-    track = _track([0.0, 120.0, 130.0], [False, True, True])
+    track = _track([0.0, 120.0, 130.0])
     assert np.array_equal(supra.segment_summaries([0.0, 1.0, 1.0], track, 2),
                           supra.segment_summaries([0, 1, 1], track, 2))
 
 
-def _assert_stack_matches_loop(paths, f0, voiced, log_energy, num_states):
+def _assert_stack_matches_loop(paths, f0, log_energy, num_states):
     """summary_stack against the per-segment loop, and each path's rows bit
     for bit against segment_summaries of that path alone; rows past a
     path's last state are 0."""
-    track = _track(f0, voiced, log_energy)
+    track = _track(f0, log_energy)
     got = supra.summary_stack(paths, track, num_states)
     assert got.shape == (len(paths), max(p[-1] for p in paths) + 1, 5)
     for path, rows in zip(paths, got):
         used = path[-1] + 1
         np.testing.assert_allclose(
-            rows[:used], loop_segment_summaries(path, f0, log_energy, voiced),
+            rows[:used], loop_segment_summaries(path, f0, log_energy,
+                                           f0 > 0.0),
             rtol=1e-9, atol=1e-9)
         assert np.array_equal(rows[:used],
                               supra.segment_summaries(path, track, num_states))
@@ -196,11 +195,10 @@ def test_summary_stack_edge_cases_match_per_segment_loop():
     # all-unvoiced segments, a single voiced frame, T = N, and paths that
     # end in different states
     f0 = np.array([0.0, 0.0, 150.0, 0.0, 0.0, 200.0, 210.0])
-    voiced = f0 > 0.0
     log_energy = np.linspace(-4.0, 1.0, 7)
     paths = np.array([[0, 0, 0, 0, 0, 0, 0], [0, 1, 2, 3, 4, 5, 6],
                       [0, 0, 1, 1, 2, 2, 2], [0, 0, 0, 1, 1, 1, 1]])
-    _assert_stack_matches_loop(paths, f0, voiced, log_energy, 7)
+    _assert_stack_matches_loop(paths, f0, log_energy, 7)
 
 
 @settings(max_examples=150, deadline=None)
@@ -226,7 +224,7 @@ def test_summary_stack_matches_per_segment_loop(data):
     log_energy = np.array(data.draw(st.lists(
         st.floats(-10.0, 5.0), min_size=length, max_size=length),
         label="log_energy"))
-    _assert_stack_matches_loop(paths, f0, voiced, log_energy, num_states)
+    _assert_stack_matches_loop(paths, f0, log_energy, num_states)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -254,8 +252,7 @@ def test_nan_log_energy_is_refused_in_training_and_scoring(trained_pair):
     log_energy = np.array(probe.prosody.log_energy)
     log_energy[len(log_energy) // 2] = np.nan
     bad = UtteranceFeatures(features=probe.features, prosody=ProsodicTrack(
-        f0=probe.prosody.f0, log_energy=log_energy,
-        voiced=probe.prosody.voiced))
+        f0=probe.prosody.f0, log_energy=log_energy))
     with pytest.raises(NonFiniteObservationError,
                        match=r"in sequence 1 is not finite$"):
         supra.train_suprasegmental(acoustic, [probe, bad], 3, num_mixtures=1)
@@ -327,8 +324,7 @@ def test_fusion_at_alpha_zero_still_aligns(trained_pair):
     short = UtteranceFeatures(
         features=probe.features[:frames],
         prosody=ProsodicTrack(f0=probe.prosody.f0[:frames],
-                              log_energy=probe.prosody.log_energy[:frames],
-                              voiced=probe.prosody.voiced[:frames]))
+                              log_energy=probe.prosody.log_energy[:frames]))
     # the acoustic stream alone has a score, but no left-to-right path
     # through every state fits, and alpha 0 aligns like every other alpha
     assert np.isfinite(hmm.forward_log_likelihood(acoustic, short.features))
