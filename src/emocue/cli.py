@@ -27,7 +27,7 @@ import re
 import sys
 
 from . import corpus, evaluation, recognizer
-from .config import RunConfig, make_config
+from .config import RunConfig, make_config, parse_items
 from .errors import (
     DegenerateDimensionError,
     EmoCueError,
@@ -37,6 +37,8 @@ from .errors import (
     NoLegalPathError,
     NumericalUnderflowError,
     SequenceTooShortError,
+    UnknownEmotionError,
+    UnknownLabelError,
     _prefixed,
 )
 from .frontend import analyze_clip, load_audio, read_feature_cache, \
@@ -72,7 +74,7 @@ def _add_config_options(parser: argparse.ArgumentParser, names) -> None:
             group.add_argument(flag, action=argparse.BooleanOptionalAction,
                                default=None, help=help_text)
         else:
-            # list settings arrive as text; RunConfig parses them
+            # a list arrives as text; RunConfig parses it, naming the flag
             group.add_argument(flag, metavar=f.metadata["metavar"],
                                type=f.type if f.type in (int, float) else None,
                                help=help_text)
@@ -81,20 +83,6 @@ def _add_config_options(parser: argparse.ArgumentParser, names) -> None:
 def _config_from(args) -> RunConfig:
     return make_config(args.config, args.settings,
                        **{name: getattr(args, name) for name in args.settings})
-
-
-def _numbers(flag: str, text: str) -> list[float]:
-    """The comma-separated numbers of a list flag. An item that is empty or
-    not a number raises ValueError naming the flag and the item's 1-based
-    position."""
-    values = []
-    for position, item in enumerate(text.split(","), start=1):
-        try:
-            values.append(float(item))
-        except ValueError:
-            raise ValueError(f"{flag} item {position} ({item!r}) is not a "
-                             f"number") from None
-    return values
 
 
 def _load_corpus(manifest, features):
@@ -119,7 +107,7 @@ def _cmd_extract(args) -> int:
 
 def _cmd_gen_synthetic(args) -> int:
     cfg = _config_from(args)
-    emotions = tuple(e.strip() for e in args.emotions.split(",") if e.strip())
+    emotions = parse_items(args.emotions, str, "--emotions")
     unknown = [e for e in emotions if e not in corpus.DEFAULT_EMOTIONS]
     if unknown:
         raise ValueError(f"unknown emotions {unknown}; the manifest readers "
@@ -159,9 +147,7 @@ def _cmd_identify(args) -> int:
     records, cache = _load_corpus(args.manifest, args.features)
     train, test = corpus.split_records(records, cfg.protocol)
     if args.ids is not None:
-        wanted = [i.strip() for i in args.ids.split(",") if i.strip()]
-        if not wanted:
-            raise ManifestError(f"--ids {args.ids!r} names no utterance id")
+        wanted = parse_items(args.ids, str, "--ids")
         by_id = {r.id: r for r in records}
         missing = [i for i in wanted if i not in by_id]
         if missing:
@@ -184,7 +170,7 @@ def _cmd_identify(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     rows = recognizer.read_results(args.results)
-    with _prefixed(args.results, EmptyResultsError):
+    with _prefixed(args.results, (EmptyResultsError, UnknownLabelError)):
         result = evaluation.evaluate(rows, args.n_pool)
     evaluation.write_evaluation(result, args.out_dir)
     print(f"emotion stage average: "
@@ -199,13 +185,15 @@ def _cmd_sweep_alpha(args) -> int:
     cfg = _config_from(args)
     alphas = evaluation.DEFAULT_ALPHAS
     if args.alphas is not None:
-        alphas = tuple(_numbers("--alphas", args.alphas))
+        alphas = parse_items(args.alphas, float, "--alphas")
     records, cache = _load_corpus(args.manifest, args.features)
     train, test = corpus.split_records(records, cfg.protocol)
     with _prefixed(args.features, ManifestError):
         bank, features = recognizer.open_bank(args.bank_dir, train, test,
                                               cache)
-    with _prefixed(args.features):
+    split_faults = (EmptyResultsError, UnknownEmotionError)
+    with _prefixed(args.manifest, split_faults), \
+            _prefixed(args.features, unless=split_faults):
         sweep = evaluation.alpha_sweep(bank, test, features, alphas=alphas)
     evaluation.write_sweep_tsv(sweep, args.out)
     print(f"swept {len(alphas)} fusion weights -> {args.out}")
@@ -225,9 +213,9 @@ def _cmd_ttest(args) -> int:
         if not (args.sample1 and args.sample2):
             raise ValueError("pass either --sample1/--sample2 or "
                              "--mean1/--sd1/--mean2/--sd2")
-        result = evaluation.pooled_t(_numbers("--sample1", args.sample1),
-                                     _numbers("--sample2", args.sample2),
-                                     args.n_pool)
+        result = evaluation.pooled_t(
+            parse_items(args.sample1, float, "--sample1"),
+            parse_items(args.sample2, float, "--sample2"), args.n_pool)
     print(f"sample 1: mean {result.mean_1:.3f}, sd {result.sd_1:.3f}")
     print(f"sample 2: mean {result.mean_2:.3f}, sd {result.sd_2:.3f}")
     print(f"pooled sd (n = {result.n_pool}): {result.sd_pooled:.4f}")

@@ -7,6 +7,7 @@ values, which override the defaults.
 RunConfig is the only declaration of a setting: its default is the library
 constant it sets, its parser follows from its annotation (FIELD_PARSERS),
 and its command-line help and metavar sit in the field's metadata.
+parse_items reads every comma-separated list, of a setting or a flag.
 Each setting is checked on its own, except that num_supra_states may not
 exceed num_states (see emocue.supra).
 """
@@ -29,18 +30,28 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _parse_int_tuple(text) -> tuple[int, ...]:
-    if isinstance(text, tuple):
-        return tuple(int(v) for v in text)
-    parts = [p.strip() for p in str(text).split(",") if p.strip()]
-    if not parts:
-        raise ValueError("expected a comma-separated list of integers")
-    return tuple(int(p) for p in parts)
+_ITEM_KINDS = {float: "a number", int: "an integer", str: "a name"}
+
+
+def parse_items(text: str, parse, what: str) -> tuple:
+    """The comma-separated items of text, stripped and read by parse (float,
+    int or str). An empty or unparsable item raises ValueError naming what
+    (a flag or a setting) and the item's 1-based position."""
+    items = []
+    for position, item in enumerate(text.split(","), start=1):
+        try:
+            if not item.strip():
+                raise ValueError("empty item")
+            items.append(parse(item.strip()))
+        except ValueError:
+            raise ValueError(f"{what} item {position} ({item!r}) is not "
+                             f"{_ITEM_KINDS[parse]}") from None
+    return tuple(items)
 
 
 # The parser of a setting's text, by the setting's annotation.
 FIELD_PARSERS = {float: float, int: int, bool: _parse_bool,
-                 tuple[int, ...]: _parse_int_tuple}
+                 tuple[int, ...]: lambda text: parse_items(text, int, "list")}
 
 _FUSION = FusionConfig()
 _SPLIT = SplitProtocol()
@@ -57,7 +68,8 @@ class RunConfig:
     sentences 1-4 for training and 5-8 for testing, and an even score blend
     (alpha 0.5).
 
-    A text value of any field is parsed by its FIELD_PARSERS entry."""
+    A text value of any field is parsed by its FIELD_PARSERS entry, a list
+    naming its flag (--train-sentences); SplitProtocol casts a tuple's."""
 
     alpha: float = _setting(_FUSION.alpha, "fusion weight in [0, 1]")
     num_states: int = _setting(9, "acoustic model states")
@@ -86,9 +98,11 @@ class RunConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, (str, tuple)):
-                object.__setattr__(self, f.name,
-                                   FIELD_PARSERS[f.type](value))
+            if isinstance(value, str):
+                object.__setattr__(self, f.name, parse_items(
+                    value, int, "--" + f.name.replace("_", "-"))
+                    if f.type == tuple[int, ...]
+                    else FIELD_PARSERS[f.type](value))
         self.fusion  # FusionConfig checks alpha
         if self.num_states < 1 or self.num_mixtures < 1:
             raise ValueError("num_states and num_mixtures must be >= 1")
@@ -104,7 +118,9 @@ class RunConfig:
                                  f"{getattr(self, name)}")
         if self.em_max_iters < 1:
             raise ValueError("em_max_iters must be >= 1")
-        self.protocol  # SplitProtocol checks the sentence sets
+        # SplitProtocol checks the sentence sets and casts their items
+        for name, value in vars(self.protocol).items():
+            object.__setattr__(self, name, value)
 
     @property
     def protocol(self) -> SplitProtocol:

@@ -38,8 +38,8 @@ def replace(path, chunks) -> None:
         raise
 
 
-def readonly(a, dtype=np.float64) -> np.ndarray:
-    """a as a C-contiguous, read-only array of dtype (None keeps a's).
+def readonly(a) -> np.ndarray:
+    """a as a C-contiguous, read-only float64 array.
 
     A writeable array that needs no conversion is copied, so the caller's
     array keeps its flags and a later write to it changes nothing here; a
@@ -47,7 +47,7 @@ def readonly(a, dtype=np.float64) -> np.ndarray:
     function handing out an array it has just built makes it read-only in
     place (setflags) rather than call this.
     """
-    out = np.ascontiguousarray(a, dtype=dtype)
+    out = np.ascontiguousarray(a, dtype=np.float64)
     if out.flags.writeable and (out is a or out.base is not None):
         out = out.copy()
     out.setflags(write=False)

@@ -68,14 +68,13 @@ class SplitProtocol:
         object.__setattr__(self, "test_sentences", test)
 
 
-def load_manifest(path, emotions=DEFAULT_EMOTIONS) -> list[UtteranceRecord]:
+def load_manifest(path) -> list[UtteranceRecord]:
     """Read a tab-separated manifest into validated records.
 
     The file carries one header line naming the fields id, speaker, gender,
     emotion, sentence, repetition, audio; "-" in the audio column means the
     features live in a cache. An empty file yields an empty list.
     """
-    emotions = tuple(emotions)
     records: list[UtteranceRecord] = []
     seen_keys: set = set()
     seen_ids: set = set()
@@ -100,7 +99,7 @@ def load_manifest(path, emotions=DEFAULT_EMOTIONS) -> list[UtteranceRecord]:
             uid, speaker, gender, emotion, sentence, repetition, audio = row
             if gender not in GENDERS:
                 raise UnknownLabelError(f"{path}:{lineno}: unknown gender {gender!r}")
-            if emotion not in emotions:
+            if emotion not in DEFAULT_EMOTIONS:
                 raise UnknownLabelError(
                     f"{path}:{lineno}: unknown emotion {emotion!r}")
             try:

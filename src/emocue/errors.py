@@ -13,11 +13,13 @@ class EmoCueError(Exception):
 
 
 @contextlib.contextmanager
-def _prefixed(what: str, kind=EmoCueError):
-    """Re-raise an error of kind (EmoCueError types) from the block as the
+def _prefixed(what: str, kind=EmoCueError, unless=()):
+    """Re-raise an error of kind, and not of unless, from the block as the
     same type, its message prefixed by what (the utterance or file at fault)."""
     try:
         yield
+    except unless:
+        raise
     except kind as exc:
         raise type(exc)(f"{what}: {exc}") from exc
 

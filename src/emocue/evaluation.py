@@ -362,8 +362,9 @@ def alpha_sweep(bank, test_records, features,
     label in bank order as there. Every weight must lie in [0, 1];
     FusionConfig rejects any other, as it does for identify, and a repeated
     weight raises ValueError, since its rows could not be told apart. A
-    test split that lacks one of the bank's emotions, or holds one the bank
-    lacks, raises before any scoring. An utterance that cannot be scored
+    test split without one of the bank's emotions (EmptyResultsError; an
+    empty one lacks all) or with one the bank lacks (UnknownEmotionError)
+    raises before any scoring. An utterance that cannot be scored
     re-raises its error, of the same type, naming the utterance id, as in
     score_test_set.
     """
@@ -372,13 +373,11 @@ def alpha_sweep(bank, test_records, features,
     if repeated:
         raise ValueError(f"repeated fusion weights: {repeated}")
     records = list(test_records)
-    if not records:
-        raise EmptyResultsError("no test records")
     emotions, speakers = bank.emotions, bank.speakers
     e_counts = {e: sum(1 for r in records if r.emotion == e) for e in emotions}
     missing = [e for e, c in e_counts.items() if c == 0]
     if missing:
-        raise ValueError(f"emotions without test utterances: {missing}")
+        raise EmptyResultsError(f"emotions without test utterances: {missing}")
     unknown = sorted({r.emotion for r in records} - set(emotions))
     if unknown:
         raise UnknownEmotionError(f"no models for test emotions {unknown}")

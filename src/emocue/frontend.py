@@ -426,13 +426,24 @@ def analyze_clip(samples) -> UtteranceFeatures:
 #              float64[frames]       f0
 #              float64[frames]       log energy
 
+def _check_finite(path, uid: str, vectors, f0, log_energy) -> None:
+    """NonFiniteObservationError naming the cache, the utterance and its
+    first frame with a NaN or infinite MFCC, F0 or log energy."""
+    finite = np.isfinite(vectors).all(axis=1) & np.isfinite(f0) \
+        & np.isfinite(log_energy)
+    if not finite.all():
+        raise NonFiniteObservationError(
+            f"{path}: utterance {uid!r}: frame {int(np.argmin(finite))} of "
+            f"{finite.size} is not finite")
+
+
 def write_feature_cache(path, entries: Mapping[str, UtteranceFeatures]) -> None:
     """Write both observation streams for a set of utterances.
 
     Entries are stored sorted by utterance id, so identical inputs always
-    produce byte-identical files. An interrupted write, or an entry whose
-    MFCCs are not (T, 16) for its T prosody frames (ValueError), leaves the
-    previous cache whole.
+    produce byte-identical files. An interrupted write, an entry whose
+    MFCCs are not (T, 16) for its T prosody frames (ValueError), or a frame
+    the reader would refuse (_check_finite) leaves the previous cache whole.
     """
     ids = sorted(entries)
 
@@ -442,6 +453,7 @@ def write_feature_cache(path, entries: Mapping[str, UtteranceFeatures]) -> None:
             if np.shape(feats) != (len(track), FEATURE_DIM):
                 raise ValueError(f"utterance {uid!r}: MFCCs of shape "
                                  f"{np.shape(feats)} for {len(track)} frames")
+            _check_finite(path, uid, feats, track.f0, track.log_energy)
             yield np.ascontiguousarray(feats, dtype="<f8").tobytes()
             yield np.ascontiguousarray(track.f0, dtype="<f8").tobytes()
             yield np.ascontiguousarray(track.log_energy, dtype="<f8").tobytes()
@@ -470,12 +482,7 @@ def read_feature_cache(path) -> dict[str, UtteranceFeatures]:
                 frames, FEATURE_DIM)
             f0 = payload.array(frames)
             log_energy = payload.array(frames)
-            finite = np.isfinite(vectors).all(axis=1) & np.isfinite(f0) \
-                & np.isfinite(log_energy)
-            if not finite.all():
-                raise NonFiniteObservationError(
-                    f"{path}: utterance {uid!r}: frame "
-                    f"{int(np.argmin(finite))} of {frames} is not finite")
+            _check_finite(path, uid, vectors, f0, log_energy)
             out[uid] = UtteranceFeatures(
                 features=vectors,
                 prosody=ProsodicTrack(f0=f0, log_energy=log_energy))

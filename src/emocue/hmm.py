@@ -13,7 +13,8 @@ Conventions:
   and advancing resolve to looping,
 * observations must be finite; a NaN or infinite entry raises
   NonFiniteObservationError naming the first bad frame, and its sequence
-  where a call takes several.
+  where a call takes several. state_log_densities checks the frames of
+  every scorer of one model, and ModelStack and EM check their own.
 
 A model is its arrays (AcousticModel): one (M, N) grid of components,
 every state with the same M. Its one constructor takes them: seeding, EM,
@@ -377,8 +378,10 @@ def _mixture_sums(comp: np.ndarray):
     return comp, lb
 
 
-def state_log_densities(model: AcousticModel, obs: np.ndarray) -> np.ndarray:
-    """log b_j(o_t) for every frame and state, shape (T, N)."""
+def state_log_densities(model: AcousticModel, obs) -> np.ndarray:
+    """log b_j(o_t) for every frame and state, shape (T, N), of frames it
+    checks as _sequences does."""
+    obs, = _sequences([obs], 1, model.feature_dim)
     return _emissions(model._emission, obs)[1][0].T
 
 
@@ -504,9 +507,8 @@ def _totals(band, lb: np.ndarray) -> np.ndarray:
 
 def forward_log_likelihood(model: AcousticModel, seq) -> float:
     """Total log-likelihood of the sequence, summed over all state paths."""
-    obs, = _sequences([seq], 1, model.feature_dim)
     return float(_totals(model._band,
-                         state_log_densities(model, obs).T[:, None])[0])
+                         state_log_densities(model, seq).T[:, None])[0])
 
 
 def forward_backward(model: AcousticModel, seq):
@@ -515,8 +517,7 @@ def forward_backward(model: AcousticModel, seq):
     For every t, logsumexp(alpha[t] + beta[t]) equals the total
     log-likelihood of the sequence.
     """
-    obs, = _sequences([seq], 1, model.feature_dim)
-    lb = state_log_densities(model, obs).T[:, None]
+    lb = state_log_densities(model, seq).T[:, None]
     return (_forward(model._band, lb)[0][:, 0].T,
             _backward(model._band, lb)[:, 0].T)
 
@@ -550,9 +551,8 @@ def viterbi(model: AcousticModel, seq):
     Returns (path, log_probability) where path is an int array of state
     indices. Ties between looping and advancing resolve to looping.
     """
-    obs, = _sequences([seq], 1, model.feature_dim)
     delta, looped = _forward(model._band,
-                             state_log_densities(model, obs).T[:, None],
+                             state_log_densities(model, seq).T[:, None],
                              best=True)
     return _best_path(delta[:, 0], looped[:, 0])
 

@@ -52,41 +52,29 @@ class FusionConfig:
         object.__setattr__(self, "alpha", float(self.alpha))
 
 
-def _state_indices(paths) -> np.ndarray:
-    """Alignment paths as int64 state indices. A value that is not a whole
-    number raises IllegalPathError naming its frame, where a cast would
-    truncate it."""
-    paths = np.asarray(paths)
-    if paths.dtype.kind in "iu":
-        return paths.astype(np.int64, copy=False)
-    values = np.asarray(paths, dtype=np.float64)
-    whole = np.isfinite(values) & (values == np.round(values))
-    if not whole.all():
-        bad = np.argwhere(~whole)[0]
-        where = (f"path frame {bad[-1]}" if values.ndim < 2 else
-                 f"frame {bad[-1]} of path {bad[0]}")
-        value = float(values[tuple(bad)])
-        raise IllegalPathError(f"{where} holds {value!r}, not a state index")
-    return values.astype(np.int64)
-
-
 def summary_stack(paths, track: ProsodicTrack, num_states) -> np.ndarray:
     """The segment summaries of E alignments of one track, shape (E, S, 5).
 
-    paths is (E, T), one row per alignment of the track's T frames. Each
-    must start at state 0, advance by 0 or 1 and stay below num_states (an
-    int, or one bound per path). Row (e, s) summarises path e's frames in
-    state s; S is one more than the last state any path reaches, and a path
-    that ends sooner leaves its later rows 0. F0 statistics use voiced
-    frames only: a fully unvoiced segment reports F0 mean and slope 0, and
-    a single voiced frame reports slope 0.
+    paths is an (E, T) integer array, one row per alignment of the track's
+    T frames (another dtype raises IllegalPathError naming it: a cast would
+    truncate a fractional state). Each must start at state 0, advance by 0
+    or 1 and stay below num_states (an int, or one bound per path). Row
+    (e, s) summarises path e's frames in state s; S is one more than the
+    last state any path reaches, and a path that ends sooner leaves its
+    later rows 0. F0 statistics use voiced frames only: a fully unvoiced
+    segment reports F0 mean and slope 0, and a single voiced frame reports
+    slope 0.
 
     One grouped sum over the labels e*S + path[e, t] summarises the whole
     stack. hmm._grouped_sums adds each segment's frames in frame order, so
     each summary equals the one segment_summaries gives for its path alone,
     bit for bit, and the prosodic models trained on them keep every bit.
     """
-    paths = _state_indices(paths)
+    paths = np.asarray(paths)
+    if paths.dtype.kind not in "iu":
+        raise IllegalPathError(f"a path must hold integer state indices, "
+                               f"not {paths.dtype}")
+    paths = paths.astype(np.int64, copy=False)
     if paths.ndim != 2 or paths.shape[1] != len(track):
         raise LengthMismatchError(f"paths of shape {paths.shape} do not match "
                                   f"track length {len(track)}")
@@ -142,7 +130,7 @@ def segment_summaries(path, track: ProsodicTrack,
                       num_states: int) -> np.ndarray:
     """Condense each aligned state segment into one prosodic summary vector:
     summary_stack of the one path, whose states lie below num_states."""
-    return readonly(summary_stack(_state_indices(path)[None], track,
+    return readonly(summary_stack(np.asarray(path)[None], track,
                                   num_states)[0])
 
 

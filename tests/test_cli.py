@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from emocue import RunConfig, cli, evaluation, hmm, recognizer
+from emocue import RunConfig, cli, evaluation, frontend, hmm, recognizer
 from emocue.corpus import load_manifest, split_records, write_manifest
 from emocue.errors import CorruptFileError, NumericalUnderflowError
 from emocue.frontend import (
@@ -224,6 +224,60 @@ def test_list_flag_names_its_bad_item(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"configuration error: {message}\n"
+
+
+def _list_fault_argv(command, pipeline, out):
+    """command's argv on the small pipeline's files, writing to out."""
+    data = ["--manifest", str(pipeline / "corpus/manifest.tsv"),
+            "--features", str(pipeline / "corpus/features.bin")]
+    if command == "gen-synthetic":
+        return [command, "--out-dir", str(out), *_TINY_GEN[:2], *_TINY_GEN[4:]]
+    if command == "ttest":
+        return [command, "--sample1", "1,2", "--sample2", "3,4",
+                "--n-pool", "3"]
+    if command in ("identify", "sweep-alpha"):
+        return [command, *data, "--bank-dir", str(pipeline / "bank"),
+                "--out", str(out)]
+    return [command, *data, "--bank-dir", str(out), *SMALL_FLAGS]
+
+
+@pytest.mark.parametrize("command, flag, text, where", [
+    ("train-emotions", "--train-sentences", "1,,2", "--train-sentences item 2"),
+    ("train-speakers", "--train-sentences", "1,x", "--train-sentences item 2"),
+    ("train-onestage", "--test-sentences", ",3", "--test-sentences item 1"),
+    ("identify", "--test-sentences", "3,4.5", "--test-sentences item 2"),
+    ("identify", "--ids", "a,,b", "--ids item 2"),
+    ("sweep-alpha", "--alphas", "0.1,,0.2", "--alphas item 2"),
+    ("sweep-alpha", "--alphas", "0.1,x", "--alphas item 2"),
+    ("sweep-alpha", "--train-sentences", "1,2,", "--train-sentences item 3"),
+    ("ttest", "--sample1", ",1", "--sample1 item 1"),
+    ("ttest", "--sample2", "3,four", "--sample2 item 2"),
+    ("gen-synthetic", "--emotions", "neutral,,angry", "--emotions item 2"),
+    ("train-emotions", "file", "1,,2", ":2: bad value for train_sentences: "
+                                       "list item 2"),
+    ("identify", "file", "1,x", ":2: bad value for train_sentences: "
+                                "list item 2"),
+])
+def test_every_list_input_refuses_a_bad_item(small_pipeline, tmp_path, capsys,
+                                             command, flag, text, where):
+    # an empty or unparsable item is a usage error naming the flag, or the
+    # config file's line, and the item's position; nothing is written
+    out = tmp_path / "out"
+    argv = _list_fault_argv(command, small_pipeline, out)
+    if flag == "file":
+        config = tmp_path / "run.cfg"
+        config.write_text(f"test_sentences = 3,4\ntrain_sentences = {text}\n")
+        argv += ["--config", str(config)]
+        where = f"{config}{where}"
+    else:
+        argv += [flag, text]   # the last value of a flag is the one read
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith(f"configuration error: {where} (")
+    assert not out.exists()
+
+
 
 
 @pytest.mark.parametrize("flags, means", [
@@ -622,19 +676,21 @@ def test_identify_rejects_unknown_id(small_pipeline, tmp_path, capsys):
     assert "unknown utterance ids" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("ids", ["", ","], ids=["empty", "comma"])
+@pytest.mark.parametrize("ids, position", [("", 1), (",", 1), ("a,,b", 2)],
+                         ids=["empty", "comma", "gap"])
 def test_identify_rejects_ids_that_name_no_id(small_pipeline, tmp_path,
-                                              capsys, ids):
-    # an explicitly empty list is not the default test split
+                                              capsys, ids, position):
+    # an explicitly empty list, or an empty item, is a usage error: it never
+    # falls back to the default test split
     out = tmp_path / "out.jsonl"
     code = cli.main(["identify",
                      "--manifest", str(small_pipeline / "corpus/manifest.tsv"),
                      "--features", str(small_pipeline / "corpus/features.bin"),
                      "--bank-dir", str(small_pipeline / "bank"),
                      "--out", str(out), "--ids", ids, *SMALL_SPLIT])
-    assert code == 2
+    assert code == 1
     assert capsys.readouterr().err == \
-        f"data error: --ids {ids!r} names no utterance id\n"
+        f"configuration error: --ids item {position} ('') is not a name\n"
     assert not out.exists()
 
 
@@ -687,14 +743,18 @@ def test_a_feature_cache_lacking_a_read_record_exits_2(small_pipeline,
             for line in out.read_text().splitlines()] == [kept]
 
 
-def test_identify_rejects_non_finite_frame(small_pipeline, tmp_path, capsys):
+def test_identify_rejects_non_finite_frame(small_pipeline, tmp_path, capsys,
+                                          monkeypatch):
     uid = json.loads((small_pipeline / "results.jsonl").read_text()
                      .splitlines()[0])["id"]
     cache = read_feature_cache(small_pipeline / "corpus/features.bin")
     vectors = np.array(cache[uid].features)
     vectors[4, 2] = np.nan
     cache[uid] = cache[uid]._replace(features=vectors)
+    # the writer refuses the frame; write the cache another writer might
+    monkeypatch.setattr(frontend, "_check_finite", lambda *args: None)
     write_feature_cache(tmp_path / "features.bin", cache)
+    monkeypatch.undo()
     code = cli.main(["identify",
                      "--manifest", str(small_pipeline / "corpus/manifest.tsv"),
                      "--features", str(tmp_path / "features.bin"),
@@ -782,6 +842,55 @@ def test_sweep_rejects_weights_outside_unit_interval(small_pipeline, tmp_path,
     assert code == identify_code == 1
     assert "alpha must lie in [0, 1]" in err
     assert "alpha must lie in [0, 1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("relabel, message", [
+    ({"angry": None}, "emotions without test utterances: ['angry']"),
+    ({"angry": "sad"}, "no models for test emotions ['sad']"),
+], ids=["missing", "unknown"])
+def test_sweep_names_the_manifest_for_a_test_split_label_fault(
+        small_pipeline, tmp_path, capsys, monkeypatch, relabel, message):
+    # the test split lacks a bank emotion, or holds sentence 4 of one under
+    # an emotion the bank lacks: a data error naming the manifest, raised
+    # before any scoring
+    (old, new), = relabel.items()
+    records = []
+    for r in load_manifest(small_pipeline / "corpus/manifest.tsv"):
+        if r.emotion == old and r.sentence >= (3 if new is None else 4):
+            if new is None:
+                continue
+            r = dataclasses.replace(r, emotion=new)
+        records.append(r)
+    manifest = tmp_path / "manifest.tsv"
+    write_manifest(records, manifest)
+    monkeypatch.setattr(hmm.ModelStack, "forward_and_viterbi", None)
+    out = tmp_path / "sweep.tsv"
+    code = cli.main(["sweep-alpha", "--manifest", str(manifest),
+                     "--features", str(small_pipeline / "corpus/features.bin"),
+                     "--bank-dir", str(small_pipeline / "bank"),
+                     "--out", str(out), *SMALL_SPLIT])
+    assert code == 2
+    assert capsys.readouterr().err == f"data error: {manifest}: {message}\n"
+    assert not out.exists()
+
+
+def test_evaluate_names_the_results_for_a_label_outside_the_bank(
+        small_pipeline, tmp_path, capsys):
+    # results scored on a neutral-only bank, with angry truths
+    path = tmp_path / "results.jsonl"
+    with open(path, "w") as fh:
+        for line in (small_pipeline / "results.jsonl").read_text().splitlines():
+            row = json.loads(line)
+            row["emotion_scores"] = {"neutral": row["emotion_scores"]["neutral"]}
+            row["identified_emotion"] = "neutral"
+            fh.write(json.dumps(row) + "\n")
+    code = cli.main(["evaluate", "--results", str(path),
+                     "--out-dir", str(tmp_path / "eval")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {path}: result labels ")
+    assert "outside ('neutral',)" in err
+    assert not (tmp_path / "eval").exists()
 
 
 def test_zero_likelihood_fit_in_a_stacked_pass_exits_3(small_pipeline,

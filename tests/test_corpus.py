@@ -83,13 +83,6 @@ def test_manifest_rejects_unknown_emotion(tmp_path):
         load_manifest(path)
 
 
-def test_manifest_emotion_set_is_configurable(tmp_path):
-    path = tmp_path / "manifest.tsv"
-    path.write_text(_manifest_lines("a\ts1\tmale\tbored\t1\t1\t-"))
-    records = load_manifest(path, emotions=("bored",))
-    assert records[0].emotion == "bored"
-
-
 def test_manifest_rejects_duplicate_key(tmp_path):
     path = tmp_path / "manifest.tsv"
     path.write_text(_manifest_lines(

@@ -323,7 +323,7 @@ def test_sweep_rejects_repeated_weight_before_scoring(tiny_trained,
 def test_sweep_rejects_missing_emotion(tiny_trained):
     only_first = [r for r in tiny_trained["test"]
                   if r.emotion == tiny_trained["bank"].emotions[0]]
-    with pytest.raises(ValueError):
+    with pytest.raises(EmptyResultsError):
         alpha_sweep(tiny_trained["bank"], only_first,
                     tiny_trained["features"])
 
@@ -339,7 +339,8 @@ def test_sweep_rejects_missing_emotion_before_scoring(tiny_trained):
         features=utt.features[:2],
         prosody=ProsodicTrack(f0=utt.prosody.f0[:2],
                               log_energy=utt.prosody.log_energy[:2]))
-    with pytest.raises(ValueError, match="emotions without test utterances"):
+    with pytest.raises(EmptyResultsError,
+                       match="emotions without test utterances"):
         alpha_sweep(tiny_trained["bank"], only_first, features)
 
 

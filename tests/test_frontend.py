@@ -8,6 +8,7 @@ import dataclasses
 import importlib.util
 import math
 import os
+import re
 import signal
 import sys
 import threading
@@ -521,15 +522,18 @@ def test_cache_roundtrip(tmp_path):
                                       entries[uid].prosody.voiced)
 
 
-def test_cache_rejects_non_finite_prosody(tmp_path):
+def test_cache_rejects_non_finite_prosody(tmp_path, monkeypatch):
     features, prosody = _analyzed(3, 2000)
     log_energy = np.array(prosody.log_energy)
     log_energy[3] = np.nan
     bad = frontend.ProsodicTrack(f0=prosody.f0, log_energy=log_energy)
+    entries = {"ok": _analyzed(4, 2000),
+               "bad": frontend.UtteranceFeatures(features, bad)}
     path = tmp_path / "cache.bin"
-    frontend.write_feature_cache(
-        path, {"ok": _analyzed(4, 2000),
-               "bad": frontend.UtteranceFeatures(features, bad)})
+    # a cache that another writer let the frame into
+    monkeypatch.setattr(frontend, "_check_finite", lambda *args: None)
+    frontend.write_feature_cache(path, entries)
+    monkeypatch.undo()
     with pytest.raises(NonFiniteObservationError,
                        match="utterance 'bad': frame 3 of"):
         frontend.read_feature_cache(path)
@@ -569,6 +573,28 @@ def test_cache_write_refuses_mfccs_that_do_not_fit_the_track(tmp_path, rows,
     bad = frontend.UtteranceFeatures(np.zeros((rows, columns)), track)
     with pytest.raises(ValueError, match=rf"^utterance 'y': MFCCs of shape "
                        rf"\({rows}, {columns}\) for 5 frames$"):
+        frontend.write_feature_cache(path, {"x": _analyzed(5, 2000), "y": bad})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.bin"]
+
+
+@pytest.mark.parametrize("stream", ["mfcc", "log_energy"])
+def test_cache_write_refuses_a_frame_its_reader_would(tmp_path, stream):
+    # the writer refuses, in the reader's words, before the file is replaced
+    path = tmp_path / "cache.bin"
+    frontend.write_feature_cache(path, {"x": _analyzed(5, 2000)})
+    before = path.read_bytes()
+    features, track = _analyzed(6, 2000)
+    features, log_energy = np.array(features), np.array(track.log_energy)
+    if stream == "mfcc":
+        features[2, 7] = np.nan
+    else:
+        log_energy[2] = np.inf
+    bad = frontend.UtteranceFeatures(features, frontend.ProsodicTrack(
+        f0=track.f0, log_energy=log_energy))
+    with pytest.raises(NonFiniteObservationError,
+                       match=rf"^{re.escape(str(path))}: utterance 'y': frame "
+                             rf"2 of {len(features)} is not finite$"):
         frontend.write_feature_cache(path, {"x": _analyzed(5, 2000), "y": bad})
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["cache.bin"]

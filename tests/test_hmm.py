@@ -123,6 +123,27 @@ def test_non_finite_observation_names_first_bad_frame(bad):
         hmm.init_model([obs], 1, 1)
 
 
+@pytest.mark.parametrize("obs, kind", [
+    (np.array([[0.0, 0.0, 0.0], [0.0, math.nan, 0.0]]),
+     NonFiniteObservationError),
+    (np.zeros((5, 4)), DimensionMismatchError),
+    (np.zeros(3), DimensionMismatchError),
+    (np.zeros((0, 3)), EmptySequenceError),
+], ids=["nan frame", "wrong dimension", "1-D", "empty"])
+def test_emission_pass_checks_its_frames_as_every_scorer_does(obs, kind):
+    # the public emission pass refuses what the scorers built on it refuse,
+    # with the same type and message: they hand it their frames unchecked
+    model = random_model(np.random.default_rng(3), num_states=3,
+                         num_mixtures=2, dim=3)
+    messages = set()
+    for score in (hmm.state_log_densities, hmm.forward_log_likelihood,
+                  hmm.forward_backward, hmm.viterbi):
+        with pytest.raises(kind) as error:
+            score(model, obs)
+        messages.add(str(error.value))
+    assert len(messages) == 1, messages
+
+
 # --- state-wise recursions against the per-frame reference -------------------
 
 

@@ -155,7 +155,8 @@ def test_summaries_reject_backward_step():
 def test_summaries_reject_non_integer_path():
     # a cast would truncate this path to [0, 0, 1, 1] and summarise it
     with pytest.raises(IllegalPathError,
-                       match=r"^path frame 1 holds 0\.5, not a state index$"):
+                       match=r"^a path must hold integer state indices, not "
+                             r"float64$"):
         supra.segment_summaries([0, 0.5, 1.7, 1.2],
                                 _track([0.0] * 4), 2)
 
@@ -163,14 +164,30 @@ def test_summaries_reject_non_integer_path():
 def test_summary_stack_rejects_non_integer_path():
     paths = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, np.nan]])
     with pytest.raises(IllegalPathError,
-                       match=r"^frame 2 of path 1 holds nan, not a state"):
+                       match=r"^a path must hold integer state indices, not "
+                             r"float64$"):
         supra.summary_stack(paths, _track([0.0] * 3), 2)
 
 
-def test_summaries_accept_whole_float_path():
-    track = _track([0.0, 120.0, 130.0])
-    assert np.array_equal(supra.segment_summaries([0.0, 1.0, 1.0], track, 2),
-                          supra.segment_summaries([0, 1, 1], track, 2))
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, bool])
+def test_paths_of_a_non_integer_dtype_are_refused_by_it(dtype):
+    # whole-number values too: a path is an integer array, as viterbi gives
+    path = np.array([0, 1, 1], dtype=dtype)
+    for summarise in (
+            lambda: supra.segment_summaries(path, _track([0.0] * 3), 2),
+            lambda: supra.summary_stack(path[None], _track([0.0] * 3), 2)):
+        with pytest.raises(IllegalPathError,
+                           match=f"not {np.dtype(dtype)}$"):
+            summarise()
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.uint8])
+def test_paths_of_any_integer_dtype_summarise_alike(dtype):
+    track = _track([0.0, 120.0, 130.0, 0.0], [-1.0, 0.5, 2.0, -3.0])
+    want = supra.segment_summaries(np.array([0, 1, 1, 2]), track, 3)
+    path = np.array([0, 1, 1, 2], dtype=dtype)
+    assert np.array_equal(supra.segment_summaries(path, track, 3), want)
+    assert np.array_equal(supra.summary_stack(path[None], track, 3)[0], want)
 
 
 def _assert_stack_matches_loop(paths, f0, log_energy, num_states):
