@@ -79,6 +79,7 @@ from .hmm import (
     forward_backward,
     forward_log_likelihood,
     init_model,
+    init_model_stack,
     load_model,
     save_model,
     viterbi,

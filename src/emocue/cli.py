@@ -161,7 +161,8 @@ def _cmd_identify(args) -> int:
     with _prefixed(args.features, ManifestError):
         bank, features = recognizer.open_bank(args.bank_dir, train, selected,
                                               cache)
-    with _prefixed(args.features):
+    with _prefixed(args.manifest, EmptyResultsError), \
+            _prefixed(args.features, unless=EmptyResultsError):
         rows = recognizer.score_test_set(bank, selected, features, cfg.fusion)
     recognizer.write_results(args.out, rows)
     print(f"identified {len(rows)} utterances -> {args.out}")

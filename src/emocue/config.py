@@ -69,7 +69,8 @@ class RunConfig:
     (alpha 0.5).
 
     A text value of any field is parsed by its FIELD_PARSERS entry, a list
-    naming its flag (--train-sentences); SplitProtocol casts a tuple's."""
+    naming its flag (--train-sentences); SplitProtocol checks a tuple's
+    items, refusing any that is not an integer."""
 
     alpha: float = _setting(_FUSION.alpha, "fusion weight in [0, 1]")
     num_states: int = _setting(9, "acoustic model states")

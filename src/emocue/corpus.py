@@ -50,16 +50,29 @@ class UtteranceRecord:
         return (self.speaker, self.emotion, self.sentence, self.repetition)
 
 
+def _sentences(name: str, items) -> tuple[int, ...]:
+    items = tuple(items)
+    for position, item in enumerate(items, start=1):
+        if isinstance(item, bool) or not isinstance(item, (int, np.integer)):
+            raise ValueError(f"{name} item {position} ({item!r}) is not an "
+                             f"integer")
+    return tuple(map(int, items))
+
+
 @dataclass(frozen=True)
 class SplitProtocol:
-    """Sentence-based train/test partition; the sets must not overlap."""
+    """Sentence-based train/test partition; the sets must not overlap.
+
+    Every item must be an integer; a numpy integer is cast to int, and any
+    other item (a float, a bool, a string) raises ValueError naming its set
+    and 1-based position."""
 
     train_sentences: tuple[int, ...] = (1, 2, 3, 4)
     test_sentences: tuple[int, ...] = (5, 6, 7, 8)
 
     def __post_init__(self):
-        train = tuple(int(s) for s in self.train_sentences)
-        test = tuple(int(s) for s in self.test_sentences)
+        train, test = (_sentences(name, getattr(self, name))
+                       for name in ("train_sentences", "test_sentences"))
         if not train or not test:
             raise ValueError("both sentence sets must be non-empty")
         if set(train) & set(test):

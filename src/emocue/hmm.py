@@ -110,14 +110,28 @@ Training:
   baum_welch_stack runs its fits in lock-step groups under a frame budget
   (EM_STACK_FRAMES), laying out each group only when it runs, and memory
   stays near what the largest lone fit of a default-size bank needs.
+  Seeding shares the budget: init_model_stack fills its k-means groups
+  with state chunks the same way, each group holding one (F, M, D) block
+  of distances at a time.
 * Responsibilities below the smallest normal float (2.2e-308) are flushed
   to 0: exp and the BLAS product slow down many times on subnormals.
 * The M-step keeps each model's grid, signs and sums to 1; a parameter
   that overflowed (or a variance floor of 0) sends the fits to the
   constructor, which refuses them as it refuses any other model.
-* Seeding takes k-means cluster sums with one bincount, which adds each
-  cluster's frames in the order members.mean(axis=0) does, so the labels
-  and the seeded parameters equal a per-cluster loop's to the bit.
+* init_model_stack seeds G fits, and init_model is its one-fit view, so
+  there is one seeding implementation. The k-means of every state chunk of
+  every fit runs in lock-step: one distance pass, one argmin and one
+  grouped sum per iteration for all chunks of a group, and a chunk leaves
+  when its labels stop changing, after exactly the iterations it runs
+  alone. Each distance is np.sum((x - c) ** 2, axis=-1) over the same D
+  cells as alone. Cluster sums are one bincount over (chunk, label,
+  column) cells, which adds each cluster's frames in the order
+  members.mean(axis=0) does for D > 1, so the labels and the seeded
+  parameters equal a per-cluster loop's to the bit. A chunk's variance
+  (which picks its seeding dimension) is the same grouped sum, and its
+  stable sort is one lexsort keyed by chunk. numpy sums a one-column
+  array pairwise, so the mean an empty cluster parks at is taken per
+  chunk, as frames.mean(axis=0).
 """
 
 from __future__ import annotations
@@ -625,68 +639,155 @@ def _grouped_sums(values: np.ndarray, labels: np.ndarray, k: int):
     return sums.reshape(k, dim), np.bincount(labels, minlength=k)
 
 
-def _kmeans(frames: np.ndarray, k: int) -> np.ndarray:
-    """Deterministic k-means labels for the given frames.
+def _groups(sizes) -> list[list[int]]:
+    """Indices of items of the given frame counts in lock-step groups, filled
+    in order while their frames sum to at most EM_STACK_FRAMES; an item
+    above the budget makes a group alone."""
+    groups = []
+    for k, size in enumerate(sizes):
+        if groups and total + size <= EM_STACK_FRAMES:
+            groups[-1].append(k)
+            total += size
+        else:
+            groups.append([k])
+            total = size
+    return groups
 
-    Centers are seeded at evenly spaced quantiles along the highest-variance
-    dimension, then refined by Lloyd iterations. The procedure depends only
-    on the multiset of frames, so duplicating the data leaves it unchanged.
+
+def _kmeans(frames: np.ndarray, sizes: np.ndarray, k: int) -> np.ndarray:
+    """Deterministic k-means labels of C chunks in lock-step: frames (F, D)
+    holds the chunks one after another, sizes (C,) their lengths, and each
+    frame's label counts from 0 within its chunk.
+
+    A chunk's centers are seeded at evenly spaced quantiles along its
+    highest-variance dimension, then refined by Lloyd iterations. The
+    procedure depends only on the multiset of a chunk's frames, so
+    duplicating the data leaves it unchanged. A chunk leaves the loop when
+    its labels stop changing (after at most 100 iterations), so it runs the
+    iterations, and gets the labels, that it gets alone.
     """
-    n = frames.shape[0]
-    spread_dim = int(np.argmax(frames.var(axis=0)))
-    order = np.argsort(frames[:, spread_dim], kind="stable")
-    seed_positions = ((np.arange(k) + 0.5) * n / k).astype(np.int64)
-    centers = frames[order[seed_positions]].copy()
+    count, dim = sizes.size, frames.shape[1]
+    owner = np.repeat(np.arange(count), sizes)
+    # Each chunk's variance as frames.var(axis=0) takes it: numpy adds the
+    # rows of a wider array one at a time, as the grouped sums do. (It sums
+    # a one-column array pairwise, but one column is dimension 0 anyway.)
+    sums, _ = _grouped_sums(frames, owner, count)
+    deviation = frames - (sums / sizes[:, None])[owner]
+    squares, _ = _grouped_sums(deviation * deviation, owner, count)
+    spread = np.argmax(squares / sizes[:, None], axis=1)
+    # stable within each chunk, as argsort(kind="stable") of the chunk alone
+    order = np.lexsort((frames[np.arange(owner.size), spread[owner]], owner))
+    seeds = ((np.arange(k) + 0.5) * sizes[:, None] / k).astype(np.int64)
+    centers = frames[order[(np.cumsum(sizes) - sizes)[:, None] + seeds]]
 
-    labels = None
+    labels = np.empty(owner.size, dtype=np.int64)
+    # the index, the frame and the chunk of each frame still running
+    at, x, held, current = np.arange(owner.size), frames, owner, None
     for _ in range(100):
-        dist = np.sum((frames[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-        new_labels = np.argmin(dist, axis=1)
-        if labels is not None and np.array_equal(new_labels, labels):
+        diff = np.take(centers, held, axis=0)                # (F, k, D)
+        np.subtract(x[:, None], diff, out=diff)
+        new = np.argmin(np.sum(np.square(diff, out=diff), axis=-1), axis=1)
+        del diff    # so that one (F, k, D) block is held at a time
+        if current is not None:
+            moved = np.zeros(count, dtype=bool)
+            moved[held[new != current]] = True
+            going = moved[held]
+            if not going.all():
+                labels[at[~going]] = new[~going]
+                at, x, held, new = (a[going] for a in (at, x, held, new))
+        current = new
+        if not at.size:
             break
-        labels = new_labels
-        sums, counts = _grouped_sums(frames, labels, k)
+        sums, counts = _grouped_sums(x, held * k + current, count * k)
         filled = counts > 0
-        centers[filled] = sums[filled] / counts[filled, None]
+        centers.reshape(-1, dim)[filled] = sums[filled] / counts[filled, None]
+    labels[at] = current
     return labels
 
 
-def _mixture_from_frames(frames: np.ndarray, num_mixtures: int,
-                         variance_floor: float):
-    """One state's seeded weights (M,), means and variances (M, D)."""
-    labels = _kmeans(frames, num_mixtures)
-    sums, counts = _grouped_sums(frames, labels, num_mixtures)
+def _seed(frames: np.ndarray, sizes: np.ndarray, num_mixtures: int,
+          variance_floor: float):
+    """The seeded mixtures of C chunks, laid out as _kmeans takes them:
+    weights (C, M), means and variances (C, M, D)."""
+    k = num_mixtures
+    ends = np.cumsum(sizes)
+    cells = (np.repeat(np.arange(sizes.size), sizes) * k
+             + _kmeans(frames, sizes, k))
+    sums, counts = _grouped_sums(frames, cells, sizes.size * k)
     size = np.maximum(counts, 1)[:, None]
-    # An empty cluster parks a zero-weight component at the chunk mean, with
-    # floor variances.
-    means = np.where(counts[:, None] > 0, sums / size, frames.mean(axis=0))
-    deviation = frames - means[labels]
-    squares, _ = _grouped_sums(deviation * deviation, labels, num_mixtures)
-    return (counts / frames.shape[0], means,
-            np.maximum(squares / size, variance_floor))
+    means = sums / size
+    # An empty cluster parks a zero-weight component at its chunk's mean,
+    # with floor variances. The mean is taken per chunk: numpy sums a
+    # one-column chunk pairwise.
+    empty = np.flatnonzero(counts == 0)
+    chunk = empty // k
+    # (np.unique would import numpy.ma, a megabyte of module, on first use)
+    for c in dict.fromkeys(chunk.tolist()):
+        means[empty[chunk == c]] = frames[ends[c] - sizes[c]:ends[c]].mean(
+            axis=0)
+    deviation = frames - means[cells]
+    squares, _ = _grouped_sums(deviation * deviation, cells, sizes.size * k)
+    dim = frames.shape[1]
+    return (counts.reshape(-1, k) / sizes[:, None], means.reshape(-1, k, dim),
+            np.maximum(squares / size, variance_floor).reshape(-1, k, dim))
+
+
+def init_model_stack(sequence_lists, num_states: int, num_mixtures: int,
+                     variance_floor: float = VARIANCE_FLOOR,
+                     ) -> list[AcousticModel]:
+    """init_model of G fits, model g seeded on sequence_lists[g]; every
+    sequence has the first one's dimension.
+
+    The k-means of all G*N state chunks runs in lock-step groups, filled in
+    order while their frames sum to at most EM_STACK_FRAMES (a larger chunk
+    runs alone); every fit's sequences are checked first. Returns the G
+    models in order, each equal to init_model of its list alone bit for
+    bit, whatever the grouping.
+    """
+    if num_states < 1 or num_mixtures < 1:
+        raise ValueError("num_states and num_mixtures must be >= 1")
+    arrays = []
+    for seqs in sequence_lists:
+        arrays.append(_sequences(seqs, num_states,
+                                 arrays[0][0].shape[1] if arrays else None))
+    if not arrays:
+        return []
+    # chunk (g, i) pools piece i of each sequence of fit g, cut where
+    # np.array_split cuts it: piece i of L frames starts at i*(L//N) +
+    # min(i, L%N)
+    pieces = []
+    for seqs in arrays:
+        starts = [[i * (len(a) // num_states) + min(i, len(a) % num_states)
+                   for i in range(num_states + 1)] for a in seqs]
+        pieces += [[a[at[i]:at[i + 1]] for a, at in zip(seqs, starts)]
+                   for i in range(num_states)]
+    sizes = np.array([sum(map(len, chunk)) for chunk in pieces])
+    seeded = [_seed(np.concatenate([a for c in group for a in pieces[c]]),
+                    sizes[group], num_mixtures, variance_floor)
+              for group in _groups(sizes.tolist())]
+    weights, means, variances = (np.concatenate(part)
+                                 for part in zip(*seeded))
+
+    transitions = 0.5 * (np.eye(num_states) + np.eye(num_states, k=1))
+    transitions[-1, -1] = 1.0
+    return [AcousticModel(transitions, *(a[at].swapaxes(0, 1)
+                                         for a in (weights, means, variances)))
+            for at in (slice(g * num_states, (g + 1) * num_states)
+                       for g in range(len(arrays)))]
 
 
 def init_model(sequences, num_states: int, num_mixtures: int,
                variance_floor: float = VARIANCE_FLOOR) -> AcousticModel:
-    """Segmental initialization: uniform chunking plus per-state k-means.
+    """Segmental initialization: uniform chunking plus per-state k-means,
+    init_model_stack of the one fit.
 
     Each sequence is cut into num_states contiguous chunks; the pooled
     frames of chunk i seed state i's mixture. Transitions start at 0.5 for
     looping and advancing (the last state is absorbing). The k-means stage
     is deterministic.
     """
-    if num_states < 1 or num_mixtures < 1:
-        raise ValueError("num_states and num_mixtures must be >= 1")
-    arrays = _sequences(sequences, num_states)
-    chunks = [np.array_split(a, num_states) for a in arrays]
-    states = [_mixture_from_frames(np.concatenate([c[i] for c in chunks]),
-                                   num_mixtures, variance_floor)
-              for i in range(num_states)]
-
-    transitions = 0.5 * (np.eye(num_states) + np.eye(num_states, k=1))
-    transitions[-1, -1] = 1.0
-    return AcousticModel(
-        transitions, *(np.stack(part, axis=1) for part in zip(*states)))
+    return init_model_stack([sequences], num_states, num_mixtures,
+                            variance_floor)[0]
 
 
 # --- training ----------------------------------------------------------------
@@ -946,18 +1047,10 @@ def baum_welch_stack(models, sequence_lists, max_iters: int = EM_MAX_ITERS,
                          f"{grids}")
     arrays = [_sequences(seqs, a.num_states, a.feature_dim)
               for a, seqs in zip(models, sequence_lists)]
-    groups = []
-    for k, seqs in enumerate(arrays):
-        size = sum(len(a) for a in seqs)
-        if groups and frames + size <= EM_STACK_FRAMES:
-            groups[-1].append(k)
-            frames += size
-        else:
-            groups.append([k])
-            frames = size
-    return [fit for group in groups for fit in _lockstep(
-        [models[k] for k in group], [arrays[k] for k in group], max_iters,
-        tol, variance_floor)]
+    return [fit for group in _groups([sum(map(len, seqs)) for seqs in arrays])
+            for fit in _lockstep([models[k] for k in group],
+                                 [arrays[k] for k in group], max_iters, tol,
+                                 variance_floor)]
 
 
 def _lockstep(models, arrays, max_iters: int, tol: float,

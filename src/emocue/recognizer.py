@@ -128,9 +128,10 @@ def _train(role: str, train_records,
     model and trains the prosodic model on its alignments. The speaker role
     fits one acoustic model per (speaker, emotion) cell, the one-stage role
     one per speaker, pooled over every emotion. Labels are taken in
-    first-appearance order. The role's fits run through one
-    hmm.baum_welch_stack call, which sizes its own lock-step groups; the
-    emotion role makes two, its acoustic fits, then its prosodic ones.
+    first-appearance order. The role's fits are seeded by one
+    hmm.init_model_stack call and refined by one hmm.baum_welch_stack call,
+    each sizing its own lock-step groups; the emotion role makes two of
+    each, its acoustic fits, then its prosodic ones.
     """
     emotions = _ordered_labels(r.emotion for r in train_records)
     speakers = _ordered_labels(r.speaker for r in train_records)
@@ -153,14 +154,14 @@ def _train(role: str, train_records,
               variance_floor=cfg.variance_floor)
     utts = [[features[r.id] for r in records] for records in groups.values()]
     seqs = [[u.features for u in cell] for cell in utts]
-    fits = hmm.baum_welch_stack([hmm.init_model(
-        cell, cfg.num_states, cfg.num_mixtures,
-        variance_floor=cfg.variance_floor) for cell in seqs], seqs, **em)
+    fits = hmm.baum_welch_stack(hmm.init_model_stack(
+        seqs, cfg.num_states, cfg.num_mixtures, cfg.variance_floor), seqs,
+        **em)
     if role != "emotion":
         return dict(zip(groups, fits))
-    inits, summaries = zip(*(supra_mod.seed_suprasegmental(
-        model, cell, cfg.num_supra_states, cfg.num_supra_mixtures,
-        cfg.variance_floor) for (model, _), cell in zip(fits, utts)))
+    inits, summaries = supra_mod.seed_suprasegmental(
+        [model for model, _ in fits], utts, cfg.num_supra_states,
+        cfg.num_supra_mixtures, cfg.variance_floor)
     trained = {}
     for e, acoustic, prosodic in zip(
             groups, fits, hmm.baum_welch_stack(inits, summaries, **em)):

@@ -142,19 +142,23 @@ def supra_observations(acoustic: hmm.AcousticModel,
     return segment_summaries(path, track, acoustic.num_states)
 
 
-def seed_suprasegmental(acoustic: hmm.AcousticModel, utterances,
+def seed_suprasegmental(acoustics, utterance_lists,
                         num_supra_states: int = DEFAULT_SUPRA_STATES,
                         num_mixtures: int = DEFAULT_SUPRA_MIXTURES,
                         variance_floor: float = hmm.VARIANCE_FLOOR):
-    """The seeded prosodic model and its training sequences.
+    """The seeded prosodic models of G acoustic models and their training
+    sequences.
 
-    Each utterance is Viterbi-aligned with the acoustic model and its
-    segment summaries form one training sequence; hmm.init_model seeds a
-    num_supra_states-state model on them. Returns (model, sequences).
+    Each utterance of utterance_lists[g] is Viterbi-aligned with
+    acoustics[g] and its segment summaries form one training sequence;
+    one hmm.init_model_stack call seeds the G num_supra_states-state models
+    on them. Returns (models, sequence_lists).
     """
-    sequences = [supra_observations(acoustic, utt) for utt in utterances]
-    return (hmm.init_model(sequences, num_supra_states, num_mixtures,
-                           variance_floor=variance_floor), sequences)
+    sequence_lists = [[supra_observations(acoustic, utt) for utt in utts]
+                      for acoustic, utts in zip(acoustics, utterance_lists)]
+    return (hmm.init_model_stack(sequence_lists, num_supra_states,
+                                 num_mixtures, variance_floor),
+            sequence_lists)
 
 
 def train_suprasegmental(acoustic: hmm.AcousticModel, utterances,
@@ -165,10 +169,11 @@ def train_suprasegmental(acoustic: hmm.AcousticModel, utterances,
                          variance_floor: float = hmm.VARIANCE_FLOOR,
                          ) -> tuple[hmm.AcousticModel, hmm.TrainingReport]:
     """Train the prosodic model on top of a trained acoustic model: the
-    seed_suprasegmental model refined by hmm.baum_welch on its sequences."""
-    init, sequences = seed_suprasegmental(acoustic, utterances,
-                                          num_supra_states, num_mixtures,
-                                          variance_floor)
+    seed_suprasegmental model of the one acoustic model, refined by
+    hmm.baum_welch on its sequences."""
+    (init,), (sequences,) = seed_suprasegmental(
+        [acoustic], [utterances], num_supra_states, num_mixtures,
+        variance_floor)
     return hmm.baum_welch(init, sequences, max_iters=max_iters, tol=tol,
                           variance_floor=variance_floor)
 

@@ -901,18 +901,18 @@ def test_zero_likelihood_fit_in_a_stacked_pass_exits_3(small_pipeline,
     # overflows: the pass stops with the message a lone fit gives, and no
     # bank is written
     seeded = []
-    init = hmm.init_model
+    stack = hmm.init_model_stack
 
-    def far_second(sequences, *args, **kwargs):
-        model = init(sequences, *args, **kwargs)
-        seeded.append(model)
-        if len(seeded) == 2:
-            model = hmm.AcousticModel(model.transitions, model.weights,
+    def far_second(sequence_lists, *args, **kwargs):
+        models = stack(sequence_lists, *args, **kwargs)
+        seeded.extend(models)
+        model = models[1]
+        models[1] = hmm.AcousticModel(model.transitions, model.weights,
                                       model.means + 1e5,
                                       np.full_like(model.variances, 1e-300))
-        return model
+        return models
 
-    monkeypatch.setattr(hmm, "init_model", far_second)
+    monkeypatch.setattr(hmm, "init_model_stack", far_second)
     code = cli.main([
         "train-speakers",
         "--manifest", str(small_pipeline / "corpus/manifest.tsv"),
@@ -1219,18 +1219,23 @@ def test_interrupted_identify_keeps_previous_results(small_pipeline, tmp_path,
 
 
 def test_identify_rejects_empty_test_split(tmp_path, capsys):
+    # a one-speaker neutral corpus of sentences 1 and 2: the split's fault
+    # lies in the manifest, not in the feature cache
     run_cli("gen-synthetic", "--out-dir", tmp_path / "corpus", *_TINY_GEN,
             "--seed", "1")
-    flags = ["--manifest", tmp_path / "corpus/manifest.tsv",
+    manifest = tmp_path / "corpus/manifest.tsv"
+    flags = ["--manifest", manifest,
              "--features", tmp_path / "corpus/features.bin",
              "--bank-dir", tmp_path / "bank",
              "--train-sentences", "1,2", "--test-sentences", "3"]
     for sub in ("train-emotions", "train-speakers", "train-onestage"):
         run_cli(sub, *flags, *SMALL_FLAGS)
+    capsys.readouterr()
     code = cli.main(["identify", *map(str, flags),
                      "--out", str(tmp_path / "out.jsonl")])
     assert code == 2
-    assert "no test records" in capsys.readouterr().err
+    assert capsys.readouterr().err == (f"data error: {manifest}: no test "
+                                       f"records\n")
     assert not (tmp_path / "out.jsonl").exists()
 
 

@@ -1,14 +1,16 @@
 """Corpus handling tests: manifests, splits, normalization and the
 synthetic generator."""
 
+import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emocue import corpus
+from emocue import RunConfig, corpus
 from emocue.corpus import (
     DEFAULT_EMOTIONS,
     NormalizationParams,
@@ -145,6 +147,35 @@ def test_protocol_rejects_overlap():
 def test_protocol_rejects_empty_side():
     with pytest.raises(ValueError):
         SplitProtocol(train_sentences=(), test_sentences=(1,))
+
+
+@pytest.mark.parametrize("train, test, message", [
+    ((1.5, 2), (3,), "train_sentences item 1 (1.5) is not an integer"),
+    ((1, 2), (3.9,), "test_sentences item 1 (3.9) is not an integer"),
+    ((1, True), (3,), "train_sentences item 2 (True) is not an integer"),
+    ((1,), (2, "3"), "test_sentences item 2 ('3') is not an integer"),
+    ((1,), (np.float64(2.0),),
+     "test_sentences item 1 (np.float64(2.0)) is not an integer"),
+])
+def test_protocol_refuses_an_item_that_is_not_an_integer(train, test,
+                                                         message):
+    # a cast would train on sentences (1, 2) for (1.5, 2) and test on (3,)
+    # for (3.9,) without a word
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SplitProtocol(train_sentences=train, test_sentences=test)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        RunConfig(train_sentences=train, test_sentences=test)
+
+
+def test_protocol_casts_numpy_integers():
+    # a split read back from numpy arithmetic stays JSON-able in a header
+    protocol = SplitProtocol(train_sentences=np.array([1, 2]),
+                             test_sentences=(np.int32(3),))
+    assert protocol.train_sentences == (1, 2)
+    assert protocol.test_sentences == (3,)
+    assert all(type(s) is int
+               for s in protocol.train_sentences + protocol.test_sentences)
+    assert json.loads(json.dumps(protocol.train_sentences)) == [1, 2]
 
 
 def test_split_partitions_records():

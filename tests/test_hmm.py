@@ -4,6 +4,7 @@ initialization invariances and persistence."""
 import json
 import math
 import os
+import tracemalloc
 import types
 import warnings
 
@@ -998,11 +999,20 @@ def test_stack_checks_every_group_before_the_first_e_step(monkeypatch):
 
 @pytest.mark.parametrize("k", [1, 4, 10])
 def test_kmeans_matches_per_cluster_loop(k):
+    # the lock-step kernel labels one chunk, and several side by side, as
+    # the per-cluster loop labels each chunk alone
     rng = np.random.default_rng(72 + k)
-    for n in (1, 3, 17, 120):
-        frames = rng.normal(size=(n, 5)) * rng.uniform(0.1, 10.0, size=5)
-        np.testing.assert_array_equal(hmm._kmeans(frames, k),
-                                      loop_kmeans(frames, k))
+    chunks = [rng.normal(size=(n, 5)) * rng.uniform(0.1, 10.0, size=5)
+              for n in (1, 3, 17, 120)]
+    for chunk in chunks:
+        np.testing.assert_array_equal(
+            hmm._kmeans(chunk, np.array([len(chunk)]), k),
+            loop_kmeans(chunk, k))
+    sizes = np.array([len(chunk) for chunk in chunks])
+    labels = hmm._kmeans(np.concatenate(chunks), sizes, k)
+    for got, chunk in zip(np.split(labels, np.cumsum(sizes)[:-1]), chunks,
+                          strict=True):
+        np.testing.assert_array_equal(got, loop_kmeans(chunk, k))
 
 
 def test_init_model_matches_per_cluster_seeding():
@@ -1014,6 +1024,132 @@ def test_init_model_matches_per_cluster_seeding():
         _assert_models_close(hmm.init_model(seqs, num_states, num_mixtures),
                              loop_init_model(seqs, num_states, num_mixtures),
                              1e-12)
+
+
+def _assert_models_identical(got, want):
+    for name in ("transitions", "weights", "means", "variances"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_init_model_stack_equals_each_fit_alone(data):
+    # Every seeded model equals init_model of its list alone, and the
+    # per-cluster oracle's, bit for bit, under any frame budget: one-frame
+    # chunks (a lone sequence of num_states frames), chunks shorter than M,
+    # repeated frames and one dimension included. The oracle takes a
+    # cluster's mean with members.mean, which sums a one-column cluster
+    # pairwise; the library adds its frames in order, so for D = 1 the two
+    # agree to rounding only, and a repeated frame equidistant from two
+    # centres may go either way: there the oracle is not compared.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
+                                          label="seed"))
+    dim = data.draw(st.integers(1, 4), label="dim")
+    num_states = data.draw(st.integers(1, 5), label="num_states")
+    mixtures = data.draw(st.integers(1, 12), label="mixtures")
+    lists, kinds = [], []
+    for _ in range(data.draw(st.integers(1, 5), label="fits")):
+        lengths = data.draw(st.lists(st.integers(num_states, num_states + 40),
+                                     min_size=1, max_size=3), label="lengths")
+        kind = data.draw(st.sampled_from(["spread", "repeated", "flat"]),
+                         label="kind")
+        seqs = []
+        for t in lengths:
+            x = rng.normal(size=(t, dim)) * rng.uniform(0.1, 10.0, size=dim)
+            if kind == "repeated":      # a few distinct frames, many ties
+                x = np.round(x / 4.0)
+            elif kind == "flat":        # the first half one frame
+                x[:t // 2] = x[0]
+            seqs.append(x)
+        lists.append(seqs)
+        kinds.append(kind)
+    budget = data.draw(st.sampled_from([1, 7, 40, hmm.EM_STACK_FRAMES]),
+                       label="budget")
+    alone = [hmm.init_model(seqs, num_states, mixtures) for seqs in lists]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hmm, "EM_STACK_FRAMES", budget)
+        stacked = hmm.init_model_stack(lists, num_states, mixtures)
+    assert len(stacked) == len(lists)
+    for got, want, seqs, kind in zip(stacked, alone, lists, kinds):
+        _assert_models_identical(got, want)
+        oracle = loop_init_model(seqs, num_states, mixtures)
+        if dim > 1:
+            _assert_models_identical(got, oracle)
+        elif kind == "spread":
+            _assert_models_close(got, oracle, 1e-12)
+
+
+def test_init_model_stack_seeds_chunks_in_groups_under_the_frame_budget(
+        monkeypatch):
+    # the k-means runs the state chunks of all fits in lock-step groups,
+    # filled in order while their frames fit EM_STACK_FRAMES; a chunk above
+    # the budget runs alone. The models do not depend on the grouping.
+    _, lists = _budget_case()
+    chunks = [len(chunk) for seqs in lists
+              for chunk in map(np.concatenate, zip(*(
+                  np.array_split(a, 4) for a in seqs)))]
+    alone = [hmm.init_model(seqs, 4, 3) for seqs in lists]
+    groups = []
+    kmeans = hmm._kmeans
+
+    def recording(frames, sizes, k):
+        groups.append(sizes.tolist())
+        return kmeans(frames, sizes, k)
+
+    monkeypatch.setattr(hmm, "_kmeans", recording)
+
+    def run_under(budget):
+        groups.clear()
+        monkeypatch.setattr(hmm, "EM_STACK_FRAMES", budget)
+        for got, want in zip(hmm.init_model_stack(lists, 4, 3), alone,
+                             strict=True):
+            _assert_models_identical(got, want)
+        return list(groups)
+
+    assert chunks == [11, 10, 10, 10, 13, 13, 12, 11, 12, 11, 11, 10, 9, 8,
+                      8, 8, 10, 10, 10, 10]
+    assert run_under(hmm.EM_STACK_FRAMES) == [chunks]
+    # a group may split a fit's chunks, as the first fit's are here
+    assert run_under(30) == [[11, 10], [10, 10], [13, 13], [12, 11],
+                             [12, 11], [11, 10, 9], [8, 8, 8], [10, 10, 10],
+                             [10]]
+    assert run_under(min(chunks) - 1) == [[size] for size in chunks]
+
+
+def test_seeding_a_role_peaks_near_its_largest_lone_fit(monkeypatch):
+    # twelve fits of 900 frames each, seeded with a budget of one fit's
+    # frames: the role's peak stays near the lone fit's, where one
+    # lock-step pass over all 10800 frames would hold about twelve times
+    # its (frames, M, D) distance block
+    rng = np.random.default_rng(84)
+    lists = [[rng.normal(size=(t, 16)) for t in (500, 400)]
+             for _ in range(12)]
+    monkeypatch.setattr(hmm, "EM_STACK_FRAMES", 900)
+
+    def peak(seed):
+        tracemalloc.start()
+        try:
+            seed()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    lone = peak(lambda: hmm.init_model(lists[0], 9, 10))
+    role = peak(lambda: hmm.init_model_stack(lists, 9, 10))
+    assert lone > 900 * 10 * 16 * 8
+    assert role < 2 * lone
+
+
+def test_init_model_stack_checks_every_fit_and_one_dimension():
+    rng = np.random.default_rng(85)
+    assert hmm.init_model_stack([], 3, 2) == []
+    good = [rng.normal(size=(20, 2))]
+    with pytest.raises(DimensionMismatchError,
+                       match="^expected dimension 2, got 3$"):
+        hmm.init_model_stack([good, [rng.normal(size=(20, 3))]], 3, 2)
+    with pytest.raises(SequenceTooShortError):
+        hmm.init_model_stack([good, good, [rng.normal(size=(2, 2))]], 3, 2)
 
 
 # --- model validation --------------------------------------------------------

@@ -567,25 +567,33 @@ def test_train_role_records_training_reports(tmp_path, tiny_trained):
 @pytest.mark.parametrize("role", ["emotion", "speaker", "one_stage"])
 def test_train_role_models_do_not_depend_on_the_frame_budget(
         tmp_path, tiny_trained, monkeypatch, role):
-    # A role hands all its fits of one kind to one hmm.baum_welch_stack call
-    # (the emotion role's acoustic fits, then its prosodic ones), which
-    # sizes its own lock-step groups: the models and reports are the same
-    # under the default budget and with every fit alone.
+    # A role seeds all its fits of one kind with one hmm.init_model_stack
+    # call and refines them with one hmm.baum_welch_stack call (the emotion
+    # role's acoustic fits, then its prosodic ones), and each sizes its own
+    # lock-step groups: the models and reports are the same under the
+    # default budget and with every state chunk and fit alone.
     train, cache = tiny_trained["train"], tiny_trained["synth"].features
-    calls = []
-    stack = hmm.baum_welch_stack
+    calls, seeds = [], []
+    stack, seed = hmm.baum_welch_stack, hmm.init_model_stack
 
     def recording(models, sequence_lists, **em):
         calls.append(len(models))
         return stack(models, sequence_lists, **em)
 
+    def seeding(sequence_lists, *args):
+        seeds.append(len(sequence_lists))
+        return seed(sequence_lists, *args)
+
     monkeypatch.setattr(hmm, "baum_welch_stack", recording)
+    monkeypatch.setattr(hmm, "init_model_stack", seeding)
     for budget in (hmm.EM_STACK_FRAMES, 1):
         calls.clear()
+        seeds.clear()
         monkeypatch.setattr(hmm, "EM_STACK_FRAMES", budget)
         trained = recognizer.train_role(role, tmp_path / str(budget),
                                         SMALL_CONFIG, train, cache)
         assert len(calls) == (2 if role == "emotion" else 1)
+        assert seeds == calls
         assert sum(calls) == len(trained)
         for key, (model, report) in trained.items():
             want, expected = tiny_trained["trained"][role][key]
