@@ -64,6 +64,7 @@ from .frontend import (
     ProsodicTrack,
     UtteranceFeatures,
     analyze_clip,
+    analyze_clips,
     frame_signal,
     load_audio,
     mfcc,

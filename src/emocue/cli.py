@@ -41,7 +41,7 @@ from .errors import (
     UnknownLabelError,
     _prefixed,
 )
-from .frontend import analyze_clip, load_audio, read_feature_cache, \
+from .frontend import analyze_clips, load_audio, read_feature_cache, \
     write_feature_cache
 
 EXIT_OK = 0
@@ -96,10 +96,8 @@ def _cmd_extract(args) -> int:
         if record.audio is None:
             raise ManifestError(
                 f"{record.id}: no audio path; nothing to extract")
-    entries = {}
-    for record in records:
-        clip = load_audio(os.path.join(root, record.audio))
-        entries[record.id] = analyze_clip(clip)
+    entries = dict(zip([record.id for record in records], analyze_clips(
+        load_audio(os.path.join(root, record.audio)) for record in records)))
     write_feature_cache(args.out, entries)
     print(f"extracted {len(entries)} utterances -> {args.out}")
     return EXIT_OK
@@ -116,7 +114,6 @@ def _cmd_gen_synthetic(args) -> int:
         num_speakers=args.speakers, emotions=emotions,
         train_sentences=args.train_count, test_sentences=args.test_count,
         repetitions=args.reps, separation=args.separation, seed=cfg.seed)
-    os.makedirs(args.out_dir, exist_ok=True)
     corpus.write_manifest(synth.records,
                           os.path.join(args.out_dir, "manifest.tsv"))
     write_feature_cache(os.path.join(args.out_dir, "features.bin"),

@@ -2,7 +2,8 @@
 binary files, and the read-only array helper of every module above it.
 
 replace writes a file through <path>.tmp and one os.replace, so an
-interrupted write leaves the previous file whole. A binary file is 8 bytes
+interrupted write leaves the previous file whole; it makes the file's
+directory first if that is missing. A binary file is 8 bytes
 of magic (the kind of file and its format version), a little-endian uint64
 header length, a JSON header and a little-endian payload laid out as the
 header says.
@@ -23,8 +24,10 @@ from .errors import CorruptFileError, UnsupportedFormatError
 
 def replace(path, chunks) -> None:
     """Replace the file at path with the chunks, bytes or str (written as
-    UTF-8), in order. Chunks may be made lazily: if one raises, the
-    previous file stays as it was and no <path>.tmp is left."""
+    UTF-8), in order, making its directory if that is missing. Chunks may
+    be made lazily: if one raises, the previous file stays as it was and no
+    <path>.tmp is left."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     temp = f"{path}.tmp"
     try:
         with open(temp, "wb") as fh:

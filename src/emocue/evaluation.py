@@ -284,7 +284,6 @@ def evaluate(rows, n_pool: int | None = None) -> Evaluation:
 def write_evaluation(result: Evaluation, out_dir) -> None:
     """Write confusion.tsv, performance_two_stage.tsv,
     performance_one_stage.tsv and summary.json to out_dir."""
-    os.makedirs(out_dir, exist_ok=True)
     write_confusion_tsv(result.confusion,
                         os.path.join(out_dir, "confusion.tsv"))
     for name, table in (("two", result.two_stage), ("one", result.one_stage)):

@@ -9,20 +9,22 @@ the two observation streams used by the classifiers:
 
 All functions are pure, and every array they return is read-only.
 
-The row-wise parts of the analysis, the pitch search and the MFCC spectrum,
-are split into row chunks that run side by side on the CPUs of the
-process's affinity set (`taskset` limits them); the results do not depend
-on how many CPUs that is. With one CPU the frontend starts no thread.
+analyze_clips cuts every clip into blocks of frames and analyses the blocks
+of all its clips side by side on the CPUs of the process's affinity set
+(`taskset` limits them): one thread analyses each whole block, and the
+calling thread reads the clips and runs blocks too. The results do not
+depend on how many CPUs that is. With one CPU the frontend starts no thread.
 """
 
 from __future__ import annotations
 
+import collections
 import os
 import threading
 import wave
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -62,11 +64,12 @@ _WINDOW.setflags(write=False)
 _LAG_MIN = int(np.ceil(SAMPLE_RATE / F0_MAX))
 _LAG_MAX = int(np.floor(SAMPLE_RATE / F0_MIN))
 _AUTOCORR_LEN = 750
-# analyze_clip analyses at most this many frames at a time, so its memory
-# stays bounded however long the clip is.
+# analyze_clips analyses at most this many frames at a time, so its memory
+# stays bounded however long a clip is.
 _BLOCK_FRAMES = 256
-# _rowwise gives each chunk at least this many frames.
-_MIN_CHUNK_ROWS = 32
+# analyze_clips keeps at most this many blocks per CPU queued or running, so
+# its memory stays bounded however many clips it is given.
+_BLOCKS_PER_WORKER = 2
 
 _CACHE_MAGIC = b"EMOFC002"
 
@@ -182,9 +185,15 @@ def frame_signal(samples) -> np.ndarray:
     the Hamming window. Samples past the last full window are dropped; the
     frame count is floor((num_samples - frame_len) / hop) + 1.
     """
-    samples = _samples(samples).astype(np.float64)
-    return readonly(
-        np.lib.stride_tricks.sliding_window_view(samples, FRAME_LEN)[::HOP])
+    frames = _framed(_samples(samples))
+    frames.setflags(write=False)
+    return frames
+
+
+def _framed(samples) -> np.ndarray:
+    """frame_signal's frames of checked samples, writeable."""
+    return np.lib.stride_tricks.sliding_window_view(
+        samples, FRAME_LEN)[::HOP].astype(np.float64, order="C")
 
 
 def _mel(hz):
@@ -223,7 +232,7 @@ def _dct_basis() -> np.ndarray:
 _DCT_BASIS = _dct_basis()
 
 
-# The frontend's thread pool (see _rowwise), made on first use.
+# The frontend's thread pool (see analyze_clips), made on first use.
 _pool = None
 _pool_lock = threading.Lock()
 
@@ -246,44 +255,25 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
-def _rowwise(fn, *arrays):
-    """fn(*arrays), for an fn whose every output row is computed from the
-    same row of each input alone, split across the process's CPUs.
-
-    The rows are cut into one near-equal chunk per CPU, each of at least
-    _MIN_CHUNK_ROWS rows; the calling thread runs the first chunk and the
-    pool the others, and the outputs are concatenated. Each row's
-    arithmetic is that of one whole call, so the result is bit-identical
-    to fn(*arrays) whatever the CPU count, as long as fn makes no BLAS
-    call: BLAS may round a product by the number of rows it is given. With
-    one CPU, or too few rows for two chunks, fn(*arrays) runs as it is.
-    """
+def _shared_pool(workers: int):
+    """The frontend's pool of workers - 1 threads, made on first use."""
     global _pool
-    rows, workers = len(arrays[0]), _workers()
-    chunks = min(workers, rows // _MIN_CHUNK_ROWS)
-    if chunks < 2:
-        return fn(*arrays)
-    edges = [rows * c // chunks for c in range(chunks + 1)]
-    parts = [[a[lo:hi] for a in arrays] for lo, hi in zip(edges, edges[1:])]
     with _pool_lock:
         if _pool is None:
             # imported here, so that commands which analyse no audio skip it
             from concurrent.futures import ThreadPoolExecutor
             _pool = ThreadPoolExecutor(workers - 1, "emocue-frontend")
-        futures = [_pool.submit(fn, *part) for part in parts[1:]]
-    try:
-        first = fn(*parts[0])
-    finally:
-        rest = [future.result() for future in futures]
-    return np.concatenate([first, *rest])
+        return _pool
 
 
-def _spectrum(frames) -> np.ndarray:
-    """The zero-padded magnitude spectra of the Hamming-windowed,
-    pre-emphasised frames."""
+def _mfcc(frames) -> np.ndarray:
+    """mfcc of checked frames, writeable."""
     emphasized = frames * _WINDOW
     emphasized[:, 1:] -= PREEMPHASIS * emphasized[:, :-1]
-    return np.abs(np.fft.rfft(emphasized, FFT_SIZE, axis=1))
+    spectra = np.abs(np.fft.rfft(emphasized, FFT_SIZE, axis=1))
+    energies = spectra @ MEL_FILTERBANK.T
+    log_energies = np.log(np.maximum(energies, ENERGY_FLOOR))
+    return log_energies @ _DCT_BASIS
 
 
 def mfcc(frames) -> np.ndarray:
@@ -292,33 +282,36 @@ def mfcc(frames) -> np.ndarray:
     Per frame: Hamming window, pre-emphasis, zero-padded magnitude spectrum,
     triangular mel filterbank, floored log, orthonormal DCT-II applied as a
     fixed basis. Coefficient 0 is dropped to keep the features robust to
-    overall gain. The spectra are computed row-wise (_rowwise); the mel and
-    DCT products take the whole block at once.
+    overall gain.
     """
-    energies = _rowwise(_spectrum, _frames(frames)) @ MEL_FILTERBANK.T
-    log_energies = np.log(np.maximum(energies, ENERGY_FLOOR))
-    vectors = log_energies @ _DCT_BASIS
+    vectors = _mfcc(_frames(frames))
     vectors.setflags(write=False)
     return vectors
 
 
-def _pitch(x, squares) -> np.ndarray:
-    """The F0 of each raw frame of x, 0 where it is unvoiced (see
-    prosodic_track). squares holds x * x and is overwritten."""
+def _prosody(x) -> tuple[np.ndarray, np.ndarray]:
+    """prosodic_track's F0 and log energy of checked frames x, writeable."""
     n_frames, frame_len = x.shape
     lag_min, lag_max = _LAG_MIN, _LAG_MAX
     base = lag_min - 1                  # ncc column j holds lag base + j
 
     # The autocorrelation is the inverse transform of the power spectrum,
-    # which is built in the spectrum's own buffer.
+    # which is built in the spectrum's own buffer. Only the searched lags
+    # are kept, in a buffer of their own that becomes ncc, and each buffer
+    # is dropped as soon as it is used, so the search holds little memory.
     spec = np.fft.rfft(x, _AUTOCORR_LEN, axis=1)
     power, imag = spec.real, spec.imag
     power *= power
     imag *= imag
     power += imag
     imag[...] = 0.0
-    autocorr = np.fft.irfft(spec, _AUTOCORR_LEN, axis=1)[:, base:lag_max + 2]
+    autocorr = np.fft.irfft(spec, _AUTOCORR_LEN, axis=1)
+    del spec, power, imag
+    ncc = autocorr[:, base:lag_max + 2].copy()
+    del autocorr
 
+    squares = x * x
+    log_energy = np.log(squares @ (_WINDOW * _WINDOW) + ENERGY_FLOOR)
     # Energy of the two offset segments entering the lag-tau product:
     # head = energy of x[0 : L - tau] = cumulative[L - tau - 1] and
     # tail = energy of x[tau : L] = cumulative[L - 1] - cumulative[tau - 1].
@@ -328,8 +321,9 @@ def _pitch(x, squares) -> np.ndarray:
     denom *= head
     np.maximum(denom, 0.0, out=denom)
     np.sqrt(denom, out=denom)
-    ncc = np.divide(autocorr, denom, out=np.zeros_like(autocorr),
-                    where=denom > 0.0)
+    positive = denom > 0.0
+    np.divide(ncc, denom, out=ncc, where=positive)
+    ncc[~positive] = 0.0
 
     rows = np.arange(n_frames)
     peak_idx = np.argmax(ncc[:, 1:-1], axis=1) + lag_min
@@ -363,7 +357,7 @@ def _pitch(x, squares) -> np.ndarray:
                      0.0)
     refined = np.clip(peak_idx + np.clip(shift, -0.5, 0.5),
                       float(lag_min), float(lag_max))
-    return np.where(voiced, SAMPLE_RATE / refined, 0.0)
+    return np.where(voiced, SAMPLE_RATE / refined, 0.0), log_energy
 
 
 def prosodic_track(frames) -> ProsodicTrack:
@@ -375,16 +369,110 @@ def prosodic_track(frames) -> ProsodicTrack:
     so amplification changes neither voicing decisions nor F0 values. The
     lag search runs on raw samples because a window's taper would drag
     long-lag peaks toward shorter lags; the frame energy is that of the
-    Hamming-windowed frame. The pitch search runs row-wise (_rowwise); the
-    energy product takes the whole block at once.
+    Hamming-windowed frame.
     """
-    x = _frames(frames)
-    squares = x * x
-    log_energy = np.log(squares @ (_WINDOW * _WINDOW) + ENERGY_FLOOR)
-    f0 = _rowwise(_pitch, x, squares)
+    f0, log_energy = _prosody(_frames(frames))
     for stream in (f0, log_energy):
         stream.setflags(write=False)
     return ProsodicTrack(f0=f0, log_energy=log_energy)
+
+
+def _block(samples, first: int, last: int):
+    """The MFCCs, F0 and log energy of frames first..last of checked
+    samples, framed from the samples those frames cover alone."""
+    frames = _framed(samples[first * HOP:last * HOP + FRAME_LEN])
+    f0, log_energy = _prosody(frames)
+    return _mfcc(frames), f0, log_energy
+
+
+def _blocks(clips):
+    """(samples, first, last) of each block of each clip, in order, with
+    whether it is its clip's last block; each clip is read and checked
+    when its first block is wanted.
+
+    A clip's blocks are of near-equal size, at most _BLOCK_FRAMES: BLAS
+    picks its kernel by matrix size, and a short remainder block would
+    round the mel energies or cepstra differently from a whole-clip pass.
+    """
+    for samples in clips:
+        samples = _samples(samples)
+        n_frames = (samples.size - FRAME_LEN) // HOP + 1
+        n_blocks = -(-n_frames // _BLOCK_FRAMES)
+        for b in range(n_blocks):
+            yield ((samples, b * n_frames // n_blocks,
+                    (b + 1) * n_frames // n_blocks - 1), b == n_blocks - 1)
+
+
+def _utterance(blocks) -> UtteranceFeatures:
+    """One clip's streams from its blocks' (MFCCs, F0, log energy)."""
+    streams = [np.concatenate(s) for s in zip(*blocks)]
+    for stream in streams:
+        stream.setflags(write=False)
+    features, f0, log_energy = streams
+    return UtteranceFeatures(features=features, prosody=ProsodicTrack(
+        f0=f0, log_energy=log_energy))
+
+
+def analyze_clips(clips) -> Iterator[UtteranceFeatures]:
+    """analyze_clip of each clip's int16 samples, in clip order.
+
+    Each clip is cut into blocks (see analyze_clip), and one thread
+    analyses each whole block: its framing, energy, pitch search, spectrum
+    and mel and DCT products, so every feature has the bits of a one-CPU
+    pass. With W CPUs in the process's affinity set, a pool of W - 1
+    threads takes the blocks oldest first, while the calling thread reads
+    the clips lazily, at most _BLOCKS_PER_WORKER * W blocks ahead, and runs
+    the newest block no pool thread has started whenever the oldest is not
+    done. With one CPU every block runs on the calling thread and no
+    thread starts. Each running block holds about 4 MB.
+
+    An error reading or checking a clip is raised as soon as the clip is
+    read, and one raised in a block is raised as itself, in clip order;
+    either way the blocks still queued are cancelled, and those running
+    are waited for.
+    """
+    # imported here, so that commands which analyse no audio skip it
+    from concurrent.futures import Future, wait
+
+    def run_here(args):
+        done = Future()
+        try:
+            done.set_result(_block(*args))
+        except Exception as exc:    # raised in order, by done.result()
+            done.set_exception(exc)
+        return done
+
+    workers = _workers()
+    pool = _shared_pool(workers) if workers > 1 else None
+    tasks = _blocks(clips)
+    window = collections.deque()    # [future, args, last of its clip?]
+    parts = []
+    try:
+        while True:
+            while len(window) < _BLOCKS_PER_WORKER * workers:
+                task = next(tasks, None)
+                if task is None:
+                    break
+                args, ends = task
+                window.append([pool.submit(_block, *args) if pool
+                               else run_here(args), args, ends])
+            if not window:
+                return
+            if not window[0][0].done():
+                stolen = next((entry for entry in reversed(window)
+                               if entry[0].cancel()), None)
+                if stolen is not None:
+                    stolen[0] = run_here(stolen[1])
+                    continue
+            future, _, ends = window.popleft()
+            parts.append(future.result())
+            if ends:
+                yield _utterance(parts)
+                parts = []
+    finally:
+        # a cancelled future counts as done only once a pool thread has
+        # dropped it, so wait for the others alone
+        wait([future for future, _, _ in window if not future.cancel()])
 
 
 def analyze_clip(samples) -> UtteranceFeatures:
@@ -392,28 +480,14 @@ def analyze_clip(samples) -> UtteranceFeatures:
 
     The frames are analysed in blocks of at most _BLOCK_FRAMES, each framed
     from a sub-clip over the samples it covers, so memory stays bounded
-    however long the clip is. The blocks are of near-equal size: BLAS picks
-    its kernel by matrix size, and a short remainder block would round the
-    mel energies or cepstra differently from a whole-clip pass.
+    however long the clip is. This is analyze_clips of one clip: one thread
+    analyses each whole block, and the blocks run side by side on the CPUs
+    of the process's affinity set (`taskset` limits them), the calling
+    thread among them; the features do not depend on how many CPUs there
+    are.
     """
-    samples = _samples(samples)
-    n_frames = (samples.size - FRAME_LEN) // HOP + 1
-    n_blocks = -(-n_frames // _BLOCK_FRAMES)
-    vectors, f0, log_energy = [], [], []
-    for b in range(n_blocks):
-        first = b * n_frames // n_blocks
-        last = (b + 1) * n_frames // n_blocks - 1
-        frames = frame_signal(samples[first * HOP:last * HOP + FRAME_LEN])
-        track = prosodic_track(frames)
-        vectors.append(mfcc(frames))
-        f0.append(track.f0)
-        log_energy.append(track.log_energy)
-    streams = [np.concatenate(s) for s in (vectors, f0, log_energy)]
-    for stream in streams:
-        stream.setflags(write=False)
-    features, f0, log_energy = streams
-    return UtteranceFeatures(features=features, prosody=ProsodicTrack(
-        f0=f0, log_energy=log_energy))
+    (utterance,) = analyze_clips([samples])
+    return utterance
 
 
 # --- feature cache -----------------------------------------------------------

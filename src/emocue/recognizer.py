@@ -337,7 +337,6 @@ def _write_bank(directory, header: dict, roles: Mapping) -> None:
             entries.append({"role": role, "key": key, **spec,
                             "training": training})
             payload.append(data)
-    os.makedirs(directory, exist_ok=True)
     container.write(os.path.join(directory, BANK_FILE), _BANK_MAGIC,
                     {**header, "models": entries}, payload)
 

@@ -414,6 +414,28 @@ def test_scoring_reads_model_shapes_from_the_bank(small_pipeline, tmp_path,
         (small_pipeline / name).read_bytes()
 
 
+@pytest.mark.parametrize("command", ["extract", "identify", "sweep-alpha"])
+def test_out_may_name_a_new_directory(small_pipeline, tmp_path, command):
+    out = tmp_path / "new" / "dir" / "out"
+    if command == "extract":
+        t = np.arange(SAMPLE_RATE) / SAMPLE_RATE
+        _write_wav(tmp_path / "tone.wav", 0.4 * np.sin(2 * np.pi * 150.0 * t))
+        (tmp_path / "manifest.tsv").write_text(
+            "id\tspeaker\tgender\temotion\tsentence\trepetition\taudio\n"
+            "u1\ts1\tmale\tneutral\t1\t1\ttone.wav\n")
+        run_cli("extract", "--manifest", tmp_path / "manifest.tsv",
+                "--out", out)
+        assert set(read_feature_cache(out)) == {"u1"}
+    else:
+        run_cli(command, "--manifest", small_pipeline / "corpus/manifest.tsv",
+                "--features", small_pipeline / "corpus/features.bin",
+                "--bank-dir", small_pipeline / "bank", "--out", out,
+                *SMALL_SPLIT)
+        name = "results.jsonl" if command == "identify" else "sweep.tsv"
+        assert out.read_bytes() == (small_pipeline / name).read_bytes()
+    assert os.listdir(out.parent) == ["out"]
+
+
 def test_config_file_that_is_not_utf8_is_named(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_bytes(b"seed = 3  # \xff\n")
@@ -513,13 +535,59 @@ def test_extract_refuses_a_record_without_audio_before_reading_any(
         "u3\ts1\tmale\tneutral\t1\t3\t-\n")
     calls = []
     monkeypatch.setattr(cli, "load_audio", lambda path: calls.append(path))
-    monkeypatch.setattr(cli, "analyze_clip", lambda clip: calls.append(clip))
+    monkeypatch.setattr(cli, "analyze_clips", lambda clips: calls.extend(clips))
     code = cli.main(["extract", "--manifest", str(tmp_path / "manifest.tsv"),
                      "--out", str(tmp_path / "features.bin")])
     assert code == 2
     assert "u3: no audio path; nothing to extract" in capsys.readouterr().err
     assert calls == []
     assert not (tmp_path / "features.bin").exists()
+
+
+def test_extract_stops_at_a_broken_clip_and_the_pool_keeps_working(
+        tmp_path, monkeypatch, capsys):
+    # the frontend's pool outlives a failed extract: no block of it is left
+    # queued or running, and the next extract in the process succeeds
+    monkeypatch.setattr(frontend, "_workers", lambda: 2)
+    submitted, shared = [], frontend._shared_pool
+
+    class Recorded:
+        def __init__(self, pool):
+            self.pool = pool
+
+        def submit(self, *args):
+            submitted.append(self.pool.submit(*args))
+            return submitted[-1]
+
+    monkeypatch.setattr(frontend, "_shared_pool",
+                        lambda workers: Recorded(shared(workers)))
+    rng = np.random.default_rng(8)
+    for i, seconds in enumerate((1.0, 2.5, 0.0, 1.5)):
+        t = np.arange(int(seconds * SAMPLE_RATE)) / SAMPLE_RATE
+        _write_wav(tmp_path / f"c{i}.wav",
+                   0.3 * np.sin(2 * np.pi * (120.0 + 30.0 * i) * t)
+                   + 0.02 * rng.standard_normal(t.size))
+    (tmp_path / "c2.wav").write_bytes(b"RIFF, but no WAV")
+    header = "id\tspeaker\tgender\temotion\tsentence\trepetition\taudio\n"
+    rows = [f"u{i}\ts1\tmale\tneutral\t1\t{i + 1}\tc{i}.wav\n"
+            for i in range(4)]
+    (tmp_path / "broken.tsv").write_text(header + "".join(rows))
+    (tmp_path / "good.tsv").write_text(header + "".join(rows[:2] + rows[3:]))
+    out = tmp_path / "features.bin"
+    code = cli.main(["extract", "--manifest", str(tmp_path / "broken.tsv"),
+                     "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        f"data error: {tmp_path / 'c2.wav'}: not a PCM WAV file")
+    assert not out.exists() and not (tmp_path / "features.bin.tmp").exists()
+    assert submitted and all(future.done() for future in submitted)
+    run_cli("extract", "--manifest", tmp_path / "good.tsv", "--out", out)
+    cache = read_feature_cache(out)
+    monkeypatch.setattr(frontend, "_workers", lambda: 1)
+    for i in (0, 1, 3):
+        want = frontend.analyze_clip(frontend.load_audio(tmp_path / f"c{i}.wav"))
+        assert cache[f"u{i}"].features.tobytes() == want.features.tobytes()
+        assert cache[f"u{i}"].prosody.f0.tobytes() == want.prosody.f0.tobytes()
 
 
 def test_only_the_frontend_starts_threads(small_pipeline, tmp_path):

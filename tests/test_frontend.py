@@ -15,6 +15,7 @@ import threading
 import time
 import tracemalloc
 import wave
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -328,34 +329,132 @@ def test_pitch_matches_known_truth():
     assert 100.0 * voicing / voicing_scored <= 2.0
 
 
-def _pitches(x):
-    # _pitch overwrites the squares it is given
-    return frontend._pitch(x, x * x)
+def _clips(frame_counts, seed=0):
+    return [_glide(480 + 80 * (n - 1), seed=seed + i)
+            for i, n in enumerate(frame_counts)]
+
+
+def _block_threads(monkeypatch):
+    """The thread that runs each block, in the order they start."""
+    threads, block = [], frontend._block
+
+    def recorded(*args):
+        threads.append(threading.get_ident())
+        return block(*args)
+    monkeypatch.setattr(frontend, "_block", recorded)
+    return threads
+
+
+class _IdlePool:
+    """A pool whose threads never start a block."""
+
+    def __init__(self):
+        self.futures = []
+
+    def submit(self, fn, *args):
+        self.futures.append(Future())
+        return self.futures[-1]
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("step", [frontend._spectrum, _pitches])
-def test_rowwise_split_equals_one_call_bit_for_bit(monkeypatch, workers, step):
+def test_analyze_clips_equals_each_clip_alone_bit_for_bit(monkeypatch,
+                                                          workers):
+    frame_counts = [1, 63, 256, 64, 2 * 256 + 7, 65, 255, 257, 1, 64, 257]
+    clips = _clips(frame_counts)
+    monkeypatch.setattr(frontend, "_workers", lambda: 1)
+    want = [frontend.analyze_clip(clip) for clip in clips]
     monkeypatch.setattr(frontend, "_workers", lambda: workers)
-    calls = []
+    threads = _block_threads(monkeypatch)
+    got = list(frontend.analyze_clips(iter(clips)))
+    assert [len(utt.prosody) for utt in got] == frame_counts
+    for one, alone in zip(got, want):
+        for stream, alone_stream in ((one.features, alone.features),
+                                     (one.prosody.f0, alone.prosody.f0),
+                                     (one.prosody.log_energy,
+                                      alone.prosody.log_energy)):
+            assert stream.tobytes() == alone_stream.tobytes()
+            assert not stream.flags.writeable
+    assert len(threads) == sum(-(-n // 256) for n in frame_counts)
+    if workers == 1:
+        assert set(threads) == {threading.get_ident()}
+    else:
+        # the calling thread runs blocks too
+        assert threading.get_ident() in threads
 
-    def recorded(chunk):
-        first = (chunk.ctypes.data - x.ctypes.data) // x.strides[0]
-        calls.append((first, len(chunk), threading.get_ident()))
-        return step(chunk)
 
-    for rows in (1, 31, 32, 33, 63, 64, 65, 95, 96, 97, 128, 256):
-        x = frontend.frame_signal(_glide(480 + 80 * (rows - 1), seed=rows))
-        calls.clear()
-        got = frontend._rowwise(recorded, x)
-        assert got.tobytes() == step(x).tobytes(), rows
-        chunks = max(1, min(workers, rows // 32))
-        edges = [c * rows // chunks for c in range(chunks + 1)]
-        calls.sort()
-        assert [(first, n) for first, n, _ in calls] == [
-            (lo, hi - lo) for lo, hi in zip(edges, edges[1:])], rows
-        # the calling thread runs the first chunk itself
-        assert calls[0][2] == threading.get_ident()
+def test_the_calling_thread_runs_every_block_no_pool_thread_starts(
+        monkeypatch):
+    monkeypatch.setattr(frontend, "_workers", lambda: 2)
+    monkeypatch.setattr(frontend, "_shared_pool", lambda workers: _IdlePool())
+    clips = _clips([300, 1, 600, 70], seed=20)
+    got = list(frontend.analyze_clips(clips))
+    for utt, clip in zip(got, clips):
+        frames = frontend.frame_signal(clip)
+        assert utt.features.tobytes() == frontend.mfcc(frames).tobytes()
+        assert utt.prosody.f0.tobytes() == \
+            frontend.prosodic_track(frames).f0.tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_analyze_clips_raises_a_blocks_error_as_itself_in_clip_order(
+        monkeypatch, workers):
+    monkeypatch.setattr(frontend, "_workers", lambda: workers)
+    clips = _clips([300, 2, 256, 5, 600], seed=30)
+    fault, block = RuntimeError("a block failed"), frontend._block
+
+    def failing(samples, first, last):
+        if samples.size == clips[2].size:
+            raise fault
+        return block(samples, first, last)
+    monkeypatch.setattr(frontend, "_block", failing)
+    got, stream = [], frontend.analyze_clips(clips)
+    with pytest.raises(RuntimeError) as caught:
+        for utt in stream:
+            got.append(utt)
+    assert caught.value is fault
+    assert [len(utt.prosody) for utt in got] == [300, 2]
+
+
+def test_analyze_clips_cancels_the_queued_blocks_when_a_clip_fails(
+        monkeypatch):
+    monkeypatch.setattr(frontend, "_workers", lambda: 3)
+    pool = _IdlePool()
+    monkeypatch.setattr(frontend, "_shared_pool", lambda workers: pool)
+    threads = _block_threads(monkeypatch)
+    fault = CorruptFileError("clip 3 is cut short")
+
+    def clips():
+        yield from _clips([1, 2 * 256 + 7])
+        raise fault
+    with pytest.raises(CorruptFileError) as caught:
+        next(frontend.analyze_clips(clips()))
+    assert caught.value is fault
+    # the error is raised as the clip is read, before its queued
+    # predecessors run, and none of them runs later
+    assert len(pool.futures) == 4 and threads == []
+    assert all(future.cancelled() for future in pool.futures)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_analyze_clips_reads_clips_lazily(workers, monkeypatch):
+    # a stream of short clips peaks at the same memory whatever its length:
+    # only the blocks in flight are held
+    monkeypatch.setattr(frontend, "_workers", lambda: workers)
+    frontend.analyze_clip(_glide(480 + 80 * 300))   # the pool now exists
+
+    def peak(count):
+        def clips():
+            for i in range(count):
+                yield _glide(480 + 80 * (150 + i % 7), seed=i)
+        tracemalloc.start()
+        try:
+            for utt in frontend.analyze_clips(clips()):
+                assert len(utt.prosody) >= 150
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    few, many = peak(20), peak(200)
+    assert many < 1.15 * few, (few, many)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
@@ -669,6 +768,16 @@ def test_container_read_names_a_retired_magic(tmp_path, magic, message):
         container.read(path, b"KINDV002", "kind", lambda h, p: h["n"],
                        retired=retired)
     assert str(caught.value) == f"{path}: {message}"
+
+
+def test_container_replace_makes_a_missing_directory(tmp_path, monkeypatch):
+    container.replace(tmp_path / "a" / "b" / "file.txt", ["x", b"y"])
+    assert (tmp_path / "a" / "b" / "file.txt").read_bytes() == b"xy"
+    # a bare file name has no directory to make
+    monkeypatch.chdir(tmp_path)
+    container.replace("bare.txt", ["z"])
+    assert sorted(os.listdir(tmp_path)) == ["a", "bare.txt"]
+    assert (tmp_path / "bare.txt").read_text() == "z"
 
 
 def test_cache_rejects_repeated_id(tmp_path, cache_bytes):
