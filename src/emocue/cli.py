@@ -69,15 +69,11 @@ def _add_config_options(parser: argparse.ArgumentParser, names) -> None:
                        help="key = value settings file")
     parser.set_defaults(settings=names)
     for f in (f for f in dataclasses.fields(RunConfig) if f.name in names):
-        flag, help_text = "--" + f.name.replace("_", "-"), f.metadata["help"]
-        if f.type is bool:
-            group.add_argument(flag, action=argparse.BooleanOptionalAction,
-                               default=None, help=help_text)
-        else:
-            # a list arrives as text; RunConfig parses it, naming the flag
-            group.add_argument(flag, metavar=f.metadata["metavar"],
-                               type=f.type if f.type in (int, float) else None,
-                               help=help_text)
+        # a list arrives as text; RunConfig parses it, naming the flag
+        group.add_argument("--" + f.name.replace("_", "-"),
+                           metavar=f.metadata["metavar"],
+                           type=f.type if f.type in (int, float) else None,
+                           help=f.metadata["help"])
 
 
 def _config_from(args) -> RunConfig:
@@ -275,8 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="JSONL results file")
     p.add_argument("--ids", help="comma-separated utterance ids "
                                  "(default: the test split)")
-    _add_config_options(p, ("train_sentences", "test_sentences", "alpha",
-                            "length_normalize"))
+    _add_config_options(p, ("train_sentences", "test_sentences", "alpha"))
     p.set_defaults(func=_cmd_identify)
 
     p = sub.add_parser("evaluate", help="tabulate identification results")
@@ -287,8 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("sweep-alpha",
-                       help="stage-a sweep over fusion weights "
-                            "(scores are length-normalized)")
+                       help="stage-a sweep over fusion weights")
     p.add_argument("--manifest", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--bank-dir", required=True)

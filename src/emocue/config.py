@@ -16,18 +16,9 @@ import math
 from dataclasses import dataclass, field, fields
 
 from . import hmm, supra
-from .corpus import SplitProtocol
+from .corpus import SplitProtocol, sentence_set
 from .errors import _utf8
 from .supra import FusionConfig
-
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
 
 
 _ITEM_KINDS = {float: "a number", int: "an integer", str: "a name"}
@@ -49,11 +40,13 @@ def parse_items(text: str, parse, what: str) -> tuple:
     return tuple(items)
 
 
-# The parser of a setting's text, by the setting's annotation.
-FIELD_PARSERS = {float: float, int: int, bool: _parse_bool,
-                 tuple[int, ...]: lambda text: parse_items(text, int, "list")}
+def _parse_sentences(text: str, what: str = "list") -> tuple[int, ...]:
+    return sentence_set(what, parse_items(text, int, what))
 
-_FUSION = FusionConfig()
+
+# The parser of a setting's text, by the setting's annotation.
+FIELD_PARSERS = {float: float, int: int, tuple[int, ...]: _parse_sentences}
+
 _SPLIT = SplitProtocol()
 
 
@@ -69,10 +62,11 @@ class RunConfig:
     (alpha 0.5).
 
     A text value of any field is parsed by its FIELD_PARSERS entry, a list
-    naming its flag (--train-sentences); SplitProtocol checks a tuple's
-    items, refusing any that is not an integer."""
+    naming its flag (--train-sentences). A sentence set given as a tuple is
+    checked by SplitProtocol; either way corpus.sentence_set refuses an item
+    that is not an integer or repeats one, and sorts the set."""
 
-    alpha: float = _setting(_FUSION.alpha, "fusion weight in [0, 1]")
+    alpha: float = _setting(FusionConfig().alpha, "fusion weight in [0, 1]")
     num_states: int = _setting(9, "acoustic model states")
     num_mixtures: int = _setting(10, "mixture components per acoustic state")
     num_supra_mixtures: int = _setting(
@@ -92,16 +86,13 @@ class RunConfig:
                              "relative log-likelihood improvement to stop EM")
     em_max_iters: int = _setting(hmm.EM_MAX_ITERS, "EM iteration cap")
     seed: int = _setting(0, "generator seed")
-    length_normalize: bool = _setting(
-        _FUSION.length_normalize,
-        "divide each fused term by its sequence length")
 
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, str):
-                object.__setattr__(self, f.name, parse_items(
-                    value, int, "--" + f.name.replace("_", "-"))
+                object.__setattr__(self, f.name, _parse_sentences(
+                    value, "--" + f.name.replace("_", "-"))
                     if f.type == tuple[int, ...]
                     else FIELD_PARSERS[f.type](value))
         self.fusion  # FusionConfig checks alpha
@@ -130,8 +121,7 @@ class RunConfig:
 
     @property
     def fusion(self) -> FusionConfig:
-        return FusionConfig(alpha=self.alpha,
-                            length_normalize=self.length_normalize)
+        return FusionConfig(alpha=self.alpha)
 
 
 _FIELDS = {f.name: f for f in fields(RunConfig)}

@@ -50,28 +50,35 @@ class UtteranceRecord:
         return (self.speaker, self.emotion, self.sentence, self.repetition)
 
 
-def _sentences(name: str, items) -> tuple[int, ...]:
+def sentence_set(name: str, items) -> tuple[int, ...]:
+    """items as a sentence set: distinct ints, in ascending order.
+
+    A numpy integer is cast to int. Any other item (a float, a bool, a
+    string), or one that repeats an earlier item, raises ValueError naming
+    name (a set or a flag) and the item's 1-based position."""
     items = tuple(items)
     for position, item in enumerate(items, start=1):
         if isinstance(item, bool) or not isinstance(item, (int, np.integer)):
             raise ValueError(f"{name} item {position} ({item!r}) is not an "
                              f"integer")
-    return tuple(map(int, items))
+        if item in items[:position - 1]:
+            raise ValueError(f"{name} item {position} ({item!r}) repeats "
+                             f"item {items.index(item) + 1}")
+    return tuple(sorted(map(int, items)))
 
 
 @dataclass(frozen=True)
 class SplitProtocol:
     """Sentence-based train/test partition; the sets must not overlap.
 
-    Every item must be an integer; a numpy integer is cast to int, and any
-    other item (a float, a bool, a string) raises ValueError naming its set
-    and 1-based position."""
+    Each set is checked and stored by sentence_set, so one split has one
+    form whatever order its sentences were given in."""
 
     train_sentences: tuple[int, ...] = (1, 2, 3, 4)
     test_sentences: tuple[int, ...] = (5, 6, 7, 8)
 
     def __post_init__(self):
-        train, test = (_sentences(name, getattr(self, name))
+        train, test = (sentence_set(name, getattr(self, name))
                        for name in ("train_sentences", "test_sentences"))
         if not train or not test:
             raise ValueError("both sentence sets must be non-empty")

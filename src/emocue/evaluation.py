@@ -12,8 +12,8 @@ The fusion-weight sweep scores stage a once for every weight: per
 utterance one hmm.ModelStack pass over the emotions' acoustic models and
 one supra.summary_stack call, then one stacked prosodic pass over every
 (utterance, emotion) pair. The weights' decisions are an argmax over an
-array of blends, and stage b is scored once per (utterance, chosen
-emotion).
+array of raw blends, identify's rule, and stage b is scored once per
+(utterance, chosen emotion).
 """
 
 from __future__ import annotations
@@ -317,9 +317,8 @@ class SweepResult:
 
 def _stage_a_scores(bank, records, features):
     """alpha_sweep's acoustic and prosodic log scores, each (utterances,
-    emotions) and length-normalized: without normalization the acoustic
-    term's sheer magnitude makes the blend weight nearly inert. The stacks
-    and summaries are freed on return, before stage b runs."""
+    emotions). The stacks and summaries are freed on return, before stage b
+    runs."""
     pairs = [bank.emotion_models[e] for e in bank.emotions]
     acoustic = hmm.ModelStack(pair.acoustic for pair in pairs)
     log_acoustic = np.empty((len(records), len(pairs)))
@@ -330,42 +329,39 @@ def _stage_a_scores(bank, records, features):
             log_acoustic[u], paths = acoustic.forward_and_viterbi(utt.features)
             summaries.append(summary_stack(paths, utt.prosody,
                                            acoustic.num_states))
-        log_acoustic[u] /= len(utt.features)
     # every alignment ends in the stack's last state, so every summary
     # sequence has one row per acoustic state
     summaries = np.concatenate(summaries)
     prosodic = hmm.ModelStack([pair.supra for pair in pairs] * len(records))
-    log_supra = prosodic.forward_log_likelihoods(summaries).reshape(
+    return log_acoustic, prosodic.forward_log_likelihoods(summaries).reshape(
         log_acoustic.shape)
-    log_supra /= summaries.shape[1]
-    return log_acoustic, log_supra
 
 
 def alpha_sweep(bank, test_records, features,
                 alphas=DEFAULT_ALPHAS) -> SweepResult:
     """Re-run the emotion stage across fusion weights and measure stage-b
-    speaker accuracy per true emotion.
+    speaker accuracy per true emotion: a row is the accuracy identify gets
+    at its alpha (score_test_set under FusionConfig(alpha)).
 
-    Both log scores are computed once per (utterance, emotion),
-    length-normalized, and blended per alpha by the same rule as
-    identify_emotion. Per utterance, one hmm.ModelStack pass over the
-    emotions' acoustic models gives every acoustic score and alignment, and
-    one supra.summary_stack call summarises the alignments; one stacked
-    pass then scores the summaries of every (utterance, emotion) pair under
-    that emotion's prosodic model. The decisions of all weights are one
-    array of blends and its first-max argmax. The speaker stage does not
-    depend on alpha: its verdicts form one (utterance, emotion) table,
-    filled by one pass over the emotion's speaker stack only where some
-    weight chose that emotion, and each weight reads its verdicts from it.
-    Every score equals identify's bit for bit, and ties go to the earliest
-    label in bank order as there. Every weight must lie in [0, 1];
-    FusionConfig rejects any other, as it does for identify, and a repeated
-    weight raises ValueError, since its rows could not be told apart. A
-    test split without one of the bank's emotions (EmptyResultsError; an
-    empty one lacks all) or with one the bank lacks (UnknownEmotionError)
-    raises before any scoring. An utterance that cannot be scored
-    re-raises its error, of the same type, naming the utterance id, as in
-    score_test_set.
+    Both raw log scores are computed once per (utterance, emotion) and
+    blended per alpha by identify_emotion's rule. Per utterance, one
+    hmm.ModelStack pass over the emotions' acoustic models gives every
+    acoustic score and alignment, and one supra.summary_stack call
+    summarises the alignments; one stacked pass then scores the summaries of
+    every (utterance, emotion) pair under that emotion's prosodic model. The
+    decisions of all weights are one array of blends and its first-max
+    argmax. The speaker stage does not depend on alpha: its verdicts form
+    one (utterance, emotion) table, filled by one pass over the emotion's
+    speaker stack only where some weight chose that emotion, and each weight
+    reads its verdicts from it. Every score equals identify's bit for bit,
+    and ties go to the earliest label in bank order as there. Every weight
+    must lie in [0, 1]; FusionConfig rejects any other, as it does for
+    identify, and a repeated weight raises ValueError, since its rows could
+    not be told apart. A test split without one of the bank's emotions
+    (EmptyResultsError; an empty one lacks all) or with one the bank lacks
+    (UnknownEmotionError) raises before any scoring. An utterance that
+    cannot be scored re-raises its error, of the same type, naming the
+    utterance id, as in score_test_set.
     """
     alphas = tuple(FusionConfig(alpha=a).alpha for a in alphas)
     repeated = sorted({a for a in alphas if alphas.count(a) > 1})

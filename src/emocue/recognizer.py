@@ -89,8 +89,7 @@ def identify_emotion(utterance, bank: ModelBank,
     pairs, blended under cfg: each equals supra.fused_score of its pair.
     """
     components = supra_mod.stage_a_components(
-        [bank.emotion_models[e] for e in bank.emotions], utterance,
-        cfg.length_normalize)
+        [bank.emotion_models[e] for e in bank.emotions], utterance)
     scores = {e: blend(log_a, log_s, cfg.alpha)
               for e, (log_a, log_s) in zip(bank.emotions, components)}
     return max(bank.emotions, key=scores.__getitem__), scores

@@ -5,9 +5,10 @@ segment is condensed into one row of 5 summary columns (mean voiced F0,
 F0 slope, mean log energy, duration fraction, voicing ratio), and
 segment_summaries and supra_observations return the rows as a read-only
 (S, 5) array. The prosodic model that scores them is an hmm.AcousticModel
-over the 5 summary columns, on top of the acoustic one. The two log scores
-are blended by a weighting factor alpha: alpha 0 trusts only the acoustic
-model, alpha 1 only the prosodic one.
+over the 5 summary columns, on top of the acoustic one. The two raw log
+scores are blended by a weighting factor alpha (blend): alpha 0 trusts only
+the acoustic model, alpha 1 only the prosodic one. This is the one stage-a
+rule, for identify and the sweep alike.
 
 The summaries are taken per acoustic state: an alignment to an N-state
 acoustic model gives N of them. The prosodic model is sized by its own
@@ -20,7 +21,7 @@ per emotion its own acoustic forward and Viterbi calls and its own
 prosodic forward, with one summary_stack call over the alignments.
 score_components and fused_score are its one-emotion view. The sweep
 (evaluation.alpha_sweep) scores the same quantities through hmm.ModelStack
-and summary_stack, bit for bit.
+and summary_stack, bit for bit, and blends them by the same rule.
 """
 
 from __future__ import annotations
@@ -41,10 +42,10 @@ DEFAULT_SUPRA_MIXTURES = 3
 
 @dataclass(frozen=True)
 class FusionConfig:
-    """Score blending weight and optional per-stream length normalization."""
+    """The stage-a blending weight: alpha 0 trusts only the acoustic score,
+    alpha 1 only the prosodic one."""
 
     alpha: float = 0.5
-    length_normalize: bool = False
 
     def __post_init__(self):
         if not 0.0 <= float(self.alpha) <= 1.0:
@@ -178,7 +179,7 @@ def train_suprasegmental(acoustic: hmm.AcousticModel, utterances,
                           variance_floor=variance_floor)
 
 
-def stage_a_components(pairs, utterance, length_normalize: bool = False):
+def stage_a_components(pairs, utterance):
     """score_components of one utterance under E (acoustic, prosodic) model
     pairs, as a list of E (log_acoustic, log_supra) pairs.
 
@@ -193,24 +194,16 @@ def stage_a_components(pairs, utterance, length_normalize: bool = False):
         paths.append(hmm.viterbi(acoustic, features)[0])
     summaries = summary_stack(
         paths, track, [acoustic.num_states for acoustic, _ in pairs])
-    scores = []
-    for (_, supra), log_a, path, rows in zip(pairs, log_acoustic, paths,
-                                             summaries):
-        rows = rows[:path[-1] + 1]
-        log_s = hmm.forward_log_likelihood(supra, rows)
-        if length_normalize:
-            log_a /= len(features)
-            log_s /= len(rows)
-        scores.append((log_a, log_s))
-    return scores
+    return [(log_a, hmm.forward_log_likelihood(supra, rows[:path[-1] + 1]))
+            for (_, supra), log_a, path, rows in zip(pairs, log_acoustic,
+                                                     paths, summaries)]
 
 
 def score_components(acoustic: hmm.AcousticModel, supra: hmm.AcousticModel,
-                     utterance, length_normalize: bool = False):
+                     utterance):
     """Acoustic and prosodic log scores of one utterance, before blending:
     stage_a_components of the one pair."""
-    return stage_a_components([(acoustic, supra)], utterance,
-                              length_normalize)[0]
+    return stage_a_components([(acoustic, supra)], utterance)[0]
 
 
 def blend(log_acoustic: float, log_supra: float, alpha: float) -> float:
@@ -230,8 +223,7 @@ def fused_score(acoustic: hmm.AcousticModel, supra: hmm.AcousticModel,
     Both streams are scored at every alpha, so an utterance that no
     left-to-right path fits raises NoLegalPathError even at alpha 0.
     """
-    return blend(*score_components(acoustic, supra, utterance,
-                                   cfg.length_normalize), cfg.alpha)
+    return blend(*score_components(acoustic, supra, utterance), cfg.alpha)
 
 
 # A prosodic model is stored as any other model (hmm.encode_model).

@@ -376,8 +376,7 @@ def loop_alpha_sweep(bank, test_records, features, alphas=DEFAULT_ALPHAS):
         with _prefixed(f"utterance {r.id!r}"):
             components[r.id] = {
                 e: score_components(bank.emotion_models[e].acoustic,
-                                    bank.emotion_models[e].supra, utt,
-                                    True)
+                                    bank.emotion_models[e].supra, utt)
                 for e in emotions}
 
     speaker_verdict = {}

@@ -250,6 +250,9 @@ def _list_fault_argv(command, pipeline, out):
     ("sweep-alpha", "--alphas", "0.1,,0.2", "--alphas item 2"),
     ("sweep-alpha", "--alphas", "0.1,x", "--alphas item 2"),
     ("sweep-alpha", "--train-sentences", "1,2,", "--train-sentences item 3"),
+    ("train-onestage", "--train-sentences", "1,2,2",
+     "--train-sentences item 3"),
+    ("identify", "--test-sentences", "4,3,4", "--test-sentences item 3"),
     ("ttest", "--sample1", ",1", "--sample1 item 1"),
     ("ttest", "--sample2", "3,four", "--sample2 item 2"),
     ("gen-synthetic", "--emotions", "neutral,,angry", "--emotions item 2"),
@@ -257,11 +260,14 @@ def _list_fault_argv(command, pipeline, out):
                                        "list item 2"),
     ("identify", "file", "1,x", ":2: bad value for train_sentences: "
                                 "list item 2"),
+    ("train-onestage", "file", "1,2,1", ":2: bad value for train_sentences: "
+                                        "list item 3"),
 ])
 def test_every_list_input_refuses_a_bad_item(small_pipeline, tmp_path, capsys,
                                              command, flag, text, where):
-    # an empty or unparsable item is a usage error naming the flag, or the
-    # config file's line, and the item's position; nothing is written
+    # an empty or unparsable item, or a repeated sentence, is a usage error
+    # naming the flag, or the config file's line, and the item's position;
+    # nothing is written
     out = tmp_path / "out"
     argv = _list_fault_argv(command, small_pipeline, out)
     if flag == "file":
@@ -324,7 +330,7 @@ COMMAND_SETTINGS = {
     "extract": set(), "gen-synthetic": {"seed"},
     "train-emotions": _TRAIN_SETTINGS, "train-speakers": _TRAIN_SETTINGS,
     "train-onestage": _TRAIN_SETTINGS,
-    "identify": {*_SPLIT_SETTINGS, "alpha", "length_normalize"},
+    "identify": {*_SPLIT_SETTINGS, "alpha"},
     "evaluate": set(), "sweep-alpha": _SPLIT_SETTINGS, "ttest": set()}
 # A value off the default for every field, and its flag.
 _OFF_DEFAULT = {
@@ -338,8 +344,7 @@ _OFF_DEFAULT = {
     "variance_floor": (1e-3, ["--variance-floor", "1e-3"]),
     "em_tol": (1e-4, ["--em-tol", "1e-4"]),
     "em_max_iters": (5, ["--em-max-iters", "5"]),
-    "seed": (9, ["--seed", "9"]),
-    "length_normalize": (True, ["--length-normalize"])}
+    "seed": (9, ["--seed", "9"])}
 
 
 def _subcommands():
@@ -374,6 +379,7 @@ def test_every_config_field_has_a_flag():
 @pytest.mark.parametrize("argv", [
     ["sweep-alpha", "--alpha", "0.3"],
     ["identify", "--em-max-iters", "5"],
+    ["identify", "--length-normalize"],
     ["identify", "--num-states", "3"],
     ["train-emotions", "--alpha", "0.3"],
     ["gen-synthetic", "--num-supra-states", "12"],
@@ -1240,6 +1246,20 @@ def test_bank_from_another_train_split_is_refused(small_pipeline, tmp_path,
                           f"trained on another train split")
     assert (bank / "bank.bin").read_bytes() == before
     assert not (tmp_path / "out").exists()
+
+
+def test_a_split_in_another_order_is_the_same_split(small_pipeline, tmp_path):
+    # the bank was trained with train sentences 1,2: given as 2,1 they are
+    # the same split, and retraining a role rewrites the same bytes
+    bank = tmp_path / "bank"
+    shutil.copytree(small_pipeline / "bank", bank)
+    before = (bank / "bank.bin").read_bytes()
+    run_cli("train-onestage",
+            "--manifest", small_pipeline / "corpus/manifest.tsv",
+            "--features", small_pipeline / "corpus/features.bin",
+            "--bank-dir", bank, *SMALL_FLAGS,
+            "--train-sentences", "2,1", "--test-sentences", "4,3")
+    assert (bank / "bank.bin").read_bytes() == before
 
 
 def test_library_evaluation_equals_cli_evaluation(small_pipeline, tmp_path):

@@ -21,7 +21,6 @@ def test_defaults_are_standard_setup():
     assert cfg.num_supra_states == 3
     assert cfg.train_sentences == (1, 2, 3, 4)
     assert cfg.test_sentences == (5, 6, 7, 8)
-    assert cfg.length_normalize is False
 
 
 def test_string_fields_are_coerced():
@@ -60,10 +59,9 @@ def test_non_finite_or_non_positive_setting_is_refused_by_name(name, value):
 
 
 def test_derived_views():
-    cfg = RunConfig(alpha=0.25, length_normalize=True)
+    cfg = RunConfig(alpha=0.25)
     assert cfg.protocol.train_sentences == (1, 2, 3, 4)
     assert cfg.fusion.alpha == 0.25
-    assert cfg.fusion.length_normalize is True
 
 
 def test_parsers_cover_every_field():
@@ -110,18 +108,24 @@ def test_parse_config_file(tmp_path):
         "alpha = 0.9\n"
         "\n"
         "num_supra_states = 2   # trailing comment\n"
-        "num_states = 3\n"
-        "length_normalize = yes\n")
+        "num_states = 3\n")
     values = parse_config_file(path)
-    assert values == {"alpha": 0.9, "num_supra_states": 2,
-                      "num_states": 3, "length_normalize": True}
+    assert values == {"alpha": 0.9, "num_supra_states": 2, "num_states": 3}
 
 
-def test_parse_config_file_rejects_unknown_key(tmp_path):
+def test_parse_config_file_rejects_unknown_key(tmp_path, capsys):
+    # a removed setting is refused as one that never was
     path = tmp_path / "run.cfg"
-    path.write_text("states = 3\n")
-    with pytest.raises(ValueError, match="unknown setting"):
-        parse_config_file(path)
+    for key in ("states", "length_normalize"):
+        path.write_text(f"alpha = 0.5\n{key} = true\n")
+        message = f"{path}:2: unknown setting '{key}'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_config_file(path)
+        assert cli.main(["identify", "--manifest", "m.tsv", "--features",
+                         "f.bin", "--bank-dir", "bank", "--out",
+                         str(tmp_path / "out"), "--config", str(path)]) == 1
+        assert capsys.readouterr().err == \
+            f"configuration error: {message}\n"
 
 
 def test_parse_config_file_rejects_bare_line(tmp_path):
@@ -153,20 +157,12 @@ def test_make_config_ignores_none_overrides():
 
 
 def test_make_config_parses_string_overrides():
-    cfg = make_config(num_states="3", num_supra_states="1",
-                      length_normalize="true")
+    cfg = make_config(num_states="3", num_supra_states="1", alpha="0.25")
     assert cfg.num_states == 3
     assert cfg.num_supra_states == 1
-    assert cfg.length_normalize is True
+    assert cfg.alpha == 0.25
 
 
 def test_make_config_rejects_unknown_override():
     with pytest.raises(ValueError):
         make_config(states=3)
-
-
-def test_bool_parsing():
-    assert config._parse_bool("ON") is True
-    assert config._parse_bool("0") is False
-    with pytest.raises(ValueError):
-        config._parse_bool("maybe")

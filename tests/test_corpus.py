@@ -167,6 +167,28 @@ def test_protocol_refuses_an_item_that_is_not_an_integer(train, test,
         RunConfig(train_sentences=train, test_sentences=test)
 
 
+@pytest.mark.parametrize("train, test, message", [
+    ((1, 2, 3, 3), (4,), "train_sentences item 4 (3) repeats item 3"),
+    ((1,), (5, 4, 5), "test_sentences item 3 (5) repeats item 1"),
+])
+def test_protocol_refuses_a_repeated_sentence(train, test, message):
+    # a bank trained with 1,2,3 would refuse the split 1,2,3,3 as another
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SplitProtocol(train_sentences=train, test_sentences=test)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        RunConfig(train_sentences=train, test_sentences=test)
+
+
+def test_protocol_stores_each_set_in_ascending_order():
+    # one split has one form, whatever order its sentences were given in
+    protocol = SplitProtocol(train_sentences=(3, 1, 2),
+                             test_sentences=np.array([5, 4]))
+    assert protocol.train_sentences == (1, 2, 3)
+    assert protocol.test_sentences == (4, 5)
+    assert RunConfig(train_sentences="3,1,2", test_sentences=(5, 4)) == \
+        RunConfig(train_sentences=(1, 2, 3), test_sentences="4,5")
+
+
 def test_protocol_casts_numpy_integers():
     # a split read back from numpy arithmetic stays JSON-able in a header
     protocol = SplitProtocol(train_sentences=np.array([1, 2]),

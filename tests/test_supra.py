@@ -321,20 +321,6 @@ def test_fusion_affine_in_alpha(trained_pair):
         assert fused == pytest.approx(want, abs=1e-12)
 
 
-def test_fusion_length_normalization(trained_pair):
-    acoustic, model, probe = trained_pair
-    log_a, log_s = supra.score_components(acoustic, model, probe)
-    norm_a, norm_s = supra.score_components(acoustic, model, probe,
-                                            length_normalize=True)
-    num_frames = np.asarray(probe.features).shape[0]
-    num_segments = len(supra.supra_observations(acoustic, probe))
-    assert norm_a == pytest.approx(log_a / num_frames, abs=1e-12)
-    assert norm_s == pytest.approx(log_s / num_segments, abs=1e-12)
-    cfg = supra.FusionConfig(alpha=0.3, length_normalize=True)
-    assert supra.fused_score(acoustic, model, probe, cfg) == \
-        pytest.approx(0.7 * norm_a + 0.3 * norm_s, abs=1e-12)
-
-
 def test_fusion_at_alpha_zero_still_aligns(trained_pair):
     acoustic, model, probe = trained_pair
     frames = acoustic.num_states - 1
